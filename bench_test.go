@@ -1,8 +1,7 @@
 // Benchmarks regenerating every exhibit of the paper's evaluation
 // (Fig. 1, Fig. 5a/5b, Fig. 6, Fig. 7, Table I) plus microbenchmarks of
 // the 2PC protocol substrate. Custom metrics attach the scientific
-// quantities (latency, accuracy, speedups) to the benchmark output;
-// EXPERIMENTS.md records the paper-vs-measured comparison.
+// quantities (latency, accuracy, speedups) to the benchmark output.
 package pasnet_test
 
 import (

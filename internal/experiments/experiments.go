@@ -2,8 +2,7 @@
 // evaluation (Fig. 1, Fig. 5a/5b, Fig. 6, Fig. 7, Table I). Each harness
 // regenerates the exhibit's rows/series from this repository's own
 // substrates and returns structured results that cmd/pasnet-bench prints
-// and bench_test.go measures. EXPERIMENTS.md records paper-vs-measured
-// values for each.
+// and bench_test.go measures.
 package experiments
 
 import (

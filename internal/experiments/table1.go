@@ -17,8 +17,7 @@ type Table1Row struct {
 	// Backbone names the underlying architecture.
 	Backbone string
 	// SynthAccuracy is our measured top-1 on the synthetic CIFAR stand-in
-	// (non-zero only for our variants; see EXPERIMENTS.md for the mapping
-	// to the paper's CIFAR-10/ImageNet accuracies).
+	// (non-zero only for our variants).
 	SynthAccuracy float64
 	// CIFARLatencyMS and CIFARCommMB are modelled at 32×32 scale.
 	CIFARLatencyMS, CIFARCommMB float64

@@ -1,5 +1,5 @@
 // Package gateway is the multi-model shard-routing subsystem in front of
-// the pi.Session/pi.Batcher stack: it multiplexes client queries for many
+// the pi.Session stack: it multiplexes client queries for many
 // registered models (and many shards of one model) across independent 2PC
 // session pairs, so a deployment serves heterogeneous traffic concurrently
 // without touching any single pair's online latency.

@@ -9,7 +9,7 @@
 // default configuration (two ZCU104 boards, 1 GB/s network, 200 MHz,
 // 32-bit ring, 16 × 2-bit comparison chunks) is calibrated so that the
 // per-operator breakdown of the paper's Fig. 1 bottleneck reproduces
-// within a few percent; see EXPERIMENTS.md for paper-vs-model numbers.
+// within a few percent.
 package hwmodel
 
 import "fmt"
@@ -107,7 +107,7 @@ type Config struct {
 
 // DefaultConfig returns the ZCU104 pair over 1 GB/s LAN used throughout
 // the paper's evaluation. PPConv=1024 and PPCmp=40 calibrate the Fig. 1
-// per-operator breakdown (see EXPERIMENTS.md).
+// per-operator breakdown.
 func DefaultConfig() Config {
 	return Config{
 		FreqHz:        200e6,

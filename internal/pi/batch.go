@@ -203,18 +203,32 @@ func CheckShape(actual, expected []int) error {
 // way. An empty shape from party 1 is the end-of-session sentinel, and is
 // returned as (nil, nil).
 func negotiateShape(p *mpc.Party, mine []int) ([]int, error) {
-	theirs, err := transport.ExchangeShapes(p.Conn, mine)
-	if err != nil {
-		return nil, fmt.Errorf("pi: shape negotiation: %w", err)
-	}
 	if p.ID == 0 {
-		if len(theirs) == 0 {
+		// Party 0 answers eagerly, before the peer's frame arrives, so its
+		// answer to an end-of-session sentinel races the peer hanging up
+		// (over TCP: a reset under the frame's second write). Nobody reads
+		// that answer; only failing to answer a real flush is an error.
+		sent := make(chan error, 1)
+		go func() { sent <- p.Conn.SendShape(mine) }()
+		theirs, err := p.Conn.RecvShape()
+		sendErr := <-sent
+		if err == nil && len(theirs) == 0 {
 			return nil, nil
+		}
+		if sendErr != nil {
+			return nil, fmt.Errorf("pi: shape negotiation: send: %w", sendErr)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pi: shape negotiation: recv: %w", err)
 		}
 		if err := CheckShape(theirs, mine); err != nil {
 			return nil, err
 		}
 		return theirs, nil
+	}
+	theirs, err := transport.ExchangeShapes(p.Conn, mine)
+	if err != nil {
+		return nil, fmt.Errorf("pi: shape negotiation: %w", err)
 	}
 	if err := CheckShape(mine, theirs); err != nil {
 		return nil, err
@@ -225,7 +239,7 @@ func negotiateShape(p *mpc.Party, mine []int) ([]int, error) {
 // Session is one party's endpoint of a persistent private-inference
 // deployment: the model is compiled and secret-shared once, then any
 // number of batched evaluations run over the same transport. It is the
-// unit cmd/pasnet-server builds its request batcher on.
+// unit a sched.Dispatcher lane drives.
 type Session struct {
 	party *mpc.Party
 	eng   *Engine

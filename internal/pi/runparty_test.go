@@ -1,6 +1,7 @@
 package pi
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +15,8 @@ import (
 	"pasnet/internal/transport"
 )
 
-// tinyModel wraps a hand-built network in a models.Model so RunParty and
-// Session tests need no training.
+// tinyModel wraps a hand-built network in a models.Model so Session tests
+// need no training.
 func tinyModel(seed uint64) (*models.Model, int, int) {
 	v := netVariants[0] // plain-x2-gap
 	r := rng.New(seed)
@@ -24,8 +25,10 @@ func tinyModel(seed uint64) (*models.Model, int, int) {
 	return &models.Model{Name: "tiny", Net: net}, v.inC, v.hw
 }
 
-// runBothParties drives one RunParty pair over an in-memory pipe with a
-// timeout guard: a shape mismatch must produce errors, never a hang.
+// runBothParties drives one single-query Session pair over an in-memory
+// pipe — party 0 declares the geometry it expects and serves one
+// evaluation, party 1 submits x — with a timeout guard: a shape mismatch
+// must produce errors, never a hang.
 func runBothParties(t *testing.T, m *models.Model, x *tensor.Tensor, expect []int) ([2][]float64, [2]error) {
 	t.Helper()
 	c0, c1 := transport.Pipe()
@@ -38,18 +41,26 @@ func runBothParties(t *testing.T, m *models.Model, x *tensor.Tensor, expect []in
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		outs[0], errs[0] = RunParty(p0, m, nil, expect)
+		sess, err := NewSession(p0, m, expect)
+		if err == nil {
+			outs[0], _, err = sess.ServeOne()
+		}
+		errs[0] = err
 	}()
 	go func() {
 		defer wg.Done()
-		outs[1], errs[1] = RunParty(p1, m, x, nil)
+		sess, err := NewSession(p1, m, nil)
+		if err == nil {
+			outs[1], err = sess.Query(x)
+		}
+		errs[1] = err
 	}()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunParty pair deadlocked")
+		t.Fatal("session pair deadlocked")
 	}
 	c0.Close()
 	c1.Close()
@@ -162,5 +173,43 @@ func TestSessionBatchedFlushes(t *testing.T) {
 	wg.Wait()
 	if serveErr != nil {
 		t.Fatalf("serve loop: %v", serveErr)
+	}
+}
+
+// hungUpConn fails every shape send: the peer sent its end-of-session
+// sentinel and tore the link down before this side's eager answer left.
+type hungUpConn struct{ transport.Conn }
+
+func (hungUpConn) SendShape([]int) error { return fmt.Errorf("connection reset by peer") }
+
+// TestServeEndsCleanlyWhenPeerHangsUpFirst pins graceful shutdown over a
+// real link: party 0 answers every shape frame eagerly, so its answer to
+// the sentinel races the gateway closing the socket. Losing that race is
+// a clean end of session, not a serving error.
+func TestServeEndsCleanlyWhenPeerHangsUpFirst(t *testing.T) {
+	m, inC, hw := tinyModel(24)
+	c0, c1 := transport.Pipe()
+	defer c0.Close()
+	defer c1.Close()
+	codec := fixed.Default64()
+	p1 := mpc.NewParty(1, c1, 7, 72, codec)
+	setup := make(chan error, 1)
+	go func() {
+		sess, err := NewSession(p1, m, nil)
+		if err == nil {
+			err = sess.Close()
+		}
+		setup <- err
+	}()
+	sess, err := NewSession(mpc.NewParty(0, c0, 7, 71, codec), m, []int{0, inC, hw, hw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-setup; err != nil {
+		t.Fatal(err)
+	}
+	sess.party.Conn = hungUpConn{c0}
+	if err := sess.Serve(); err != nil {
+		t.Fatalf("sentinel received but the answer could not be sent: Serve must end cleanly, got: %v", err)
 	}
 }

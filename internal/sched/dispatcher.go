@@ -466,13 +466,13 @@ func (d *Dispatcher) Submit(model string, x *tensor.Tensor) ([]float64, error) {
 	return d.SubmitAsync(model, x)()
 }
 
-// SubmitAsync routes one query and returns a wait function (mirroring
-// pi.Batcher.SubmitAsync), so connection readers can enqueue a pipelined
-// stream without blocking. A submission to a full lane queue blocks
-// inside SubmitAsync — backpressure, not loss. When the flush carrying
-// the query fails, the lane is marked down and the query transparently
-// retries on the model's remaining healthy lanes; only when every lane is
-// down (or the retry budget is spent) does the wait return an error.
+// SubmitAsync routes one query and returns a wait function, so connection
+// readers can enqueue a pipelined stream without blocking. A submission
+// to a full lane queue blocks inside SubmitAsync — backpressure, not loss.
+// When the flush carrying the query fails, the lane is marked down and the
+// query transparently retries on the model's remaining healthy lanes; only
+// when every lane is down (or the retry budget is spent) does the wait
+// return an error.
 func (d *Dispatcher) SubmitAsync(model string, x *tensor.Tensor) func() ([]float64, error) {
 	rows := int64(1)
 	if len(x.Shape) == 4 {

@@ -26,6 +26,10 @@ type fakeSession struct {
 	rows    atomic.Int64
 	killed  atomic.Bool
 	closed  atomic.Bool
+
+	// packed records every flush's layout: each row's first element.
+	mu     sync.Mutex
+	packed [][]float64
 }
 
 func newFakeSession(perRow time.Duration, failAfter int32) *fakeSession {
@@ -42,6 +46,13 @@ func (f *fakeSession) BeginFlush(batch *tensor.Tensor) (func() ([]float64, error
 	}
 	f.flushes.Add(1)
 	f.rows.Add(rows)
+	tags := make([]float64, rows)
+	for i := range tags {
+		tags[i] = batch.Data[i*batch.Len()/int(rows)]
+	}
+	f.mu.Lock()
+	f.packed = append(f.packed, tags)
+	f.mu.Unlock()
 	logits := make([]float64, rows)
 	for i := range logits {
 		logits[i] = float64(i)
@@ -162,30 +173,96 @@ func TestQueueAwareSteersByLatency(t *testing.T) {
 	}
 }
 
-// TestBatchGathering pins work-conserving batching: queries queued while
-// a flush runs are gathered into the next flush up to Options.Batch.
+// TestBatchGathering pins lane batching: queries queued while a flush
+// runs are gathered into the next flush up to Options.Batch
+// (work-conserving), a partial batch flushes once the gather window
+// expires, and one submitter's SubmitAsync stream packs in submission
+// order with each wait receiving its own rows.
 func TestBatchGathering(t *testing.T) {
-	d := NewDispatcher(Options{Batch: 4, Policy: RoundRobin})
-	s := newFakeSession(5*time.Millisecond, -1)
-	addLanes(t, d, "m", s)
-	var waits []func() ([]float64, error)
-	for q := 0; q < 9; q++ {
-		waits = append(waits, d.SubmitAsync("m", query(1)))
-	}
-	for q, wait := range waits {
-		if _, err := wait(); err != nil {
-			t.Fatalf("query %d: %v", q, err)
+	t.Run("work-conserving", func(t *testing.T) {
+		d := NewDispatcher(Options{Batch: 4, Policy: RoundRobin})
+		s := newFakeSession(5*time.Millisecond, -1)
+		addLanes(t, d, "m", s)
+		var waits []func() ([]float64, error)
+		for q := 0; q < 9; q++ {
+			waits = append(waits, d.SubmitAsync("m", query(1)))
 		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if f := s.flushes.Load(); f < 3 || f > 9 {
-		t.Fatalf("9 queries at Batch=4 ran %d flushes, want between 3 and 9", f)
-	}
-	if s.rows.Load() != 9 {
-		t.Fatalf("served %d rows, want 9", s.rows.Load())
-	}
+		for q, wait := range waits {
+			if _, err := wait(); err != nil {
+				t.Fatalf("query %d: %v", q, err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if f := s.flushes.Load(); f < 3 || f > 9 {
+			t.Fatalf("9 queries at Batch=4 ran %d flushes, want between 3 and 9", f)
+		}
+		for _, tags := range s.packed {
+			if len(tags) > 4 {
+				t.Fatalf("a flush packed %d queries past Batch=4", len(tags))
+			}
+		}
+		if s.rows.Load() != 9 {
+			t.Fatalf("served %d rows, want 9", s.rows.Load())
+		}
+	})
+	t.Run("window-flushes-partial-batch", func(t *testing.T) {
+		const window = 30 * time.Millisecond
+		d := NewDispatcher(Options{Batch: 100, Window: window})
+		s := newFakeSession(0, -1)
+		addLanes(t, d, "m", s)
+		start := time.Now()
+		// The lone query must flush via the window, not hang for 99 peers.
+		if _, err := d.Submit("m", query(1)); err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el < window {
+			t.Fatalf("partial batch flushed after %v, before the %v gather window expired", el, window)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s.flushes.Load() != 1 || s.rows.Load() != 1 {
+			t.Fatalf("lone query ran %d flushes / %d rows, want 1 / 1", s.flushes.Load(), s.rows.Load())
+		}
+	})
+	t.Run("submission-order", func(t *testing.T) {
+		// A window far longer than four back-to-back SubmitAsync calls
+		// take: the gather ends when the batch fills, so all four ride one
+		// flush — a deterministic layout, hence reproducible fixed-point
+		// noise, for a connection reader draining a pipelined stream.
+		d := NewDispatcher(Options{Batch: 4, Window: 10 * time.Second})
+		s := newFakeSession(0, -1)
+		addLanes(t, d, "m", s)
+		waits := make([]func() ([]float64, error), 4)
+		for i := range waits {
+			x := query(1)
+			x.Data[0] = float64(10 + i)
+			waits[i] = d.SubmitAsync("m", x)
+		}
+		for i, wait := range waits {
+			logits, err := wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The fake session's logit is the row's index in the flush.
+			if len(logits) != 1 || logits[0] != float64(i) {
+				t.Fatalf("wait %d got row %v of the flush, want its own row %d", i, logits, i)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.packed) != 1 || len(s.packed[0]) != 4 {
+			t.Fatalf("four pipelined queries at Batch=4 packed as %v, want one flush of 4", s.packed)
+		}
+		for i, tag := range s.packed[0] {
+			if tag != float64(10+i) {
+				t.Fatalf("flush packed out of submission order: %v", s.packed[0])
+			}
+		}
+	})
 }
 
 // TestFailoverToHealthyLane pins transparent failover: a lane that dies

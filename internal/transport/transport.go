@@ -566,20 +566,6 @@ func Dial(addr string) (*TCPConn, error) {
 	return NewTCPConn(nc), nil
 }
 
-// Listen accepts a single peer connection on addr.
-func Listen(addr string) (*TCPConn, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	defer l.Close()
-	nc, err := l.Accept()
-	if err != nil {
-		return nil, fmt.Errorf("transport: accept: %w", err)
-	}
-	return NewTCPConn(nc), nil
-}
-
 func (t *TCPConn) writeFrame(kind byte, payload []byte) error {
 	var hdr [5]byte
 	hdr[0] = kind
