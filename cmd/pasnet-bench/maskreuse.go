@@ -13,6 +13,7 @@ import (
 	"pasnet/internal/kernel"
 	"pasnet/internal/models"
 	"pasnet/internal/mpc"
+	"pasnet/internal/obs"
 	"pasnet/internal/pi"
 	"pasnet/internal/tensor"
 	"pasnet/internal/transport"
@@ -70,7 +71,8 @@ const mrSaneLogit = 10.0
 // start handshake keeps party 0 out of its serve loop until setup bytes
 // are sampled (its side of the shape exchange sends eagerly).
 func maskreuseSession(m *models.Model, x *tensor.Tensor, flushes int, seed uint64, fixedMasks bool) (setupBytes, onlineBytes int64, onlineSec float64, logits []float64, err error) {
-	c0, c1 := transport.Pipe()
+	m0, m1 := transport.Pipe()
+	c0, c1 := obs.InstrumentConn(m0, nil), obs.InstrumentConn(m1, nil)
 	codec := fixed.Default64()
 	opts := pi.SessionOptions{FixedMasks: fixedMasks}
 	var wg sync.WaitGroup
@@ -100,7 +102,7 @@ func maskreuseSession(m *models.Model, x *tensor.Tensor, flushes int, seed uint6
 	if serveErr != nil {
 		return 0, 0, 0, nil, serveErr
 	}
-	total := func() int64 { return c0.Stats().BytesSent + c1.Stats().BytesSent }
+	total := func() int64 { return c0.Totals().SentBytes + c1.Totals().SentBytes }
 	setupBytes = total()
 	close(goServe)
 	start := time.Now()

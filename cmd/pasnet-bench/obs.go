@@ -39,8 +39,8 @@ type obsResult struct {
 	SentBytesPerQueryByKind map[string]int64 `json:"sent_bytes_per_query_by_kind"`
 	RecvBytesPerQueryByKind map[string]int64 `json:"recv_bytes_per_query_by_kind"`
 	// Online ms/query with no registry at all vs the fully instrumented
-	// stack (wire counters + flush spans + per-op feed sampling every
-	// flush); both take the fastest of Reps repetitions.
+	// stack (wire counters + flush spans + per-op feed); both take the
+	// fastest of Reps repetitions.
 	PlainOnlineMSPerQuery float64 `json:"plain_online_ms_per_query"`
 	ObsOnlineMSPerQuery   float64 `json:"obs_online_ms_per_query"`
 	// OverheadFrac is obs/plain − 1 on those best-of times.
@@ -50,12 +50,9 @@ type obsResult struct {
 
 // obsReport is the BENCH_obs.json schema.
 type obsReport struct {
-	GeneratedUnix int64 `json:"generated_unix"`
-	Workers       int   `json:"workers"`
-	// SampleEvery is the per-op feed cadence the instrumented runs used
-	// (1 = every flush pays the tracing clock reads — the worst case).
-	SampleEvery int         `json:"sample_every"`
-	Results     []obsResult `json:"results"`
+	GeneratedUnix int64       `json:"generated_unix"`
+	Workers       int         `json:"workers"`
+	Results       []obsResult `json:"results"`
 	// OverheadFrac is the latency-weighted aggregate across the whole
 	// grid — Σ(instrumented best ms) / Σ(plain best ms) − 1. Per-cell
 	// overheads on millisecond-scale cells scatter several percent either
@@ -107,9 +104,9 @@ func (t obsWireTotals) sub(base obsWireTotals) obsWireTotals {
 
 // obsSession drives one multi-flush session pair over an in-process pipe.
 // With a registry, party 1's link is wrapped in an obs.WireConn and the
-// session publishes flush spans plus the per-op feed sampled every flush
-// — the full instrumented serving stack; with reg == nil it is the plain
-// stack the overhead comparison baselines against. Returns the online
+// session publishes flush spans plus the per-op feed — the full
+// instrumented serving stack; with reg == nil it is the plain stack the
+// overhead comparison baselines against. Returns the online
 // wall-clock of the flush sequence, the online wire deltas (zero-valued
 // when uninstrumented), and the last flush's logits.
 func obsSession(m *models.Model, x *tensor.Tensor, flushes int, seed uint64, reg *obs.Registry, class string) (onlineSec float64, online obsWireTotals, logits []float64, err error) {
@@ -143,7 +140,7 @@ func obsSession(m *models.Model, x *tensor.Tensor, flushes int, seed uint64, reg
 		return 0, online, nil, err
 	}
 	if reg != nil {
-		sess1.Instrument(reg, 1, "class", class)
+		sess1.Instrument(reg, "class", class)
 	}
 	<-setupDone
 	if serveErr != nil {
@@ -224,8 +221,8 @@ func trainObsClass(class string) (*models.Model, *dataset.Dataset, error) {
 // obsBench measures what the telemetry layer sees and what it costs: for
 // each program class (ReLU/max, X²/avg, mixed) at K=1, 4, 16 it serves a
 // multi-flush session pair with the full instrumented stack — wire
-// counters, flush spans, per-op feed sampling every flush — records the
-// protocol rounds and per-kind wire bytes the registry accounted, and
+// counters, flush spans, per-op feed — records the protocol rounds and
+// per-kind wire bytes the registry accounted, and
 // compares online ms/query against an identical uninstrumented run. The
 // two runs share seeds, so the logits must match bit-exactly:
 // observation may never perturb the protocol. Bytes and rounds are
@@ -239,7 +236,6 @@ func obsBench(jsonDir string) error {
 	rep := obsReport{
 		GeneratedUnix: time.Now().Unix(),
 		Workers:       kernel.Workers(),
-		SampleEvery:   1,
 	}
 	fmt.Printf("Telemetry accounting + overhead, %d flushes/session (workers=%d, %s):\n",
 		flushes, kernel.Workers(), benchBackbone)

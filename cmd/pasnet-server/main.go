@@ -396,7 +396,7 @@ func runGateway(cfg config) error {
 		return err
 	}
 	// One registry observes the whole gateway: wire accounting on every
-	// shard link, flush-phase spans and sampled per-op timings on every
+	// shard link, flush-phase spans and per-op timings on every
 	// session, the dispatcher's admission/queue bookkeeping, and the
 	// lifecycle event ring. -metrics-addr and -status-json both export
 	// it, so the two views can never disagree.

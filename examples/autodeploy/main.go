@@ -103,10 +103,10 @@ func main() {
 	lb := gateway.NewLoopback(reg)
 	// An obs registry on the router instruments every shard lane: wire
 	// bytes/frames/rounds per conn, flush-phase spans, scheduler
-	// counters, and an every-flush sampled per-op timing feed.
+	// counters, and the per-op timing feed.
 	oreg := obs.New()
 	rt, err := gateway.NewRouter(reg, gateway.RouterOptions{
-		Batch: 1, Dial: lb.Dial, Obs: oreg, OpSampleEvery: 1,
+		Batch: 1, Dial: lb.Dial, Obs: oreg,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -135,7 +135,7 @@ func main() {
 		}
 	}
 
-	// Step 6: recalibrate from the live feed. The router's sampled op
+	// Step 6: recalibrate from the live feed. The router's per-op
 	// timings harvest into a LUT that round-trips the same PASLUT1
 	// artifact and feeds nas.Options.LUT — the next search is priced by
 	// what serving actually measured, no dedicated probe run needed.

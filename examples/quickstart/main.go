@@ -9,6 +9,7 @@ import (
 
 	"pasnet/internal/fixed"
 	"pasnet/internal/mpc"
+	"pasnet/internal/obs"
 	"pasnet/internal/transport"
 )
 
@@ -20,6 +21,10 @@ func main() {
 	plainDot := u[0]*w[0] + u[1]*w[1] // = 9
 
 	err := mpc.RunProtocol(42, fixed.Default64(), func(p *mpc.Party) error {
+		// Transports do not count traffic; the obs wrapper does.
+		wire := obs.InstrumentConn(p.Conn, nil)
+		p.Conn = wire
+
 		// Each party contributes its private input.
 		var encW, encU []uint64
 		if p.ID == 0 {
@@ -64,7 +69,7 @@ func main() {
 		if p.ID == 0 {
 			fmt.Printf("plaintext dot(u,w) = %.2f\n", plainDot)
 			fmt.Printf("ciphertext dot(u,w) = %.2f (positive=%v)\n", got, positive)
-			fmt.Printf("traffic sent by party 0: %d bytes\n", p.Conn.Stats().BytesSent)
+			fmt.Printf("traffic sent by party 0: %d bytes\n", wire.Totals().SentBytes)
 		}
 		return nil
 	})

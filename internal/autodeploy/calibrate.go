@@ -22,6 +22,7 @@ import (
 
 	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
+	"pasnet/internal/obs"
 	"pasnet/internal/pi"
 	"pasnet/internal/rng"
 	"pasnet/internal/tensor"
@@ -105,12 +106,6 @@ var probeVariants = []struct {
 	{"x2-avg", models.ActX2, models.PoolAvg},
 }
 
-// keyAgg accumulates one operator key's measurements across runs.
-type keyAgg struct {
-	op   hwmodel.NetOp
-	best float64 // min over runs of the run's mean per-row seconds
-}
-
 // Calibrate runs the probe suite and fits a calibrated LUT.
 func Calibrate(opts CalibrateOptions) (*Calibration, error) {
 	if opts.Backbone == "" {
@@ -128,7 +123,12 @@ func Calibrate(opts CalibrateOptions) (*Calibration, error) {
 	cfg := opts.ModelCfg
 	cfg.TrainScaleOps = true
 
-	agg := map[string]*keyAgg{}
+	// best holds each key's fastest reading: per rep a key reads the mean
+	// per-row seconds over its occurrences (identical layers share a key
+	// by construction; the model prices them identically, so their mean
+	// is the right single reading), and the minimum across reps and
+	// variants rejects scheduler noise.
+	best := map[string]hwmodel.Reading{}
 	overhead := math.Inf(1)
 	for vi, v := range probeVariants {
 		vcfg := cfg
@@ -142,6 +142,7 @@ func Calibrate(opts CalibrateOptions) (*Calibration, error) {
 			RandNorm(rng.New(rng.MixSeed(opts.Seed, 0x70726f6265, uint64(vi))), 0.5)
 		for rep := 0; rep < opts.Reps; rep++ {
 			runSeed := rng.MixSeed(opts.Seed, uint64(vi)+1, uint64(rep)+1)
+			feed := &obs.OpFeed{}
 			res, err := pi.RunOpt(m, opts.HW, x, runSeed, pi.RunOptions{
 				// Preprocess matters for fidelity, not just speed: the
 				// live-dealer path generates correlations inline during
@@ -149,148 +150,63 @@ func Calibrate(opts CalibrateOptions) (*Calibration, error) {
 				// relative to the store-replay serving path.
 				Preprocess: true,
 				FixedMasks: opts.FixedMasks,
-				RecordOps:  true,
+				OpFeed:     feed,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("autodeploy: probe %s rep %d: %w", v.label, rep, err)
 			}
-			mergeRun(agg, res.OpTimings)
-			if ovh := runOverhead(res); ovh/float64(opts.Rows) < overhead {
-				overhead = ovh / float64(opts.Rows)
+			// The run's online time per row not attributed to any traced
+			// operator: input sharing, output reconstruction, pack/unpack.
+			ovh := res.OnlineSeconds / float64(opts.Rows)
+			for _, rd := range feed.Readings() {
+				ovh -= rd.RowSec * float64(rd.Count)
+				key := rd.Op.Key()
+				if b, ok := best[key]; !ok || rd.RowSec < b.RowSec {
+					best[key] = rd
+				}
 			}
+			overhead = min(overhead, max(ovh, 0))
 		}
 	}
-	if len(agg) == 0 {
+	if len(best) == 0 {
 		return nil, fmt.Errorf("autodeploy: probe suite traced no operators")
 	}
-	if math.IsInf(overhead, 1) {
-		overhead = 0
+	readings := make([]hwmodel.Reading, 0, len(best))
+	for _, rd := range best {
+		readings = append(readings, rd)
 	}
+	sort.Slice(readings, func(i, j int) bool { return readings[i].Op.Key() < readings[j].Op.Key() })
 
-	cal := &Calibration{OverheadSec: overhead, Probes: len(agg)}
-	cal.LUT = fitLUT(opts, agg)
-	cal.PerOp = opChecks(opts.HW, agg)
-	cal.PlanDigest = planDigest(opts, agg)
+	cal := &Calibration{OverheadSec: overhead, Probes: len(readings)}
+	source := fmt.Sprintf("calibrated/%s/hw%d", opts.Backbone, opts.ModelCfg.InputHW)
+	cal.LUT = hwmodel.FitLUT(opts.HW, source, readings)
+	cal.PerOp = opChecks(opts.HW, readings)
+	cal.PlanDigest = planDigest(opts, readings)
 	return cal, nil
 }
 
-// mergeRun folds one probe run's op trace into the aggregate: per key,
-// the mean per-row seconds over the run's occurrences, then the minimum
-// across runs (identical layers share a key by construction; the model
-// prices them identically, so their mean is the right single reading).
-func mergeRun(agg map[string]*keyAgg, timings []pi.OpTiming) {
-	type acc struct {
-		op    hwmodel.NetOp
-		sum   float64
-		count int
-	}
-	run := map[string]*acc{}
-	for _, t := range timings {
-		if t.Rows < 1 {
-			continue
-		}
-		key := t.Key()
-		a := run[key]
-		if a == nil {
-			a = &acc{op: hwmodel.NetOp{Kind: t.Kind, Shape: t.Shape}}
-			run[key] = a
-		}
-		a.sum += t.Seconds / float64(t.Rows)
-		a.count++
-	}
-	for key, a := range run {
-		mean := a.sum / float64(a.count)
-		k := agg[key]
-		if k == nil {
-			agg[key] = &keyAgg{op: a.op, best: mean}
-		} else if mean < k.best {
-			k.best = mean
-		}
-	}
-}
-
-// runOverhead is the run's online wall time not attributed to any traced
-// operator: input sharing, output reconstruction, pack/unpack.
-func runOverhead(res *pi.Result) float64 {
-	ops := 0.0
-	for _, t := range res.OpTimings {
-		ops += t.Seconds
-	}
-	if ovh := res.OnlineSeconds - ops; ovh > 0 {
-		return ovh
-	}
-	return 0
-}
-
-// fitLUT builds the calibrated table: measured TotalSec per probed key
-// (comp/comm split pro-rata to the analytic model, traffic and rounds
-// copied from it — measurement sees only wall time), plus per-kind
-// measured/analytic scale ratios so unprobed geometries fall back to a
-// rescaled analytic estimate instead of a raw one.
-func fitLUT(opts CalibrateOptions, agg map[string]*keyAgg) *hwmodel.LUT {
-	lut := hwmodel.NewLUT(opts.HW)
-	lut.Source = fmt.Sprintf("calibrated/%s/hw%d", opts.Backbone, opts.ModelCfg.InputHW)
-	kindMeas := map[string]float64{}
-	kindAna := map[string]float64{}
-	for key, a := range agg {
-		ana := opts.HW.Op(a.op.Kind, a.op.Shape)
-		c := hwmodel.Cost{TotalSec: a.best, CommBits: ana.CommBits, Rounds: ana.Rounds}
-		if ana.TotalSec > 0 {
-			c.CompSec = a.best * ana.CompSec / ana.TotalSec
-			// The remainder can round to a tiny negative when the
-			// analytic split is ~all-compute; the artifact validator
-			// rightly rejects negative fields.
-			if c.CommSec = a.best - c.CompSec; c.CommSec < 0 {
-				c.CommSec = 0
-			}
-		} else {
-			c.CompSec = a.best
-		}
-		lut.Entries[key] = c
-		kind := a.op.Kind.String()
-		kindMeas[kind] += a.best
-		kindAna[kind] += ana.TotalSec
-	}
-	scales := map[string]float64{}
-	for kind, meas := range kindMeas {
-		if ana := kindAna[kind]; ana > 0 && meas > 0 {
-			scales[kind] = meas / ana
-		}
-	}
-	if len(scales) > 0 {
-		lut.Scales = scales
-	}
-	return lut
-}
-
 // opChecks compares the analytic model against each measured key.
-func opChecks(hw hwmodel.Config, agg map[string]*keyAgg) []OpCheck {
-	checks := make([]OpCheck, 0, len(agg))
-	for key, a := range agg {
-		ana := hw.Op(a.op.Kind, a.op.Shape).TotalSec
-		c := OpCheck{Key: key, AnalyticMS: ana * 1e3, MeasuredMS: a.best * 1e3}
-		if a.best > 0 {
-			c.ErrFrac = math.Abs(ana-a.best) / a.best
+func opChecks(hw hwmodel.Config, readings []hwmodel.Reading) []OpCheck {
+	checks := make([]OpCheck, len(readings))
+	for i, rd := range readings {
+		ana := hw.Op(rd.Op.Kind, rd.Op.Shape).TotalSec
+		c := OpCheck{Key: rd.Op.Key(), AnalyticMS: ana * 1e3, MeasuredMS: rd.RowSec * 1e3}
+		if rd.RowSec > 0 {
+			c.ErrFrac = math.Abs(ana-rd.RowSec) / rd.RowSec
 		}
-		checks = append(checks, c)
+		checks[i] = c
 	}
-	sort.Slice(checks, func(i, j int) bool { return checks[i].Key < checks[j].Key })
 	return checks
 }
 
 // planDigest fingerprints the probe plan: options that shape the suite
 // plus every probed key, in sorted order. FNV-1a over the joined text.
-func planDigest(opts CalibrateOptions, agg map[string]*keyAgg) string {
-	keys := make([]string, 0, len(agg))
-	for key := range agg {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
+func planDigest(opts CalibrateOptions, readings []hwmodel.Reading) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "PASCAL1|%s|rows=%d|reps=%d|fixed=%v|seed=%d|",
 		opts.Backbone, opts.Rows, opts.Reps, opts.FixedMasks, opts.Seed)
-	for _, key := range keys {
-		fmt.Fprintf(h, "%s|", key)
+	for _, rd := range readings {
+		fmt.Fprintf(h, "%s|", rd.Op.Key())
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -24,7 +24,7 @@ func TestRouterObsUnderConcurrentLoad(t *testing.T) {
 	lb := NewLoopback(reg)
 	oreg := obs.New()
 	rt, err := NewRouter(reg, RouterOptions{
-		Batch: 1, Dial: lb.Dial, Obs: oreg, OpSampleEvery: 1,
+		Batch: 1, Dial: lb.Dial, Obs: oreg,
 	})
 	if err != nil {
 		t.Fatal(err)

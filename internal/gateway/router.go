@@ -75,16 +75,12 @@ type RouterOptions struct {
 	// Obs, when non-nil, instruments the whole serving stack onto one
 	// metrics registry: every shard link is wrapped in an obs.WireConn
 	// (per-kind wire bytes/frames both directions plus protocol rounds),
-	// every session publishes flush-phase latency histograms and streams
-	// sampled per-op timings into the registry's OpFeed (see HarvestLUT),
+	// every session publishes flush-phase latency histograms and reports
+	// per-op timings to the registry's OpFeed (see HarvestLUT),
 	// the dispatcher's admission/queue/EWMA bookkeeping lands on the same
 	// registry, and lifecycle transitions are recorded in its event ring.
 	// Nil disables export; the scheduler's bookkeeping still works.
 	Obs *obs.Registry
-	// OpSampleEvery is the per-op timing feed's sampling period in
-	// flushes (every OpSampleEvery-th flush pays the tracing clock
-	// reads). Values below 1 default to 16. Ignored without Obs.
-	OpSampleEvery int
 	// Dial opens the party-1 side of one shard's 2PC link. Nil dials
 	// desc.Endpoint over TCP; in-process deployments pass a Loopback's
 	// Dial, tests substitute pipes.
@@ -297,11 +293,7 @@ func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int, handoff
 		return nil, fmt.Errorf("gateway: model %q shard %d session: %w", desc.Model, desc.Shard, err)
 	}
 	if rt.opts.Obs != nil {
-		every := rt.opts.OpSampleEvery
-		if every < 1 {
-			every = 16
-		}
-		sess.Instrument(rt.opts.Obs, every,
+		sess.Instrument(rt.opts.Obs,
 			"model", desc.Model, "shard", strconv.Itoa(desc.Shard))
 	}
 	// Bound every in-flush receive: a vendor stalled mid-protocol fails
@@ -461,9 +453,9 @@ func (rt *Router) Status() []ShardStatus {
 	return rt.disp.Status()
 }
 
-// HarvestLUT folds the router's sampled per-op latency feed into a
-// hwmodel.LUT under the given hardware config — live recalibration from
-// a serving fleet, without autodeploy's owned probe transport. The
+// HarvestLUT fits the router's per-op latency feed into a hwmodel.LUT
+// (hwmodel.FitLUT) under the given hardware config — live recalibration
+// from a serving fleet, without autodeploy's owned probe transport. The
 // router must have been built with Obs; the feed must have accumulated
 // samples (serve some queries first). The returned LUT passes the same
 // validation a calibrated artifact does and plugs straight into

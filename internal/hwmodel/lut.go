@@ -30,12 +30,11 @@ const AnalyticSource = "analytic"
 
 // LUT is the latency lookup table Lat(OP): memoized operator costs for a
 // fixed hardware configuration. An analytic LUT fills itself from the
-// Config equations on demand; a calibrated LUT (built by
-// internal/autodeploy from measured 2PC wall times, or loaded from a
-// serialized artifact) carries measured entries for the probed keys and
-// falls back to the analytic equations — scaled by the per-kind
-// measured/analytic ratio in Scales when one was fitted — for keys the
-// probe suite never covered.
+// Config equations on demand; a calibrated LUT (built by FitLUT from
+// measured 2PC wall times, or loaded from a serialized artifact) carries
+// measured entries for the probed keys and falls back to the analytic
+// equations — scaled by the per-kind measured/analytic ratio in Scales
+// when one was fitted — for keys the probe suite never covered.
 type LUT struct {
 	// Config is the hardware model behind the analytic fallback (and, for
 	// an analytic table, every entry).
@@ -56,6 +55,59 @@ type LUT struct {
 // NewLUT returns an empty analytic table for the configuration.
 func NewLUT(cfg Config) *LUT {
 	return &LUT{Config: cfg, Entries: make(map[string]Cost), Source: AnalyticSource}
+}
+
+// Reading is one operator key's measured online latency, as a per-op
+// tracer reports it (obs.OpFeed.Readings).
+type Reading struct {
+	// Op names the operator; Op.Key() is the LUT key the reading fills.
+	Op NetOp
+	// RowSec is the mean wall seconds per batch row over Count timings.
+	RowSec float64
+	// Count is the number of timings behind the mean.
+	Count int64
+}
+
+// FitLUT builds a calibrated table from measured readings, one per key:
+// each entry's TotalSec is the reading's RowSec, split into comp/comm
+// pro-rata to the analytic model hw (measurement sees only wall time)
+// with traffic and round counts copied from it, and per-kind
+// measured/analytic ratios go into Scales so unprobed geometries fall
+// back to a rescaled analytic estimate instead of a raw one. hw must be
+// valid. The result passes the PASLUT1 artifact validator.
+func FitLUT(hw Config, source string, readings []Reading) *LUT {
+	lut := NewLUT(hw)
+	lut.Source = source
+	kindMeas := map[string]float64{}
+	kindAna := map[string]float64{}
+	for _, rd := range readings {
+		ana := hw.Op(rd.Op.Kind, rd.Op.Shape)
+		c := Cost{TotalSec: rd.RowSec, CommBits: ana.CommBits, Rounds: ana.Rounds}
+		if ana.TotalSec > 0 {
+			c.CompSec = rd.RowSec * ana.CompSec / ana.TotalSec
+			// The remainder can round to a tiny negative when the
+			// analytic split is ~all-compute; the artifact validator
+			// rightly rejects negative fields.
+			if c.CommSec = rd.RowSec - c.CompSec; c.CommSec < 0 {
+				c.CommSec = 0
+			}
+		} else {
+			c.CompSec = rd.RowSec
+		}
+		lut.Entries[rd.Op.Key()] = c
+		kind := rd.Op.Kind.String()
+		kindMeas[kind] += rd.RowSec
+		kindAna[kind] += ana.TotalSec
+	}
+	for kind, meas := range kindMeas {
+		if ana := kindAna[kind]; ana > 0 && meas > 0 {
+			if lut.Scales == nil {
+				lut.Scales = map[string]float64{}
+			}
+			lut.Scales[kind] = meas / ana
+		}
+	}
+	return lut
 }
 
 // Cost returns the operator cost, computing and memoizing it on first use.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pasnet/internal/obs"
 	"pasnet/internal/rng"
 )
 
@@ -35,6 +36,8 @@ func TestMatMulFixedWMatchesPlain(t *testing.T) {
 		flushes = append(flushes, xs)
 	}
 	runBoth(t, 302, func(p *Party) error {
+		wire := obs.InstrumentConn(p.Conn, nil)
+		p.Conn = wire
 		var encW []uint64
 		if p.ID == 0 {
 			encW = p.EncodeTensor(ws)
@@ -56,17 +59,17 @@ func TestMatMulFixedWMatchesPlain(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			sent0 := p.Conn.Stats().BytesSent
+			sent0 := wire.Totals().SentBytes
 			plainY, err := p.MatMul(x, w)
 			if err != nil {
 				return err
 			}
-			sent1 := p.Conn.Stats().BytesSent
+			sent1 := wire.Totals().SentBytes
 			fixedY, err := p.MatMulFixedW(x, w, fw)
 			if err != nil {
 				return err
 			}
-			sent2 := p.Conn.Stats().BytesSent
+			sent2 := wire.Totals().SentBytes
 			// Same frame count, weight payload dropped: the fixed op is
 			// exactly 8 bytes per weight element cheaper, every flush.
 			saved := (sent1 - sent0) - (sent2 - sent1)

@@ -38,30 +38,3 @@ func RunProtocol(dealerSeed uint64, codec fixed.Codec64, fn func(p *Party) error
 	c1.Close()
 	return errors.Join(errs...)
 }
-
-// RunProtocolStats is RunProtocol but also reports per-party transport
-// statistics (bytes each endpoint sent).
-func RunProtocolStats(dealerSeed uint64, codec fixed.Codec64, fn func(p *Party) error) ([2]transport.Stats, error) {
-	c0, c1 := transport.Pipe()
-	p0 := NewParty(0, c0, dealerSeed, dealerSeed*2654435761+1, codec)
-	p1 := NewParty(1, c1, dealerSeed, dealerSeed*2654435761+2, codec)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i, p := range []*Party{p0, p1} {
-		wg.Add(1)
-		go func(i int, p *Party) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("mpc: party %d panicked: %v", p.ID, r)
-				}
-			}()
-			errs[i] = fn(p)
-		}(i, p)
-	}
-	wg.Wait()
-	stats := [2]transport.Stats{c0.Stats(), c1.Stats()}
-	c0.Close()
-	c1.Close()
-	return stats, errors.Join(errs...)
-}

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pasnet/internal/dataset"
@@ -12,57 +13,44 @@ import (
 	"pasnet/internal/obs"
 )
 
-// TestHarvestLUTMath pins the fold from feed aggregates to LUT entries:
-// mean per-row seconds as TotalSec, the comp/comm split pro-rata from
-// the analytic model, traffic copied from it, and per-kind scales.
-func TestHarvestLUTMath(t *testing.T) {
+// TestHarvestLUTHandOff pins the feed's side of a harvest: Readings
+// reports each key's mean per-row seconds and sample count, and
+// HarvestLUT is hwmodel.FitLUT over exactly those readings (the fit's
+// arithmetic is hwmodel.TestFitLUT's subject).
+func TestHarvestLUTHandOff(t *testing.T) {
 	hw := hwmodel.DefaultConfig()
 	feed := &obs.OpFeed{}
 	shape := hwmodel.OpShape{FI: 8, IC: 16, OC: 16, K: 3, Stride: 1, FO: 8}
 	// Two samples at different row counts: per-row mean = (0.010/1 + 0.030/2)/2.
 	feed.Record(hwmodel.OpConv, shape, 1, 0.010)
 	feed.Record(hwmodel.OpConv, shape, 2, 0.030)
-	if feed.Keys() != 1 || feed.Samples() != 2 {
-		t.Fatalf("feed keys %d samples %d, want 1 and 2", feed.Keys(), feed.Samples())
+	feed.Record(hwmodel.OpReLU, hwmodel.OpShape{FI: 8, IC: 16}, 4, 0.2)
+	// Degenerate inputs are ignored, never harvested.
+	feed.Record(hwmodel.OpConv, shape, 0, 0.5)
+	feed.Record(hwmodel.OpConv, shape, 1, -0.5)
+	if feed.Keys() != 2 || feed.Samples() != 3 {
+		t.Fatalf("feed keys %d samples %d, want 2 and 3", feed.Keys(), feed.Samples())
 	}
+	readings := feed.Readings()
+	if len(readings) != 2 || readings[0].Op.Kind != hwmodel.OpConv || readings[1].Op.Kind != hwmodel.OpReLU {
+		t.Fatalf("readings %+v, want conv then relu (sorted by key)", readings)
+	}
+	if rd := readings[0]; rd.Count != 2 || math.Abs(rd.RowSec-(0.010+0.015)/2) > 1e-15 {
+		t.Fatalf("conv reading %+v, want mean per-row 0.0125 over 2 samples", rd)
+	}
+	if rd := readings[1]; rd.Count != 1 || math.Abs(rd.RowSec-0.05) > 1e-15 {
+		t.Fatalf("relu reading %+v, want 0.05 per row over 1 sample", rd)
+	}
+
 	lut, err := feed.HarvestLUT(hw, "harvested/test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lut.Source != "harvested/test" {
-		t.Fatalf("source %q", lut.Source)
+	if want := hwmodel.FitLUT(hw, "harvested/test", readings); !reflect.DeepEqual(lut, want) {
+		t.Fatalf("harvested LUT %+v != FitLUT over the feed's readings %+v", lut, want)
 	}
-	key := hwmodel.NetOp{Kind: hwmodel.OpConv, Shape: shape}.Key()
-	c, ok := lut.Entries[key]
-	if !ok {
-		t.Fatalf("harvested LUT missing key %q (has %d entries)", key, len(lut.Entries))
-	}
-	wantMean := (0.010 + 0.015) / 2
-	if math.Abs(c.TotalSec-wantMean) > 1e-12 {
-		t.Fatalf("TotalSec %v, want %v", c.TotalSec, wantMean)
-	}
-	ana := hw.Op(hwmodel.OpConv, shape)
-	if math.Abs(c.CompSec+c.CommSec-c.TotalSec) > 1e-12 {
-		t.Fatalf("comp %v + comm %v != total %v", c.CompSec, c.CommSec, c.TotalSec)
-	}
-	if ana.TotalSec > 0 {
-		wantComp := wantMean * ana.CompSec / ana.TotalSec
-		if math.Abs(c.CompSec-wantComp) > 1e-12 {
-			t.Fatalf("CompSec %v, want pro-rata %v", c.CompSec, wantComp)
-		}
-	}
-	if c.CommBits != ana.CommBits || c.Rounds != ana.Rounds {
-		t.Fatalf("traffic (%v bits, %v rounds) not copied from analytic (%v, %v)",
-			c.CommBits, c.Rounds, ana.CommBits, ana.Rounds)
-	}
-	if s := lut.Scales[hwmodel.OpConv.String()]; ana.TotalSec > 0 && math.Abs(s-wantMean/ana.TotalSec) > 1e-12 {
-		t.Fatalf("conv scale %v, want %v", s, wantMean/ana.TotalSec)
-	}
-	// Degenerate inputs are rejected or ignored, never harvested.
-	feed.Record(hwmodel.OpConv, shape, 0, 0.5)
-	feed.Record(hwmodel.OpConv, shape, 1, -0.5)
-	if feed.Samples() != 2 {
-		t.Fatalf("degenerate records were accepted: %d samples", feed.Samples())
+	if lut, err := feed.HarvestLUT(hw, ""); err != nil || lut.Source != "harvested/obs" {
+		t.Fatalf("default source: %v, err %v", lut, err)
 	}
 	empty := &obs.OpFeed{}
 	if _, err := empty.HarvestLUT(hw, ""); err == nil {

@@ -5,10 +5,9 @@
 // quarantine, reprovision-swap, budget-low), Prometheus text and JSON
 // snapshot export, an instrumented transport.Conn that counts wire
 // bytes and frames per frame kind in both directions plus protocol
-// rounds (send→recv direction flips), and a sampled per-op latency
-// feed that folds back into a hwmodel.LUT so autodeploy can
-// recalibrate from a serving router instead of an owned probe
-// transport.
+// rounds (send→recv direction flips), and a per-op latency feed
+// that fits back into a hwmodel.LUT so autodeploy can recalibrate
+// from a serving router instead of an owned probe transport.
 //
 // Registration (Counter/Gauge/FGauge/Histogram lookups) takes a mutex;
 // metric updates are single atomic operations. Every registration
@@ -188,7 +187,7 @@ type metric struct {
 }
 
 // Registry holds every registered metric plus the event ring and the
-// sampled per-op latency feed. The zero value is not usable; call New.
+// per-op latency feed. The zero value is not usable; call New.
 type Registry struct {
 	mu    sync.Mutex
 	byID  map[string]*metric
@@ -325,7 +324,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	return m.h
 }
 
-// OpFeed returns the registry's sampled per-op latency feed. On a nil
+// OpFeed returns the registry's per-op latency feed. On a nil
 // registry it returns a fresh standalone feed.
 func (r *Registry) OpFeed() *OpFeed {
 	if r == nil {

@@ -2,44 +2,45 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"pasnet/internal/hwmodel"
 )
 
-// OpFeed accumulates sampled per-operator online timings from serving
-// sessions. It is the always-on, low-overhead sibling of the pi
-// engine's RecordOps tracer: sessions record only every Nth flush, and
-// the feed keeps running per-key aggregates instead of per-occurrence
-// slices, so a router can serve indefinitely and still harvest a
-// calibration-grade latency table at any moment.
+// OpFeed accumulates per-operator online timings from pi engines — the
+// tree's one op tracer sink. A fed engine records every traced op of
+// every flush; the feed keeps running per-key aggregates instead of
+// per-occurrence slices, so a router can serve indefinitely and still
+// harvest a calibration-grade latency table at any moment, and a
+// calibration probe reads the same aggregates after one run.
 type OpFeed struct {
-	mu   sync.Mutex
-	aggs map[string]*opAgg
+	mu sync.Mutex
+	// aggs is keyed by the nameless NetOp — the same identity as its
+	// Key() string, without formatting one per recorded op.
+	aggs map[hwmodel.NetOp]*opAgg
 }
 
 // opAgg is one operator key's running aggregate.
 type opAgg struct {
-	op     hwmodel.NetOp
 	rowSec float64 // sum over samples of (seconds / rows)
 	n      int64
 }
 
-// Record folds one sampled op timing into the feed.
+// Record folds one op timing into the feed.
 func (f *OpFeed) Record(kind hwmodel.OpKind, shape hwmodel.OpShape, rows int, seconds float64) {
 	if f == nil || rows < 1 || seconds < 0 {
 		return
 	}
 	op := hwmodel.NetOp{Kind: kind, Shape: shape}
-	key := op.Key()
 	f.mu.Lock()
-	a := f.aggs[key]
+	a := f.aggs[op]
 	if a == nil {
 		if f.aggs == nil {
-			f.aggs = map[string]*opAgg{}
+			f.aggs = map[hwmodel.NetOp]*opAgg{}
 		}
-		a = &opAgg{op: op}
-		f.aggs[key] = a
+		a = &opAgg{}
+		f.aggs[op] = a
 	}
 	a.rowSec += seconds / float64(rows)
 	a.n++
@@ -81,70 +82,37 @@ func (f *OpFeed) Reset() {
 	f.mu.Unlock()
 }
 
-// HarvestLUT folds the feed into a hwmodel.LUT the same way
-// autodeploy.Calibrate fits its probe readings: each key's measured
-// TotalSec is its mean per-row seconds, the comp/comm split is taken
-// pro-rata from the analytic model (measurement sees only wall time),
-// traffic and round counts are copied from it, and per-kind
-// measured/analytic scale ratios let unprobed geometries fall back to
-// a rescaled analytic estimate. The result round-trips through the
-// PASLUT1 artifact (hwmodel.WriteFile/ReadLUTFile) and feeds
-// nas.Options.LUT, closing the serve→recalibrate→search loop without
-// an owned probe transport.
+// Readings snapshots the feed: one hwmodel.Reading per operator key
+// (mean per-row seconds and the sample count behind it), sorted by key.
+func (f *OpFeed) Readings() []hwmodel.Reading {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]hwmodel.Reading, 0, len(f.aggs))
+	for op, a := range f.aggs {
+		out = append(out, hwmodel.Reading{Op: op, RowSec: a.rowSec / float64(a.n), Count: a.n})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Op.Key() < out[j].Op.Key() })
+	return out
+}
+
+// HarvestLUT fits the feed's readings into a hwmodel.LUT with
+// hwmodel.FitLUT — the fitter autodeploy.Calibrate uses on its probe
+// readings. The result round-trips through the PASLUT1 artifact
+// (hwmodel.WriteFile/ReadLUTFile) and feeds nas.Options.LUT, closing
+// the serve→recalibrate→search loop without an owned probe transport.
 func (f *OpFeed) HarvestLUT(hw hwmodel.Config, source string) (*hwmodel.LUT, error) {
 	if err := hw.Validate(); err != nil {
 		return nil, fmt.Errorf("obs: harvest analytic fallback: %w", err)
 	}
-	if f == nil {
-		return nil, fmt.Errorf("obs: harvest of nil op feed")
-	}
-	f.mu.Lock()
-	type reading struct {
-		op   hwmodel.NetOp
-		mean float64
-	}
-	readings := make(map[string]reading, len(f.aggs))
-	for key, a := range f.aggs {
-		readings[key] = reading{op: a.op, mean: a.rowSec / float64(a.n)}
-	}
-	f.mu.Unlock()
+	readings := f.Readings()
 	if len(readings) == 0 {
 		return nil, fmt.Errorf("obs: op feed has no samples to harvest")
 	}
-
-	lut := hwmodel.NewLUT(hw)
 	if source == "" {
 		source = "harvested/obs"
 	}
-	lut.Source = source
-	kindMeas := map[string]float64{}
-	kindAna := map[string]float64{}
-	for key, rd := range readings {
-		ana := hw.Op(rd.op.Kind, rd.op.Shape)
-		c := hwmodel.Cost{TotalSec: rd.mean, CommBits: ana.CommBits, Rounds: ana.Rounds}
-		if ana.TotalSec > 0 {
-			c.CompSec = rd.mean * ana.CompSec / ana.TotalSec
-			// Guard the rounding-induced tiny negative remainder the
-			// artifact validator rightly rejects.
-			if c.CommSec = rd.mean - c.CompSec; c.CommSec < 0 {
-				c.CommSec = 0
-			}
-		} else {
-			c.CompSec = rd.mean
-		}
-		lut.Entries[key] = c
-		kind := rd.op.Kind.String()
-		kindMeas[kind] += rd.mean
-		kindAna[kind] += ana.TotalSec
-	}
-	scales := map[string]float64{}
-	for kind, meas := range kindMeas {
-		if ana := kindAna[kind]; ana > 0 && meas > 0 {
-			scales[kind] = meas / ana
-		}
-	}
-	if len(scales) > 0 {
-		lut.Scales = scales
-	}
-	return lut, nil
+	return hwmodel.FitLUT(hw, source, readings), nil
 }

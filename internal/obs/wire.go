@@ -87,6 +87,28 @@ func (w *WireConn) Inner() transport.Conn { return w.inner }
 // Rounds returns the protocol round count so far.
 func (w *WireConn) Rounds() int64 { return w.rounds.Load() }
 
+// WireTotals is one endpoint's traffic summed over frame kinds. Byte
+// counts are payload bytes (framing headers excluded), so the two
+// endpoints of a healthy link report mirror-image totals.
+type WireTotals struct {
+	SentBytes, SentFrames int64
+	RecvBytes, RecvFrames int64
+}
+
+// Totals sums the per-kind counters. It reads this connection's own
+// counters, so on a registry whose labels several connections share
+// (a lane's generations) it reports the series' total, not this link's.
+func (w *WireConn) Totals() WireTotals {
+	var t WireTotals
+	for i := 0; i < numWireKinds; i++ {
+		t.SentBytes += w.sentBytes[i].Load()
+		t.SentFrames += w.sentFrames[i].Load()
+		t.RecvBytes += w.recvBytes[i].Load()
+		t.RecvFrames += w.recvFrames[i].Load()
+	}
+	return t
+}
+
 func (w *WireConn) noteSend(kind byte, payloadBytes int) {
 	i := kindIndex(kind)
 	w.sentBytes[i].Add(int64(payloadBytes))
@@ -206,14 +228,7 @@ func (w *WireConn) RecvModelShape() (string, []int, error) {
 func (w *WireConn) SendError(msg string) error {
 	err := w.inner.SendError(msg)
 	if err == nil {
-		// Mirror the transport's truncation so both directions agree.
-		n := len(msg)
-		if n == 0 {
-			n = len("unspecified error")
-		} else if n > 1024 {
-			n = 1024
-		}
-		w.noteSend('e', n)
+		w.noteSend('e', len(transport.ClampError(msg)))
 	}
 	return err
 }
@@ -236,10 +251,6 @@ func (w *WireConn) SetReadDeadline(t time.Time) error { return w.inner.SetReadDe
 
 // SetWriteDeadline implements transport.Conn.
 func (w *WireConn) SetWriteDeadline(t time.Time) error { return w.inner.SetWriteDeadline(t) }
-
-// Stats implements transport.Conn by delegating to the wrapped
-// connection, whose counters include both directions.
-func (w *WireConn) Stats() transport.Stats { return w.inner.Stats() }
 
 // Close implements transport.Conn.
 func (w *WireConn) Close() error { return w.inner.Close() }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pasnet/internal/obs"
 	"pasnet/internal/rng"
 	"pasnet/internal/transport"
 )
@@ -157,7 +158,8 @@ func TestOTNonChosenHidden(t *testing.T) {
 // TestOTFlowMessagesShape checks the Fig. 4 message pattern: exactly three
 // frames (mask, R-list, tables) with the documented sizes.
 func TestOTFlowMessagesShape(t *testing.T) {
-	cs, cr := transport.Pipe()
+	ms, mr := transport.Pipe()
+	cs, cr := obs.InstrumentConn(ms, nil), obs.InstrumentConn(mr, nil)
 	const n = 10
 	tables := make([][NumChoices]byte, n)
 	choices := make([]byte, n)
@@ -169,14 +171,14 @@ func TestOTFlowMessagesShape(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	ss, rs := cs.Stats(), cr.Stats()
+	ss, rs := cs.Totals(), cr.Totals()
 	// Sender: 8 bytes mask + n*4 bytes tables in 2 messages.
-	if ss.MessagesSent != 2 || ss.BytesSent != 8+int64(n*NumChoices) {
-		t.Fatalf("sender stats %+v", ss)
+	if ss.SentFrames != 2 || ss.SentBytes != 8+int64(n*NumChoices) {
+		t.Fatalf("sender totals %+v", ss)
 	}
 	// Receiver: n*8 bytes R-list in 1 message.
-	if rs.MessagesSent != 1 || rs.BytesSent != int64(8*n) {
-		t.Fatalf("receiver stats %+v", rs)
+	if rs.SentFrames != 1 || rs.SentBytes != int64(8*n) {
+		t.Fatalf("receiver totals %+v", rs)
 	}
 }
 

@@ -272,13 +272,12 @@ type Session struct {
 // Instrument wires the session into an observability registry: the five
 // Flight phases (ingest/evaluate/reveal_send/reveal_recv/decode) report
 // per-phase latency histograms under the given label pairs, and the
-// engine streams sampled per-op timings into the registry's OpFeed on
-// every opSampleEvery-th flush (values < 1 sample every flush). Call
-// before traffic flows; the phase timers only run once spans exist, so
-// an un-instrumented session pays nothing.
-func (s *Session) Instrument(reg *obs.Registry, opSampleEvery int, labels ...string) {
+// engine reports every flush's per-op timings to the registry's OpFeed.
+// Call before traffic flows; the phase and op timers only run once
+// installed, so an un-instrumented session reads no clock.
+func (s *Session) Instrument(reg *obs.Registry, labels ...string) {
 	s.spans = reg.FlushSpans(labels...)
-	s.eng.SetOpFeed(reg.OpFeed(), opSampleEvery)
+	s.eng.SetOpFeed(reg.OpFeed())
 }
 
 // SetFlushDeadline bounds every flush's transport receives to d: party 1

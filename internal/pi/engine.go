@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"pasnet/internal/hwmodel"
 	"pasnet/internal/mpc"
 	"pasnet/internal/obs"
 )
@@ -29,19 +28,9 @@ type Engine struct {
 	// fixedWs holds the per-weight opened F = W−b, parallel to weights,
 	// when fixedMasks is on.
 	fixedWs []*mpc.FixedWeight
-	// recordOps enables per-op wall-time tracing into timings; the
-	// measurements feed latency-LUT calibration (internal/autodeploy).
-	recordOps bool
-	timings   []OpTiming
-	// feed is the always-on sampled sibling of recordOps: every
-	// feedEvery-th flush streams its per-op timings into the shared
-	// obs.OpFeed aggregate instead of a per-occurrence slice, so a
-	// serving session pays the tracing clock reads only on sampled
-	// flushes and allocates nothing either way.
-	feed      *obs.OpFeed
-	feedEvery int
-	feedFlush int64
-	feedNow   bool
+	// feed, when non-nil, receives every traced op's wall time (see
+	// SetOpFeed). A nil feed keeps run free of clock reads.
+	feed *obs.OpFeed
 }
 
 // NewEngine wraps a program.
@@ -54,32 +43,14 @@ func (e *Engine) SetFixedMasks(on bool) { e.fixedMasks = on }
 // FixedMasks reports the engine's weight-mask mode.
 func (e *Engine) FixedMasks() bool { return e.fixedMasks }
 
-// SetRecordOps toggles per-op wall-time tracing. Recording is local to
-// this engine: the peer needs no matching toggle and the protocol stream
-// is unchanged.
-func (e *Engine) SetRecordOps(on bool) { e.recordOps = on }
-
-// TakeOpTimings returns the timings accumulated since the last call and
-// resets the buffer.
-func (e *Engine) TakeOpTimings() []OpTiming {
-	t := e.timings
-	e.timings = nil
-	return t
-}
-
-// SetOpFeed installs a sampled per-op timing feed: every every-th Infer
-// call traces its operators into feed's running aggregates. Like
-// SetRecordOps it is local to this engine — the peer needs no matching
-// toggle and the protocol stream is unchanged. every < 1 defaults to 1
-// (sample every flush); a nil feed disables sampling.
-func (e *Engine) SetOpFeed(feed *obs.OpFeed, every int) {
-	if every < 1 {
-		every = 1
-	}
-	e.feed = feed
-	e.feedEvery = every
-	e.feedFlush = 0
-}
+// SetOpFeed installs the per-op tracer: every Infer call reports each
+// executed operator's wall time to feed, keyed by the hwmodel geometry it
+// ran at and covering all batch rows of the flush. The measurement is
+// taken on this party while both run in lockstep, so it includes the
+// protocol's round-trip waits — the quantity the 2PC latency model
+// predicts. Tracing is local to this engine: the peer needs no matching
+// toggle and the protocol stream is unchanged. A nil feed disables it.
+func (e *Engine) SetOpFeed(feed *obs.OpFeed) { e.feed = feed }
 
 // Setup secret-shares the model parameters from party 0 (the model
 // vendor). Both parties must call it before Infer. With fixed masks on it
@@ -159,8 +130,6 @@ func (e *Engine) Infer(x mpc.Share) (mpc.Share, error) {
 	if e.party == nil {
 		return mpc.Share{}, fmt.Errorf("pi: engine not set up")
 	}
-	e.feedNow = e.feed != nil && e.feedFlush%int64(e.feedEvery) == 0
-	e.feedFlush++
 	widx := 0
 	return e.run(e.Prog, x, &widx)
 }
@@ -170,9 +139,8 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 	var err error
 	for i := range prog.Ops {
 		op := &prog.Ops[i]
-		// Residuals time only their Add below (the branch ops trace
-		// themselves through the recursion); flatten is a free reshape.
-		trace := (e.recordOps || e.feedNow) && op.kind != opResidual && op.kind != opFlatten
+		// Flatten is a free reshape with no hwmodel identity.
+		trace := e.feed != nil && op.kind != opFlatten
 		var inShape []int
 		var opStart time.Time
 		if trace {
@@ -267,42 +235,19 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 					return mpc.Share{}, err
 				}
 			}
-			addStart := time.Now()
-			x = p.Add(body, short)
-			if e.recordOps || e.feedNow {
-				addSec := time.Since(addStart).Seconds()
-				addShape := hwmodel.OpShape{FI: x.Shape[2], IC: x.Shape[1]}
-				if e.recordOps {
-					e.timings = append(e.timings, OpTiming{
-						Name:    op.name,
-						Kind:    hwmodel.OpAdd,
-						Shape:   addShape,
-						Rows:    x.Shape[0],
-						Seconds: addSec,
-					})
-				}
-				if e.feedNow {
-					e.feed.Record(hwmodel.OpAdd, addShape, x.Shape[0], addSec)
-				}
+			if trace {
+				// The branch ops traced themselves through the recursion;
+				// the residual's own reading is only its Add.
+				inShape = body.Shape
+				opStart = time.Now()
 			}
+			x = p.Add(body, short)
 		default:
 			return mpc.Share{}, fmt.Errorf("pi: unknown op kind %d", op.kind)
 		}
 		if trace {
 			kind, shape := traceOp(op, inShape)
-			opSec := time.Since(opStart).Seconds()
-			if e.recordOps {
-				e.timings = append(e.timings, OpTiming{
-					Name:    op.name,
-					Kind:    kind,
-					Shape:   shape,
-					Rows:    inShape[0],
-					Seconds: opSec,
-				})
-			}
-			if e.feedNow {
-				e.feed.Record(kind, shape, inShape[0], opSec)
-			}
+			e.feed.Record(kind, shape, inShape[0], time.Since(opStart).Seconds())
 		}
 	}
 	return x, nil

@@ -9,8 +9,9 @@ import (
 	"pasnet/internal/corr"
 	"pasnet/internal/fixed"
 	"pasnet/internal/hwmodel"
-	"pasnet/internal/mpc"
 	"pasnet/internal/models"
+	"pasnet/internal/mpc"
+	"pasnet/internal/obs"
 	"pasnet/internal/rng"
 	"pasnet/internal/tensor"
 	"pasnet/internal/transport"
@@ -236,7 +237,8 @@ func TestFixedMaskBytesAmortized(t *testing.T) {
 
 	runSession := func(fixedMasks bool) (setupBytes int64, flushBytes []int64) {
 		t.Helper()
-		c0, c1 := transport.Pipe()
+		m0, m1 := transport.Pipe()
+		c0, c1 := obs.InstrumentConn(m0, nil), obs.InstrumentConn(m1, nil)
 		codec := fixed.Default64()
 		opts := SessionOptions{FixedMasks: fixedMasks}
 		var wg sync.WaitGroup
@@ -277,7 +279,7 @@ func TestFixedMaskBytesAmortized(t *testing.T) {
 		if serveErr != nil {
 			t.Fatal(serveErr)
 		}
-		total := func() int64 { return c0.Stats().BytesSent + c1.Stats().BytesSent }
+		total := func() int64 { return c0.Totals().SentBytes + c1.Totals().SentBytes }
 		setupBytes = total()
 		last := setupBytes
 		for f := 0; f < flushes; f++ {

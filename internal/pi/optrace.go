@@ -4,35 +4,11 @@ import (
 	"pasnet/internal/hwmodel"
 )
 
-// OpTiming is one executed operator's measured wall time, labelled with the
-// hwmodel geometry it ran at so calibration can key measurements into the
-// latency LUT. The measurement is taken on one party while both run in
-// lockstep, so it includes the protocol's round-trip waits — the quantity
-// the 2PC latency model predicts — and it covers all Rows batch rows of
-// the flush it ran in (divide by Rows to amortize per query).
-type OpTiming struct {
-	// Name is the compiled op's label ("conv3", "relu", ...).
-	Name string
-	// Kind and Shape are the operator identity at executed (training)
-	// scale; NetOp{Kind, Shape}.Key() is the LUT key this measurement
-	// calibrates.
-	Kind  hwmodel.OpKind
-	Shape hwmodel.OpShape
-	// Rows is the batch row count the op processed.
-	Rows int
-	// Seconds is the measured wall time for the whole batch.
-	Seconds float64
-}
-
-// Key returns the latency-LUT key this timing calibrates.
-func (t OpTiming) Key() string {
-	return hwmodel.NetOp{Kind: t.Kind, Shape: t.Shape}.Key()
-}
-
 // traceOp derives the hwmodel identity of a compiled op from its input
 // share geometry, mirroring how models.builder records the op list (so a
-// timing's Key() matches the corresponding NetOp's). Flatten and residual
-// wrappers have no hwmodel identity and are handled by the engine directly.
+// traced key matches the corresponding NetOp's). A residual block traces
+// as its Add, at the branch output geometry the engine passes as inShape;
+// flatten has no hwmodel identity and is never traced.
 func traceOp(op *progOp, inShape []int) (hwmodel.OpKind, hwmodel.OpShape) {
 	switch op.kind {
 	case opConv, opDWConv:
@@ -57,6 +33,8 @@ func traceOp(op *progOp, inShape []int) (hwmodel.OpKind, hwmodel.OpShape) {
 		return hwmodel.OpAvgPool, hwmodel.OpShape{FI: inShape[2], IC: inShape[1], K: op.k, Stride: op.stride}
 	case opGlobalAvgPool:
 		return hwmodel.OpAvgPool, hwmodel.OpShape{FI: inShape[2], IC: inShape[1], K: inShape[2], Stride: 1}
+	case opResidual:
+		return hwmodel.OpAdd, hwmodel.OpShape{FI: inShape[2], IC: inShape[1]}
 	}
 	return hwmodel.OpIdentity, hwmodel.OpShape{}
 }

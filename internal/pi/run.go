@@ -11,6 +11,7 @@ import (
 	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/mpc"
+	"pasnet/internal/obs"
 	"pasnet/internal/rng"
 	"pasnet/internal/tensor"
 	"pasnet/internal/transport"
@@ -56,11 +57,6 @@ type Result struct {
 	// Modeled is the FPGA hardware model's cost for the network at paper
 	// scale (from models.Model.Ops), the basis of the Table I columns.
 	Modeled hwmodel.Cost
-	// OpTimings is party 1's per-op wall-time trace, present when
-	// RunOptions.RecordOps is set. Party 1 runs in lockstep with party 0,
-	// so each entry includes the protocol waits — the measured analogue of
-	// the hwmodel per-op cost, used for latency-LUT calibration.
-	OpTimings []OpTiming
 }
 
 // RunOptions selects execution-phase behavior for Run/RunBatch variants.
@@ -75,9 +71,9 @@ type RunOptions struct {
 	// SessionOptions.FixedMasks): weight-side openings collapse into the
 	// one-time setup, and each flush opens only the activation side.
 	FixedMasks bool
-	// RecordOps captures party 1's per-op wall times into
-	// Result.OpTimings (latency-LUT calibration input).
-	RecordOps bool
+	// OpFeed, when non-nil, receives party 1's per-op wall times (see
+	// Engine.SetOpFeed) — the latency-LUT calibration input.
+	OpFeed *obs.OpFeed
 }
 
 // Run executes a full private inference of a trained model on input x
@@ -148,14 +144,14 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 	}
 
 	c0, c1 := transport.Pipe()
+	wires := [2]*obs.WireConn{obs.InstrumentConn(c0, nil), obs.InstrumentConn(c1, nil)}
 	codec := fixed.Default64()
 	parties := [2]*mpc.Party{
-		mpc.NewParty(0, c0, seed, seed*31+1, codec),
-		mpc.NewParty(1, c1, seed, seed*31+2, codec),
+		mpc.NewParty(0, wires[0], seed, seed*31+1, codec),
+		mpc.NewParty(1, wires[1], seed, seed*31+2, codec),
 	}
 	var setupBytes int64
 	outputs := [2][]float64{}
-	engines := [2]*Engine{}
 	errs := [2]error{}
 	var setupMu sync.Mutex
 	// The online clock starts only after both parties finish the one-time
@@ -179,11 +175,12 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 			}
 			eng := NewEngine(prog)
 			eng.SetFixedMasks(opt.FixedMasks)
-			eng.SetRecordOps(opt.RecordOps && i == 1)
-			engines[i] = eng
+			if i == 1 {
+				eng.SetOpFeed(opt.OpFeed)
+			}
 			err := eng.Setup(p)
 			setupMu.Lock()
-			setupBytes += p.Conn.Stats().BytesSent
+			setupBytes += wires[i].Totals().SentBytes
 			setupMu.Unlock()
 			setupWG.Done()
 			if err != nil {
@@ -224,7 +221,7 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 			return nil, err
 		}
 	}
-	totalBytes := c0.Stats().BytesSent + c1.Stats().BytesSent
+	totalBytes := wires[0].Totals().SentBytes + wires[1].Totals().SentBytes
 
 	batch := len(counts)
 	res := &Result{
@@ -237,9 +234,6 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 		OfflineSeconds: offlineSeconds,
 		Preprocessed:   opt.Preprocess,
 		Modeled:        hwmodel.NetworkCost(hw, m.Ops),
-	}
-	if opt.RecordOps {
-		res.OpTimings = engines[1].TakeOpTimings()
 	}
 	if batch > 0 {
 		res.OnlineBytesPerQuery = res.OnlineBytes / int64(batch)

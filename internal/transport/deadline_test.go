@@ -32,9 +32,6 @@ func TestMemConnSendAfterClose(t *testing.T) {
 			t.Fatalf("%s after Close: err = %v, want io.ErrClosedPipe", name, err)
 		}
 	}
-	if s := a.Stats(); s.MessagesSent != 0 {
-		t.Fatalf("failed sends must not count as traffic: %+v", s)
-	}
 }
 
 // TestMemConnSendToClosedPeer pins the direction-oriented close semantics

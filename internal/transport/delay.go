@@ -138,8 +138,6 @@ func (c *delayConn) SetReadDeadline(t time.Time) error {
 // exactly as on the undecorated pipe.
 func (c *delayConn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
 
-func (c *delayConn) Stats() Stats { return c.inner.Stats() }
-
 func (c *delayConn) Close() error {
 	c.kill()
 	return c.inner.Close()

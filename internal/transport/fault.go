@@ -199,8 +199,6 @@ func (c *FaultConn) SetReadDeadline(t time.Time) error {
 // schedules receive-path faults, so sends keep the inner semantics.
 func (c *FaultConn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
 
-func (c *FaultConn) Stats() Stats { return c.inner.Stats() }
-
 func (c *FaultConn) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return c.inner.Close()

@@ -1,8 +1,8 @@
 // Package transport provides the two-party message channel used by the 2PC
 // protocols: an in-memory duplex pipe for single-process simulation and
 // tests, and a TCP transport for genuine two-process deployment
-// (cmd/pasnet-server). Both count bytes and message rounds so the private
-// inference engine can report real communication volume.
+// (cmd/pasnet-server). Neither counts traffic: wrap an endpoint in
+// obs.InstrumentConn for byte, frame and round totals.
 package transport
 
 import (
@@ -12,7 +12,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -77,53 +76,8 @@ type Conn interface {
 	// Exchange helpers wedge forever in their send goroutine even after
 	// the receive side has timed out.
 	SetWriteDeadline(t time.Time) error
-	// Stats returns cumulative traffic counters for this endpoint.
-	Stats() Stats
 	// Close releases the underlying resources.
 	Close() error
-}
-
-// Stats records the traffic through one endpoint, both directions.
-// Byte counts are payload bytes (framing headers excluded), so the two
-// endpoints of a healthy link report mirror-image totals: one side's
-// BytesSent is the other's BytesRecv.
-type Stats struct {
-	// BytesSent is the total payload bytes transmitted.
-	BytesSent int64
-	// MessagesSent is the number of framed messages transmitted.
-	MessagesSent int64
-	// BytesRecv is the total payload bytes received.
-	BytesRecv int64
-	// MessagesRecv is the number of framed messages received.
-	MessagesRecv int64
-}
-
-// counter accumulates stats with atomic updates so a transport can be
-// inspected while protocol goroutines run.
-type counter struct {
-	bytes     int64
-	msgs      int64
-	recvBytes int64
-	recvMsgs  int64
-}
-
-func (c *counter) add(n int) {
-	atomic.AddInt64(&c.bytes, int64(n))
-	atomic.AddInt64(&c.msgs, 1)
-}
-
-func (c *counter) addRecv(n int) {
-	atomic.AddInt64(&c.recvBytes, int64(n))
-	atomic.AddInt64(&c.recvMsgs, 1)
-}
-
-func (c *counter) stats() Stats {
-	return Stats{
-		BytesSent:    atomic.LoadInt64(&c.bytes),
-		MessagesSent: atomic.LoadInt64(&c.msgs),
-		BytesRecv:    atomic.LoadInt64(&c.recvBytes),
-		MessagesRecv: atomic.LoadInt64(&c.recvMsgs),
-	}
 }
 
 // message is the unit carried by the in-memory pipe.
@@ -207,10 +161,12 @@ func decodeModelShape(payload []byte) (string, []int, error) {
 	return model, shape, nil
 }
 
-// truncError clamps an error message to the frame bound. An empty message
-// is substituted so RecvReply callers can always distinguish an error frame
-// (non-empty errMsg) from an empty data frame.
-func truncError(msg string) string {
+// ClampError returns the payload an error frame carries for msg: the
+// message clamped to the frame bound, or a placeholder for an empty one so
+// RecvReply callers can always distinguish an error frame (non-empty
+// errMsg) from an empty data frame. Every SendError goes through it, and
+// so does anything that accounts an error frame's size.
+func ClampError(msg string) string {
 	if msg == "" {
 		return "unspecified error"
 	}
@@ -228,7 +184,6 @@ func truncError(msg string) string {
 type MemConn struct {
 	send chan<- message
 	recv <-chan message
-	c    counter
 
 	// closed is this endpoint's own close signal (its send direction);
 	// peerClosed is the peer endpoint's, which turns receives into EOF
@@ -283,34 +238,11 @@ func (m *MemConn) recvEOF() (message, error) {
 	}
 }
 
-// msgPayloadBytes is a delivered frame's payload size under the same
-// conventions the send side counts (4 bytes per uint32, 8 per uint64,
-// raw length otherwise), so Stats stays symmetric across a link.
-func msgPayloadBytes(msg message) int {
-	switch msg.kind {
-	case 'u':
-		return 4 * len(msg.u32)
-	case 'U':
-		return 8 * len(msg.u64)
-	default:
-		return len(msg.raw)
-	}
-}
-
-// recvMsg takes the next frame off the pipe and counts it. All MemConn
+// recvMsg blocks for the next frame, honoring the read deadline with
+// net.Conn semantics: an expired deadline fails immediately (even if a
+// frame is already buffered), an armed one bounds the wait. All MemConn
 // receive paths go through it.
 func (m *MemConn) recvMsg() (message, error) {
-	msg, err := m.recvMsgWait()
-	if err == nil {
-		m.c.addRecv(msgPayloadBytes(msg))
-	}
-	return msg, err
-}
-
-// recvMsgWait blocks for the next frame, honoring the read deadline
-// with net.Conn semantics: an expired deadline fails immediately (even if
-// a frame is already buffered), an armed one bounds the wait.
-func (m *MemConn) recvMsgWait() (message, error) {
 	m.dmu.Lock()
 	dl := m.deadline
 	m.dmu.Unlock()
@@ -347,8 +279,8 @@ func (m *MemConn) recvMsgWait() (message, error) {
 // and closes; the other drains and sees EOF). Only a send already blocked
 // on a full pipe fails on peer close (no reader will ever free a slot) or
 // at the write deadline; the old implementation wedged such a sender
-// forever. The traffic counter only advances for delivered frames.
-func (m *MemConn) sendMsg(msg message, payloadBytes int) error {
+// forever.
+func (m *MemConn) sendMsg(msg message) error {
 	select {
 	case <-m.closed:
 		return fmt.Errorf("transport: send on closed connection: %w", io.ErrClosedPipe)
@@ -364,14 +296,12 @@ func (m *MemConn) sendMsg(msg message, payloadBytes int) error {
 	}
 	select {
 	case m.send <- msg:
-		m.c.add(payloadBytes)
 		return nil
 	default:
 	}
 	if dl.IsZero() {
 		select {
 		case m.send <- msg:
-			m.c.add(payloadBytes)
 			return nil
 		case <-m.closed:
 			return fmt.Errorf("transport: send on closed connection: %w", io.ErrClosedPipe)
@@ -383,7 +313,6 @@ func (m *MemConn) sendMsg(msg message, payloadBytes int) error {
 	defer timer.Stop()
 	select {
 	case m.send <- msg:
-		m.c.add(payloadBytes)
 		return nil
 	case <-m.closed:
 		return fmt.Errorf("transport: send on closed connection: %w", io.ErrClosedPipe)
@@ -398,7 +327,7 @@ func (m *MemConn) sendMsg(msg message, payloadBytes int) error {
 func (m *MemConn) SendUints(xs []uint32) error {
 	cp := make([]uint32, len(xs))
 	copy(cp, xs)
-	return m.sendMsg(message{kind: 'u', u32: cp}, 4*len(xs))
+	return m.sendMsg(message{kind: 'u', u32: cp})
 }
 
 // RecvUints implements Conn.
@@ -417,7 +346,7 @@ func (m *MemConn) RecvUints() ([]uint32, error) {
 func (m *MemConn) SendUint64s(xs []uint64) error {
 	cp := make([]uint64, len(xs))
 	copy(cp, xs)
-	return m.sendMsg(message{kind: 'U', u64: cp}, 8*len(xs))
+	return m.sendMsg(message{kind: 'U', u64: cp})
 }
 
 // RecvUint64s implements Conn.
@@ -449,7 +378,7 @@ func (m *MemConn) RecvUint64sMax(maxElems int) ([]uint64, error) {
 func (m *MemConn) SendBytes(b []byte) error {
 	cp := make([]byte, len(b))
 	copy(cp, b)
-	return m.sendMsg(message{kind: 'b', raw: cp}, len(b))
+	return m.sendMsg(message{kind: 'b', raw: cp})
 }
 
 // RecvBytes implements Conn.
@@ -470,7 +399,7 @@ func (m *MemConn) SendShape(shape []int) error {
 	if err != nil {
 		return err
 	}
-	return m.sendMsg(message{kind: 's', raw: payload}, len(payload))
+	return m.sendMsg(message{kind: 's', raw: payload})
 }
 
 // RecvShape implements Conn.
@@ -491,7 +420,7 @@ func (m *MemConn) SendModelShape(model string, shape []int) error {
 	if err != nil {
 		return err
 	}
-	return m.sendMsg(message{kind: 'm', raw: payload}, len(payload))
+	return m.sendMsg(message{kind: 'm', raw: payload})
 }
 
 // RecvModelShape implements Conn.
@@ -508,8 +437,8 @@ func (m *MemConn) RecvModelShape() (string, []int, error) {
 
 // SendError implements Conn.
 func (m *MemConn) SendError(errMsg string) error {
-	payload := []byte(truncError(errMsg))
-	return m.sendMsg(message{kind: 'e', raw: payload}, len(payload))
+	payload := []byte(ClampError(errMsg))
+	return m.sendMsg(message{kind: 'e', raw: payload})
 }
 
 // RecvReply implements Conn.
@@ -531,9 +460,6 @@ func (m *MemConn) RecvReply(maxElems int) ([]uint64, string, error) {
 	}
 }
 
-// Stats implements Conn.
-func (m *MemConn) Stats() Stats { return m.c.stats() }
-
 // Close implements Conn. Closing signals the peer (its receives drain any
 // buffered frames, then report EOF) and fails this endpoint's subsequent
 // sends with io.ErrClosedPipe — including sends already blocked on a full
@@ -550,7 +476,6 @@ func (m *MemConn) Close() error {
 // layer's exchange helper is responsible for avoiding rendezvous deadlock.
 type TCPConn struct {
 	nc  net.Conn
-	c   counter
 	buf [5]byte
 }
 
@@ -573,11 +498,8 @@ func (t *TCPConn) writeFrame(kind byte, payload []byte) error {
 	if _, err := t.nc.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := t.nc.Write(payload); err != nil {
-		return err
-	}
-	t.c.add(len(payload))
-	return nil
+	_, err := t.nc.Write(payload)
+	return err
 }
 
 // maxFrameBytes bounds a data frame's payload so a corrupted or hostile
@@ -614,8 +536,7 @@ func (t *TCPConn) readHeader() (byte, uint32, error) {
 
 // readPayload validates a declared payload length against limit — before
 // allocating — then reads the payload. It is the single funnel every
-// TCP receive path completes through, so the receive-side traffic
-// counter advances here.
+// TCP receive path completes through.
 func (t *TCPConn) readPayload(kind byte, n, limit uint32) ([]byte, error) {
 	if n > limit {
 		return nil, fmt.Errorf("transport: frame kind %q payload %d exceeds limit %d", kind, n, limit)
@@ -624,7 +545,6 @@ func (t *TCPConn) readPayload(kind byte, n, limit uint32) ([]byte, error) {
 	if _, err := io.ReadFull(t.nc, payload); err != nil {
 		return nil, err
 	}
-	t.c.addRecv(len(payload))
 	return payload, nil
 }
 
@@ -763,7 +683,7 @@ func (t *TCPConn) RecvModelShape() (string, []int, error) {
 
 // SendError implements Conn.
 func (t *TCPConn) SendError(errMsg string) error {
-	return t.writeFrame('e', []byte(truncError(errMsg)))
+	return t.writeFrame('e', []byte(ClampError(errMsg)))
 }
 
 // RecvReply implements Conn.
@@ -800,9 +720,6 @@ func (t *TCPConn) SetReadDeadline(tm time.Time) error { return t.nc.SetReadDeadl
 // kernel socket buffer fills; the deadline turns that stall into an
 // os.ErrDeadlineExceeded instead of a wedged goroutine.
 func (t *TCPConn) SetWriteDeadline(tm time.Time) error { return t.nc.SetWriteDeadline(tm) }
-
-// Stats implements Conn.
-func (t *TCPConn) Stats() Stats { return t.c.stats() }
 
 // Close implements Conn.
 func (t *TCPConn) Close() error { return t.nc.Close() }
