@@ -14,6 +14,7 @@ import (
 	"pasnet/internal/models"
 	"pasnet/internal/mpc"
 	"pasnet/internal/nas"
+	"pasnet/internal/obs"
 	"pasnet/internal/ot"
 	"pasnet/internal/pi"
 	"pasnet/internal/rng"
@@ -116,7 +117,7 @@ func BenchmarkTable1Variants(b *testing.B) {
 }
 
 // BenchmarkAblationDARTSOrder compares first- versus second-order search
-// (DESIGN.md §4 ablation).
+// (experiments.DARTSOrderAblation).
 func BenchmarkAblationDARTSOrder(b *testing.B) {
 	p := experiments.QuickProfile()
 	p.Backbones = []string{"resnet18"}
@@ -177,10 +178,19 @@ func benchProtocol(b *testing.B, n int, op func(p *mpc.Party, x mpc.Share) error
 }
 
 func Benchmark2PCReLU1k(b *testing.B) {
-	benchProtocol(b, 1024, func(p *mpc.Party, x mpc.Share) error {
+	const n = 1024
+	var wire obs.WireTotals // party 1's count of the last ReLU, both directions
+	benchProtocol(b, n, func(p *mpc.Party, x mpc.Share) error {
+		w := obs.InstrumentConn(p.Conn, nil)
+		p.Conn = w
 		_, err := p.ReLU(x)
+		if p.ID == 1 {
+			wire = w.Totals()
+		}
 		return err
 	})
+	b.ReportMetric(float64(wire.SentBytes+wire.RecvBytes)/n, "B/elem")
+	b.ReportMetric(float64(wire.SentFrames+wire.RecvFrames), "frames/op")
 }
 
 func Benchmark2PCX2Act1k(b *testing.B) {

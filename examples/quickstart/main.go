@@ -54,11 +54,11 @@ func main() {
 		if err != nil {
 			return err
 		}
-		peerBit, err := transport.ExchangeBytes(p.Conn, bit)
+		peerBit, err := transport.Exchange(p.Conn, bit.W)
 		if err != nil {
 			return err
 		}
-		positive := bit[0]^peerBit[0] == 1
+		positive := bit.W[0]^peerBit[0] == 1
 
 		// Reconstruct the value itself.
 		vals, err := p.Reveal(sum)

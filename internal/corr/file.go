@@ -10,7 +10,7 @@ import (
 
 // On-disk store format (all integers little-endian):
 //
-//	magic   8 bytes  "PASCORR2"
+//	magic   8 bytes  "PASCORR3"
 //	body:
 //	  party   uint8
 //	  label   uint32                      preprocess-run stamp (see Label)
@@ -19,8 +19,10 @@ import (
 //	    kind  uint8
 //	    dims  kind-dependent uint32s      (n) | (m,k,p) | 10 conv fields |
 //	                                      (mask,m,k,p) | mask + 10 conv
-//	    payload                           uint64 words or raw bit bytes,
-//	                                      lengths derived from the dims
+//	    payload                           uint64 words, counts derived
+//	                                      from the dims (bit triples: three
+//	                                      sections of ceil(n/64) words,
+//	                                      bits past n zero)
 //	trailer  uint32  CRC-32 (IEEE) of the body
 //
 // The trailer means a flipped byte or a truncated download fails loudly at
@@ -29,14 +31,16 @@ import (
 // allocation, so a hostile file cannot demand a pathological allocation.
 //
 // Version history: "PASCORR1" lacked the fixed weight-mask kinds
-// (KindMatMulFixedB / KindConvFixedB) and their mask-slot dim. The magic
-// is the version gate — any "PASCORR"-prefixed file of another version is
-// rejected with a regeneration hint rather than misparsed, in either
-// direction (old binary × new store, new binary × old store).
+// (KindMatMulFixedB / KindConvFixedB) and their mask-slot dim; "PASCORR2"
+// stored bit triples one byte per bit and was dealt for the OT-leaf
+// comparison's demand tape. The magic is the version gate — any
+// "PASCORR"-prefixed file of another version is rejected with a
+// regeneration hint rather than misparsed, in either direction (old binary
+// × new store, new binary × old store).
 
 // storeMagic identifies a serialized correlation store at this binary's
 // format version.
-const storeMagic = "PASCORR2"
+const storeMagic = "PASCORR3"
 
 // storeMagicPrefix identifies any version of the store format.
 const storeMagicPrefix = "PASCORR"
@@ -48,8 +52,6 @@ func (s *Store) Encode() []byte {
 	for i := range s.entries {
 		la, lb, lz := s.tape[i].lens()
 		switch s.tape[i].Kind {
-		case KindBits:
-			size += 1 + 4 + 3*la
 		case KindSquare:
 			size += 1 + 4 + 8*(la+lz)
 		case KindMatMul:
@@ -60,7 +62,7 @@ func (s *Store) Encode() []byte {
 			size += 1 + 40 + 8*(la+lb+lz)
 		case KindConvFixedB:
 			size += 1 + 44 + 8*(la+lz)
-		default: // hadamard
+		default: // hadamard, bits
 			size += 1 + 4 + 8*(la+lb+lz)
 		}
 	}
@@ -94,12 +96,6 @@ func (s *Store) Encode() []byte {
 		default:
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.N))
 		}
-		if d.Kind == KindBits {
-			buf = append(buf, e.ba...)
-			buf = append(buf, e.bb...)
-			buf = append(buf, e.bc...)
-			continue
-		}
 		buf = appendWords(buf, e.a)
 		buf = appendWords(buf, e.b) // empty for square pairs
 		buf = appendWords(buf, e.z)
@@ -116,7 +112,7 @@ func Decode(data []byte) (*Store, error) {
 	}
 	if string(data[:len(storeMagic)]) != storeMagic {
 		if string(data[:len(storeMagicPrefix)]) == storeMagicPrefix {
-			return nil, fmt.Errorf("corr: store file is format version %q but this binary reads %q — regenerate the store with this binary's preprocess step (the format changed with the fixed weight-mask correlation kinds)",
+			return nil, fmt.Errorf("corr: store file is format version %q but this binary reads %q — regenerate the store with this binary's preprocess step",
 				string(data[:len(storeMagic)]), storeMagic)
 		}
 		return nil, fmt.Errorf("corr: not a correlation store file (bad magic)")
@@ -175,18 +171,15 @@ func Decode(data []byte) (*Store, error) {
 			return nil, fmt.Errorf("corr: store file entry %d: %w", i, err)
 		}
 		la, lb, lz := d.lens()
-		var e entry
-		if d.Kind == KindBits {
-			e.ba = r.bits(la)
-			e.bb = r.bits(la)
-			e.bc = r.bits(la)
-		} else {
-			e.a = r.words(la)
-			e.b = r.words(lb)
-			e.z = r.words(lz)
-		}
+		e := entry{a: r.words(la), b: r.words(lb), z: r.words(lz)}
 		if r.err != nil {
 			return nil, fmt.Errorf("corr: store file truncated in entry %d (%s) payload: %w", i, d, r.err)
+		}
+		if tail := uint(d.N) & 63; d.Kind == KindBits && tail != 0 {
+			// Canonical form: a file that decodes re-encodes to itself.
+			if (e.a[la-1]|e.b[la-1]|e.z[la-1])>>tail != 0 {
+				return nil, fmt.Errorf("corr: store file entry %d (%s) has bits set past its last triple", i, d)
+			}
 		}
 		s.entries = append(s.entries, e)
 		s.tape = append(s.tape, d)
@@ -284,12 +277,4 @@ func (r *byteReader) words(n int) []uint64 {
 		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
-}
-
-func (r *byteReader) bits(n int) []byte {
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
 }

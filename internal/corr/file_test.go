@@ -107,6 +107,47 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		}
 	})
 
+	t.Run("bit-section-length", func(t *testing.T) {
+		// A bit-triple entry's payload is three sections of ceil(n/64)
+		// words. Any other length behind a valid checksum — a word short, a
+		// word long, or PASCORR2's byte-per-bit sections — must not decode.
+		bits, err := BuildSeeded(Tape{{Kind: KindBits, N: 70}}, 1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := bits.Encode()
+		head := len(storeMagic) + 1 + 4 + 4 + 1 + 4 // through the entry's n
+		if len(enc) != head+3*2*8+4 {
+			t.Fatalf("70 bit triples encode to %d bytes, want %d (three 2-word sections)", len(enc), head+3*2*8+4)
+		}
+		for _, payload := range []int{3*2*8 - 8, 3*2*8 + 8, 3 * 70} {
+			bad := append(append([]byte(nil), enc[:head]...), make([]byte, payload+4)...)
+			reseal(bad)
+			if _, err := Decode(bad); err == nil {
+				t.Fatalf("%d-byte bit payload for n=70 must not decode", payload)
+			} else if !strings.Contains(err.Error(), "truncated") && !strings.Contains(err.Error(), "trailing") {
+				t.Fatalf("%d-byte bit payload: want a length error, got %v", payload, err)
+			}
+		}
+	})
+
+	t.Run("bit-tail-set", func(t *testing.T) {
+		// Canonical bytes: a set bit past the last triple (here bit 6 of
+		// the second word of the b section, n = 70) is rejected even with a
+		// valid checksum, so one store has one encoding.
+		bits, err := BuildSeeded(Tape{{Kind: KindBits, N: 70}}, 1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := bits.Encode()
+		head := len(storeMagic) + 1 + 4 + 4 + 1 + 4
+		enc[head+2*8+8] |= 0x40
+		reseal(enc)
+		if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "past its last triple") {
+			t.Fatalf("tail bit: %v", err)
+		}
+	})
+
 	t.Run("hostile-geometry", func(t *testing.T) {
 		// Re-checksum a body whose first entry declares an absurd element
 		// count: the size cap must reject it before any allocation.

@@ -230,20 +230,25 @@ func TestFixedBFileRoundTrip(t *testing.T) {
 // magic, so rewriting the magic yields exactly what the other binary
 // version would produce/consume — both directions must fail with the
 // regeneration hint, not a misparse:
-//   - new binary × old store: a "PASCORR1" file decoded here;
-//   - old binary × new store: PASCORR1's decoder compared the magic by
-//     strict equality too, so the bump to "PASCORR2" (pinned below) makes
-//     it reject our files the same way.
+//   - new binary × old store: a "PASCORR1" or "PASCORR2" file decoded
+//     here;
+//   - old binary × new store: every earlier decoder compared the magic by
+//     strict equality too, so the bump to "PASCORR3" (pinned below: packed
+//     bit triples, dealt for the OT-free comparison's tape) makes it
+//     reject our files the same way.
+//
+// The message is the same for every version pair — it names the two
+// magics and the fix, not what changed between them.
 func TestStoreVersionGate(t *testing.T) {
-	if storeMagic != "PASCORR2" {
-		t.Fatalf("storeMagic = %q; the fixed weight-mask kinds shipped as PASCORR2 — bumping again needs a new version-gate test", storeMagic)
+	if storeMagic != "PASCORR3" {
+		t.Fatalf("storeMagic = %q; packed bit triples shipped as PASCORR3 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
 	}
 	s, err := BuildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR3"} {
+	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR4"} {
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)
@@ -251,8 +256,8 @@ func TestStoreVersionGate(t *testing.T) {
 			t.Fatalf("version %s store must not decode", other)
 		}
 		if !strings.Contains(err.Error(), other) || !strings.Contains(err.Error(), storeMagic) ||
-			!strings.Contains(err.Error(), "regenerate") {
-			t.Fatalf("version error must name both versions and the fix, got: %v", err)
+			!strings.Contains(err.Error(), "regenerate") || strings.Contains(err.Error(), "weight-mask") {
+			t.Fatalf("version error must name both versions and the fix and no one version's reason, got: %v", err)
 		}
 	}
 	// An unrelated magic is garbage, not another version.

@@ -15,12 +15,11 @@ import (
 // store file can never request a pathological allocation.
 const maxEntryWords = 1 << 28
 
-// entry is one preprocessed correlation: this party's halves.
+// entry is one preprocessed correlation: this party's halves. For ring
+// kinds a, b, z are additive halves (b is nil for square pairs and FixedB
+// kinds); for KindBits they are the packed XOR halves of (a, b, c = a∧b).
 type entry struct {
-	// a, b, z are the ring halves (b is nil for square pairs).
 	a, b, z []uint64
-	// ba, bb, bc are the XOR halves of a bit-triple batch.
-	ba, bb, bc mpc.BitShare
 }
 
 // Store is a preprocessed correlation tape: one party's halves of every
@@ -63,11 +62,14 @@ func (s *Store) Remaining() int { return len(s.entries) - s.cursor }
 // Tape returns the demand tape the store was generated for.
 func (s *Store) Tape() Tape { return s.tape }
 
-// lens returns the flat element counts (a, b, z) of the demand's
-// correlation material. b is 0 for square pairs.
+// lens returns the flat word counts (a, b, z) of the demand's correlation
+// material. b is 0 for square pairs; bit triples pack 64 to a word.
 func (d Demand) lens() (la, lb, lz int) {
 	switch d.Kind {
-	case KindHadamard, KindBits:
+	case KindBits:
+		nw := mpc.BitWords(d.N)
+		return nw, nw, nw
+	case KindHadamard:
 		return d.N, d.N, d.N
 	case KindSquare:
 		return d.N, 0, d.N
@@ -257,30 +259,25 @@ func build(tape Tape, r *rng.RNG, maskSeed uint64, want0, want1 bool) (*Store, *
 		la, lb, lz := d.lens()
 		switch d.Kind {
 		case KindBits:
-			// Dealer order: (a, b) bit pairs interleaved, then the three
-			// XOR masks. c = a AND b is cheap enough to fold in here.
-			plainA := make([]byte, la)
-			plainB := make([]byte, la)
-			for j := 0; j < la; j++ {
-				plainA[j] = byte(r.Uint64()) & 1
-				plainB[j] = byte(r.Uint64()) & 1
-			}
-			maskA := drawBits(r, la)
-			maskB := drawBits(r, la)
-			maskC := drawBits(r, la)
+			// Dealer order: plain a, plain b, then the three XOR masks, each
+			// one mpc.DrawBits. c = a AND b is cheap enough to fold in here.
+			plainA := mpc.DrawBits(r, d.N).W
+			plainB := mpc.DrawBits(r, d.N).W
+			maskA := mpc.DrawBits(r, d.N).W
+			maskB := mpc.DrawBits(r, d.N).W
+			maskC := mpc.DrawBits(r, d.N).W
 			if want0 {
 				e := &s0.entries[i]
-				e.ba, e.bb, e.bc = maskA, maskB, maskC
+				e.a, e.b, e.z = maskA, maskB, maskC
 			}
 			if want1 {
 				e := &s1.entries[i]
-				e.ba = xorBits(plainA, maskA)
-				e.bb = xorBits(plainB, maskB)
-				c := make(mpc.BitShare, la)
-				for j := range c {
-					c[j] = (plainA[j] & plainB[j]) ^ maskC[j]
+				e.a = xorWords(plainA, maskA)
+				e.b = xorWords(plainB, maskB)
+				e.z = make([]uint64, lz)
+				for j := range e.z {
+					e.z[j] = plainA[j]&plainB[j] ^ maskC[j]
 				}
-				e.bc = c
 			}
 		case KindSquare:
 			plainA := drawWords(r, la)
@@ -409,22 +406,14 @@ func drawWords(r *rng.RNG, n int) []uint64 {
 	return out
 }
 
-func drawBits(r *rng.RNG, n int) mpc.BitShare {
-	out := make(mpc.BitShare, n)
-	for i := range out {
-		out[i] = byte(r.Uint64()) & 1
-	}
-	return out
-}
-
 func subWords(a, b []uint64) []uint64 {
 	out := make([]uint64, len(a))
 	kernel.Sub(out, a, b)
 	return out
 }
 
-func xorBits(a, b mpc.BitShare) mpc.BitShare {
-	out := make(mpc.BitShare, len(a))
+func xorWords(a, b []uint64) []uint64 {
+	out := make([]uint64, len(a))
 	for i := range out {
 		out[i] = a[i] ^ b[i]
 	}
@@ -509,7 +498,7 @@ func (s *Store) TakeConvFixedB(mask int, dims mpc.ConvDims) (a, z []uint64, err 
 func (s *Store) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
 	e, err := s.next(Demand{Kind: KindBits, N: n})
 	if err != nil {
-		return nil, nil, nil, err
+		return mpc.BitShare{}, mpc.BitShare{}, mpc.BitShare{}, err
 	}
-	return e.ba, e.bb, e.bc, nil
+	return mpc.BitShare{N: n, W: e.a}, mpc.BitShare{N: n, W: e.b}, mpc.BitShare{N: n, W: e.z}, nil
 }

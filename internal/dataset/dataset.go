@@ -1,8 +1,7 @@
 // Package dataset generates the deterministic synthetic image
-// classification tasks that stand in for CIFAR-10/ImageNet (see DESIGN.md
-// §1: the repro brief replaces unavailable datasets with synthetic
-// equivalents that exercise the same code paths and preserve accuracy
-// *trends*).
+// classification tasks that stand in for CIFAR-10/ImageNet: the
+// reproduction replaces unavailable datasets with synthetic equivalents
+// that exercise the same code paths and preserve accuracy *trends*.
 //
 // Construction: each sample draws a latent vector z ~ N(0,1)^d; the label
 // comes from a fixed randomly-initialized two-layer ReLU teacher network

@@ -125,8 +125,7 @@ func LowReLUAdvantage(series Fig7Series) map[string]float64 {
 	return out
 }
 
-// AblationRow compares second-order versus first-order search (DESIGN.md
-// §4 item 3).
+// AblationRow compares second-order versus first-order search.
 type AblationRow struct {
 	Mode       string
 	Accuracy   float64

@@ -56,7 +56,7 @@ func NetworkSweep(backbone string, bandwidthsGBps []float64) ([]SweepPoint, erro
 }
 
 // STPAIRow compares initialization strategies for the polynomial
-// activation (DESIGN.md §4: STPAI vs naive init).
+// activation (STPAI vs naive init).
 type STPAIRow struct {
 	// Init labels the strategy.
 	Init string

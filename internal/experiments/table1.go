@@ -146,7 +146,7 @@ func Table1(p Profile, hw hwmodel.Config, trainAccuracy bool, log io.Writer) ([]
 			v.name, row.ImgLatencyS, row.ImgCommGB, row.ImgEffi)
 	}
 	// Cross-work reference rows (published numbers; our substrate cannot
-	// re-run closed GPU testbeds — see DESIGN.md §1).
+	// re-run closed GPU testbeds).
 	rows = append(rows,
 		Table1Row{
 			Variant: "CryptGPU-ResNet50", Backbone: "resnet50", Reference: true,

@@ -7,7 +7,8 @@ package fixed
 // of double-scaled products is numerically safe (wrap probability about
 // |x|/2^(63-2f) instead of |x|/2^(31-2f)); CrypTen makes the same choice.
 // The hardware latency/communication model in internal/hwmodel continues
-// to charge the paper's 32-bit costs — see DESIGN.md §1.
+// to charge the paper's 32-bit costs (see the header of
+// internal/mpc/compare.go for how the comparison maps onto the wider ring).
 const Word64Bits = 64
 
 // DefaultFracBits64 is the default fractional precision in the 64-bit

@@ -2,20 +2,30 @@ package mpc
 
 import (
 	"fmt"
-
-	"pasnet/internal/ot"
+	"math/bits"
 )
 
 // Comparison constants. The paper's Sec. III-C splits 32-bit values into
-// U = 16 parts of 2 bits; our executable ring is 64 bits wide (see
-// fixed.Codec64), so the comparison runs over 32 digits of 2 bits with the
-// identical per-digit (1,4)-OT flow. The hardware model keeps the paper's
-// 16-chunk costs.
+// U = 16 parts of 2 bits and resolves each part with a (1,4)-OT (Fig. 4;
+// package ot keeps that flow as a reference). Our executable ring is 64
+// bits wide (see fixed.Codec64), so the comparison runs over the same
+// U = 16 digits at 4 bits each, and each digit is resolved with AND gates
+// on dealer triples instead of a live OT: the trusted dealer the Beaver
+// products already rely on makes the OT's group arithmetic and its three
+// message hops unnecessary. The hardware model keeps the paper's costs.
 const (
 	// ChunkBits is the width of one comparison digit.
-	ChunkBits = 2
+	ChunkBits = 4
 	// NumChunks is the number of digits per value.
-	NumChunks = 32
+	NumChunks = 16
+
+	// radix is the number of values a digit takes.
+	radix = 1 << ChunkBits
+	// leafANDs is the AND count of one digit's leaf: radix−1 gates for gt
+	// (no digit exceeds radix−1, so that gate is dropped) and radix for eq.
+	leafANDs = 2*radix - 1
+	// treeDepth is log2(NumChunks), the number of prefix-combine levels.
+	treeDepth = 4
 )
 
 // DReLU computes XOR shares of the derivative of ReLU: the bit (x >= 0)
@@ -24,118 +34,103 @@ const (
 // Reduction: msb(x0 + x1) = msb(x0) ⊕ msb(x1) ⊕ carry, where carry is
 // the carry out of the low-63-bit addition, i.e. low63(x0) + low63(x1) >=
 // 2^63. That inequality is a millionaires' comparison between u =
-// low63(x0), held by party 0, and t = 2^63 − low63(x1), held by party 1:
-// carry = (u > t−1). The comparison runs digit-by-digit over 2-bit
-// chunks using the Fig. 4 OT flow, then a logarithmic prefix tree of AND
-// gates combines (gt, eq) digit shares (paper Sec. II-C / III-C).
+// low63(x0), held by party 0, and t = 2^63 − 1 − low63(x1), held by party
+// 1: carry = (u > t). It runs in 1 + treeDepth bitAnd exchanges of packed
+// bits, 31·16 + 30 = 526 AND triples per element:
+//
+// Leaf (one exchange). For digit values u_d and t_d, party 1 forms the
+// one-hot e_g = [t_d = g] and party 0 the thermometer v_g = [u_d > g] and
+// the one-hot w_g = [u_d = g]. Then gt_d = ⊕_g e_g∧v_g and eq_d =
+// ⊕_g e_g∧w_g: every AND joins one party-0-private and one
+// party-1-private bit — XOR-shared as (bit, 0) — so all digits of all
+// elements resolve in a single bitAnd, and the XOR over g is local.
+//
+// Tree (treeDepth exchanges). A logarithmic prefix tree merges adjacent
+// digit groups (hi more significant than lo):
+//
+//	gt' = gt_hi ⊕ (eq_hi ∧ gt_lo)
+//	eq' = eq_hi ∧ eq_lo
+//
+// with both ANDs of a level batched into one exchange (paper Sec. II-C /
+// III-C).
 func (p *Party) DReLU(x Share) (BitShare, error) {
 	n := x.Len()
 	if n == 0 {
 		return BitShare{}, nil
 	}
-	// gtSh/eqSh hold XOR shares of per-chunk comparison digits, laid out
-	// as [element][chunk] flattened.
-	gtSh := make(BitShare, n*NumChunks)
-	eqSh := make(BitShare, n*NumChunks)
-
-	if p.ID == 0 {
-		// Party 0 is the OT sender: for each element and chunk it offers a
-		// masked truth table over the receiver's possible digit values.
-		tables := make([][ot.NumChoices]byte, n*NumChunks)
-		for j := 0; j < n; j++ {
-			u := x.V[j] &^ (1 << 63) // low63(x0)
-			for c := 0; c < NumChunks; c++ {
-				uc := (u >> (ChunkBits * uint(c))) & 3
-				rgt := byte(p.Rand.Uint64()) & 1
-				req := byte(p.Rand.Uint64()) & 1
-				idx := j*NumChunks + c
-				gtSh[idx] = rgt
-				eqSh[idx] = req
-				for g := uint64(0); g < ot.NumChoices; g++ {
-					var gt, eq byte
-					if uc > g {
-						gt = 1
-					}
-					if uc == g {
-						eq = 1
-					}
-					tables[idx][g] = (gt ^ rgt) | ((eq ^ req) << 1)
-				}
+	// One leafANDs-bit field per (element, digit): gt gates in the low
+	// radix−1 bits, eq gates above them.
+	own := NewBitShare(n * NumChunks * leafANDs)
+	for j, xv := range x.V {
+		low := xv &^ (1 << 63)
+		if p.ID == 1 {
+			low = (1<<63 - 1) - low
+		}
+		for c := 0; c < NumChunks; c++ {
+			hot := uint64(1) << (low >> (ChunkBits * c) & (radix - 1))
+			f := hot << (radix - 1) // w (party 0) or e (party 1) against eq
+			if p.ID == 0 {
+				f |= hot - 1 // v
+			} else {
+				f |= hot & (1<<(radix-1) - 1) // e, less the dropped gate
 			}
-		}
-		if err := ot.Sender(p.Conn, p.Rand, tables); err != nil {
-			return nil, fmt.Errorf("mpc: drelu ot: %w", err)
-		}
-	} else {
-		// Party 1 is the OT receiver with choices t' = 2^63 − 1 − low63(x1),
-		// digit by digit.
-		choices := make([]byte, n*NumChunks)
-		for j := 0; j < n; j++ {
-			t := (uint64(1)<<63 - 1) - (x.V[j] &^ (1 << 63))
-			for c := 0; c < NumChunks; c++ {
-				choices[j*NumChunks+c] = byte((t >> (ChunkBits * uint(c))) & 3)
-			}
-		}
-		got, err := ot.Receiver(p.Conn, p.Rand, choices)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: drelu ot: %w", err)
-		}
-		for i, b := range got {
-			gtSh[i] = b & 1
-			eqSh[i] = (b >> 1) & 1
+			own.setField((j*NumChunks+c)*leafANDs, leafANDs, f)
 		}
 	}
-
-	// Prefix combine: repeatedly merge adjacent digit pairs
-	// (hi = 2i+1, lo = 2i):
-	//   gt' = gt_hi ⊕ (eq_hi ∧ gt_lo)     (hi digits dominate)
-	//   eq' = eq_hi ∧ eq_lo
-	// Both ANDs of a level are batched into a single exchange.
-	width := NumChunks
-	for width > 1 {
-		half := width / 2
-		aCat := make(BitShare, 0, 2*n*half)
-		bCat := make(BitShare, 0, 2*n*half)
-		for j := 0; j < n; j++ {
-			base := j * width
-			for i := 0; i < half; i++ {
-				aCat = append(aCat, eqSh[base+2*i+1])
-				bCat = append(bCat, gtSh[base+2*i])
-			}
+	// Party 1's one-hots are the a operand, party 0's vectors the b
+	// operand; the other party's share of each is zero.
+	a, b := NewBitShare(own.N), own
+	if p.ID == 1 {
+		a, b = b, a
+	}
+	prod, err := p.bitAnd(a, b)
+	if err != nil {
+		return BitShare{}, fmt.Errorf("mpc: drelu leaf: %w", err)
+	}
+	// gt[j] and eq[j] hold element j's digit shares, one bit per digit.
+	// Digit c sits at the bit-reversed position of c, which puts the more
+	// significant half of every adjacent pair — at every tree level — in
+	// the upper half of the word, so a level is one shift and one mask.
+	gt := make([]uint16, n)
+	eq := make([]uint16, n)
+	for j := range gt {
+		for c := 0; c < NumChunks; c++ {
+			f := prod.field((j*NumChunks+c)*leafANDs, leafANDs)
+			pos := bits.Reverse8(uint8(c)) >> (8 - treeDepth)
+			gt[j] |= uint16(bits.OnesCount64(f&(1<<(radix-1)-1))&1) << pos
+			eq[j] |= uint16(bits.OnesCount64(f>>(radix-1))&1) << pos
 		}
-		for j := 0; j < n; j++ {
-			base := j * width
-			for i := 0; i < half; i++ {
-				aCat = append(aCat, eqSh[base+2*i+1])
-				bCat = append(bCat, eqSh[base+2*i])
-			}
+	}
+	for h := NumChunks / 2; h >= 1; h /= 2 {
+		// Per element, 2h gates: eq_hi∧gt_lo in the low h bits, eq_hi∧eq_lo
+		// in the high h bits.
+		lo := uint64(1)<<h - 1
+		a, b := NewBitShare(n*2*h), NewBitShare(n*2*h)
+		for j := range gt {
+			g, e := uint64(gt[j]), uint64(eq[j])
+			a.setField(j*2*h, 2*h, e>>h|e>>h<<h)
+			b.setField(j*2*h, 2*h, g&lo|(e&lo)<<h)
 		}
-		prod, err := p.bitAnd(aCat, bCat)
+		prod, err := p.bitAnd(a, b)
 		if err != nil {
-			return nil, fmt.Errorf("mpc: drelu combine: %w", err)
+			return BitShare{}, fmt.Errorf("mpc: drelu combine: %w", err)
 		}
-		newGt := make(BitShare, n*half)
-		newEq := make(BitShare, n*half)
-		for j := 0; j < n; j++ {
-			base := j * width
-			for i := 0; i < half; i++ {
-				newGt[j*half+i] = gtSh[base+2*i+1] ^ prod[j*half+i]
-				newEq[j*half+i] = prod[n*half+j*half+i]
-			}
+		for j := range gt {
+			f := prod.field(j*2*h, 2*h)
+			gt[j] = gt[j]>>h ^ uint16(f&lo)
+			eq[j] = uint16(f >> h)
 		}
-		gtSh, eqSh = newGt, newEq
-		width = half
 	}
 
 	// Assemble: neg = msb(own share) ⊕ carry; drelu = ¬neg, with the
 	// negation folded into party 0's share.
-	out := make(BitShare, n)
-	for j := 0; j < n; j++ {
-		msb := byte(x.V[j] >> 63)
-		out[j] = msb ^ gtSh[j]
+	out := NewBitShare(n)
+	for j, xv := range x.V {
+		bit := xv>>63 ^ uint64(gt[j])
 		if p.ID == 0 {
-			out[j] ^= 1
+			bit ^= 1
 		}
+		out.W[j>>6] |= bit << (uint(j) & 63)
 	}
 	return out, nil
 }

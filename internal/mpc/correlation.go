@@ -29,7 +29,8 @@ type CorrelationSource interface {
 	// TakeConvFixedB returns shares (a, z) with z = conv(a, b) against the
 	// fixed kernel mask b for slot mask and the given geometry.
 	TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error)
-	// TakeBits returns XOR shares of n AND triples (c = a AND b bitwise).
+	// TakeBits returns packed XOR shares of n AND triples (c = a AND b
+	// bitwise).
 	TakeBits(n int) (ta, tb, tc BitShare, err error)
 }
 

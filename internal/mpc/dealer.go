@@ -51,13 +51,16 @@ func (d *Dealer) pick(plain []uint64) []uint64 {
 	return s1
 }
 
-// pickBits returns this party's half of an XOR sharing of bits.
-func (d *Dealer) pickBits(bits []byte) []byte {
-	b0, b1 := splitBits(bits, d.r)
-	if d.party == 0 {
-		return b0
+// pickBits returns this party's half of an XOR sharing of plain: party 0
+// holds a fresh mask, party 1 plain ⊕ mask (folded into the mask in place).
+func (d *Dealer) pickBits(plain BitShare) BitShare {
+	mask := DrawBits(d.r, plain.N)
+	if d.party == 1 {
+		for i, w := range plain.W {
+			mask.W[i] ^= w
+		}
 	}
-	return b1
+	return mask
 }
 
 // HadamardTriple returns this party's shares (a, b, z) of a Beaver triple
@@ -108,17 +111,17 @@ func (d *Dealer) ConvTriple(dims ConvDims) (a, b, z []uint64) {
 	return d.pick(plainA), d.pick(plainB), d.pick(plainZ)
 }
 
-// BitTriples returns XOR shares of n AND triples: c = a AND b bitwise.
-// Used by the comparison combine tree (GMW-style AND gates).
+// BitTriples returns XOR shares of n AND triples: c = a AND b bitwise
+// (GMW-style AND gates, the whole of the comparison protocol). The stream
+// is consumed a word at a time — five draws per 64 triples: plain a, plain
+// b, then the three share masks.
 func (d *Dealer) BitTriples(n int) (a, b, c BitShare) {
 	d.Issued++
-	plainA := make([]byte, n)
-	plainB := make([]byte, n)
-	plainC := make([]byte, n)
-	for i := 0; i < n; i++ {
-		plainA[i] = byte(d.r.Uint64()) & 1
-		plainB[i] = byte(d.r.Uint64()) & 1
-		plainC[i] = plainA[i] & plainB[i]
+	plainA := DrawBits(d.r, n)
+	plainB := DrawBits(d.r, n)
+	plainC := NewBitShare(n)
+	for i := range plainC.W {
+		plainC.W[i] = plainA.W[i] & plainB.W[i]
 	}
 	return d.pickBits(plainA), d.pickBits(plainB), d.pickBits(plainC)
 }

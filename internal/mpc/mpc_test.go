@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pasnet/internal/fixed"
+	"pasnet/internal/obs"
 	"pasnet/internal/rng"
 	"pasnet/internal/transport"
 )
@@ -275,44 +276,179 @@ func TestMatMul(t *testing.T) {
 	})
 }
 
-func TestDReLUCorrectness(t *testing.T) {
-	// Adversarial values around zero and the ring boundary plus randoms.
-	xs := []float64{0, 0.001, -0.001, 1, -1, 100.25, -100.25, 1e4, -1e4, 0.5, -0.5}
-	r := rng.New(123)
-	for i := 0; i < 64; i++ {
-		xs = append(xs, r.Norm()*1000)
+// openBits reveals XOR-shared bits to both parties.
+func openBits(p *Party, b BitShare) (BitShare, error) {
+	theirs, err := transport.Exchange(p.Conn, b.W)
+	if err != nil {
+		return BitShare{}, err
 	}
-	n := len(xs)
-	runBoth(t, 9, func(p *Party) error {
-		var enc []uint64
-		if p.ID == 0 {
-			enc = p.EncodeTensor(xs)
-		}
-		x, err := p.ShareInput(0, enc, n)
-		if err != nil {
-			return err
+	out := NewBitShare(b.N)
+	for i := range out.W {
+		out.W[i] = b.W[i] ^ theirs[i]
+	}
+	return out, nil
+}
+
+// tailClear reports whether the bits past N in the last word are zero.
+func tailClear(b BitShare) bool {
+	r := uint(b.N) & 63
+	return r == 0 || b.W[len(b.W)-1]>>r == 0
+}
+
+// checkDReLU runs DReLU on explicit share pairs (pairs[i][id] is party
+// id's share of element i) and checks every revealed bit against the sign
+// of the reconstructed value, plus the canonical zero tail of each
+// party's own output share.
+func checkDReLU(t *testing.T, seed uint64, pairs [][2]uint64) {
+	t.Helper()
+	runBoth(t, seed, func(p *Party) error {
+		x := NewShare(len(pairs))
+		for i, pr := range pairs {
+			x.V[i] = pr[p.ID]
 		}
 		bits, err := p.DReLU(x)
 		if err != nil {
 			return err
 		}
-		// Reveal the XOR shares via a raw byte exchange.
-		theirs, err := transport.ExchangeBytes(p.Conn, bits)
+		if bits.N != len(pairs) || len(bits.W) != BitWords(len(pairs)) || !tailClear(bits) {
+			t.Errorf("party %d: drelu share has N=%d, %d words, tail clear=%v for %d elements",
+				p.ID, bits.N, len(bits.W), tailClear(bits), len(pairs))
+			return nil
+		}
+		plain, err := openBits(p, bits)
 		if err != nil {
 			return err
 		}
-		for i := range xs {
-			got := bits[i] ^ theirs[i]
-			want := byte(0)
-			if xs[i] >= 0 {
+		for i, pr := range pairs {
+			want := uint64(0)
+			if int64(pr[0]+pr[1]) >= 0 {
 				want = 1
 			}
-			if got != want {
-				t.Errorf("party %d: drelu(%v) = %d, want %d", p.ID, xs[i], got, want)
+			if got := plain.Bit(i); got != want {
+				t.Errorf("party %d: drelu(%#x + %#x) = %d, want %d", p.ID, pr[0], pr[1], got, want)
 				return nil
 			}
 		}
 		return nil
+	})
+}
+
+func TestDReLUCorrectness(t *testing.T) {
+	t.Run("encoded-values", func(t *testing.T) {
+		// Adversarial values around zero plus randoms, through ShareInput.
+		xs := []float64{0, 0.001, -0.001, 1, -1, 100.25, -100.25, 1e4, -1e4, 0.5, -0.5}
+		r := rng.New(123)
+		for i := 0; i < 64; i++ {
+			xs = append(xs, r.Norm()*1000)
+		}
+		runBoth(t, 9, func(p *Party) error {
+			var enc []uint64
+			if p.ID == 0 {
+				enc = p.EncodeTensor(xs)
+			}
+			x, err := p.ShareInput(0, enc, len(xs))
+			if err != nil {
+				return err
+			}
+			bits, err := p.DReLU(x)
+			if err != nil {
+				return err
+			}
+			plain, err := openBits(p, bits)
+			if err != nil {
+				return err
+			}
+			for i := range xs {
+				want := uint64(0)
+				if xs[i] >= 0 {
+					want = 1
+				}
+				if got := plain.Bit(i); got != want {
+					t.Errorf("party %d: drelu(%v) = %d, want %d", p.ID, xs[i], got, want)
+					return nil
+				}
+			}
+			return nil
+		})
+	})
+
+	t.Run("ring-extremes", func(t *testing.T) {
+		// 0, ±1, MinInt64 and MaxInt64, each split trivially both ways and
+		// against random masks.
+		r := rng.New(124)
+		var pairs [][2]uint64
+		for _, v := range []uint64{0, 1, ^uint64(0), 1 << 63, 1<<63 - 1} {
+			pairs = append(pairs, [2]uint64{v, 0}, [2]uint64{0, v})
+			for i := 0; i < 8; i++ {
+				m := r.Uint64()
+				pairs = append(pairs, [2]uint64{m, v - m})
+			}
+		}
+		checkDReLU(t, 90, pairs)
+	})
+
+	t.Run("carry-across-digits", func(t *testing.T) {
+		// low63(x0) = 2^(4k) − 1 plus low63(x1) = 1 carries out of every
+		// digit below boundary k and no further; k = 16 would be the ring's
+		// own msb, covered by 2^63 − 1 + 1 = MinInt64. Each pattern runs
+		// under all four msb assignments.
+		var pairs [][2]uint64
+		for k := 1; k < NumChunks; k++ {
+			for msb := uint64(0); msb < 4; msb++ {
+				pairs = append(pairs, [2]uint64{1<<(ChunkBits*k) - 1 | msb&1<<63, 1 | msb>>1<<63})
+			}
+		}
+		for msb := uint64(0); msb < 4; msb++ {
+			pairs = append(pairs, [2]uint64{1<<63 - 1 | msb&1<<63, 1 | msb>>1<<63})
+		}
+		checkDReLU(t, 91, pairs)
+	})
+
+	t.Run("decided-at-each-digit", func(t *testing.T) {
+		// The millionaires' inputs u (party 0) and t (party 1) agree on every
+		// digit except digit k, which decides the comparison either way: the
+		// eq chain runs through all more significant digits. u = t keeps all
+		// 16 digits equal (carry = 0 through a full eq chain).
+		r := rng.New(125)
+		var pairs [][2]uint64
+		add := func(u, tt uint64) {
+			for msb := uint64(0); msb < 4; msb++ {
+				pairs = append(pairs, [2]uint64{u | msb&1<<63, (1<<63 - 1 - tt) | msb>>1<<63})
+			}
+		}
+		for k := 0; k < NumChunks; k++ {
+			for rep := 0; rep < 4; rep++ {
+				tt := r.Uint64() >> 1
+				// Put digit k strictly inside its range (the top digit has 3
+				// bits) so ±1 in it touches no other digit.
+				tt = tt&^(0xf<<(ChunkBits*k)) | (1+r.Uint64()%6)<<(ChunkBits*k)
+				add(tt+1<<(ChunkBits*k), tt)
+				add(tt-1<<(ChunkBits*k), tt)
+				add(tt, tt)
+			}
+		}
+		checkDReLU(t, 92, pairs)
+	})
+
+	t.Run("element-counts", func(t *testing.T) {
+		// Counts on, off and around a word boundary, and the relu_k1_lan
+		// program's 2176: every packed level ends mid-word somewhere.
+		r := rng.New(126)
+		for _, n := range []int{1, 63, 64, 65, 2176} {
+			pairs := make([][2]uint64, n)
+			for i := range pairs {
+				x0 := r.Uint64()
+				switch i % 3 {
+				case 0: // full-range value
+					pairs[i] = [2]uint64{x0, r.Uint64()}
+				case 1: // tiny magnitude either side of zero
+					pairs[i] = [2]uint64{x0, uint64(int64(r.Uint64()%7)-3) - x0}
+				default: // fixed-point activations
+					pairs[i] = [2]uint64{x0, testCodec.Encode(r.Norm()*4) - x0}
+				}
+			}
+			checkDReLU(t, uint64(93+n), pairs)
+		}
 	})
 }
 
@@ -341,6 +477,50 @@ func TestReLURandomProperty(t *testing.T) {
 	shareAndRun(t, 11, xs, []int{n},
 		func(p *Party, x Share) (Share, error) { return p.ReLU(x) },
 		want, 1e-2)
+}
+
+// TestReLUWirePin pins ReLU's wire cost frame- and byte-exactly: six
+// exchanges — the leaf bitAnd, four tree bitAnds, the select — and the
+// closed-form packed payload. A change that re-adds a hop or unpacks the
+// bits fails here, not only in the benchmark.
+func TestReLUWirePin(t *testing.T) {
+	for _, n := range []int{1, 64, 100, 2176} {
+		// One direction: every bitAnd opens two packed operands, the select
+		// two 2n-word vectors.
+		words := 4 * n
+		for _, ands := range []int{NumChunks * leafANDs, 16, 8, 4, 2} {
+			words += 2 * BitWords(n*ands)
+		}
+		if n == 64 && 2*8*words != 327*n {
+			t.Fatalf("closed form gives %d B/element on whole words, documented as 327", 2*8*words/n)
+		}
+		r := rng.New(uint64(n))
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.Norm()
+		}
+		runBoth(t, uint64(40+n), func(p *Party) error {
+			var enc []uint64
+			if p.ID == 0 {
+				enc = p.EncodeTensor(xs)
+			}
+			x, err := p.ShareInput(0, enc, n)
+			if err != nil {
+				return err
+			}
+			wire := obs.InstrumentConn(p.Conn, nil)
+			p.Conn = wire
+			if _, err := p.ReLU(x); err != nil {
+				return err
+			}
+			got := wire.Totals()
+			want := obs.WireTotals{SentBytes: int64(8 * words), SentFrames: 6, RecvBytes: int64(8 * words), RecvFrames: 6}
+			if got != want {
+				t.Errorf("party %d, %d elements: ReLU moved %+v, want %+v", p.ID, n, got, want)
+			}
+			return nil
+		})
+	}
 }
 
 func TestMaxPool(t *testing.T) {
@@ -503,57 +683,71 @@ func plainConvRef(x, k []float64, d ConvDims) []float64 {
 }
 
 func TestBitAndTruthTable(t *testing.T) {
-	// All four (a,b) combinations, each XOR-shared both ways.
-	plainA := []byte{0, 0, 1, 1, 0, 0, 1, 1}
-	plainB := []byte{0, 1, 0, 1, 0, 1, 0, 1}
-	runBoth(t, 18, func(p *Party) error {
-		// Derive deterministic XOR shares: party 0 holds the plain bit for
-		// the first half, zero for the second, so both assignments occur.
-		n := len(plainA)
-		a := make(BitShare, n)
-		b := make(BitShare, n)
+	// 130 bits: two full words and a 2-bit tail. Bit i takes the (a, b)
+	// combination i%4, XOR-shared three ways in turn: all at party 0, all
+	// at party 1, or split by a mask both parties derive.
+	const n = 130
+	plainA, plainB := NewBitShare(n), NewBitShare(n)
+	mask := DrawBits(rng.New(18), n)
+	for i := 0; i < n; i++ {
+		plainA.W[i>>6] |= uint64(i&1) << (uint(i) & 63)
+		plainB.W[i>>6] |= uint64(i>>1&1) << (uint(i) & 63)
+	}
+	share := func(id int, plain BitShare) BitShare {
+		out := NewBitShare(n)
 		for i := 0; i < n; i++ {
-			if i < n/2 {
-				if p.ID == 0 {
-					a[i], b[i] = plainA[i], plainB[i]
-				}
-			} else {
-				if p.ID == 1 {
-					a[i], b[i] = plainA[i], plainB[i]
-				}
+			bit := plain.Bit(i)
+			switch i / 4 % 3 {
+			case 0:
+				bit *= uint64(1 - id)
+			case 1:
+				bit *= uint64(id)
+			default:
+				bit = bit*uint64(id) ^ mask.Bit(i)
 			}
+			out.W[i>>6] |= bit << (uint(i) & 63)
 		}
-		c, err := p.bitAnd(a, b)
+		return out
+	}
+	runBoth(t, 18, func(p *Party) error {
+		c, err := p.bitAnd(share(p.ID, plainA), share(p.ID, plainB))
 		if err != nil {
 			return err
 		}
-		theirs, err := transport.ExchangeBytes(p.Conn, c)
+		if c.N != n || len(c.W) != BitWords(n) || !tailClear(c) {
+			t.Errorf("party %d: product share N=%d, %d words, tail clear=%v", p.ID, c.N, len(c.W), tailClear(c))
+		}
+		plain, err := openBits(p, c)
 		if err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
-			if got := c[i] ^ theirs[i]; got != plainA[i]&plainB[i] {
-				t.Errorf("AND(%d,%d) = %d", plainA[i], plainB[i], got)
+			if got, want := plain.Bit(i), plainA.Bit(i)&plainB.Bit(i); got != want {
+				t.Errorf("bit %d: AND(%d,%d) = %d", i, plainA.Bit(i), plainB.Bit(i), got)
 			}
 		}
 		return nil
 	})
 }
 
-func TestB2A(t *testing.T) {
-	plain := []byte{0, 1, 1, 0, 1}
-	runBoth(t, 19, func(p *Party) error {
-		bits := make(BitShare, len(plain))
-		// Share: party 0 holds plain ^ 1-mask, party 1 holds the mask.
-		for i, b := range plain {
-			mask := byte(i) & 1
-			if p.ID == 0 {
-				bits[i] = b ^ mask
-			} else {
-				bits[i] = mask
-			}
+// shareTestBits XOR-shares plain between the parties: party 1 holds the
+// alternating mask 0101…, party 0 plain ⊕ mask.
+func shareTestBits(id int, plain []uint64) BitShare {
+	bits := NewBitShare(len(plain))
+	for i, b := range plain {
+		mask := uint64(i) & 1
+		if id == 0 {
+			mask ^= b
 		}
-		ar, err := p.B2A(bits, len(plain))
+		bits.W[i>>6] |= mask << (uint(i) & 63)
+	}
+	return bits
+}
+
+func TestB2A(t *testing.T) {
+	plain := []uint64{0, 1, 1, 0, 1}
+	runBoth(t, 19, func(p *Party) error {
+		ar, err := p.B2A(shareTestBits(p.ID, plain), len(plain))
 		if err != nil {
 			return err
 		}
@@ -562,8 +756,57 @@ func TestB2A(t *testing.T) {
 			return err
 		}
 		for i, b := range plain {
-			if vals[i] != uint64(b) {
+			if vals[i] != b {
 				t.Errorf("B2A bit %d: got %d want %d", i, vals[i], b)
+			}
+		}
+		return nil
+	})
+}
+
+// TestSelectMatchesB2AProduct pins the one-round select against the
+// two-round construction it replaced: on the same selector bits and the
+// same value shares, B2A followed by MulHadamardRaw reveals exactly what
+// selectBits reveals (both are exact integer arithmetic in the ring).
+func TestSelectMatchesB2AProduct(t *testing.T) {
+	r := rng.New(23)
+	const n = 67
+	plain := make([]uint64, n)
+	pairs := make([][2]uint64, n)
+	for i := range plain {
+		plain[i] = r.Uint64() & 1
+		pairs[i] = [2]uint64{r.Uint64(), r.Uint64()}
+	}
+	runBoth(t, 23, func(p *Party) error {
+		bits := shareTestBits(p.ID, plain)
+		x := NewShare(n)
+		for i, pr := range pairs {
+			x.V[i] = pr[p.ID]
+		}
+		sel, err := p.selectBits(bits, x)
+		if err != nil {
+			return err
+		}
+		ba, err := p.B2A(bits, n)
+		if err != nil {
+			return err
+		}
+		ref, err := p.MulHadamardRaw(ba, x)
+		if err != nil {
+			return err
+		}
+		got, err := p.Reveal(sel)
+		if err != nil {
+			return err
+		}
+		want, err := p.Reveal(ref)
+		if err != nil {
+			return err
+		}
+		for i := range want {
+			if got[i] != want[i] || want[i] != plain[i]*(pairs[i][0]+pairs[i][1]) {
+				t.Errorf("party %d elem %d: select %#x, b2a·x %#x, bit %d", p.ID, i, got[i], want[i], plain[i])
+				return nil
 			}
 		}
 		return nil
@@ -591,13 +834,13 @@ func TestCompareGE(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		theirs, err := transport.ExchangeBytes(p.Conn, bits)
+		plain, err := openBits(p, bits)
 		if err != nil {
 			return err
 		}
-		want := []byte{1, 0, 1, 1}
+		want := []uint64{1, 0, 1, 1}
 		for i := range want {
-			if got := bits[i] ^ theirs[i]; got != want[i] {
+			if got := plain.Bit(i); got != want[i] {
 				t.Errorf("compare %v >= %v: got %d want %d", xs[i], ys[i], got, want[i])
 			}
 		}
@@ -643,14 +886,27 @@ func TestDealerDeterminism(t *testing.T) {
 			t.Fatalf("square pair %d inconsistent", i)
 		}
 	}
-	// Bit triples.
-	ba0, bb0, bc0 := d0.BitTriples(32)
-	ba1, bb1, bc1 := d1.BitTriples(32)
-	for i := 0; i < 32; i++ {
-		a := ba0[i] ^ ba1[i]
-		b := bb0[i] ^ bb1[i]
-		if bc0[i]^bc1[i] != a&b {
-			t.Fatalf("bit triple %d inconsistent", i)
+	// Bit triples: c = a∧b on every bit, every share canonical (tail bits
+	// past n zero), across counts on and off a word boundary.
+	for _, n := range []int{1, 63, 64, 65, 526} {
+		ba0, bb0, bc0 := d0.BitTriples(n)
+		ba1, bb1, bc1 := d1.BitTriples(n)
+		var ones uint64
+		for _, sh := range []BitShare{ba0, bb0, bc0, ba1, bb1, bc1} {
+			if sh.N != n || len(sh.W) != BitWords(n) || !tailClear(sh) {
+				t.Fatalf("bit triples n=%d: share has N=%d, %d words, tail clear=%v", n, sh.N, len(sh.W), tailClear(sh))
+			}
+		}
+		for i := 0; i < n; i++ {
+			a := ba0.Bit(i) ^ ba1.Bit(i)
+			b := bb0.Bit(i) ^ bb1.Bit(i)
+			if bc0.Bit(i)^bc1.Bit(i) != a&b {
+				t.Fatalf("bit triple %d of %d inconsistent", i, n)
+			}
+			ones += a
+		}
+		if n == 526 && (ones < 200 || ones > 326) {
+			t.Fatalf("%d of 526 plain a bits set: the dealer is not drawing whole random words", ones)
 		}
 	}
 }

@@ -5,20 +5,14 @@ import (
 	"math"
 )
 
-// ReLU computes shares of max(x, 0) elementwise: a DReLU comparison, a
-// bit-to-arithmetic conversion, and one Beaver product (paper 2PC-ReLU).
+// ReLU computes shares of max(x, 0) elementwise: a DReLU comparison and a
+// one-round select on its bit (paper 2PC-ReLU) — six exchanges in all.
 func (p *Party) ReLU(x Share) (Share, error) {
 	bits, err := p.DReLU(x)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: relu: %w", err)
 	}
-	ba, err := p.B2A(bits, x.Shape...)
-	if err != nil {
-		return Share{}, fmt.Errorf("mpc: relu: %w", err)
-	}
-	// The selector bit is an unscaled integer, so the product keeps x's
-	// fixed-point scale and needs no truncation.
-	out, err := p.MulHadamardRaw(ba, x)
+	out, err := p.selectBits(bits, x)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: relu: %w", err)
 	}
@@ -26,18 +20,14 @@ func (p *Party) ReLU(x Share) (Share, error) {
 }
 
 // maxPairs computes elementwise max(a, b) for two equal-length share
-// vectors: max(a,b) = b + (a−b 	>= 0)·(a−b), batching the comparison.
+// vectors: max(a,b) = b + (a−b >= 0)·(a−b), batching the comparison.
 func (p *Party) maxPairs(a, b Share) (Share, error) {
 	diff := p.Sub(a, b)
 	bits, err := p.DReLU(diff)
 	if err != nil {
 		return Share{}, err
 	}
-	ba, err := p.B2A(bits, diff.Shape...)
-	if err != nil {
-		return Share{}, err
-	}
-	sel, err := p.MulHadamardRaw(ba, diff)
+	sel, err := p.selectBits(bits, diff)
 	if err != nil {
 		return Share{}, err
 	}
@@ -45,8 +35,8 @@ func (p *Party) maxPairs(a, b Share) (Share, error) {
 }
 
 // MaxPool2D computes shares of kh×kw/stride max pooling over an NCHW
-// share via a batched pairwise tournament (paper 2PC-MaxPool: OT
-// comparisons plus a few extra rounds for the reduction tree).
+// share via a batched pairwise tournament (paper 2PC-MaxPool: one maxPairs
+// — a comparison and a select — per level of the reduction tree).
 func (p *Party) MaxPool2D(x Share, kh, kw, stride int) (Share, error) {
 	if len(x.Shape) != 4 {
 		return Share{}, fmt.Errorf("mpc: maxpool needs NCHW share, got %v", x.Shape)

@@ -27,7 +27,7 @@ type Party struct {
 	Source CorrelationSource
 	// Codec fixes the fixed-point precision for truncation.
 	Codec fixed.Codec64
-	// Rand is this party's private randomness (masks, OT secrets).
+	// Rand is this party's private randomness (input-sharing masks).
 	Rand *rng.RNG
 
 	// scr holds scratch buffers reused across Beaver openings so the hot
@@ -378,38 +378,78 @@ func (p *Party) openPairUneven(x, a, y, b []uint64) (e, f []uint64, err error) {
 	return e, f, nil
 }
 
-// bitAnd computes XOR shares of a AND b elementwise via dealer bit triples
-// (one exchange round for the whole batch).
+// bitAnd computes XOR shares of a AND b bitwise via dealer AND triples: one
+// exchange of packed words for the whole batch, word-wide XOR/AND on both
+// sides of it.
 func (p *Party) bitAnd(a, b BitShare) (BitShare, error) {
-	n := len(a)
-	if len(b) != n {
-		return nil, fmt.Errorf("mpc: bitAnd size mismatch %d vs %d", n, len(b))
+	n := a.N
+	if b.N != n {
+		return BitShare{}, fmt.Errorf("mpc: bitAnd size mismatch %d vs %d", n, b.N)
 	}
 	ta, tb, tc, err := p.corr().TakeBits(n)
 	if err != nil {
-		return nil, fmt.Errorf("mpc: bit triples: %w", err)
+		return BitShare{}, fmt.Errorf("mpc: bit triples: %w", err)
 	}
-	mine := make([]byte, 2*n)
-	for i := 0; i < n; i++ {
-		mine[i] = a[i] ^ ta[i]
-		mine[n+i] = b[i] ^ tb[i]
+	nw := len(a.W)
+	mine := grow(&p.scr.mine, 2*nw)
+	for i := 0; i < nw; i++ {
+		mine[i] = a.W[i] ^ ta.W[i]
+		mine[nw+i] = b.W[i] ^ tb.W[i]
 	}
-	theirs, err := transport.ExchangeBytes(p.Conn, mine)
+	theirs, err := transport.Exchange(p.Conn, mine)
 	if err != nil {
-		return nil, fmt.Errorf("mpc: bitAnd open: %w", err)
+		return BitShare{}, fmt.Errorf("mpc: bitAnd open: %w", err)
 	}
-	if len(theirs) != 2*n {
-		return nil, fmt.Errorf("mpc: bitAnd open length %d != %d", len(theirs), 2*n)
+	if len(theirs) != 2*nw {
+		return BitShare{}, fmt.Errorf("mpc: bitAnd open length %d != %d", len(theirs), 2*nw)
 	}
-	out := make(BitShare, n)
-	for i := 0; i < n; i++ {
+	out := NewBitShare(n)
+	for i := 0; i < nw; i++ {
 		d := mine[i] ^ theirs[i]
-		e := mine[n+i] ^ theirs[n+i]
-		out[i] = tc[i] ^ (d & tb[i]) ^ (e & ta[i])
+		e := mine[nw+i] ^ theirs[nw+i]
+		out.W[i] = tc.W[i] ^ (d & tb.W[i]) ^ (e & ta.W[i])
 		if p.ID == 0 {
-			out[i] ^= d & e
+			out.W[i] ^= d & e
 		}
 	}
+	return out, nil
+}
+
+// selectBits returns shares of b ⊙ x for XOR-shared selector bits b — the
+// multiplexer closing ReLU and max — in one opening. With b = b0 ⊕ b1 =
+// b0 + b1 − 2·b0·b1 and x = x0 + x1,
+//
+//	b·x = b0·x0 + b1·x1 + b1·[x0(1−2b0)] + b0·[x1(1−2b1)]:
+//
+// two local terms plus two products of one party-0-private and one
+// party-1-private value, both taken from a single 2n-element Beaver
+// triple. The selector is an unscaled integer, so the result keeps x's
+// fixed-point scale and needs no truncation.
+func (p *Party) selectBits(bits BitShare, x Share) (Share, error) {
+	n := x.Len()
+	if bits.N != n {
+		return Share{}, fmt.Errorf("mpc: select: %d bits for %d values", bits.N, n)
+	}
+	// Party 0 holds u = [x0(1−2b0) ; b0], party 1 v = [b1 ; x1(1−2b1)];
+	// u ⊙ v is the two cross terms. Each is shared as (own, 0).
+	u, v := NewShare(2*n), NewShare(2*n)
+	signed, own := u.V[:n], u.V[n:]
+	if p.ID == 1 {
+		own, signed = v.V[:n], v.V[n:]
+	}
+	out := NewShare(x.Shape...)
+	for i, xi := range x.V {
+		b := bits.Bit(i)
+		own[i] = b
+		signed[i] = xi * (1 - 2*b)
+		out.V[i] = b * xi
+	}
+	cross, err := p.MulHadamardRaw(u, v)
+	if err != nil {
+		return Share{}, fmt.Errorf("mpc: select: %w", err)
+	}
+	ringAdd(out.V, out.V, cross.V[:n])
+	ringAdd(out.V, out.V, cross.V[n:])
 	return out, nil
 }
 
@@ -417,32 +457,26 @@ func (p *Party) bitAnd(a, b BitShare) (BitShare, error) {
 // b = b0 + b1 − 2·b0·b1, with the cross term from one Beaver product.
 // The result is an *integer* sharing (not fixed-point scaled).
 func (p *Party) B2A(bits BitShare, shape ...int) (Share, error) {
-	n := len(bits)
+	n := bits.N
+	out := NewShare(shape...)
+	if out.Len() != n {
+		return Share{}, fmt.Errorf("mpc: b2a shape %v != %d bits", shape, n)
+	}
 	x := NewShare(n)
 	y := NewShare(n)
-	for i, b := range bits {
-		if p.ID == 0 {
-			x.V[i] = uint64(b)
-		} else {
-			y.V[i] = uint64(b)
-		}
+	own := x.V
+	if p.ID == 1 {
+		own = y.V
+	}
+	for i := range own {
+		own[i] = bits.Bit(i)
 	}
 	prod, err := p.MulHadamardRaw(x, y) // shares of b0·b1
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: b2a: %w", err)
 	}
-	out := NewShare(shape...)
-	if out.Len() != n {
-		return Share{}, fmt.Errorf("mpc: b2a shape %v != %d bits", shape, n)
-	}
-	for i := 0; i < n; i++ {
-		var own uint64
-		if p.ID == 0 {
-			own = x.V[i]
-		} else {
-			own = y.V[i]
-		}
-		out.V[i] = own - 2*prod.V[i]
+	for i := range out.V {
+		out.V[i] = own[i] - 2*prod.V[i]
 	}
 	return out, nil
 }

@@ -103,17 +103,17 @@ func TestDReLUProperty(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			theirs, err := exchangeBitsForTest(p, bits)
+			plain, err := openBits(p, bits)
 			if err != nil {
 				return err
 			}
 			if p.ID == 0 {
 				for i := range xs {
-					want := byte(0)
+					want := uint64(0)
 					if xs[i] >= 0 {
 						want = 1
 					}
-					if bits[i]^theirs[i] != want {
+					if plain.Bit(i) != want {
 						ok = false
 					}
 				}
@@ -123,6 +123,23 @@ func TestDReLUProperty(t *testing.T) {
 		return err == nil && ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+	// Any two ring elements are a valid sharing: arbitrary share pairs, at
+	// whatever length quick picks (so packed levels end mid-word).
+	rawPairs := func(x0, x1 []uint64) bool {
+		iter++
+		if len(x0) > len(x1) {
+			x0 = x0[:len(x1)]
+		}
+		pairs := make([][2]uint64, len(x0))
+		for i := range pairs {
+			pairs[i] = [2]uint64{x0[i], x1[i]}
+		}
+		checkDReLU(t, uint64(1000+iter), pairs)
+		return !t.Failed()
+	}
+	if err := quick.Check(rawPairs, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -188,17 +205,6 @@ func TestMulTruncProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// exchangeBitsForTest swaps bit shares between parties.
-func exchangeBitsForTest(p *Party, bits BitShare) (BitShare, error) {
-	errc := make(chan error, 1)
-	go func() { errc <- p.Conn.SendBytes(bits) }()
-	theirs, err := p.Conn.RecvBytes()
-	if sendErr := <-errc; sendErr != nil {
-		return nil, sendErr
-	}
-	return theirs, err
 }
 
 // TestShareUniformity is a sanity property on the hiding side of the

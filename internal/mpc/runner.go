@@ -12,7 +12,7 @@ import (
 // RunProtocol executes the same protocol program on two freshly connected
 // in-memory parties and waits for both to finish, combining errors. The
 // program receives its party endpoint and branches on p.ID where the roles
-// differ (input owner, OT sender, ...). dealerSeed seeds the shared
+// differ (input owner, comparison operand, ...). dealerSeed seeds the shared
 // trusted-dealer stream; the parties' private randomness is derived from
 // it but kept distinct.
 func RunProtocol(dealerSeed uint64, codec fixed.Codec64, fn func(p *Party) error) error {

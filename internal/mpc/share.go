@@ -1,8 +1,8 @@
 // Package mpc implements PASNet's semi-honest two-party computation layer:
 // additive secret sharing over Z_{2^64}, a trusted dealer for Beaver-style
 // correlated randomness, and the operator protocols of paper Sec. II-III —
-// 2PC-Conv, 2PC-ReLU (OT-based comparison), 2PC-MaxPool, 2PC-AvgPool and
-// 2PC-X²act.
+// 2PC-Conv, 2PC-ReLU (comparison on dealer AND triples), 2PC-MaxPool,
+// 2PC-AvgPool and 2PC-X²act.
 //
 // Both parties run the same program against a transport.Conn; party 0 is
 // the model vendor, party 1 the client-facing server (paper Fig. 2/3).
@@ -59,8 +59,57 @@ func (s Share) Reshape(shape ...int) Share {
 	return Share{Shape: append([]int(nil), shape...), V: s.V}
 }
 
-// BitShare is one party's XOR share of a vector of bits (one byte per bit).
-type BitShare []byte
+// BitShare is one party's XOR share of a vector of N bits, packed 64 to a
+// word: bit i is bit i%64 of W[i/64]. Bits past N in the last word are
+// zero in everything the dealer, a store or a protocol hands out, so equal
+// bit vectors are equal word slices.
+type BitShare struct {
+	N int
+	W []uint64
+}
+
+// BitWords returns the word count of an n-bit BitShare.
+func BitWords(n int) int { return (n + 63) / 64 }
+
+// NewBitShare returns an all-zero share of n bits.
+func NewBitShare(n int) BitShare {
+	return BitShare{N: n, W: make([]uint64, BitWords(n))}
+}
+
+// Bit returns bit i.
+func (b BitShare) Bit(i int) uint64 { return b.W[i>>6] >> (uint(i) & 63) & 1 }
+
+// field returns the width-bit field (width ≤ 64) starting at bit pos.
+func (b BitShare) field(pos, width int) uint64 {
+	i, s := pos>>6, uint(pos)&63
+	v := b.W[i] >> s
+	if int(s)+width > 64 {
+		v |= b.W[i+1] << (64 - s)
+	}
+	return v & (1<<uint(width) - 1)
+}
+
+// setField ORs v (< 2^width) into the zero field starting at bit pos.
+func (b BitShare) setField(pos, width int, v uint64) {
+	i, s := pos>>6, uint(pos)&63
+	b.W[i] |= v << s
+	if int(s)+width > 64 {
+		b.W[i+1] |= v >> (64 - s)
+	}
+}
+
+// DrawBits draws n uniform bits off r as whole words — ceil(n/64) draws,
+// bits past n then cleared. It is the one definition of how bit material
+// consumes a dealer stream, shared by the live Dealer and the store
+// generator that must replay it.
+func DrawBits(r *rng.RNG, n int) BitShare {
+	b := NewBitShare(n)
+	r.FillUint64(b.W)
+	if tail := uint(n) & 63; tail != 0 {
+		b.W[len(b.W)-1] &= 1<<tail - 1
+	}
+	return b
+}
 
 // SplitSecret additively shares a secret vector using randomness from r,
 // returning the two halves. It is a dealer-side helper used by tests and
@@ -82,17 +131,6 @@ func CombineShares(s0, s1 []uint64) []uint64 {
 		out[i] = s0[i] + s1[i]
 	}
 	return out
-}
-
-// splitBits XOR-shares a bit vector.
-func splitBits(bits []byte, r *rng.RNG) (b0, b1 []byte) {
-	b0 = make([]byte, len(bits))
-	b1 = make([]byte, len(bits))
-	for i := range bits {
-		b0[i] = byte(r.Uint64()) & 1
-		b1[i] = bits[i] ^ b0[i]
-	}
-	return b0, b1
 }
 
 // ring helpers over Z_{2^64} vectors. All of them delegate to the shared

@@ -1,5 +1,11 @@
-// Package ot implements the oblivious-transfer building block behind
-// PASNet's 2PC comparison protocol (paper Sec. II-C and Fig. 4).
+// Package ot implements the oblivious-transfer building block of the
+// paper's 2PC comparison protocol (Sec. II-C and Fig. 4). It is the
+// reference for that figure, not part of the serving path: package mpc
+// resolves comparison digits with AND gates on trusted-dealer triples
+// (see mpc.DReLU), so nothing a served query executes imports this
+// package. Its tests, the root BenchmarkOT1of4Batch and the benchmark's
+// ot.us_per_transfer probe keep the flow and its per-transfer cost
+// measurable.
 //
 // The group is the multiplicative group of the Mersenne prime field
 // GF(2^61 - 1), chosen so that modular arithmetic runs on native uint64
@@ -12,10 +18,11 @@
 //  3. S -> R : encrypted 4-entry table Enc(M0) per chunk         (COMM3)
 //  4. R -> S : result feedback share                              (COMM4)
 //
-// Message 4 belongs to the comparison protocol in package mpc; this package
-// provides messages 1-3. The construction is semi-honest simulation grade:
-// the field is small and the key-derivation hash is a non-cryptographic
-// mixer (see DESIGN.md §1 for the substitution rationale).
+// This package provides messages 1-3; message 4 is the comparison
+// protocol's own and has no counterpart here. The construction is
+// semi-honest simulation grade: the field is small and the key-derivation
+// hash is a non-cryptographic mixer — like package rng, it trades
+// cryptographic hardness for native-word speed and reproducibility.
 package ot
 
 import "math/bits"

@@ -65,7 +65,7 @@ func (zeroSource) TakeConvFixedB(mask int, dims mpc.ConvDims) (a, z []uint64, er
 }
 
 func (zeroSource) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
-	return make(mpc.BitShare, n), make(mpc.BitShare, n), make(mpc.BitShare, n), nil
+	return mpc.NewBitShare(n), mpc.NewBitShare(n), mpc.NewBitShare(n), nil
 }
 
 // TraceTape runs the compiled program once over an in-process transport

@@ -6,7 +6,7 @@
 // that experiments are reproducible bit-for-bit from a single seed. The
 // generator is xoshiro256**, seeded via SplitMix64 as recommended by its
 // authors. It is NOT a cryptographically secure generator; the simulator
-// trades CSPRNG hardness for reproducibility (see DESIGN.md §1).
+// trades CSPRNG hardness for reproducibility.
 package rng
 
 import "math"
