@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"pasnet/internal/autodeploy"
@@ -32,10 +30,8 @@ type autodeployReport struct {
 // loop at demo scale on the in-process loopback and publishes the A/B
 // report. Per-shard preprocessed stores and fixed weight masks — the
 // deployment protocol mode — are exercised end to end.
-func autodeployBench(jsonDir string) error {
-	if err := checkBenchDir(jsonDir); err != nil {
-		return err
-	}
+func autodeployBench(c *config) error {
+	out := c.out
 	storeRoot, err := os.MkdirTemp("", "pasnet-bench-autodeploy-*")
 	if err != nil {
 		return err
@@ -57,28 +53,28 @@ func autodeployBench(jsonDir string) error {
 	// and a wrapped serving path would A/B garbage logits.
 	tOpts.LR = 0.01
 
-	fmt.Printf("Latency-calibrated NAS→deploy loop (workers=%d, %s at %d×%d):\n",
+	fmt.Fprintf(out, "Latency-calibrated NAS→deploy loop (workers=%d, %s at %d×%d):\n",
 		kernel.Workers(), benchBackbone, benchDemoHW, benchDemoHW)
 	rep, err := autodeploy.RunPipeline(autodeploy.PipelineOptions{
 		Backbone: benchBackbone, ModelCfg: cfg, HW: hwmodel.DefaultConfig(),
 		Lambda: 1.0, SearchSteps: 12, SearchBatch: 8, Train: tOpts,
 		CalibReps: 2, Queries: 8, Shards: 1, StoreRoot: storeRoot, Seed: 5,
 		Logf: func(format string, args ...any) {
-			fmt.Printf("  %s\n", fmt.Sprintf(format, args...))
+			fmt.Fprintf(out, "  %s\n", fmt.Sprintf(format, args...))
 		},
 	}, d, d)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("\n  %-12s %-28s %-6s %-8s %14s %14s %8s %s\n",
+	fmt.Fprintf(out, "\n  %-12s %-28s %-6s %-8s %14s %14s %8s %s\n",
 		"model", "latency source", "poly", "val", "predicted(ms)", "measured(ms)", "err", fmt.Sprintf("within %.0f%%", rep.Bound*100))
 	for _, mr := range rep.Models {
-		fmt.Printf("  %-12s %-28s %-6.2f %-8.3f %14.2f %14.2f %7.0f%% %v\n",
+		fmt.Fprintf(out, "  %-12s %-28s %-6.2f %-8.3f %14.2f %14.2f %7.0f%% %v\n",
 			mr.ID, mr.LatencySource, mr.PolyFraction, mr.ValAcc,
 			mr.PredictedCalibratedMS, mr.MeasuredMS, mr.ErrFrac*100, mr.WithinBound)
 	}
-	fmt.Printf("\n  per-operator analytic vs measured (worst 5 of %d by error):\n", len(rep.PerOp))
+	fmt.Fprintf(out, "\n  per-operator analytic vs measured (worst 5 of %d by error):\n", len(rep.PerOp))
 	worst := append([]autodeploy.OpCheck(nil), rep.PerOp...)
 	for i := 0; i < len(worst); i++ {
 		for j := i + 1; j < len(worst); j++ {
@@ -91,27 +87,16 @@ func autodeployBench(jsonDir string) error {
 		worst = worst[:5]
 	}
 	for _, c := range worst {
-		fmt.Printf("    %-44s analytic %8.3fms  measured %8.3fms  err %6.0f%%\n",
+		fmt.Fprintf(out, "    %-44s analytic %8.3fms  measured %8.3fms  err %6.0f%%\n",
 			c.Key, c.AnalyticMS, c.MeasuredMS, c.ErrFrac*100)
 	}
 	if rep.Sched != nil {
-		fmt.Printf("  fleet flush model: %.2f ms/flush + %.2f ms/row\n", rep.Sched.FlushMS, rep.Sched.RowMS)
+		fmt.Fprintf(out, "  fleet flush model: %.2f ms/flush + %.2f ms/row\n", rep.Sched.FlushMS, rep.Sched.RowMS)
 	}
 
-	if jsonDir != "" {
-		path := filepath.Join(jsonDir, "BENCH_autodeploy.json")
-		data, err := json.MarshalIndent(autodeployReport{
-			GeneratedUnix: time.Now().Unix(),
-			Workers:       kernel.Workers(),
-			Report:        rep,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", path)
-	}
-	return nil
+	return writeBenchJSON(out, c.benchJSON, "autodeploy", autodeployReport{
+		GeneratedUnix: time.Now().Unix(),
+		Workers:       kernel.Workers(),
+		Report:        rep,
+	})
 }

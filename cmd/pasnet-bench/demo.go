@@ -1,23 +1,24 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"pasnet/internal/dataset"
-	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/nas"
 )
 
-// benchBackbone is the demo backbone shared by the 2PC pipeline
-// trajectories (pibatch, offline).
+// benchBackbone is the demo backbone shared by the serving harnesses.
 const benchBackbone = "resnet18"
 
 // benchDemoHW is the demo models' spatial size.
 const benchDemoHW = 8
 
-// checkBenchDir validates the benchjson directory.
+// checkBenchDir validates the -benchjson directory (empty: none).
 func checkBenchDir(jsonDir string) error {
 	if jsonDir == "" {
 		return nil
@@ -32,17 +33,17 @@ func checkBenchDir(jsonDir string) error {
 	return nil
 }
 
-// trainDemoBackbone deterministically trains one small demo backbone on
-// the shared synthetic task, so every 2PC trajectory (pibatch, offline,
-// shard) measures comparable workloads.
-func trainDemoBackbone(name string) (*models.Model, *dataset.Dataset, error) {
+// trainDemoBackbone deterministically trains the small demo backbone on
+// the shared synthetic task, so the serving harnesses measure the same
+// workload.
+func trainDemoBackbone() (*models.Model, error) {
 	cfg := models.CIFARConfig(0.0625, 3)
 	cfg.InputHW = benchDemoHW
 	cfg.NumClasses = 4
 	cfg.Act = models.ActX2
-	m, err := models.ByName(name, cfg)
+	m, err := models.ByName(benchBackbone, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	d := dataset.Synthetic(dataset.SynthConfig{
 		N: 64, Classes: 4, C: 3, HW: benchDemoHW, LatentDim: 8,
@@ -52,21 +53,25 @@ func trainDemoBackbone(name string) (*models.Model, *dataset.Dataset, error) {
 	opts.Steps = 20
 	opts.BatchSize = 8
 	if _, err := nas.TrainModel(m, d, d, opts); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return m, d, nil
+	return m, nil
 }
 
-// benchDemoModel validates the benchjson directory and deterministically
-// trains the small demo model shared by the pibatch and offline
-// trajectories, so the two benchmarks measure the same workload.
-func benchDemoModel(jsonDir string) (*models.Model, *dataset.Dataset, hwmodel.Config, error) {
-	if err := checkBenchDir(jsonDir); err != nil {
-		return nil, nil, hwmodel.Config{}, err
+// writeBenchJSON writes rep as BENCH_<exhibit>.json into jsonDir; an empty
+// jsonDir means stdout only.
+func writeBenchJSON(out io.Writer, jsonDir, exhibit string, rep any) error {
+	if jsonDir == "" {
+		return nil
 	}
-	m, d, err := trainDemoBackbone(benchBackbone)
+	path := filepath.Join(jsonDir, "BENCH_"+exhibit+".json")
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		return nil, nil, hwmodel.Config{}, err
+		return err
 	}
-	return m, d, hwmodel.DefaultConfig(), nil
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nwrote %s\n", path)
+	return nil
 }

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -86,12 +83,11 @@ type dispatchReport struct {
 // doubly skewed: every fourth query of a client is a heavy multi-row
 // batch, and the highest-indexed shard pair sits behind a slow link (a
 // cross-rack replica). All pairs run the live dealer: the story here is
-// scheduling, and the offline split has its own exhibit.
-func dispatchBench(jsonDir string) error {
-	if err := checkBenchDir(jsonDir); err != nil {
-		return err
-	}
-	m, _, err := trainDemoBackbone(benchBackbone)
+// scheduling; the offline split is measured by the ledger's store-fed
+// workloads.
+func dispatchBench(c *config) error {
+	out := c.out
+	m, err := trainDemoBackbone()
 	if err != nil {
 		return err
 	}
@@ -116,10 +112,10 @@ func dispatchBench(jsonDir string) error {
 		QueriesPerClient:    perClient,
 		SpeedupVsRoundRobin: map[string]float64{},
 	}
-	fmt.Printf("Adaptive dispatch scheduler (workers=%d, %d clients × %d queries, every %dth heavy ×%d rows,\n",
+	fmt.Fprintf(out, "Adaptive dispatch scheduler (workers=%d, %d clients × %d queries, every %dth heavy ×%d rows,\n",
 		kernel.Workers(), clients, perClient, heavyEvery, heavyRows)
-	fmt.Printf("%.1fms one-way links, laggard shard at %.1fms):\n", oneWay.Seconds()*1e3, laggard.Seconds()*1e3)
-	fmt.Printf("  %7s %22s %14s %14s\n", "shards", "mode", "ms total", "ms/query")
+	fmt.Fprintf(out, "%.1fms one-way links, laggard shard at %.1fms):\n", oneWay.Seconds()*1e3, laggard.Seconds()*1e3)
+	fmt.Fprintf(out, "  %7s %22s %14s %14s\n", "shards", "mode", "ms total", "ms/query")
 	for _, shards := range []int{1, 2, 4} {
 		perMode := map[string]float64{}
 		for _, mode := range dispatchModes {
@@ -144,25 +140,14 @@ func dispatchBench(jsonDir string) error {
 				MSPerQuery:   best / float64(totalQueries),
 				Reps:         reps,
 			})
-			fmt.Printf("  %7d %22s %14.2f %14.3f\n", shards, mode.name, best, best/float64(totalQueries))
+			fmt.Fprintf(out, "  %7d %22s %14.2f %14.3f\n", shards, mode.name, best, best/float64(totalQueries))
 		}
 		speedup := perMode["roundrobin-serialized"] / perMode["queue-pipelined"]
 		rep.SpeedupVsRoundRobin[fmt.Sprintf("s%d", shards)] = speedup
-		fmt.Printf("  %7d %22s %14s %13.2fx\n", shards, "(rr-serialized / q-pipelined)", "", speedup)
+		fmt.Fprintf(out, "  %7d %22s %14s %13.2fx\n", shards, "(rr-serialized / q-pipelined)", "", speedup)
 	}
 
-	if jsonDir != "" {
-		path := filepath.Join(jsonDir, "BENCH_dispatch.json")
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", path)
-	}
-	return nil
+	return writeBenchJSON(out, c.benchJSON, "dispatch", rep)
 }
 
 // delayVendor serves every shard's party-0 peer in-process like

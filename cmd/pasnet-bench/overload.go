@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -87,11 +84,9 @@ const queueTargetMult = 2
 // queue-time target calibrated at queueTargetMult times the single-client
 // base latency. Per-query latency percentiles and the shed rate go to
 // BENCH_overload.json.
-func overloadBench(jsonDir string) error {
-	if err := checkBenchDir(jsonDir); err != nil {
-		return err
-	}
-	m, _, err := trainDemoBackbone(benchBackbone)
+func overloadBench(c *config) error {
+	out := c.out
+	m, err := trainDemoBackbone()
 	if err != nil {
 		return err
 	}
@@ -119,9 +114,9 @@ func overloadBench(jsonDir string) error {
 		QueueTargetMS:    target.Seconds() * 1e3,
 		QueriesPerClient: perClient,
 	}
-	fmt.Printf("Overload admission control (workers=%d, %d shards, base %.2f ms/query, queue target %.2f ms):\n",
+	fmt.Fprintf(out, "Overload admission control (workers=%d, %d shards, base %.2f ms/query, queue target %.2f ms):\n",
 		kernel.Workers(), shards, baseMS, target.Seconds()*1e3)
-	fmt.Printf("  %7s %10s %10s %10s %10s %10s\n", "clients", "mode", "p50 ms", "p99 ms", "shed", "shed rate")
+	fmt.Fprintf(out, "  %7s %10s %10s %10s %10s %10s\n", "clients", "mode", "p50 ms", "p99 ms", "shed", "shed rate")
 	for _, clients := range []int{2, 8, 32} {
 		for _, mode := range []struct {
 			name   string
@@ -147,23 +142,12 @@ func overloadBench(jsonDir string) error {
 				P99MS:    percentile(lat, 99),
 			}
 			rep.Results = append(rep.Results, res)
-			fmt.Printf("  %7d %10s %10.2f %10.2f %10d %9.0f%%\n",
+			fmt.Fprintf(out, "  %7d %10s %10.2f %10.2f %10d %9.0f%%\n",
 				clients, mode.name, res.P50MS, res.P99MS, shed, res.ShedRate*100)
 		}
 	}
 
-	if jsonDir != "" {
-		path := filepath.Join(jsonDir, "BENCH_overload.json")
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", path)
-	}
-	return nil
+	return writeBenchJSON(out, c.benchJSON, "overload", rep)
 }
 
 // overloadRun stands up one fresh in-process deployment and drives the

@@ -2,48 +2,69 @@ package kernel
 
 import (
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pasnet/internal/rng"
 )
 
-// TestBackendSwitchRoundTrip pins the interplay of the two knobs: SetBackend
-// round-trips through all three backends, and SetNaive(false) restores
-// whichever lowered backend was selected before the naive override.
+// TestBackendSwitchRoundTrip pins the one kernel switch: SetNaive returns
+// the previous setting, Naive reports the current one, and a round trip
+// lands back on the tiled default.
 func TestBackendSwitchRoundTrip(t *testing.T) {
-	orig := SetBackend(BackendTiled)
-	defer SetBackend(orig)
-	if got := ActiveBackend(); got != BackendTiled {
-		t.Fatalf("ActiveBackend() = %v, want tiled", got)
+	orig := SetNaive(false)
+	defer SetNaive(orig)
+	if Naive() {
+		t.Fatal("Naive() = true after SetNaive(false)")
 	}
-	if prev := SetBackend(BackendBlocked); prev != BackendTiled {
-		t.Fatalf("SetBackend returned %v, want tiled", prev)
-	}
-	if prev := SetBackend(BackendNaive); prev != BackendBlocked {
-		t.Fatalf("SetBackend returned %v, want blocked", prev)
+	if prev := SetNaive(true); prev {
+		t.Fatal("SetNaive(true) returned true, want the previous false")
 	}
 	if !Naive() {
-		t.Fatal("BackendNaive must force the naive override")
+		t.Fatal("Naive() = false after SetNaive(true)")
 	}
-	// Leaving the naive override restores the blocked selection.
-	SetNaive(false)
-	if got := ActiveBackend(); got != BackendBlocked {
-		t.Fatalf("after SetNaive(false): ActiveBackend() = %v, want blocked", got)
+	if prev := SetNaive(false); !prev {
+		t.Fatal("SetNaive(false) returned false, want the previous true")
 	}
-	SetBackend(BackendTiled)
-	SetNaive(true)
-	SetNaive(false)
-	if got := ActiveBackend(); got != BackendTiled {
-		t.Fatalf("SetNaive round-trip lost the tiled selection: %v", got)
+	if Naive() {
+		t.Fatal("SetNaive round trip did not restore the tiled path")
 	}
-	for _, b := range []Backend{BackendNaive, BackendBlocked, BackendTiled} {
-		if b.String() == "" {
-			t.Fatalf("backend %d has no name", b)
+}
+
+// TestParseWorkers pins the one env input the package reads: a positive
+// integer is used, empty means NumCPU, and anything else falls back to
+// NumCPU with an error that names the variable and the rejected value.
+func TestParseWorkers(t *testing.T) {
+	const ncpu = 8
+	for _, tc := range []struct {
+		in   string
+		want int
+		bad  bool
+	}{
+		{"", ncpu, false},
+		{"1", 1, false},
+		{"32", 32, false},
+		{"0", ncpu, true},
+		{"-3", ncpu, true},
+		{"abc", ncpu, true},
+		{"2.5", ncpu, true},
+		{" 4", ncpu, true},
+	} {
+		got, err := parseWorkers(tc.in, ncpu)
+		if got != tc.want {
+			t.Errorf("parseWorkers(%q) = %d, want %d", tc.in, got, tc.want)
+		}
+		if (err != nil) != tc.bad {
+			t.Errorf("parseWorkers(%q) error = %v, want error: %v", tc.in, err, tc.bad)
+		}
+		if err != nil && !(strings.Contains(err.Error(), workersEnv) && strings.Contains(err.Error(), strconv.Quote(tc.in))) {
+			t.Errorf("parseWorkers(%q) error %q does not name the variable and the bad value", tc.in, err)
 		}
 	}
 }
 
-// gemmCase is one randomized geometry of the cross-backend suite; sizes
+// gemmCase is one randomized geometry of the naive ≡ tiled suite; sizes
 // straddle the tileM/tileN panel boundaries (1×1 up to several panels).
 type gemmCase struct {
 	m, k, n int
@@ -63,8 +84,8 @@ func randGemmCases(r *rng.RNG, iters int) []gemmCase {
 	return cases
 }
 
-// runVariants evaluates all four GEMM variants on the active backend. The
-// transposed operands are materialized by the caller so every backend sees
+// runVariants evaluates all four GEMM variants on the active path. The
+// transposed operands are materialized by the caller so both paths see
 // identical inputs.
 func runVariants[T Elem](dst map[string][]T, a, b, at, bt, accInit []T, m, k, n int) {
 	MatMul(dst["matmul"], a, b, m, k, n)
@@ -83,18 +104,16 @@ func newVariantDst[T Elem](mn int) map[string][]T {
 	}
 }
 
-// TestGEMMVariantsCrossBackend is the naive ≡ blocked ≡ tiled equivalence
-// property: every GEMM variant, in both element domains, at worker counts
-// 1, 4 and NumCPU, over randomized panel-straddling geometries. Ring
-// results must agree exactly; float64 results must be bit-identical (==,
-// not tolerance) — the per-element accumulation runs in ascending-k order
-// on every backend, which is also what keeps results worker-count
-// independent and the two 2PC parties in lockstep.
+// TestGEMMVariantsCrossBackend is the naive ≡ tiled equivalence property:
+// every GEMM variant, in both element domains, at worker counts 1, 4 and
+// NumCPU, over randomized panel-straddling geometries. Ring results must
+// agree exactly; float64 results must be bit-identical (==, not
+// tolerance) — the per-element accumulation runs in ascending-k order on
+// both paths, which is also what keeps results worker-count independent
+// and the two 2PC parties in lockstep.
 func TestGEMMVariantsCrossBackend(t *testing.T) {
-	origBackend := SetBackend(BackendTiled)
-	defer SetBackend(origBackend)
+	defer SetNaive(SetNaive(false))
 	r := rng.New(46)
-	backends := []Backend{BackendNaive, BackendBlocked, BackendTiled}
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
 		prevW := SetWorkers(w)
 		for _, c := range randGemmCases(r, 25) {
@@ -111,34 +130,30 @@ func TestGEMMVariantsCrossBackend(t *testing.T) {
 			btu := transposeU(bu, k, n)
 			accU := fillU64(r, m*n)
 
-			outF := map[Backend]map[string][]float64{}
-			outU := map[Backend]map[string][]uint64{}
-			for _, be := range backends {
-				SetBackend(be)
-				df := newVariantDst[float64](m * n)
-				runVariants(df, af, bf, atf, btf, accF, m, k, n)
-				outF[be] = df
-				du := newVariantDst[uint64](m * n)
-				runVariants(du, au, bu, atu, btu, accU, m, k, n)
-				outU[be] = du
+			var outF [2]map[string][]float64
+			var outU [2]map[string][]uint64
+			for i, naive := range []bool{true, false} {
+				SetNaive(naive)
+				outF[i] = newVariantDst[float64](m * n)
+				runVariants(outF[i], af, bf, atf, btf, accF, m, k, n)
+				outU[i] = newVariantDst[uint64](m * n)
+				runVariants(outU[i], au, bu, atu, btu, accU, m, k, n)
 			}
-			for _, be := range backends[1:] {
-				for variant, want := range outF[BackendNaive] {
-					got := outF[be][variant]
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("workers=%d m=%d k=%d n=%d: float64 %s on %v not bit-identical at %d: %x vs %x",
-								w, m, k, n, variant, be, i, got[i], want[i])
-						}
+			for variant, want := range outF[0] {
+				got := outF[1][variant]
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d m=%d k=%d n=%d: float64 %s tiled not bit-identical to naive at %d: %x vs %x",
+							w, m, k, n, variant, i, got[i], want[i])
 					}
 				}
-				for variant, want := range outU[BackendNaive] {
-					got := outU[be][variant]
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("workers=%d m=%d k=%d n=%d: ring %s on %v mismatch at %d: %d vs %d",
-								w, m, k, n, variant, be, i, got[i], want[i])
-						}
+			}
+			for variant, want := range outU[0] {
+				got := outU[1][variant]
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d m=%d k=%d n=%d: ring %s tiled mismatches naive at %d: %d vs %d",
+							w, m, k, n, variant, i, got[i], want[i])
 					}
 				}
 			}
@@ -167,13 +182,12 @@ func transposeU(a []uint64, rows, cols int) []uint64 {
 	return at
 }
 
-// TestConvCrossBackend runs the conv forward and backward paths on all
-// three backends over the random geometry zoo: the im2col GEMM and the
-// gradient GEMM variants must agree exactly in the ring and bit-identically
-// in float64, at 1 worker and NumCPU.
+// TestConvCrossBackend runs the conv forward and backward paths naive and
+// tiled over the random geometry zoo: the im2col GEMM and the gradient
+// GEMM variants must agree exactly in the ring and bit-identically in
+// float64, at 1 worker and NumCPU.
 func TestConvCrossBackend(t *testing.T) {
-	origBackend := SetBackend(BackendTiled)
-	defer SetBackend(origBackend)
+	defer SetNaive(SetNaive(false))
 	r := rng.New(47)
 	for _, w := range []int{1, runtime.NumCPU()} {
 		prevW := SetWorkers(w)
@@ -189,8 +203,8 @@ func TestConvCrossBackend(t *testing.T) {
 				outF, dxF, dkF []float64
 				outU, dxU, dkU []uint64
 			}
-			run := func(be Backend) convOut {
-				SetBackend(be)
+			run := func(naive bool) convOut {
+				SetNaive(naive)
 				var o convOut
 				o.outF = make([]float64, s.OutLen())
 				Conv2D(o.outF, x, kf, s)
@@ -204,30 +218,27 @@ func TestConvCrossBackend(t *testing.T) {
 				Conv2DGrads(o.dxU, o.dkU, xu, ku, gyu, s)
 				return o
 			}
-			want := run(BackendNaive)
-			for _, be := range []Backend{BackendBlocked, BackendTiled} {
-				got := run(be)
-				checkBitsF := func(name string, g, wv []float64) {
-					for i := range wv {
-						if g[i] != wv[i] {
-							t.Fatalf("workers=%d shape %+v: float64 %s on %v not bit-identical at %d", w, s, name, be, i)
-						}
+			want, got := run(true), run(false)
+			checkBitsF := func(name string, g, wv []float64) {
+				for i := range wv {
+					if g[i] != wv[i] {
+						t.Fatalf("workers=%d shape %+v: float64 %s tiled not bit-identical to naive at %d", w, s, name, i)
 					}
 				}
-				checkU := func(name string, g, wv []uint64) {
-					for i := range wv {
-						if g[i] != wv[i] {
-							t.Fatalf("workers=%d shape %+v: ring %s on %v mismatch at %d", w, s, name, be, i)
-						}
-					}
-				}
-				checkBitsF("conv", got.outF, want.outF)
-				checkBitsF("dx", got.dxF, want.dxF)
-				checkBitsF("dk", got.dkF, want.dkF)
-				checkU("conv", got.outU, want.outU)
-				checkU("dx", got.dxU, want.dxU)
-				checkU("dk", got.dkU, want.dkU)
 			}
+			checkU := func(name string, g, wv []uint64) {
+				for i := range wv {
+					if g[i] != wv[i] {
+						t.Fatalf("workers=%d shape %+v: ring %s tiled mismatches naive at %d", w, s, name, i)
+					}
+				}
+			}
+			checkBitsF("conv", got.outF, want.outF)
+			checkBitsF("dx", got.dxF, want.dxF)
+			checkBitsF("dk", got.dkF, want.dkF)
+			checkU("conv", got.outU, want.outU)
+			checkU("dx", got.dxU, want.dxU)
+			checkU("dk", got.dkU, want.dkU)
 		}
 		SetWorkers(prevW)
 	}

@@ -45,7 +45,7 @@ func BenchmarkConvDepthwise(b *testing.B) {
 }
 
 // BenchmarkMatMul sweeps square GEMM sizes in the ring domain on the
-// active backend (run with PASNET_KERNEL_BACKEND to A/B backends).
+// tiled kernel.
 func BenchmarkMatMul(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("ring-%d", n), func(b *testing.B) {
@@ -61,37 +61,29 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulBackends pins blocked vs tiled head to head on the
+// BenchmarkMatMulBackends pins naive vs tiled head to head on the
 // register-tiling headline shape in both element domains.
 func BenchmarkMatMulBackends(b *testing.B) {
+	for _, naive := range []bool{true, false} {
+		name := "tiled"
+		if naive {
+			name = "naive"
+		}
+		b.Run("ring-"+name, func(b *testing.B) { benchMatMul256(b, fillU64, 5, naive) })
+		b.Run("f64-"+name, func(b *testing.B) { benchMatMul256(b, fillF64, 6, naive) })
+	}
+}
+
+func benchMatMul256[T Elem](b *testing.B, fill func(*rng.RNG, int) []T, seed uint64, naive bool) {
 	const n = 256
-	for _, be := range []Backend{BackendBlocked, BackendTiled} {
-		b.Run("ring-"+be.String(), func(b *testing.B) {
-			r := rng.New(5)
-			a := fillU64(r, n*n)
-			bb := fillU64(r, n*n)
-			dst := make([]uint64, n*n)
-			prev := SetBackend(be)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMul(dst, a, bb, n, n, n)
-			}
-			b.StopTimer()
-			SetBackend(prev)
-		})
-		b.Run("f64-"+be.String(), func(b *testing.B) {
-			r := rng.New(6)
-			a := fillF64(r, n*n)
-			bb := fillF64(r, n*n)
-			dst := make([]float64, n*n)
-			prev := SetBackend(be)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMul(dst, a, bb, n, n, n)
-			}
-			b.StopTimer()
-			SetBackend(prev)
-		})
+	r := rng.New(seed)
+	a := fill(r, n*n)
+	bb := fill(r, n*n)
+	dst := make([]T, n*n)
+	defer SetNaive(SetNaive(naive))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMul(dst, a, bb, n, n, n)
 	}
 }
 

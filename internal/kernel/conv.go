@@ -81,7 +81,7 @@ func Conv2D[T Elem](out, x, k []T, s ConvShape) {
 				im2colRows(cols, x, s, b, gi, 0, ckk)
 				kmat := k[gi*ocg*ckk : (gi+1)*ocg*ckk]
 				blk := out[(b*s.OutC+gi*ocg)*ohw : (b*s.OutC+(gi+1)*ocg)*ohw]
-				loweredRows(blk, kmat, cols, ocg, ckk, ohw, 0, ocg)
+				tiledRows(blk, kmat, cols, ckk, ohw, 0, ocg)
 			}
 		})
 		return
@@ -98,7 +98,7 @@ func Conv2D[T Elem](out, x, k []T, s ConvShape) {
 		kmat := k[gi*ocg*ckk : (gi+1)*ocg*ckk]
 		blk := out[(b*s.OutC+gi*ocg)*ohw : (b*s.OutC+(gi+1)*ocg)*ohw]
 		parallelFor(ocg, rowGrain(ckk*ohw), func(lo, hi int) {
-			loweredRows(blk, kmat, cols, ocg, ckk, ohw, lo, hi)
+			tiledRows(blk, kmat, cols, ckk, ohw, lo, hi)
 		})
 	}
 }
@@ -227,7 +227,8 @@ func col2imChans[T Elem](dx, cols []T, s ConvShape, b, gi, c0, c1 int) {
 // hold exactly in both element domains (the convolution is bilinear), which
 // is what the property tests check. Batch/group blocks run serially with
 // parallel GEMMs inside, so dk accumulation across the batch stays
-// deterministic.
+// deterministic. The pass is im2col-lowered on both kernel paths; only its
+// two GEMMs follow SetNaive.
 func Conv2DGrads[T Elem](dx, dk, x, k, gy []T, s ConvShape) {
 	s.check(len(gy), len(dx), len(dk))
 	for i := range dx {
@@ -248,12 +249,9 @@ func Conv2DGrads[T Elem](dx, dk, x, k, gy []T, s ConvShape) {
 	cols := make([]T, ckk*ohw)
 	dcols := make([]T, ckk*ohw)
 	colGrain := 1 + gemmFlopGrain/(ohw+1)
-	// maybeParallel (not parallelFor) so SetNaive pins the whole backward
-	// pass single-threaded; the seed's backward was already im2col-lowered,
-	// so the serial lowered pass is the faithful baseline.
 	for b := 0; b < s.N; b++ {
 		for gi := 0; gi < g; gi++ {
-			maybeParallel(ckk, colGrain, func(lo, hi int) {
+			parallelFor(ckk, colGrain, func(lo, hi int) {
 				im2colRows(cols, x, s, b, gi, lo, hi)
 			})
 			kmat := k[gi*ocg*ckk : (gi+1)*ocg*ckk]
@@ -263,7 +261,7 @@ func Conv2DGrads[T Elem](dx, dk, x, k, gy []T, s ConvShape) {
 			MatMulTransBAcc(dkg, gmat, cols, ocg, ohw, ckk)
 			// dcols = kmatᵀ (ckk×ocg) @ gmat (ocg×ohw)
 			MatMulTransA(dcols, kmat, gmat, ocg, ckk, ohw)
-			maybeParallel(icg, 1+colGrain/(s.KH*s.KW+1), func(lo, hi int) {
+			parallelFor(icg, 1+colGrain/(s.KH*s.KW+1), func(lo, hi int) {
 				col2imChans(dx, dcols, s, b, gi, lo, hi)
 			})
 		}

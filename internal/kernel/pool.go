@@ -1,6 +1,6 @@
 // Package kernel holds the shared compute kernels behind every convolution
 // and matrix-multiplication hot path in the repository: im2col/col2im
-// lowering, a cache-blocked GEMM, and chunked elementwise primitives, all
+// lowering, a register-tiled GEMM, and chunked elementwise primitives, all
 // instantiated over both float64 (plaintext training) and uint64 (the 2PC
 // ring Z_{2^64}, where Go's native wrapping arithmetic is exactly the ring
 // semantics).
@@ -14,6 +14,7 @@
 package kernel
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -22,76 +23,38 @@ import (
 )
 
 // workersEnv overrides the default worker count (useful for containerized
-// deployments where NumCPU over-reports the usable share); naiveEnv=1
-// starts the process on the naive reference kernels, for A/B timing
-// through any entry point without code changes; backendEnv picks the
-// process-wide GEMM backend by name ("naive", "blocked", "tiled").
-const (
-	workersEnv = "PASNET_KERNEL_WORKERS"
-	naiveEnv   = "PASNET_KERNEL_NAIVE"
-	backendEnv = "PASNET_KERNEL_BACKEND"
-)
-
-// Backend selects the GEMM implementation behind every kernel entry point.
-type Backend int32
-
-const (
-	// BackendNaive is the retained scalar reference: single-threaded,
-	// unblocked loop nests (exactly SetNaive(true)).
-	BackendNaive Backend = iota
-	// BackendBlocked is the PR 1 cache-blocked kernel: worker-parallel
-	// row chunks with k/n blocking, accumulating straight into dst.
-	BackendBlocked
-	// BackendTiled is the register-tiled kernel: packed A-tile/B-panel
-	// buffers feeding a 6×4 microkernel with unrolled register
-	// accumulators (see tiled.go). It is the default.
-	BackendTiled
-)
-
-// String names a backend the way backendEnv spells it.
-func (b Backend) String() string {
-	switch b {
-	case BackendNaive:
-		return "naive"
-	case BackendBlocked:
-		return "blocked"
-	default:
-		return "tiled"
-	}
-}
+// deployments where NumCPU over-reports the usable share). It is the only
+// environment input the package reads.
+const workersEnv = "PASNET_KERNEL_WORKERS"
 
 var (
 	workers  atomic.Int64
 	useNaive atomic.Bool
-	// useTiled picks between the tiled and blocked lowered kernels when
-	// the naive override is off. Both knobs together encode the active
-	// Backend; keeping them separate lets SetNaive(true)/SetNaive(false)
-	// round-trip without forgetting which lowered backend was selected.
-	useTiled atomic.Bool
 
 	poolOnce sync.Once
 	jobs     chan poolJob
 )
 
 func init() {
-	n := runtime.NumCPU()
-	if s := os.Getenv(workersEnv); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			n = v
-		}
+	n, err := parseWorkers(os.Getenv(workersEnv), runtime.NumCPU())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kernel: %v; using %d workers\n", err, n)
 	}
 	workers.Store(int64(n))
-	useTiled.Store(true)
-	switch os.Getenv(backendEnv) {
-	case "naive":
-		useNaive.Store(true)
-	case "blocked":
-		useTiled.Store(false)
-	case "tiled", "":
+}
+
+// parseWorkers interprets a workersEnv value: empty means ncpu, a positive
+// integer is taken as is, and anything else is an error naming the bad
+// value, returned alongside the ncpu fallback.
+func parseWorkers(s string, ncpu int) (int, error) {
+	if s == "" {
+		return ncpu, nil
 	}
-	if os.Getenv(naiveEnv) == "1" {
-		useNaive.Store(true)
+	v, err := strconv.Atoi(s)
+	if err != nil || v <= 0 {
+		return ncpu, fmt.Errorf("%s=%q is not a positive integer", workersEnv, s)
 	}
+	return v, nil
 }
 
 // Workers returns the current parallelism degree.
@@ -107,46 +70,17 @@ func SetWorkers(n int) int {
 	return int(workers.Swap(int64(n)))
 }
 
-// SetNaive routes Conv2D and MatMul through the retained naive reference
-// loops instead of the lowered kernels, and returns the previous setting.
-// It exists so benchmarks and equivalence tests can compare the two paths
-// through the full protocol stack. SetNaive(false) restores whichever
-// lowered backend (blocked or tiled) was last selected.
+// SetNaive routes Conv2D and the MatMul family through the retained
+// single-threaded naive reference loops instead of the tiled kernels, and
+// returns the previous setting. The two paths produce bit-identical
+// results in both element domains (per-element accumulation runs in
+// strictly ascending k order everywhere), so the switch exists only so
+// benchmarks and equivalence tests can compare them through the full
+// protocol stack.
 func SetNaive(on bool) bool { return useNaive.Swap(on) }
 
 // Naive reports whether the naive reference path is forced.
 func Naive() bool { return useNaive.Load() }
-
-// SetBackend selects the GEMM backend for every kernel entry point and
-// returns the previous one. All three backends produce bit-identical
-// results in both element domains (float64 per-element accumulation runs
-// in strictly ascending k order everywhere), so the switch is purely a
-// performance knob — the equivalence property tests pin this.
-func SetBackend(b Backend) Backend {
-	prev := ActiveBackend()
-	switch b {
-	case BackendNaive:
-		useNaive.Store(true)
-	case BackendBlocked:
-		useNaive.Store(false)
-		useTiled.Store(false)
-	default:
-		useNaive.Store(false)
-		useTiled.Store(true)
-	}
-	return prev
-}
-
-// ActiveBackend reports the backend kernel entry points currently route to.
-func ActiveBackend() Backend {
-	if useNaive.Load() {
-		return BackendNaive
-	}
-	if useTiled.Load() {
-		return BackendTiled
-	}
-	return BackendBlocked
-}
 
 // poolJob is one chunk of a parallelFor.
 type poolJob struct {
@@ -214,18 +148,6 @@ func parallelFor(n, grain int, fn func(lo, hi int)) {
 	}
 	fn(lo, n)
 	wg.Wait()
-}
-
-// maybeParallel is parallelFor unless the naive option is on, in which
-// case the whole range runs serially on the caller — so SetNaive (and
-// PASNET_KERNEL_NAIVE=1) pins every GEMM variant to single-threaded
-// reference behavior, not just the conv entry points.
-func maybeParallel(n, grain int, fn func(lo, hi int)) {
-	if useNaive.Load() {
-		fn(0, n)
-		return
-	}
-	parallelFor(n, grain, fn)
 }
 
 // Range runs fn over [0, n) in parallel chunks when n exceeds the

@@ -1,20 +1,20 @@
 package kernel
 
-// This file holds the register-tiled GEMM backend (BackendTiled): every
-// variant packs its operands into contiguous panel buffers and feeds a
-// tileM×tileN microkernel whose output tile lives in unrolled scalar
-// accumulators for the whole k extent.
+// This file holds the register-tiled GEMM kernel every non-naive entry
+// point runs on: each variant packs its operands into contiguous panel
+// buffers and feeds a tileM×tileN microkernel whose output tile lives in
+// unrolled scalar accumulators for the whole k extent.
 //
-// Why this is faster than the blocked kernel: the blocked inner loop does
-// one load of b, one load of dst, one multiply-add and one store of dst
-// per output contribution. The microkernel amortizes tileM·tileN
+// Why this is fast: a row-streaming inner loop does one load of b, one
+// load of dst, one multiply-add and one store of dst per output
+// contribution. The microkernel amortizes tileM·tileN
 // multiply-adds over tileM+tileN loads, touches dst exactly once per
 // output element, and both packed operands stream with stride 1, so the
 // hot loop is bounds-check-free sequential reads feeding registers.
 //
 // Why it is still bit-identical: each output element is reduced by a
 // single accumulator over the full k extent in strictly ascending k order
-// — the same order the naive and blocked kernels use — so float64 results
+// — the same order the naive reference loops use — so float64 results
 // match bit-for-bit (for finite inputs) and the worker-count-independence
 // invariant that keeps the two 2PC parties in lockstep is untouched. The
 // uint64 ring would tolerate any reordering (wrapping adds commute), but
@@ -192,11 +192,12 @@ func packBTransStrip[T Elem](bp, b []T, k, j0, nr int) {
 	}
 }
 
-// tiledRows computes dst rows [lo, hi) of a @ b for row-major a (m×k) and
-// b (k×n) — the tiled counterpart of gemmRows, and the unit the worker
-// pool parallelizes over.
-func tiledRows[T Elem](dst, a, b []T, m, k, n, lo, hi int) {
-	_ = m
+// tiledRows computes dst rows [lo, hi) of a @ b for row-major a (rows of
+// length k) and b (k×n) — the unit the worker pool parallelizes over, and
+// the one GEMM MatMul and the conv im2col path share, so a kernel change
+// retunes training, dealer triple generation and the online 2PC path at
+// once.
+func tiledRows[T Elem](dst, a, b []T, k, n, lo, hi int) {
 	tiledDrive(dst, k, n, lo, hi, false,
 		func(ap []T) { packARows(ap, a, k, lo, hi) },
 		func(bp []T, j0, nr int) { packBStrip(bp, b, k, n, j0, nr) })
@@ -211,21 +212,8 @@ func tiledTransARows[T Elem](dst, a, b []T, k, m, n, lo, hi int) {
 
 // tiledTransBRows computes dst rows [lo, hi) of a @ bᵀ for b (n×k); acc
 // selects the accumulating (dst +=) variant.
-func tiledTransBRows[T Elem](dst, a, b []T, m, k, n, lo, hi int, acc bool) {
-	_ = m
+func tiledTransBRows[T Elem](dst, a, b []T, k, n, lo, hi int, acc bool) {
 	tiledDrive(dst, k, n, lo, hi, acc,
 		func(ap []T) { packARows(ap, a, k, lo, hi) },
 		func(bp []T, j0, nr int) { packBTransStrip(bp, b, k, j0, nr) })
-}
-
-// loweredRows routes a row chunk to the selected lowered backend. It is
-// the single dispatch point shared by MatMul and the conv im2col path, so
-// a backend switch retunes training, dealer triple generation and the
-// online 2PC path at once.
-func loweredRows[T Elem](dst, a, b []T, m, k, n, lo, hi int) {
-	if useTiled.Load() {
-		tiledRows(dst, a, b, m, k, n, lo, hi)
-	} else {
-		gemmRows(dst, a, b, m, k, n, lo, hi)
-	}
 }

@@ -147,7 +147,7 @@ func ringMul(dst, a, b []uint64) { kernel.Mul(dst, a, b) }
 func ringScale(dst, a []uint64, s uint64) { kernel.Scale(dst, a, s) }
 
 // ringMatMul computes the wrapping matrix product c = a(m×k) @ b(k×n) on
-// the shared cache-blocked parallel GEMM.
+// the shared register-tiled parallel GEMM.
 func ringMatMul(c, a, b []uint64, m, k, n int) {
 	kernel.MatMul(c, a, b, m, k, n)
 }

@@ -243,7 +243,7 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes dst = a @ b for 2-D tensors on the shared
-// cache-blocked parallel GEMM.
+// register-tiled parallel GEMM.
 func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	if dst.Shape[0] != m || dst.Shape[1] != n || b.Shape[0] != k {

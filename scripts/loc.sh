@@ -3,7 +3,7 @@
 #
 # Prints the Go lines the working tree adds and removes relative to
 # <base-ref>, non-test and test files separately — the figures ROADMAP
-# item 3 asks every simplification PR to report. benchmark/ is its own
+# item 5 asks every simplification PR to report. benchmark/ is its own
 # module with its own change rules and is excluded. New files count once
 # they are staged (`git add`).
 set -euo pipefail
