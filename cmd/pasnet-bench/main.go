@@ -9,8 +9,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"pasnet/internal/experiments"
@@ -137,12 +138,7 @@ func fig5(c *config, accuracy bool) error {
 	}
 	fmt.Fprintln(c.out, "\nAll-poly speedups (paper: 15-26x):")
 	sp := experiments.SpeedupSummary(rows)
-	keys := make([]string, 0, len(sp))
-	for k := range sp {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(sp)) {
 		fmt.Fprintf(c.out, "  %-14s %.1fx\n", k, sp[k])
 	}
 	return nil
@@ -171,23 +167,25 @@ func fig7(c *config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(c.out, "Fig. 7: ReLU-reduction cross-work comparison")
-	methods := make([]string, 0, len(series))
-	for m := range series {
-		methods = append(methods, m)
-	}
-	sort.Strings(methods)
-	for _, m := range methods {
-		fmt.Fprintf(c.out, "%s:\n", m)
+	printFig7(c.out, series)
+	return nil
+}
+
+// printFig7 renders the series and its summary in key order: exhibit
+// output must not depend on Go's randomized map iteration.
+func printFig7(out io.Writer, series experiments.Fig7Series) {
+	fmt.Fprintln(out, "Fig. 7: ReLU-reduction cross-work comparison")
+	for _, m := range slices.Sorted(maps.Keys(series)) {
+		fmt.Fprintf(out, "%s:\n", m)
 		for _, pt := range series[m] {
-			fmt.Fprintf(c.out, "  relu=%-10d acc=%.3f  (%s)\n", pt.ReLUCount, pt.Accuracy, pt.Detail)
+			fmt.Fprintf(out, "  relu=%-10d acc=%.3f  (%s)\n", pt.ReLUCount, pt.Accuracy, pt.Detail)
 		}
 	}
-	fmt.Fprintln(c.out, "\nAccuracy at fewest ReLUs (paper: PASNet holds accuracy where linearization collapses):")
-	for m, acc := range experiments.LowReLUAdvantage(series) {
-		fmt.Fprintf(c.out, "  %-12s %.3f\n", m, acc)
+	fmt.Fprintln(out, "\nAccuracy at fewest ReLUs (paper: PASNet holds accuracy where linearization collapses):")
+	adv := experiments.LowReLUAdvantage(series)
+	for _, m := range slices.Sorted(maps.Keys(adv)) {
+		fmt.Fprintf(out, "  %-12s %.3f\n", m, adv[m])
 	}
-	return nil
 }
 
 func table1(c *config) error {
@@ -198,8 +196,9 @@ func table1(c *config) error {
 	fmt.Fprintln(c.out, "Table I: PASNet variants vs cross-work (modelled at paper scale)")
 	fmt.Fprint(c.out, experiments.FormatTable1(rows))
 	fmt.Fprintln(c.out, "\nSpeedup vs CryptGPU (latency x, comm x):")
-	for v, s := range experiments.SpeedupVsCryptGPU(rows) {
-		fmt.Fprintf(c.out, "  %-12s %6.1fx %6.1fx\n", v, s[0], s[1])
+	speedups := experiments.SpeedupVsCryptGPU(rows)
+	for _, v := range slices.Sorted(maps.Keys(speedups)) {
+		fmt.Fprintf(c.out, "  %-12s %6.1fx %6.1fx\n", v, speedups[v][0], speedups[v][1])
 	}
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"pasnet/internal/experiments"
 )
 
 // wantExhibits is the full -exhibit surface, in table order. A name that
@@ -43,6 +45,45 @@ func TestFig1PrintsOperatorRows(t *testing.T) {
 	want := []string{"Conv1", "ReLU1", "Conv2", "ReLU2", "Conv3", "Conv4", "Add1", "ReLU3"}
 	if !reflect.DeepEqual(ops, want) {
 		t.Fatalf("fig1 operator rows = %v, want %v", ops, want)
+	}
+}
+
+// fig7 and table1 end in a summary built from a map; Go randomizes map
+// iteration, so the same run used to print its rows in a different order
+// each time. Repeated renderings must be byte-identical (eight repeats:
+// four unordered keys would agree by chance less than once in 10⁹).
+func TestMapBackedExhibitsPrintDeterministically(t *testing.T) {
+	series := experiments.Fig7Series{
+		"PASNet":     {{ReLUCount: 0, Accuracy: 0.61, Detail: "lambda=100"}, {ReLUCount: 900, Accuracy: 0.64, Detail: "lambda=0"}},
+		"SNL":        {{ReLUCount: 0, Accuracy: 0.31, Detail: "budget=0"}},
+		"DeepReDuce": {{ReLUCount: 120, Accuracy: 0.42, Detail: "cull=3"}},
+		"DELPHI":     {{ReLUCount: 300, Accuracy: 0.55, Detail: "quad=4"}},
+		"CryptoNAS":  {{ReLUCount: 500, Accuracy: 0.58, Detail: "budget=500"}},
+	}
+	renderers := map[string]func() string{
+		"fig7": func() string {
+			var b bytes.Buffer
+			printFig7(&b, series)
+			return b.String()
+		},
+		"table1": func() string {
+			code, out, errs := runCLI("-exhibit", "table1")
+			if code != 0 {
+				t.Fatalf("table1 exited %d, stderr %q", code, errs)
+			}
+			return out
+		},
+	}
+	for name, render := range renderers {
+		first := render()
+		for i := 0; i < 8; i++ {
+			if again := render(); again != first {
+				t.Fatalf("%s printed differently on a repeat run:\n%s\nvs\n%s", name, first, again)
+			}
+		}
+	}
+	if out := renderers["fig7"](); strings.Index(out, "  CryptoNAS") > strings.Index(out, "  SNL") {
+		t.Fatalf("fig7 summary is not in key order:\n%s", out)
 	}
 }
 

@@ -1,9 +1,12 @@
 package corr
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"strings"
 )
@@ -48,81 +51,102 @@ const storeMagicPrefix = "PASCORR"
 // Encode serializes the store (including its consumed entries; a decoded
 // store always starts with its cursor rewound to the beginning).
 func (s *Store) Encode() []byte {
-	size := len(storeMagic) + 1 + 4 + 4 + 4
-	for i := range s.entries {
-		la, lb, lz := s.tape[i].lens()
-		switch s.tape[i].Kind {
-		case KindSquare:
-			size += 1 + 4 + 8*(la+lz)
-		case KindMatMul:
-			size += 1 + 12 + 8*(la+lb+lz)
-		case KindMatMulFixedB:
-			size += 1 + 16 + 8*(la+lz)
-		case KindConv:
-			size += 1 + 40 + 8*(la+lb+lz)
-		case KindConvFixedB:
-			size += 1 + 44 + 8*(la+lz)
-		default: // hadamard, bits
-			size += 1 + 4 + 8*(la+lb+lz)
-		}
+	var buf bytes.Buffer
+	s.encodeTo(&buf) // a bytes.Buffer does not fail
+	return buf.Bytes()
+}
+
+// encodeTo streams the serialized store to w, so writing a store never
+// holds a second copy of it.
+func (s *Store) encodeTo(w io.Writer) error {
+	if _, err := io.WriteString(w, storeMagic); err != nil {
+		return err
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, storeMagic...)
-	buf = append(buf, byte(s.party))
-	buf = binary.LittleEndian.AppendUint32(buf, s.label)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.entries)))
+	sum := crc32.NewIEEE()
+	// A bufio.Writer latches its first error and returns it from Flush.
+	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), 1<<16)
+	hdr := append(make([]byte, 0, 64), byte(s.party))
+	hdr = binary.LittleEndian.AppendUint32(hdr, s.label)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.entries)))
+	bw.Write(hdr)
 	for i := range s.entries {
 		d := s.tape[i]
 		e := &s.entries[i]
-		buf = append(buf, byte(d.Kind))
+		hdr = append(hdr[:0], byte(d.Kind))
 		switch d.Kind {
 		case KindMatMul:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.M))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.K))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.P))
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.M))
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.K))
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.P))
 		case KindMatMulFixedB:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Mask))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.M))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.K))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.P))
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.Mask))
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.M))
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.K))
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.P))
 		case KindConv, KindConvFixedB:
 			if d.Kind == KindConvFixedB {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Mask))
+				hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.Mask))
 			}
 			c := d.Conv
 			for _, v := range []int{c.N, c.InC, c.H, c.W, c.OutC, c.KH, c.KW, c.Stride, c.Pad, c.Groups} {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+				hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v))
 			}
 		default:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.N))
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.N))
 		}
-		buf = appendWords(buf, e.a)
-		buf = appendWords(buf, e.b) // empty for square pairs
-		buf = appendWords(buf, e.z)
+		bw.Write(hdr)
+		writeWords(bw, e.a)
+		writeWords(bw, e.b) // empty for square pairs
+		writeWords(bw, e.z)
 	}
-	crc := crc32.ChecksumIEEE(buf[len(storeMagic):])
-	return binary.LittleEndian.AppendUint32(buf, crc)
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(hdr[:0], sum.Sum32()))
+	return err
 }
 
 // Decode parses a serialized store, verifying the checksum before any
 // structural parsing and every geometry before any payload allocation.
 func Decode(data []byte) (*Store, error) {
-	if len(data) < len(storeMagic)+1+4+4+4 {
-		return nil, fmt.Errorf("corr: store file truncated: %d bytes is shorter than the fixed header", len(data))
+	return decode(bytes.NewReader(data), int64(len(data)))
+}
+
+// decode reads a size-byte serialized store from src in two passes — the
+// body through the checksum, then, rewound, through the parser — so a
+// store file is loaded without ever being held whole next to its decoded
+// payload.
+func decode(src io.ReadSeeker, size int64) (*Store, error) {
+	if size < int64(len(storeMagic)+1+4+4+4) {
+		return nil, fmt.Errorf("corr: store file truncated: %d bytes is shorter than the fixed header", size)
 	}
-	if string(data[:len(storeMagic)]) != storeMagic {
-		if string(data[:len(storeMagicPrefix)]) == storeMagicPrefix {
+	var magic [len(storeMagic)]byte
+	if _, err := io.ReadFull(src, magic[:]); err != nil {
+		return nil, fmt.Errorf("corr: read store: %w", err)
+	}
+	if string(magic[:]) != storeMagic {
+		if string(magic[:len(storeMagicPrefix)]) == storeMagicPrefix {
 			return nil, fmt.Errorf("corr: store file is format version %q but this binary reads %q — regenerate the store with this binary's preprocess step",
-				string(data[:len(storeMagic)]), storeMagic)
+				string(magic[:]), storeMagic)
 		}
 		return nil, fmt.Errorf("corr: not a correlation store file (bad magic)")
 	}
-	body := data[len(storeMagic) : len(data)-4]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != wantCRC {
+	bodyLen := size - int64(len(storeMagic)) - 4
+	sum := crc32.NewIEEE()
+	if _, err := io.CopyN(sum, src, bodyLen); err != nil {
+		return nil, fmt.Errorf("corr: read store: %w", err)
+	}
+	var trailer [4]byte
+	if _, err := io.ReadFull(src, trailer[:]); err != nil {
+		return nil, fmt.Errorf("corr: read store: %w", err)
+	}
+	if got, wantCRC := sum.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != wantCRC {
 		return nil, fmt.Errorf("corr: store file checksum mismatch (corrupt or truncated): got %08x, recorded %08x", got, wantCRC)
 	}
-	r := &byteReader{data: body}
+	if _, err := src.Seek(int64(len(storeMagic)), io.SeekStart); err != nil {
+		return nil, fmt.Errorf("corr: read store: %w", err)
+	}
+	r := &byteReader{src: bufio.NewReaderSize(src, 1<<16), left: bodyLen}
 	party := int(r.u8())
 	if party != 0 && party != 1 {
 		return nil, fmt.Errorf("corr: store file names party %d (want 0 or 1)", party)
@@ -137,8 +161,8 @@ func Decode(data []byte) (*Store, error) {
 	// entry table itself grows by append, so memory tracks the bytes the
 	// file actually contains rather than what its header promises.
 	const maxStoreEntries = 1 << 20
-	if count > maxStoreEntries || count > r.rest()/8 {
-		return nil, fmt.Errorf("corr: store file declares %d correlations against %d body bytes (cap %d)", count, r.rest(), maxStoreEntries)
+	if count > maxStoreEntries || int64(count) > r.left/8 {
+		return nil, fmt.Errorf("corr: store file declares %d correlations against %d body bytes (cap %d)", count, r.left, maxStoreEntries)
 	}
 	growCap := count
 	if growCap > 4096 {
@@ -184,8 +208,8 @@ func Decode(data []byte) (*Store, error) {
 		s.entries = append(s.entries, e)
 		s.tape = append(s.tape, d)
 	}
-	if r.rest() != 0 {
-		return nil, fmt.Errorf("corr: store file has %d trailing bytes after the last entry", r.rest())
+	if r.left != 0 {
+		return nil, fmt.Errorf("corr: store file has %d trailing bytes after the last entry", r.left)
 	}
 	return s, nil
 }
@@ -194,16 +218,29 @@ func Decode(data []byte) (*Store, error) {
 // would need a directory walk; a short-lived partial file is acceptable
 // because the checksum rejects it at load time).
 func (s *Store) WriteFile(path string) error {
-	return os.WriteFile(path, s.Encode(), 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if err := s.encodeTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadFile loads and decodes a store file.
 func ReadFile(path string) (*Store, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("corr: read store: %w", err)
 	}
-	s, err := Decode(data)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("corr: read store: %w", err)
+	}
+	s, err := decode(f, st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("corr: %s: %w", path, err)
 	}
@@ -221,34 +258,39 @@ func FileName(party int, shape []int) string {
 	return fmt.Sprintf("corr_p%d_n%s.pcs", party, strings.Join(dims, "x"))
 }
 
-func appendWords(buf []byte, ws []uint64) []byte {
+func writeWords(bw *bufio.Writer, ws []uint64) {
+	var b [8]byte
 	for _, w := range ws {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
+		binary.LittleEndian.PutUint64(b[:], w)
+		bw.Write(b[:])
 	}
-	return buf
 }
 
 // byteReader is a bounds-checked cursor over the store body; the first
 // shortfall latches err and zero-fills every later read.
 type byteReader struct {
-	data []byte
-	off  int
+	src  io.Reader
+	left int64 // body bytes not yet consumed
 	err  error
+	buf  [1 << 12]byte
 }
 
-func (r *byteReader) rest() int { return len(r.data) - r.off }
-
+// take reads the next n <= len(r.buf) bytes; the result is valid until
+// the next call.
 func (r *byteReader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.rest() < n {
-		r.err = fmt.Errorf("need %d bytes, %d left", n, r.rest())
+	if r.left < int64(n) {
+		r.err = fmt.Errorf("need %d bytes, %d left", n, r.left)
 		return nil
 	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
+	if _, err := io.ReadFull(r.src, r.buf[:n]); err != nil {
+		r.err = err
+		return nil
+	}
+	r.left -= int64(n)
+	return r.buf[:n]
 }
 
 func (r *byteReader) u8() byte {
@@ -268,13 +310,23 @@ func (r *byteReader) u32() uint32 {
 }
 
 func (r *byteReader) words(n int) []uint64 {
-	b := r.take(8 * n)
-	if b == nil {
+	if r.err == nil && r.left < 8*int64(n) {
+		r.err = fmt.Errorf("need %d bytes, %d left", 8*int64(n), r.left)
+	}
+	if r.err != nil {
 		return nil
 	}
 	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
+	for i := 0; i < n; {
+		m := min(n-i, len(r.buf)/8)
+		b := r.take(8 * m)
+		if b == nil {
+			return nil
+		}
+		for j := range m {
+			out[i+j] = binary.LittleEndian.Uint64(b[8*j:])
+		}
+		i += m
 	}
 	return out
 }

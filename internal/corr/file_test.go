@@ -1,10 +1,12 @@
 package corr
 
 import (
+	"bytes"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -179,6 +181,48 @@ func reseal(enc []byte) {
 	enc[len(enc)-3] = byte(crc >> 8)
 	enc[len(enc)-2] = byte(crc >> 16)
 	enc[len(enc)-1] = byte(crc >> 24)
+}
+
+// TestStoreFileStreams pins the file path to the in-memory codec — the
+// bytes WriteFile leaves on disk are Encode's, and ReadFile rejects what
+// Decode rejects — and checks neither direction stages the whole file in
+// memory: a store-fed server that loads a file through a same-size
+// transient starts serving with the collector's goal at twice that peak.
+func TestStoreFileStreams(t *testing.T) {
+	tape := Tape{{Kind: KindSquare, N: 1 << 16}, {Kind: KindHadamard, N: 1 << 15}}.Repeat(4)
+	s, err := BuildSeeded(tape, 0, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := s.Encode()
+	path := filepath.Join(t.TempDir(), "s.pcs")
+	allocated := func(f func()) int {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return int(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	if n := allocated(func() { err = s.WriteFile(path) }); err != nil || n > len(enc)/8 {
+		t.Fatalf("WriteFile: err %v, allocated %d bytes writing a %d-byte store", err, n, len(enc))
+	}
+	if disk, err := os.ReadFile(path); err != nil || !bytes.Equal(disk, enc) {
+		t.Fatalf("file differs from Encode (read err %v)", err)
+	}
+	var loaded *Store
+	if n := allocated(func() { loaded, err = ReadFile(path) }); err != nil || n > len(enc)*5/4 {
+		t.Fatalf("ReadFile: err %v, allocated %d bytes loading a %d-byte store", err, n, len(enc))
+	}
+	if !bytes.Equal(loaded.Encode(), enc) {
+		t.Fatal("a loaded store must re-encode to the file it came from")
+	}
+	enc[len(enc)/2] ^= 1
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("a flipped payload bit must fail the checksum, got %v", err)
+	}
 }
 
 // TestReadFileMissing checks the loader wraps filesystem errors.

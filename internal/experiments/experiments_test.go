@@ -36,48 +36,54 @@ func TestFig1BreakdownMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestFig5QuickProfile runs the exact configuration `pasnet-bench -exhibit
+// fig5a|fig5b|fig6 -profile quick` runs, VGG-16 included: its fifth 2×2
+// pool meets a 1×1 map at InputHW 16, which used to index out of range.
 func TestFig5QuickProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment")
 	}
 	p := QuickProfile()
-	p.Backbones = []string{"resnet18"}
 	rows, err := Fig5(p, hwmodel.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// endpoints + lambda sweep.
-	want := 2 + len(p.Lambdas)
-	if len(rows) != want {
+	// endpoints + lambda sweep, per backbone.
+	if want := len(p.Backbones) * (2 + len(p.Lambdas)); len(rows) != want {
 		t.Fatalf("rows %d, want %d", len(rows), want)
 	}
-	var allRelu, allPoly *Fig5Row
-	for i := range rows {
-		r := &rows[i]
-		if r.Accuracy < 0 || r.Accuracy > 1 {
-			t.Fatalf("bad accuracy %v", r.Accuracy)
-		}
-		switch r.Setting {
-		case "all-relu":
-			allRelu = r
-		case "all-poly":
-			allPoly = r
-		}
-	}
-	if allRelu == nil || allPoly == nil {
-		t.Fatal("missing endpoints")
-	}
-	// Fig. 5(b): all-poly must be a large latency win.
 	speedups := SpeedupSummary(rows)
-	if s := speedups["resnet18"]; s < 5 {
-		t.Fatalf("all-poly speedup %.1f, want > 5", s)
-	}
-	// Searched models must lie between the endpoints in latency.
-	for _, r := range rows {
-		if strings.HasPrefix(r.Setting, "lambda=") {
-			if r.LatencyMS > allRelu.LatencyMS+1e-9 || r.LatencyMS < allPoly.LatencyMS-1e-9 {
-				t.Fatalf("searched latency %.2f outside [%.2f, %.2f]",
-					r.LatencyMS, allPoly.LatencyMS, allRelu.LatencyMS)
+	for _, bb := range p.Backbones {
+		var allRelu, allPoly *Fig5Row
+		for i := range rows {
+			r := &rows[i]
+			if r.Backbone != bb {
+				continue
+			}
+			if r.Accuracy < 0 || r.Accuracy > 1 {
+				t.Fatalf("%s: bad accuracy %v", bb, r.Accuracy)
+			}
+			switch r.Setting {
+			case "all-relu":
+				allRelu = r
+			case "all-poly":
+				allPoly = r
+			}
+		}
+		if allRelu == nil || allPoly == nil {
+			t.Fatalf("%s: missing endpoints", bb)
+		}
+		// Fig. 5(b): all-poly must be a large latency win.
+		if s := speedups[bb]; s < 5 {
+			t.Fatalf("%s: all-poly speedup %.1f, want > 5", bb, s)
+		}
+		// Searched models must lie between the endpoints in latency.
+		for _, r := range rows {
+			if r.Backbone == bb && strings.HasPrefix(r.Setting, "lambda=") {
+				if r.LatencyMS > allRelu.LatencyMS+1e-9 || r.LatencyMS < allPoly.LatencyMS-1e-9 {
+					t.Fatalf("%s: searched latency %.2f outside [%.2f, %.2f]",
+						bb, r.LatencyMS, allPoly.LatencyMS, allRelu.LatencyMS)
+				}
 			}
 		}
 	}

@@ -11,6 +11,53 @@ import (
 // point where the naive loops start dominating Fig. 5 regeneration.
 var benchShape = ConvShape{N: 4, InC: 16, H: 16, W: 16, OutC: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
 
+// servedShapes lists every distinct convolution a served query of the
+// demo backbone executes at batch size n: ResNet-18 at width 1/16 on
+// 3×8×8 inputs — 4/8/16/32 output channels over 8×8 → 1×1 maps, 3×3 at
+// stride 1 and 2 plus the 1×1/2 projection shortcuts. These are the small
+// OutC, small-map calls benchShape hides.
+func servedShapes(n int) []ConvShape {
+	conv := func(inC, hw, outC, k, stride int) ConvShape {
+		return ConvShape{N: n, InC: inC, H: hw, W: hw, OutC: outC, KH: k, KW: k, Stride: stride, Pad: k / 2}
+	}
+	shapes := []ConvShape{conv(3, 8, 4, 3, 1), conv(4, 8, 4, 3, 1)}
+	for c, hw := 4, 8; c < 32; c, hw = 2*c, hw/2 {
+		shapes = append(shapes,
+			conv(c, hw, 2*c, 3, 2), // stage entry
+			conv(c, hw, 2*c, 1, 2), // projection shortcut
+			conv(2*c, hw/2, 2*c, 3, 1))
+	}
+	return shapes
+}
+
+// BenchmarkConvServed times one pass over servedShapes in the ring domain
+// at the two served batch sizes (a 1-row flush takes Conv2D's serial-block
+// branch, a 16-row flush the batched one) and reports allocations and
+// GMAC/s, so the kernel's share of a served query can be reproduced
+// without the ledger.
+func BenchmarkConvServed(b *testing.B) {
+	for _, n := range []int{1, 16} {
+		b.Run(fmt.Sprintf("ring-N%d", n), func(b *testing.B) {
+			r := rng.New(8)
+			shapes := servedShapes(n)
+			xs, ks, outs := make([][]uint64, len(shapes)), make([][]uint64, len(shapes)), make([][]uint64, len(shapes))
+			macs := 0
+			for i, s := range shapes {
+				xs[i], ks[i], outs[i] = fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
+				macs += s.OutLen() * (s.InC / s.NormGroups()) * s.KH * s.KW
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, s := range shapes {
+					Conv2D(outs[j], xs[j], ks[j], s)
+				}
+			}
+			b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
+}
+
 func benchConv[T Elem](b *testing.B, fill func(*rng.RNG, int) []T, naive bool) {
 	r := rng.New(1)
 	x := fill(r, benchShape.InLen())

@@ -70,18 +70,26 @@ func Conv2D[T Elem](out, x, k []T, s ConvShape) {
 	ocg := s.OutC / g
 	ckk := icg * s.KH * s.KW
 	tasks := s.N * g
-	w := Workers()
-	if w > 1 && tasks >= 2*w {
+	if tasks >= 2*Workers() {
 		// Enough (batch, group) blocks to feed every worker: parallelize
-		// across blocks, each with serial im2col + GEMM and its own scratch.
+		// across blocks. Every batch row multiplies the same kernel, so each
+		// group's matrix is packed once per call and shared read-only; each
+		// worker chunk owns one im2col and one B-strip buffer for all of its
+		// blocks.
+		plen := panelLen(ocg, ckk)
+		ap := make([]T, g*plen)
+		for gi := 0; gi < g; gi++ {
+			packARows(ap[gi*plen:(gi+1)*plen], k[gi*ocg*ckk:(gi+1)*ocg*ckk], ckk, 0, ocg)
+		}
 		parallelFor(tasks, 1, func(lo, hi int) {
 			cols := make([]T, ckk*ohw)
+			bp := make([]T, ckk*tileN)
+			packB := func(strip []T, j0, nr int) { packBStrip(strip, cols, ckk, ohw, j0, nr) }
 			for t := lo; t < hi; t++ {
 				b, gi := t/g, t%g
 				im2colRows(cols, x, s, b, gi, 0, ckk)
-				kmat := k[gi*ocg*ckk : (gi+1)*ocg*ckk]
 				blk := out[(b*s.OutC+gi*ocg)*ohw : (b*s.OutC+(gi+1)*ocg)*ohw]
-				tiledRows(blk, kmat, cols, ckk, ohw, 0, ocg)
+				tiledDrive(blk, ap[gi*plen:(gi+1)*plen], bp, ckk, ohw, 0, ocg, false, packB)
 			}
 		})
 		return

@@ -99,6 +99,70 @@ func TestConv2DMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestConv2DServedGeometries pins Conv2D ≡ Conv2DNaive where the packed-
+// once batched branch actually serves: every demo-backbone conv at flush
+// sizes 1/2/4/16, a depthwise block (one output row per group), and output
+// channel counts below, at and just past a tileM multiple — at 1, 2 and 4
+// workers (which moves calls between the serial-block and batched branches
+// and changes how blocks share a chunk's buffers), float64 bit-identical
+// and ring exact.
+func TestConv2DServedGeometries(t *testing.T) {
+	r := rng.New(43)
+	for _, n := range []int{1, 2, 4, 16} {
+		shapes := append(servedShapes(n),
+			ConvShape{N: n, InC: 8, H: 4, W: 4, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 8},
+			ConvShape{N: n, InC: 5, H: 5, W: 5, OutC: tileM - 1, KH: 3, KW: 3, Stride: 1, Pad: 1},
+			ConvShape{N: n, InC: 5, H: 5, W: 5, OutC: 2 * tileM, KH: 3, KW: 3, Stride: 2, Pad: 1},
+			ConvShape{N: n, InC: 4, H: 5, W: 5, OutC: 2*tileM + 2, KH: 3, KW: 3, Stride: 1, Pad: 0, Groups: 2})
+		for _, s := range shapes {
+			x, k := fillF64(r, s.InLen()), fillF64(r, s.KLen())
+			xu, ku := fillU64(r, s.InLen()), fillU64(r, s.KLen())
+			want, wantU := make([]float64, s.OutLen()), make([]uint64, s.OutLen())
+			Conv2DNaive(want, x, k, s)
+			Conv2DNaive(wantU, xu, ku, s)
+			for _, w := range []int{1, 2, 4} {
+				prev := SetWorkers(w)
+				got, gotU := make([]float64, s.OutLen()), make([]uint64, s.OutLen())
+				Conv2D(got, x, k, s)
+				Conv2D(gotU, xu, ku, s)
+				SetWorkers(prev)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d shape %+v: float64 not bit-identical to naive at %d: %v vs %v", w, s, i, got[i], want[i])
+					}
+					if gotU[i] != wantU[i] {
+						t.Fatalf("workers=%d shape %+v: ring mismatch at %d: %d vs %d", w, s, i, gotU[i], wantU[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConv2DBatchedAllocations pins the batched branch's buffer count: a
+// 16-row call packs the kernel once and gives each worker chunk one im2col
+// and one B-strip buffer, so allocations scale with workers, not with
+// batch rows × groups (the same call used to make two buffers per block:
+// 32 dense, 256 for the depthwise shape).
+func TestConv2DBatchedAllocations(t *testing.T) {
+	const workers = 2
+	defer SetWorkers(SetWorkers(workers))
+	r := rng.New(44)
+	for _, s := range []ConvShape{
+		{N: 16, InC: 4, H: 8, W: 8, OutC: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
+		{N: 16, InC: 8, H: 4, W: 4, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 8},
+	} {
+		x, k, out := fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
+		allocs := testing.AllocsPerRun(20, func() { Conv2D(out, x, k, s) })
+		// Per call: the packed panels and the parallelFor bookkeeping; per
+		// chunk: im2col buffer, B strip and the strip-packing closure.
+		if limit := float64(4 + 4*workers); allocs > limit {
+			t.Errorf("shape %+v: %v allocations per call at %d workers, want at most %v (N·groups = %d blocks)",
+				s, allocs, workers, limit, s.N*s.NormGroups())
+		}
+	}
+}
+
 // TestConv2DNaiveOption checks that the SetNaive escape hatch reroutes the
 // public entry points.
 func TestConv2DNaiveOption(t *testing.T) {

@@ -39,27 +39,24 @@ const (
 // microkernel reads one contiguous lane group per k step. Ragged tail
 // panels keep zero in their unused lanes.
 //
-// The pack functions return closures so the four GEMM variants share one
-// driver: each variant differs only in where an (i, p) or (p, j) element
-// of its operand lives.
+// The GEMM variants hand their pack functions over as closures so all
+// share one driver: each variant differs only in where an (i, p) or
+// (p, j) element of its operand lives.
 
-// tiledDrive computes dst rows [lo, hi) of an m×n GEMM with k-extent k,
-// reading operands exclusively through the pack closures. packA fills the
-// chunk's A panels; packB fills one tileN-wide B strip for column j0
-// (zero-padding ragged strips). When acc is true the tile is added into
-// dst instead of overwriting it.
-func tiledDrive[T Elem](dst []T, k, n, lo, hi int, acc bool,
-	packA func(ap []T),
+// panelLen returns the packedA length for a chunk of rows output rows
+// with k-extent k: whole tileM-row panels.
+func panelLen(rows, k int) int { return (rows + tileM - 1) / tileM * tileM * k }
+
+// tiledDrive computes dst rows [lo, hi) of an m×n GEMM with k-extent k
+// from ap, those rows' already-packed A panels, so a caller multiplying
+// one A against many B operands (Conv2D's batch rows) packs it once.
+// packB fills the caller's k·tileN scratch bp with one tileN-wide B strip
+// for column j0 (zero-padding ragged strips). When acc is true the tile is
+// added into dst instead of overwriting it.
+func tiledDrive[T Elem](dst, ap, bp []T, k, n, lo, hi int, acc bool,
 	packB func(bp []T, j0, nr int),
 ) {
-	rows := hi - lo
-	if rows <= 0 || n <= 0 {
-		return
-	}
-	panels := (rows + tileM - 1) / tileM
-	ap := make([]T, panels*tileM*k)
-	packA(ap)
-	bp := make([]T, k*tileN)
+	panels := (hi - lo + tileM - 1) / tileM
 	for j0 := 0; j0 < n; j0 += tileN {
 		nr := n - j0
 		if nr > tileN {
@@ -75,6 +72,20 @@ func tiledDrive[T Elem](dst []T, k, n, lo, hi int, acc bool,
 			microTile(dst, ap[pi*tileM*k:(pi+1)*tileM*k], bp, k, n, i0, j0, mr, nr, acc)
 		}
 	}
+}
+
+// tiledOnce is the one-shot entry to tiledDrive: it allocates the chunk's
+// panel and strip buffers, fills the panels through packA and drives them.
+func tiledOnce[T Elem](dst []T, k, n, lo, hi int, acc bool,
+	packA func(ap []T),
+	packB func(bp []T, j0, nr int),
+) {
+	if hi <= lo || n <= 0 {
+		return
+	}
+	ap := make([]T, panelLen(hi-lo, k))
+	packA(ap)
+	tiledDrive(dst, ap, make([]T, k*tileN), k, n, lo, hi, acc, packB)
 }
 
 // microTile reduces one tileM×tileN output tile over the full k extent.
@@ -198,14 +209,14 @@ func packBTransStrip[T Elem](bp, b []T, k, j0, nr int) {
 // retunes training, dealer triple generation and the online 2PC path at
 // once.
 func tiledRows[T Elem](dst, a, b []T, k, n, lo, hi int) {
-	tiledDrive(dst, k, n, lo, hi, false,
+	tiledOnce(dst, k, n, lo, hi, false,
 		func(ap []T) { packARows(ap, a, k, lo, hi) },
 		func(bp []T, j0, nr int) { packBStrip(bp, b, k, n, j0, nr) })
 }
 
 // tiledTransARows computes dst rows [lo, hi) of aᵀ @ b for a (k×m).
 func tiledTransARows[T Elem](dst, a, b []T, k, m, n, lo, hi int) {
-	tiledDrive(dst, k, n, lo, hi, false,
+	tiledOnce(dst, k, n, lo, hi, false,
 		func(ap []T) { packATransCols(ap, a, k, m, lo, hi) },
 		func(bp []T, j0, nr int) { packBStrip(bp, b, k, n, j0, nr) })
 }
@@ -213,7 +224,7 @@ func tiledTransARows[T Elem](dst, a, b []T, k, m, n, lo, hi int) {
 // tiledTransBRows computes dst rows [lo, hi) of a @ bᵀ for b (n×k); acc
 // selects the accumulating (dst +=) variant.
 func tiledTransBRows[T Elem](dst, a, b []T, k, n, lo, hi int, acc bool) {
-	tiledDrive(dst, k, n, lo, hi, acc,
+	tiledOnce(dst, k, n, lo, hi, acc,
 		func(ap []T) { packARows(ap, a, k, lo, hi) },
 		func(bp []T, j0, nr int) { packBTransStrip(bp, b, k, j0, nr) })
 }

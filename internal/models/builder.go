@@ -344,7 +344,10 @@ func (b *builder) poolChoice(id int) PoolChoice {
 	return b.cfg.Pool
 }
 
-// pool appends a pooling slot (max/avg gated in the supernet).
+// pool appends a pooling slot (max/avg gated in the supernet). A map
+// smaller than the window (VGG-16's fifth 2×2 pool meets a 1×1 map at
+// InputHW 16) pools over what is there: the slot stays in the search space
+// at either scale, and no pool is emitted that its input cannot hold.
 func (b *builder) pool(k, stride int) {
 	id := b.nextSlot
 	b.nextSlot++
@@ -353,22 +356,24 @@ func (b *builder) pool(k, stride int) {
 	if choice == PoolAvg {
 		kind = hwmodel.OpAvgPool
 	}
-	shape := hwmodel.OpShape{FI: b.latHW, IC: b.latC, K: k, Stride: stride}
+	kl := min(k, b.latHW)
+	shape := hwmodel.OpShape{FI: b.latHW, IC: b.latC, K: kl, Stride: stride}
 	opIdx := len(b.ops)
 	b.ops = append(b.ops, hwmodel.NetOp{Name: b.name("pool"), Kind: kind, Shape: shape})
 	slot := Slot{ID: id, Kind: SlotPool, Shape: shape, OpIdx: opIdx, NxTrain: b.trainC * b.trainHW * b.trainHW}
 	b.slots = append(b.slots, slot)
 	if !b.cfg.OpsOnly {
+		kt := min(k, b.trainHW)
 		if b.cfg.PoolFactory != nil {
-			b.add(b.cfg.PoolFactory(slot, k, stride))
+			b.add(b.cfg.PoolFactory(slot, kt, stride))
 		} else if choice == PoolAvg {
-			b.add(nn.NewAvgPool(k, k, stride))
+			b.add(nn.NewAvgPool(kt, kt, stride))
 		} else {
-			b.add(nn.NewMaxPool(k, k, stride))
+			b.add(nn.NewMaxPool(kt, kt, stride))
 		}
-		b.trainHW = (b.trainHW-k)/stride + 1
+		b.trainHW = (b.trainHW-kt)/stride + 1
 	}
-	b.latHW = (b.latHW-k)/stride + 1
+	b.latHW = (b.latHW-kl)/stride + 1
 }
 
 // gap appends global average pooling, flattening to N×C.

@@ -195,6 +195,31 @@ func TestVGGPoolSlotChoices(t *testing.T) {
 	_ = m
 }
 
+// At InputHW 16 VGG-16's fifth 2×2 pool meets a 1×1 map (the quick and
+// full experiment profiles both train there): the builder must keep all
+// five slots yet emit no pool wider than its input, for either choice.
+func TestVGGPoolsFitSmallInput(t *testing.T) {
+	for _, choice := range []PoolChoice{PoolMax, PoolAvg} {
+		cfg := tinyCfg()
+		cfg.InputHW = 16
+		cfg.Pool = choice
+		m := VGG16(cfg)
+		pools := 0
+		for _, s := range m.Slots {
+			if s.Kind == SlotPool {
+				pools++
+			}
+		}
+		if pools != 5 {
+			t.Fatalf("pool choice %v: %d pool slots, want 5", choice, pools)
+		}
+		y := m.Net.Forward(tensor.New(2, 3, 16, 16), false)
+		if y.Shape[0] != 2 || y.Shape[1] != 10 {
+			t.Errorf("pool choice %v: output shape %v, want [2 10]", choice, y.Shape)
+		}
+	}
+}
+
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("alexnet", tinyCfg()); err == nil {
 		t.Fatal("unknown backbone must error")

@@ -16,7 +16,7 @@ import (
 // one mask per secret is the textbook amortization: fix b once per
 // (session, layer), open F = W−b once at setup, and per flush draw only a
 // fresh activation mask a together with z = a@b. The combine
-// R_i = X_i∘F + E∘Y_i + Z_i − i·E∘F then reconstructs x∘W exactly as in
+// R_i = (X_i − i·E)∘F + E∘Y_i + Z_i then reconstructs x∘W exactly as in
 // the per-flush scheme (the telescoping is identical; only where F comes
 // from changes). The activation side must NOT be reused — opening x−a and
 // x'−a for x ≠ x' reveals x−x'.
@@ -175,8 +175,10 @@ type FixedWeight struct {
 	sum uint64
 }
 
-// hashWords is FNV-1a over the word values, used to detect a weight share
-// changing under a fixed mask.
+// hashWords is an FNV-1a-style fold over whole words (one xor and one
+// multiply per word), used to detect a weight share changing under a fixed
+// mask. Each step is a bijection of the running state, so two shares that
+// differ in any single word always hash differently.
 func hashWords(v []uint64) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -184,10 +186,7 @@ func hashWords(v []uint64) uint64 {
 	)
 	h := uint64(offset)
 	for _, w := range v {
-		for s := 0; s < 64; s += 8 {
-			h ^= (w >> s) & 0xff
-			h *= prime
-		}
+		h = (h ^ w) * prime
 	}
 	return h
 }

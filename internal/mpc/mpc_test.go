@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -578,6 +579,23 @@ func TestAvgPool(t *testing.T) {
 	shareAndRun(t, 14, xs, []int{1, 1, 4, 4},
 		func(p *Party, x Share) (Share, error) { return p.AvgPool2D(x, 2, 2, 2) },
 		want, 1e-2)
+}
+
+// A pool window larger than the map is rejected before any share moves
+// (Go's truncating (1-2)/2+1 would otherwise report one output position
+// and index past the map), on both parties alike.
+func TestPoolWindowLargerThanMap(t *testing.T) {
+	runBoth(t, 17, func(p *Party) error {
+		x := NewShare(1, 4, 1, 1)
+		_, errMax := p.MaxPool2D(x, 2, 2, 2)
+		_, errAvg := p.AvgPool2D(x, 2, 2, 2)
+		for name, err := range map[string]error{"maxpool": errMax, "avgpool": errAvg} {
+			if err == nil || !strings.Contains(err.Error(), "window 2x2 exceeds 1x1 feature map") {
+				t.Errorf("party %d %s: error %v does not describe the window/map mismatch", p.ID, name, err)
+			}
+		}
+		return nil
+	})
 }
 
 func TestGlobalAvgPool(t *testing.T) {

@@ -34,16 +34,29 @@ func (p *Party) maxPairs(a, b Share) (Share, error) {
 	return p.Add(b, sel), nil
 }
 
+// poolOutHW returns the output size of op's kh×kw/stride pool over an
+// NCHW share. A window larger than the map has no valid position; Go's
+// truncating division would still report one, so it is rejected here.
+func poolOutHW(op string, shape []int, kh, kw, stride int) (oh, ow int, err error) {
+	if len(shape) != 4 {
+		return 0, 0, fmt.Errorf("mpc: %s needs NCHW share, got %v", op, shape)
+	}
+	h, w := shape[2], shape[3]
+	if h < kh || w < kw {
+		return 0, 0, fmt.Errorf("mpc: %s window %dx%d exceeds %dx%d feature map", op, kh, kw, h, w)
+	}
+	return (h-kh)/stride + 1, (w-kw)/stride + 1, nil
+}
+
 // MaxPool2D computes shares of kh×kw/stride max pooling over an NCHW
 // share via a batched pairwise tournament (paper 2PC-MaxPool: one maxPairs
 // — a comparison and a select — per level of the reduction tree).
 func (p *Party) MaxPool2D(x Share, kh, kw, stride int) (Share, error) {
-	if len(x.Shape) != 4 {
-		return Share{}, fmt.Errorf("mpc: maxpool needs NCHW share, got %v", x.Shape)
+	oh, ow, err := poolOutHW("maxpool", x.Shape, kh, kw, stride)
+	if err != nil {
+		return Share{}, err
 	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-kh)/stride + 1
-	ow := (w-kw)/stride + 1
 	nOut := n * c * oh * ow
 	// cols[i] is the i-th window member across all output positions.
 	win := kh * kw
@@ -100,12 +113,11 @@ func (p *Party) MaxPool2D(x Share, kh, kw, stride int) (Share, error) {
 // local; the division is a public scale (paper 2PC-AvgPool: addition and
 // scaling only, no communication).
 func (p *Party) AvgPool2D(x Share, kh, kw, stride int) (Share, error) {
-	if len(x.Shape) != 4 {
-		return Share{}, fmt.Errorf("mpc: avgpool needs NCHW share, got %v", x.Shape)
+	oh, ow, err := poolOutHW("avgpool", x.Shape, kh, kw, stride)
+	if err != nil {
+		return Share{}, err
 	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-kh)/stride + 1
-	ow := (w-kw)/stride + 1
 	sum := NewShare(n, c, oh, ow)
 	oi := 0
 	for b := 0; b < n; b++ {

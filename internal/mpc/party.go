@@ -39,7 +39,7 @@ type Party struct {
 // scratch is the per-party reusable buffer set. The e/f views handed out
 // by openPair/openPairUneven stay valid only until the next opening.
 type scratch struct {
-	mine, e, f, tmp []uint64
+	mine, e, f, tmp, xe []uint64
 }
 
 // grow returns (*buf)[:n], reallocating only when capacity is short.
@@ -241,18 +241,22 @@ func (p *Party) openPair(x, a, y, b []uint64) (e, f []uint64, err error) {
 	return p.openPairUneven(x, a, y, b)
 }
 
-// mulCombine assembles R_i = −i·E∘F + X_i∘F + E∘Y_i + Z_i (paper Eq. 2)
-// where ∘ is the bilinear op given by apply.
+// mulCombine assembles R_i = (X_i − i·E)∘F + E∘Y_i + Z_i, where ∘ is the
+// bilinear op given by apply. This is paper Eq. 2 with party 1's −E∘F
+// folded into its X∘F term: ∘ distributes over ring subtraction exactly,
+// so every share is bit-identical to the three-term form while each party
+// applies ∘ twice, not three times.
 func (p *Party) mulCombine(out, e, f, x, y, z []uint64, apply func(dst, a, b []uint64)) {
+	if p.ID == 1 {
+		xe := grow(&p.scr.xe, len(x))
+		ringSub(xe, x, e)
+		x = xe
+	}
 	tmp := grow(&p.scr.tmp, len(out))
-	apply(out, x, f) // X_i ∘ F
+	apply(out, x, f) // (X_i − i·E) ∘ F
 	apply(tmp, e, y) // E ∘ Y_i
 	ringAdd(out, out, tmp)
 	ringAdd(out, out, z)
-	if p.ID == 1 {
-		apply(tmp, e, f)
-		ringSub(out, out, tmp) // −1·E∘F on one party only
-	}
 }
 
 // MulHadamardRaw returns shares of x ⊙ y without truncation (for integer

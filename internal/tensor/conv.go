@@ -73,12 +73,22 @@ func Conv2DGrads(x, k, gy *Tensor, s ConvSpec) (dx, dk *Tensor) {
 	return dx, dk
 }
 
+// poolOutHW returns the output size of a kh×kw/stride pool over an h×w
+// map. A window larger than the map has no valid position; Go's truncating
+// division would still report one, so reject it here rather than index
+// past the map.
+func poolOutHW(h, w, kh, kw, stride int) (oh, ow int) {
+	if h < kh || w < kw {
+		panic(fmt.Sprintf("tensor: pool window %dx%d exceeds %dx%d feature map", kh, kw, h, w))
+	}
+	return (h-kh)/stride + 1, (w-kw)/stride + 1
+}
+
 // MaxPool2D computes max pooling and returns the output along with the
 // argmax index (flat, into x.Data) per output element for backprop.
 func MaxPool2D(x *Tensor, kh, kw, stride int) (*Tensor, []int) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-kh)/stride + 1
-	ow := (w-kw)/stride + 1
+	oh, ow := poolOutHW(h, w, kh, kw, stride)
 	out := New(n, c, oh, ow)
 	arg := make([]int, out.Len())
 	oi := 0
@@ -123,8 +133,7 @@ func MaxPool2DGrad(gy *Tensor, arg []int, xShape []int) *Tensor {
 // stride.
 func AvgPool2D(x *Tensor, kh, kw, stride int) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-kh)/stride + 1
-	ow := (w-kw)/stride + 1
+	oh, ow := poolOutHW(h, w, kh, kw, stride)
 	out := New(n, c, oh, ow)
 	inv := 1.0 / float64(kh*kw)
 	oi := 0
@@ -153,8 +162,7 @@ func AvgPool2D(x *Tensor, kh, kw, stride int) *Tensor {
 func AvgPool2DGrad(gy *Tensor, kh, kw, stride int, xShape []int) *Tensor {
 	dx := New(xShape...)
 	n, c, h, w := xShape[0], xShape[1], xShape[2], xShape[3]
-	oh := (h-kh)/stride + 1
-	ow := (w-kw)/stride + 1
+	oh, ow := poolOutHW(h, w, kh, kw, stride)
 	inv := 1.0 / float64(kh*kw)
 	oi := 0
 	for b := 0; b < n; b++ {

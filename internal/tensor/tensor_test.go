@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pasnet/internal/rng"
@@ -290,6 +291,27 @@ func TestAvgPool(t *testing.T) {
 		if v != 1 {
 			t.Fatalf("AvgPool grad = %v, want all ones", dx.Data)
 		}
+	}
+}
+
+// A 2×2/2 pool over a 1×1 map has no valid window, yet Go's truncating
+// (1-2)/2+1 reports one output; both pools must name the problem instead
+// of indexing past the map.
+func TestPoolWindowLargerThanMapPanics(t *testing.T) {
+	x := New(1, 256, 1, 1)
+	for name, pool := range map[string]func(){
+		"max": func() { MaxPool2D(x, 2, 2, 2) },
+		"avg": func() { AvgPool2D(x, 2, 2, 2) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "window 2x2 exceeds 1x1 feature map") {
+					t.Errorf("%s pool: panic %q does not describe the window/map mismatch", name, msg)
+				}
+			}()
+			pool()
+		}()
 	}
 }
 
