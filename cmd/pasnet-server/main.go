@@ -108,7 +108,7 @@ type config struct {
 	pipeline bool
 	// lifecycle re-dials and re-provisions dead shard pairs with backoff
 	// instead of retiring them (gateway role; the vendor keeps accepting
-	// links to serve the revived generations).
+	// links to serve later generations, revived or rolled over).
 	lifecycle bool
 	// budgetWarn logs a re-provision warning when a shard's remaining
 	// preprocessed-correlation budget drops below this (0: off).
@@ -124,8 +124,9 @@ type config struct {
 	// queueCap bounds each shard lane's pending queue; submissions to a
 	// full lane block (0: the lane default).
 	queueCap int
-	// reprovision enables the gateway's background store re-provisioner
-	// at this remaining-correlation budget floor (0: off).
+	// reprovision rolls the gateway's shard pairs over to fresh store
+	// generations at this remaining-correlation budget floor (0: off);
+	// it implies the gateway-side lifecycle.
 	reprovision int
 	// statusJSON dumps the gateway's unified status document — shard
 	// routing table plus the full metrics snapshot (wire/round counters,
@@ -169,7 +170,7 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.DurationVar(&cfg.queueTarget, "queue-target", 0, "gateway: shed a query at admission when its estimated completion exceeds this queue-time target (0: off)")
 	fs.IntVar(&cfg.quota, "quota", 0, "gateway: max in-flight admitted queries per model; submissions over the quota are shed at admission with a descriptive error (0: unbounded)")
 	fs.IntVar(&cfg.queueCap, "queue-cap", 0, "gateway: per-shard-lane queue bound; submissions to a full lane block (0: the lane default)")
-	fs.IntVar(&cfg.reprovision, "reprovision", 0, "gateway: background store re-provisioning — build and swap in the next store generation once a shard's remaining preprocessed budget drops below this many correlations; the vendor must run -lifecycle to accept the handoff links (0: off)")
+	fs.IntVar(&cfg.reprovision, "reprovision", 0, "gateway: store rollover — build and swap in the next store generation once a shard's remaining preprocessed budget drops below this many correlations; implies -lifecycle here, and the vendor must run -lifecycle to accept the new links (0: off)")
 	fs.StringVar(&cfg.statusJSON, "status-json", "", "gateway: dump the unified status document (shard table + full metrics snapshot + event tail) as JSON to this file on SIGUSR1 and at shutdown (empty: off)")
 	fs.StringVar(&cfg.metricsAddr, "metrics-addr", "", "gateway: serve Prometheus text at /metrics and the unified status document at /status.json on this address (empty: off)")
 	fs.BoolVar(&cfg.fixedMasks, "fixedmasks", false, "all roles: fixed weight-mask protocol — open W−b once per session instead of per flush (preprocess, both computing parties and the gateway must agree)")
@@ -359,10 +360,10 @@ func runMultiVendor(cfg config) error {
 	}
 	fmt.Printf("party 0: models %v shared across %d shard link(s) on %s\n", reg.Models(), n, cfg.listen)
 	if cfg.lifecycle {
-		// A lifecycle gateway re-dials revived shard generations at
-		// arbitrary times, so the vendor keeps accepting links until
-		// interrupted — and records the provisioning policy so revived
-		// generations get fresh store pairs matching the gateway's.
+		// A lifecycle gateway dials later shard generations at arbitrary
+		// times, so the vendor keeps accepting links until interrupted —
+		// and records the provisioning policy so those generations get
+		// fresh store pairs matching the gateway's.
 		if cfg.store != "" {
 			batches, err := parseBatchSizes(cfg.batches)
 			if err != nil {
@@ -370,7 +371,7 @@ func runMultiVendor(cfg config) error {
 			}
 			reg.SetProvision(batches, cfg.flushes)
 		}
-		fmt.Println("party 0: lifecycle mode — accepting shard links (including revivals) until interrupted")
+		fmt.Println("party 0: lifecycle mode — accepting shard links (including later generations) until interrupted")
 		gateway.ServeShardsLoop(l, reg, func(err error) {
 			// A dying link is the normal prelude to its revival here, so
 			// log it instead of failing the vendor.
@@ -389,7 +390,7 @@ func runMultiVendor(cfg config) error {
 // shard), batches queries per shard, and routes each
 // client query through the dispatch scheduler (round-robin or
 // queue-aware, serialized or pipelined flushes, optional lifecycle
-// revival of dead pairs).
+// revival of dead pairs and store rollover of live ones).
 func runGateway(cfg config) error {
 	reg, err := buildRegistry(cfg)
 	if err != nil {
@@ -424,20 +425,20 @@ func runGateway(cfg config) error {
 			opts.ModelQuotas[id] = cfg.quota
 		}
 	}
-	if cfg.lifecycle {
-		opts.Lifecycle = &sched.LifecycleOptions{}
-	}
-	if cfg.reprovision > 0 {
-		opts.Reprovision = &gateway.ReprovisionOptions{BudgetFloor: cfg.reprovision}
-	}
-	if (cfg.lifecycle || cfg.reprovision > 0) && cfg.store != "" {
-		// Revived and handed-off generations get fresh store pairs of this
-		// coverage; the vendor derives the same policy from its own flags.
-		batches, err := parseBatchSizes(cfg.batches)
-		if err != nil {
-			return err
+	// -reprovision is the lifecycle's rollover floor, so it implies
+	// -lifecycle on this side.
+	if cfg.lifecycle || cfg.reprovision > 0 {
+		opts.Lifecycle = &sched.LifecycleOptions{BudgetFloor: cfg.reprovision}
+		if cfg.store != "" {
+			// Revived and rolled-over generations get fresh store pairs of
+			// this coverage; the vendor derives the same policy from its
+			// own flags.
+			batches, err := parseBatchSizes(cfg.batches)
+			if err != nil {
+				return err
+			}
+			reg.SetProvision(batches, cfg.flushes)
 		}
-		reg.SetProvision(batches, cfg.flushes)
 	}
 	fmt.Printf("gateway: connecting %d shard link(s) to %s\n", reg.TotalShards(), cfg.connect)
 	rt, err := gateway.NewRouter(reg, opts)

@@ -12,6 +12,7 @@ import (
 	"pasnet/internal/corr"
 	"pasnet/internal/pi"
 	"pasnet/internal/rng"
+	"pasnet/internal/sched"
 	"pasnet/internal/tensor"
 	"pasnet/internal/transport"
 )
@@ -229,12 +230,12 @@ func TestChaosSurvivingShardsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBackgroundReprovisioning is the store-exhaustion end-to-end: a
-// store-backed single-shard fleet under steady traffic, with the
-// background re-provisioner watching the budget, hands the lane off to
-// freshly provisioned generations before the store runs dry — zero
-// failed queries, zero shed, zero pair deaths, at least one background
-// generation swap — and every logit stays correct.
+// TestBackgroundReprovisioning is the store-rollover end-to-end: a
+// store-backed single-shard fleet under back-to-back traffic rolls its
+// lane over to freshly provisioned generations before each store runs
+// dry — zero failed queries, zero shed, zero pair deaths, zero fallbacks,
+// every generation change a graceful rollover, never a revival — and
+// every logit stays correct.
 func TestBackgroundReprovisioning(t *testing.T) {
 	stop := watchdog(t, 120*time.Second)
 	defer stop()
@@ -244,9 +245,8 @@ func TestBackgroundReprovisioning(t *testing.T) {
 	if err := reg.Register(&ModelSpec{ID: "m", Model: m, Input: input, Shards: Shards("m", 1, 77, storeRoot)}); err != nil {
 		t.Fatal(err)
 	}
-	// 12 flushes per generation; the floor is sized from the traced tape
-	// (Status.Budget counts correlations, not flushes) so re-provisioning
-	// triggers with ~7 flushes of runway for the swap to land in.
+	// 12 flushes per generation, rolling over below 4 flushes' worth
+	// (Status.Budget counts correlations, one tape per flush).
 	const flushes = 12
 	if _, err := WriteShardStores(reg, []int{1}, flushes); err != nil {
 		t.Fatal(err)
@@ -255,55 +255,73 @@ func TestBackgroundReprovisioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tape, err := pi.TraceTape(prog, []int{1, 2, 8, 8})
+	shape := []int{1, 2, 8, 8}
+	tape, err := pi.TraceTape(prog, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
+	floor := 4 * len(tape)
 	lb := NewLoopback(reg)
 	rt, err := NewRouter(reg, RouterOptions{
-		Batch: 1,
-		Dial:  lb.Dial,
-		Reprovision: &ReprovisionOptions{
-			BudgetFloor: len(tape) * (flushes - 3),
-			Poll:        2 * time.Millisecond,
-		},
+		Batch:     1,
+		Dial:      lb.Dial,
+		Lifecycle: &sched.LifecycleOptions{BudgetFloor: floor},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec, _ := reg.Lookup("m")
 	r := rng.New(5)
-	plain := func(x *tensor.Tensor) []float64 { return spec.Model.Net.Forward(x, false).Data }
-	// 16 queries outlast the 12-flush generation-0 store: without a
-	// handoff the pair would die at flush 13.
-	for i := 0; i < 16; i++ {
-		x := tensor.New(1, 2, 8, 8).RandNorm(r, 0.5)
+	query := func(i int) ShardStatus {
+		t.Helper()
+		x := tensor.New(shape...).RandNorm(r, 0.5)
 		logits, err := rt.Submit("m", x)
 		if err != nil {
-			t.Fatalf("query %d must ride a generation handoff, not fail: %v", i, err)
+			t.Fatalf("query %d must ride a rollover, not fail: %v", i, err)
 		}
-		if d := maxAbsDiff(logits, plain(x)); d > 0.05 {
+		if d := maxAbsDiff(logits, spec.Model.Net.Forward(x, false).Data); d > 0.05 {
 			t.Fatalf("query %d diff %v", i, d)
 		}
-		time.Sleep(25 * time.Millisecond)
+		st := rt.Status()[0]
+		if st.Down != "" || st.Revived != 0 || st.Shed != 0 || st.Fallbacks != 0 {
+			t.Fatalf("query %d: a rolling fleet must never die, shed, or fall back, got %+v", i, st)
+		}
+		return st
 	}
-	st := rt.Status()[0]
-	if st.Down != "" || st.Revived != 0 || st.Shed != 0 || st.Fallbacks != 0 {
-		t.Fatalf("re-provisioned fleet must never die, shed, or fall back, got %+v", st)
-	}
-	if st.Gen < 1 || st.Reprovisioned < 1 {
-		t.Fatalf("at least one background generation swap must have landed, got %+v", st)
-	}
-	// The swap really ran store-fed from the fresh generation directory.
-	genDir := GenStoreDir(spec.Shards[0], 1)
-	shape := []int{1, 2, 8, 8}
-	for party := 0; party < 2; party++ {
-		if _, err := os.Stat(filepath.Join(genDir, corr.FileName(party, shape))); err != nil {
-			t.Fatalf("generation-1 store file: %v", err)
+	// 40 back-to-back queries. The flush stamped 3 flushes' worth — the
+	// tenth of a generation — starts a rollover; the test then waits for
+	// it to land before the next query. The 3-flush runway the floor
+	// leaves lasts a millisecond or two for this test model, less than a
+	// build (store pair, dial, weight sharing), so an unpaced client would
+	// time the build instead of testing the mechanism; sizing the floor
+	// to the build is the deployment's job. Paced, every generation serves exactly 10 flushes
+	// and the 40th query starts the fourth rollover.
+	for i := 0; i < 40; i++ {
+		st := query(i)
+		if st.Budget < 0 || st.Budget >= floor {
+			continue
+		}
+		for deadline := time.Now().Add(10 * time.Second); rt.Status()[0].Gen == st.Gen; {
+			if time.Now().After(deadline) {
+				t.Fatalf("query %d crossed the floor but no rollover landed: %+v", i, rt.Status()[0])
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
-	if st.Budget < 0 {
-		t.Fatalf("handed-off lane must stay store-fed (budget stamped), got %+v", st)
+	// Budget is -1 until a generation's first flush, so the final status
+	// is read after one on the newest generation: its first stamp is the
+	// whole fresh store, and no rollover can be in flight.
+	st := query(40)
+	if st.Gen != 4 || st.Reprovisioned != 4 || st.Budget != flushes*len(tape) {
+		t.Fatalf("want 4 rollovers and a full fresh store (budget %d), got %+v", flushes*len(tape), st)
+	}
+	// Each rollover really ran store-fed from its own generation directory.
+	for gen := 1; gen <= st.Gen; gen++ {
+		for party := 0; party < 2; party++ {
+			if _, err := os.Stat(filepath.Join(GenStoreDir(spec.Shards[0], gen), corr.FileName(party, shape))); err != nil {
+				t.Fatalf("generation-%d store file: %v", gen, err)
+			}
+		}
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
@@ -311,6 +329,6 @@ func TestBackgroundReprovisioning(t *testing.T) {
 	// Every superseded generation closed gracefully (sentinel, not a torn
 	// link): the vendor side saw no error at all.
 	if err := lb.Wait(); err != nil {
-		t.Fatalf("handoff deployment must close cleanly on the vendor side too: %v", err)
+		t.Fatalf("rollover deployment must close cleanly on the vendor side too: %v", err)
 	}
 }

@@ -19,7 +19,6 @@
 package gateway
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -131,16 +130,14 @@ type Registry struct {
 	// (value: "model/shard"), so no two pairs — of any model — can ever
 	// share a correlation stream.
 	seeds map[uint64]string
-	// claims tracks each (model, shard) pair's serving claim: the highest
-	// lifecycle generation ever claimed, and whether that generation's
-	// link is still live. A hello claiming a generation already burned —
-	// which would run a second protocol execution off the identical
-	// dealer stream — is rejected, and so is any claim while a live link
-	// still serves the pair (a revival is only legitimate once the prior
-	// pair is actually dead; anything else is a misconfigured second
-	// gateway or a hostile replayed hello). Accepted revival claims run a
-	// fresh stream (ReviveSeed), never the dead pair's.
-	claims map[string]shardClaim
+	// claims records each (model, shard) pair's newest claimed lifecycle
+	// generation. Every generation runs its own one-time correlation
+	// stream (ReviveSeed), so a hello may only claim a generation strictly
+	// newer than every earlier claim: a replayed or duplicate hello would
+	// run a stream a second time, with different inputs. A newer claim
+	// supersedes whatever link served before — a revival of a dead pair
+	// or a rollover of a live one alike.
+	claims map[string]int
 	// provision remembers the parameters of the last store provisioning
 	// (WriteShardStores / SetProvision), so revived shards can be
 	// re-provisioned a fresh store pair instead of degrading to the live
@@ -172,28 +169,9 @@ type ProvisionPolicy struct {
 	Flushes int
 }
 
-// shardClaim is one (model, shard) pair's serving-claim state.
-type shardClaim struct {
-	gen  int
-	live bool
-}
-
-// errPairStillLive marks a shard claim rejected only because the pair's
-// previous link is still live — the one hello rejection a revival should
-// retry (the vendor simply has not noticed the torn link yet) rather
-// than strike toward quarantine.
-var errPairStillLive = errors.New("gateway: pair still has a live link")
-
-// RetryableAckPrefix tags a hello-rejection ack the dialing side should
-// retry after backoff instead of treating as a dead endpoint. An
-// explicit wire token, so the retry decision never rests on parsing
-// error prose (which version skew between the two processes could
-// reword).
-const RetryableAckPrefix = "!retry "
-
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{specs: map[string]*ModelSpec{}, seeds: map[uint64]string{}, claims: map[string]shardClaim{}, tapes: map[string]corr.Tape{}, progs: map[string]*pi.Program{}}
+	return &Registry{specs: map[string]*ModelSpec{}, seeds: map[uint64]string{}, claims: map[string]int{}, tapes: map[string]corr.Tape{}, progs: map[string]*pi.Program{}}
 }
 
 // SetProvision records the store-provisioning policy without writing
@@ -248,47 +226,17 @@ func (r *Registry) FixedMasks() bool {
 }
 
 // claimShard reserves one (model, shard) pair at a lifecycle generation
-// for a vendor link. A non-handoff claim is rejected while the pair's
-// previous link is still live (whatever the generation — only a dead pair
-// may be revived) and for any generation at or below one already burned;
-// the serving loop releases the claim's liveness when its link ends
-// (releaseShard), keeping the generation burned forever. A handoff claim
-// (the gateway's background re-provisioner announcing a planned
-// generation swap) is allowed to supersede a live link — but only at a
-// strictly newer generation, so a replayed or duplicate handoff hello
-// can never re-run a generation's one-time correlation stream.
-func (r *Registry) claimShard(model string, shard, gen int, handoff bool) error {
+// for a vendor link, rejecting any generation at or below one already
+// claimed.
+func (r *Registry) claimShard(model string, shard, gen int) error {
 	key := fmt.Sprintf("%s/%d", model, shard)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	prev, ok := r.claims[key]
-	if ok && prev.live && !handoff {
-		return fmt.Errorf("gateway: model %q shard %d is already served by a live link at generation %d — a second pair on the same dealer seed would reuse its correlation stream: %w", model, shard, prev.gen, errPairStillLive)
+	if prev, ok := r.claims[key]; ok && gen <= prev {
+		return fmt.Errorf("gateway: model %q shard %d was already served at generation %d — a new link must claim a strictly newer generation, or it would re-run a one-time correlation stream", model, shard, prev)
 	}
-	if ok && gen <= prev.gen {
-		return fmt.Errorf("gateway: model %q shard %d was already served at generation %d — a %s must claim a strictly newer generation", model, shard, prev.gen, claimWord(handoff))
-	}
-	r.claims[key] = shardClaim{gen: gen, live: true}
+	r.claims[key] = gen
 	return nil
-}
-
-// claimWord names the claim flavor in rejection prose.
-func claimWord(handoff bool) string {
-	if handoff {
-		return "handoff"
-	}
-	return "revival"
-}
-
-// releaseShard marks a claim's link dead (the generation stays burned).
-func (r *Registry) releaseShard(model string, shard, gen int) {
-	key := fmt.Sprintf("%s/%d", model, shard)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.claims[key]; ok && c.gen == gen {
-		c.live = false
-		r.claims[key] = c
-	}
 }
 
 // Register validates and adds one model spec. Shard Model/Shard fields may
@@ -550,10 +498,10 @@ func (r *Registry) tapeFor(spec *ModelSpec, shape []int) (corr.Tape, error) {
 	return tape, nil
 }
 
-// ReprovisionShardStore writes one revived shard generation's fresh store
-// pair: every geometry of the recorded provisioning policy, off the
-// generation's fresh stream (ReviveSeed), into the generation's own store
-// directory. Both sides of a deployment run it independently and
+// ReprovisionShardStore writes one later shard generation's fresh store
+// pair (revival or rollover): every geometry of the recorded
+// provisioning policy, off the generation's fresh stream (ReviveSeed),
+// into the generation's own store directory. Both sides of a deployment run it independently and
 // deterministically — the files are pure functions of (tape, seed), and
 // WriteStorePair publishes them by atomic rename — so whichever process
 // writes first wins with identical bytes; files already present are kept

@@ -3,7 +3,6 @@ package gateway
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -41,11 +40,12 @@ type RouterOptions struct {
 	// QueueCap bounds each shard lane's pending queue in queries
 	// (default 256); a submission to a full lane blocks, never drops.
 	QueueCap int
-	// Lifecycle, when non-nil, re-dials and re-provisions dead shard
-	// pairs with backoff instead of retiring them, quarantining pairs
-	// that keep dying. Revived pairs run fresh dealer streams and — when
-	// the registry records a provisioning policy — fresh store pairs
-	// under per-generation directories.
+	// Lifecycle, when non-nil, moves shard pairs to fresh generations:
+	// dead pairs are re-dialed with backoff instead of retired
+	// (quarantining pairs that keep dying), and with a BudgetFloor live
+	// pairs roll over before their stores run dry. Every new generation
+	// runs a fresh dealer stream and — when the registry records a
+	// provisioning policy — a fresh store pair under its own directory.
 	Lifecycle *sched.LifecycleOptions
 	// FlushDeadline bounds every receive a shard session performs inside
 	// one flush: a vendor that goes silent mid-flush poisons its pair with
@@ -65,13 +65,6 @@ type RouterOptions struct {
 	// arriving at the cap is shed with sched.ErrShed. Zero/absent models
 	// are unbounded.
 	ModelQuotas map[string]int
-	// Reprovision, when non-nil, runs the background store re-provisioner:
-	// a watcher that sees a store-backed shard's flush budget dropping
-	// toward BudgetFloor, builds the next generation's store pair and
-	// session off-path, and swaps the lane onto it without dropping
-	// queries — so a fleet survives store exhaustion with zero shed load
-	// instead of burning a pair death and a revival on it.
-	Reprovision *ReprovisionOptions
 	// Obs, when non-nil, instruments the whole serving stack onto one
 	// metrics registry: every shard link is wrapped in an obs.WireConn
 	// (per-kind wire bytes/frames both directions plus protocol rounds),
@@ -85,18 +78,6 @@ type RouterOptions struct {
 	// desc.Endpoint over TCP; in-process deployments pass a Loopback's
 	// Dial, tests substitute pipes.
 	Dial func(desc ShardDesc) (transport.Conn, error)
-}
-
-// ReprovisionOptions tunes the background store re-provisioner.
-type ReprovisionOptions struct {
-	// BudgetFloor is the budget threshold that triggers building the next
-	// generation (minimum 1), in the units ShardStatus.Budget reports:
-	// remaining preprocessed correlations as stamped by the store (one
-	// flush of an N-row geometry consumes one tape's worth). Size it to
-	// several flushes' demand, so the swap lands before the lane runs dry.
-	BudgetFloor int
-	// Poll is how often shard budgets are checked (default 50ms).
-	Poll time.Duration
 }
 
 // ShardStatus is one shard lane's routing and scheduling snapshot — the
@@ -116,11 +97,6 @@ type Router struct {
 	opts RouterOptions
 	disp *sched.Dispatcher
 	dial func(desc ShardDesc) (transport.Conn, error)
-
-	// Background re-provisioner lifecycle (nil/zero when disabled).
-	stopProv chan struct{}
-	provWG   sync.WaitGroup
-	stopOnce sync.Once
 }
 
 // NewRouter connects and sets up every registered shard: per (model,
@@ -180,7 +156,7 @@ func NewRouter(reg *Registry, opts RouterOptions) (*Router, error) {
 			wg.Add(1)
 			go func(spec *ModelSpec, lanes []sched.FlushSession, i int) {
 				defer wg.Done()
-				sess, err := rt.connectShard(spec, spec.Shards[i], 0, false)
+				sess, err := rt.connectShard(spec, spec.Shards[i], 0)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -214,44 +190,33 @@ func NewRouter(reg *Registry, opts RouterOptions) (*Router, error) {
 	if opts.Lifecycle != nil {
 		rt.disp.EnableLifecycle(rt.reviveShard, *opts.Lifecycle)
 	}
-	if opts.Reprovision != nil {
-		rt.stopProv = make(chan struct{})
-		rt.provWG.Add(1)
-		go rt.reprovisionLoop(*opts.Reprovision)
-	}
 	return rt, nil
 }
 
 // connectShard establishes one shard's serving stack at a lifecycle
 // generation: dial, hello handshake, session setup, store provider, and
-// the flush-schedule wrapper the dispatcher drives. handoff marks the
-// hello as a planned generation swap, which the vendor accepts while the
-// previous link still serves (a revival hello would be rejected until
-// the vendor notices the torn pair).
-func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int, handoff bool) (sched.FlushSession, error) {
+// the flush-schedule wrapper the dispatcher drives.
+func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int) (sched.FlushSession, error) {
 	conn, err := rt.dial(desc)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: dial model %q shard %d: %w", desc.Model, desc.Shard, err)
 	}
 	// Wire accounting wraps the link before anything is sent on it, so
 	// the counters see every frame of the shard's protocol — hello and
-	// weight sharing included. Handoff/revival generations of one lane
-	// share the lane's series: the lane's traffic is one time series
+	// weight sharing included. All generations of one lane share the
+	// lane's series: the lane's traffic is one time series
 	// regardless of which generation carried it.
 	if rt.opts.Obs != nil {
 		conn = obs.InstrumentConn(conn, rt.opts.Obs,
 			"model", desc.Model, "shard", strconv.Itoa(desc.Shard))
 	}
-	// Hello handshake: name the (model, shard) — and, for revivals and
-	// handoffs, the generation — this link serves, then wait for the
-	// vendor's acceptance before the expensive weight sharing. A non-empty
-	// reply is the vendor's rejection reason.
+	// Hello handshake: name the (model, shard) — and, past generation 0,
+	// the generation — this link serves, then wait for the vendor's
+	// acceptance before the expensive weight sharing. A non-empty reply
+	// is the vendor's rejection reason.
 	hello := []int{desc.Shard}
 	if gen > 0 {
 		hello = append(hello, gen)
-	}
-	if handoff {
-		hello = append(hello, 1)
 	}
 	if err := conn.SendModelShape(desc.Model, hello); err != nil {
 		conn.Close()
@@ -264,17 +229,9 @@ func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int, handoff
 	}
 	if len(ack) > 0 {
 		conn.Close()
-		// A retry-tagged rejection (the prior generation's link is still
-		// live — the vendor has not yet noticed the torn pair, perhaps
-		// deep in a compute between conn ops) is not a failing endpoint:
-		// tell the lifecycle to back off without a strike instead of
-		// marching a healthy shard toward quarantine.
-		if gen > 0 && strings.HasPrefix(string(ack), RetryableAckPrefix) {
-			return nil, fmt.Errorf("gateway: vendor rejected model %q shard %d: %s: %w", desc.Model, desc.Shard, ack, sched.ErrReviveLater)
-		}
 		return nil, fmt.Errorf("gateway: vendor rejected model %q shard %d: %s", desc.Model, desc.Shard, ack)
 	}
-	// Revived generations mirror the vendor's derivation: fresh dealer
+	// Later generations mirror the vendor's derivation: fresh dealer
 	// stream, and a fresh per-generation store pair when a provisioning
 	// policy exists (the live dealer otherwise).
 	seed := ReviveSeed(desc.Seed, gen)
@@ -314,7 +271,8 @@ func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int, handoff
 	return sched.NewSerializedSession(sess, conn), nil
 }
 
-// reviveShard is the lifecycle's ReviveFunc: re-provision the shard's
+// reviveShard is the lifecycle's ReviveFunc, the one builder of every
+// generation past 0 — revival or rollover: re-provision the shard's
 // store pair for the new generation (when a provisioning policy exists)
 // and re-dial the pair at that generation.
 func (rt *Router) reviveShard(model string, shard, gen int) (sched.FlushSession, error) {
@@ -331,87 +289,7 @@ func (rt *Router) reviveShard(model string, shard, gen int) (sched.FlushSession,
 			return nil, err
 		}
 	}
-	return rt.connectShard(spec, desc, gen, false)
-}
-
-// reprovisionLoop is the background store re-provisioner: it polls shard
-// budgets and, when a healthy store-backed lane's remaining flushes drop
-// below the floor, builds the next generation — fresh store pair, fresh
-// dealer stream, fresh session via a handoff hello the vendor accepts
-// while the old link still serves — and swaps the lane onto it in-order
-// through the dispatch queue. Queries keep flowing the whole time; the
-// only lane downtime is the swap marker's turn in the queue.
-func (rt *Router) reprovisionLoop(opts ReprovisionOptions) {
-	defer rt.provWG.Done()
-	poll := opts.Poll
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	floor := opts.BudgetFloor
-	if floor < 1 {
-		floor = 1
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	// swapped remembers the newest generation this loop already built per
-	// lane, so one slow budget drain doesn't trigger a second build while
-	// the first swap still rides the queue.
-	swapped := map[string]int{}
-	for {
-		select {
-		case <-rt.stopProv:
-			return
-		case <-ticker.C:
-		}
-		for _, st := range rt.disp.Status() {
-			if st.Down != "" || st.Quarantined || st.Budget < 0 || st.Budget >= floor {
-				continue
-			}
-			key := fmt.Sprintf("%s/%d", st.Model, st.Shard)
-			if swapped[key] > st.Gen {
-				continue // next generation already built and queued
-			}
-			// One budget-low event per triggering generation: the swapped
-			// guard above already dedups the build, so reaching this point
-			// is exactly the once-per-drain decision worth recording.
-			rt.opts.Obs.Event("budget-low", st.Model, st.Shard,
-				"budget %d below floor %d; building next generation", st.Budget, floor)
-			gen, err := rt.disp.NextGen(st.Model, st.Shard)
-			if err != nil {
-				continue
-			}
-			sess, err := rt.handoffSession(st.Model, st.Shard, gen)
-			if err != nil {
-				continue // retried next tick; the burned gen stays burned
-			}
-			if err := rt.disp.SwapSession(st.Model, st.Shard, gen, sess); err != nil {
-				sess.Kill()
-				continue
-			}
-			swapped[key] = gen
-		}
-	}
-}
-
-// handoffSession builds one shard's next-generation serving stack while
-// the previous generation still serves: re-provision the generation's
-// store pair (when a provisioning policy exists) and connect with a
-// handoff hello.
-func (rt *Router) handoffSession(model string, shard, gen int) (sched.FlushSession, error) {
-	spec, err := rt.reg.Lookup(model)
-	if err != nil {
-		return nil, err
-	}
-	if shard < 0 || shard >= len(spec.Shards) {
-		return nil, fmt.Errorf("gateway: model %q has no shard %d to re-provision", model, shard)
-	}
-	desc := spec.Shards[shard]
-	if desc.StoreDir != "" && rt.reg.Provision() != nil {
-		if _, err := ReprovisionShardStore(rt.reg, model, shard, gen); err != nil {
-			return nil, err
-		}
-	}
-	return rt.connectShard(spec, desc, gen, true)
+	return rt.connectShard(spec, desc, gen)
 }
 
 // shardPrivSeed derives a party's private randomness seed for one shard
@@ -467,18 +345,13 @@ func (rt *Router) HarvestLUT(hw hwmodel.Config, source string) (*hwmodel.LUT, er
 	return rt.opts.Obs.OpFeed().HarvestLUT(hw, source)
 }
 
-// Close shuts the router down gracefully: the background re-provisioner
-// (if any) stops first, then new submissions are rejected with a
-// descriptive error, everything already queued drains through final
-// flushes, each healthy pair gets the end-of-session sentinel, and the
-// links close. The first close failure on a healthy pair is returned —
+// Close shuts the router down gracefully: new submissions are rejected
+// with a descriptive error, lifecycle generation changes stop, everything
+// already queued drains through final flushes, each healthy pair gets the
+// end-of-session sentinel, and the links close. The first close failure on a healthy pair is returned —
 // a shutdown that could not close cleanly should be visible, not
 // swallowed. Idempotent, and safe to race with submissions.
 func (rt *Router) Close() error {
-	if rt.stopProv != nil {
-		rt.stopOnce.Do(func() { close(rt.stopProv) })
-		rt.provWG.Wait()
-	}
 	return rt.disp.Close()
 }
 

@@ -271,68 +271,75 @@ func TestShardLifecycleRevival(t *testing.T) {
 	}
 }
 
-// TestShardClaimLifecycle pins the claim rules the revival path rests
-// on: a live link blocks every further claim (any generation), a dead
-// link's generation stays burned forever, and only a strictly newer
-// generation may claim a dead pair.
+// TestShardClaimLifecycle pins the one claim rule every generation
+// change rests on: each generation of a (model, shard) is claimed at most
+// once, and only if strictly newer than every earlier claim — so no
+// one-time correlation stream ever runs twice — while a newer generation
+// supersedes whatever link still serves the pair.
 func TestShardClaimLifecycle(t *testing.T) {
 	m, input := testModel("m", 2, 8, 3, 101)
 	reg := NewRegistry()
 	if err := reg.Register(&ModelSpec{ID: "m", Model: m, Input: input, Shards: Shards("m", 1, 7, "")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.claimShard("m", 0, 0, false); err != nil {
-		t.Fatalf("first claim: %v", err)
+	// One registry, claims in order: each row sees every earlier claim.
+	for _, c := range []struct {
+		what   string
+		gen    int
+		reject bool
+	}{
+		{"gen 0, the original dial", 0, false},
+		{"gen 0 again", 0, true},
+		{"gen 1 while gen 0 still serves", 1, false},
+		{"gen 1 again", 1, true},
+		{"gen 0 after gen 1", 0, true},
+		{"gen 3, skipping a burned gen 2", 3, false},
+		{"gen 2 after gen 3", 2, true},
+		{"gen 4", 4, false},
+	} {
+		err := reg.claimShard("m", 0, c.gen)
+		if !c.reject && err != nil {
+			t.Fatalf("%s must be claimable: %v", c.what, err)
+		}
+		if c.reject && (err == nil || !strings.Contains(err.Error(), "strictly newer")) {
+			t.Fatalf("%s must be rejected as not strictly newer, got: %v", c.what, err)
+		}
 	}
-	// While the gen-0 link is live, even a higher-generation hello is a
-	// second pair on the shard — rejected.
-	if err := reg.claimShard("m", 0, 1, false); err == nil || !strings.Contains(err.Error(), "live link") {
-		t.Fatalf("claim over a live link must be rejected, got: %v", err)
-	}
-	reg.releaseShard("m", 0, 0)
-	// Dead pair: the burned generation stays rejected, a newer one is
-	// accepted.
-	if err := reg.claimShard("m", 0, 0, false); err == nil || !strings.Contains(err.Error(), "already served") {
-		t.Fatalf("re-claim of a burned generation must be rejected, got: %v", err)
-	}
-	if err := reg.claimShard("m", 0, 1, false); err != nil {
-		t.Fatalf("revival claim at the next generation: %v", err)
-	}
-	if err := reg.claimShard("m", 0, 2, false); err == nil || !strings.Contains(err.Error(), "live link") {
-		t.Fatalf("gen-1 link is live; gen-2 claim must be rejected, got: %v", err)
-	}
-	// A handoff claim supersedes the live link — but only at a strictly
-	// newer generation, so a replayed handoff hello can never re-run one.
-	if err := reg.claimShard("m", 0, 1, true); err == nil || !strings.Contains(err.Error(), "strictly newer") {
-		t.Fatalf("handoff at the live generation must be rejected, got: %v", err)
-	}
-	if err := reg.claimShard("m", 0, 2, true); err != nil {
-		t.Fatalf("handoff claim at the next generation: %v", err)
-	}
-	// The superseded gen-1 link's release must not mark gen 2 dead.
-	reg.releaseShard("m", 0, 1)
-	if err := reg.claimShard("m", 0, 3, false); err == nil || !strings.Contains(err.Error(), "live link") {
-		t.Fatalf("gen-2 handoff link is live; a revival claim must be rejected, got: %v", err)
-	}
+}
 
-	// Over the wire, the still-live rejection carries the explicit retry
-	// token, so the dialing lifecycle backs off without a strike instead
-	// of quarantining a vendor that is slow to notice its dead link.
+// TestHelloRejectsThirdElement pins the hello wire format: [shard] or
+// [shard, gen] only. A longer hello is refused with a descriptive ack
+// before any weight sharing, and claims nothing.
+func TestHelloRejectsThirdElement(t *testing.T) {
+	m, input := testModel("m", 2, 8, 3, 101)
+	reg := NewRegistry()
+	if err := reg.Register(&ModelSpec{ID: "m", Model: m, Input: input, Shards: Shards("m", 1, 7, "")}); err != nil {
+		t.Fatal(err)
+	}
 	c0, c1 := transport.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- ServeShardConn(c0, reg) }()
-	if err := c1.SendModelShape("m", []int{0, 2}); err != nil {
+	if err := c1.SendModelShape("m", []int{0, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	ack, err := c1.RecvBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(ack), RetryableAckPrefix) {
-		t.Fatalf("still-live rejection ack %q must carry the retry token %q", ack, RetryableAckPrefix)
+	if !strings.Contains(string(ack), "[shard] or [shard, generation]") {
+		t.Fatalf("3-element hello ack %q must name the accepted formats", ack)
+	}
+	// The vendor ended the link after its ack: no weight sharing follows.
+	if _, err := c1.RecvUint64s(); err == nil {
+		t.Fatal("a rejected hello must not be followed by session setup")
 	}
 	c1.Close()
-	<-done
+	if err := <-done; err == nil {
+		t.Fatal("a rejected hello must error vendor-side")
+	}
+	if err := reg.claimShard("m", 0, 1); err != nil {
+		t.Fatalf("a rejected hello must claim nothing: %v", err)
+	}
 }
 
 // TestRouterSubmitVsCloseRace pins graceful shutdown under fire: with

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -26,18 +25,17 @@ import (
 // a non-empty ack carries the rejection reason (unknown model, bad shard
 // index, stale generation) so the router fails fast with a descriptive
 // error instead of hanging in setup. A hello of [shard] serves the
-// original pair; [shard, gen] with gen > 0 is a lifecycle revival — the
-// pair runs a fresh dealer stream (ReviveSeed) and, when the registry
-// records a provisioning policy, a freshly re-provisioned store pair in
-// the generation's own directory (otherwise the revived pair serves from
-// the live dealer; the registered store would replay a stream the dead
-// pair already partly consumed). A hello of [shard, gen, 1] is a planned
-// handoff — the gateway's background re-provisioner building the next
-// generation while the previous link still serves — so the claim may
-// supersede a live link, provided the generation is strictly newer.
+// original pair; [shard, gen] with gen > 0 is a later lifecycle
+// generation — a revival of a dead pair or a rollover of a live one. It
+// runs a fresh dealer stream (ReviveSeed) and, when the registry records
+// a provisioning policy, a freshly re-provisioned store pair in the
+// generation's own directory (otherwise the pair serves from the live
+// dealer; the registered store would replay a stream an earlier
+// generation already partly consumed). Each generation is claimed at
+// most once, and only if newer than every earlier claim.
 func ServeShardConn(conn transport.Conn, reg *Registry) error {
 	// The link is owned here on every path — rejected hellos included —
-	// so a lifecycle vendor accepting revival dials for months never
+	// so a lifecycle vendor accepting new generations for months never
 	// accumulates dead descriptors.
 	defer conn.Close()
 	model, hello, err := conn.RecvModelShape()
@@ -49,13 +47,13 @@ func ServeShardConn(conn transport.Conn, reg *Registry) error {
 		_ = conn.SendBytes([]byte(err.Error()))
 		return err
 	}
-	if len(hello) < 1 || len(hello) > 3 || hello[0] < 0 || hello[0] >= len(spec.Shards) {
-		err := fmt.Errorf("gateway: model %q has no shard %v (have %d)", model, hello, len(spec.Shards))
+	if len(hello) < 1 || len(hello) > 2 || hello[0] < 0 || hello[0] >= len(spec.Shards) {
+		err := fmt.Errorf("gateway: model %q hello %v must be [shard] or [shard, generation] naming one of its %d shard(s)", model, hello, len(spec.Shards))
 		_ = conn.SendBytes([]byte(err.Error()))
 		return err
 	}
 	gen := 0
-	if len(hello) >= 2 {
+	if len(hello) == 2 {
 		gen = hello[1]
 	}
 	if gen < 0 {
@@ -63,29 +61,10 @@ func ServeShardConn(conn transport.Conn, reg *Registry) error {
 		_ = conn.SendBytes([]byte(err.Error()))
 		return err
 	}
-	handoff := false
-	if len(hello) == 3 {
-		if hello[2] != 0 && hello[2] != 1 {
-			err := fmt.Errorf("gateway: model %q shard %d hello carries bad handoff flag %d (want 0 or 1)", model, hello[0], hello[2])
-			_ = conn.SendBytes([]byte(err.Error()))
-			return err
-		}
-		handoff = hello[2] == 1
-	}
-	if err := reg.claimShard(model, hello[0], gen, handoff); err != nil {
-		// A still-live prior link is the one rejection the dialer should
-		// retry (the vendor just hasn't noticed the torn pair yet); the
-		// ack carries the explicit retry token, not error prose.
-		msg := err.Error()
-		if errors.Is(err, errPairStillLive) {
-			msg = RetryableAckPrefix + msg
-		}
-		_ = conn.SendBytes([]byte(msg))
+	if err := reg.claimShard(model, hello[0], gen); err != nil {
+		_ = conn.SendBytes([]byte(err.Error()))
 		return err
 	}
-	// The claim's liveness ends with this link, so a lifecycle revival
-	// can claim the next generation — but only once this pair is gone.
-	defer reg.releaseShard(model, hello[0], gen)
 	desc := spec.Shards[hello[0]]
 	storeDir := desc.StoreDir
 	if gen > 0 && storeDir != "" {
@@ -182,8 +161,8 @@ func ServeShards(l net.Listener, reg *Registry, n int) error {
 
 // ServeShardsLoop accepts and serves shard links until the listener is
 // closed — the vendor shape for lifecycle deployments, where a gateway
-// re-dials revived shards at arbitrary times so no fixed link count
-// exists. Per-link errors are reported through onLinkErr (nil: dropped)
+// dials later shard generations at arbitrary times so no fixed link
+// count exists. Per-link errors are reported through onLinkErr (nil: dropped)
 // rather than failing the loop: under a lifecycle, a link dying is the
 // normal prelude to its revival, not a deployment failure — unlike the
 // fixed-count ServeShards, where a dead link genuinely is one.

@@ -185,9 +185,9 @@ type builder struct {
 	// backbone topology decisions (projection shortcuts, expansion ratios)
 	// always consult it so the architecture never depends on the scale the
 	// op list happens to be recorded at.
-	fullC int
-	nextSlot    int
-	nameSeq     int
+	fullC    int
+	nextSlot int
+	nameSeq  int
 }
 
 func newBuilder(cfg Config) *builder {

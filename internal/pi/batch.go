@@ -421,8 +421,8 @@ func (s *Session) confirmSource(ss *sourceStamp, shape []int) error {
 	// announceSource may have just stamped this party's store for a
 	// geometry the flush then abandoned, and letting that stale value
 	// stand would have RemainingBudget consumers (-budget-warn, the
-	// reprovision watcher's floor check) trust a store the session is no
-	// longer drawing from.
+	// lifecycle's rollover floor) trust a store the session is no longer
+	// drawing from.
 	if mine[0] == 2 || (len(theirs) == 3 && theirs[0] == 2) {
 		s.party.Source = s.party.Dealer
 		s.budget.Store(-1)

@@ -90,79 +90,3 @@ func TestQueueTargetSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSwapSessionGraceful pins the generation-handoff mechanism the
-// background re-provisioner drives: SwapSession rides the lane queue, so
-// queries already enqueued flush on the old session, later ones on the
-// new, the old session gets a graceful Close (the end-of-session
-// sentinel, not a Kill), and the lane's generation and handoff counter
-// advance.
-func TestSwapSessionGraceful(t *testing.T) {
-	d := NewDispatcher(Options{Batch: 1})
-	oldSess := newFakeSession(0, -1)
-	addLanes(t, d, "m", oldSess)
-	for q := 0; q < 3; q++ {
-		if _, err := d.Submit("m", query(1)); err != nil {
-			t.Fatalf("pre-swap query %d: %v", q, err)
-		}
-	}
-	gen, err := d.NextGen("m", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen < 1 {
-		t.Fatalf("next generation must be >= 1, got %d", gen)
-	}
-	newSess := newFakeSession(0, -1)
-	if err := d.SwapSession("m", 0, gen, newSess); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "old session closed by the swap", func() bool { return oldSess.closed.Load() })
-	if oldSess.killed.Load() {
-		t.Fatal("a graceful handoff must Close the old session, not Kill it")
-	}
-	pre := oldSess.flushes.Load()
-	for q := 0; q < 3; q++ {
-		if _, err := d.Submit("m", query(1)); err != nil {
-			t.Fatalf("post-swap query %d: %v", q, err)
-		}
-	}
-	if oldSess.flushes.Load() != pre {
-		t.Fatal("post-swap queries must not touch the old session")
-	}
-	if got := newSess.flushes.Load(); got != 3 {
-		t.Fatalf("new session served %d flushes, want 3", got)
-	}
-	st := d.Status()
-	if st[0].Gen != gen || st[0].Reprovisioned != 1 {
-		t.Fatalf("status gen=%d reprovisioned=%d, want %d/1", st[0].Gen, st[0].Reprovisioned, gen)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSwapSessionOntoDeadLane pins the swap × death race: a swap whose
-// lane died before the marker is handled must kill the replacement (its
-// pair would otherwise leak) instead of resurrecting a lane the
-// lifecycle owns.
-func TestSwapSessionOntoDeadLane(t *testing.T) {
-	d := NewDispatcher(Options{Batch: 1})
-	addLanes(t, d, "m", newFakeSession(0, 0)) // fails its first flush
-	if _, err := d.Submit("m", query(1)); err == nil {
-		t.Fatal("the only lane failing must surface an error")
-	}
-	waitFor(t, "lane marked down", func() bool { return d.Status()[0].Down != "" })
-	replacement := newFakeSession(0, -1)
-	gen, err := d.NextGen("m", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SwapSession("m", 0, gen, replacement); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "replacement killed", func() bool { return replacement.killed.Load() })
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -73,15 +73,15 @@ type Options struct {
 	// Obs, when set, exports every lane's scheduling counters, queue-depth
 	// gauges and pooled-EWMA gauges through the registry and records
 	// lifecycle events (shed, failover, deadline, revival, quarantine,
-	// reprovision-swap) on its event ring. Nil keeps the same bookkeeping
-	// on unregistered metric objects — Status works either way.
+	// budget-low, reprovision-swap) on its event ring. Nil keeps the same
+	// bookkeeping on unregistered metric objects — Status works either way.
 	Obs *obs.Registry
 }
 
 // item is one routed query: the tensor, its row weight for scoring, and
-// the reply slot its submitter waits on. An item with swap set is not a
-// query at all but a generation-handoff marker riding the lane queue (see
-// SwapSession); it carries no tensor and holds no counters.
+// the reply slot its submitter waits on. An item with install set is not
+// a query at all but a generation-change marker riding the lane queue
+// (see Lifecycle); it carries no tensor and holds no counters.
 type item struct {
 	model    string
 	x        *tensor.Tensor
@@ -90,14 +90,16 @@ type item struct {
 	reply    chan itemResult
 	// g, when non-nil, holds the model group whose quota this item
 	// occupies until delivery.
-	g    *group
-	swap *swapReq
+	g       *group
+	install *install
 }
 
-// swapReq asks a lane to install a re-provisioned session between flushes.
-type swapReq struct {
-	sess FlushSession
-	gen  int
+// install asks a lane to serve a freshly built generation between
+// flushes: a revival of the dead lane, or a rollover of the live one.
+type install struct {
+	sess     FlushSession
+	gen      int
+	rollover bool
 }
 
 type itemResult struct {
@@ -154,15 +156,16 @@ type worker struct {
 	down        error
 	quarantined bool
 	gen         int // generation currently serving (0: the original dial)
-	genTried    int // highest generation any revival attempt has claimed
+	genTried    int // highest generation any build attempt has claimed
 	strikes     int
 	revivedAt   time.Time
 	revived     int
-	swaps       int // graceful generation handoffs installed (SwapSession)
+	rolledOver  int  // budget rollovers installed
+	rolling     bool // a budget rollover is building or queued
 
-	// pendingSwap stashes a swap marker gather() pulled mid-batch until
-	// the flush it interrupted has begun. Worker-goroutine only.
-	pendingSwap *swapReq
+	// pendingInstall stashes an install marker gather() pulled mid-batch
+	// until the flush it interrupted has begun. Worker-goroutine only.
+	pendingInstall *install
 
 	comp sync.WaitGroup // outstanding flush-completion goroutines
 	done chan struct{}  // worker loop exited (dispatcher Close)
@@ -262,19 +265,19 @@ type ShardStatus struct {
 	// instead of wedging the lane's worker.
 	Deadlined int64 `json:"deadlined"`
 	// Budget is the shard's remaining preprocessed-correlation count from
-	// the latest source-stamp round (-1: live dealer / unknown).
+	// the latest source-stamp round (-1: live dealer, or a generation that
+	// has not flushed yet).
 	Budget int `json:"budget"`
 	// Fallbacks counts flushes degraded to the live dealer.
 	Fallbacks int `json:"fallbacks"`
 	// Gen is the pair's lifecycle generation (0: the original dial; n>0:
-	// revived or gracefully handed off n times with fresh streams and
-	// stores).
+	// the n-th generation with a fresh stream and fresh stores, reached by
+	// revival or budget rollover).
 	Gen int `json:"gen"`
 	// Revived counts successful revivals.
 	Revived int `json:"revived"`
-	// Reprovisioned counts graceful generation handoffs: background
-	// re-provisioning swapped in a fresh store generation without the
-	// lane ever going down.
+	// Reprovisioned counts budget rollovers: a fresh store generation
+	// swapped in without the lane ever going down.
 	Reprovisioned int `json:"reprovisioned"`
 	// Quarantined marks a pair the lifecycle gave up on (kept dying).
 	Quarantined bool `json:"quarantined"`
@@ -384,10 +387,11 @@ func (d *Dispatcher) AddShard(model string, shard int, sess FlushSession) error 
 	return nil
 }
 
-// EnableLifecycle attaches a revival lifecycle: dead lanes are re-dialed
-// and re-provisioned through revive with exponential backoff instead of
-// staying retired, and pairs that keep dying are quarantined. Call before
-// traffic flows.
+// EnableLifecycle attaches a generation lifecycle: dead lanes are
+// re-dialed and re-provisioned through revive with exponential backoff
+// instead of staying retired, pairs that keep dying are quarantined, and
+// with a BudgetFloor live lanes roll over before their stores run dry.
+// Call before traffic flows.
 func (d *Dispatcher) EnableLifecycle(revive ReviveFunc, opts LifecycleOptions) *Lifecycle {
 	d.lc = newLifecycle(d, revive, opts)
 	return d.lc
@@ -546,13 +550,19 @@ func (d *Dispatcher) tryEnqueue(w *worker, it *item) (ok bool, err error) {
 	d.sends.Add(1)
 	d.mu.RUnlock()
 	defer d.sends.Done()
+	// Count before the send, as enqueue does: once the item is on the
+	// queue the lane's worker may dequeue and serve it before this
+	// goroutine runs again.
+	w.queries.Add(1)
+	w.queuedQueries.Add(1)
+	w.queuedRows.Add(it.rows)
 	select {
 	case w.queue <- it:
-		w.queries.Add(1)
-		w.queuedQueries.Add(1)
-		w.queuedRows.Add(it.rows)
 		return true, nil
 	default:
+		w.queries.Add(-1)
+		w.queuedQueries.Add(-1)
+		w.queuedRows.Add(-it.rows)
 		return false, nil
 	}
 }
@@ -610,63 +620,6 @@ func (d *Dispatcher) Status() []ShardStatus {
 		}
 	}
 	return out
-}
-
-// findWorker resolves one lane.
-func (d *Dispatcher) findWorker(model string, shard int) *worker {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	g, ok := d.groups[model]
-	if !ok {
-		return nil
-	}
-	for _, w := range g.workers {
-		if w.shard == shard {
-			return w
-		}
-	}
-	return nil
-}
-
-// NextGen reserves and returns the lane's next never-attempted lifecycle
-// generation. Graceful re-provisioning and crash revival share one
-// monotonic numbering per lane, so a background handoff and a concurrent
-// revival can never both claim the same generation from the vendor.
-func (d *Dispatcher) NextGen(model string, shard int) (int, error) {
-	w := d.findWorker(model, shard)
-	if w == nil {
-		return 0, fmt.Errorf("sched: model %q shard %d has no dispatch lane", model, shard)
-	}
-	return w.nextGen(), nil
-}
-
-// SwapSession installs a re-provisioned session on a serving lane without
-// dropping queries: the swap rides the lane queue like a query, so it
-// lands between flushes — everything enqueued before it completes on the
-// old session, everything after runs on the new one, and the old session
-// is closed gracefully (its end-of-session sentinel releases the vendor's
-// claim). It is the mechanism behind gateway background re-provisioning:
-// store exhaustion becomes a generation handoff instead of a pair death.
-// SwapSession returns once the swap is enqueued; a lane that dies before
-// the marker drains belongs to the lifecycle, and the replacement is
-// killed when the marker is handled.
-func (d *Dispatcher) SwapSession(model string, shard, gen int, sess FlushSession) error {
-	w := d.findWorker(model, shard)
-	if w == nil {
-		sess.Kill()
-		return fmt.Errorf("sched: model %q shard %d has no dispatch lane", model, shard)
-	}
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
-		sess.Kill()
-		return ErrDispatcherClosed
-	}
-	d.sends.Add(1)
-	d.mu.RUnlock()
-	defer d.sends.Done()
-	w.queue <- &item{swap: &swapReq{sess: sess, gen: gen}}
-	return nil
 }
 
 // Close rejects new submissions, drains every lane's queued work through
@@ -749,7 +702,7 @@ func (w *worker) status() ShardStatus {
 		Shard:         w.shard,
 		Gen:           w.gen,
 		Revived:       w.revived,
-		Reprovisioned: w.swaps,
+		Reprovisioned: w.rolledOver,
 		Quarantined:   w.quarantined,
 	}
 	if w.down != nil {
@@ -789,11 +742,11 @@ func (w *worker) run() {
 		if !ok {
 			break
 		}
-		// Swap markers hold no queue counters and are handled before any
-		// decrement; they act between flushes by construction (the worker
-		// goroutine is the only flush starter).
-		if it.swap != nil {
-			w.handleSwap(it.swap)
+		// Install markers hold no queue counters and are handled before
+		// any decrement; they act between flushes by construction (the
+		// worker goroutine is the only flush starter).
+		if it.install != nil {
+			w.handleInstall(it.install)
 			continue
 		}
 		w.queuedQueries.Add(-1)
@@ -805,9 +758,9 @@ func (w *worker) run() {
 		w.inflightRows.Add(it.rows)
 		items := w.gather(it)
 		w.flush(items)
-		if ps := w.pendingSwap; ps != nil {
-			w.pendingSwap = nil
-			w.handleSwap(ps)
+		if in := w.pendingInstall; in != nil {
+			w.pendingInstall = nil
+			w.handleInstall(in)
 		}
 	}
 	w.comp.Wait()
@@ -847,11 +800,11 @@ func (w *worker) gather(first *item) []*item {
 		if !ok {
 			return items
 		}
-		// A swap marker ends the batch: the handoff happens right after
-		// the flush it trails, never splitting a gathered batch across
-		// two sessions.
-		if it.swap != nil {
-			w.pendingSwap = it.swap
+		// An install marker ends the batch: the generation change happens
+		// right after the flush it trails, never splitting a gathered
+		// batch across two sessions.
+		if it.install != nil {
+			w.pendingInstall = it.install
 			return items
 		}
 		w.queuedQueries.Add(-1)
@@ -907,6 +860,9 @@ func (w *worker) flush(items []*item) {
 			return
 		}
 		w.observe(time.Since(start), rows)
+		if lc := w.d.lc; lc != nil {
+			lc.rollover(w, sess)
+		}
 		per, err := pi.SplitLogits(out, counts)
 		if err != nil {
 			for _, it := range items {
@@ -998,33 +954,43 @@ func (w *worker) fail(err error, from FlushSession) {
 	}
 }
 
-// handleSwap installs a re-provisioned session between flushes (worker
-// goroutine only; see SwapSession). The old session's graceful Close
-// waits out its in-flight pipelined receive and sends the end-of-session
-// sentinel, releasing the vendor's claim on the old generation; its
-// close error is irrelevant — the old pair is retired either way.
-func (w *worker) handleSwap(req *swapReq) {
+// handleInstall puts a freshly built generation into service between
+// flushes (worker goroutine only; see Lifecycle). A revival brings the
+// dead lane back up. A rollover retires the old session gracefully — its
+// Close waits out an in-flight pipelined receive and sends the
+// end-of-session sentinel; the close error is irrelevant, the old pair is
+// retired either way — unless the lane died (or was quarantined) while
+// the rollover was built: revival owns the lane then, and the rollover's
+// session is killed. An install older than the serving generation (a
+// slow rollover overtaken by a revival) is killed too.
+func (w *worker) handleInstall(in *install) {
 	w.mu.Lock()
-	if w.down != nil || w.quarantined {
-		// The lane died before the marker drained: revival owns it now,
-		// and installing the swap would race the lifecycle's resurrect.
+	if in.rollover {
+		w.rolling = false
+	}
+	if in.gen <= w.gen || (in.rollover && w.down != nil) {
 		w.mu.Unlock()
-		req.sess.Kill()
+		in.sess.Kill()
 		return
 	}
 	old := w.sess
-	w.sess = req.sess
-	w.gen = req.gen
-	w.swaps++
-	w.mu.Unlock()
-	w.d.opts.Obs.Event("reprovision-swap", w.model, w.shard, "generation %d installed between flushes", req.gen)
-	if old != nil {
-		_ = old.Close()
+	w.sess, w.gen = in.sess, in.gen
+	if !in.rollover {
+		w.down = nil
+		w.revived++
+		w.revivedAt = time.Now()
+		w.mu.Unlock()
+		w.d.opts.Obs.Event("revival", w.model, w.shard, "revived as generation %d", in.gen)
+		return
 	}
+	w.rolledOver++
+	w.mu.Unlock()
+	w.d.opts.Obs.Event("reprovision-swap", w.model, w.shard, "generation %d installed between flushes", in.gen)
+	_ = old.Close()
 }
 
 // nextGen hands out the next never-attempted generation number
-// (monotonic across failed attempts — see Lifecycle.revival).
+// (monotonic across failed attempts — see Lifecycle.build).
 func (w *worker) nextGen() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1032,16 +998,12 @@ func (w *worker) nextGen() int {
 	return w.genTried
 }
 
-// resurrect installs a revived session on the lane.
-func (w *worker) resurrect(sess FlushSession, gen int) {
+// endRollover clears the in-flight rollover mark of a build that
+// produced no install marker.
+func (w *worker) endRollover() {
 	w.mu.Lock()
-	w.sess = sess
-	w.down = nil
-	w.gen = gen
-	w.revived++
-	w.revivedAt = time.Now()
+	w.rolling = false
 	w.mu.Unlock()
-	w.d.opts.Obs.Event("revival", w.model, w.shard, "revived as generation %d", gen)
 }
 
 // strike counts a failed revival attempt; enough strikes quarantine the

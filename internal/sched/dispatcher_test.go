@@ -14,8 +14,9 @@ import (
 
 // fakeSession is a controllable FlushSession: it "evaluates" a flush by
 // sleeping perRow per batch row and returns one logit per row, fails
-// flushes on command, and records what it served. It lets the dispatcher
-// and lifecycle be tested without standing up 2PC pairs.
+// flushes on command, reports a settable remaining budget (42 unless a
+// test stores another), and records what it served. It lets the
+// dispatcher and lifecycle be tested without standing up 2PC pairs.
 type fakeSession struct {
 	perRow time.Duration
 	// failAfter: fail every flush once this many have succeeded (-1:
@@ -26,6 +27,7 @@ type fakeSession struct {
 	rows    atomic.Int64
 	killed  atomic.Bool
 	closed  atomic.Bool
+	budget  atomic.Int64
 
 	// packed records every flush's layout: each row's first element.
 	mu     sync.Mutex
@@ -33,7 +35,9 @@ type fakeSession struct {
 }
 
 func newFakeSession(perRow time.Duration, failAfter int32) *fakeSession {
-	return &fakeSession{perRow: perRow, failAfter: failAfter}
+	f := &fakeSession{perRow: perRow, failAfter: failAfter}
+	f.budget.Store(42)
+	return f
 }
 
 func (f *fakeSession) BeginFlush(batch *tensor.Tensor) (func() ([]float64, error), error) {
@@ -60,7 +64,7 @@ func (f *fakeSession) BeginFlush(batch *tensor.Tensor) (func() ([]float64, error
 	return func() ([]float64, error) { return logits, nil }, nil
 }
 
-func (f *fakeSession) RemainingBudget() int { return 42 }
+func (f *fakeSession) RemainingBudget() int { return int(f.budget.Load()) }
 func (f *fakeSession) Fallbacks() int       { return 0 }
 func (f *fakeSession) Close() error         { f.closed.Store(true); return nil }
 func (f *fakeSession) Kill()                { f.killed.Store(true) }

@@ -4,9 +4,10 @@
 // flush latency instead of blind round-robin; a PipelinedSession overlaps
 // one flush's output reconstruction with the next flush's input sharing on
 // the same session pair (double-buffered, bit-identical to the serialized
-// schedule); and a Lifecycle re-dials and re-provisions dead shard pairs
-// with backoff instead of retiring them for the deployment's lifetime,
-// quarantining pairs that keep dying.
+// schedule); and a Lifecycle moves a shard pair to a fresh generation —
+// re-dialing dead pairs with backoff instead of retiring them for the
+// deployment's lifetime (quarantining pairs that keep dying), and rolling
+// live pairs over before their preprocessed stores run dry.
 package sched
 
 import (
