@@ -82,8 +82,9 @@ func main() {
 
 	// 4. The deployment split: preprocess the batch geometry's correlation
 	// demand offline, then run an online phase that only replays the
-	// store. The store generator replays the dealer stream exactly, so the
-	// logits are bit-identical to step 3 — only the clock placement moves.
+	// store. The store deals through the live dealer's own generator
+	// (mpc.Stream), so the logits are bit-identical to step 3 — only the
+	// clock placement moves.
 	pre, err := pi.RunBatchOpt(m, fw.HW, queries, 16, pi.RunOptions{Preprocess: true})
 	if err != nil {
 		log.Fatal(err)

@@ -6,14 +6,15 @@
 // stores can be produced by a `pasnet-server -party preprocess` run and
 // loaded at serve time.
 //
-// The store's generator replays the live Dealer's RNG draw order exactly
-// (a cheap sequential randomness pass) while deferring the heavy triple
-// products (ring convolutions and matrix multiplies) to a parallel second
-// pass sized from the kernel worker pool. A store built from seed S
-// therefore hands out byte-identical correlations to a live
-// mpc.NewDealer(S, party) consuming the same demand sequence — which is
-// what makes the store-fed online phase bit-identical to the live-dealer
-// path, the invariant the cross-source equivalence suite pins.
+// The store generator owns no generation logic of its own: it deals each
+// demand off an mpc.Stream, the same generator the live mpc.Dealer deals
+// from, in one cheap sequential pass, and runs party 1's z-half products
+// (ring convolutions and matrix multiplies) in a parallel second pass
+// sized from the kernel worker pool. A store built from seed S therefore hands out
+// byte-identical correlations to a live mpc.NewDealer(S, party) consuming
+// the same demand sequence by construction — which is what makes the
+// store-fed online phase bit-identical to the live-dealer path, the
+// invariant the cross-source equivalence suite pins.
 package corr
 
 import (

@@ -17,7 +17,7 @@ import (
 func TestStoreFileRoundTrip(t *testing.T) {
 	tape := testTape()
 	path := filepath.Join(t.TempDir(), FileName(1, []int{2, 3, 6, 6}))
-	s, err := BuildSeeded(tape, 1, 321)
+	s, err := buildSeeded(tape, 1, 321)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestStoreFileRoundTrip(t *testing.T) {
 // magic, trailing garbage, and a hostile declared geometry.
 func TestDecodeRejectsDamage(t *testing.T) {
 	tape := testTape()
-	s, err := BuildSeeded(tape, 0, 11)
+	s, err := buildSeeded(tape, 0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		// A tiny file declaring a huge entry table (with a valid
 		// checksum, which any attacker can compute) must be rejected by
 		// the remaining-bytes bound before the entry table allocates.
-		tiny, err := BuildSeeded(Tape{}, 0, 1)
+		tiny, err := buildSeeded(Tape{}, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		// A bit-triple entry's payload is three sections of ceil(n/64)
 		// words. Any other length behind a valid checksum — a word short, a
 		// word long, or PASCORR2's byte-per-bit sections — must not decode.
-		bits, err := BuildSeeded(Tape{{Kind: KindBits, N: 70}}, 1, 7)
+		bits, err := buildSeeded(Tape{{Kind: KindBits, N: 70}}, 1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		// Canonical bytes: a set bit past the last triple (here bit 6 of
 		// the second word of the b section, n = 70) is rejected even with a
 		// valid checksum, so one store has one encoding.
-		bits, err := BuildSeeded(Tape{{Kind: KindBits, N: 70}}, 1, 7)
+		bits, err := buildSeeded(Tape{{Kind: KindBits, N: 70}}, 1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	t.Run("hostile-geometry", func(t *testing.T) {
 		// Re-checksum a body whose first entry declares an absurd element
 		// count: the size cap must reject it before any allocation.
-		huge, err := BuildSeeded(Tape{{Kind: KindHadamard, N: 4}}, 0, 1)
+		huge, err := buildSeeded(Tape{{Kind: KindHadamard, N: 4}}, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func reseal(enc []byte) {
 // transient starts serving with the collector's goal at twice that peak.
 func TestStoreFileStreams(t *testing.T) {
 	tape := Tape{{Kind: KindSquare, N: 1 << 16}, {Kind: KindHadamard, N: 1 << 15}}.Repeat(4)
-	s, err := BuildSeeded(tape, 0, 17)
+	s, err := buildSeeded(tape, 0, 17)
 	if err != nil {
 		t.Fatal(err)
 	}

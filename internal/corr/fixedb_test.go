@@ -9,106 +9,60 @@ import (
 	"pasnet/internal/rng"
 )
 
-// Suite for the fixed weight-mask correlation kinds: store replay must
-// stay byte-identical to the live dealer, z must really be the product
-// against the out-of-band derived mask b (even when the store's stream
-// seed differs from the pair's dealer seed), the format-version gate must
-// reject stores from the other version in both directions, and the mask
-// slot must survive validation on the generate and decode paths.
+// Suite for the fixed weight-mask correlation kinds (their store ≡ dealer
+// replay inside a mixed program is part of testTape's, in store_test.go):
+// a program of nothing but fixed-mask demands must replay and round-trip
+// too, z must really be the product against the out-of-band derived mask
+// b (even when the store's stream seed differs from the pair's dealer
+// seed), the format-version gate must reject stores from the other version
+// in both directions, and the mask slot must survive validation on the
+// generate and decode paths.
 
-// fixedConvDims is the conv geometry used throughout this file.
-var fixedConvDims = mpc.ConvDims{N: 1, InC: 2, H: 5, W: 5, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}
-
-// fixedTestTape is two flushes of a mixed program: the fixed kinds reuse
-// their mask slots across flushes (the whole point of the scheme) while
-// the ordinary kinds draw fresh material.
-func fixedTestTape() Tape {
-	flush := Tape{
-		{Kind: KindConvFixedB, Mask: 0, Conv: fixedConvDims},
-		{Kind: KindBits, N: 64},
-		{Kind: KindMatMulFixedB, Mask: 1, M: 2, K: 12, P: 4},
-		{Kind: KindHadamard, N: 9},
-		{Kind: KindSquare, N: 5},
-	}
-	return flush.Repeat(2)
-}
-
-// drainFixedAgainstDealer is drainAgainstDealer extended with the fixed
-// kinds: every store take must be byte-identical to the live dealer on the
-// same seed consuming the same demand sequence.
-func drainFixedAgainstDealer(t *testing.T, s *Store, seed uint64, tape Tape) {
-	t.Helper()
-	d := mpc.NewDealer(seed, s.Party())
-	for i, dem := range tape {
-		switch dem.Kind {
-		case KindMatMulFixedB:
-			wa, wz, err := d.TakeMatMulFixedB(dem.Mask, dem.M, dem.K, dem.P)
-			if err != nil {
-				t.Fatalf("entry %d dealer: %v", i, err)
-			}
-			ga, gz, err := s.TakeMatMulFixedB(dem.Mask, dem.M, dem.K, dem.P)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "matmul-fixedb a", ga, wa)
-			eqWords(t, "matmul-fixedb z", gz, wz)
-		case KindConvFixedB:
-			wa, wz, err := d.TakeConvFixedB(dem.Mask, dem.Conv)
-			if err != nil {
-				t.Fatalf("entry %d dealer: %v", i, err)
-			}
-			ga, gz, err := s.TakeConvFixedB(dem.Mask, dem.Conv)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "conv-fixedb a", ga, wa)
-			eqWords(t, "conv-fixedb z", gz, wz)
-		case KindHadamard:
-			wa, wb, wz := d.HadamardTriple(dem.N)
-			ga, gb, gz, err := s.TakeHadamard(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "hadamard a", ga, wa)
-			eqWords(t, "hadamard b", gb, wb)
-			eqWords(t, "hadamard z", gz, wz)
-		case KindSquare:
-			wa, wz := d.SquarePair(dem.N)
-			ga, gz, err := s.TakeSquare(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "square a", ga, wa)
-			eqWords(t, "square z", gz, wz)
-		case KindBits:
-			wa, wb, wc := d.BitTriples(dem.N)
-			ga, gb, gc, err := s.TakeBits(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqBits(t, "bits a", ga, wa)
-			eqBits(t, "bits b", gb, wb)
-			eqBits(t, "bits c", gc, wc)
-		default:
-			t.Fatalf("entry %d: unhandled kind %s", i, dem.Kind)
+// fixedOnlyTape is testTape's fixed-mask demands alone: both flushes
+// re-take the same slots back to back, with no fresh draw in between.
+func fixedOnlyTape() Tape {
+	var tape Tape
+	for _, d := range testTape() {
+		if d.Kind == KindMatMulFixedB || d.Kind == KindConvFixedB {
+			tape = append(tape, d)
 		}
 	}
-	if s.Remaining() != 0 {
-		t.Fatalf("store has %d correlations left after draining the tape", s.Remaining())
-	}
+	return tape
 }
 
 // TestStoreFixedBMatchesLiveDealerStream pins byte-identical replay for
-// both parties across two flushes of fixed-mask demands.
+// both parties across two flushes of fixed-mask demands only.
 func TestStoreFixedBMatchesLiveDealerStream(t *testing.T) {
-	tape := fixedTestTape()
+	tape := fixedOnlyTape()
+	if len(tape) != 4 {
+		t.Fatalf("fixed-only tape has %d demands, want 4", len(tape))
+	}
 	for party := 0; party < 2; party++ {
-		s, err := BuildSeeded(tape, party, 4242)
+		s, err := buildSeeded(tape, party, 4242)
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainFixedAgainstDealer(t, s, 4242, tape)
+		drainAgainstDealer(t, s, 4242, tape)
 	}
+}
+
+// TestFixedBFileRoundTrip pins the serialized form of the fixed-mask
+// kinds: encode → decode → replay must be lossless, including the mask
+// slot dims.
+func TestFixedBFileRoundTrip(t *testing.T) {
+	tape := fixedOnlyTape()
+	s, err := buildSeeded(tape, 1, 555)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Decode(s.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.Tape().Equal(tape) {
+		t.Fatal("fixed-kind tape not preserved through encode/decode")
+	}
+	drainAgainstDealer(t, loaded, 555, tape)
 }
 
 // TestFixedBProductAgainstDerivedMask reconstructs the pair's plain (a, z)
@@ -118,7 +72,7 @@ func TestStoreFixedBMatchesLiveDealerStream(t *testing.T) {
 // per flush, one b for the whole session.
 func TestFixedBProductAgainstDerivedMask(t *testing.T) {
 	const dealerSeed, streamSeed = 88, 991133
-	tape := fixedTestTape()
+	tape := testTape()
 	s0, s1, err := BuildPair(tape, rng.New(streamSeed), dealerSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +119,11 @@ func TestFixedBProductAgainstDerivedMask(t *testing.T) {
 				eqWords(t, "fixedb conv z=conv(a,b)", z, want)
 				flushA = append(flushA, a)
 			default:
-				skipDemand(t, s0, s1, dem)
+				for _, s := range []*Store{s0, s1} {
+					if _, _, _, err := take(s, dem); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
 	}
@@ -186,43 +144,13 @@ func TestFixedBProductAgainstDerivedMask(t *testing.T) {
 	}
 }
 
-// skipDemand consumes one non-fixed demand from both stores.
-func skipDemand(t *testing.T, s0, s1 *Store, dem Demand) {
-	t.Helper()
-	for _, s := range []*Store{s0, s1} {
-		var err error
-		switch dem.Kind {
-		case KindHadamard:
-			_, _, _, err = s.TakeHadamard(dem.N)
-		case KindSquare:
-			_, _, err = s.TakeSquare(dem.N)
-		case KindBits:
-			_, _, _, err = s.TakeBits(dem.N)
-		default:
-			t.Fatalf("skipDemand: unhandled kind %s", dem.Kind)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+// convShape maps the mpc geometry onto the kernel package's conv shape.
+func convShape(d mpc.ConvDims) kernel.ConvShape {
+	return kernel.ConvShape{
+		N: d.N, InC: d.InC, H: d.H, W: d.W,
+		OutC: d.OutC, KH: d.KH, KW: d.KW,
+		Stride: d.Stride, Pad: d.Pad, Groups: d.Groups,
 	}
-}
-
-// TestFixedBFileRoundTrip pins the serialized form of the new kinds:
-// write → read → replay must be lossless, including the mask slot dims.
-func TestFixedBFileRoundTrip(t *testing.T) {
-	tape := fixedTestTape()
-	s, err := BuildSeeded(tape, 1, 555)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Decode(s.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Tape().Equal(tape) {
-		t.Fatal("fixed-kind tape not preserved through encode/decode")
-	}
-	drainFixedAgainstDealer(t, loaded, 555, tape)
 }
 
 // TestStoreVersionGate is the corruption-matrix satellite's
@@ -243,7 +171,7 @@ func TestStoreVersionGate(t *testing.T) {
 	if storeMagic != "PASCORR3" {
 		t.Fatalf("storeMagic = %q; packed bit triples shipped as PASCORR3 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
 	}
-	s, err := BuildSeeded(testTape(), 0, 3)
+	s, err := buildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +202,7 @@ func TestStoreVersionGate(t *testing.T) {
 // kind in the error, not a misparse. The CRC is resealed so the test
 // reaches the structural validator.
 func TestDecodeRejectsUnknownKind(t *testing.T) {
-	s, err := BuildSeeded(Tape{{Kind: KindHadamard, N: 4}}, 0, 9)
+	s, err := buildSeeded(Tape{{Kind: KindHadamard, N: 4}}, 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,14 +220,14 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 // valid checksum.
 func TestFixedBMaskValidation(t *testing.T) {
 	t.Run("plain-kind-with-mask", func(t *testing.T) {
-		_, err := BuildSeeded(Tape{{Kind: KindHadamard, N: 4, Mask: 2}}, 0, 1)
+		_, err := buildSeeded(Tape{{Kind: KindHadamard, N: 4, Mask: 2}}, 0, 1)
 		if err == nil || !strings.Contains(err.Error(), "carries fixed mask slot") {
 			t.Fatalf("plain kind with a mask slot must fail, got: %v", err)
 		}
 	})
 	t.Run("slot-out-of-range", func(t *testing.T) {
 		for _, mask := range []int{-1, mpc.MaxFixedMask + 1} {
-			_, err := BuildSeeded(Tape{{Kind: KindMatMulFixedB, Mask: mask, M: 1, K: 2, P: 2}}, 0, 1)
+			_, err := buildSeeded(Tape{{Kind: KindMatMulFixedB, Mask: mask, M: 1, K: 2, P: 2}}, 0, 1)
 			if err == nil || !strings.Contains(err.Error(), "out of range") {
 				t.Fatalf("mask %d must fail, got: %v", mask, err)
 			}
@@ -312,13 +240,13 @@ func TestFixedBMaskValidation(t *testing.T) {
 			{Kind: KindMatMulFixedB, Mask: 3, M: 1, K: 2, P: 2},
 			{Kind: KindMatMulFixedB, Mask: 3, M: 1, K: 2, P: 3},
 		}
-		_, err := BuildSeeded(tape, 1, 1)
+		_, err := buildSeeded(tape, 1, 1)
 		if err == nil || !strings.Contains(err.Error(), "pinned to length") {
 			t.Fatalf("re-pinned slot must fail, got: %v", err)
 		}
 	})
 	t.Run("decoded-slot-out-of-range", func(t *testing.T) {
-		s, err := BuildSeeded(Tape{{Kind: KindMatMulFixedB, Mask: 1, M: 1, K: 2, P: 2}}, 0, 2)
+		s, err := buildSeeded(Tape{{Kind: KindMatMulFixedB, Mask: 1, M: 1, K: 2, P: 2}}, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +259,7 @@ func TestFixedBMaskValidation(t *testing.T) {
 		}
 	})
 	t.Run("take-mask-mismatch", func(t *testing.T) {
-		s, err := BuildSeeded(Tape{{Kind: KindMatMulFixedB, Mask: 1, M: 1, K: 2, P: 2}}, 0, 2)
+		s, err := buildSeeded(Tape{{Kind: KindMatMulFixedB, Mask: 1, M: 1, K: 2, P: 2}}, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,19 +86,6 @@ func (d Demand) lens() (la, lb, lz int) {
 	}
 }
 
-// fixedMaskLen returns the plain fixed-mask length of a FixedB demand
-// (the weight-side element count b never stored in the entry).
-func (d Demand) fixedMaskLen() int {
-	switch d.Kind {
-	case KindMatMulFixedB:
-		return d.K * d.P
-	case KindConvFixedB:
-		return d.Conv.KLen()
-	default:
-		return 0
-	}
-}
-
 // validate rejects malformed demands before any allocation happens, on
 // both the generation and the decode path.
 func (d Demand) validate() error {
@@ -183,22 +170,13 @@ func mulFits(vs ...int) bool {
 	return true
 }
 
-// deferredZ is one heavy triple product postponed to the parallel pass:
-// everything needed to compute party 1's z half off the sequential
-// randomness stream.
-type deferredZ struct {
-	idx            int
-	plainA, plainB []uint64 // plainB aliases plainA for square pairs
-	maskZ          []uint64
-}
-
-// Build generates one party's store for the tape, drawing randomness from
-// r in exactly the order a live mpc.Dealer consuming the same demand
-// sequence would — so the stream advances identically for either party,
-// and the resulting correlations are byte-identical to the live dealer's.
-// The heavy triple products (ring convolutions, matrix multiplies) run in
-// a parallel second pass sized from the kernel worker pool; only party 1's
-// halves need them, so party 0's build is almost pure RNG.
+// BuildPair deals both parties' stores for the tape off one mpc.Stream
+// over the dealer stream r, so every correlation is the one a live dealer
+// on the same stream would hand out. The sequential pass keeps the
+// stream's draw order and stores every half that is cheap (party 0's
+// halves are the stream's masks; party 1's a/b halves are one
+// subtraction); party 1's z halves need the correlation products, which
+// run afterwards in parallel.
 //
 // maskSeed is the *pair's* dealer seed, which may differ from r's stream:
 // fixed weight masks (the FixedB kinds) are derived out-of-band from the
@@ -206,160 +184,57 @@ type deferredZ struct {
 // per-geometry stream still replays z = a@b against the same b the
 // session's live dealer minted and opened F = W−b with at setup. Tapes
 // without FixedB demands never touch maskSeed.
-func Build(tape Tape, party int, r *rng.RNG, maskSeed uint64) (*Store, error) {
-	if party != 0 && party != 1 {
-		return nil, fmt.Errorf("corr: party must be 0 or 1, got %d", party)
-	}
-	s0, s1, err := build(tape, r, maskSeed, party == 0, party == 1)
-	if err != nil {
-		return nil, err
-	}
-	if party == 0 {
-		return s0, nil
-	}
-	return s1, nil
-}
-
-// BuildSeeded is Build starting a fresh dealer stream from seed, matching
-// mpc.NewDealer(seed, party). The stream seed doubles as the mask seed,
-// exactly as it does for a live dealer.
-func BuildSeeded(tape Tape, party int, seed uint64) (*Store, error) {
-	return Build(tape, party, rng.New(seed), seed)
-}
-
-// BuildPair generates both parties' stores in one pass over a shared
-// dealer stream (the in-process deployment shape, where one preprocessor
-// provisions both endpoints). maskSeed is the pair's dealer seed (see
-// Build).
 func BuildPair(tape Tape, r *rng.RNG, maskSeed uint64) (p0, p1 *Store, err error) {
-	return build(tape, r, maskSeed, true, true)
-}
-
-// build is the shared generator. The sequential pass replays the dealer's
-// draw order per demand — plain values first, then the additive masks —
-// and materializes every half that is cheap (party 0's halves are masks;
-// party 1's a/b halves are one subtraction). Party 1's z halves need the
-// actual triple product, which is deferred and computed in parallel.
-func build(tape Tape, r *rng.RNG, maskSeed uint64, want0, want1 bool) (*Store, *Store, error) {
-	var s0, s1 *Store
-	if want0 {
-		s0 = &Store{party: 0, tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
-	}
-	if want1 {
-		s1 = &Store{party: 1, tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
-	}
-	// fixedPlains caches the derived plain b per mask slot, pinned to the
-	// length it was first derived at (mirroring the Dealer's slot cache).
-	var fixedPlains map[int][]uint64
-	var defs []deferredZ
+	p0 = &Store{party: 0, tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
+	p1 = &Store{party: 1, tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
+	stream := mpc.NewStream(r, maskSeed)
+	deals := make([]mpc.Deal, len(tape))
 	for i, d := range tape {
 		if err := d.validate(); err != nil {
 			return nil, nil, fmt.Errorf("corr: tape entry %d: %w", i, err)
 		}
-		la, lb, lz := d.lens()
-		switch d.Kind {
-		case KindBits:
-			// Dealer order: plain a, plain b, then the three XOR masks, each
-			// one mpc.DrawBits. c = a AND b is cheap enough to fold in here.
-			plainA := mpc.DrawBits(r, d.N).W
-			plainB := mpc.DrawBits(r, d.N).W
-			maskA := mpc.DrawBits(r, d.N).W
-			maskB := mpc.DrawBits(r, d.N).W
-			maskC := mpc.DrawBits(r, d.N).W
-			if want0 {
-				e := &s0.entries[i]
-				e.a, e.b, e.z = maskA, maskB, maskC
-			}
-			if want1 {
-				e := &s1.entries[i]
-				e.a = xorWords(plainA, maskA)
-				e.b = xorWords(plainB, maskB)
-				e.z = make([]uint64, lz)
-				for j := range e.z {
-					e.z[j] = plainA[j]&plainB[j] ^ maskC[j]
-				}
-			}
-		case KindSquare:
-			plainA := drawWords(r, la)
-			maskA := drawWords(r, la)
-			maskZ := drawWords(r, lz)
-			if want0 {
-				e := &s0.entries[i]
-				e.a, e.z = maskA, maskZ
-			}
-			if want1 {
-				e := &s1.entries[i]
-				e.a = subWords(plainA, maskA)
-				defs = append(defs, deferredZ{idx: i, plainA: plainA, plainB: plainA, maskZ: maskZ})
-			}
-		case KindMatMulFixedB, KindConvFixedB:
-			// Dealer order: fill(a), pick(a), pick(z). b never touches the
-			// main stream — it is derived from (maskSeed, slot, length), the
-			// same function the live dealer and Party.OpenFixedW use, so a
-			// store-fed flush multiplies against exactly the b behind the
-			// session's opened F = W−b.
-			lbFix := d.fixedMaskLen()
-			plainB, ok := fixedPlains[d.Mask]
-			if !ok {
-				plainB = mpc.FixedMaskPlain(maskSeed, d.Mask, lbFix)
-				if fixedPlains == nil {
-					fixedPlains = make(map[int][]uint64)
-				}
-				fixedPlains[d.Mask] = plainB
-			} else if len(plainB) != lbFix {
-				return nil, nil, fmt.Errorf("corr: tape entry %d: fixed mask slot %d pinned to length %d, demand %s needs %d (one slot, one session-constant tensor)",
-					i, d.Mask, len(plainB), d, lbFix)
-			}
-			plainA := drawWords(r, la)
-			maskA := drawWords(r, la)
-			maskZ := drawWords(r, lz)
-			if want0 {
-				e := &s0.entries[i]
-				e.a, e.z = maskA, maskZ
-			}
-			if want1 {
-				e := &s1.entries[i]
-				e.a = subWords(plainA, maskA)
-				defs = append(defs, deferredZ{idx: i, plainA: plainA, plainB: plainB, maskZ: maskZ})
-			}
-		default: // hadamard, matmul, conv: full (a, b, z) triples
-			plainA := drawWords(r, la)
-			plainB := drawWords(r, lb)
-			maskA := drawWords(r, la)
-			maskB := drawWords(r, lb)
-			maskZ := drawWords(r, lz)
-			if want0 {
-				e := &s0.entries[i]
-				e.a, e.b, e.z = maskA, maskB, maskZ
-			}
-			if want1 {
-				e := &s1.entries[i]
-				e.a = subWords(plainA, maskA)
-				e.b = subWords(plainB, maskB)
-				defs = append(defs, deferredZ{idx: i, plainA: plainA, plainB: plainB, maskZ: maskZ})
-			}
+		t, err := d.deal(stream)
+		if err != nil {
+			return nil, nil, fmt.Errorf("corr: tape entry %d (%s): %w", i, d, err)
 		}
+		p0.entries[i] = entry{a: t.A0, b: t.B0, z: t.Z0}
+		p1.entries[i] = entry{a: t.A1, b: t.B1}
+		deals[i] = t
 	}
-	if len(defs) > 0 {
-		computeDeferred(tape, s1, defs)
-	}
-	return s0, s1, nil
+	computeZ1(p1, deals)
+	return p0, p1, nil
 }
 
-// computeDeferred runs the heavy z-half products across worker goroutines
-// sized from the kernel pool's parallelism degree. The per-product kernels
-// are themselves chunked on the shared pool, and their accumulation order
+// deal draws the demand's correlation off the stream.
+func (d Demand) deal(s *mpc.Stream) (mpc.Deal, error) {
+	switch d.Kind {
+	case KindHadamard:
+		return s.Hadamard(d.N), nil
+	case KindSquare:
+		return s.Square(d.N), nil
+	case KindMatMul:
+		return s.MatMul(d.M, d.K, d.P), nil
+	case KindConv:
+		return s.Conv(d.Conv), nil
+	case KindMatMulFixedB:
+		return s.MatMulFixedB(d.Mask, d.M, d.K, d.P)
+	case KindConvFixedB:
+		return s.ConvFixedB(d.Mask, d.Conv)
+	case KindBits:
+		return s.Bits(d.N), nil
+	default:
+		return mpc.Deal{}, fmt.Errorf("unknown correlation kind %d", uint8(d.Kind))
+	}
+}
+
+// computeZ1 runs party 1's z-half products across worker goroutines sized
+// from the kernel pool's parallelism degree. The per-product kernels are
+// themselves chunked on the shared pool, and their accumulation order
 // never depends on worker count, so store material is bit-identical for
 // any kernel.SetWorkers / SetNaive configuration — the invariant that lets
 // a store recorded under one setting replay under another.
-func computeDeferred(tape Tape, s1 *Store, defs []deferredZ) {
-	workers := kernel.Workers()
-	if workers > len(defs) {
-		workers = len(defs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+func computeZ1(s1 *Store, deals []mpc.Deal) {
+	workers := min(kernel.Workers(), len(deals))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -368,56 +243,14 @@ func computeDeferred(tape Tape, s1 *Store, defs []deferredZ) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(defs) {
+				if i >= len(deals) {
 					return
 				}
-				df := defs[i]
-				d := tape[df.idx]
-				_, _, lz := d.lens()
-				z := make([]uint64, lz)
-				switch d.Kind {
-				case KindHadamard, KindSquare:
-					kernel.Mul(z, df.plainA, df.plainB)
-				case KindMatMul, KindMatMulFixedB:
-					kernel.MatMul(z, df.plainA, df.plainB, d.M, d.K, d.P)
-				case KindConv, KindConvFixedB:
-					kernel.Conv2D(z, df.plainA, df.plainB, convShape(d.Conv))
-				}
-				kernel.Sub(z, z, df.maskZ) // party 1's half: plainZ − maskZ
-				s1.entries[df.idx].z = z
+				s1.entries[i].z = deals[i].Z1()
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// convShape maps the mpc geometry onto the kernel package's conv shape.
-func convShape(d mpc.ConvDims) kernel.ConvShape {
-	return kernel.ConvShape{
-		N: d.N, InC: d.InC, H: d.H, W: d.W,
-		OutC: d.OutC, KH: d.KH, KW: d.KW,
-		Stride: d.Stride, Pad: d.Pad, Groups: d.Groups,
-	}
-}
-
-func drawWords(r *rng.RNG, n int) []uint64 {
-	out := make([]uint64, n)
-	r.FillUint64(out)
-	return out
-}
-
-func subWords(a, b []uint64) []uint64 {
-	out := make([]uint64, len(a))
-	kernel.Sub(out, a, b)
-	return out
-}
-
-func xorWords(a, b []uint64) []uint64 {
-	out := make([]uint64, len(a))
-	for i := range out {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
 }
 
 // next validates and consumes the cursor's entry against the online

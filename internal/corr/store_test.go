@@ -1,6 +1,9 @@
 package corr
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -9,21 +12,70 @@ import (
 	"pasnet/internal/rng"
 )
 
-// testTape exercises every correlation kind with mixed geometries,
-// including a grouped (depthwise) convolution and bit-triple batches that
-// end on and off a word boundary.
+// fixedConvDims is the conv geometry of testTape's fixed-mask demand.
+var fixedConvDims = mpc.ConvDims{N: 1, InC: 2, H: 5, W: 5, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}
+
+// testTape is two flushes of a program that demands all seven correlation
+// kinds at mixed geometries: a grouped (depthwise) convolution, bit-triple
+// batches ending on and off a word boundary, and fixed-mask demands whose
+// slots are reused across flushes (the whole point of the scheme) while
+// every other kind draws fresh material.
 func testTape() Tape {
-	return Tape{
+	flush := Tape{
 		{Kind: KindConv, Conv: mpc.ConvDims{N: 2, InC: 3, H: 6, W: 6, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}},
+		{Kind: KindConvFixedB, Mask: 0, Conv: fixedConvDims},
 		{Kind: KindBits, N: 192},
 		{Kind: KindHadamard, N: 96},
 		{Kind: KindSquare, N: 50},
+		{Kind: KindMatMulFixedB, Mask: 1, M: 2, K: 12, P: 4},
 		{Kind: KindMatMul, M: 4, K: 9, P: 5},
 		{Kind: KindConv, Conv: mpc.ConvDims{N: 1, InC: 4, H: 5, W: 5, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 4}},
 		{Kind: KindHadamard, N: 7},
 		{Kind: KindBits, N: 526},
 		{Kind: KindBits, N: 1},
 	}
+	return flush.Repeat(2)
+}
+
+// buildSeeded is one party's store off a fresh dealer stream from seed,
+// matching mpc.NewDealer(seed, party): the stream seed doubles as the mask
+// seed, exactly as it does for a live dealer.
+func buildSeeded(tape Tape, party int, seed uint64) (*Store, error) {
+	s0, s1, err := BuildPair(tape, rng.New(seed), seed)
+	if party == 0 {
+		return s0, err
+	}
+	return s1, err
+}
+
+// take draws the demand's correlation from src through the
+// CorrelationSource method of its kind and returns the a, b and z halves
+// as words (b is nil for square pairs and the FixedB kinds; bit triples
+// come back packed).
+func take(src mpc.CorrelationSource, d Demand) (a, b, z []uint64, err error) {
+	switch d.Kind {
+	case KindHadamard:
+		return src.TakeHadamard(d.N)
+	case KindSquare:
+		a, z, err = src.TakeSquare(d.N)
+	case KindMatMul:
+		return src.TakeMatMul(d.M, d.K, d.P)
+	case KindConv:
+		return src.TakeConv(d.Conv)
+	case KindMatMulFixedB:
+		a, z, err = src.TakeMatMulFixedB(d.Mask, d.M, d.K, d.P)
+	case KindConvFixedB:
+		a, z, err = src.TakeConvFixedB(d.Mask, d.Conv)
+	case KindBits:
+		ta, tb, tc, err := src.TakeBits(d.N)
+		if err == nil && (ta.N != d.N || tb.N != d.N || tc.N != d.N) {
+			err = fmt.Errorf("bit triples of %d/%d/%d bits for %s", ta.N, tb.N, tc.N, d)
+		}
+		return ta.W, tb.W, tc.W, err
+	default:
+		err = fmt.Errorf("unknown demand %s", d)
+	}
+	return a, nil, z, err
 }
 
 func eqWords(t *testing.T, name string, got, want []uint64) {
@@ -38,71 +90,76 @@ func eqWords(t *testing.T, name string, got, want []uint64) {
 	}
 }
 
-func eqBits(t *testing.T, name string, got, want mpc.BitShare) {
-	t.Helper()
-	if got.N != want.N {
-		t.Fatalf("%s: %d bits vs %d", name, got.N, want.N)
-	}
-	eqWords(t, name, got.W, want.W)
-}
-
 // drainAgainstDealer consumes the store in tape order and compares every
 // correlation byte-for-byte against a live dealer on the same seed — the
-// stream-replication invariant that makes store-fed online phases
-// bit-identical to the live-dealer path.
+// invariant that makes store-fed online phases bit-identical to the
+// live-dealer path.
 func drainAgainstDealer(t *testing.T, s *Store, seed uint64, tape Tape) {
 	t.Helper()
 	d := mpc.NewDealer(seed, s.Party())
 	for i, dem := range tape {
-		switch dem.Kind {
-		case KindHadamard:
-			wa, wb, wz := d.HadamardTriple(dem.N)
-			ga, gb, gz, err := s.TakeHadamard(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "hadamard a", ga, wa)
-			eqWords(t, "hadamard b", gb, wb)
-			eqWords(t, "hadamard z", gz, wz)
-		case KindSquare:
-			wa, wz := d.SquarePair(dem.N)
-			ga, gz, err := s.TakeSquare(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "square a", ga, wa)
-			eqWords(t, "square z", gz, wz)
-		case KindMatMul:
-			wa, wb, wz := d.MatMulTriple(dem.M, dem.K, dem.P)
-			ga, gb, gz, err := s.TakeMatMul(dem.M, dem.K, dem.P)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "matmul a", ga, wa)
-			eqWords(t, "matmul b", gb, wb)
-			eqWords(t, "matmul z", gz, wz)
-		case KindConv:
-			wa, wb, wz := d.ConvTriple(dem.Conv)
-			ga, gb, gz, err := s.TakeConv(dem.Conv)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqWords(t, "conv a", ga, wa)
-			eqWords(t, "conv b", gb, wb)
-			eqWords(t, "conv z", gz, wz)
-		case KindBits:
-			wa, wb, wc := d.BitTriples(dem.N)
-			ga, gb, gc, err := s.TakeBits(dem.N)
-			if err != nil {
-				t.Fatalf("entry %d: %v", i, err)
-			}
-			eqBits(t, "bits a", ga, wa)
-			eqBits(t, "bits b", gb, wb)
-			eqBits(t, "bits c", gc, wc)
+		name := fmt.Sprintf("entry %d (%s)", i, dem)
+		wa, wb, wz, err := take(d, dem)
+		if err != nil {
+			t.Fatalf("%s dealer: %v", name, err)
 		}
+		ga, gb, gz, err := take(s, dem)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		eqWords(t, name+" a", ga, wa)
+		eqWords(t, name+" b", gb, wb)
+		eqWords(t, name+" z", gz, wz)
 	}
 	if s.Remaining() != 0 {
 		t.Fatalf("store has %d correlations left after draining the tape", s.Remaining())
+	}
+}
+
+// TestGoldenStoreAndDealerBytes pins FNV-1a digests of both parties'
+// encoded stores and of both parties' live-dealer halves for testTape.
+// They were recorded while the store generator and the live dealer were
+// still two separate generators; the one generator both now deal through
+// must reproduce every byte of either.
+func TestGoldenStoreAndDealerBytes(t *testing.T) {
+	const seed = 20261015
+	want := map[string]uint64{
+		"store p0":  0x458ad1d26874c2f7,
+		"store p1":  0xad7d9902928ee8e6,
+		"dealer p0": 0x5181301d4e31500f,
+		"dealer p1": 0xaaa87a2129e99999,
+	}
+	got := map[string]uint64{}
+	tape := testTape()
+	s0, s1, err := BuildPair(tape, rng.New(seed), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Store{s0, s1} {
+		h := fnv.New64a()
+		h.Write(s.Encode())
+		got[fmt.Sprintf("store p%d", s.Party())] = h.Sum64()
+	}
+	for party := 0; party < 2; party++ {
+		d := mpc.NewDealer(seed, party)
+		h := fnv.New64a()
+		for _, dem := range tape {
+			a, b, z, err := take(d, dem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ws := range [][]uint64{a, b, z} {
+				for _, w := range ws {
+					h.Write(binary.LittleEndian.AppendUint64(nil, w))
+				}
+			}
+		}
+		got[fmt.Sprintf("dealer p%d", party)] = h.Sum64()
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s digest %#016x, want %#016x", name, got[name], w)
+		}
 	}
 }
 
@@ -112,7 +169,7 @@ func drainAgainstDealer(t *testing.T, s *Store, seed uint64, tape Tape) {
 func TestStoreMatchesLiveDealerStream(t *testing.T) {
 	tape := testTape()
 	for party := 0; party < 2; party++ {
-		s, err := BuildSeeded(tape, party, 1234)
+		s, err := buildSeeded(tape, party, 1234)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,8 +180,8 @@ func TestStoreMatchesLiveDealerStream(t *testing.T) {
 	}
 }
 
-// TestBuildPairSharesOneStream checks that BuildPair produces both
-// parties' halves off a single stream, identical to two per-party builds.
+// TestBuildPairSharesOneStream checks that BuildPair deals both parties'
+// halves off a single stream, each identical to its party's live dealer.
 func TestBuildPairSharesOneStream(t *testing.T) {
 	tape := testTape()
 	s0, s1, err := BuildPair(tape, rng.New(77), 77)
@@ -140,7 +197,7 @@ func TestBuildPairSharesOneStream(t *testing.T) {
 // store recorded under one setting replays under another.
 func TestBuildDeterministicAcrossKernelSettings(t *testing.T) {
 	tape := testTape()
-	ref, err := BuildSeeded(tape, 1, 9)
+	ref, err := buildSeeded(tape, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +208,7 @@ func TestBuildDeterministicAcrossKernelSettings(t *testing.T) {
 	for _, cfg := range settings {
 		prevW := kernel.SetWorkers(cfg.workers)
 		prevN := kernel.SetNaive(cfg.naive)
-		s, err := BuildSeeded(tape, 1, 9)
+		s, err := buildSeeded(tape, 1, 9)
 		kernel.SetWorkers(prevW)
 		kernel.SetNaive(prevN)
 		if err != nil {
@@ -170,7 +227,7 @@ func TestBuildDeterministicAcrossKernelSettings(t *testing.T) {
 // and the recorded vs requested shape.
 func TestStoreExhaustionAndMismatchErrors(t *testing.T) {
 	tape := Tape{{Kind: KindHadamard, N: 8}}
-	s, err := BuildSeeded(tape, 0, 5)
+	s, err := buildSeeded(tape, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +272,7 @@ func TestValidateRejectsOverflowingConv(t *testing.T) {
 		if err := d.validate(); err == nil {
 			t.Fatalf("case %d: hostile conv geometry must not validate", i)
 		}
-		if _, err := BuildSeeded(Tape{d}, 0, 1); err == nil {
+		if _, err := buildSeeded(Tape{d}, 0, 1); err == nil {
 			t.Fatalf("case %d: Build must reject the hostile tape", i)
 		}
 	}
@@ -230,7 +287,7 @@ func TestRecorderTape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wa, wb, wz := ref.HadamardTriple(5)
+	wa, wb, wz, _ := ref.TakeHadamard(5)
 	eqWords(t, "rec a", a, wa)
 	eqWords(t, "rec b", b, wb)
 	eqWords(t, "rec z", z, wz)

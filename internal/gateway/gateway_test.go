@@ -81,7 +81,7 @@ func directShardRun(t *testing.T, spec *ModelSpec, desc ShardDesc, queries []*te
 	go func() {
 		defer wg.Done()
 		p0 := mpc.NewParty(0, c0, desc.Seed, shardPrivSeed(desc.Seed, 0), codec)
-		sess, err := pi.NewSession(p0, spec.Model, append([]int{0}, spec.Input...))
+		sess, err := pi.NewSessionOpts(p0, spec.Model, append([]int{0}, spec.Input...), pi.SessionOptions{})
 		if err != nil {
 			serveErr = err
 			return
@@ -92,7 +92,7 @@ func directShardRun(t *testing.T, spec *ModelSpec, desc ShardDesc, queries []*te
 		serveErr = sess.Serve()
 	}()
 	p1 := mpc.NewParty(1, c1, desc.Seed, shardPrivSeed(desc.Seed, 1), codec)
-	sess, err := pi.NewSession(p1, spec.Model, nil)
+	sess, err := pi.NewSessionOpts(p1, spec.Model, nil, pi.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // These tests pin every operator protocol's batch-dimension (N>1)
 // semantics: a batched evaluation must equal the per-sample evaluations
 // stacked together, with no cross-sample leakage. They back the pi
-// engine's InferBatch path, which routes K packed queries through each op
+// engine's batched flushes, which route K packed queries through each op
 // once.
 
 // randVec draws modest-magnitude values safe for fixed-point comparison.

@@ -1,11 +1,11 @@
 package mpc
 
 // CorrelationSource supplies one party's halves of the offline-phase
-// correlated randomness (Beaver triples and friends). The live Dealer
-// implements it by generating on demand inside the measured online path;
-// the preprocessing store (internal/corr) implements it by replaying
-// material generated ahead of time, which is the standard 2PC deployment
-// split the paper's online latency numbers assume.
+// correlated randomness (Beaver triples and friends). Both implementations
+// deal through a Stream: the live Dealer draws on demand inside the
+// measured online path; the preprocessing store (internal/corr) replays
+// material a Stream dealt ahead of time, which is the standard 2PC
+// deployment split the paper's online latency numbers assume.
 //
 // Every method returns this party's additive (or XOR, for bits) halves.
 // Implementations that can run dry or that validate geometry return a
@@ -39,30 +39,50 @@ type CorrelationSource interface {
 
 // TakeHadamard implements CorrelationSource.
 func (d *Dealer) TakeHadamard(n int) (a, b, z []uint64, err error) {
-	a, b, z = d.HadamardTriple(n)
+	a, b, z = d.half(d.s.Hadamard(n))
 	return a, b, z, nil
 }
 
 // TakeSquare implements CorrelationSource.
 func (d *Dealer) TakeSquare(n int) (a, z []uint64, err error) {
-	a, z = d.SquarePair(n)
+	a, _, z = d.half(d.s.Square(n))
 	return a, z, nil
 }
 
 // TakeMatMul implements CorrelationSource.
 func (d *Dealer) TakeMatMul(m, k, p int) (a, b, z []uint64, err error) {
-	a, b, z = d.MatMulTriple(m, k, p)
+	a, b, z = d.half(d.s.MatMul(m, k, p))
 	return a, b, z, nil
 }
 
 // TakeConv implements CorrelationSource.
 func (d *Dealer) TakeConv(dims ConvDims) (a, b, z []uint64, err error) {
-	a, b, z = d.ConvTriple(dims)
+	a, b, z = d.half(d.s.Conv(dims))
 	return a, b, z, nil
+}
+
+// TakeMatMulFixedB implements CorrelationSource.
+func (d *Dealer) TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) {
+	t, err := d.s.MatMulFixedB(mask, m, k, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	a, _, z = d.half(t)
+	return a, z, nil
+}
+
+// TakeConvFixedB implements CorrelationSource.
+func (d *Dealer) TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error) {
+	t, err := d.s.ConvFixedB(mask, dims)
+	if err != nil {
+		return nil, nil, err
+	}
+	a, _, z = d.half(t)
+	return a, z, nil
 }
 
 // TakeBits implements CorrelationSource.
 func (d *Dealer) TakeBits(n int) (ta, tb, tc BitShare, err error) {
-	ta, tb, tc = d.BitTriples(n)
-	return ta, tb, tc, nil
+	a, b, c := d.half(d.s.Bits(n))
+	return BitShare{N: n, W: a}, BitShare{N: n, W: b}, BitShare{N: n, W: c}, nil
 }

@@ -33,7 +33,7 @@ import (
 //   - b is independent of batch geometry, so stores provisioned for
 //     different flush shapes share one opened F.
 //
-// Like the rest of the Dealer, deriving the plain b from the shared seed
+// Like the rest of the Stream, deriving the plain b from the shared seed
 // is the common-seed trusted-dealer *simulation* — it models offline-phase
 // cost, not a secure offline protocol.
 
@@ -50,7 +50,7 @@ func fixedMaskRNG(seed uint64, mask, n int) *rng.RNG {
 }
 
 // FixedMaskPlain returns the plain fixed mask b for slot mask of length n
-// under the given dealer seed. corr.Build uses it to replay z = a@b.
+// under the given dealer seed.
 func FixedMaskPlain(seed uint64, mask, n int) []uint64 {
 	plain := make([]uint64, n)
 	fixedMaskRNG(seed, mask, n).FillUint64(plain)
@@ -58,8 +58,8 @@ func FixedMaskPlain(seed uint64, mask, n int) []uint64 {
 }
 
 // fixedMaskMaterial returns the plain mask and both additive halves,
-// split with the same mask-then-difference convention as SplitSecret so
-// either party can derive its half locally.
+// split with the same mask-then-difference convention as a Deal's ring
+// halves so either party can derive its half locally.
 func fixedMaskMaterial(seed uint64, mask, n int) (plain, half0, half1 []uint64) {
 	r := fixedMaskRNG(seed, mask, n)
 	plain = make([]uint64, n)
@@ -71,92 +71,44 @@ func fixedMaskMaterial(seed uint64, mask, n int) (plain, half0, half1 []uint64) 
 	return plain, half0, half1
 }
 
-// fixedMask is one session-pinned weight mask cached by the Dealer.
-type fixedMask struct {
-	n     int
-	plain []uint64 // the shared b (both parties derive the same value)
-	half  []uint64 // this party's additive half of b
-}
-
-// fixedMask returns the cached mask for slot id, deriving it on first use.
+// fixedMask returns the plain mask b of slot id, deriving it on first use.
 // A slot is pinned to the length it was first derived at: the mask wraps a
 // session-constant tensor, so a length change means the caller attached
 // the slot to a different value — a protocol bug worth failing loudly on.
-func (d *Dealer) fixedMask(mask, n int) (*fixedMask, error) {
+func (s *Stream) fixedMask(mask, n int) ([]uint64, error) {
 	if mask < 0 || mask > MaxFixedMask {
 		return nil, fmt.Errorf("mpc: fixed mask slot %d out of range [0, %d]", mask, MaxFixedMask)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("mpc: fixed mask length %d must be positive", n)
 	}
-	if fm, ok := d.masks[mask]; ok {
-		if fm.n != n {
-			return nil, fmt.Errorf("mpc: fixed mask slot %d pinned to length %d, requested %d (a fixed mask may only mask one session-constant tensor)", mask, fm.n, n)
+	if b, ok := s.masks[mask]; ok {
+		if len(b) != n {
+			return nil, fmt.Errorf("mpc: fixed mask slot %d pinned to length %d, requested %d (a fixed mask may only mask one session-constant tensor)", mask, len(b), n)
 		}
-		return fm, nil
+		return b, nil
 	}
-	plain, h0, h1 := fixedMaskMaterial(d.seed, mask, n)
-	fm := &fixedMask{n: n, plain: plain, half: h0}
-	if d.party == 1 {
-		fm.half = h1
+	b := FixedMaskPlain(s.maskSeed, mask, n)
+	if s.masks == nil {
+		s.masks = make(map[int][]uint64)
 	}
-	if d.masks == nil {
-		d.masks = make(map[int]*fixedMask)
-	}
-	d.masks[mask] = fm
-	return fm, nil
+	s.masks[mask] = b
+	return b, nil
 }
 
 // FixedMaskHalf returns this party's additive half of the fixed mask b for
-// slot mask of length n. Party.OpenFixedW uses it to open F = W−b.
+// slot mask of length n, under the stream's pinning rule. Party.OpenFixedW
+// uses it once per weight per session to open F = W−b; the halves are
+// derived there, not cached, since nothing else needs them.
 func (d *Dealer) FixedMaskHalf(mask, n int) ([]uint64, error) {
-	fm, err := d.fixedMask(mask, n)
-	if err != nil {
+	if _, err := d.s.fixedMask(mask, n); err != nil {
 		return nil, err
 	}
-	return fm.half, nil
-}
-
-// MatMulFixedB returns shares (a, z) with z = a@b against the fixed mask b
-// (k×p) for slot mask, a fresh m×k. Main-stream draw order is fill(a),
-// pick(a), pick(z) — b never touches the main stream, so the per-flush
-// demand sequence is mask-independent.
-func (d *Dealer) MatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) {
-	fm, err := d.fixedMask(mask, k*p)
-	if err != nil {
-		return nil, nil, err
+	_, h0, h1 := fixedMaskMaterial(d.s.maskSeed, mask, n)
+	if d.party == 0 {
+		return h0, nil
 	}
-	d.Issued++
-	plainA := make([]uint64, m*k)
-	plainZ := make([]uint64, m*p)
-	d.r.FillUint64(plainA)
-	ringMatMul(plainZ, plainA, fm.plain, m, k, p)
-	return d.pick(plainA), d.pick(plainZ), nil
-}
-
-// ConvFixedB returns shares (a, z) with z = conv(a, b) against the fixed
-// kernel mask b for slot mask and the given geometry.
-func (d *Dealer) ConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error) {
-	fm, err := d.fixedMask(mask, dims.KLen())
-	if err != nil {
-		return nil, nil, err
-	}
-	d.Issued++
-	plainA := make([]uint64, dims.InLen())
-	plainZ := make([]uint64, dims.OutLen())
-	d.r.FillUint64(plainA)
-	ringConv2D(plainZ, plainA, fm.plain, dims)
-	return d.pick(plainA), d.pick(plainZ), nil
-}
-
-// TakeMatMulFixedB implements CorrelationSource.
-func (d *Dealer) TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) {
-	return d.MatMulFixedB(mask, m, k, p)
-}
-
-// TakeConvFixedB implements CorrelationSource.
-func (d *Dealer) TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error) {
-	return d.ConvFixedB(mask, dims)
+	return h1, nil
 }
 
 // FixedWeight is the session-cached public opening F = W−b of one weight
@@ -271,8 +223,7 @@ func (p *Party) MatMulFixedW(x, w Share, fw *FixedWeight) (Share, error) {
 		return Share{}, fmt.Errorf("mpc: matmul open: %w", err)
 	}
 	out := NewShare(m, n)
-	apply := func(dst, aa, bb []uint64) { ringMatMul(dst, aa, bb, m, k, n) }
-	p.mulCombine(out.V, e, fw.F, x.V, w.V, z, apply)
+	p.mulCombine(out.V, e, fw.F, x.V, w.V, z, matMulOp(m, k, n))
 	p.TruncateInPlace(&out)
 	return out, nil
 }
@@ -298,8 +249,7 @@ func (p *Party) Conv2DFixedW(x, w Share, fw *FixedWeight, dims ConvDims) (Share,
 	}
 	oh, ow := dims.OutHW()
 	out := NewShare(dims.N, dims.OutC, oh, ow)
-	apply := func(dst, aa, bb []uint64) { ringConv2D(dst, aa, bb, dims) }
-	p.mulCombine(out.V, e, fw.F, x.V, w.V, z, apply)
+	p.mulCombine(out.V, e, fw.F, x.V, w.V, z, convOp(dims))
 	p.TruncateInPlace(&out)
 	return out, nil
 }

@@ -204,8 +204,8 @@ func TestFixedMaskDerivation(t *testing.T) {
 	if _, err := dB.FixedMaskHalf(2, n); err != nil {
 		t.Fatal(err)
 	}
-	a1, b1, z1 := dA.MatMulTriple(2, 3, 4)
-	a2, b2, z2 := dB.MatMulTriple(2, 3, 4)
+	a1, b1, z1, _ := dA.TakeMatMul(2, 3, 4)
+	a2, b2, z2, _ := dB.TakeMatMul(2, 3, 4)
 	if !wordsEqual(a1, a2) || !wordsEqual(b1, b2) || !wordsEqual(z1, z2) {
 		t.Fatal("fixed mask derivation perturbed the main dealer stream")
 	}
@@ -234,7 +234,7 @@ func TestFixedMaskSlotPinning(t *testing.T) {
 		!strings.Contains(err.Error(), "session-constant tensor") {
 		t.Fatalf("re-pinning a slot to a new length must fail, got: %v", err)
 	}
-	if _, _, err := d.MatMulFixedB(7, 2, 3, 5); err == nil {
+	if _, _, err := d.TakeMatMulFixedB(7, 2, 3, 5); err == nil {
 		t.Fatal("slot pinned to length 12 must reject a 3x5 mask request")
 	}
 	if _, err := d.FixedMaskHalf(-1, 4); err == nil || !strings.Contains(err.Error(), "out of range") {

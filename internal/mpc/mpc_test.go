@@ -885,8 +885,8 @@ func TestTruncationErrorBound(t *testing.T) {
 func TestDealerDeterminism(t *testing.T) {
 	d0 := NewDealer(42, 0)
 	d1 := NewDealer(42, 1)
-	a0, b0, z0 := d0.HadamardTriple(16)
-	a1, b1, z1 := d1.HadamardTriple(16)
+	a0, b0, z0, _ := d0.TakeHadamard(16)
+	a1, b1, z1, _ := d1.TakeHadamard(16)
 	for i := 0; i < 16; i++ {
 		a := a0[i] + a1[i]
 		b := b0[i] + b1[i]
@@ -896,8 +896,8 @@ func TestDealerDeterminism(t *testing.T) {
 		}
 	}
 	// Square pairs.
-	sa0, sz0 := d0.SquarePair(8)
-	sa1, sz1 := d1.SquarePair(8)
+	sa0, sz0, _ := d0.TakeSquare(8)
+	sa1, sz1, _ := d1.TakeSquare(8)
 	for i := 0; i < 8; i++ {
 		a := sa0[i] + sa1[i]
 		if sz0[i]+sz1[i] != a*a {
@@ -907,8 +907,8 @@ func TestDealerDeterminism(t *testing.T) {
 	// Bit triples: c = a∧b on every bit, every share canonical (tail bits
 	// past n zero), across counts on and off a word boundary.
 	for _, n := range []int{1, 63, 64, 65, 526} {
-		ba0, bb0, bc0 := d0.BitTriples(n)
-		ba1, bb1, bc1 := d1.BitTriples(n)
+		ba0, bb0, bc0, _ := d0.TakeBits(n)
+		ba1, bb1, bc1, _ := d1.TakeBits(n)
 		var ones uint64
 		for _, sh := range []BitShare{ba0, bb0, bc0, ba1, bb1, bc1} {
 			if sh.N != n || len(sh.W) != BitWords(n) || !tailClear(sh) {
@@ -933,8 +933,8 @@ func TestDealerMatMulConvTriples(t *testing.T) {
 	d0 := NewDealer(7, 0)
 	d1 := NewDealer(7, 1)
 	m, k, n := 3, 4, 2
-	a0, b0, z0 := d0.MatMulTriple(m, k, n)
-	a1, b1, z1 := d1.MatMulTriple(m, k, n)
+	a0, b0, z0, _ := d0.TakeMatMul(m, k, n)
+	a1, b1, z1, _ := d1.TakeMatMul(m, k, n)
 	a := CombineShares(a0, a1)
 	b := CombineShares(b0, b1)
 	z := CombineShares(z0, z1)
@@ -946,8 +946,8 @@ func TestDealerMatMulConvTriples(t *testing.T) {
 		}
 	}
 	dims := ConvDims{N: 1, InC: 2, H: 4, W: 4, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	ca0, cb0, cz0 := d0.ConvTriple(dims)
-	ca1, cb1, cz1 := d1.ConvTriple(dims)
+	ca0, cb0, cz0, _ := d0.TakeConv(dims)
+	ca1, cb1, cz1, _ := d1.TakeConv(dims)
 	ca := CombineShares(ca0, ca1)
 	cb := CombineShares(cb0, cb1)
 	cz := CombineShares(cz0, cz1)

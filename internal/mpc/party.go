@@ -329,8 +329,7 @@ func (p *Party) MatMul(x, y Share) (Share, error) {
 		return Share{}, fmt.Errorf("mpc: matmul open: %w", err)
 	}
 	out := NewShare(m, n)
-	apply := func(dst, aa, bb []uint64) { ringMatMul(dst, aa, bb, m, k, n) }
-	p.mulCombine(out.V, e, f, x.V, y.V, z, apply)
+	p.mulCombine(out.V, e, f, x.V, y.V, z, matMulOp(m, k, n))
 	p.TruncateInPlace(&out)
 	return out, nil
 }
@@ -353,8 +352,7 @@ func (p *Party) Conv2D(x, w Share, dims ConvDims) (Share, error) {
 	}
 	oh, ow := dims.OutHW()
 	out := NewShare(dims.N, dims.OutC, oh, ow)
-	apply := func(dst, aa, bb []uint64) { ringConv2D(dst, aa, bb, dims) }
-	p.mulCombine(out.V, e, f, x.V, w.V, z, apply)
+	p.mulCombine(out.V, e, f, x.V, w.V, z, convOp(dims))
 	p.TruncateInPlace(&out)
 	return out, nil
 }

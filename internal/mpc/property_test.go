@@ -8,6 +8,18 @@ import (
 	"pasnet/internal/rng"
 )
 
+// SplitSecret additively shares a secret vector using randomness from r,
+// returning the two halves.
+func SplitSecret(secret []uint64, r *rng.RNG) (s0, s1 []uint64) {
+	s0 = make([]uint64, len(secret))
+	s1 = make([]uint64, len(secret))
+	r.FillUint64(s0)
+	for i := range secret {
+		s1[i] = secret[i] - s0[i]
+	}
+	return s0, s1
+}
+
 // TestShareAlgebraProperties uses testing/quick over the dealer-side share
 // algebra: splitting is perfectly hiding-agnostic to reconstruction, and
 // the ring operations commute with sharing.
@@ -59,8 +71,8 @@ func TestBeaverTripleProperty(t *testing.T) {
 		size := int(sizeRaw%64) + 1
 		d0 := NewDealer(seed, 0)
 		d1 := NewDealer(seed, 1)
-		a0, b0, z0 := d0.HadamardTriple(size)
-		a1, b1, z1 := d1.HadamardTriple(size)
+		a0, b0, z0, _ := d0.TakeHadamard(size)
+		a1, b1, z1, _ := d1.TakeHadamard(size)
 		for i := 0; i < size; i++ {
 			if z0[i]+z1[i] != (a0[i]+a1[i])*(b0[i]+b1[i]) {
 				return false

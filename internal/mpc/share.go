@@ -99,9 +99,8 @@ func (b BitShare) setField(pos, width int, v uint64) {
 }
 
 // DrawBits draws n uniform bits off r as whole words — ceil(n/64) draws,
-// bits past n then cleared. It is the one definition of how bit material
-// consumes a dealer stream, shared by the live Dealer and the store
-// generator that must replay it.
+// bits past n then cleared. It is how Stream.Bits consumes a dealer
+// stream, once per each of its five draws.
 func DrawBits(r *rng.RNG, n int) BitShare {
 	b := NewBitShare(n)
 	r.FillUint64(b.W)
@@ -109,19 +108,6 @@ func DrawBits(r *rng.RNG, n int) BitShare {
 		b.W[len(b.W)-1] &= 1<<tail - 1
 	}
 	return b
-}
-
-// SplitSecret additively shares a secret vector using randomness from r,
-// returning the two halves. It is a dealer-side helper used by tests and
-// by input preparation.
-func SplitSecret(secret []uint64, r *rng.RNG) (s0, s1 []uint64) {
-	s0 = make([]uint64, len(secret))
-	s1 = make([]uint64, len(secret))
-	r.FillUint64(s0)
-	for i := range secret {
-		s1[i] = secret[i] - s0[i]
-	}
-	return s0, s1
 }
 
 // CombineShares reconstructs the secret from both halves.
@@ -150,6 +136,11 @@ func ringScale(dst, a []uint64, s uint64) { kernel.Scale(dst, a, s) }
 // the shared register-tiled parallel GEMM.
 func ringMatMul(c, a, b []uint64, m, k, n int) {
 	kernel.MatMul(c, a, b, m, k, n)
+}
+
+// matMulOp is ringMatMul at fixed dimensions, as a bilinear op.
+func matMulOp(m, k, n int) func(c, a, b []uint64) {
+	return func(c, a, b []uint64) { ringMatMul(c, a, b, m, k, n) }
 }
 
 // ConvDims captures the geometry of a ring convolution.
@@ -188,4 +179,9 @@ func (d ConvDims) shape() kernel.ConvShape {
 // shared im2col/GEMM kernel (kernel.SetNaive restores the scalar loops).
 func ringConv2D(out, x, k []uint64, d ConvDims) {
 	kernel.Conv2D(out, x, k, d.shape())
+}
+
+// convOp is ringConv2D at a fixed geometry, as a bilinear op.
+func convOp(d ConvDims) func(out, x, k []uint64) {
+	return func(out, x, k []uint64) { ringConv2D(out, x, k, d) }
 }

@@ -54,63 +54,6 @@ func PackQueries(queries []*tensor.Tensor) (*tensor.Tensor, []int, error) {
 	return packed, counts, nil
 }
 
-// PackShares is PackQueries over secret shares: both parties pack their
-// halves identically (a local re-layout), so the packed share is a valid
-// sharing of the packed plaintext batch.
-func PackShares(xs []mpc.Share) (mpc.Share, []int, error) {
-	if len(xs) == 0 {
-		return mpc.Share{}, nil, fmt.Errorf("pi: no query shares to pack")
-	}
-	counts := make([]int, len(xs))
-	var geom []int
-	total := 0
-	for i, x := range xs {
-		n, g, err := splitLeading(x.Shape)
-		if err != nil {
-			return mpc.Share{}, nil, fmt.Errorf("pi: query share %d: %w", i, err)
-		}
-		if geom == nil {
-			geom = g
-		} else if !shapeEqual(geom, g) {
-			return mpc.Share{}, nil, fmt.Errorf("pi: query share %d geometry %v does not match %v", i, g, geom)
-		}
-		counts[i] = n
-		total += n
-	}
-	packed := mpc.NewShare(append([]int{total}, geom...)...)
-	off := 0
-	for _, x := range xs {
-		off += copy(packed.V[off:], x.V)
-	}
-	return packed, counts, nil
-}
-
-// SplitShares splits a batched output share back into per-query shares
-// along the leading dimension. counts[i] rows go to query i, preserving
-// each query's original batch size.
-func SplitShares(out mpc.Share, counts []int) ([]mpc.Share, error) {
-	if len(out.Shape) < 1 {
-		return nil, fmt.Errorf("pi: cannot split scalar share")
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if out.Shape[0] != total {
-		return nil, fmt.Errorf("pi: batched output has %d rows, queries expect %d", out.Shape[0], total)
-	}
-	rowLen := out.Len() / out.Shape[0]
-	parts := make([]mpc.Share, len(counts))
-	off := 0
-	for i, n := range counts {
-		shape := append([]int{n}, out.Shape[1:]...)
-		s := mpc.NewShare(shape...)
-		off += copy(s.V, out.V[off:off+n*rowLen])
-		parts[i] = s
-	}
-	return parts, nil
-}
-
 // SplitLogits demultiplexes a flat batched logit vector into per-query
 // slices. counts[i] rows of width len(out)/ΣN go to query i.
 func SplitLogits(out []float64, counts []int) ([][]float64, error) {
@@ -129,23 +72,6 @@ func SplitLogits(out []float64, counts []int) ([][]float64, error) {
 		off += n * d
 	}
 	return parts, nil
-}
-
-// InferBatch packs K independent query shares into one N=K batch, runs the
-// compiled program once, and returns the per-query output shares. Both
-// parties must call it with query lists of identical geometry; the packing
-// and demultiplexing are local, so protocol traffic is exactly that of a
-// single batched inference.
-func (e *Engine) InferBatch(xs []mpc.Share) ([]mpc.Share, error) {
-	packed, counts, err := PackShares(xs)
-	if err != nil {
-		return nil, err
-	}
-	out, err := e.Infer(packed)
-	if err != nil {
-		return nil, err
-	}
-	return SplitShares(out, counts)
 }
 
 // splitLeading normalizes a query shape into (batch rows, geometry):
@@ -457,21 +383,16 @@ type SessionOptions struct {
 	// FixedMasks selects the fixed weight-mask protocol: setup opens
 	// F = W−b once per layer, flushes open only the activation side, and
 	// any preprocessed stores must be written in the same mode
-	// (WriteStoresMode / the gateway's SetFixedMasks). Both parties must
+	// (TraceTapeMode / the gateway's SetFixedMasks). Both parties must
 	// agree; a one-sided toggle fails loudly in setup's opening exchange.
 	FixedMasks bool
 }
 
-// NewSession compiles the model and performs the one-time weight-sharing
-// setup. Both parties must construct their session before either side
-// issues a query. expect is the input geometry party 0 will enforce per
-// flush; pass 0 for the batch dimension to accept any batch size. Party 1
-// may pass nil.
-func NewSession(p *mpc.Party, m *models.Model, expect []int) (*Session, error) {
-	return NewSessionOpts(p, m, expect, SessionOptions{})
-}
-
-// NewSessionOpts is NewSession with explicit options.
+// NewSessionOpts compiles the model and performs the one-time
+// weight-sharing setup. Both parties must construct their session before
+// either side issues a query. expect is the input geometry party 0 will
+// enforce per flush; pass 0 for the batch dimension to accept any batch
+// size. Party 1 may pass nil.
 func NewSessionOpts(p *mpc.Party, m *models.Model, expect []int, opts SessionOptions) (*Session, error) {
 	if m.Net == nil {
 		return nil, fmt.Errorf("pi: model %q has no trained network", m.Name)

@@ -40,9 +40,6 @@ func NewEngine(prog *Program) *Engine { return &Engine{Prog: prog} }
 // both parties must pick the same mode.
 func (e *Engine) SetFixedMasks(on bool) { e.fixedMasks = on }
 
-// FixedMasks reports the engine's weight-mask mode.
-func (e *Engine) FixedMasks() bool { return e.fixedMasks }
-
 // SetOpFeed installs the per-op tracer: every Infer call reports each
 // executed operator's wall time to feed, keyed by the hwmodel geometry it
 // ran at and covering all batch rows of the flush. The measurement is
@@ -111,17 +108,6 @@ func (e *Engine) setupProg(p *mpc.Party, prog *Program) error {
 			}
 		}
 	}
-	return nil
-}
-
-// UseSource installs a correlation source (e.g. a preprocessed
-// corr.Store) on the engine's party for subsequent Infer calls. Must be
-// called after Setup has bound the party.
-func (e *Engine) UseSource(src mpc.CorrelationSource) error {
-	if e.party == nil {
-		return fmt.Errorf("pi: engine not set up")
-	}
-	e.party.Source = src
 	return nil
 }
 

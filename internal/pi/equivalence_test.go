@@ -20,7 +20,7 @@ import (
 // shortcuts, nested residual bodies, depthwise convolutions), activations
 // (ReLU and X²act) and pooling choices, it asserts that
 //
-//	InferBatch(K queries)  ≡  K sequential Infer calls  ≡  plaintext Forward
+//	Infer(PackQueries(K queries))  ≡  K sequential Infer calls  ≡  plaintext Forward
 //
 // within the fixed-point error bound, and that both parties reconstruct
 // bit-identical outputs on every path. These are the invariants the
@@ -226,26 +226,27 @@ func crossPathOutputs(t *testing.T, net *nn.Network, queries []*tensor.Tensor, s
 				return err
 			}
 		}
-		// Path 2: one InferBatch over the same K queries.
-		xs := make([]mpc.Share, k)
-		for i, q := range queries {
-			var err error
-			if xs[i], err = share(q); err != nil {
-				return err
-			}
-		}
-		outs, err := eng.InferBatch(xs)
+		// Path 2: the same K queries packed into one batch, as a serving
+		// flush packs them: pack, share, one Infer, demux the logits.
+		packed, counts, err := PackQueries(queries)
 		if err != nil {
 			return err
 		}
-		if len(outs) != k {
-			return fmt.Errorf("InferBatch returned %d outputs for %d queries", len(outs), k)
+		xs, err := share(packed)
+		if err != nil {
+			return err
 		}
-		batchOut := make([][]float64, k)
-		for i, o := range outs {
-			if batchOut[i], err = reveal(o); err != nil {
-				return err
-			}
+		out, err := eng.Infer(xs)
+		if err != nil {
+			return err
+		}
+		logits, err := reveal(out)
+		if err != nil {
+			return err
+		}
+		batchOut, err := SplitLogits(logits, counts)
+		if err != nil {
+			return err
 		}
 		mu.Lock()
 		perParty[p.ID][0] = seqOut
@@ -371,35 +372,23 @@ func TestPackSplitRoundTrip(t *testing.T) {
 	if packed.Shape[0] != 4 || counts[0] != 1 || counts[1] != 2 || counts[2] != 1 {
 		t.Fatalf("packed %v counts %v", packed.Shape, counts)
 	}
-	// Share-level pack/split mirrors the tensor-level layout.
-	shares := make([]mpc.Share, len(qs))
+	// Rows keep their queries' order, and demux hands each query its rows.
+	off := 0
 	for i, q := range qs {
-		shares[i] = mpc.NewShare(q.Shape...)
 		for j, v := range q.Data {
-			shares[i].V[j] = math.Float64bits(v)
+			if packed.Data[off+j] != v {
+				t.Fatalf("query %d diverges in the packed batch at %d", i, j)
+			}
 		}
+		off += len(q.Data)
 	}
-	ps, pcounts, err := PackShares(shares)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range packed.Data {
-		if ps.V[i] != math.Float64bits(v) {
-			t.Fatalf("packed share diverges from packed tensor at %d", i)
-		}
-	}
-	parts, err := SplitShares(ps, pcounts)
+	parts, err := SplitLogits(packed.Data, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range parts {
-		if !shapeEqual(p.Shape, []int{counts[i], 2, 4, 4}) {
-			t.Fatalf("part %d shape %v", i, p.Shape)
-		}
-		for j, v := range p.V {
-			if v != shares[i].V[j] {
-				t.Fatalf("part %d diverges at %d", i, j)
-			}
+		if len(p) != len(qs[i].Data) || p[0] != qs[i].Data[0] {
+			t.Fatalf("part %d: %d values, want query %d's %d", i, len(p), i, len(qs[i].Data))
 		}
 	}
 	// Geometry mismatches are rejected.

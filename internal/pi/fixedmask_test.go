@@ -36,9 +36,7 @@ func inferLogitsFixed(t *testing.T, prog *Program, x *tensor.Tensor, seed uint64
 			return err
 		}
 		if src := sources[p.ID]; src != nil {
-			if err := eng.UseSource(src); err != nil {
-				return err
-			}
+			p.Source = src
 		}
 		var enc []uint64
 		if p.ID == 1 {
@@ -224,7 +222,7 @@ func TestFixedMaskBytesAmortized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tape, err := TraceTape(prog, []int{1, 3, 16, 16})
+	tape, err := TraceTapeMode(prog, []int{1, 3, 16, 16}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +389,7 @@ func TestFallbackBudgetRegression(t *testing.T) {
 	shapeA := []int{1, 3, 16, 16}
 	shapeB := []int{2, 3, 16, 16}
 	dirFull := t.TempDir()
-	if _, err := WriteStores(prog, 95, [][]int{shapeA, shapeB}, 2, dirFull); err != nil {
+	if _, err := writeStores(prog, 95, [][]int{shapeA, shapeB}, 2, dirFull); err != nil {
 		t.Fatal(err)
 	}
 	// Party 0's directory holds only its shape-A store: shape B resolves on
@@ -416,7 +414,7 @@ func TestFallbackBudgetRegression(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		p0 := mpc.NewParty(0, c0, 95, 9001, codec)
-		sess0, err := NewSession(p0, m, []int{0, 3, 16, 16})
+		sess0, err := NewSessionOpts(p0, m, []int{0, 3, 16, 16}, SessionOptions{})
 		if err != nil {
 			serveErr = err
 			return
@@ -431,7 +429,7 @@ func TestFallbackBudgetRegression(t *testing.T) {
 		}
 	}()
 	p1 := mpc.NewParty(1, c1, 95, 9002, codec)
-	sess1, err := NewSession(p1, m, nil)
+	sess1, err := NewSessionOpts(p1, m, nil, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestSessionInstrumentSpansAndFeed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess, err := NewSession(p0, m, []int{0, inC, hw, hw})
+			sess, err := NewSessionOpts(p0, m, []int{0, inC, hw, hw}, SessionOptions{})
 			if err != nil {
 				serveErr = err
 				return
@@ -53,7 +53,7 @@ func TestSessionInstrumentSpansAndFeed(t *testing.T) {
 			serveErr = sess.Serve()
 		}()
 
-		sess, err := NewSession(p1, m, nil)
+		sess, err := NewSessionOpts(p1, m, nil, SessionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

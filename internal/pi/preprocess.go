@@ -26,9 +26,9 @@ var ErrNoStore = errors.New("no preprocessed store for this geometry")
 // split. A compiled program's correlation demand — which Beaver triples,
 // square pairs, matmul/conv triples and bit-triple batches the online
 // phase consumes, in what order and at what shapes — is a pure function of
-// the program and the input geometry. TraceTape records it once per batch
-// geometry by running the program through an in-process two-party pipe
-// with recording correlation sources; the preprocessor then generates that
+// the program and the input geometry. TraceTapeMode records it once per
+// batch geometry by running the program through an in-process two-party
+// pipe with recording correlation sources; WriteStorePair then deals that
 // tape ahead of time into corr.Stores, and the measured online phase
 // merely replays them.
 
@@ -68,21 +68,17 @@ func (zeroSource) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
 	return mpc.NewBitShare(n), mpc.NewBitShare(n), mpc.NewBitShare(n), nil
 }
 
-// TraceTape runs the compiled program once over an in-process transport
-// with recording correlation sources and returns the demand tape for one
-// evaluation at the given input geometry. The trace runs on zero inputs
-// and zero correlations: correlation demand never depends on input values
-// or correlation material, only on shapes — an invariant the trace itself
-// enforces by comparing the two parties' independently recorded tapes.
-func TraceTape(prog *Program, inputShape []int) (corr.Tape, error) {
-	return TraceTapeMode(prog, inputShape, false)
-}
-
-// TraceTapeMode is TraceTape with an explicit weight-mask mode. With
-// fixedMasks the traced engine consumes the FixedB kinds, yielding the
-// tape a fixed-mask session's flushes demand. (Setup's one-time F = W−b
-// opening is a transport exchange, not a correlation take, so it never
-// appears on the per-flush tape.)
+// TraceTapeMode runs the compiled program once over an in-process
+// transport with recording correlation sources and returns the demand tape
+// for one evaluation at the given input geometry in the given weight-mask
+// mode. With fixedMasks the traced engine consumes the FixedB kinds,
+// yielding the tape a fixed-mask session's flushes demand. (Setup's
+// one-time F = W−b opening is a transport exchange, not a correlation
+// take, so it never appears on the per-flush tape.) The trace runs on zero
+// inputs and zero correlations: correlation demand never depends on input
+// values or correlation material, only on shapes — an invariant the trace
+// itself enforces by comparing the two parties' independently recorded
+// tapes.
 func TraceTapeMode(prog *Program, inputShape []int, fixedMasks bool) (corr.Tape, error) {
 	n := 1
 	for _, d := range inputShape {
@@ -132,7 +128,7 @@ type SourceProvider interface {
 	SourceFor(party int, shape []int) (mpc.CorrelationSource, error)
 }
 
-// DirProvider loads preprocessed store files (written by WriteStores /
+// DirProvider loads preprocessed store files (written by WriteStorePair /
 // `pasnet-server -party preprocess`) from a directory, one file per
 // (party, geometry), and serves each file's stream across flushes until it
 // is exhausted — at which point the online phase fails with the store's
@@ -232,12 +228,12 @@ func StoreSeed(dealerSeed uint64, shape []int) uint64 {
 // batch geometries never share correlation randomness), and it doubles as
 // the fixed weight-mask seed, which must be the dealer's so that a
 // store-fed flush replays z = a@b against the b the session opened
-// F = W−b with at setup (corr.Build). Both files carry the run stamp the
-// sessions cross-check per flush, derived from the stream seed, so stores
-// from preprocess runs (or shards) with different seeds can never be
-// mixed silently. It is the single place the store wire layout, naming
-// and labeling live; every provisioning path (WriteStores, the gateway's
-// per-shard provisioning) goes through it.
+// F = W−b with at setup (corr.BuildPair). Both files carry the run stamp
+// the sessions cross-check per flush, derived from the stream seed, so
+// stores from preprocess runs (or shards) with different seeds can never
+// be mixed silently. It is the single place the store wire layout, naming
+// and labeling live; every provisioning path (the gateway's per-shard
+// provisioning, `pasnet-server -party preprocess`) goes through it.
 func WriteStorePair(tape corr.Tape, pairSeed uint64, shape []int, flushes int, dir string) ([]string, error) {
 	if flushes < 1 {
 		return nil, fmt.Errorf("pi: preprocess flushes must be >= 1, got %d", flushes)
@@ -275,37 +271,6 @@ func WriteStorePair(tape corr.Tape, pairSeed uint64, shape []int, flushes int, d
 			return nil, fmt.Errorf("pi: write store: %w", err)
 		}
 		paths = append(paths, path)
-	}
-	return paths, nil
-}
-
-// WriteStores traces the demand tape for each input geometry and writes
-// both parties' store files into dir, each covering `flushes` evaluations
-// of that geometry. It returns the written paths. The two parties' files
-// for one geometry come off a single shared stream, so any pair of
-// processes loading them holds consistent correlation halves.
-func WriteStores(prog *Program, dealerSeed uint64, shapes [][]int, flushes int, dir string) ([]string, error) {
-	return WriteStoresMode(prog, dealerSeed, shapes, flushes, dir, false)
-}
-
-// WriteStoresMode is WriteStores with an explicit weight-mask mode: with
-// fixedMasks the stores hold the FixedB demand tapes a fixed-mask session
-// consumes (smaller per flush — no weight-side triple halves).
-func WriteStoresMode(prog *Program, dealerSeed uint64, shapes [][]int, flushes int, dir string, fixedMasks bool) ([]string, error) {
-	if flushes < 1 {
-		return nil, fmt.Errorf("pi: preprocess flushes must be >= 1, got %d", flushes)
-	}
-	var paths []string
-	for _, shape := range shapes {
-		tape, err := TraceTapeMode(prog, shape, fixedMasks)
-		if err != nil {
-			return nil, fmt.Errorf("pi: preprocess geometry %v: %w", shape, err)
-		}
-		ps, err := WriteStorePair(tape, dealerSeed, shape, flushes, dir)
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, ps...)
 	}
 	return paths, nil
 }

@@ -29,6 +29,25 @@ import (
 //   - failure behavior: exhaustion and geometry mismatches surface as
 //     descriptive errors from both parties instead of a desync.
 
+// writeStores provisions both parties' store files for each geometry
+// the way the serving path does: trace the per-flush demand tape, then
+// WriteStorePair it off the geometry's stream.
+func writeStores(prog *Program, dealerSeed uint64, shapes [][]int, flushes int, dir string) ([]string, error) {
+	var paths []string
+	for _, shape := range shapes {
+		tape, err := TraceTapeMode(prog, shape, false)
+		if err != nil {
+			return nil, err
+		}
+		ps, err := WriteStorePair(tape, dealerSeed, shape, flushes, dir)
+		if err != nil {
+			return nil, err
+		}
+		paths = append(paths, ps...)
+	}
+	return paths, nil
+}
+
 // inferLogits runs one packed evaluation with an optional per-party
 // correlation source and returns party 0's reconstructed logits after
 // asserting both parties agree bit-for-bit.
@@ -42,12 +61,9 @@ func inferLogits(t *testing.T, prog *Program, x *tensor.Tensor, seed uint64, sou
 			return err
 		}
 		// Setup consumes no correlations, so installing the store after it
-		// (through the engine-level hook) is equivalent to installing it
-		// before — and exercises the public path.
+		// is equivalent to installing it before.
 		if src := sources[p.ID]; src != nil {
-			if err := eng.UseSource(src); err != nil {
-				return err
-			}
+			p.Source = src
 		}
 		var enc []uint64
 		if p.ID == 1 {
@@ -103,7 +119,7 @@ func TestCrossSourceEquivalenceVariants(t *testing.T) {
 
 				live := inferLogits(t, prog, x, seed, [2]mpc.CorrelationSource{})
 
-				tape, err := TraceTape(prog, x.Shape)
+				tape, err := TraceTapeMode(prog, x.Shape, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +206,7 @@ func TestTapeDeterminismAcrossKernelSettings(t *testing.T) {
 	for _, s := range kernelSettings() {
 		s := s
 		withKernelSetting(s, func() {
-			tape, err := TraceTape(prog, x.Shape)
+			tape, err := TraceTapeMode(prog, x.Shape, false)
 			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
@@ -258,7 +274,7 @@ func TestStoreErrorsSurfaceSymmetrically(t *testing.T) {
 	}
 	shape1 := []int{1, v.inC, v.hw, v.hw}
 	shape2 := []int{2, v.inC, v.hw, v.hw}
-	tape1, err := TraceTape(prog, shape1)
+	tape1, err := TraceTapeMode(prog, shape1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +358,7 @@ func TestDirProviderPreload(t *testing.T) {
 	}
 	dir := t.TempDir()
 	shapes := [][]int{{1, 3, 16, 16}, {2, 3, 16, 16}}
-	if _, err := WriteStores(prog, 31, shapes, 1, dir); err != nil {
+	if _, err := writeStores(prog, 31, shapes, 1, dir); err != nil {
 		t.Fatal(err)
 	}
 	dp := NewDirProvider(dir)
@@ -394,7 +410,7 @@ func TestDirProviderPreload(t *testing.T) {
 }
 
 // TestSessionWithDirProvider runs the deployed shape end to end: stores
-// written by WriteStores, two Sessions over a pipe with DirProviders on
+// written by writeStores, two Sessions over a pipe with DirProviders on
 // both sides, several flushes of two geometries, then exhaustion on the
 // flush past the preprocessed budget.
 func TestSessionWithDirProvider(t *testing.T) {
@@ -406,12 +422,12 @@ func TestSessionWithDirProvider(t *testing.T) {
 	dir := t.TempDir()
 	const flushes = 2
 	shapes := [][]int{{1, 3, 16, 16}, {2, 3, 16, 16}}
-	paths, err := WriteStores(prog, 77, shapes, flushes, dir)
+	paths, err := writeStores(prog, 77, shapes, flushes, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != 4 {
-		t.Fatalf("WriteStores wrote %d files, want 4", len(paths))
+		t.Fatalf("writeStores wrote %d files, want 4", len(paths))
 	}
 
 	q1 := query(d, 5)
@@ -424,7 +440,7 @@ func TestSessionWithDirProvider(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		p0 := mpc.NewParty(0, c0, 77, 1001, codec)
-		sess, err := NewSession(p0, m, []int{0, 3, 16, 16})
+		sess, err := NewSessionOpts(p0, m, []int{0, 3, 16, 16}, SessionOptions{})
 		if err != nil {
 			serveErr = err
 			return
@@ -434,7 +450,7 @@ func TestSessionWithDirProvider(t *testing.T) {
 	}()
 
 	p1 := mpc.NewParty(1, c1, 77, 1002, codec)
-	sess, err := NewSession(p1, m, nil)
+	sess, err := NewSessionOpts(p1, m, nil, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +503,7 @@ func TestSessionWithDirProvider(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		p0 := mpc.NewParty(0, mc0, 77, 2001, codec)
-		sess0, err := NewSession(p0, m, []int{0, 3, 16, 16})
+		sess0, err := NewSessionOpts(p0, m, []int{0, 3, 16, 16}, SessionOptions{})
 		if err != nil {
 			mixedErr0 = err
 			return
@@ -496,7 +512,7 @@ func TestSessionWithDirProvider(t *testing.T) {
 		_, _, mixedErr0 = sess0.ServeOne()
 	}()
 	mp1 := mpc.NewParty(1, mc1, 77, 2002, codec)
-	mixedSess, err := NewSession(mp1, m, nil)
+	mixedSess, err := NewSessionOpts(mp1, m, nil, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +535,7 @@ func TestSessionWithDirProvider(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		p0 := mpc.NewParty(0, ec0, 77, 3001, codec)
-		sess0, err := NewSession(p0, m, []int{0, 3, 16, 16})
+		sess0, err := NewSessionOpts(p0, m, []int{0, 3, 16, 16}, SessionOptions{})
 		if err != nil {
 			fbErr0 = err
 			return
@@ -529,7 +545,7 @@ func TestSessionWithDirProvider(t *testing.T) {
 		fb0 = sess0.Fallbacks()
 	}()
 	fp1 := mpc.NewParty(1, ec1, 77, 3002, codec)
-	fbSess, err := NewSession(fp1, m, nil)
+	fbSess, err := NewSessionOpts(fp1, m, nil, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +583,7 @@ func TestSessionWithDirProvider(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		p0 := mpc.NewParty(0, cc0, 77, 4001, codec)
-		sess0, err := NewSession(p0, m, []int{0, 3, 16, 16})
+		sess0, err := NewSessionOpts(p0, m, []int{0, 3, 16, 16}, SessionOptions{})
 		if err != nil {
 			hardErr0 = err
 			return
@@ -576,7 +592,7 @@ func TestSessionWithDirProvider(t *testing.T) {
 		_, _, hardErr0 = sess0.ServeOne()
 	}()
 	cp1 := mpc.NewParty(1, cc1, 77, 4002, codec)
-	hardSess, err := NewSession(cp1, m, nil)
+	hardSess, err := NewSessionOpts(cp1, m, nil, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,8 @@ type RunOptions struct {
 	// Preprocess moves correlation generation into a measured offline
 	// phase: the demand tape is traced once for the batch geometry and
 	// both parties' stores are generated before the online clock starts.
-	// The store generator replays the dealer stream exactly, so outputs
-	// are bit-identical to the live-dealer path under the same seed.
+	// Stores deal through the live dealer's own generator (mpc.Stream), so
+	// outputs are bit-identical to the live-dealer path under the same seed.
 	Preprocess bool
 	// FixedMasks runs the fixed weight-mask protocol (see
 	// SessionOptions.FixedMasks): weight-side openings collapse into the

@@ -41,7 +41,7 @@ func runBothParties(t *testing.T, m *models.Model, x *tensor.Tensor, expect []in
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		sess, err := NewSession(p0, m, expect)
+		sess, err := NewSessionOpts(p0, m, expect, SessionOptions{})
 		if err == nil {
 			outs[0], _, err = sess.ServeOne()
 		}
@@ -49,7 +49,7 @@ func runBothParties(t *testing.T, m *models.Model, x *tensor.Tensor, expect []in
 	}()
 	go func() {
 		defer wg.Done()
-		sess, err := NewSession(p1, m, nil)
+		sess, err := NewSessionOpts(p1, m, nil, SessionOptions{})
 		if err == nil {
 			outs[1], err = sess.Query(x)
 		}
@@ -135,7 +135,7 @@ func TestSessionBatchedFlushes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sess, err := NewSession(p0, m, []int{0, inC, hw, hw})
+		sess, err := NewSessionOpts(p0, m, []int{0, inC, hw, hw}, SessionOptions{})
 		if err != nil {
 			serveErr = err
 			return
@@ -143,7 +143,7 @@ func TestSessionBatchedFlushes(t *testing.T) {
 		serveErr = sess.Serve()
 	}()
 
-	sess, err := NewSession(p1, m, nil)
+	sess, err := NewSessionOpts(p1, m, nil, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +195,13 @@ func TestServeEndsCleanlyWhenPeerHangsUpFirst(t *testing.T) {
 	p1 := mpc.NewParty(1, c1, 7, 72, codec)
 	setup := make(chan error, 1)
 	go func() {
-		sess, err := NewSession(p1, m, nil)
+		sess, err := NewSessionOpts(p1, m, nil, SessionOptions{})
 		if err == nil {
 			err = sess.Close()
 		}
 		setup <- err
 	}()
-	sess, err := NewSession(mpc.NewParty(0, c0, 7, 71, codec), m, []int{0, inC, hw, hw})
+	sess, err := NewSessionOpts(mpc.NewParty(0, c0, 7, 71, codec), m, []int{0, inC, hw, hw}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

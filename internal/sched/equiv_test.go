@@ -166,6 +166,24 @@ func zooFlushes(v zooVariant, seed uint64) []*tensor.Tensor {
 
 const zooDealerSeed = 4242
 
+// writeStores provisions both parties' store files for each geometry the
+// way the gateway does: trace the per-flush tape, then WriteStorePair it.
+func writeStores(prog *pi.Program, dealerSeed uint64, shapes [][]int, flushes int, dir string) ([]string, error) {
+	var paths []string
+	for _, shape := range shapes {
+		tape, err := pi.TraceTapeMode(prog, shape, false)
+		if err != nil {
+			return nil, err
+		}
+		ps, err := pi.WriteStorePair(tape, dealerSeed, shape, flushes, dir)
+		if err != nil {
+			return nil, err
+		}
+		paths = append(paths, ps...)
+	}
+	return paths, nil
+}
+
 // runSchedule evaluates the flush sequence over a fresh session pair —
 // serialized (Session.Query per flush) or pipelined (all flushes started
 // before the first wait, so reconstruction genuinely overlaps the next
@@ -180,7 +198,7 @@ func runSchedule(t *testing.T, m *models.Model, flushes []*tensor.Tensor, pipeli
 	go func() {
 		defer wg.Done()
 		p0 := mpc.NewParty(0, c0, zooDealerSeed, zooDealerSeed*31+1, codec)
-		sess, err := pi.NewSession(p0, m, nil)
+		sess, err := pi.NewSessionOpts(p0, m, nil, pi.SessionOptions{})
 		if err != nil {
 			serveErr = err
 			return
@@ -191,7 +209,7 @@ func runSchedule(t *testing.T, m *models.Model, flushes []*tensor.Tensor, pipeli
 		serveErr = sess.Serve()
 	}()
 	p1 := mpc.NewParty(1, c1, zooDealerSeed, zooDealerSeed*31+2, codec)
-	sess, err := pi.NewSession(p1, m, nil)
+	sess, err := pi.NewSessionOpts(p1, m, nil, pi.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +255,7 @@ func runSchedule(t *testing.T, m *models.Model, flushes []*tensor.Tensor, pipeli
 // schedule ships under: for every zoo program, pipelined ≡ serialized
 // bit-identically on the live-dealer and the store-fed path, across
 // kernel worker counts. (The two sourcing paths each have their own
-// reference: a WriteStores store runs off its own per-geometry stream, so
+// reference: a WriteStorePair store runs off its own per-geometry stream, so
 // its outputs differ from the live dealer's by design — what must never
 // differ is the schedule, anywhere within a path.)
 func TestPipelinedEquivalence(t *testing.T) {
@@ -254,7 +272,7 @@ func TestPipelinedEquivalence(t *testing.T) {
 			// Budget: each schedule (serialized and pipelined, per worker
 			// count) replays its own providers, so cover one run's two
 			// flushes per geometry.
-			if _, err := pi.WriteStores(prog, zooDealerSeed, shapes, 2, storeDir); err != nil {
+			if _, err := writeStores(prog, zooDealerSeed, shapes, 2, storeDir); err != nil {
 				t.Fatal(err)
 			}
 			refs := map[bool][][]float64{}
@@ -304,7 +322,7 @@ func TestPipelinedSessionPoisonPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget of a single N=1 flush: the second flush exhausts the store.
-	if _, err := pi.WriteStores(prog, zooDealerSeed, [][]int{{1, v.inC, v.hw, v.hw}}, 1, storeDir); err != nil {
+	if _, err := writeStores(prog, zooDealerSeed, [][]int{{1, v.inC, v.hw, v.hw}}, 1, storeDir); err != nil {
 		t.Fatal(err)
 	}
 	c0, c1 := transport.Pipe()
@@ -314,7 +332,7 @@ func TestPipelinedSessionPoisonPropagates(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		p0 := mpc.NewParty(0, c0, zooDealerSeed, 1, codec)
-		sess, err := pi.NewSession(p0, m, nil)
+		sess, err := pi.NewSessionOpts(p0, m, nil, pi.SessionOptions{})
 		if err != nil {
 			return
 		}
@@ -322,7 +340,7 @@ func TestPipelinedSessionPoisonPropagates(t *testing.T) {
 		_ = sess.Serve() // dies on the exhausted store, symmetrically
 	}()
 	p1 := mpc.NewParty(1, c1, zooDealerSeed, 2, codec)
-	sess, err := pi.NewSession(p1, m, nil)
+	sess, err := pi.NewSessionOpts(p1, m, nil, pi.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

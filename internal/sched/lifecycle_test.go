@@ -371,7 +371,10 @@ func TestSwapSessionGraceful(t *testing.T) {
 // TestRolloverBuildFailureNoStrike pins the failed-build rule: a rollover
 // that cannot build counts no strike (MaxStrikes 1 would quarantine on
 // the first), burns its generation, and the next flush below the floor
-// retries.
+// retries. Queries keep flowing until the retry installs; the loop is
+// bounded by time rather than by a query count, because the builds run
+// on their own goroutines and a loaded machine can serve any fixed number
+// of fake flushes before scheduling them.
 func TestRolloverBuildFailureNoStrike(t *testing.T) {
 	var calls atomic.Int32
 	d, _ := rolloverLane(t, Options{Batch: 1}, lowBudget(), func(model string, shard, gen int) (FlushSession, error) {
@@ -380,10 +383,12 @@ func TestRolloverBuildFailureNoStrike(t *testing.T) {
 		}
 		return newFakeSession(0, -1), nil
 	}, 1)
-	for q := 0; q < 1000 && d.Status()[0].Reprovisioned == 0; q++ {
+	deadline := time.Now().Add(10 * time.Second)
+	for q := 0; d.Status()[0].Reprovisioned == 0 && time.Now().Before(deadline); q++ {
 		if _, err := d.Submit("m", query(1)); err != nil {
 			t.Fatalf("query %d: a failed rollover must not take the lane down: %v", q, err)
 		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -574,6 +574,9 @@ func (t *TCPConn) RecvUints() ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(payload)%4 != 0 {
+		return nil, raggedFrame('u', len(payload), 4)
+	}
 	xs := make([]uint32, len(payload)/4)
 	for i := range xs {
 		xs[i] = binary.LittleEndian.Uint32(payload[4*i:])
@@ -596,7 +599,7 @@ func (t *TCPConn) RecvUint64s() ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeUint64s(payload), nil
+	return decodeUint64s(payload)
 }
 
 // recvBoundedUint64s finishes receiving a 'U' frame whose header (with
@@ -616,7 +619,7 @@ func (t *TCPConn) recvBoundedUint64s(n uint32, maxElems int) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeUint64s(payload), nil
+	return decodeUint64s(payload)
 }
 
 // RecvUint64sMax implements Conn.
@@ -631,12 +634,24 @@ func (t *TCPConn) RecvUint64sMax(maxElems int) ([]uint64, error) {
 	return t.recvBoundedUint64s(n, maxElems)
 }
 
-func decodeUint64s(payload []byte) []uint64 {
+// decodeUint64s decodes a 'U' payload. RecvUint64s, RecvUint64sMax and
+// RecvReply all finish here, so a payload that is not a whole number of
+// words is rejected on every path instead of losing its tail.
+func decodeUint64s(payload []byte) ([]uint64, error) {
+	if len(payload)%8 != 0 {
+		return nil, raggedFrame('U', len(payload), 8)
+	}
 	xs := make([]uint64, len(payload)/8)
 	for i := range xs {
 		xs[i] = binary.LittleEndian.Uint64(payload[8*i:])
 	}
-	return xs
+	return xs, nil
+}
+
+// raggedFrame describes a data frame whose payload is not a whole number
+// of elements — a corrupted or hostile peer, never a short read.
+func raggedFrame(kind byte, n, elem int) error {
+	return fmt.Errorf("transport: frame kind %q payload of %d bytes is not a whole number of %d-byte elements", kind, n, elem)
 }
 
 // SendBytes implements Conn.

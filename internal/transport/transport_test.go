@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -388,6 +389,37 @@ func TestHostileHeaderRejectedBeforeAllocation(t *testing.T) {
 			err := tc.recv(NewTCPConn(victim))
 			if err == nil {
 				t.Fatal("hostile frame header must be rejected")
+			}
+		})
+	}
+}
+
+// TestRaggedDataFrameRejected injects raw frames whose payload is not a
+// whole number of elements — a 12-byte 'U' frame is one and a half words,
+// a 6-byte 'u' frame one and a half uint32s. Every data receive must
+// reject them by name instead of returning the whole elements and
+// silently dropping the tail.
+func TestRaggedDataFrameRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind byte
+		n    int
+		recv func(*TCPConn) error
+	}{
+		{"RecvUint64s", 'U', 12, func(c *TCPConn) error { _, err := c.RecvUint64s(); return err }},
+		{"RecvUint64sMax", 'U', 12, func(c *TCPConn) error { _, err := c.RecvUint64sMax(4); return err }},
+		{"RecvReply", 'U', 12, func(c *TCPConn) error { _, _, err := c.RecvReply(4); return err }},
+		{"RecvUints", 'u', 6, func(c *TCPConn) error { _, err := c.RecvUints(); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer, victim := net.Pipe()
+			defer peer.Close()
+			defer victim.Close()
+			frame := append([]byte{tc.kind, byte(tc.n), 0, 0, 0}, make([]byte, tc.n)...)
+			go peer.Write(frame)
+			err := tc.recv(NewTCPConn(victim))
+			if err == nil || !strings.Contains(err.Error(), "not a whole number") {
+				t.Fatalf("%d-byte %q frame: want a ragged-payload error, got %v", tc.n, tc.kind, err)
 			}
 		})
 	}
