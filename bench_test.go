@@ -5,7 +5,9 @@
 package pasnet_test
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"pasnet/internal/dataset"
 	"pasnet/internal/experiments"
@@ -191,6 +193,54 @@ func Benchmark2PCReLU1k(b *testing.B) {
 	})
 	b.ReportMetric(float64(wire.SentBytes+wire.RecvBytes)/n, "B/elem")
 	b.ReportMetric(float64(wire.SentFrames+wire.RecvFrames), "frames/op")
+}
+
+// Benchmark2PCSessionSetup brings up one fixed-mask session pair of the
+// demo backbone (ResNet-18 at width 1/16, 3×8×8 inputs, 4 classes, 21
+// weight tensors; untrained, since setup cost does not depend on weight
+// values) over a 1 ms one-way link: weight sharing plus the F = W−b
+// opening. ms/op is bring-up wall time, frames/op the frames both parties
+// sent. Setup depth is constant in the layer count, so ms/op stays near
+// two one-way delays.
+func Benchmark2PCSessionSetup(b *testing.B) {
+	cfg := models.CIFARConfig(0.0625, 3)
+	cfg.InputHW = 8
+	cfg.NumClasses = 4
+	cfg.TrainScaleOps = true
+	cfg.Act, cfg.Pool = models.ActX2, models.PoolAvg
+	m, err := models.ByName("resnet18", cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := pi.SessionOptions{FixedMasks: true}
+	var frames int64
+	var elapsed time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d0, d1 := transport.DelayPipe(time.Millisecond)
+		w0, w1 := obs.InstrumentConn(d0, nil), obs.InstrumentConn(d1, nil)
+		p0 := mpc.NewParty(0, w0, uint64(i+1), 1, fixed.Default64())
+		p1 := mpc.NewParty(1, w1, uint64(i+1), 2, fixed.Default64())
+		start := time.Now()
+		errc := make(chan error, 1)
+		go func() {
+			_, err := pi.NewSessionOpts(p0, m, []int{0, 3, 8, 8}, opts)
+			errc <- err
+		}()
+		_, err1 := pi.NewSessionOpts(p1, m, nil, opts)
+		if err1 != nil {
+			d1.Close() // releases party 0 if it still waits on the opening
+		}
+		if err := errors.Join(<-errc, err1); err != nil {
+			b.Fatal(err)
+		}
+		elapsed += time.Since(start)
+		frames = w0.Totals().SentFrames + w1.Totals().SentFrames
+		d0.Close()
+		d1.Close()
+	}
+	b.ReportMetric(float64(elapsed.Microseconds())/1e3/float64(b.N), "ms/op")
+	b.ReportMetric(float64(frames), "frames/op")
 }
 
 func Benchmark2PCX2Act1k(b *testing.B) {

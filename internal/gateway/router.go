@@ -210,6 +210,13 @@ func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int) (sched.
 		conn = obs.InstrumentConn(conn, rt.opts.Obs,
 			"model", desc.Model, "shard", strconv.Itoa(desc.Shard))
 	}
+	// Bring-up — hello, ack and weight-sharing setup — runs under the flush
+	// deadline, so a vendor that accepts and then stalls fails the build
+	// instead of wedging NewRouter or the lifecycle forever. Setup is a
+	// constant few hops, so it fits a flush-sized bound; the ack wait also
+	// covers the vendor's own store build for a later generation, which it
+	// skips when the pair's files are already in place.
+	setDeadline(conn, rt.opts.FlushDeadline)
 	// Hello handshake: name the (model, shard) — and, past generation 0,
 	// the generation — this link serves, then wait for the vendor's
 	// acceptance before the expensive weight sharing. A non-empty reply
@@ -249,6 +256,8 @@ func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int) (sched.
 		conn.Close()
 		return nil, fmt.Errorf("gateway: model %q shard %d session: %w", desc.Model, desc.Shard, err)
 	}
+	// Serving bounds each flush itself; between flushes the link may idle.
+	setDeadline(conn, 0)
 	if rt.opts.Obs != nil {
 		sess.Instrument(rt.opts.Obs,
 			"model", desc.Model, "shard", strconv.Itoa(desc.Shard))
@@ -290,6 +299,18 @@ func (rt *Router) reviveShard(model string, shard, gen int) (sched.FlushSession,
 		}
 	}
 	return rt.connectShard(spec, desc, gen)
+}
+
+// setDeadline bounds every receive and send on conn to d from now, or
+// lifts both bounds when d is not positive. Both shard ends bring a link
+// up under it (connectShard, ServeShardConn) and clear it before serving.
+func setDeadline(conn transport.Conn, d time.Duration) {
+	var t time.Time
+	if d > 0 {
+		t = time.Now().Add(d)
+	}
+	_ = conn.SetReadDeadline(t)
+	_ = conn.SetWriteDeadline(t)
 }
 
 // shardPrivSeed derives a party's private randomness seed for one shard

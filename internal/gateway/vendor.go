@@ -38,6 +38,11 @@ func ServeShardConn(conn transport.Conn, reg *Registry) error {
 	// so a lifecycle vendor accepting new generations for months never
 	// accumulates dead descriptors.
 	defer conn.Close()
+	// Bring-up runs under the flush deadline, as on the router side: a
+	// gateway that dials and then stalls fails this link instead of
+	// parking its goroutine forever.
+	deadline := reg.FlushDeadline()
+	setDeadline(conn, deadline)
 	model, hello, err := conn.RecvModelShape()
 	if err != nil {
 		return fmt.Errorf("gateway: shard hello: %w", err)
@@ -77,6 +82,8 @@ func ServeShardConn(conn transport.Conn, reg *Registry) error {
 		} else {
 			storeDir = ""
 		}
+		// The store build is local work; the bound restarts after it.
+		setDeadline(conn, deadline)
 	}
 	if err := conn.SendBytes(nil); err != nil {
 		return fmt.Errorf("gateway: shard hello ack: %w", err)
@@ -88,9 +95,11 @@ func ServeShardConn(conn transport.Conn, reg *Registry) error {
 	if err != nil {
 		return fmt.Errorf("gateway: model %q shard %d vendor session: %w", model, desc.Shard, err)
 	}
-	// Bound every in-flush receive so a gateway that stalls mid-protocol
-	// fails this link instead of wedging the serving goroutine forever.
-	sess.SetFlushDeadline(reg.FlushDeadline())
+	// From here the session bounds each flush and idles unbounded between
+	// them, so a gateway that stalls mid-protocol fails this link instead
+	// of wedging the serving goroutine forever.
+	setDeadline(conn, 0)
+	sess.SetFlushDeadline(deadline)
 	if storeDir != "" {
 		dp := pi.NewDirProvider(storeDir)
 		if err := dp.Preload(0); err != nil {

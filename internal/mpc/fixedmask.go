@@ -97,7 +97,7 @@ func (s *Stream) fixedMask(mask, n int) ([]uint64, error) {
 }
 
 // FixedMaskHalf returns this party's additive half of the fixed mask b for
-// slot mask of length n, under the stream's pinning rule. Party.OpenFixedW
+// slot mask of length n, under the stream's pinning rule. Party.OpenFixedWs
 // uses it once per weight per session to open F = W−b; the halves are
 // derived there, not cached, since nothing else needs them.
 func (d *Dealer) FixedMaskHalf(mask, n int) ([]uint64, error) {
@@ -143,27 +143,62 @@ func hashWords(v []uint64) uint64 {
 	return h
 }
 
-// OpenFixedW opens F = w−b for the fixed mask slot in one exchange round.
-// Call it once per session right after sharing the weight; the returned
-// FixedWeight feeds every subsequent MatMulFixedW/Conv2DFixedW on that
-// layer.
+// OpenFixedW opens F = w−b for one fixed mask slot in one exchange round:
+// the one-weight call of OpenFixedWs. The returned FixedWeight feeds every
+// subsequent MatMulFixedW/Conv2DFixedW on that layer.
 func (p *Party) OpenFixedW(mask int, w Share) (*FixedWeight, error) {
-	half, err := p.Dealer.FixedMaskHalf(mask, w.Len())
+	fws, err := p.OpenFixedWs([]int{mask}, []Share{w})
 	if err != nil {
-		return nil, fmt.Errorf("mpc: open fixed weight: %w", err)
+		return nil, err
 	}
-	mine := make([]uint64, w.Len())
-	ringSub(mine, w.V, half)
+	return fws[0], nil
+}
+
+// OpenFixedWs opens F = w−b for every (slot, weight) pair in one exchange
+// round, however many weights there are: each slot's half of b is derived
+// under the stream's pinning rule, all the w−b halves travel in one frame,
+// and one FixedWeight per weight comes back in argument order. A session
+// calls it once, after sharing its weights, so opening every layer's F
+// costs one round trip instead of one per layer. With no weights it
+// exchanges nothing.
+func (p *Party) OpenFixedWs(masks []int, ws []Share) ([]*FixedWeight, error) {
+	if len(masks) != len(ws) {
+		return nil, fmt.Errorf("mpc: open fixed weights: %d mask slots for %d weights", len(masks), len(ws))
+	}
+	if len(ws) == 0 {
+		return nil, nil
+	}
+	total := 0
+	for _, w := range ws {
+		total += w.Len()
+	}
+	mine := make([]uint64, total)
+	off := 0
+	for i, w := range ws {
+		half, err := p.Dealer.FixedMaskHalf(masks[i], w.Len())
+		if err != nil {
+			return nil, fmt.Errorf("mpc: open fixed weight: %w", err)
+		}
+		ringSub(mine[off:off+w.Len()], w.V, half)
+		off += w.Len()
+	}
 	theirs, err := transport.Exchange(p.Conn, mine)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: open fixed weight: %w", err)
 	}
-	if len(theirs) != len(mine) {
-		return nil, fmt.Errorf("mpc: open fixed weight length %d != %d", len(theirs), len(mine))
+	if len(theirs) != total {
+		return nil, fmt.Errorf("mpc: open fixed weight length %d != %d", len(theirs), total)
 	}
-	f := make([]uint64, len(mine))
-	ringAdd(f, mine, theirs)
-	return &FixedWeight{Mask: mask, F: f, seed: p.Dealer.Seed(), sum: hashWords(w.V)}, nil
+	// Exchange has finished sending mine, so it can hold the opened F.
+	ringAdd(mine, mine, theirs)
+	fws := make([]*FixedWeight, len(ws))
+	off = 0
+	for i, w := range ws {
+		n := w.Len()
+		fws[i] = &FixedWeight{Mask: masks[i], F: mine[off : off+n : off+n], seed: p.Dealer.Seed(), sum: hashWords(w.V)}
+		off += n
+	}
+	return fws, nil
 }
 
 // checkFixedW validates that fw is still a sound opening of w under this

@@ -81,7 +81,9 @@ func (p *Party) Other() int { return 1 - p.ID }
 
 // ShareInput secret-shares a tensor held by owner. The owner passes the
 // plaintext ring encoding; the other party passes nil. Both receive their
-// additive share (paper: shr(x) = (r, x−r)).
+// additive share (paper: shr(x) = (r, x−r)). The receiver knows the exact
+// share length from shape, so a frame claiming more is refused at its
+// header, before any payload is allocated.
 func (p *Party) ShareInput(owner int, secret []uint64, shape ...int) (Share, error) {
 	sh := NewShare(shape...)
 	if p.ID == owner {
@@ -98,9 +100,9 @@ func (p *Party) ShareInput(owner int, secret []uint64, shape ...int) (Share, err
 		copy(sh.V, mask)
 		return sh, nil
 	}
-	v, err := p.Conn.RecvUint64s()
+	v, err := p.Conn.RecvUint64sMax(len(sh.V))
 	if err != nil {
-		return Share{}, fmt.Errorf("mpc: receive input share: %w", err)
+		return Share{}, fmt.Errorf("mpc: receive input share of shape %v: %w", shape, err)
 	}
 	if len(v) != len(sh.V) {
 		return Share{}, fmt.Errorf("mpc: received share length %d != shape %v", len(v), shape)

@@ -11,7 +11,6 @@ import (
 	"pasnet/internal/mpc"
 	"pasnet/internal/obs"
 	"pasnet/internal/tensor"
-	"pasnet/internal/transport"
 )
 
 // This file implements the batched multi-query pipeline: K independent
@@ -120,46 +119,36 @@ func CheckShape(actual, expected []int) error {
 	return nil
 }
 
-// negotiateShape is the pre-flush control round: party 1 announces the
-// batch geometry it is about to share, party 0 announces the geometry it
-// expects, and each side validates the other's view before any protocol
-// data flows. A mismatch therefore surfaces as an immediate, symmetric
-// error instead of a mid-protocol length desync. Party 1 returns the
-// agreed shape; party 0 additionally learns the flush's batch size this
+// negotiateShape is party 0's half of the pre-flush control round: party 1
+// announces the batch geometry it is about to share (Flight's
+// QueryAnnounce/Confirm), party 0 announces the geometry it expects, and
+// each side validates the other's view before any protocol data flows. A
+// mismatch therefore surfaces as an immediate, symmetric error instead of
+// a mid-protocol length desync. Party 0 learns the flush's batch size this
 // way. An empty shape from party 1 is the end-of-session sentinel, and is
 // returned as (nil, nil).
 func negotiateShape(p *mpc.Party, mine []int) ([]int, error) {
-	if p.ID == 0 {
-		// Party 0 answers eagerly, before the peer's frame arrives, so its
-		// answer to an end-of-session sentinel races the peer hanging up
-		// (over TCP: a reset under the frame's second write). Nobody reads
-		// that answer; only failing to answer a real flush is an error.
-		sent := make(chan error, 1)
-		go func() { sent <- p.Conn.SendShape(mine) }()
-		theirs, err := p.Conn.RecvShape()
-		sendErr := <-sent
-		if err == nil && len(theirs) == 0 {
-			return nil, nil
-		}
-		if sendErr != nil {
-			return nil, fmt.Errorf("pi: shape negotiation: send: %w", sendErr)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pi: shape negotiation: recv: %w", err)
-		}
-		if err := CheckShape(theirs, mine); err != nil {
-			return nil, err
-		}
-		return theirs, nil
+	// Party 0 answers eagerly, before the peer's frame arrives, so its
+	// answer to an end-of-session sentinel races the peer hanging up (over
+	// TCP: a reset under the frame's second write). Nobody reads that
+	// answer; only failing to answer a real flush is an error.
+	sent := make(chan error, 1)
+	go func() { sent <- p.Conn.SendShape(mine) }()
+	theirs, err := p.Conn.RecvShape()
+	sendErr := <-sent
+	if err == nil && len(theirs) == 0 {
+		return nil, nil
 	}
-	theirs, err := transport.ExchangeShapes(p.Conn, mine)
+	if sendErr != nil {
+		return nil, fmt.Errorf("pi: shape negotiation: send: %w", sendErr)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("pi: shape negotiation: %w", err)
+		return nil, fmt.Errorf("pi: shape negotiation: recv: %w", modeHint(err))
 	}
-	if err := CheckShape(mine, theirs); err != nil {
+	if err := CheckShape(theirs, mine); err != nil {
 		return nil, err
 	}
-	return mine, nil
+	return theirs, nil
 }
 
 // Session is one party's endpoint of a persistent private-inference
@@ -380,19 +369,22 @@ func stampString(v []int) string {
 
 // SessionOptions configures optional session behavior.
 type SessionOptions struct {
-	// FixedMasks selects the fixed weight-mask protocol: setup opens
-	// F = W−b once per layer, flushes open only the activation side, and
-	// any preprocessed stores must be written in the same mode
+	// FixedMasks selects the fixed weight-mask protocol: setup opens every
+	// layer's F = W−b in one exchange, flushes open only the activation
+	// side, and any preprocessed stores must be written in the same mode
 	// (TraceTapeMode / the gateway's SetFixedMasks). Both parties must
-	// agree; a one-sided toggle fails loudly in setup's opening exchange.
+	// agree. A one-sided toggle fails both parties at the first flush —
+	// the fixed-mask party's opening meets the peer's flush frames — with
+	// an error naming this option.
 	FixedMasks bool
 }
 
 // NewSessionOpts compiles the model and performs the one-time
-// weight-sharing setup. Both parties must construct their session before
-// either side issues a query. expect is the input geometry party 0 will
-// enforce per flush; pass 0 for the batch dimension to accept any batch
-// size. Party 1 may pass nil.
+// weight-sharing setup (Engine.Setup: one round trip with fixed masks, one
+// one-way trip without, whatever the layer count). Both parties must
+// construct their session before either side issues a query. expect is
+// the input geometry party 0 will enforce per flush; pass 0 for the batch
+// dimension to accept any batch size. Party 1 may pass nil.
 func NewSessionOpts(p *mpc.Party, m *models.Model, expect []int, opts SessionOptions) (*Session, error) {
 	if m.Net == nil {
 		return nil, fmt.Errorf("pi: model %q has no trained network", m.Name)

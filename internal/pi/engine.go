@@ -1,11 +1,13 @@
 package pi
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"pasnet/internal/mpc"
 	"pasnet/internal/obs"
+	"pasnet/internal/transport"
 )
 
 // Engine executes a compiled program on one party's endpoint. Weight
@@ -19,11 +21,12 @@ type Engine struct {
 	// weights holds this party's shares of the secret tensors, indexed
 	// in program order (depth-first through residual branches).
 	weights []mpc.Share
-	// fixedMasks selects the fixed weight-mask protocol: Setup opens
-	// F = W−b once per weight right after sharing it, and every linear op
-	// opens only the activation side per flush (mpc fixedmask.go). Both
-	// parties must agree — a one-sided toggle desyncs Setup's opening
-	// exchange and fails loudly there.
+	// fixedMasks selects the fixed weight-mask protocol: Setup opens every
+	// weight's F = W−b in one exchange after sharing them all, and every
+	// linear op opens only the activation side per flush (mpc
+	// fixedmask.go). Both parties must agree — with a one-sided toggle the
+	// opening meets the peer's first flush frame, and both parties fail
+	// with an error naming the weight-mask mode (see modeHint).
 	fixedMasks bool
 	// fixedWs holds the per-weight opened F = W−b, parallel to weights,
 	// when fixedMasks is on.
@@ -50,17 +53,53 @@ func (e *Engine) SetFixedMasks(on bool) { e.fixedMasks = on }
 func (e *Engine) SetOpFeed(feed *obs.OpFeed) { e.feed = feed }
 
 // Setup secret-shares the model parameters from party 0 (the model
-// vendor). Both parties must call it before Infer. With fixed masks on it
-// also opens every weight's F = W−b — the once-per-session cost the
-// per-flush openings then stop paying.
+// vendor). Both parties must call it before Infer. It runs in two passes
+// over the program so its depth does not grow with the layer count: first
+// every weight is shared (party 0 sends them back to back without waiting,
+// so all the shares are in flight together), then, with fixed masks on,
+// one exchange opens every weight's F = W−b — the once-per-session cost
+// the per-flush openings then stop paying. Fixed-mask setup is one round
+// trip; per-flush setup is one one-way trip.
 func (e *Engine) Setup(p *mpc.Party) error {
 	e.party = p
 	e.weights = e.weights[:0]
-	e.fixedWs = e.fixedWs[:0]
-	return e.setupProg(p, e.Prog)
+	e.fixedWs = nil
+	if err := e.shareWeights(p, e.Prog); err != nil {
+		return err
+	}
+	if !e.fixedMasks {
+		return nil
+	}
+	// The mask slot is the weight's program-order index, so the same layer
+	// maps to the same slot on both parties and in every store built for
+	// this program.
+	masks := make([]int, len(e.weights))
+	for i := range masks {
+		masks[i] = i
+	}
+	fws, err := p.OpenFixedWs(masks, e.weights)
+	if err != nil {
+		return fmt.Errorf("pi: setup: opening F = W−b: %w", modeHint(err))
+	}
+	e.fixedWs = fws
+	return nil
 }
 
-func (e *Engine) setupProg(p *mpc.Party, prog *Program) error {
+// modeHint names the weight-mask mode in a frame-kind mismatch at setup's
+// opening or at a flush's shape round. Those are the two places a
+// one-sided SessionOptions.FixedMasks surfaces: the fixed-mask party's
+// opening meets the peer's first flush frame, and the peer's flush meets
+// the opening. Other errors pass through unchanged.
+func modeHint(err error) error {
+	if errors.Is(err, transport.ErrFrameKind) {
+		return fmt.Errorf("%w — the parties' protocols diverged; do both run the same weight-mask mode (SessionOptions.FixedMasks)?", err)
+	}
+	return err
+}
+
+// shareWeights is Setup's first pass: it secret-shares every weight tensor
+// in program order (depth-first through residual branches).
+func (e *Engine) shareWeights(p *mpc.Party, prog *Program) error {
 	for i := range prog.Ops {
 		op := &prog.Ops[i]
 		switch op.kind {
@@ -87,22 +126,12 @@ func (e *Engine) setupProg(p *mpc.Party, prog *Program) error {
 				sh = wt
 			}
 			e.weights = append(e.weights, sh)
-			if e.fixedMasks {
-				// The mask slot is the weight's program-order index, so the
-				// same layer maps to the same slot on both parties and in
-				// every store built for this program.
-				fw, err := p.OpenFixedW(len(e.weights)-1, sh)
-				if err != nil {
-					return fmt.Errorf("pi: setup %s fixed mask: %w", op.name, err)
-				}
-				e.fixedWs = append(e.fixedWs, fw)
-			}
 		case opResidual:
-			if err := e.setupProg(p, op.body); err != nil {
+			if err := e.shareWeights(p, op.body); err != nil {
 				return err
 			}
 			if op.shortcut != nil {
-				if err := e.setupProg(p, op.shortcut); err != nil {
+				if err := e.shareWeights(p, op.shortcut); err != nil {
 					return err
 				}
 			}

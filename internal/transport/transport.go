@@ -7,6 +7,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -337,7 +338,7 @@ func (m *MemConn) RecvUints() ([]uint32, error) {
 		return nil, err
 	}
 	if msg.kind != 'u' {
-		return nil, fmt.Errorf("transport: expected uint32 frame, got %q", msg.kind)
+		return nil, wrongKind("uint32", msg.kind)
 	}
 	return msg.u32, nil
 }
@@ -356,7 +357,7 @@ func (m *MemConn) RecvUint64s() ([]uint64, error) {
 		return nil, err
 	}
 	if msg.kind != 'U' {
-		return nil, fmt.Errorf("transport: expected uint64 frame, got %q", msg.kind)
+		return nil, wrongKind("uint64", msg.kind)
 	}
 	return msg.u64, nil
 }
@@ -388,7 +389,7 @@ func (m *MemConn) RecvBytes() ([]byte, error) {
 		return nil, err
 	}
 	if msg.kind != 'b' {
-		return nil, fmt.Errorf("transport: expected byte frame, got %q", msg.kind)
+		return nil, wrongKind("byte", msg.kind)
 	}
 	return msg.raw, nil
 }
@@ -409,7 +410,7 @@ func (m *MemConn) RecvShape() ([]int, error) {
 		return nil, err
 	}
 	if msg.kind != 's' {
-		return nil, fmt.Errorf("transport: expected shape frame, got %q", msg.kind)
+		return nil, wrongKind("shape", msg.kind)
 	}
 	return decodeShape(msg.raw)
 }
@@ -430,7 +431,7 @@ func (m *MemConn) RecvModelShape() (string, []int, error) {
 		return "", nil, err
 	}
 	if msg.kind != 'm' {
-		return "", nil, fmt.Errorf("transport: expected model+shape frame, got %q", msg.kind)
+		return "", nil, wrongKind("model+shape", msg.kind)
 	}
 	return decodeModelShape(msg.raw)
 }
@@ -456,7 +457,7 @@ func (m *MemConn) RecvReply(maxElems int) ([]uint64, string, error) {
 		}
 		return msg.u64, "", nil
 	default:
-		return nil, "", fmt.Errorf("transport: expected reply frame, got %q", msg.kind)
+		return nil, "", wrongKind("reply", msg.kind)
 	}
 }
 
@@ -554,7 +555,7 @@ func (t *TCPConn) readFrame(wantKind byte) ([]byte, error) {
 		return nil, err
 	}
 	if kind != wantKind {
-		return nil, fmt.Errorf("transport: expected frame kind %q, got %q", wantKind, kind)
+		return nil, wrongKind(fmt.Sprintf("%q", wantKind), kind)
 	}
 	return t.readPayload(kind, n, kindLimit(kind))
 }
@@ -629,7 +630,7 @@ func (t *TCPConn) RecvUint64sMax(maxElems int) ([]uint64, error) {
 		return nil, err
 	}
 	if kind != 'U' {
-		return nil, fmt.Errorf("transport: expected frame kind 'U', got %q", kind)
+		return nil, wrongKind("'U'", kind)
 	}
 	return t.recvBoundedUint64s(n, maxElems)
 }
@@ -646,6 +647,18 @@ func decodeUint64s(payload []byte) ([]uint64, error) {
 		xs[i] = binary.LittleEndian.Uint64(payload[8*i:])
 	}
 	return xs, nil
+}
+
+// ErrFrameKind is wrapped by every receive that finds a frame of another
+// kind than the one it expects: the two endpoints disagree about which
+// protocol step they are in. Callers that know the likely cause of such a
+// desync test for it with errors.Is and say so.
+var ErrFrameKind = errors.New("frame kind mismatch")
+
+// wrongKind describes a frame of kind got arriving where a want frame
+// belongs.
+func wrongKind(want string, got byte) error {
+	return fmt.Errorf("transport: expected %s frame, got a %q frame: %w", want, got, ErrFrameKind)
 }
 
 // raggedFrame describes a data frame whose payload is not a whole number
@@ -721,7 +734,7 @@ func (t *TCPConn) RecvReply(maxElems int) ([]uint64, string, error) {
 		}
 		return vals, "", nil
 	default:
-		return nil, "", fmt.Errorf("transport: expected reply frame, got %q", kind)
+		return nil, "", wrongKind("reply", kind)
 	}
 }
 
