@@ -2,19 +2,21 @@
 // the 2PC deployment split: demand tapes that record the exact sequence of
 // dealer correlations a compiled program consumes, a preprocessed
 // correlation store that generates that tape ahead of time and replays it
-// during the measured online phase, and a checksummed on-disk format so
-// stores can be produced by a `pasnet-server -party preprocess` run and
-// loaded at serve time.
+// during the measured online phase, and a checksummed, seed-compressed
+// on-disk format so stores can be produced by a `pasnet-server -party
+// preprocess` run and loaded at serve time.
 //
 // The store generator owns no generation logic of its own: it deals each
 // demand off an mpc.Stream, the same generator the live mpc.Dealer deals
 // from, in one cheap sequential pass, and runs party 1's z-half products
-// (ring convolutions and matrix multiplies) in a parallel second pass
-// sized from the kernel worker pool. A store built from seed S therefore hands out
-// byte-identical correlations to a live mpc.NewDealer(S, party) consuming
-// the same demand sequence by construction — which is what makes the
-// store-fed online phase bit-identical to the live-dealer path, the
-// invariant the cross-source equivalence suite pins.
+// (ring convolutions and matrix multiplies) on workers sized from the
+// kernel worker pool as that pass hands them over; the decoder regenerates
+// a file's halves through the same Stream's per-kind draws. A store built
+// from seed S therefore hands out byte-identical correlations to a live
+// mpc.NewDealer(S, party) consuming the same demand sequence by
+// construction — which is what makes the store-fed online phase
+// bit-identical to the live-dealer path, the invariant the cross-source
+// equivalence suite pins.
 package corr
 
 import (

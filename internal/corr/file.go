@@ -9,44 +9,65 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"pasnet/internal/mpc"
 )
 
 // On-disk store format (all integers little-endian):
 //
-//	magic   8 bytes  "PASCORR3"
+//	magic   8 bytes  "PASCORR4"
 //	body:
 //	  party   uint8
 //	  label   uint32                      preprocess-run stamp (see Label)
+//	  seed    uint64                      the party's mpc.Stream sub-stream
+//	                                      seed
 //	  count   uint32                      demand tape length
-//	  per entry:
+//	  tape, per entry:
 //	    kind  uint8
 //	    dims  kind-dependent uint32s      (n) | (m,k,p) | 10 conv fields |
 //	                                      (mask,m,k,p) | mask + 10 conv
-//	    payload                           uint64 words, counts derived
-//	                                      from the dims (bit triples: three
-//	                                      sections of ceil(n/64) words,
-//	                                      bits past n zero)
+//	  z section (party 1's file only):    every entry's z half in tape
+//	                                      order, uint64 words, counts
+//	                                      derived from the dims (bit
+//	                                      triples: ceil(n/64) words, bits
+//	                                      past n zero)
 //	trailer  uint32  CRC-32 (IEEE) of the body
 //
+// Every other half is a sub-stream's output (see mpc.Stream), so the
+// decoder regenerates it from the seed through an mpc half stream — the
+// same per-kind draws that dealt it — and a file is its header, its tape
+// and, for party 1, the z halves: a quarter to a sixth of the materialised
+// store. The decoded Store is fully materialised, as it always was.
+//
 // The trailer means a flipped byte or a truncated download fails loudly at
-// load time instead of desyncing the two parties mid-protocol; the dims
-// are validated against the same caps as the generator before any payload
-// allocation, so a hostile file cannot demand a pathological allocation.
+// load time instead of desyncing the two parties mid-protocol. The whole
+// tape is read and validated — every geometry against the generator's
+// caps, the store's total words against maxStoreWords, the z section's
+// length against the tape — before anything is allocated, so a hostile
+// file cannot demand a pathological allocation.
 //
 // Version history: "PASCORR1" lacked the fixed weight-mask kinds
 // (KindMatMulFixedB / KindConvFixedB) and their mask-slot dim; "PASCORR2"
 // stored bit triples one byte per bit and was dealt for the OT-leaf
-// comparison's demand tape. The magic is the version gate — any
-// "PASCORR"-prefixed file of another version is rejected with a
+// comparison's demand tape; "PASCORR3" stored every half of both parties,
+// interleaved with the tape, and was dealt in the single-stream draw order
+// (plain a and b first, then party 0's halves). The magic is the version
+// gate — any "PASCORR"-prefixed file of another version is rejected with a
 // regeneration hint rather than misparsed, in either direction (old binary
 // × new store, new binary × old store).
 
 // storeMagic identifies a serialized correlation store at this binary's
 // format version.
-const storeMagic = "PASCORR3"
+const storeMagic = "PASCORR4"
 
 // storeMagicPrefix identifies any version of the store format.
 const storeMagicPrefix = "PASCORR"
+
+// headerLen is the fixed part of the body: party, label, seed and count.
+const headerLen = 1 + 4 + 8 + 4
+
+// wordBlock is the size of the blocks words are encoded and decoded in.
+const wordBlock = 1 << 12
 
 // Encode serializes the store (including its consumed entries; a decoded
 // store always starts with its cursor rewound to the beginning).
@@ -65,49 +86,51 @@ func (s *Store) encodeTo(w io.Writer) error {
 	sum := crc32.NewIEEE()
 	// A bufio.Writer latches its first error and returns it from Flush.
 	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), 1<<16)
-	hdr := append(make([]byte, 0, 64), byte(s.party))
-	hdr = binary.LittleEndian.AppendUint32(hdr, s.label)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.entries)))
-	bw.Write(hdr)
-	for i := range s.entries {
-		d := s.tape[i]
-		e := &s.entries[i]
-		hdr = append(hdr[:0], byte(d.Kind))
-		switch d.Kind {
-		case KindMatMul:
-			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.M))
-			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.K))
-			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.P))
-		case KindMatMulFixedB:
-			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.Mask))
-			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.M))
-			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.K))
-			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.P))
-		case KindConv, KindConvFixedB:
-			if d.Kind == KindConvFixedB {
-				hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.Mask))
-			}
-			c := d.Conv
-			for _, v := range []int{c.N, c.InC, c.H, c.W, c.OutC, c.KH, c.KW, c.Stride, c.Pad, c.Groups} {
-				hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v))
-			}
-		default:
-			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d.N))
+	blk := make([]byte, 0, wordBlock)
+	blk = append(blk, byte(s.party))
+	blk = binary.LittleEndian.AppendUint32(blk, s.label)
+	blk = binary.LittleEndian.AppendUint64(blk, s.seed)
+	blk = binary.LittleEndian.AppendUint32(blk, uint32(len(s.entries)))
+	bw.Write(blk)
+	for _, d := range s.tape {
+		blk = append(blk[:0], byte(d.Kind))
+		for _, f := range d.dimFields() {
+			blk = binary.LittleEndian.AppendUint32(blk, uint32(*f))
 		}
-		bw.Write(hdr)
-		writeWords(bw, e.a)
-		writeWords(bw, e.b) // empty for square pairs
-		writeWords(bw, e.z)
+		bw.Write(blk)
+	}
+	if s.party == 1 {
+		for i := range s.entries {
+			writeWords(bw, blk, s.entries[i].z)
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	_, err := w.Write(binary.LittleEndian.AppendUint32(hdr[:0], sum.Sum32()))
+	_, err := w.Write(binary.LittleEndian.AppendUint32(blk[:0], sum.Sum32()))
 	return err
 }
 
+// dimFields lists the demand's geometry fields, by kind, in their on-disk
+// order: the encoder reads them, the decoder fills them.
+func (d *Demand) dimFields() []*int {
+	c := &d.Conv
+	switch d.Kind {
+	case KindMatMul:
+		return []*int{&d.M, &d.K, &d.P}
+	case KindMatMulFixedB:
+		return []*int{&d.Mask, &d.M, &d.K, &d.P}
+	case KindConv:
+		return []*int{&c.N, &c.InC, &c.H, &c.W, &c.OutC, &c.KH, &c.KW, &c.Stride, &c.Pad, &c.Groups}
+	case KindConvFixedB:
+		return []*int{&d.Mask, &c.N, &c.InC, &c.H, &c.W, &c.OutC, &c.KH, &c.KW, &c.Stride, &c.Pad, &c.Groups}
+	default:
+		return []*int{&d.N}
+	}
+}
+
 // Decode parses a serialized store, verifying the checksum before any
-// structural parsing and every geometry before any payload allocation.
+// structural parsing and every geometry before any allocation.
 func Decode(data []byte) (*Store, error) {
 	return decode(bytes.NewReader(data), int64(len(data)))
 }
@@ -115,9 +138,9 @@ func Decode(data []byte) (*Store, error) {
 // decode reads a size-byte serialized store from src in two passes — the
 // body through the checksum, then, rewound, through the parser — so a
 // store file is loaded without ever being held whole next to its decoded
-// payload.
+// halves.
 func decode(src io.ReadSeeker, size int64) (*Store, error) {
-	if size < int64(len(storeMagic)+1+4+4+4) {
+	if size < int64(len(storeMagic)+headerLen+4) {
 		return nil, fmt.Errorf("corr: store file truncated: %d bytes is shorter than the fixed header", size)
 	}
 	var magic [len(storeMagic)]byte
@@ -152,41 +175,23 @@ func decode(src io.ReadSeeker, size int64) (*Store, error) {
 		return nil, fmt.Errorf("corr: store file names party %d (want 0 or 1)", party)
 	}
 	label := r.u32()
+	seed := r.u64()
 	count := int(r.u32())
-	// Two caps keep a hostile declared count from demanding pathological
-	// allocations: the remaining body bounds the entry table (every entry
-	// carries at least a kind byte, a dim word and — since validate
-	// rejects empty demands — real payload), and an absolute ceiling far
-	// above any real tape bounds the per-entry bookkeeping overhead. The
-	// entry table itself grows by append, so memory tracks the bytes the
-	// file actually contains rather than what its header promises.
+	// The tape bounds the entry table: every entry is at least a kind byte
+	// and a dim word, and an absolute ceiling far above any real tape
+	// bounds the bookkeeping overhead. The table grows by append, so memory
+	// tracks the bytes the file actually contains rather than what its
+	// header promises.
 	const maxStoreEntries = 1 << 20
-	if count > maxStoreEntries || int64(count) > r.left/8 {
+	if count > maxStoreEntries || int64(count) > r.left/5 {
 		return nil, fmt.Errorf("corr: store file declares %d correlations against %d body bytes (cap %d)", count, r.left, maxStoreEntries)
 	}
-	growCap := count
-	if growCap > 4096 {
-		growCap = 4096
-	}
-	s := &Store{party: party, label: label, tape: make(Tape, 0, growCap), entries: make([]entry, 0, growCap)}
+	tape := make(Tape, 0, min(count, 4096))
+	var words, zWords int64
 	for i := 0; i < count; i++ {
 		d := Demand{Kind: Kind(r.u8())}
-		switch d.Kind {
-		case KindMatMul:
-			d.M, d.K, d.P = int(r.u32()), int(r.u32()), int(r.u32())
-		case KindMatMulFixedB:
-			d.Mask = int(r.u32())
-			d.M, d.K, d.P = int(r.u32()), int(r.u32()), int(r.u32())
-		case KindConv, KindConvFixedB:
-			if d.Kind == KindConvFixedB {
-				d.Mask = int(r.u32())
-			}
-			c := &d.Conv
-			for _, f := range []*int{&c.N, &c.InC, &c.H, &c.W, &c.OutC, &c.KH, &c.KW, &c.Stride, &c.Pad, &c.Groups} {
-				*f = int(r.u32())
-			}
-		default:
-			d.N = int(r.u32())
+		for _, f := range d.dimFields() {
+			*f = int(r.u32())
 		}
 		if r.err != nil {
 			return nil, fmt.Errorf("corr: store file truncated in entry %d header: %w", i, r.err)
@@ -195,21 +200,42 @@ func decode(src io.ReadSeeker, size int64) (*Store, error) {
 			return nil, fmt.Errorf("corr: store file entry %d: %w", i, err)
 		}
 		la, lb, lz := d.lens()
-		e := entry{a: r.words(la), b: r.words(lb), z: r.words(lz)}
-		if r.err != nil {
-			return nil, fmt.Errorf("corr: store file truncated in entry %d (%s) payload: %w", i, d, r.err)
+		words += int64(la + lb + lz)
+		if words > maxStoreWords {
+			return nil, fmt.Errorf("corr: store file's tape needs %d words by entry %d (%s), over the %d-word store cap", words, i, d, maxStoreWords)
 		}
-		if tail := uint(d.N) & 63; d.Kind == KindBits && tail != 0 {
-			// Canonical form: a file that decodes re-encodes to itself.
-			if (e.a[la-1]|e.b[la-1]|e.z[la-1])>>tail != 0 {
-				return nil, fmt.Errorf("corr: store file entry %d (%s) has bits set past its last triple", i, d)
-			}
+		if party == 1 {
+			zWords += int64(lz)
 		}
-		s.entries = append(s.entries, e)
-		s.tape = append(s.tape, d)
+		tape = append(tape, d)
 	}
-	if r.left != 0 {
-		return nil, fmt.Errorf("corr: store file has %d trailing bytes after the last entry", r.left)
+	if r.left < 8*zWords {
+		return nil, fmt.Errorf("corr: store file truncated: the tape's z halves need %d bytes, %d left", 8*zWords, r.left)
+	}
+	if r.left > 8*zWords {
+		return nil, fmt.Errorf("corr: store file has %d trailing bytes after the last entry", r.left-8*zWords)
+	}
+	s := &Store{party: party, label: label, seed: seed, tape: tape, entries: make([]entry, len(tape))}
+	half := mpc.NewHalfStream(party, seed)
+	for i, d := range tape {
+		t, err := d.deal(half)
+		if err != nil {
+			return nil, fmt.Errorf("corr: store file entry %d (%s): %w", i, d, err)
+		}
+		if party == 0 {
+			s.entries[i] = entry{a: t.A0, b: t.B0, z: t.Z0}
+			continue
+		}
+		_, _, lz := d.lens()
+		z := r.words(lz)
+		if r.err != nil {
+			return nil, fmt.Errorf("corr: store file truncated in entry %d (%s) z half: %w", i, d, r.err)
+		}
+		if tail := uint(d.N) & 63; d.Kind == KindBits && tail != 0 && z[lz-1]>>tail != 0 {
+			// Canonical form: a file that decodes re-encodes to itself.
+			return nil, fmt.Errorf("corr: store file entry %d (%s) has bits set past its last triple", i, d)
+		}
+		s.entries[i] = entry{a: t.A1, b: t.B1, z: z}
 	}
 	return s, nil
 }
@@ -258,11 +284,16 @@ func FileName(party int, shape []int) string {
 	return fmt.Sprintf("corr_p%d_n%s.pcs", party, strings.Join(dims, "x"))
 }
 
-func writeWords(bw *bufio.Writer, ws []uint64) {
-	var b [8]byte
-	for _, w := range ws {
-		binary.LittleEndian.PutUint64(b[:], w)
-		bw.Write(b[:])
+// writeWords encodes ws into w in wordBlock-byte blocks, staged in blk.
+func writeWords(w io.Writer, blk []byte, ws []uint64) {
+	for len(ws) > 0 {
+		n := min(len(ws), wordBlock/8)
+		blk = blk[:0]
+		for _, v := range ws[:n] {
+			blk = binary.LittleEndian.AppendUint64(blk, v)
+		}
+		w.Write(blk)
+		ws = ws[n:]
 	}
 }
 
@@ -272,7 +303,7 @@ type byteReader struct {
 	src  io.Reader
 	left int64 // body bytes not yet consumed
 	err  error
-	buf  [1 << 12]byte
+	buf  [wordBlock]byte
 }
 
 // take reads the next n <= len(r.buf) bytes; the result is valid until
@@ -307,6 +338,14 @@ func (r *byteReader) u32() uint32 {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(b)
+}
+
+func (r *byteReader) u64() uint64 {
+	b := r.take(8)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
 }
 
 func (r *byteReader) words(n int) []uint64 {

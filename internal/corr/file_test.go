@@ -2,13 +2,17 @@ package corr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"pasnet/internal/rng"
 )
 
 // TestStoreFileRoundTrip writes a store to disk, reads it back, and
@@ -98,7 +102,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc := tiny.Encode()
-		off := len(storeMagic) + 1 + 4 // count field
+		off := len(storeMagic) + headerLen - 4 // count field
 		enc[off] = 0xff
 		enc[off+1] = 0xff
 		enc[off+2] = 0xff
@@ -110,19 +114,20 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	})
 
 	t.Run("bit-section-length", func(t *testing.T) {
-		// A bit-triple entry's payload is three sections of ceil(n/64)
+		// A bit-triple entry's z half in party 1's file is ceil(n/64)
 		// words. Any other length behind a valid checksum — a word short, a
-		// word long, or PASCORR2's byte-per-bit sections — must not decode.
+		// word long, PASCORR3's three sections or PASCORR2's byte-per-bit
+		// section — must not decode.
 		bits, err := buildSeeded(Tape{{Kind: KindBits, N: 70}}, 1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		enc := bits.Encode()
-		head := len(storeMagic) + 1 + 4 + 4 + 1 + 4 // through the entry's n
-		if len(enc) != head+3*2*8+4 {
-			t.Fatalf("70 bit triples encode to %d bytes, want %d (three 2-word sections)", len(enc), head+3*2*8+4)
+		head := len(storeMagic) + headerLen + 1 + 4 // through the entry's n
+		if len(enc) != head+2*8+4 {
+			t.Fatalf("70 bit triples encode to %d bytes, want %d (one 2-word z half)", len(enc), head+2*8+4)
 		}
-		for _, payload := range []int{3*2*8 - 8, 3*2*8 + 8, 3 * 70} {
+		for _, payload := range []int{2*8 - 8, 2*8 + 8, 3 * 2 * 8, 70} {
 			bad := append(append([]byte(nil), enc[:head]...), make([]byte, payload+4)...)
 			reseal(bad)
 			if _, err := Decode(bad); err == nil {
@@ -135,15 +140,15 @@ func TestDecodeRejectsDamage(t *testing.T) {
 
 	t.Run("bit-tail-set", func(t *testing.T) {
 		// Canonical bytes: a set bit past the last triple (here bit 6 of
-		// the second word of the b section, n = 70) is rejected even with a
+		// the second word of the z half, n = 70) is rejected even with a
 		// valid checksum, so one store has one encoding.
 		bits, err := buildSeeded(Tape{{Kind: KindBits, N: 70}}, 1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		enc := bits.Encode()
-		head := len(storeMagic) + 1 + 4 + 4 + 1 + 4
-		enc[head+2*8+8] |= 0x40
+		head := len(storeMagic) + headerLen + 1 + 4
+		enc[head+8] |= 0x40
 		reseal(enc)
 		if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "past its last triple") {
 			t.Fatalf("tail bit: %v", err)
@@ -158,9 +163,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc := huge.Encode()
-		// Patch the n field (magic + party + label + count + kind) to
-		// maxEntryWords+1.
-		off := len(storeMagic) + 1 + 4 + 4 + 1
+		// Patch the n field (magic + header + kind) to maxEntryWords+1.
+		off := len(storeMagic) + headerLen + 1
 		enc[off] = 0x01
 		enc[off+1] = 0x00
 		enc[off+2] = 0x00
@@ -168,6 +172,41 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		reseal(enc)
 		if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("hostile geometry: %v", err)
+		}
+	})
+
+	t.Run("hostile-store-words", func(t *testing.T) {
+		// A party-0 file is header and tape alone, so its size no longer
+		// bounds what decoding it allocates. A ~100-byte file declaring 1024
+		// entries of 2^28 words is refused by the entry-size rule; one whose
+		// count is honest is refused by the store-wide word cap, summed over
+		// the validated tape. Neither may allocate what it declares.
+		huge := make(Tape, 18)
+		for i := range huge {
+			huge[i] = Demand{Kind: KindSquare, N: maxEntryWords / 2}
+		}
+		honest := (&Store{party: 0, tape: huge, entries: make([]entry, len(huge))}).Encode()
+		lying := append([]byte(nil), honest...)
+		binary.LittleEndian.PutUint32(lying[len(storeMagic)+headerLen-4:], 1024)
+		reseal(lying)
+		for _, c := range []struct {
+			name string
+			enc  []byte
+			want string
+		}{{"count", lying, "declares 1024 correlations"}, {"cap", honest, "store cap"}} {
+			if len(c.enc) > 128 {
+				t.Fatalf("%s: the hostile file is %d bytes, want ~100", c.name, len(c.enc))
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, err := Decode(c.enc)
+			runtime.ReadMemStats(&m1)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s: want an error naming %q, got %v", c.name, c.want, err)
+			}
+			if n := m1.TotalAlloc - m0.TotalAlloc; n >= 1<<20 {
+				t.Fatalf("%s: decoding a %d-byte hostile file allocated %d bytes", c.name, len(c.enc), n)
+			}
 		}
 	})
 }
@@ -185,17 +224,13 @@ func reseal(enc []byte) {
 
 // TestStoreFileStreams pins the file path to the in-memory codec — the
 // bytes WriteFile leaves on disk are Encode's, and ReadFile rejects what
-// Decode rejects — and checks neither direction stages the whole file in
-// memory: a store-fed server that loads a file through a same-size
-// transient starts serving with the collector's goal at twice that peak.
+// Decode rejects — and checks, for both parties, that neither direction
+// stages a second copy of the store in memory: a store-fed server that
+// loads a file through a same-size transient starts serving with the
+// collector's goal at twice that peak. The bounds are against the decoded
+// store's size, not the file's: a file is a fraction of what it decodes to.
 func TestStoreFileStreams(t *testing.T) {
 	tape := Tape{{Kind: KindSquare, N: 1 << 16}, {Kind: KindHadamard, N: 1 << 15}}.Repeat(4)
-	s, err := buildSeeded(tape, 0, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := s.Encode()
-	path := filepath.Join(t.TempDir(), "s.pcs")
 	allocated := func(f func()) int {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -203,25 +238,101 @@ func TestStoreFileStreams(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return int(m1.TotalAlloc - m0.TotalAlloc)
 	}
-	if n := allocated(func() { err = s.WriteFile(path) }); err != nil || n > len(enc)/8 {
-		t.Fatalf("WriteFile: err %v, allocated %d bytes writing a %d-byte store", err, n, len(enc))
+	for party := 0; party < 2; party++ {
+		s, err := buildSeeded(tape, party, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded := 8 * storeWords(tape)
+		enc := s.Encode()
+		path := filepath.Join(t.TempDir(), "s.pcs")
+		if n := allocated(func() { err = s.WriteFile(path) }); err != nil || n > decoded/8 {
+			t.Fatalf("party %d WriteFile: err %v, allocated %d bytes writing a %d-byte store", party, err, n, decoded)
+		}
+		if disk, err := os.ReadFile(path); err != nil || !bytes.Equal(disk, enc) {
+			t.Fatalf("party %d: file differs from Encode (read err %v)", party, err)
+		}
+		var loaded *Store
+		if n := allocated(func() { loaded, err = ReadFile(path) }); err != nil || n > decoded*5/4 {
+			t.Fatalf("party %d ReadFile: err %v, allocated %d bytes loading a %d-byte store", party, err, n, decoded)
+		}
+		if !bytes.Equal(loaded.Encode(), enc) {
+			t.Fatalf("party %d: a loaded store must re-encode to the file it came from", party)
+		}
+		enc[len(enc)/2] ^= 1
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("party %d: a flipped bit must fail the checksum, got %v", party, err)
+		}
 	}
-	if disk, err := os.ReadFile(path); err != nil || !bytes.Equal(disk, enc) {
-		t.Fatalf("file differs from Encode (read err %v)", err)
+}
+
+// storeWords is the number of words one party's decoded store for tape
+// holds.
+func storeWords(tape Tape) int {
+	n := 0
+	for _, d := range tape {
+		la, lb, lz := d.lens()
+		n += la + lb + lz
 	}
-	var loaded *Store
-	if n := allocated(func() { loaded, err = ReadFile(path) }); err != nil || n > len(enc)*5/4 {
-		t.Fatalf("ReadFile: err %v, allocated %d bytes loading a %d-byte store", err, n, len(enc))
-	}
-	if !bytes.Equal(loaded.Encode(), enc) {
-		t.Fatal("a loaded store must re-encode to the file it came from")
-	}
-	enc[len(enc)/2] ^= 1
-	if err := os.WriteFile(path, enc, 0o644); err != nil {
+	return n
+}
+
+// TestStoreFileSize pins what a file holds: party 0's is header and tape
+// alone, party 1's adds exactly its z halves, and testTape's pair is at
+// least 4× smaller than the PASCORR3 pair, which held every half of both
+// parties.
+func TestStoreFileSize(t *testing.T) {
+	tape := testTape()
+	s0, s1, err := BuildPair(tape, rng.New(5), 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("a flipped payload bit must fail the checksum, got %v", err)
+	tapeBytes, zWords := 0, 0
+	for _, d := range tape {
+		tapeBytes += 1 + 4*len(d.dimFields())
+		_, _, lz := d.lens()
+		zWords += lz
+	}
+	fixed := len(storeMagic) + headerLen + 4
+	if got, want := len(s0.Encode()), fixed+tapeBytes; got != want {
+		t.Fatalf("party 0 file is %d bytes, want header + tape = %d", got, want)
+	}
+	if got, want := len(s1.Encode()), fixed+tapeBytes+8*zWords; got != want {
+		t.Fatalf("party 1 file is %d bytes, want header + tape + z halves = %d", got, want)
+	}
+	pair := len(s0.Encode()) + len(s1.Encode())
+	v3 := 2 * (len(storeMagic) + 1 + 4 + 4 + 4 + tapeBytes + 8*storeWords(tape))
+	if 4*pair > v3 {
+		t.Fatalf("store pair is %d bytes against %d materialised: under 4× smaller", pair, v3)
+	}
+}
+
+// TestDecodeEncodeRoundTrip checks Decode(Encode(s)) ≡ s word for word,
+// header, tape and every half, for both parties.
+func TestDecodeEncodeRoundTrip(t *testing.T) {
+	tape := testTape()
+	s0, s1, err := BuildPair(tape, rng.New(31), 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Store{s0, s1} {
+		s.SetLabel(0xabcd0123)
+		got, err := Decode(s.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.party != s.party || got.label != s.label || got.seed != s.seed || !got.tape.Equal(s.tape) || len(got.entries) != len(s.entries) {
+			t.Fatalf("party %d: decoded header or tape differs", s.party)
+		}
+		for i := range s.entries {
+			name := fmt.Sprintf("party %d entry %d (%s)", s.party, i, tape[i])
+			eqWords(t, name+" a", got.entries[i].a, s.entries[i].a)
+			eqWords(t, name+" b", got.entries[i].b, s.entries[i].b)
+			eqWords(t, name+" z", got.entries[i].z, s.entries[i].z)
+		}
 	}
 }
 

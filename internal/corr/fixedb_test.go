@@ -158,25 +158,26 @@ func convShape(d mpc.ConvDims) kernel.ConvShape {
 // magic, so rewriting the magic yields exactly what the other binary
 // version would produce/consume — both directions must fail with the
 // regeneration hint, not a misparse:
-//   - new binary × old store: a "PASCORR1" or "PASCORR2" file decoded
-//     here;
+//   - new binary × old store: a "PASCORR1", "PASCORR2" or "PASCORR3" file
+//     decoded here — a PASCORR3 store's halves were dealt in the old draw
+//     order, so it must be regenerated, not reinterpreted;
 //   - old binary × new store: every earlier decoder compared the magic by
-//     strict equality too, so the bump to "PASCORR3" (pinned below: packed
-//     bit triples, dealt for the OT-free comparison's tape) makes it
+//     strict equality too, so the bump to "PASCORR4" (pinned below:
+//     seed-compressed stores, dealt off per-party sub-streams) makes it
 //     reject our files the same way.
 //
 // The message is the same for every version pair — it names the two
 // magics and the fix, not what changed between them.
 func TestStoreVersionGate(t *testing.T) {
-	if storeMagic != "PASCORR3" {
-		t.Fatalf("storeMagic = %q; packed bit triples shipped as PASCORR3 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
+	if storeMagic != "PASCORR4" {
+		t.Fatalf("storeMagic = %q; seed-compressed stores shipped as PASCORR4 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
 	}
 	s, err := buildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR4"} {
+	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR5"} {
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)
@@ -207,7 +208,7 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := s.Encode()
-	kindOff := len(storeMagic) + 1 + 4 + 4 // first entry's kind byte
+	kindOff := len(storeMagic) + headerLen // first entry's kind byte
 	enc[kindOff] = 0xee
 	reseal(enc)
 	if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "unknown correlation kind 238") {
@@ -251,7 +252,7 @@ func TestFixedBMaskValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc := s.Encode()
-		maskOff := len(storeMagic) + 1 + 4 + 4 + 1 // first entry's mask u32
+		maskOff := len(storeMagic) + headerLen + 1 // first entry's mask u32
 		enc[maskOff+3] = 0x7f                      // ~2^31: far past MaxFixedMask
 		reseal(enc)
 		if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "out of range") {

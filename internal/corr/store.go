@@ -3,7 +3,6 @@ package corr
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pasnet/internal/kernel"
 	"pasnet/internal/mpc"
@@ -15,6 +14,14 @@ import (
 // store file can never request a pathological allocation.
 const maxEntryWords = 1 << 28
 
+// maxStoreWords caps the words one decoded store holds, summed over its
+// whole validated tape before the decoder allocates any of them. A store
+// file carries a seed where it would carry masks, so its size no longer
+// bounds what decoding it allocates; this does. BuildPair applies it too,
+// so no store is built that could not be loaded. The largest store the
+// served-query ledger provisions holds ≈ 20 M words per party.
+const maxStoreWords = 1 << 28
+
 // entry is one preprocessed correlation: this party's halves. For ring
 // kinds a, b, z are additive halves (b is nil for square pairs and FixedB
 // kinds); for KindBits they are the packed XOR halves of (a, b, c = a∧b).
@@ -23,7 +30,8 @@ type entry struct {
 }
 
 // Store is a preprocessed correlation tape: one party's halves of every
-// correlation a program evaluation will consume, in demand order. The
+// correlation a program evaluation will consume, in demand order, held
+// materialised so no Take ever generates anything. The
 // online phase consumes it through the mpc.CorrelationSource interface;
 // every Take validates kind and geometry against the recorded demand and
 // returns a descriptive error on mismatch or exhaustion, before any
@@ -35,6 +43,7 @@ type entry struct {
 type Store struct {
 	party   int
 	label   uint32
+	seed    uint64 // the party's mpc.Stream sub-stream seed; see file.go
 	tape    Tape
 	entries []entry
 	cursor  int
@@ -172,11 +181,17 @@ func mulFits(vs ...int) bool {
 
 // BuildPair deals both parties' stores for the tape off one mpc.Stream
 // over the dealer stream r, so every correlation is the one a live dealer
-// on the same stream would hand out. The sequential pass keeps the
-// stream's draw order and stores every half that is cheap (party 0's
-// halves are the stream's masks; party 1's a/b halves are one
-// subtraction); party 1's z halves need the correlation products, which
-// run afterwards in parallel.
+// on the same stream would hand out. The draw pass keeps the stream's draw
+// order and stores every half that is a sub-stream's output (party 0's a,
+// b and z; party 1's a and b). Party 1's z halves need the correlation
+// products, which worker goroutines sized from the kernel pool run as the
+// draws hand them over. The per-product kernels are themselves chunked on
+// the shared pool, and their accumulation order never depends on worker
+// count, so store material is bit-identical for any kernel.SetWorkers /
+// SetNaive configuration — the invariant that lets a store recorded under
+// one setting replay under another. Each store keeps its party's
+// sub-stream seed, which is all its file needs in place of those
+// sub-stream halves.
 //
 // maskSeed is the *pair's* dealer seed, which may differ from r's stream:
 // fixed weight masks (the FixedB kinds) are derived out-of-band from the
@@ -185,27 +200,51 @@ func mulFits(vs ...int) bool {
 // session's live dealer minted and opened F = W−b with at setup. Tapes
 // without FixedB demands never touch maskSeed.
 func BuildPair(tape Tape, r *rng.RNG, maskSeed uint64) (p0, p1 *Store, err error) {
-	p0 = &Store{party: 0, tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
-	p1 = &Store{party: 1, tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
-	stream := mpc.NewStream(r, maskSeed)
-	deals := make([]mpc.Deal, len(tape))
+	words := 0
 	for i, d := range tape {
 		if err := d.validate(); err != nil {
 			return nil, nil, fmt.Errorf("corr: tape entry %d: %w", i, err)
 		}
+		la, lb, lz := d.lens()
+		if words += la + lb + lz; words > maxStoreWords {
+			return nil, nil, fmt.Errorf("corr: tape needs %d words per party by entry %d (%s), over the %d-word store cap", words, i, d, maxStoreWords)
+		}
+	}
+	stream := mpc.NewStream(r, maskSeed)
+	s0 := &Store{party: 0, seed: stream.Seed(0), tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
+	s1 := &Store{party: 1, seed: stream.Seed(1), tape: append(Tape(nil), tape...), entries: make([]entry, len(tape))}
+	type product struct {
+		i int
+		t mpc.Deal
+	}
+	// Sized to the sends, so the draw pass never waits on a product.
+	products := make(chan product, len(tape))
+	var wg sync.WaitGroup
+	for range min(kernel.Workers(), len(tape)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := range products {
+				s1.entries[p.i].z = p.t.Z1()
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(products)
+	for i, d := range tape {
 		t, err := d.deal(stream)
 		if err != nil {
 			return nil, nil, fmt.Errorf("corr: tape entry %d (%s): %w", i, d, err)
 		}
-		p0.entries[i] = entry{a: t.A0, b: t.B0, z: t.Z0}
-		p1.entries[i] = entry{a: t.A1, b: t.B1}
-		deals[i] = t
+		s0.entries[i] = entry{a: t.A0, b: t.B0, z: t.Z0}
+		s1.entries[i] = entry{a: t.A1, b: t.B1}
+		products <- product{i, t}
 	}
-	computeZ1(p1, deals)
-	return p0, p1, nil
+	return s0, s1, nil
 }
 
-// deal draws the demand's correlation off the stream.
+// deal draws the demand's correlation off the stream, a full one or one
+// party's half stream.
 func (d Demand) deal(s *mpc.Stream) (mpc.Deal, error) {
 	switch d.Kind {
 	case KindHadamard:
@@ -225,32 +264,6 @@ func (d Demand) deal(s *mpc.Stream) (mpc.Deal, error) {
 	default:
 		return mpc.Deal{}, fmt.Errorf("unknown correlation kind %d", uint8(d.Kind))
 	}
-}
-
-// computeZ1 runs party 1's z-half products across worker goroutines sized
-// from the kernel pool's parallelism degree. The per-product kernels are
-// themselves chunked on the shared pool, and their accumulation order
-// never depends on worker count, so store material is bit-identical for
-// any kernel.SetWorkers / SetNaive configuration — the invariant that lets
-// a store recorded under one setting replay under another.
-func computeZ1(s1 *Store, deals []mpc.Deal) {
-	workers := min(kernel.Workers(), len(deals))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(deals) {
-					return
-				}
-				s1.entries[i].z = deals[i].Z1()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // next validates and consumes the cursor's entry against the online

@@ -143,12 +143,13 @@ func linearOpShares(t *testing.T) [2]uint64 {
 }
 
 // TestLinearOpSharesGolden pins each party's output shares of Hadamard,
-// MatMul, Conv2D and both FixedW forms to the digests the three-term
-// combine produced (recorded at cc75c23, the commit before the regrouping):
-// the change must not move a single share bit, so every downstream byte,
-// truncation and logit is untouched.
+// MatMul, Conv2D and both FixedW forms, so a change to an op's combine
+// cannot move a single share bit unnoticed. The digests were re-recorded on
+// purpose when the dealer's draw order changed to per-party sub-streams
+// (each party's a/b halves drawn, the plain operands their sum): the
+// correlations moved, so the output shares did.
 func TestLinearOpSharesGolden(t *testing.T) {
-	want := [2]uint64{0x858398149957e3e2, 0xdb2b3bc54eab591d}
+	want := [2]uint64{0x15e1278c50a44306, 0x60a4ee416d82d4d6}
 	if got := linearOpShares(t); got != want {
 		t.Fatalf("output share digests = {%#x, %#x}, want {%#x, %#x}", got[0], got[1], want[0], want[1])
 	}

@@ -13,12 +13,18 @@ import (
 // seed S hands out byte-identical material to a live NewDealer(S, party) by
 // construction.
 //
-// Every draw consumes the stream in a fixed per-kind order — plain a, plain
-// b, then party 0's halves of a, b and z — and returns both parties' a/b
-// halves and party 0's z half. Party 1's z half needs the correlation's
-// product (a ring convolution, matrix multiply or elementwise product), so
-// it is left to Deal.Z1: a party-0 consumer never pays for it, and a store
-// generator can run it off the sequential stream, in parallel.
+// A Stream is two independent sub-streams, one per party, seeded from two
+// words NewStream draws off its RNG. Every draw takes party 0's a, b and z
+// halves off party 0's sub-stream and party 1's a and b halves off party
+// 1's, in that fixed per-kind order, and defines the plain operands as
+// a = a0 + a1 and b = b0 + b1 (XOR for bit triples). Party 1's z half,
+// product − z0, is then the only half that is not a sub-stream's output: it
+// needs the correlation's product (a ring convolution, matrix multiply or
+// elementwise product), so it is left to Deal.Z1 — a party-0 consumer never
+// pays for it, and a store generator can run it off the sequential stream,
+// in parallel. Everything else is regenerated from one sub-stream seed by a
+// half stream (NewHalfStream), which is what lets a store file hold a seed
+// where it would hold masks.
 //
 // The FixedB draws multiply against a session-pinned weight mask b that
 // never touches the stream: b is derived out-of-band from maskSeed and the
@@ -27,84 +33,119 @@ import (
 //
 // A Stream is not safe for concurrent use.
 type Stream struct {
-	r        *rng.RNG
+	r        [2]*rng.RNG // per-party sub-streams; a half stream has one
+	seeds    [2]uint64
 	maskSeed uint64
 	masks    map[int][]uint64 // fixed weight masks by slot
 }
 
-// NewStream deals from r. maskSeed is the serving pair's dealer seed, from
-// which fixed weight masks are derived; it may differ from r's seed (a
-// store provisioned off a per-geometry stream must still multiply against
-// the masks the session's live dealer minted).
+// NewStream deals from r: it draws the two sub-stream seeds off r, party
+// 0's first. maskSeed is the serving pair's dealer seed, from which fixed
+// weight masks are derived; it may differ from r's seed (a store
+// provisioned off a per-geometry stream must still multiply against the
+// masks the session's live dealer minted).
 func NewStream(r *rng.RNG, maskSeed uint64) *Stream {
-	return &Stream{r: r, maskSeed: maskSeed}
+	s := &Stream{maskSeed: maskSeed}
+	for p := range s.r {
+		s.seeds[p] = r.Uint64()
+		s.r[p] = rng.New(s.seeds[p])
+	}
+	return s
 }
 
-// Deal is one correlation drawn off a Stream. Ring halves are additive
-// (party 1's is the plain value minus party 0's); bit-triple halves are
-// XOR, packed 64 to a word. B0 and B1 are nil for the kinds whose b is not
-// dealt per correlation (square pairs and the FixedB kinds).
+// NewHalfStream returns party's side of the Stream whose party sub-stream
+// seed (Seed) is seed: each draw fills only that party's halves, word for
+// word the ones the full Stream deals, and leaves the other party's nil. A
+// half stream runs no product, so it never derives a fixed mask and its
+// deals have no Z1.
+func NewHalfStream(party int, seed uint64) *Stream {
+	if party != 0 && party != 1 {
+		panic(fmt.Sprintf("mpc: party must be 0 or 1, got %d", party))
+	}
+	s := &Stream{}
+	s.seeds[party] = seed
+	s.r[party] = rng.New(seed)
+	return s
+}
+
+// Seed returns party's sub-stream seed.
+func (s *Stream) Seed(party int) uint64 { return s.seeds[party] }
+
+// half reports whether s deals only one party's halves.
+func (s *Stream) half() bool { return s.r[0] == nil || s.r[1] == nil }
+
+// Deal is one correlation drawn off a Stream. Ring halves are additive;
+// bit-triple halves are XOR, packed 64 to a word. B0 and B1 are nil for the
+// kinds whose b is not dealt per correlation (square pairs and the FixedB
+// kinds); a half stream's deal carries only its party's halves.
 type Deal struct {
 	A0, B0, Z0 []uint64 // party 0's halves
 	A1, B1     []uint64 // party 1's a and b halves
-	// a, b are the plain operands whose product z is; b is the fixed mask
-	// for the FixedB kinds and unused for square pairs.
-	a, b    []uint64
-	product func(z, a, b []uint64)
-	xor     bool // bit triple: halves are XOR, not additive
+	b          []uint64 // the fixed mask of the FixedB kinds
+	product    func(z, a, b []uint64)
+	xor        bool // bit triple: halves are XOR, not additive
 }
 
-// unmask sets dst to party 1's half of plain given party 0's half h0:
-// plain − h0, or plain ⊕ h0 for bit triples.
-func (d Deal) unmask(dst, plain, h0 []uint64) {
+// join returns the plain value h0 + h1, or h0 ⊕ h1 for bit triples.
+func (d Deal) join(h0, h1 []uint64) []uint64 {
+	out := make([]uint64, len(h0))
 	if !d.xor {
-		ringSub(dst, plain, h0)
-		return
+		ringAdd(out, h0, h1)
+		return out
 	}
-	for i := range dst {
-		dst[i] = plain[i] ^ h0[i]
+	for i := range out {
+		out[i] = h0[i] ^ h1[i]
 	}
+	return out
 }
 
-// Z1 computes party 1's z half from the plain product of the deal's
-// operands.
+// Z1 computes party 1's z half, product(a, b) − z0 (⊕ z0 for bit triples),
+// from both parties' a and b halves.
 func (d Deal) Z1() []uint64 {
+	b := d.b
+	if d.B0 != nil {
+		b = d.join(d.B0, d.B1)
+	}
 	z := make([]uint64, len(d.Z0))
-	d.product(z, d.a, d.b)
-	d.unmask(z, z, d.Z0)
+	d.product(z, d.join(d.A0, d.A1), b)
+	if !d.xor {
+		ringSub(z, z, d.Z0)
+		return z
+	}
+	for i := range z {
+		z[i] ^= d.Z0[i]
+	}
 	return z
 }
 
-// deal fills in d's material in the stream's draw order: plain a, plain b
-// (when b is dealt here, lb > 0), then party 0's halves of a, b and z.
-// Each draw takes n words off the stream, or n packed bits for bit
-// triples.
+// deal fills in d's halves in the stream's draw order: party 0's a, b
+// (when b is dealt here, lb > 0) and z, then party 1's a and b, each off
+// its party's sub-stream. Each draw takes n words, or n packed bits for
+// bit triples.
 func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
-	draw := s.words
-	if d.xor {
-		draw = s.bits
+	draw := func(r *rng.RNG, n int) []uint64 {
+		if d.xor {
+			return DrawBits(r, n).W
+		}
+		w := make([]uint64, n)
+		r.FillUint64(w)
+		return w
 	}
-	d.a = draw(la)
-	if lb > 0 {
-		d.b = draw(lb)
+	if r := s.r[0]; r != nil {
+		d.A0 = draw(r, la)
+		if lb > 0 {
+			d.B0 = draw(r, lb)
+		}
+		d.Z0 = draw(r, lz)
 	}
-	d.A0, d.A1 = draw(la), make([]uint64, len(d.a))
-	d.unmask(d.A1, d.a, d.A0)
-	if lb > 0 {
-		d.B0, d.B1 = draw(lb), make([]uint64, len(d.b))
-		d.unmask(d.B1, d.b, d.B0)
+	if r := s.r[1]; r != nil {
+		d.A1 = draw(r, la)
+		if lb > 0 {
+			d.B1 = draw(r, lb)
+		}
 	}
-	d.Z0 = draw(lz)
 	return d
 }
-
-func (s *Stream) words(n int) []uint64 {
-	w := make([]uint64, n)
-	s.r.FillUint64(w)
-	return w
-}
-
-func (s *Stream) bits(n int) []uint64 { return DrawBits(s.r, n).W }
 
 // Hadamard deals an elementwise Beaver triple of length n.
 func (s *Stream) Hadamard(n int) Deal {
@@ -148,7 +189,7 @@ func (s *Stream) ConvFixedB(mask int, dims ConvDims) (Deal, error) {
 
 // Bits deals n AND triples (c = a AND b bitwise), GMW-style AND gates and
 // the whole of the comparison protocol. Each of the five draws is one
-// DrawBits, so the stream advances a word per 64 triples per draw.
+// DrawBits, so a sub-stream advances a word per 64 triples per draw.
 func (s *Stream) Bits(n int) Deal {
 	and := func(z, a, b []uint64) {
 		for i := range z {
@@ -164,8 +205,8 @@ func (s *Stream) Bits(n int) Deal {
 // correlations in the same program order, so each party derives its own
 // half of every correlation without any online dealer traffic — the
 // standard common-seed trusted-dealer simulation used by CrypTen-style
-// systems. Party 0's halves are the stream's masks, so only party 1 runs
-// the correlation products.
+// systems. Party 0's halves are its sub-stream's output, so only party 1
+// runs the correlation products.
 //
 // A Dealer instance belongs to one party and is not safe for concurrent
 // use.

@@ -57,9 +57,9 @@ func FixedMaskPlain(seed uint64, mask, n int) []uint64 {
 	return plain
 }
 
-// fixedMaskMaterial returns the plain mask and both additive halves,
-// split with the same mask-then-difference convention as a Deal's ring
-// halves so either party can derive its half locally.
+// fixedMaskMaterial returns the plain mask and both additive halves, split
+// mask-then-difference (party 0's half drawn after the plain mask, party
+// 1's the difference) so either party can derive its half locally.
 func fixedMaskMaterial(seed uint64, mask, n int) (plain, half0, half1 []uint64) {
 	r := fixedMaskRNG(seed, mask, n)
 	plain = make([]uint64, n)
@@ -71,7 +71,8 @@ func fixedMaskMaterial(seed uint64, mask, n int) (plain, half0, half1 []uint64) 
 	return plain, half0, half1
 }
 
-// fixedMask returns the plain mask b of slot id, deriving it on first use.
+// fixedMask returns the plain mask b of slot id, deriving it on first use
+// (a half stream validates the slot and returns nil).
 // A slot is pinned to the length it was first derived at: the mask wraps a
 // session-constant tensor, so a length change means the caller attached
 // the slot to a different value — a protocol bug worth failing loudly on.
@@ -81,6 +82,9 @@ func (s *Stream) fixedMask(mask, n int) ([]uint64, error) {
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("mpc: fixed mask length %d must be positive", n)
+	}
+	if s.half() {
+		return nil, nil // a half stream runs no product, so it needs no b
 	}
 	if b, ok := s.masks[mask]; ok {
 		if len(b) != n {

@@ -168,11 +168,24 @@ func (r *RNG) FillUint32(dst []uint32) {
 	}
 }
 
-// FillUint64 fills dst with uniform 64-bit values.
+// FillUint64 fills dst with uniform 64-bit values: exactly the words
+// len(dst) calls to Uint64 would return, leaving r in the same state. The
+// xoshiro step is written out over locals so the state stays in registers
+// for the whole fill; it is the hot loop of every dealer draw and store
+// regeneration.
 func (r *RNG) FillUint64(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := range dst {
-		dst[i] = r.Uint64()
+		dst[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // FillNorm fills dst with N(0, sigma^2) variates.
