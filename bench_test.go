@@ -212,7 +212,6 @@ func Benchmark2PCSessionSetup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := pi.SessionOptions{FixedMasks: true}
 	var frames int64
 	var elapsed time.Duration
 	b.ResetTimer()
@@ -224,10 +223,10 @@ func Benchmark2PCSessionSetup(b *testing.B) {
 		start := time.Now()
 		errc := make(chan error, 1)
 		go func() {
-			_, err := pi.NewSessionOpts(p0, m, []int{0, 3, 8, 8}, opts)
+			_, err := pi.NewSessionOpts(p0, m, []int{0, 3, 8, 8}, pi.SessionOptions{})
 			errc <- err
 		}()
-		_, err1 := pi.NewSessionOpts(p1, m, nil, opts)
+		_, err1 := pi.NewSessionOpts(p1, m, nil, pi.SessionOptions{})
 		if err1 != nil {
 			d1.Close() // releases party 0 if it still waits on the opening
 		}

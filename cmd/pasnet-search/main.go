@@ -73,8 +73,7 @@ func main() {
 	switch {
 	case *calPath != "":
 		cal, err := autodeploy.Calibrate(autodeploy.CalibrateOptions{
-			Backbone: *backbone, ModelCfg: cfg, HW: hwmodel.DefaultConfig(),
-			FixedMasks: true, Seed: *seed,
+			Backbone: *backbone, ModelCfg: cfg, HW: hwmodel.DefaultConfig(), Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)

@@ -137,10 +137,6 @@ type config struct {
 	// Prometheus text at /metrics and the same unified status document
 	// -status-json writes at /status.json (empty: off).
 	metricsAddr string
-	// fixedMasks runs the fixed weight-mask protocol on every session and
-	// store: W−b opened once per (session, layer), flushes open only the
-	// activation side. All roles of a deployment must agree.
-	fixedMasks bool
 }
 
 // newFlagSet declares every role's flags over cfg.
@@ -173,7 +169,6 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.IntVar(&cfg.reprovision, "reprovision", 0, "gateway: store rollover — build and swap in the next store generation once a shard's remaining preprocessed budget drops below this many correlations; implies -lifecycle here, and the vendor must run -lifecycle to accept the new links (0: off)")
 	fs.StringVar(&cfg.statusJSON, "status-json", "", "gateway: dump the unified status document (shard table + full metrics snapshot + event tail) as JSON to this file on SIGUSR1 and at shutdown (empty: off)")
 	fs.StringVar(&cfg.metricsAddr, "metrics-addr", "", "gateway: serve Prometheus text at /metrics and the unified status document at /status.json on this address (empty: off)")
-	fs.BoolVar(&cfg.fixedMasks, "fixedmasks", false, "all roles: fixed weight-mask protocol — open W−b once per session instead of per flush (preprocess, both computing parties and the gateway must agree)")
 	return fs
 }
 
@@ -240,7 +235,6 @@ func buildRegistry(cfg config) (*gateway.Registry, error) {
 	}
 	d := buildDataset(cfg.seed)
 	reg := gateway.NewRegistry()
-	reg.SetFixedMasks(cfg.fixedMasks)
 	for _, name := range names {
 		m, err := buildModel(name, cfg.seed, d)
 		if err != nil {

@@ -261,18 +261,22 @@ func TestReplyWriterStopsAdmittingAfterWriteFailure(t *testing.T) {
 	}
 }
 
-// TestFlagSurface pins the CLI contract of the one serving stack: 28
-// flags, no -backbone (folded into -models), and -party 1 is gone.
+// TestFlagSurface pins the CLI contract of the one serving stack: 27
+// flags, no -backbone (folded into -models), no -fixedmasks (fixed weight
+// masks are the only protocol), and -party 1 is gone.
 func TestFlagSurface(t *testing.T) {
 	var cfg config
 	fs := newFlagSet(&cfg)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 28 {
-		t.Fatalf("pasnet-server declares %d flags, want 28", n)
+	if n != 27 {
+		t.Fatalf("pasnet-server declares %d flags, want 27", n)
 	}
 	if fs.Lookup("backbone") != nil {
 		t.Fatal("-backbone must be folded into -models")
+	}
+	if fs.Lookup("fixedmasks") != nil {
+		t.Fatal("-fixedmasks must be gone: there is one weight-mask protocol")
 	}
 	if err := fs.Parse([]string{"-party", "1"}); err != nil {
 		t.Fatal(err)
@@ -314,7 +318,7 @@ func stdoutLines(t *testing.T) <-chan string {
 // TestRolesEndToEnd drives the README quick-start through run() itself —
 // preprocess → -party 0 → -party gateway -client-listen → -party client —
 // over loopback TCP, for the default one-model, one-shard deployment
-// (store-fed, fixed masks): the client's printed logits must match
+// (store-fed): the client's printed logits must match
 // plaintext inference, and the gateway's final status document must show
 // a healthy lane that never left its preprocessed stores.
 func TestRolesEndToEnd(t *testing.T) {
@@ -361,15 +365,15 @@ func TestRolesEndToEnd(t *testing.T) {
 	const queries = 4
 	// Single-row clients gather into flushes of 1..queries rows depending
 	// on arrival timing; preprocess every sum so no split can fall back.
-	if err := role("-party", "preprocess", "-store", store, "-fixedmasks", "-batches", "1,2,3,4", "-flushes", "4"); err != nil {
+	if err := role("-party", "preprocess", "-store", store, "-batches", "1,2,3,4", "-flushes", "4"); err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 2)
-	go func() { errs <- role("-party", "0", "-listen", linkAddr, "-store", store, "-fixedmasks") }()
+	go func() { errs <- role("-party", "0", "-listen", linkAddr, "-store", store) }()
 	waitLine("shard link(s) on " + linkAddr)
 	go func() {
 		errs <- role("-party", "gateway", "-connect", linkAddr, "-client-listen", clientAddr,
-			"-store", store, "-fixedmasks", "-status-json", statusPath)
+			"-store", store, "-status-json", statusPath)
 	}()
 	waitLine("client connection(s) on " + clientAddr)
 	if err := role("-party", "client", "-client-connect", clientAddr, "-queries", fmt.Sprint(queries)); err != nil {

@@ -33,11 +33,10 @@ func main() {
 
 	// Step 1: calibrate. The probe suite runs every operator of the
 	// backbone's search space through the real 2PC stack — preprocessed
-	// stores, fixed weight masks, the deployment's protocol mode — and
-	// fits a LUT of measured per-op wall times.
+	// stores, the deployment's protocol — and fits a LUT of measured
+	// per-op wall times.
 	cal, err := autodeploy.Calibrate(autodeploy.CalibrateOptions{
-		Backbone: "resnet18", ModelCfg: cfg, HW: hwmodel.DefaultConfig(),
-		FixedMasks: true, Seed: 5,
+		Backbone: "resnet18", ModelCfg: cfg, HW: hwmodel.DefaultConfig(), Seed: 5,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -81,15 +80,14 @@ func main() {
 	fmt.Printf("step 3  searched+trained: poly %.2f, %d ReLUs, priced by %s\n",
 		res.Choices.PolyFraction(), res.ReLUCount, res.LatencySource)
 
-	// Step 4: register into a live gateway — fixed masks, a per-shard
-	// preprocessed store — and serve a query.
+	// Step 4: register into a live gateway — a per-shard preprocessed
+	// store — and serve a query.
 	storeRoot, err := os.MkdirTemp("", "autodeploy-example-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(storeRoot)
 	reg := gateway.NewRegistry()
-	reg.SetFixedMasks(true)
 	spec := &gateway.ModelSpec{
 		ID: "winner", Model: res.Derived, Input: []int{3, 8, 8},
 		Shards: gateway.Shards("winner", 1, 33, storeRoot),

@@ -99,23 +99,13 @@ func main() {
 	fmt.Printf("online-only speedup over the live-dealer path: %.2fx per query, bit-identical logits\n",
 		batch.OnlineSecondsPerQuery/pre.OnlineSecondsPerQuery)
 
-	// 5. Fixed weight-masks: every flush above re-masked the same secret
-	// weights with a fresh b and re-opened W−b, paying the weight-side
-	// opening bytes again for a value that never changed. With FixedMasks
-	// the session opens W−b once at setup; each flush only opens the
-	// activation side, so per-flush online bytes drop by the weight share.
-	// (Only the weight side may do this: it masks the *same* value every
-	// flush. Activation masks stay fresh — reusing one would leak query
-	// differences.)
-	fixedRes, err := pi.RunBatchOpt(m, fw.HW, queries, 16, pi.RunOptions{Preprocess: true, FixedMasks: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nfixed weight-masks: %.2f KB/query online vs %.2f KB/query with per-flush masking (%.1f%% opening bytes saved)\n",
-		float64(fixedRes.OnlineBytesPerQuery)/1e3, float64(pre.OnlineBytesPerQuery)/1e3,
-		100*(1-float64(fixedRes.OnlineBytes)/float64(pre.OnlineBytes)))
-	fmt.Printf("one-time setup carries the single W−b opening: %.2f KB vs %.2f KB; max abs error %.5f\n",
-		float64(fixedRes.SetupBytes)/1e3, float64(pre.SetupBytes)/1e3, fixedRes.MaxAbsErr)
+	// 5. Setup vs online traffic: the session shares the weights and opens
+	// each layer's F = W−b once, at setup; every flush then opens only the
+	// activation side of each linear layer. (Only the weight side may do
+	// this: it masks the *same* value every flush. Activation masks stay
+	// fresh — reusing one would leak query differences.)
+	fmt.Printf("\nsetup vs online: %.2f KB once (weight shares + the W−b opening), then %.2f KB/query online\n",
+		float64(pre.SetupBytes)/1e3, float64(pre.OnlineBytesPerQuery)/1e3)
 
 	// 6. The multi-model shard gateway: register two models, provision
 	// every (model, shard) pair its own preprocessed correlation store,

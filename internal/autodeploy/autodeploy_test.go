@@ -33,7 +33,7 @@ func testModelCfg() models.Config {
 func TestCalibratePlanDeterministic(t *testing.T) {
 	opts := CalibrateOptions{
 		Backbone: "resnet18", ModelCfg: testModelCfg(), HW: hwmodel.DefaultConfig(),
-		Rows: 2, Reps: 1, FixedMasks: true, Seed: 3,
+		Rows: 2, Reps: 1, Seed: 3,
 	}
 	a, err := Calibrate(opts)
 	if err != nil {
@@ -82,8 +82,8 @@ func TestCalibratePlanDeterministic(t *testing.T) {
 
 // TestPipelineEndToEnd runs the whole loop on the in-process loopback:
 // calibrate, search against both tables, train both winners, register
-// them into a live fixed-mask gateway on preprocessed shard stores,
-// serve timed queries, and write the LUT artifact. Served logits must
+// them into a live gateway on preprocessed shard stores, serve timed
+// queries, and write the LUT artifact. Served logits must
 // match plaintext; the prediction-accuracy bound is reported, not
 // asserted (wall times on shared CI machines are advisory).
 func TestPipelineEndToEnd(t *testing.T) {

@@ -5,10 +5,10 @@
 // completely different cost surface, so a search regularized by the
 // analytic table optimizes for the wrong machine. This package
 // (1) calibrates: runs a deterministic per-operator probe suite through
-// the pi/mpc stack on the live transport — in the exact protocol mode
-// the deployment will serve under (preprocessed stores, fixed weight
-// masks) — and fits a hwmodel.LUT whose entries are measured wall
-// times; (2) searches: feeds that LUT into nas.Search; (3) deploys:
+// the pi/mpc stack on the live transport — under the exact protocol
+// the deployment serves (preprocessed stores, fixed weight masks) — and
+// fits a hwmodel.LUT whose entries are measured wall times;
+// (2) searches: feeds that LUT into nas.Search; (3) deploys:
 // trains the winner, registers it into a gateway.Registry next to the
 // analytic-table winner, and A/Bs both under the dispatch router,
 // reporting predicted-vs-measured online ms/query.
@@ -49,10 +49,6 @@ type CalibrateOptions struct {
 	// Reps repeats each probe model; each op takes its fastest rep
 	// (minimum wall time rejects scheduler noise). Default 2.
 	Reps int
-	// FixedMasks selects the fixed weight-mask protocol. Must match the
-	// deployment's registry mode — the two protocols open different
-	// numbers of values per flush and time differently.
-	FixedMasks bool
 	// Seed drives probe weight init, probe inputs and the 2PC dealer.
 	Seed uint64
 }
@@ -149,7 +145,6 @@ func Calibrate(opts CalibrateOptions) (*Calibration, error) {
 				// the online phase, which would inflate every op reading
 				// relative to the store-replay serving path.
 				Preprocess: true,
-				FixedMasks: opts.FixedMasks,
 				OpFeed:     feed,
 			})
 			if err != nil {
@@ -203,8 +198,8 @@ func opChecks(hw hwmodel.Config, readings []hwmodel.Reading) []OpCheck {
 // plus every probed key, in sorted order. FNV-1a over the joined text.
 func planDigest(opts CalibrateOptions, readings []hwmodel.Reading) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "PASCAL1|%s|rows=%d|reps=%d|fixed=%v|seed=%d|",
-		opts.Backbone, opts.Rows, opts.Reps, opts.FixedMasks, opts.Seed)
+	fmt.Fprintf(h, "PASCAL1|%s|rows=%d|reps=%d|seed=%d|",
+		opts.Backbone, opts.Rows, opts.Reps, opts.Seed)
 	for _, rd := range readings {
 		fmt.Fprintf(h, "%s|", rd.Op.Key())
 	}

@@ -93,10 +93,9 @@ type ModelReport struct {
 // Report is the pipeline's outcome: calibration provenance, the
 // harvested scheduler fit, and the two winners' A/B rows.
 type Report struct {
-	Backbone   string  `json:"backbone"`
-	Shards     int     `json:"shards"`
-	FixedMasks bool    `json:"fixed_masks"`
-	Bound      float64 `json:"bound"`
+	Backbone string  `json:"backbone"`
+	Shards   int     `json:"shards"`
+	Bound    float64 `json:"bound"`
 	// PlanDigest, Probes, OverheadMS and PerOp summarize calibration.
 	PlanDigest string             `json:"plan_digest"`
 	Probes     int                `json:"probes"`
@@ -138,8 +137,8 @@ func HarvestSched(status []gateway.ShardStatus) *hwmodel.SchedFit {
 // RunPipeline runs the full loop: calibrate on the live transport,
 // search once against the analytic table and once against the
 // calibrated LUT, train both winners, register both into one live
-// gateway (fixed masks, per-shard preprocessed stores), serve timed
-// queries against each, and report predicted vs measured ms/query.
+// gateway (per-shard preprocessed stores), serve timed queries against
+// each, and report predicted vs measured ms/query.
 func RunPipeline(opts PipelineOptions, train, val *dataset.Dataset) (*Report, error) {
 	logf := opts.Logf
 	if logf == nil {
@@ -169,7 +168,7 @@ func RunPipeline(opts PipelineOptions, train, val *dataset.Dataset) (*Report, er
 	logf("calibrating %s probes on the live transport", opts.Backbone)
 	cal, err := Calibrate(CalibrateOptions{
 		Backbone: opts.Backbone, ModelCfg: cfg, HW: opts.HW,
-		Rows: 1, Reps: opts.CalibReps, FixedMasks: true, Seed: opts.Seed,
+		Rows: 1, Reps: opts.CalibReps, Seed: opts.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -178,9 +177,9 @@ func RunPipeline(opts PipelineOptions, train, val *dataset.Dataset) (*Report, er
 		cal.Probes, cal.PlanDigest, cal.OverheadSec*1e3)
 
 	rep := &Report{
-		Backbone: opts.Backbone, Shards: opts.Shards, FixedMasks: true,
-		Bound: PredictionBound, PlanDigest: cal.PlanDigest, Probes: cal.Probes,
-		OverheadMS: cal.OverheadSec * 1e3, Scales: cal.LUT.Scales, PerOp: cal.PerOp,
+		Backbone: opts.Backbone, Shards: opts.Shards, Bound: PredictionBound,
+		PlanDigest: cal.PlanDigest, Probes: cal.Probes, OverheadMS: cal.OverheadSec * 1e3,
+		Scales: cal.LUT.Scales, PerOp: cal.PerOp,
 	}
 
 	type winner struct {
@@ -217,10 +216,9 @@ func RunPipeline(opts PipelineOptions, train, val *dataset.Dataset) (*Report, er
 		winners = append(winners, winner{id: tb.id, search: res, train: tr})
 	}
 
-	// Register both winners into one live gateway: fixed weight masks,
-	// every shard on its own preprocessed store pair.
+	// Register both winners into one live gateway, every shard on its own
+	// preprocessed store pair.
 	reg := gateway.NewRegistry()
-	reg.SetFixedMasks(true)
 	input := []int{cfg.InputC, cfg.InputHW, cfg.InputHW}
 	for _, w := range winners {
 		spec := &gateway.ModelSpec{

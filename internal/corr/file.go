@@ -132,14 +132,15 @@ func (d *Demand) dimFields() []*int {
 // Decode parses a serialized store, verifying the checksum before any
 // structural parsing and every geometry before any allocation.
 func Decode(data []byte) (*Store, error) {
-	return decode(bytes.NewReader(data), int64(len(data)))
+	return decode(bytes.NewReader(data), int64(len(data)), maxStoreWords)
 }
 
 // decode reads a size-byte serialized store from src in two passes — the
 // body through the checksum, then, rewound, through the parser — so a
 // store file is loaded without ever being held whole next to its decoded
-// halves.
-func decode(src io.ReadSeeker, size int64) (*Store, error) {
+// halves. A store whose tape needs more than maxWords words is refused
+// before anything is allocated.
+func decode(src io.ReadSeeker, size int64, maxWords int64) (*Store, error) {
 	if size < int64(len(storeMagic)+headerLen+4) {
 		return nil, fmt.Errorf("corr: store file truncated: %d bytes is shorter than the fixed header", size)
 	}
@@ -201,8 +202,8 @@ func decode(src io.ReadSeeker, size int64) (*Store, error) {
 		}
 		la, lb, lz := d.lens()
 		words += int64(la + lb + lz)
-		if words > maxStoreWords {
-			return nil, fmt.Errorf("corr: store file's tape needs %d words by entry %d (%s), over the %d-word store cap", words, i, d, maxStoreWords)
+		if words > maxWords {
+			return nil, fmt.Errorf("corr: store file's tape needs %d words by entry %d (%s), over the %d-word store cap", words, i, d, maxWords)
 		}
 		if party == 1 {
 			zWords += int64(lz)
@@ -266,7 +267,7 @@ func ReadFile(path string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corr: read store: %w", err)
 	}
-	s, err := decode(f, st.Size())
+	s, err := decode(f, st.Size(), maxStoreWords)
 	if err != nil {
 		return nil, fmt.Errorf("corr: %s: %w", path, err)
 	}

@@ -276,7 +276,16 @@ func (s *Store) next(want Demand) (*entry, error) {
 			"corr: store exhausted: online phase requested %s as correlation #%d, but the preprocessed store holds only %d correlations (preprocess more flushes or fall back to the live dealer)",
 			want, s.cursor+1, len(s.entries))
 	}
-	if got := s.tape[s.cursor]; got != want {
+	got := s.tape[s.cursor]
+	if got.Kind != want.Kind {
+		// A different kind is a different protocol, not a different batch
+		// geometry: e.g. a store written for per-flush weight masks (conv)
+		// replayed by a session that opens W−b once (conv-fixedb).
+		return nil, fmt.Errorf(
+			"corr: store kind mismatch at correlation #%d: store recorded %s, online phase requested %s — the store was written for another protocol; regenerate it with this binary's preprocess step (pasnet-server -party preprocess)",
+			s.cursor+1, got, want)
+	}
+	if got != want {
 		return nil, fmt.Errorf(
 			"corr: store geometry mismatch at correlation #%d: store recorded %s, online phase requested %s (was the store preprocessed for a different batch geometry?)",
 			s.cursor+1, got, want)

@@ -226,7 +226,8 @@ func TestBuildDeterministicAcrossKernelSettings(t *testing.T) {
 
 // TestStoreExhaustionAndMismatchErrors pins the descriptive error
 // contract: exhaustion and geometry mismatches name the correlation kind
-// and the recorded vs requested shape.
+// and the recorded vs requested shape, and a kind mismatch says to
+// regenerate the store rather than blaming the batch geometry.
 func TestStoreExhaustionAndMismatchErrors(t *testing.T) {
 	tape := Tape{{Kind: KindHadamard, N: 8}}
 	s, err := buildSeeded(tape, 0, 5)
@@ -236,13 +237,14 @@ func TestStoreExhaustionAndMismatchErrors(t *testing.T) {
 	// Wrong kind at the cursor.
 	if _, _, err := s.TakeSquare(8); err == nil {
 		t.Fatal("kind mismatch must error")
-	} else if !strings.Contains(err.Error(), "hadamard(n=8)") || !strings.Contains(err.Error(), "square(n=8)") {
-		t.Fatalf("mismatch error must name both demands, got: %v", err)
+	} else if !strings.Contains(err.Error(), "hadamard(n=8)") || !strings.Contains(err.Error(), "square(n=8)") ||
+		!strings.Contains(err.Error(), "regenerate") || strings.Contains(err.Error(), "batch geometry") {
+		t.Fatalf("kind mismatch error must name both demands and the regenerate hint, got: %v", err)
 	}
 	// Wrong geometry for the right kind.
 	if _, _, _, err := s.TakeHadamard(9); err == nil {
 		t.Fatal("geometry mismatch must error")
-	} else if !strings.Contains(err.Error(), "hadamard(n=9)") {
+	} else if !strings.Contains(err.Error(), "hadamard(n=9)") || !strings.Contains(err.Error(), "batch geometry") {
 		t.Fatalf("mismatch error must name the requested shape, got: %v", err)
 	}
 	// A failed take must not advance the cursor.

@@ -87,10 +87,8 @@ func TestVendorBringUpDeadline(t *testing.T) {
 			if err := reg.Register(&ModelSpec{ID: "m", Model: m, Input: input, Shards: Shards("m", 1, 7, "")}); err != nil {
 				t.Fatal(err)
 			}
-			// Per-flush setup only sends from the vendor's side; the
-			// fixed-mask opening is the receive a stalled gateway leaves
+			// The F = W−b opening is the receive a stalled gateway leaves
 			// hanging.
-			reg.SetFixedMasks(true)
 			reg.SetFlushDeadline(bringUpDeadline)
 			c0, c1 := transport.Pipe()
 			defer c1.Close()

@@ -256,7 +256,7 @@ func TestBackgroundReprovisioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	shape := []int{1, 2, 8, 8}
-	tape, err := pi.TraceTapeMode(prog, shape, false)
+	tape, err := pi.TraceTape(prog, shape)
 	if err != nil {
 		t.Fatal(err)
 	}

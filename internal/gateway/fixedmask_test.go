@@ -3,80 +3,22 @@ package gateway
 import (
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"pasnet/internal/corr"
-	"pasnet/internal/fixed"
-	"pasnet/internal/mpc"
 	"pasnet/internal/pi"
 	"pasnet/internal/rng"
 	"pasnet/internal/sched"
 	"pasnet/internal/tensor"
-	"pasnet/internal/transport"
 )
 
-// This file extends the routing-equivalence suite to the fixed weight-mask
-// protocol: a registry switched to SetFixedMasks(true) must provision
-// fixed-format stores, route queries bit-identically to a direct
-// fixed-mask shard pair, and revive exhausted shards onto fresh-generation
-// masks — the session-lifetime mask cache must never leak across the
-// routing or lifecycle layers.
-
-// directShardRunFixed is directShardRun for a fixed-mask registry: the
-// session pair is built with SessionOptions{FixedMasks: true}, exactly as
-// the router and vendor build theirs when the registry mode is on.
-func directShardRunFixed(t *testing.T, spec *ModelSpec, desc ShardDesc, queries []*tensor.Tensor) [][]float64 {
-	t.Helper()
-	c0, c1 := transport.Pipe()
-	codec := fixed.Default64()
-	var wg sync.WaitGroup
-	var serveErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p0 := mpc.NewParty(0, c0, desc.Seed, shardPrivSeed(desc.Seed, 0), codec)
-		sess, err := pi.NewSessionOpts(p0, spec.Model, append([]int{0}, spec.Input...), pi.SessionOptions{FixedMasks: true})
-		if err != nil {
-			serveErr = err
-			return
-		}
-		if desc.StoreDir != "" {
-			sess.UsePreprocessed(pi.NewDirProvider(desc.StoreDir))
-		}
-		serveErr = sess.Serve()
-	}()
-	p1 := mpc.NewParty(1, c1, desc.Seed, shardPrivSeed(desc.Seed, 1), codec)
-	sess, err := pi.NewSessionOpts(p1, spec.Model, nil, pi.SessionOptions{FixedMasks: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if desc.StoreDir != "" {
-		sess.UsePreprocessed(pi.NewDirProvider(desc.StoreDir))
-	}
-	out := make([][]float64, len(queries))
-	for i, q := range queries {
-		if out[i], err = sess.Query(q); err != nil {
-			t.Fatalf("direct fixed shard run flush %d: %v", i, err)
-		}
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if serveErr != nil {
-		t.Fatalf("direct fixed shard run serve side: %v", serveErr)
-	}
-	return out
-}
-
-// TestFixedMaskRoutingEquivalence runs the gateway headline property under
-// the fixed weight-mask mode, live and store-fed: routed queries are
-// bit-identical to a direct fixed-mask single-pair run of the same shard
-// provisioning, match plaintext within the fixed-point bound, and on the
-// store-fed path the budget telemetry proves the fixed-format stores were
-// actually consumed (not silently fallen back to the dealer).
+// TestFixedMaskRoutingEquivalence pins that a shard pair's one F = W−b
+// opening serves every batch geometry the router packs, live and
+// store-fed: a single-shard model flushed at N=2, N=1 and N=2 through the
+// router is bit-identical, row for row, to a direct session pair run of
+// the same flush sequence and matches plaintext, and the store-fed shard
+// shows it served every geometry from its stores.
 func TestFixedMaskRoutingEquivalence(t *testing.T) {
 	const bound = 0.05
 	for _, storeFed := range []bool{false, true} {
@@ -91,50 +33,56 @@ func TestFixedMaskRoutingEquivalence(t *testing.T) {
 			}
 			m, input := testModel("m", 2, 8, 3, 101)
 			reg := NewRegistry()
-			if err := reg.Register(&ModelSpec{ID: "m", Model: m, Input: input, Shards: Shards("m", 2, 77, storeRoot)}); err != nil {
+			if err := reg.Register(&ModelSpec{ID: "m", Model: m, Input: input, Shards: Shards("m", 1, 77, storeRoot)}); err != nil {
 				t.Fatal(err)
 			}
-			// Mode first, stores second: WriteShardStores traces the
-			// fixed-kind tape only when the registry is already switched.
-			reg.SetFixedMasks(true)
 			if storeFed {
-				// Covers the routed run plus the direct re-run of each
-				// shard's flush sequence off a fresh provider.
-				if _, err := WriteShardStores(reg, []int{1}, 4); err != nil {
+				// Both geometries, each covering the routed run plus the
+				// direct re-run off a fresh provider.
+				if _, err := WriteShardStores(reg, []int{1, 2}, 4); err != nil {
 					t.Fatal(err)
 				}
 			}
 			lb := NewLoopback(reg)
-			rt, err := NewRouter(reg, RouterOptions{Batch: 1, Dial: lb.Dial})
+			// Batch 2 with a window: two queries submitted back to back fill
+			// one N=2 flush in submission order; a lone query flushes N=1
+			// when the window closes.
+			rt, err := NewRouter(reg, RouterOptions{Batch: 2, Window: 200 * time.Millisecond, Dial: lb.Dial})
 			if err != nil {
 				t.Fatal(err)
 			}
 			spec, _ := reg.Lookup("m")
 			r := rng.New(906)
-			const total = 4
-			var queries []*tensor.Tensor
-			var routed [][]float64
-			for q := 0; q < total; q++ {
-				x := tensor.New(1, input[0], input[1], input[2]).RandNorm(r, 0.5)
-				queries = append(queries, x)
-				logits, err := rt.Submit("m", x)
-				if err != nil {
-					t.Fatalf("query %d: %v", q, err)
+			var flushes [][]*tensor.Tensor
+			var routed [][][]float64
+			for f, n := range []int{2, 1, 2} {
+				var batch []*tensor.Tensor
+				var waits []func() ([]float64, error)
+				for i := 0; i < n; i++ {
+					x := tensor.New(1, input[0], input[1], input[2]).RandNorm(r, 0.5)
+					batch = append(batch, x)
+					waits = append(waits, rt.SubmitAsync("m", x))
 				}
-				routed = append(routed, logits)
+				var rows [][]float64
+				for i, wait := range waits {
+					logits, err := wait()
+					if err != nil {
+						t.Fatalf("flush %d query %d: %v", f, i, err)
+					}
+					if d := maxAbsDiff(logits, spec.Model.Net.Forward(batch[i], false).Data); d > bound {
+						t.Fatalf("flush %d query %d: routed vs plaintext diff %v", f, i, d)
+					}
+					rows = append(rows, logits)
+				}
+				flushes = append(flushes, batch)
+				routed = append(routed, rows)
 			}
-			for _, st := range rt.Status() {
-				if st.Down != "" || st.Flushes != 2 {
-					t.Fatalf("shard status %+v, want 2 flushes, up", st)
-				}
-				if storeFed {
-					if st.Budget <= 0 {
-						t.Fatalf("store-fed fixed shard %d budget %d, want positive stamp: the fixed-format store was not consumed", st.Shard, st.Budget)
-					}
-					if st.Fallbacks != 0 {
-						t.Fatalf("store-fed fixed shard %d took %d dealer fallbacks", st.Shard, st.Fallbacks)
-					}
-				}
+			st := rt.Status()[0]
+			if st.Down != "" || st.Queries != 5 || st.Flushes != 3 {
+				t.Fatalf("shard status %+v, want 5 queries / 3 flushes, up", st)
+			}
+			if storeFed && (st.Budget <= 0 || st.Fallbacks != 0) {
+				t.Fatalf("store-fed shard: budget %d, %d dealer fallbacks; want a positive stamp and none", st.Budget, st.Fallbacks)
 			}
 			if err := rt.Close(); err != nil {
 				t.Fatal(err)
@@ -142,29 +90,27 @@ func TestFixedMaskRoutingEquivalence(t *testing.T) {
 			if err := lb.Wait(); err != nil {
 				t.Fatalf("vendor side: %v", err)
 			}
-			// Plaintext within the fixed-point bound.
-			for q, x := range queries {
-				plain := spec.Model.Net.Forward(x, false).Data
-				if d := maxAbsDiff(routed[q], plain); d > bound {
-					t.Fatalf("query %d: routed fixed-mask vs plaintext diff %v", q, d)
+			var packed []*tensor.Tensor
+			for _, batch := range flushes {
+				x, _, err := pi.PackQueries(batch)
+				if err != nil {
+					t.Fatal(err)
 				}
+				packed = append(packed, x)
 			}
-			// Bit-identical to a direct fixed-mask single-pair run per
-			// shard: batch=1 round-robin lands query q on shard q%2.
-			for s := 0; s < 2; s++ {
-				var sub []*tensor.Tensor
-				var want [][]float64
-				for q := s; q < total; q += 2 {
-					sub = append(sub, queries[q])
-					want = append(want, routed[q])
+			direct := directShardRun(t, spec, spec.Shards[0], packed)
+			for f, rows := range routed {
+				var want []float64
+				for _, row := range rows {
+					want = append(want, row...)
 				}
-				direct := directShardRunFixed(t, spec, spec.Shards[s], sub)
-				for f := range direct {
-					for i := range direct[f] {
-						if direct[f][i] != want[f][i] {
-							t.Fatalf("shard %d flush %d: routed fixed-mask logit %d diverged from direct run: %v vs %v",
-								s, f, i, want[f][i], direct[f][i])
-						}
+				if len(direct[f]) != len(want) {
+					t.Fatalf("flush %d: direct run returned %d logits, routed %d", f, len(direct[f]), len(want))
+				}
+				for i := range want {
+					if direct[f][i] != want[i] {
+						t.Fatalf("flush %d (N=%d): routed logit %d diverged from the direct run: %v vs %v",
+							f, len(rows), i, want[i], direct[f][i])
 					}
 				}
 			}
@@ -173,11 +119,12 @@ func TestFixedMaskRoutingEquivalence(t *testing.T) {
 }
 
 // TestFixedMaskRevivalMintsFreshMasks is the mask-lifetime property at the
-// gateway level: when a fixed-mask shard exhausts its store and the
-// lifecycle revives it at generation 1, the revived pair re-opens W−b
-// against the fresh generation's masks (ReviveSeed) and serves store-fed
-// from a freshly provisioned fixed-format store — the generation-0 mask
-// material never outlives its dealer stream.
+// gateway level: when a shard exhausts its store and the lifecycle revives
+// it at generation 1, the revived pair re-opens W−b against the fresh
+// generation's masks (ReviveSeed) and serves store-fed from a freshly
+// provisioned store — the generation-0 mask material never outlives its
+// dealer stream, so the session-lifetime mask cache never leaks across the
+// lifecycle layer.
 func TestFixedMaskRevivalMintsFreshMasks(t *testing.T) {
 	storeRoot := t.TempDir()
 	m, input := testModel("m", 2, 8, 3, 101)
@@ -185,7 +132,6 @@ func TestFixedMaskRevivalMintsFreshMasks(t *testing.T) {
 	if err := reg.Register(&ModelSpec{ID: "m", Model: m, Input: input, Shards: Shards("m", 1, 77, storeRoot)}); err != nil {
 		t.Fatal(err)
 	}
-	reg.SetFixedMasks(true)
 	// Budget: exactly two N=1 flushes before exhaustion.
 	if _, err := WriteShardStores(reg, []int{1}, 2); err != nil {
 		t.Fatal(err)

@@ -155,11 +155,6 @@ type Registry struct {
 	// unbounded. The gateway side configures its own sessions through
 	// RouterOptions.FlushDeadline.
 	flushDeadline time.Duration
-	// fixedMasks runs every shard session — and every store provisioned
-	// for one — under the fixed weight-mask protocol. Registry-wide and
-	// set before provisioning/serving: tapes, stores and the sessions on
-	// both sides of every pair must agree on the mode.
-	fixedMasks bool
 }
 
 // ProvisionPolicy records how shard stores are provisioned: which flush
@@ -208,22 +203,12 @@ func (r *Registry) FlushDeadline() time.Duration {
 	return r.flushDeadline
 }
 
-// SetFixedMasks selects the fixed weight-mask protocol for every shard
-// session and store of this registry (see pi.SessionOptions.FixedMasks).
-// Set it before provisioning or serving; both processes of a deployment
-// must configure the same mode.
-func (r *Registry) SetFixedMasks(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fixedMasks = on
-}
-
-// FixedMasks reports the registry's weight-mask mode.
-func (r *Registry) FixedMasks() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.fixedMasks
-}
+// SetFixedMasks does nothing: every shard session and store runs the
+// fixed weight-mask protocol.
+//
+// Deprecated: the mode is gone. SetFixedMasks goes with the next change to
+// the benchmark module, its last caller.
+func (r *Registry) SetFixedMasks(bool) {}
 
 // claimShard reserves one (model, shard) pair at a lifecycle generation
 // for a vendor link, rejecting any generation at or below one already
@@ -465,13 +450,11 @@ func WriteShardStores(reg *Registry, batches []int, flushes int) ([]string, erro
 }
 
 // tapeFor returns the demand tape of one (model, geometry), tracing it at
-// most once per registry: the tape depends only on program, shape and the
-// registry's weight-mask mode (part of the cache key, in case the mode is
-// toggled between provisioning runs), never on any shard's randomness, so
-// provisioning and every later revival share it.
+// most once per registry: the tape depends only on program and shape,
+// never on any shard's randomness, so provisioning and every later revival
+// share it.
 func (r *Registry) tapeFor(spec *ModelSpec, shape []int) (corr.Tape, error) {
-	fixed := r.FixedMasks()
-	key := fmt.Sprintf("%s %v fixed=%v", spec.ID, shape, fixed)
+	key := fmt.Sprintf("%s %v", spec.ID, shape)
 	r.mu.Lock()
 	tape, ok := r.tapes[key]
 	prog := r.progs[spec.ID]
@@ -488,7 +471,7 @@ func (r *Registry) tapeFor(spec *ModelSpec, shape []int) (corr.Tape, error) {
 		r.progs[spec.ID] = prog
 		r.mu.Unlock()
 	}
-	tape, err := pi.TraceTapeMode(prog, shape, fixed)
+	tape, err := pi.TraceTape(prog, shape)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: model %q geometry %v: %w", spec.ID, shape, err)
 	}

@@ -136,7 +136,8 @@ func buildTwoModelRegistry(t *testing.T, storeRoot string) *Registry {
 // TestRoutingEquivalence is the headline property: sequential routed
 // queries over two registered models, on the live-dealer and the store-fed
 // path, are bit-identical to direct single-pair runs of the same shard
-// provisioning and match plaintext within the fixed-point bound.
+// provisioning and match plaintext within the fixed-point bound; store-fed
+// shards show they served from their stores.
 func TestRoutingEquivalence(t *testing.T) {
 	const bound = 0.05
 	for _, storeFed := range []bool{false, true} {
@@ -184,6 +185,12 @@ func TestRoutingEquivalence(t *testing.T) {
 			for _, st := range rt.Status() {
 				if st.Down != "" || st.Queries != 2 || st.Flushes != 2 {
 					t.Fatalf("shard status %+v, want 2 queries / 2 flushes, up", st)
+				}
+				// The budget stamp proves the stores were consumed, not
+				// silently fallen back from.
+				if storeFed && (st.Budget <= 0 || st.Fallbacks != 0) {
+					t.Fatalf("store-fed shard %s/%d: budget %d, %d dealer fallbacks; want a positive stamp and none",
+						st.Model, st.Shard, st.Budget, st.Fallbacks)
 				}
 			}
 			if err := rt.Close(); err != nil {

@@ -251,7 +251,7 @@ func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int) (sched.
 		}
 	}
 	p := mpc.NewParty(1, conn, seed, shardPrivSeed(seed, 1), fixed.Default64())
-	sess, err := pi.NewSessionOpts(p, spec.Model, nil, pi.SessionOptions{FixedMasks: rt.reg.FixedMasks()})
+	sess, err := pi.NewSessionOpts(p, spec.Model, nil, pi.SessionOptions{})
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("gateway: model %q shard %d session: %w", desc.Model, desc.Shard, err)

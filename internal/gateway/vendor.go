@@ -91,7 +91,7 @@ func ServeShardConn(conn transport.Conn, reg *Registry) error {
 	seed := ReviveSeed(desc.Seed, gen)
 	p := mpc.NewParty(0, conn, seed, shardPrivSeed(seed, 0), fixed.Default64())
 	expect := append([]int{0}, spec.Input...)
-	sess, err := pi.NewSessionOpts(p, spec.Model, expect, pi.SessionOptions{FixedMasks: reg.FixedMasks()})
+	sess, err := pi.NewSessionOpts(p, spec.Model, expect, pi.SessionOptions{})
 	if err != nil {
 		return fmt.Errorf("gateway: model %q shard %d vendor session: %w", model, desc.Shard, err)
 	}

@@ -143,7 +143,7 @@ func negotiateShape(p *mpc.Party, mine []int) ([]int, error) {
 		return nil, fmt.Errorf("pi: shape negotiation: send: %w", sendErr)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("pi: shape negotiation: recv: %w", modeHint(err))
+		return nil, fmt.Errorf("pi: shape negotiation: recv: %w", err)
 	}
 	if err := CheckShape(theirs, mine); err != nil {
 		return nil, err
@@ -367,25 +367,21 @@ func stampString(v []int) string {
 	return fmt.Sprintf("a preprocessed store (run %08x, %d correlations left)", v[1], v[2])
 }
 
-// SessionOptions configures optional session behavior.
+// SessionOptions is NewSessionOpts' option set. It has no live field.
 type SessionOptions struct {
-	// FixedMasks selects the fixed weight-mask protocol: setup opens every
-	// layer's F = W−b in one exchange, flushes open only the activation
-	// side, and any preprocessed stores must be written in the same mode
-	// (TraceTapeMode / the gateway's SetFixedMasks). Both parties must
-	// agree. A one-sided toggle fails both parties at the first flush —
-	// the fixed-mask party's opening meets the peer's flush frames — with
-	// an error naming this option.
+	// Deprecated: FixedMasks is ignored — every session runs the fixed
+	// weight-mask protocol. The field goes with the next change to the
+	// benchmark module, its last caller.
 	FixedMasks bool
 }
 
 // NewSessionOpts compiles the model and performs the one-time
-// weight-sharing setup (Engine.Setup: one round trip with fixed masks, one
-// one-way trip without, whatever the layer count). Both parties must
-// construct their session before either side issues a query. expect is
-// the input geometry party 0 will enforce per flush; pass 0 for the batch
-// dimension to accept any batch size. Party 1 may pass nil.
-func NewSessionOpts(p *mpc.Party, m *models.Model, expect []int, opts SessionOptions) (*Session, error) {
+// weight-sharing setup (Engine.Setup: one round trip, whatever the layer
+// count). Both parties must construct their session before either side
+// issues a query. expect is the input geometry party 0 will enforce per
+// flush; pass 0 for the batch dimension to accept any batch size. Party 1
+// may pass nil.
+func NewSessionOpts(p *mpc.Party, m *models.Model, expect []int, _ SessionOptions) (*Session, error) {
 	if m.Net == nil {
 		return nil, fmt.Errorf("pi: model %q has no trained network", m.Name)
 	}
@@ -394,7 +390,6 @@ func NewSessionOpts(p *mpc.Party, m *models.Model, expect []int, opts SessionOpt
 		return nil, err
 	}
 	eng := NewEngine(prog)
-	eng.SetFixedMasks(opts.FixedMasks)
 	if err := eng.Setup(p); err != nil {
 		return nil, err
 	}

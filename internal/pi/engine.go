@@ -1,18 +1,18 @@
 package pi
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"pasnet/internal/mpc"
 	"pasnet/internal/obs"
-	"pasnet/internal/transport"
 )
 
 // Engine executes a compiled program on one party's endpoint. Weight
-// shares are established once by Setup and reused across inferences, as
-// in a deployed two-server system.
+// shares and their opened F = W−b are established once by Setup and reused
+// across inferences, as in a deployed two-server system: every linear op
+// opens only its activation side per flush (the fixed weight-mask
+// protocol, mpc fixedmask.go).
 type Engine struct {
 	// Prog is the compiled program.
 	Prog *Program
@@ -21,15 +21,7 @@ type Engine struct {
 	// weights holds this party's shares of the secret tensors, indexed
 	// in program order (depth-first through residual branches).
 	weights []mpc.Share
-	// fixedMasks selects the fixed weight-mask protocol: Setup opens every
-	// weight's F = W−b in one exchange after sharing them all, and every
-	// linear op opens only the activation side per flush (mpc
-	// fixedmask.go). Both parties must agree — with a one-sided toggle the
-	// opening meets the peer's first flush frame, and both parties fail
-	// with an error naming the weight-mask mode (see modeHint).
-	fixedMasks bool
-	// fixedWs holds the per-weight opened F = W−b, parallel to weights,
-	// when fixedMasks is on.
+	// fixedWs holds the per-weight opened F = W−b, parallel to weights.
 	fixedWs []*mpc.FixedWeight
 	// feed, when non-nil, receives every traced op's wall time (see
 	// SetOpFeed). A nil feed keeps run free of clock reads.
@@ -38,10 +30,6 @@ type Engine struct {
 
 // NewEngine wraps a program.
 func NewEngine(prog *Program) *Engine { return &Engine{Prog: prog} }
-
-// SetFixedMasks toggles the fixed weight-mask protocol. Call before Setup;
-// both parties must pick the same mode.
-func (e *Engine) SetFixedMasks(on bool) { e.fixedMasks = on }
 
 // SetOpFeed installs the per-op tracer: every Infer call reports each
 // executed operator's wall time to feed, keyed by the hwmodel geometry it
@@ -56,19 +44,15 @@ func (e *Engine) SetOpFeed(feed *obs.OpFeed) { e.feed = feed }
 // vendor). Both parties must call it before Infer. It runs in two passes
 // over the program so its depth does not grow with the layer count: first
 // every weight is shared (party 0 sends them back to back without waiting,
-// so all the shares are in flight together), then, with fixed masks on,
-// one exchange opens every weight's F = W−b — the once-per-session cost
-// the per-flush openings then stop paying. Fixed-mask setup is one round
-// trip; per-flush setup is one one-way trip.
+// so all the shares are in flight together), then one exchange opens every
+// weight's F = W−b — the once-per-session cost the flushes then stop
+// paying. Setup is one round trip.
 func (e *Engine) Setup(p *mpc.Party) error {
 	e.party = p
 	e.weights = e.weights[:0]
 	e.fixedWs = nil
 	if err := e.shareWeights(p, e.Prog); err != nil {
 		return err
-	}
-	if !e.fixedMasks {
-		return nil
 	}
 	// The mask slot is the weight's program-order index, so the same layer
 	// maps to the same slot on both parties and in every store built for
@@ -79,22 +63,10 @@ func (e *Engine) Setup(p *mpc.Party) error {
 	}
 	fws, err := p.OpenFixedWs(masks, e.weights)
 	if err != nil {
-		return fmt.Errorf("pi: setup: opening F = W−b: %w", modeHint(err))
+		return fmt.Errorf("pi: setup: opening F = W−b: %w", err)
 	}
 	e.fixedWs = fws
 	return nil
-}
-
-// modeHint names the weight-mask mode in a frame-kind mismatch at setup's
-// opening or at a flush's shape round. Those are the two places a
-// one-sided SessionOptions.FixedMasks surfaces: the fixed-mask party's
-// opening meets the peer's first flush frame, and the peer's flush meets
-// the opening. Other errors pass through unchanged.
-func modeHint(err error) error {
-	if errors.Is(err, transport.ErrFrameKind) {
-		return fmt.Errorf("%w — the parties' protocols diverged; do both run the same weight-mask mode (SessionOptions.FixedMasks)?", err)
-	}
-	return err
 }
 
 // shareWeights is Setup's first pass: it secret-shares every weight tensor
@@ -176,12 +148,7 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 				dims.Groups = dims.InC
 				dims.OutC = dims.InC
 			}
-			w := e.weights[*widx]
-			if e.fixedMasks {
-				x, err = p.Conv2DFixedW(x, w, e.fixedWs[*widx], dims)
-			} else {
-				x, err = p.Conv2D(x, w, dims)
-			}
+			x, err = p.Conv2DFixedW(x, e.weights[*widx], e.fixedWs[*widx], dims)
 			*widx++
 			if err != nil {
 				return mpc.Share{}, fmt.Errorf("pi: %s: %w", op.name, err)
@@ -194,12 +161,7 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 			}
 		case opLinear:
 			// The In×Out transpose was materialized once at Setup.
-			w := e.weights[*widx]
-			if e.fixedMasks {
-				x, err = p.MatMulFixedW(x, w, e.fixedWs[*widx])
-			} else {
-				x, err = p.MatMul(x, w)
-			}
+			x, err = p.MatMulFixedW(x, e.weights[*widx], e.fixedWs[*widx])
 			*widx++
 			if err != nil {
 				return mpc.Share{}, fmt.Errorf("pi: %s: %w", op.name, err)

@@ -114,7 +114,7 @@ func (f *Flight) Confirm() error {
 	}
 	theirs, err := f.s.party.Conn.RecvShape()
 	if err != nil {
-		return fmt.Errorf("pi: shape negotiation: %w", modeHint(err))
+		return fmt.Errorf("pi: shape negotiation: %w", err)
 	}
 	if err := CheckShape(f.shape, theirs); err != nil {
 		return err

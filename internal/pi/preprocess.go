@@ -26,7 +26,7 @@ var ErrNoStore = errors.New("no preprocessed store for this geometry")
 // split. A compiled program's correlation demand — which Beaver triples,
 // square pairs, matmul/conv triples and bit-triple batches the online
 // phase consumes, in what order and at what shapes — is a pure function of
-// the program and the input geometry. TraceTapeMode records it once per
+// the program and the input geometry. TraceTape records it once per
 // batch geometry by running the program through an in-process two-party
 // pipe with recording correlation sources; WriteStorePair then deals that
 // tape ahead of time into corr.Stores, and the measured online phase
@@ -68,18 +68,16 @@ func (zeroSource) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
 	return mpc.NewBitShare(n), mpc.NewBitShare(n), mpc.NewBitShare(n), nil
 }
 
-// TraceTapeMode runs the compiled program once over an in-process
-// transport with recording correlation sources and returns the demand tape
-// for one evaluation at the given input geometry in the given weight-mask
-// mode. With fixedMasks the traced engine consumes the FixedB kinds,
-// yielding the tape a fixed-mask session's flushes demand. (Setup's
-// one-time F = W−b opening is a transport exchange, not a correlation
-// take, so it never appears on the per-flush tape.) The trace runs on zero
-// inputs and zero correlations: correlation demand never depends on input
-// values or correlation material, only on shapes — an invariant the trace
-// itself enforces by comparing the two parties' independently recorded
-// tapes.
-func TraceTapeMode(prog *Program, inputShape []int, fixedMasks bool) (corr.Tape, error) {
+// TraceTape runs the compiled program once over an in-process transport
+// with recording correlation sources and returns the demand tape one
+// session flush consumes at the given input geometry: linear ops take the
+// FixedB kinds. (Setup's one-time F = W−b opening is a transport exchange,
+// not a correlation take, so it never appears on the tape.) The trace runs
+// on zero inputs and zero correlations: correlation demand never depends
+// on input values or correlation material, only on shapes — an invariant
+// the trace itself enforces by comparing the two parties' independently
+// recorded tapes.
+func TraceTape(prog *Program, inputShape []int) (corr.Tape, error) {
 	n := 1
 	for _, d := range inputShape {
 		n *= d
@@ -92,7 +90,6 @@ func TraceTapeMode(prog *Program, inputShape []int, fixedMasks bool) (corr.Tape,
 		rec := corr.NewRecorder(zeroSource{})
 		p.Source = rec
 		eng := NewEngine(prog)
-		eng.SetFixedMasks(fixedMasks)
 		if err := eng.Setup(p); err != nil {
 			return err
 		}
@@ -118,6 +115,18 @@ func TraceTapeMode(prog *Program, inputShape []int, fixedMasks bool) (corr.Tape,
 			len(tapes[0]), len(tapes[1]))
 	}
 	return tapes[0], nil
+}
+
+// TraceTapeMode is TraceTape for callers that still name the weight-mask
+// mode. Only fixed masks remain, so false is an error.
+//
+// Deprecated: use TraceTape. TraceTapeMode goes with the next change to
+// the benchmark module, its last caller.
+func TraceTapeMode(prog *Program, inputShape []int, fixed bool) (corr.Tape, error) {
+	if !fixed {
+		return nil, fmt.Errorf("pi: per-flush weight masks are no longer served; trace with fixed masks")
+	}
+	return TraceTape(prog, inputShape)
 }
 
 // SourceProvider supplies the correlation source one party consumes for a

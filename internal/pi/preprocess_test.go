@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pasnet/internal/corr"
 	"pasnet/internal/fixed"
@@ -30,12 +31,12 @@ import (
 //     descriptive errors from both parties instead of a desync.
 
 // writeStores provisions both parties' store files for each geometry
-// the way the serving path does: trace the per-flush demand tape, then
+// the way the serving path does: trace the flush's demand tape, then
 // WriteStorePair it off the geometry's stream.
 func writeStores(prog *Program, dealerSeed uint64, shapes [][]int, flushes int, dir string) ([]string, error) {
 	var paths []string
 	for _, shape := range shapes {
-		tape, err := TraceTapeMode(prog, shape, false)
+		tape, err := TraceTape(prog, shape)
 		if err != nil {
 			return nil, err
 		}
@@ -53,45 +54,57 @@ func writeStores(prog *Program, dealerSeed uint64, shapes [][]int, flushes int, 
 // asserting both parties agree bit-for-bit.
 func inferLogits(t *testing.T, prog *Program, x *tensor.Tensor, seed uint64, sources [2]mpc.CorrelationSource) []float64 {
 	t.Helper()
+	return inferFlushes(t, prog, []*tensor.Tensor{x}, seed, sources)[0]
+}
+
+// inferFlushes is inferLogits over a session: one Setup, then one packed
+// evaluation per input in order, all on the same F = W−b openings.
+func inferFlushes(t *testing.T, prog *Program, xs []*tensor.Tensor, seed uint64, sources [2]mpc.CorrelationSource) [][]float64 {
+	t.Helper()
 	var mu sync.Mutex
-	outs := [2][]float64{}
+	outs := [2][][]float64{}
 	err := mpc.RunProtocol(seed, fixed.Default64(), func(p *mpc.Party) error {
 		eng := NewEngine(prog)
 		if err := eng.Setup(p); err != nil {
 			return err
 		}
-		// Setup consumes no correlations, so installing the store after it
-		// is equivalent to installing it before.
+		// Setup consumes no correlations (the F = W−b opening derives its
+		// masks from the dealer seed), so installing the store after it is
+		// equivalent to installing it before.
 		if src := sources[p.ID]; src != nil {
 			p.Source = src
 		}
-		var enc []uint64
-		if p.ID == 1 {
-			enc = p.EncodeTensor(x.Data)
+		for _, x := range xs {
+			var enc []uint64
+			if p.ID == 1 {
+				enc = p.EncodeTensor(x.Data)
+			}
+			in, err := p.ShareInput(1, enc, x.Shape...)
+			if err != nil {
+				return err
+			}
+			out, err := eng.Infer(in)
+			if err != nil {
+				return err
+			}
+			vals, err := p.Reveal(out)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			outs[p.ID] = append(outs[p.ID], p.DecodeTensor(vals))
+			mu.Unlock()
 		}
-		xs, err := p.ShareInput(1, enc, x.Shape...)
-		if err != nil {
-			return err
-		}
-		out, err := eng.Infer(xs)
-		if err != nil {
-			return err
-		}
-		vals, err := p.Reveal(out)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		outs[p.ID] = p.DecodeTensor(vals)
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range outs[0] {
-		if outs[0][i] != outs[1][i] {
-			t.Fatalf("parties reconstructed different logits at %d", i)
+	for f := range outs[0] {
+		for i := range outs[0][f] {
+			if outs[0][f][i] != outs[1][f][i] {
+				t.Fatalf("flush %d: parties reconstructed different logits at %d", f, i)
+			}
 		}
 	}
 	return outs[0]
@@ -99,8 +112,8 @@ func inferLogits(t *testing.T, prog *Program, x *tensor.Tensor, seed uint64, sou
 
 // TestCrossSourceEquivalenceVariants is the headline satellite: for every
 // program shape in the zoo and batch sizes 1 and 4, the store-fed online
-// phase reproduces the live-dealer outputs bit-for-bit and matches
-// plaintext within the fixed-point bound.
+// phase reproduces the live-dealer outputs bit-for-bit, consumes the whole
+// store, and matches plaintext within the fixed-point bound.
 func TestCrossSourceEquivalenceVariants(t *testing.T) {
 	const bound = 0.05
 	for vi, v := range netVariants {
@@ -119,7 +132,7 @@ func TestCrossSourceEquivalenceVariants(t *testing.T) {
 
 				live := inferLogits(t, prog, x, seed, [2]mpc.CorrelationSource{})
 
-				tape, err := TraceTapeMode(prog, x.Shape, false)
+				tape, err := TraceTape(prog, x.Shape)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +165,7 @@ func TestCrossSourceEquivalenceVariants(t *testing.T) {
 
 // TestRunBatchPreprocessedEquivalence repeats the invariant through the
 // high-level RunBatch API on a trained backbone and checks the timing
-// split bookkeeping.
+// split bookkeeping, the online bytes and the accuracy.
 func TestRunBatchPreprocessedEquivalence(t *testing.T) {
 	m, d := smallModel(t, "resnet18", models.ActX2)
 	hw := hwmodel.DefaultConfig()
@@ -185,6 +198,9 @@ func TestRunBatchPreprocessedEquivalence(t *testing.T) {
 	if pre.OnlineBytes != live.OnlineBytes {
 		t.Fatalf("online bytes differ: %d vs %d", pre.OnlineBytes, live.OnlineBytes)
 	}
+	if live.MaxAbsErr > 0.08 || pre.MaxAbsErr > 0.08 {
+		t.Fatalf("accuracy: live %v preprocessed %v", live.MaxAbsErr, pre.MaxAbsErr)
+	}
 }
 
 // TestTapeDeterminismAcrossKernelSettings pins the demand-tape invariant:
@@ -206,7 +222,7 @@ func TestTapeDeterminismAcrossKernelSettings(t *testing.T) {
 	for _, s := range kernelSettings() {
 		s := s
 		withKernelSetting(s, func() {
-			tape, err := TraceTapeMode(prog, x.Shape, false)
+			tape, err := TraceTape(prog, x.Shape)
 			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
@@ -274,7 +290,7 @@ func TestStoreErrorsSurfaceSymmetrically(t *testing.T) {
 	}
 	shape1 := []int{1, v.inC, v.hw, v.hw}
 	shape2 := []int{2, v.inC, v.hw, v.hw}
-	tape1, err := TraceTapeMode(prog, shape1, false)
+	tape1, err := TraceTape(prog, shape1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +358,76 @@ func TestStoreErrorsSurfaceSymmetrically(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPerFlushStoreFailsWithRegenerateHint pins what a store written for
+// per-flush weight masks does to a session: its tape records conv and
+// matmul triples where every flush now takes the FixedB pairs, so both
+// parties fail at the first linear layer — before any opening — with the
+// hint to regenerate the store, and neither hangs.
+func TestPerFlushStoreFailsWithRegenerateHint(t *testing.T) {
+	m := demoModel(t)
+	prog, err := Compile(m.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := []int{1, 3, 8, 8}
+	tape, err := TraceTape(prog, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tape a per-flush session demanded: the same demands, with Beaver
+	// triples where the linear ops now take FixedB pairs.
+	perFlush := make(corr.Tape, len(tape))
+	for i, d := range tape {
+		switch d.Kind {
+		case corr.KindConvFixedB:
+			d.Kind, d.Mask = corr.KindConv, 0
+		case corr.KindMatMulFixedB:
+			d.Kind, d.Mask = corr.KindMatMul, 0
+		}
+		perFlush[i] = d
+	}
+	if perFlush[0].Kind != corr.KindConv {
+		t.Fatalf("demo program's first demand is %s, want its first conv", perFlush[0])
+	}
+	dir := t.TempDir()
+	if _, err := WriteStorePair(perFlush, 5, shape, 1, dir); err != nil {
+		t.Fatal(err)
+	}
+	c0, c1 := transport.Pipe()
+	defer c0.Close()
+	defer c1.Close()
+	errs := make(chan error, 2)
+	go func() {
+		p0 := mpc.NewParty(0, c0, 5, 6, fixed.Default64())
+		sess, err := NewSessionOpts(p0, m, []int{0, 3, 8, 8}, SessionOptions{})
+		if err == nil {
+			sess.UsePreprocessed(NewDirProvider(dir))
+			_, _, err = sess.ServeOne()
+		}
+		errs <- err
+	}()
+	go func() {
+		p1 := mpc.NewParty(1, c1, 5, 7, fixed.Default64())
+		sess, err := NewSessionOpts(p1, m, nil, SessionOptions{})
+		if err == nil {
+			sess.UsePreprocessed(NewDirProvider(dir))
+			_, err = sess.Query(tensor.New(shape...))
+		}
+		errs <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "kind mismatch at correlation #1:") ||
+				!strings.Contains(err.Error(), "conv-fixedb") || !strings.Contains(err.Error(), "regenerate") {
+				t.Errorf("per-flush store: want the kind-mismatch regenerate hint at the first conv, got: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("per-flush store: a party hung instead of failing")
+		}
+	}
 }
 
 // TestDirProviderPreload pins the eager-load path: the party's store

@@ -67,10 +67,6 @@ type RunOptions struct {
 	// Stores deal through the live dealer's own generator (mpc.Stream), so
 	// outputs are bit-identical to the live-dealer path under the same seed.
 	Preprocess bool
-	// FixedMasks runs the fixed weight-mask protocol (see
-	// SessionOptions.FixedMasks): weight-side openings collapse into the
-	// one-time setup, and each flush opens only the activation side.
-	FixedMasks bool
 	// OpFeed, when non-nil, receives party 1's per-op wall times (see
 	// Engine.SetOpFeed) — the latency-LUT calibration input.
 	OpFeed *obs.OpFeed
@@ -132,7 +128,7 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 	var offlineSeconds float64
 	if opt.Preprocess {
 		offStart := time.Now()
-		tape, err := TraceTapeMode(prog, x.Shape, opt.FixedMasks)
+		tape, err := TraceTape(prog, x.Shape)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +170,6 @@ func runPacked(m *models.Model, hw hwmodel.Config, x *tensor.Tensor, counts []in
 				p.Source = stores[i]
 			}
 			eng := NewEngine(prog)
-			eng.SetFixedMasks(opt.FixedMasks)
 			if i == 1 {
 				eng.SetOpFeed(opt.OpFeed)
 			}

@@ -15,7 +15,6 @@ import (
 	"pasnet/internal/models"
 	"pasnet/internal/mpc"
 	"pasnet/internal/obs"
-	"pasnet/internal/tensor"
 	"pasnet/internal/transport"
 )
 
@@ -23,8 +22,8 @@ import (
 // F = W−b in one exchange, so its depth is constant in the layer count.
 // The golden digests pin that the batching moved no share or F value, the
 // wire pin that it moved no payload byte and sends the fewest frames, and
-// the delay pin that the depth really is constant. The one-sided
-// fixed-mask and hostile-header cases pin how bring-up fails.
+// the delay pin that the depth really is constant. The hostile-header
+// cases pin how bring-up fails.
 
 // demoModel is the ledger's served shape — ResNet-18 at width 1/16 on
 // 3×8×8 inputs, 4 classes, all-X² — untrained: bring-up never depends on
@@ -43,6 +42,12 @@ func demoModel(t testing.TB) *models.Model {
 	return m
 }
 
+// The demo backbone's L weight tensors hold this many words in all.
+const (
+	demoLayers      = 21
+	demoWeightWords = 43820
+)
+
 func demoProgram(t testing.TB) *Program {
 	t.Helper()
 	prog, err := Compile(demoModel(t).Net)
@@ -55,13 +60,12 @@ func demoProgram(t testing.TB) *Program {
 // setupBoth runs Engine.Setup for both parties over the given endpoints
 // and returns the two engines. A party that fails closes its endpoint so
 // the other cannot wait on it forever.
-func setupBoth(t *testing.T, prog *Program, c0, c1 transport.Conn, fixedMasks bool) [2]*Engine {
+func setupBoth(t *testing.T, prog *Program, c0, c1 transport.Conn) [2]*Engine {
 	t.Helper()
 	var engs [2]*Engine
 	errs := make(chan error, 2)
 	for id, c := range []transport.Conn{c0, c1} {
 		eng := NewEngine(prog)
-		eng.SetFixedMasks(fixedMasks)
 		engs[id] = eng
 		p := mpc.NewParty(id, c, 4242, uint64(100+id), fixed.Default64())
 		go func() {
@@ -92,19 +96,23 @@ func wordsDigest(vs ...[]uint64) uint64 {
 	return h.Sum64()
 }
 
+// goldenSetupF is the digest of every F = W−b the demo backbone's Setup
+// opens under setupBoth's seeds.
+const goldenSetupF uint64 = 0x2f1f6690b7093716
+
 // TestSetupGoldenDigests pins both parties' weight shares and every opened
-// F of the demo backbone under a fixed-mask Setup to digests recorded when
+// F of the demo backbone under Setup to digests recorded when
 // Setup still opened one layer per exchange: batching the openings must
 // not move a single share or F word.
 func TestSetupGoldenDigests(t *testing.T) {
 	const (
 		wantShares0 uint64 = 0x069710e2fb8ec0b7
 		wantShares1 uint64 = 0xd68f49a949488e8f
-		wantF       uint64 = 0x2f1f6690b7093716
+		wantF              = goldenSetupF
 	)
 	prog := demoProgram(t)
 	c0, c1 := transport.Pipe()
-	engs := setupBoth(t, prog, c0, c1, true)
+	engs := setupBoth(t, prog, c0, c1)
 	var digests [2]uint64
 	var fs [2][][]uint64
 	for id, eng := range engs {
@@ -134,42 +142,29 @@ func TestSetupGoldenDigests(t *testing.T) {
 }
 
 // TestSetupWireFrames pins what Setup puts on the wire for the demo
-// backbone's L = 21 weight tensors of W words in all. Fixed masks: party 0
-// sends L shares plus its one opening half (L + 1 frames), party 1 only its
-// opening half (1 frame, whatever L is). Per-flush masks: L and 0. The
-// payload bytes are the one-layer-per-exchange figures, to the byte (that
-// schedule sent 2L and L frames with fixed masks).
+// backbone's L = 21 weight tensors of W words in all: party 0 sends L
+// shares plus its one opening half (L + 1 frames), party 1 only its
+// opening half (1 frame, whatever L is). The payload bytes are the
+// one-layer-per-exchange figures, to the byte (that schedule sent 2L and L
+// frames).
 func TestSetupWireFrames(t *testing.T) {
-	const (
-		layers = 21
-		words  = 43820
-	)
 	prog := demoProgram(t)
-	if n := prog.NumSecretTensors(); n != layers {
-		t.Fatalf("demo backbone has %d weight tensors, want %d", n, layers)
+	if n := prog.NumSecretTensors(); n != demoLayers {
+		t.Fatalf("demo backbone has %d weight tensors, want %d", n, demoLayers)
 	}
-	for _, tc := range []struct {
-		fixedMasks      bool
-		frames0, bytes0 int64
-		frames1, bytes1 int64
-	}{
-		{true, layers + 1, 16 * words, 1, 8 * words},
-		{false, layers, 8 * words, 0, 0},
-	} {
-		m0, m1 := transport.Pipe()
-		w0, w1 := obs.InstrumentConn(m0, nil), obs.InstrumentConn(m1, nil)
-		setupBoth(t, prog, w0, w1, tc.fixedMasks)
-		t0, t1 := w0.Totals(), w1.Totals()
-		if t0.SentFrames != tc.frames0 || t0.SentBytes != tc.bytes0 || t1.SentFrames != tc.frames1 || t1.SentBytes != tc.bytes1 {
-			t.Errorf("fixed masks %v: party 0 sent %d frames / %d B, party 1 %d / %d; want %d / %d and %d / %d",
-				tc.fixedMasks, t0.SentFrames, t0.SentBytes, t1.SentFrames, t1.SentBytes,
-				tc.frames0, tc.bytes0, tc.frames1, tc.bytes1)
-		}
+	m0, m1 := transport.Pipe()
+	w0, w1 := obs.InstrumentConn(m0, nil), obs.InstrumentConn(m1, nil)
+	setupBoth(t, prog, w0, w1)
+	t0, t1 := w0.Totals(), w1.Totals()
+	if t0.SentFrames != demoLayers+1 || t0.SentBytes != 16*demoWeightWords || t1.SentFrames != 1 || t1.SentBytes != 8*demoWeightWords {
+		t.Errorf("party 0 sent %d frames / %d B, party 1 %d / %d; want %d / %d and 1 / %d",
+			t0.SentFrames, t0.SentBytes, t1.SentFrames, t1.SentBytes,
+			demoLayers+1, 16*demoWeightWords, 8*demoWeightWords)
 	}
 }
 
 // TestSetupDepthConstant pins setup depth over a 20 ms one-way link: a
-// fixed-mask Setup of the demo backbone is one round trip (all shares and
+// Setup of the demo backbone is one round trip (all shares and
 // party 0's opening half in flight together, then party 1's half), so it
 // finishes well under five one-way delays. Opening one layer per exchange
 // took two delays per weight tensor, about 42 × 20 ms here.
@@ -179,52 +174,9 @@ func TestSetupDepthConstant(t *testing.T) {
 	c0, c1 := transport.DelayPipe(delay)
 	defer c0.Close()
 	start := time.Now()
-	setupBoth(t, prog, c0, c1, true)
+	setupBoth(t, prog, c0, c1)
 	if el := time.Since(start); el >= 5*delay {
-		t.Fatalf("fixed-mask setup took %v over a %v link, want under %v (constant depth)", el, delay, 5*delay)
-	}
-}
-
-// TestOneSidedFixedMasksFailsLoudly pins SessionOptions.FixedMasks'
-// promise: when only one party turns it on, both parties return an error
-// naming the option — whichever side has it — and neither hangs. The
-// fixed-mask party's opening meets the peer's first flush frame; the
-// peer's flush meets the opening.
-func TestOneSidedFixedMasksFailsLoudly(t *testing.T) {
-	m := demoModel(t)
-	x := tensor.New(1, 3, 8, 8)
-	for _, fixedParty := range []int{0, 1} {
-		fixed0 := fixedParty == 0
-		c0, c1 := transport.Pipe()
-		errs := make(chan error, 2)
-		go func() {
-			p0 := mpc.NewParty(0, c0, 5, 6, fixed.Default64())
-			sess, err := NewSessionOpts(p0, m, []int{0, 3, 8, 8}, SessionOptions{FixedMasks: fixed0})
-			if err == nil {
-				_, _, err = sess.ServeOne()
-			}
-			errs <- err
-		}()
-		go func() {
-			p1 := mpc.NewParty(1, c1, 5, 7, fixed.Default64())
-			sess, err := NewSessionOpts(p1, m, nil, SessionOptions{FixedMasks: !fixed0})
-			if err == nil {
-				_, err = sess.Query(x)
-			}
-			errs <- err
-		}()
-		for i := 0; i < 2; i++ {
-			select {
-			case err := <-errs:
-				if err == nil || !strings.Contains(err.Error(), "SessionOptions.FixedMasks") {
-					t.Errorf("fixed masks on party %d only: want an error naming SessionOptions.FixedMasks, got: %v", fixedParty, err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("fixed masks on party %d only: a party hung instead of failing", fixedParty)
-			}
-		}
-		c0.Close()
-		c1.Close()
+		t.Fatalf("setup took %v over a %v link, want under %v (constant depth)", el, delay, 5*delay)
 	}
 }
 
@@ -239,8 +191,8 @@ func shapeFrame(dims ...int) []byte {
 
 // TestHostileShareHeaderRejected injects raw 'U' headers over net.Pipe
 // where a share belongs — on the weight path (party 1's Setup) and on the
-// input path (party 0's flush, after a well-formed shape and source
-// round). A header claiming 2²⁷ words, or one word more than the share
+// input path (party 0's flush, after a well-formed F opening, shape and
+// source round). A header claiming 2²⁷ words, or one word more than the share
 // holds, must fail at the header: a descriptive error, no payload
 // allocation, no wait for bytes that never come.
 func TestHostileShareHeaderRejected(t *testing.T) {
@@ -281,9 +233,12 @@ func TestHostileShareHeaderRejected(t *testing.T) {
 				}()
 			} else {
 				go func() {
-					// Party 0 answers the shape and stamps the live dealer
-					// itself; the drain above reads those frames.
-					for _, f := range [][]byte{shapeFrame(1, 3, 8, 8), shapeFrame(0, 0, 0), header} {
+					// The hostile peer answers Setup's F = W−b opening with
+					// an all-zero half, then the shape, then stamps the live
+					// dealer; the drain above reads party 0's frames.
+					opening := binary.LittleEndian.AppendUint32([]byte{'U'}, 8*demoWeightWords)
+					opening = append(opening, make([]byte, 8*demoWeightWords)...)
+					for _, f := range [][]byte{opening, shapeFrame(1, 3, 8, 8), shapeFrame(0, 0, 0), header} {
 						if _, err := hostile.Write(f); err != nil {
 							return
 						}

@@ -167,11 +167,11 @@ func zooFlushes(v zooVariant, seed uint64) []*tensor.Tensor {
 const zooDealerSeed = 4242
 
 // writeStores provisions both parties' store files for each geometry the
-// way the gateway does: trace the per-flush tape, then WriteStorePair it.
+// way the gateway does: trace the flush tape, then WriteStorePair it.
 func writeStores(prog *pi.Program, dealerSeed uint64, shapes [][]int, flushes int, dir string) ([]string, error) {
 	var paths []string
 	for _, shape := range shapes {
-		tape, err := pi.TraceTapeMode(prog, shape, false)
+		tape, err := pi.TraceTape(prog, shape)
 		if err != nil {
 			return nil, err
 		}

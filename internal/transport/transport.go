@@ -7,7 +7,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -649,16 +648,11 @@ func decodeUint64s(payload []byte) ([]uint64, error) {
 	return xs, nil
 }
 
-// ErrFrameKind is wrapped by every receive that finds a frame of another
-// kind than the one it expects: the two endpoints disagree about which
-// protocol step they are in. Callers that know the likely cause of such a
-// desync test for it with errors.Is and say so.
-var ErrFrameKind = errors.New("frame kind mismatch")
-
 // wrongKind describes a frame of kind got arriving where a want frame
-// belongs.
+// belongs: the two endpoints disagree about which protocol step they are
+// in.
 func wrongKind(want string, got byte) error {
-	return fmt.Errorf("transport: expected %s frame, got a %q frame: %w", want, got, ErrFrameKind)
+	return fmt.Errorf("transport: expected %s frame, got a %q frame", want, got)
 }
 
 // raggedFrame describes a data frame whose payload is not a whole number
