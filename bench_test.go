@@ -337,11 +337,10 @@ func BenchmarkPrivateInferenceTinyResNet(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := tensor.New(1, 3, 16, 16).RandNorm(rng.New(5), 1)
-	hw := hwmodel.DefaultConfig()
 	b.ResetTimer()
 	var bytes int64
 	for i := 0; i < b.N; i++ {
-		res, err := pi.Run(m, hw, x, uint64(i+7))
+		res, err := pi.Run(m, []*tensor.Tensor{x}, uint64(i+7), pi.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

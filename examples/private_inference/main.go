@@ -13,9 +13,9 @@ import (
 	"os"
 	"sync"
 
-	"pasnet/internal/core"
 	"pasnet/internal/dataset"
 	"pasnet/internal/gateway"
+	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/nas"
 	"pasnet/internal/pi"
@@ -45,11 +45,12 @@ func main() {
 	}
 	fmt.Printf("trained all-poly ResNet-18: val top-1 %.3f\n", tr.ValAccuracy)
 
-	// 2. Private inference on a fresh query, verified against plaintext.
-	fw := core.Default()
+	// 2. Private inference on a fresh query, verified against plaintext:
+	// a party-0 and a party-1 session come up in-process (weights shared,
+	// F = W−b opened), then party 1 queries once.
 	x, label := val.Batch([]int{0})
 	fmt.Printf("query: validation image with true class %d\n", label[0])
-	res, err := fw.PrivateInference(m, x, 15)
+	res, err := pi.Run(m, []*tensor.Tensor{x}, 15, pi.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,8 +59,9 @@ func main() {
 	fmt.Printf("max abs error:     %.5f\n", res.MaxAbsErr)
 	fmt.Printf("online traffic:    %.2f KB measured (model share: %.2f KB one-time)\n",
 		float64(res.OnlineBytes)/1e3, float64(res.SetupBytes)/1e3)
+	modeled := m.Cost(hwmodel.DefaultConfig())
 	fmt.Printf("modelled hardware: %.2f ms latency, %.2f MB comm on ZCU104 pair\n",
-		res.Modeled.TotalSec*1e3, float64(res.Modeled.CommBits)/8/1e6)
+		modeled.TotalSec*1e3, float64(modeled.CommBits)/8/1e6)
 
 	// 3. Batched multi-query inference: four queries share one secure
 	// evaluation, amortizing the online cost per query.
@@ -68,7 +70,7 @@ func main() {
 		q, _ := val.Batch([]int{i})
 		queries[i] = q
 	}
-	batch, err := pi.RunBatch(m, fw.HW, queries, 16)
+	batch, err := pi.Run(m, queries, 16, pi.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,8 +78,9 @@ func main() {
 	for i, logits := range batch.PerQuery {
 		fmt.Printf("  query %d logits: %.4f\n", i, logits)
 	}
+	k := float64(batch.Batch)
 	fmt.Printf("amortized online cost: %.2f KB and %.2f ms per query (batch total %.2f KB, %.2f ms)\n",
-		float64(batch.OnlineBytesPerQuery)/1e3, batch.OnlineSecondsPerQuery*1e3,
+		float64(batch.OnlineBytes)/1e3/k, batch.OnlineSeconds*1e3/k,
 		float64(batch.OnlineBytes)/1e3, batch.OnlineSeconds*1e3)
 
 	// 4. The deployment split: preprocess the batch geometry's correlation
@@ -85,7 +88,7 @@ func main() {
 	// store. The store deals through the live dealer's own generator
 	// (mpc.Stream), so the logits are bit-identical to step 3 — only the
 	// clock placement moves.
-	pre, err := pi.RunBatchOpt(m, fw.HW, queries, 16, pi.RunOptions{Preprocess: true})
+	pre, err := pi.Run(m, queries, 16, pi.RunOptions{Preprocess: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,9 +98,9 @@ func main() {
 		}
 	}
 	fmt.Printf("\noffline/online split: %.2f ms offline (trace + store generation), %.2f ms/query online-only\n",
-		pre.OfflineSeconds*1e3, pre.OnlineSecondsPerQuery*1e3)
-	fmt.Printf("online-only speedup over the live-dealer path: %.2fx per query, bit-identical logits\n",
-		batch.OnlineSecondsPerQuery/pre.OnlineSecondsPerQuery)
+		pre.OfflineSeconds*1e3, pre.OnlineSeconds*1e3/k)
+	fmt.Printf("online-only speedup over the live-dealer path: %.2fx, bit-identical logits\n",
+		batch.OnlineSeconds/pre.OnlineSeconds)
 
 	// 5. Setup vs online traffic: the session shares the weights and opens
 	// each layer's F = W−b once, at setup; every flush then opens only the
@@ -105,7 +108,7 @@ func main() {
 	// this: it masks the *same* value every flush. Activation masks stay
 	// fresh — reusing one would leak query differences.)
 	fmt.Printf("\nsetup vs online: %.2f KB once (weight shares + the W−b opening), then %.2f KB/query online\n",
-		float64(pre.SetupBytes)/1e3, float64(pre.OnlineBytesPerQuery)/1e3)
+		float64(pre.SetupBytes)/1e3, float64(pre.OnlineBytes)/1e3/k)
 
 	// 6. The multi-model shard gateway: register two models, provision
 	// every (model, shard) pair its own preprocessed correlation store,
@@ -175,13 +178,7 @@ func main() {
 					queryErrs <- fmt.Errorf("gateway %s query %d: %w", id, q, err)
 					return
 				}
-				plain := spec.Model.Net.Forward(x, false).Data
-				maxErr := 0.0
-				for i := range logits {
-					if d := logits[i] - plain[i]; d > maxErr || -d > maxErr {
-						maxErr = max(d, -d)
-					}
-				}
+				maxErr := pi.MaxAbsErr(logits, spec.Model.Net.Forward(x, false).Data)
 				fmt.Printf("gateway %s query %d: logits %.4f (max abs err %.5f)\n", id, q, logits, maxErr)
 			}(id, spec, q, x)
 		}

@@ -1,7 +1,7 @@
 // Package autodeploy closes the paper's search→train→serve loop against
 // measured 2PC latencies. The analytic hwmodel.Config prices operators
 // for the ZCU104 accelerator of Table I; a deployment running on
-// different hardware (or the in-process reference executor) has a
+// different hardware (or an in-process session pair) has a
 // completely different cost surface, so a search regularized by the
 // analytic table optimizes for the wrong machine. This package
 // (1) calibrates: runs a deterministic per-operator probe suite through
@@ -138,22 +138,23 @@ func Calibrate(opts CalibrateOptions) (*Calibration, error) {
 			RandNorm(rng.New(rng.MixSeed(opts.Seed, 0x70726f6265, uint64(vi))), 0.5)
 		for rep := 0; rep < opts.Reps; rep++ {
 			runSeed := rng.MixSeed(opts.Seed, uint64(vi)+1, uint64(rep)+1)
-			feed := &obs.OpFeed{}
-			res, err := pi.RunOpt(m, opts.HW, x, runSeed, pi.RunOptions{
+			reg := obs.New()
+			res, err := pi.Run(m, []*tensor.Tensor{x}, runSeed, pi.RunOptions{
 				// Preprocess matters for fidelity, not just speed: the
 				// live-dealer path generates correlations inline during
 				// the online phase, which would inflate every op reading
 				// relative to the store-replay serving path.
 				Preprocess: true,
-				OpFeed:     feed,
+				Obs:        reg,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("autodeploy: probe %s rep %d: %w", v.label, rep, err)
 			}
 			// The run's online time per row not attributed to any traced
-			// operator: input sharing, output reconstruction, pack/unpack.
+			// operator: the shape and source rounds, input sharing, output
+			// reconstruction, pack/unpack.
 			ovh := res.OnlineSeconds / float64(opts.Rows)
-			for _, rd := range feed.Readings() {
+			for _, rd := range reg.OpFeed().Readings() {
 				ovh -= rd.RowSec * float64(rd.Count)
 				key := rd.Op.Key()
 				if b, ok := best[key]; !ok || rd.RowSec < b.RowSec {

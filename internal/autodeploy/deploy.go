@@ -10,6 +10,7 @@ import (
 	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/nas"
+	"pasnet/internal/pi"
 	"pasnet/internal/rng"
 	"pasnet/internal/tensor"
 )
@@ -315,11 +316,7 @@ func serveModel(rt *gateway.Router, id string, m *models.Model, d *dataset.Datas
 		if len(r.logits) != plain.Len() {
 			return mr, fmt.Errorf("query %d: %d logits, plaintext has %d", i, len(r.logits), plain.Len())
 		}
-		for j, v := range r.logits {
-			if diff := math.Abs(v - plain.Data[j]); diff > mr.MaxAbsErr {
-				mr.MaxAbsErr = diff
-			}
-		}
+		mr.MaxAbsErr = max(mr.MaxAbsErr, pi.MaxAbsErr(r.logits, plain.Data))
 	}
 	return mr, nil
 }

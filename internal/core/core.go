@@ -1,8 +1,8 @@
 // Package core is the top-level PASNet framework facade (paper Fig. 3):
 // it wires the hardware latency model, the backbone zoo, the
-// differentiable hardware-aware search, post-search training, and the 2PC
-// private-inference engine into the closed "algorithm ↔ hardware" loop the
-// paper proposes. Downstream users who just want the paper's pipeline use
+// differentiable hardware-aware search and post-search training into the
+// closed "algorithm ↔ hardware" loop the paper proposes; the derived model
+// deploys under 2PC through pi.Run or a pi.Session pair. Downstream users who just want the paper's pipeline use
 // this package (or the root pasnet package that re-exports it); the
 // individual subsystems remain available under internal/.
 package core
@@ -14,8 +14,6 @@ import (
 	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/nas"
-	"pasnet/internal/pi"
-	"pasnet/internal/tensor"
 )
 
 // Framework bundles a hardware configuration with the search machinery.
@@ -98,11 +96,4 @@ func (f *Framework) SearchAndTrain(opts nas.Options, tOpts nas.TrainOptions,
 		Cost:              cost,
 		EfficiencyPerMsKW: f.HW.Efficiency(cost.TotalSec, 1e-3),
 	}, nil
-}
-
-// PrivateInference executes a verified 2PC inference of a trained model
-// (paper step "2 party setup for PI"): both parties in-process, plaintext
-// cross-check, measured communication, modelled hardware latency.
-func (f *Framework) PrivateInference(m *models.Model, x *tensor.Tensor, seed uint64) (*pi.Result, error) {
-	return pi.Run(m, f.HW, x, seed)
 }

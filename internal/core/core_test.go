@@ -7,6 +7,8 @@ import (
 	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/nas"
+	"pasnet/internal/pi"
+	"pasnet/internal/tensor"
 )
 
 func TestNewValidates(t *testing.T) {
@@ -80,7 +82,7 @@ func TestSearchAndTrainPipeline(t *testing.T) {
 	// Deploy the derived model under 2PC and verify fidelity on an
 	// in-distribution query.
 	x, _ := val.Batch([]int{0})
-	piRes, err := f.PrivateInference(res.Search.Derived, x, 6)
+	piRes, err := pi.Run(res.Search.Derived, []*tensor.Tensor{x}, 6, pi.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

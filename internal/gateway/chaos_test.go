@@ -203,7 +203,7 @@ func TestChaosSurvivingShardsBitIdentical(t *testing.T) {
 			// perturb any other pair's protocol stream.
 			directV0 := directShardRun(t, specV, specV.Shards[0], qV)
 			for i := range qV {
-				if maxAbsDiff(gotV[i], directV0[i]) != 0 {
+				if pi.MaxAbsErr(gotV[i], directV0[i]) != 0 {
 					t.Fatalf("victim query %d not bit-identical to the fault-free direct run", i)
 				}
 			}
@@ -222,7 +222,7 @@ func TestChaosSurvivingShardsBitIdentical(t *testing.T) {
 				if i%2 == 1 {
 					want = directS1[i/2]
 				}
-				if maxAbsDiff(gotS[i], want) != 0 {
+				if pi.MaxAbsErr(gotS[i], want) != 0 {
 					t.Fatalf("survivor query %d not bit-identical to the fault-free direct run", i)
 				}
 			}
@@ -279,7 +279,7 @@ func TestBackgroundReprovisioning(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d must ride a rollover, not fail: %v", i, err)
 		}
-		if d := maxAbsDiff(logits, spec.Model.Net.Forward(x, false).Data); d > 0.05 {
+		if d := pi.MaxAbsErr(logits, spec.Model.Net.Forward(x, false).Data); d > 0.05 {
 			t.Fatalf("query %d diff %v", i, d)
 		}
 		st := rt.Status()[0]

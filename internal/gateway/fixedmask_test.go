@@ -69,7 +69,7 @@ func TestFixedMaskRoutingEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("flush %d query %d: %v", f, i, err)
 					}
-					if d := maxAbsDiff(logits, spec.Model.Net.Forward(batch[i], false).Data); d > bound {
+					if d := pi.MaxAbsErr(logits, spec.Model.Net.Forward(batch[i], false).Data); d > bound {
 						t.Fatalf("flush %d query %d: routed vs plaintext diff %v", f, i, d)
 					}
 					rows = append(rows, logits)
@@ -154,7 +154,7 @@ func TestFixedMaskRevivalMintsFreshMasks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budgeted query %d: %v", i, err)
 		}
-		if d := maxAbsDiff(logits, spec.Model.Net.Forward(x, false).Data); d > 0.05 {
+		if d := pi.MaxAbsErr(logits, spec.Model.Net.Forward(x, false).Data); d > 0.05 {
 			t.Fatalf("budgeted query %d diff %v", i, d)
 		}
 	}
@@ -183,7 +183,7 @@ func TestFixedMaskRevivalMintsFreshMasks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-revival query: %v", err)
 	}
-	if d := maxAbsDiff(logits, spec.Model.Net.Forward(x, false).Data); d > 0.05 {
+	if d := pi.MaxAbsErr(logits, spec.Model.Net.Forward(x, false).Data); d > 0.05 {
 		t.Fatalf("post-revival fixed-mask query diff %v", d)
 	}
 	st := rt.Status()[0]

@@ -10,7 +10,6 @@ import (
 
 	"pasnet/internal/corr"
 	"pasnet/internal/fixed"
-	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/mpc"
 	"pasnet/internal/nn"
@@ -54,16 +53,6 @@ func testModel(name string, inC, hw, classes int, seed uint64) (*models.Model, [
 		net.Forward(tensor.New(8, inC, hw, hw).RandNorm(r, 0.5), true)
 	}
 	return &models.Model{Name: name, Net: net}, []int{inC, hw, hw}
-}
-
-func maxAbsDiff(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		if v := math.Abs(a[i] - b[i]); v > d {
-			d = v
-		}
-	}
-	return d
 }
 
 // directShardRun reproduces one shard pair outside the gateway: a fresh
@@ -210,7 +199,7 @@ func TestRoutingEquivalence(t *testing.T) {
 					if len(routed[id][q]) != len(plain) {
 						t.Fatalf("%s query %d: %d logits, want %d", id, q, len(routed[id][q]), len(plain))
 					}
-					if d := maxAbsDiff(routed[id][q], plain); d > bound {
+					if d := pi.MaxAbsErr(routed[id][q], plain); d > bound {
 						t.Fatalf("%s query %d: routed vs plaintext diff %v", id, q, d)
 					}
 				}
@@ -234,14 +223,14 @@ func TestRoutingEquivalence(t *testing.T) {
 					}
 				}
 				// And within the cross-path tolerance of the high-level
-				// RunBatch API (different sharing randomness, same model).
-				batch, err := pi.RunBatch(spec.Model, hwmodel.DefaultConfig(), queries[id], 55)
+				// pi.Run driver (different sharing randomness, same model).
+				batch, err := pi.Run(spec.Model, queries[id], 55, pi.RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for q := range queries[id] {
-					if d := maxAbsDiff(routed[id][q], batch.PerQuery[q]); d > 2*bound {
-						t.Fatalf("%s query %d: routed vs RunBatch diff %v", id, q, d)
+					if d := pi.MaxAbsErr(routed[id][q], batch.PerQuery[q]); d > 2*bound {
+						t.Fatalf("%s query %d: routed vs pi.Run diff %v", id, q, d)
 					}
 				}
 			}
@@ -278,7 +267,7 @@ func TestConcurrentMultiModelRouting(t *testing.T) {
 					return
 				}
 				plain := spec.Model.Net.Forward(x, false).Data
-				if d := maxAbsDiff(logits, plain); d > 0.05 {
+				if d := pi.MaxAbsErr(logits, plain); d > 0.05 {
 					errs <- fmt.Errorf("%s: routed vs plaintext diff %v", id, d)
 				}
 			}(id, x)
@@ -342,7 +331,7 @@ func TestShardExhaustionFallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", q, err)
 		}
-		if d := maxAbsDiff(logits, plainOf(x)); d > 0.05 {
+		if d := pi.MaxAbsErr(logits, plainOf(x)); d > 0.05 {
 			t.Fatalf("query %d diff %v", q, d)
 		}
 	}
@@ -353,7 +342,7 @@ func TestShardExhaustionFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("failover query: %v", err)
 	}
-	if d := maxAbsDiff(logits, plainOf(x)); d > 0.05 {
+	if d := pi.MaxAbsErr(logits, plainOf(x)); d > 0.05 {
 		t.Fatalf("failover query diff %v", d)
 	}
 	var down0 string
@@ -429,6 +418,13 @@ func TestQueryValidationBeforeRouting(t *testing.T) {
 	}
 	if _, err := rt.Submit("modelA", tensor.New(DefaultRowCap+1, 2, 8, 8)); err == nil || !strings.Contains(err.Error(), "rows") {
 		t.Fatalf("over-cap rows must fail descriptively, got: %v", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x := tensor.New(1, 2, 8, 8)
+		x.Data[5] = v
+		if _, err := rt.Submit("modelA", x); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Fatalf("a %v query value must fail descriptively, got: %v", v, err)
+		}
 	}
 	for _, st := range rt.Status() {
 		if st.Queries != 0 {

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -334,7 +335,9 @@ func (rt *Router) Submit(model string, x *tensor.Tensor) ([]float64, error) {
 // against the model's registered geometry before it can touch any
 // dispatch lane; the dispatcher then picks the shard, fails the query
 // over if its pair dies mid-flush, and rejects it descriptively once the
-// router is closed or every shard is down.
+// router is closed or every shard is down. A NaN or infinite value is
+// rejected with the shape check: the fixed-point encoding would turn it
+// into an arbitrary ring element and the client into garbage logits.
 func (rt *Router) SubmitAsync(model string, x *tensor.Tensor) func() ([]float64, error) {
 	spec, err := rt.reg.Lookup(model)
 	if err != nil {
@@ -342,6 +345,11 @@ func (rt *Router) SubmitAsync(model string, x *tensor.Tensor) func() ([]float64,
 	}
 	if _, err := spec.ValidateQuery(x.Shape); err != nil {
 		return failedWait(err)
+	}
+	for i, v := range x.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return failedWait(fmt.Errorf("gateway: model %q query value %d is %v; queries must be finite", model, i, v))
+		}
 	}
 	return rt.disp.SubmitAsync(model, x)
 }

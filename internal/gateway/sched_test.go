@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pasnet/internal/corr"
+	"pasnet/internal/pi"
 	"pasnet/internal/rng"
 	"pasnet/internal/sched"
 	"pasnet/internal/tensor"
@@ -230,7 +231,7 @@ func TestShardLifecycleRevival(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-revival query: %v", err)
 	}
-	if d := maxAbsDiff(logits, plain(x)); d > 0.05 {
+	if d := pi.MaxAbsErr(logits, plain(x)); d > 0.05 {
 		t.Fatalf("post-revival query diff %v", d)
 	}
 	st := rt.Status()[0]
@@ -367,7 +368,7 @@ func TestRouterSubmitVsCloseRace(t *testing.T) {
 				switch {
 				case err == nil:
 					plain := spec.Model.Net.Forward(x, false).Data
-					if d := maxAbsDiff(logits, plain); d > 0.05 {
+					if d := pi.MaxAbsErr(logits, plain); d > 0.05 {
 						t.Errorf("%s: routed vs plaintext diff %v", id, d)
 						return
 					}

@@ -3,6 +3,7 @@ package mpc
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"pasnet/internal/fixed"
@@ -17,24 +18,38 @@ import (
 // it but kept distinct.
 func RunProtocol(dealerSeed uint64, codec fixed.Codec64, fn func(p *Party) error) error {
 	c0, c1 := transport.Pipe()
-	p0 := NewParty(0, c0, dealerSeed, dealerSeed*2654435761+1, codec)
-	p1 := NewParty(1, c1, dealerSeed, dealerSeed*2654435761+2, codec)
+	defer c0.Close()
+	defer c1.Close()
+	ps := [2]*Party{
+		NewParty(0, c0, dealerSeed, dealerSeed*2654435761+1, codec),
+		NewParty(1, c1, dealerSeed, dealerSeed*2654435761+2, codec),
+	}
+	return RunPair([2]io.Closer{c0, c1}, func(id int) error { return fn(ps[id]) })
+}
+
+// RunPair runs party 0's and party 1's halves of a two-party computation
+// concurrently — fn(0) and fn(1) — and joins their errors. A party whose
+// half fails or panics closes its own end of the link, conns[id], at
+// once: its peer's pending receive then ends in EOF instead of waiting
+// for a frame that will never come.
+func RunPair(conns [2]io.Closer, fn func(id int) error) error {
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i, p := range []*Party{p0, p1} {
+	var errs [2]error
+	for id := range 2 {
 		wg.Add(1)
-		go func(i int, p *Party) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("mpc: party %d panicked: %v", p.ID, r)
+					errs[id] = fmt.Errorf("mpc: party %d panicked: %v", id, r)
+				}
+				if errs[id] != nil {
+					conns[id].Close()
 				}
 			}()
-			errs[i] = fn(p)
-		}(i, p)
+			errs[id] = fn(id)
+		}()
 	}
 	wg.Wait()
-	c0.Close()
-	c1.Close()
-	return errors.Join(errs...)
+	return errors.Join(errs[:]...)
 }

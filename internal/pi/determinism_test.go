@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"pasnet/internal/hwmodel"
 	"pasnet/internal/kernel"
 	"pasnet/internal/models"
 	"pasnet/internal/rng"
@@ -14,7 +13,7 @@ import (
 )
 
 // These tests pin the ROADMAP's worker-count-independence invariant at the
-// protocol level: full pi.Run / pi.RunBatch outputs must be bit-identical
+// protocol level: full pi.Run outputs, one query or a packed batch, must be bit-identical
 // for any kernel worker count and for the naive reference kernels vs the
 // lowered im2col/GEMM path. The kernel package guarantees accumulation
 // order never depends on chunking; a regression there (or any
@@ -67,7 +66,6 @@ func bitsOf(vs []float64) []uint64 {
 
 func TestRunDeterminismAcrossWorkersAndKernels(t *testing.T) {
 	m, d := smallModel(t, "resnet18", models.ActX2)
-	hw := hwmodel.DefaultConfig()
 	single := query(d, 3)
 	queries := []*tensor.Tensor{query(d, 4), query(d, 5), query(d, 6)}
 
@@ -75,11 +73,11 @@ func TestRunDeterminismAcrossWorkersAndKernels(t *testing.T) {
 	for _, s := range kernelSettings() {
 		s := s
 		withKernelSetting(s, func() {
-			res, err := Run(m, hw, single, 55)
+			res, err := Run(m, []*tensor.Tensor{single}, 55, RunOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
-			batch, err := RunBatch(m, hw, queries, 56)
+			batch, err := Run(m, queries, 56, RunOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
@@ -96,7 +94,7 @@ func TestRunDeterminismAcrossWorkersAndKernels(t *testing.T) {
 			}
 			for i := range refBatch {
 				if batchBits[i] != refBatch[i] {
-					t.Fatalf("%s: RunBatch output %d differs from reference: %x vs %x",
+					t.Fatalf("%s: batched Run output %d differs from reference: %x vs %x",
 						s.name, i, batchBits[i], refBatch[i])
 				}
 			}

@@ -2,12 +2,10 @@ package pi
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
 	"pasnet/internal/fixed"
-	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/mpc"
 	"pasnet/internal/nn"
@@ -25,17 +23,6 @@ import (
 // within the fixed-point error bound, and that both parties reconstruct
 // bit-identical outputs on every path. These are the invariants the
 // batched serving pipeline rests on.
-
-// maxAbsDiff returns the largest elementwise |a−b|.
-func maxAbsDiff(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		if v := math.Abs(a[i] - b[i]); v > d {
-			d = v
-		}
-	}
-	return d
-}
 
 // netVariant builds one hand-constructed test network plus its input
 // geometry. Weights come from r; BN running stats are warmed by a few
@@ -288,13 +275,13 @@ func TestCrossPathEquivalenceVariants(t *testing.T) {
 			seq, batched := crossPathOutputs(t, net, queries, uint64(40+vi))
 			for i, q := range queries {
 				plain := net.Forward(q, false).Data
-				if d := maxAbsDiff(seq[i], plain); d > bound {
+				if d := MaxAbsErr(seq[i], plain); d > bound {
 					t.Fatalf("query %d: sequential vs plaintext diff %v", i, d)
 				}
-				if d := maxAbsDiff(batched[i], plain); d > bound {
+				if d := MaxAbsErr(batched[i], plain); d > bound {
 					t.Fatalf("query %d: batched vs plaintext diff %v", i, d)
 				}
-				if d := maxAbsDiff(batched[i], seq[i]); d > 2*bound {
+				if d := MaxAbsErr(batched[i], seq[i]); d > 2*bound {
 					t.Fatalf("query %d: batched vs sequential diff %v", i, d)
 				}
 			}
@@ -314,7 +301,6 @@ func TestCrossPathEquivalenceBackbones(t *testing.T) {
 		{"resnet18", models.ActReLU, 0.08},
 		{"mobilenetv2", models.ActX2, 0.1},
 	}
-	hw := hwmodel.DefaultConfig()
 	for ci, c := range cases {
 		c := c
 		t.Run(fmt.Sprintf("%s-%v", c.backbone, c.act), func(t *testing.T) {
@@ -323,7 +309,7 @@ func TestCrossPathEquivalenceBackbones(t *testing.T) {
 			for i := range queries {
 				queries[i] = query(d, 20+i)
 			}
-			batch, err := RunBatch(m, hw, queries, uint64(300+ci))
+			batch, err := Run(m, queries, uint64(300+ci), RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,23 +319,18 @@ func TestCrossPathEquivalenceBackbones(t *testing.T) {
 			if batch.MaxAbsErr > c.bound {
 				t.Fatalf("batched vs plaintext err %v", batch.MaxAbsErr)
 			}
-			if batch.OnlineSeconds <= 0 || batch.OnlineBytesPerQuery <= 0 ||
-				batch.OnlineSecondsPerQuery <= 0 {
-				t.Fatalf("amortized metrics not populated: %+v", batch)
-			}
-			if got := batch.OnlineBytesPerQuery * int64(batch.Batch); got > batch.OnlineBytes ||
-				got < batch.OnlineBytes-int64(batch.Batch) {
-				t.Fatalf("amortized bytes %d inconsistent with total %d", got, batch.OnlineBytes)
+			if batch.OnlineSeconds <= 0 || batch.OnlineBytes <= 0 {
+				t.Fatalf("online metrics not populated: %+v", batch)
 			}
 			for i, q := range queries {
-				single, err := Run(m, hw, q, uint64(400+10*ci+i))
+				single, err := Run(m, []*tensor.Tensor{q}, uint64(400+10*ci+i), RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if single.MaxAbsErr > c.bound {
 					t.Fatalf("query %d: sequential vs plaintext err %v", i, single.MaxAbsErr)
 				}
-				if d := maxAbsDiff(batch.PerQuery[i], single.Output); d > 2*c.bound {
+				if d := MaxAbsErr(batch.PerQuery[i], single.Output); d > 2*c.bound {
 					t.Fatalf("query %d: batched vs sequential diff %v", i, d)
 				}
 			}

@@ -8,7 +8,6 @@ import (
 
 	"pasnet/internal/corr"
 	"pasnet/internal/fixed"
-	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/mpc"
 	"pasnet/internal/obs"
@@ -67,7 +66,7 @@ func TestFixedMaskCrossSourceEquivalence(t *testing.T) {
 							f, x.Shape[0], i, stored[f][i], live[f][i])
 					}
 				}
-				if d := maxAbsDiff(live[f], net.Forward(x, false).Data); d > bound {
+				if d := MaxAbsErr(live[f], net.Forward(x, false).Data); d > bound {
 					t.Fatalf("flush %d (N=%d): vs plaintext diff %v", f, x.Shape[0], d)
 				}
 			}
@@ -252,16 +251,15 @@ func TestRunBatchFixedMaskEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSetup := int64(3 * 8 * weightWords(tape))
-	hw := hwmodel.DefaultConfig()
 	for _, queries := range [][]*tensor.Tensor{
 		{query(d, 1)},
 		{query(d, 1), query(d, 2), query(d, 3)},
 	} {
-		live, err := RunBatchOpt(m, hw, queries, 93, RunOptions{})
+		live, err := Run(m, queries, 93, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre, err := RunBatchOpt(m, hw, queries, 93, RunOptions{Preprocess: true})
+		pre, err := Run(m, queries, 93, RunOptions{Preprocess: true})
 		if err != nil {
 			t.Fatal(err)
 		}

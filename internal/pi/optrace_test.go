@@ -41,14 +41,14 @@ func TestTracedOpsMatchTrainScaleOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feed := &obs.OpFeed{}
-		if _, err := RunOpt(m, hwmodel.DefaultConfig(), tensor.New(2, 3, 8, 8), 5, RunOptions{OpFeed: feed}); err != nil {
+		reg := obs.New()
+		if _, err := Run(m, []*tensor.Tensor{tensor.New(2, 3, 8, 8)}, 5, RunOptions{Obs: reg}); err != nil {
 			t.Fatalf("%s: %v", backbone, err)
 		}
 		// Readings come sorted by key; a key seen Count times stands for
 		// Count ops of the list.
 		var traced []string
-		for _, rd := range feed.Readings() {
+		for _, rd := range reg.OpFeed().Readings() {
 			if rd.RowSec < 0 {
 				t.Fatalf("%s: op %s has negative wall time", backbone, rd.Op.Key())
 			}

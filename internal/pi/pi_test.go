@@ -65,7 +65,7 @@ func TestCompileCountsSecrets(t *testing.T) {
 func TestPrivateInferenceMatchesPlaintextX2(t *testing.T) {
 	m, d := smallModel(t, "resnet18", models.ActX2)
 	x := query(d, 0)
-	res, err := Run(m, hwmodel.DefaultConfig(), x, 77)
+	res, err := Run(m, []*tensor.Tensor{x}, 77, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +75,51 @@ func TestPrivateInferenceMatchesPlaintextX2(t *testing.T) {
 	if res.OnlineBytes <= 0 || res.SetupBytes <= 0 {
 		t.Fatalf("traffic accounting broken: %+v", res)
 	}
-	if res.Modeled.TotalSec <= 0 {
+	if m.Cost(hwmodel.DefaultConfig()).TotalSec <= 0 {
 		t.Fatal("modelled latency must be positive")
+	}
+}
+
+// TestNaNQueryIsInfinitelyWrong: a NaN query makes the plaintext logits
+// NaN while the ring decodes to finite garbage, so the reported error
+// must be +Inf — a max over |out−plain| that skips NaN would read 0 and
+// pass every bound.
+func TestNaNQueryIsInfinitelyWrong(t *testing.T) {
+	cfg := models.CIFARConfig(0.0625, 3)
+	cfg.InputHW = 8
+	cfg.NumClasses = 4
+	cfg.Act = models.ActX2
+	m, err := models.ByName("resnet18", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(1, 3, 8, 8)
+	x.Data[0] = math.NaN()
+	res, err := Run(m, []*tensor.Tensor{x}, 82, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(res.MaxAbsErr, 1) {
+		t.Fatalf("NaN query: MaxAbsErr %v, want +Inf", res.MaxAbsErr)
+	}
+	for _, c := range []struct {
+		got, want []float64
+		err       float64
+	}{
+		{[]float64{1, 2}, []float64{1.5, 2}, 0.5},
+		{[]float64{1, math.NaN()}, []float64{1, 2}, math.Inf(1)},
+		{[]float64{1, 2}, []float64{1}, math.Inf(1)},
+	} {
+		if got := MaxAbsErr(c.got, c.want); got != c.err {
+			t.Fatalf("MaxAbsErr(%v, %v) = %v, want %v", c.got, c.want, got, c.err)
+		}
 	}
 }
 
 func TestPrivateInferenceMatchesPlaintextReLU(t *testing.T) {
 	m, d := smallModel(t, "resnet18", models.ActReLU)
 	x := query(d, 1)
-	res, err := Run(m, hwmodel.DefaultConfig(), x, 78)
+	res, err := Run(m, []*tensor.Tensor{x}, 78, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +146,7 @@ func TestPrivateInferenceVGGWithPools(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := query(d, 2)
-	res, err := Run(m, hwmodel.DefaultConfig(), x, 79)
+	res, err := Run(m, []*tensor.Tensor{x}, 79, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +162,7 @@ func PoolMixFor(_ *testing.T) models.PoolChoice { return models.PoolMax }
 func TestPrivateInferenceMobileNet(t *testing.T) {
 	m, d := smallModel(t, "mobilenetv2", models.ActX2)
 	x := query(d, 3)
-	res, err := Run(m, hwmodel.DefaultConfig(), x, 80)
+	res, err := Run(m, []*tensor.Tensor{x}, 80, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +179,7 @@ func TestArgmaxAgreement(t *testing.T) {
 	const trials = 5
 	for i := 0; i < trials; i++ {
 		x := query(d, 10+i)
-		res, err := Run(m, hwmodel.DefaultConfig(), x, uint64(200+i))
+		res, err := Run(m, []*tensor.Tensor{x}, uint64(200+i), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +215,7 @@ func TestCompileRejectsBareBatchNorm(t *testing.T) {
 
 func TestCompileRejectsOpsOnlyModel(t *testing.T) {
 	m := models.ResNet18(models.ImageNetConfig())
-	if _, err := Run(m, hwmodel.DefaultConfig(), tensor.New(1, 3, 16, 16), 1); err == nil {
+	if _, err := Run(m, []*tensor.Tensor{tensor.New(1, 3, 16, 16)}, 1, RunOptions{}); err == nil {
 		t.Fatal("ops-only model must be rejected")
 	}
 }
@@ -196,7 +232,7 @@ func TestEngineInferBeforeSetup(t *testing.T) {
 func TestQuantizationBudget(t *testing.T) {
 	m, d := smallModel(t, "resnet34", models.ActX2)
 	x := query(d, 4)
-	res, err := Run(m, hwmodel.DefaultConfig(), x, 81)
+	res, err := Run(m, []*tensor.Tensor{x}, 81, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +245,7 @@ func TestQuantizationBudget(t *testing.T) {
 func TestBatchPrivateInference(t *testing.T) {
 	m, d := smallModel(t, "resnet18", models.ActX2)
 	x, _ := d.Batch([]int{0, 1, 2})
-	res, err := Run(m, hwmodel.DefaultConfig(), x, 91)
+	res, err := Run(m, []*tensor.Tensor{x}, 91, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

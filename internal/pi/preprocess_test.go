@@ -10,7 +10,6 @@ import (
 
 	"pasnet/internal/corr"
 	"pasnet/internal/fixed"
-	"pasnet/internal/hwmodel"
 	"pasnet/internal/models"
 	"pasnet/internal/mpc"
 	"pasnet/internal/rng"
@@ -152,7 +151,7 @@ func TestCrossSourceEquivalenceVariants(t *testing.T) {
 					}
 				}
 				plain := net.Forward(x, false).Data
-				if d := maxAbsDiff(stored, plain); d > bound {
+				if d := MaxAbsErr(stored, plain); d > bound {
 					t.Fatalf("N=%d: store-fed vs plaintext diff %v", n, d)
 				}
 				if s0.Remaining() != 0 || s1.Remaining() != 0 {
@@ -164,26 +163,25 @@ func TestCrossSourceEquivalenceVariants(t *testing.T) {
 }
 
 // TestRunBatchPreprocessedEquivalence repeats the invariant through the
-// high-level RunBatch API on a trained backbone and checks the timing
+// batched Run driver on a trained backbone and checks the timing
 // split bookkeeping, the online bytes and the accuracy.
 func TestRunBatchPreprocessedEquivalence(t *testing.T) {
 	m, d := smallModel(t, "resnet18", models.ActX2)
-	hw := hwmodel.DefaultConfig()
 	queries := []*tensor.Tensor{query(d, 1), query(d, 2), query(d, 3)}
 
-	live, err := RunBatch(m, hw, queries, 91)
+	live, err := Run(m, queries, 91, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := RunBatchOpt(m, hw, queries, 91, RunOptions{Preprocess: true})
+	pre, err := Run(m, queries, 91, RunOptions{Preprocess: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pre.Preprocessed || pre.OfflineSeconds <= 0 {
-		t.Fatalf("preprocessed run bookkeeping: Preprocessed=%v OfflineSeconds=%v", pre.Preprocessed, pre.OfflineSeconds)
+	if pre.OfflineSeconds <= 0 {
+		t.Fatalf("preprocessed run bookkeeping: OfflineSeconds=%v", pre.OfflineSeconds)
 	}
-	if live.Preprocessed || live.OfflineSeconds != 0 {
-		t.Fatalf("live run bookkeeping: Preprocessed=%v OfflineSeconds=%v", live.Preprocessed, live.OfflineSeconds)
+	if live.OfflineSeconds != 0 {
+		t.Fatalf("live run bookkeeping: OfflineSeconds=%v", live.OfflineSeconds)
 	}
 	if len(pre.Output) != len(live.Output) {
 		t.Fatalf("output lengths %d vs %d", len(pre.Output), len(live.Output))
@@ -549,14 +547,14 @@ func TestSessionWithDirProvider(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flush %d geometry 1: %v", f, err)
 		}
-		if diff := maxAbsDiff(got1, plain1); diff > 0.08 {
+		if diff := MaxAbsErr(got1, plain1); diff > 0.08 {
 			t.Fatalf("flush %d geometry 1: diff %v", f, diff)
 		}
 		got2, err := sess.Query(q2)
 		if err != nil {
 			t.Fatalf("flush %d geometry 2: %v", f, err)
 		}
-		if diff := maxAbsDiff(got2, plain2); diff > 0.08 {
+		if diff := MaxAbsErr(got2, plain2); diff > 0.08 {
 			t.Fatalf("flush %d geometry 2: diff %v", f, diff)
 		}
 	}
@@ -644,7 +642,7 @@ func TestSessionWithDirProvider(t *testing.T) {
 	if err != nil {
 		t.Fatalf("party 1 must degrade to the live dealer, got: %v", err)
 	}
-	if diff := maxAbsDiff(logits, plain1); diff > 0.08 {
+	if diff := MaxAbsErr(logits, plain1); diff > 0.08 {
 		t.Fatalf("fallback flush logits diff %v", diff)
 	}
 	if fb0 != 1 || fbSess.Fallbacks() != 1 {

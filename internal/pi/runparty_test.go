@@ -103,7 +103,7 @@ func TestRunPartyShapeAgreementSucceeds(t *testing.T) {
 				t.Fatalf("agreeing shapes rejected: %v %v", errs[0], errs[1])
 			}
 			for party, out := range outs {
-				if d := maxAbsDiff(out, want); d > 0.05 {
+				if d := MaxAbsErr(out, want); d > 0.05 {
 					t.Fatalf("party %d logits off plaintext by %v", party, d)
 				}
 			}
@@ -162,7 +162,7 @@ func TestSessionBatchedFlushes(t *testing.T) {
 		}
 		for qi, q := range queries {
 			plain := m.Net.Forward(q, false).Data
-			if d := maxAbsDiff(per[qi], plain); d > 0.05 {
+			if d := MaxAbsErr(per[qi], plain); d > 0.05 {
 				t.Fatalf("flush %d query %d: diff %v from plaintext", fi, qi, d)
 			}
 		}
