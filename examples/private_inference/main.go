@@ -103,10 +103,11 @@ func main() {
 		batch.OnlineSeconds/pre.OnlineSeconds)
 
 	// 5. Setup vs online traffic: the session shares the weights and opens
-	// each layer's F = W−b once, at setup; every flush then opens only the
-	// activation side of each linear layer. (Only the weight side may do
-	// this: it masks the *same* value every flush. Activation masks stay
-	// fresh — reusing one would leak query differences.)
+	// each layer's F = W−b once, at setup; every flush then sends only
+	// party 1's masked activation, one way, per linear layer. (Only the
+	// weight side may be masked once: it masks the *same* value every
+	// flush. Activation masks stay fresh — reusing one would leak query
+	// differences.)
 	fmt.Printf("\nsetup vs online: %.2f KB once (weight shares + the W−b opening), then %.2f KB/query online\n",
 		float64(pre.SetupBytes)/1e3, float64(pre.OnlineBytes)/1e3/k)
 

@@ -15,7 +15,7 @@ import (
 
 // On-disk store format (all integers little-endian):
 //
-//	magic   8 bytes  "PASCORR4"
+//	magic   8 bytes  "PASCORR5"
 //	body:
 //	  party   uint8
 //	  label   uint32                      preprocess-run stamp (see Label)
@@ -51,14 +51,18 @@ import (
 // stored bit triples one byte per bit and was dealt for the OT-leaf
 // comparison's demand tape; "PASCORR3" stored every half of both parties,
 // interleaved with the tape, and was dealt in the single-stream draw order
-// (plain a and b first, then party 0's halves). The magic is the version
-// gate — any "PASCORR"-prefixed file of another version is rejected with a
+// (plain a and b first, then party 0's halves); "PASCORR4" dealt the FixedB
+// kinds' activation mask as two halves, one off each party's sub-stream,
+// where "PASCORR5" draws it wholly off party 1's, so the same seed
+// regenerates different FixedB halves (and moves every party-0 half drawn
+// after the first FixedB one). The magic is the version gate — any
+// "PASCORR"-prefixed file of another version is rejected with a
 // regeneration hint rather than misparsed, in either direction (old binary
 // × new store, new binary × old store).
 
 // storeMagic identifies a serialized correlation store at this binary's
 // format version.
-const storeMagic = "PASCORR4"
+const storeMagic = "PASCORR5"
 
 // storeMagicPrefix identifies any version of the store format.
 const storeMagicPrefix = "PASCORR"
@@ -200,7 +204,7 @@ func decode(src io.ReadSeeker, size int64, maxWords int64) (*Store, error) {
 		if err := d.validate(); err != nil {
 			return nil, fmt.Errorf("corr: store file entry %d: %w", i, err)
 		}
-		la, lb, lz := d.lens()
+		la, lb, lz := d.lens(party)
 		words += int64(la + lb + lz)
 		if words > maxWords {
 			return nil, fmt.Errorf("corr: store file's tape needs %d words by entry %d (%s), over the %d-word store cap", words, i, d, maxWords)
@@ -227,7 +231,7 @@ func decode(src io.ReadSeeker, size int64, maxWords int64) (*Store, error) {
 			s.entries[i] = entry{a: t.A0, b: t.B0, z: t.Z0}
 			continue
 		}
-		_, _, lz := d.lens()
+		_, _, lz := d.lens(party)
 		z := r.words(lz)
 		if r.err != nil {
 			return nil, fmt.Errorf("corr: store file truncated in entry %d (%s) z half: %w", i, d, r.err)

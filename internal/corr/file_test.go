@@ -243,7 +243,7 @@ func TestStoreFileStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded := 8 * storeWords(tape)
+		decoded := 8 * storeWords(tape, party)
 		enc := s.Encode()
 		path := filepath.Join(t.TempDir(), "s.pcs")
 		if n := allocated(func() { err = s.WriteFile(path) }); err != nil || n > decoded/8 {
@@ -269,15 +269,47 @@ func TestStoreFileStreams(t *testing.T) {
 	}
 }
 
-// storeWords is the number of words one party's decoded store for tape
-// holds.
-func storeWords(tape Tape) int {
+// storeWords is the number of words party's decoded store for tape holds.
+func storeWords(tape Tape, party int) int {
 	n := 0
 	for _, d := range tape {
-		la, lb, lz := d.lens()
+		la, lb, lz := d.lens(party)
 		n += la + lb + lz
 	}
 	return n
+}
+
+// TestStoreWordAccounting pins the per-party word count the store cap is
+// checked against to what each party's store really holds: party 0's
+// FixedB entries carry no a, so its count is smaller, and its file must
+// load under a cap of exactly that count — one a party-1 count would
+// overshoot.
+func TestStoreWordAccounting(t *testing.T) {
+	tape := testTape()
+	s0, s1, err := BuildPair(tape, rng.New(8), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if storeWords(tape, 0) >= storeWords(tape, 1) {
+		t.Fatalf("party 0 counts %d words, party 1 %d: party 0's FixedB entries must count no a", storeWords(tape, 0), storeWords(tape, 1))
+	}
+	for _, s := range []*Store{s0, s1} {
+		held := 0
+		for _, e := range s.entries {
+			held += len(e.a) + len(e.b) + len(e.z)
+		}
+		want := storeWords(tape, s.Party())
+		if held != want {
+			t.Fatalf("party %d's store holds %d words, its accounting says %d", s.Party(), held, want)
+		}
+		enc := s.Encode()
+		if _, err := decode(bytes.NewReader(enc), int64(len(enc)), int64(want)); err != nil {
+			t.Fatalf("party %d: a cap of exactly its %d words must load: %v", s.Party(), want, err)
+		}
+		if _, err := decode(bytes.NewReader(enc), int64(len(enc)), int64(want-1)); err == nil || !strings.Contains(err.Error(), "store cap") {
+			t.Fatalf("party %d: one word under its count must hit the store cap, got %v", s.Party(), err)
+		}
+	}
 }
 
 // TestStoreFileSize pins what a file holds: party 0's is header and tape
@@ -293,7 +325,7 @@ func TestStoreFileSize(t *testing.T) {
 	tapeBytes, zWords := 0, 0
 	for _, d := range tape {
 		tapeBytes += 1 + 4*len(d.dimFields())
-		_, _, lz := d.lens()
+		_, _, lz := d.lens(1)
 		zWords += lz
 	}
 	fixed := len(storeMagic) + headerLen + 4
@@ -304,7 +336,9 @@ func TestStoreFileSize(t *testing.T) {
 		t.Fatalf("party 1 file is %d bytes, want header + tape + z halves = %d", got, want)
 	}
 	pair := len(s0.Encode()) + len(s1.Encode())
-	v3 := 2 * (len(storeMagic) + 1 + 4 + 4 + 4 + tapeBytes + 8*storeWords(tape))
+	// PASCORR3 dealt every FixedB a as two halves, so each of its files
+	// held what party 1's decoded store holds now.
+	v3 := 2 * (len(storeMagic) + 1 + 4 + 4 + 4 + tapeBytes + 8*storeWords(tape, 1))
 	if 4*pair > v3 {
 		t.Fatalf("store pair is %d bytes against %d materialised: under 4× smaller", pair, v3)
 	}

@@ -1,6 +1,8 @@
 package corr
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -65,11 +67,12 @@ func TestFixedBFileRoundTrip(t *testing.T) {
 	drainAgainstDealer(t, loaded, 555, tape)
 }
 
-// TestFixedBProductAgainstDerivedMask reconstructs the pair's plain (a, z)
-// and checks z really is the product against the mask b derived from the
-// *dealer* seed — with the store's randomness stream seeded differently,
-// exactly the per-geometry-stream shape pi.WriteStorePair uses. A fresh a
-// per flush, one b for the whole session.
+// TestFixedBProductAgainstDerivedMask takes the pair's plain a — party 1's
+// alone; party 0's store holds none — reconstructs z, and checks z really
+// is the product against the mask b derived from the *dealer* seed — with
+// the store's randomness stream seeded differently, exactly the
+// per-geometry-stream shape pi.WriteStorePair uses. A fresh a per flush,
+// one b for the whole session.
 func TestFixedBProductAgainstDerivedMask(t *testing.T) {
 	const dealerSeed, streamSeed = 88, 991133
 	tape := testTape()
@@ -97,7 +100,10 @@ func TestFixedBProductAgainstDerivedMask(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				a, z := recon(a0, a1), recon(z0, z1)
+				if a0 != nil {
+					t.Fatalf("%s: party 0 holds %d activation-mask words, want none", dem, len(a0))
+				}
+				a, z := a1, recon(z0, z1)
 				b := mpc.FixedMaskPlain(dealerSeed, dem.Mask, dem.K*dem.P)
 				want := make([]uint64, dem.M*dem.P)
 				kernel.MatMul(want, a, b, dem.M, dem.K, dem.P)
@@ -112,7 +118,10 @@ func TestFixedBProductAgainstDerivedMask(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				a, z := recon(a0, a1), recon(z0, z1)
+				if a0 != nil {
+					t.Fatalf("%s: party 0 holds %d activation-mask words, want none", dem, len(a0))
+				}
+				a, z := a1, recon(z0, z1)
 				b := mpc.FixedMaskPlain(dealerSeed, dem.Mask, dem.Conv.KLen())
 				want := make([]uint64, dem.Conv.OutLen())
 				kernel.Conv2D(want, a, b, convShape(dem.Conv))
@@ -158,26 +167,26 @@ func convShape(d mpc.ConvDims) kernel.ConvShape {
 // magic, so rewriting the magic yields exactly what the other binary
 // version would produce/consume — both directions must fail with the
 // regeneration hint, not a misparse:
-//   - new binary × old store: a "PASCORR1", "PASCORR2" or "PASCORR3" file
-//     decoded here — a PASCORR3 store's halves were dealt in the old draw
-//     order, so it must be regenerated, not reinterpreted;
+//   - new binary × old store: a "PASCORR1" … "PASCORR4" file decoded here
+//     — a PASCORR4 store's FixedB halves were dealt two-sided, so it must
+//     be regenerated, not reinterpreted (TestPASCORR4StoreRejected);
 //   - old binary × new store: every earlier decoder compared the magic by
-//     strict equality too, so the bump to "PASCORR4" (pinned below:
-//     seed-compressed stores, dealt off per-party sub-streams) makes it
-//     reject our files the same way.
+//     strict equality too, so the bump to "PASCORR5" (pinned below: the
+//     FixedB activation mask is party 1's alone) makes it reject our files
+//     the same way.
 //
 // The message is the same for every version pair — it names the two
 // magics and the fix, not what changed between them.
 func TestStoreVersionGate(t *testing.T) {
-	if storeMagic != "PASCORR4" {
-		t.Fatalf("storeMagic = %q; seed-compressed stores shipped as PASCORR4 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
+	if storeMagic != "PASCORR5" {
+		t.Fatalf("storeMagic = %q; one-sided FixedB stores shipped as PASCORR5 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
 	}
 	s, err := buildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR5"} {
+	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR6"} {
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)
@@ -194,6 +203,35 @@ func TestStoreVersionGate(t *testing.T) {
 	copy(junk, "NOTCORR9")
 	if _, err := Decode(junk); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("foreign magic: %v", err)
+	}
+}
+
+// TestPASCORR4StoreRejected: a PASCORR4 file has this format's layout —
+// a seed, the tape and party 1's z halves — but its seed regenerates
+// two-sided FixedB halves, which the one-sided protocol would combine into
+// wrong products. So a store directory written before the bump must fail
+// at load, on either party, naming its version and how to fix it.
+func TestPASCORR4StoreRejected(t *testing.T) {
+	s0, s1, err := BuildPair(fixedOnlyTape(), rng.New(12), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Store{s0, s1} {
+		path := filepath.Join(t.TempDir(), FileName(s.Party(), []int{1, 2, 5, 5}))
+		v4 := s.Encode()
+		copy(v4, "PASCORR4")
+		if err := os.WriteFile(path, v4, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadFile(path)
+		if err == nil {
+			t.Fatalf("party %d: a PASCORR4 store must not load", s.Party())
+		}
+		for _, want := range []string{`"PASCORR4"`, `"PASCORR5"`, "regenerate the store", path} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("party %d: error must contain %q, got: %v", s.Party(), want, err)
+			}
+		}
 	}
 }
 

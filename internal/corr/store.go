@@ -17,14 +17,16 @@ const maxEntryWords = 1 << 28
 // maxStoreWords caps the words one decoded store holds, summed over its
 // whole validated tape before the decoder allocates any of them. A store
 // file carries a seed where it would carry masks, so its size no longer
-// bounds what decoding it allocates; this does. BuildPair applies it too,
-// so no store is built that could not be loaded. The largest store the
-// served-query ledger provisions holds ≈ 20 M words per party.
+// bounds what decoding it allocates; this does. BuildPair applies it to
+// each party's store, so no store is built that could not be loaded. The
+// largest store the served-query ledger provisions holds ≈ 20 M words per
+// party.
 const maxStoreWords = 1 << 28
 
 // entry is one preprocessed correlation: this party's halves. For ring
 // kinds a, b, z are additive halves (b is nil for square pairs and FixedB
-// kinds); for KindBits they are the packed XOR halves of (a, b, c = a∧b).
+// kinds, and a is nil for party 0's FixedB kinds, whose a is party 1's
+// alone); for KindBits they are the packed XOR halves of (a, b, c = a∧b).
 type entry struct {
 	a, b, z []uint64
 }
@@ -71,9 +73,10 @@ func (s *Store) Remaining() int { return len(s.entries) - s.cursor }
 // Tape returns the demand tape the store was generated for.
 func (s *Store) Tape() Tape { return s.tape }
 
-// lens returns the flat word counts (a, b, z) of the demand's correlation
-// material. b is 0 for square pairs; bit triples pack 64 to a word.
-func (d Demand) lens() (la, lb, lz int) {
+// lens returns the flat word counts (a, b, z) of party's side of the
+// demand's correlation material. b is 0 for square pairs and the FixedB
+// kinds, a is 0 for party 0's FixedB kinds; bit triples pack 64 to a word.
+func (d Demand) lens(party int) (la, lb, lz int) {
 	switch d.Kind {
 	case KindBits:
 		nw := mpc.BitWords(d.N)
@@ -85,11 +88,11 @@ func (d Demand) lens() (la, lb, lz int) {
 	case KindMatMul:
 		return d.M * d.K, d.K * d.P, d.M * d.P
 	case KindMatMulFixedB:
-		return d.M * d.K, 0, d.M * d.P
+		return party * d.M * d.K, 0, d.M * d.P
 	case KindConv:
 		return d.Conv.InLen(), d.Conv.KLen(), d.Conv.OutLen()
 	case KindConvFixedB:
-		return d.Conv.InLen(), 0, d.Conv.OutLen()
+		return party * d.Conv.InLen(), 0, d.Conv.OutLen()
 	default:
 		return 0, 0, 0
 	}
@@ -179,19 +182,19 @@ func mulFits(vs ...int) bool {
 	return true
 }
 
-// BuildPair deals both parties' stores for the tape off one mpc.Stream
-// over the dealer stream r, so every correlation is the one a live dealer
-// on the same stream would hand out. The draw pass keeps the stream's draw
-// order and stores every half that is a sub-stream's output (party 0's a,
-// b and z; party 1's a and b). Party 1's z halves need the correlation
-// products, which worker goroutines sized from the kernel pool run as the
-// draws hand them over. The per-product kernels are themselves chunked on
-// the shared pool, and their accumulation order never depends on worker
-// count, so store material is bit-identical for any kernel.SetWorkers /
-// SetNaive configuration — the invariant that lets a store recorded under
-// one setting replay under another. Each store keeps its party's
-// sub-stream seed, which is all its file needs in place of those
-// sub-stream halves.
+// BuildPair deals both parties' stores for the tape off one mpc.Stream over
+// the dealer stream r, so every correlation is the one a live dealer on the
+// same stream would hand out. The draw pass keeps the stream's draw order
+// and stores every half that is a sub-stream's output (party 0's a, b and
+// z, with no a for the FixedB kinds; party 1's a and b). Party 1's z halves
+// need the correlation products, which worker goroutines sized from the
+// kernel pool run as the draws hand them over. The per-product kernels are
+// themselves chunked on the shared pool, and their accumulation order never
+// depends on worker count, so store material is bit-identical for any
+// kernel.SetWorkers / SetNaive configuration — the invariant that lets a
+// store recorded under one setting replay under another. Each store keeps
+// its party's sub-stream seed, which is all its file needs in place of
+// those sub-stream halves.
 //
 // maskSeed is the *pair's* dealer seed, which may differ from r's stream:
 // fixed weight masks (the FixedB kinds) are derived out-of-band from the
@@ -200,14 +203,16 @@ func mulFits(vs ...int) bool {
 // session's live dealer minted and opened F = W−b with at setup. Tapes
 // without FixedB demands never touch maskSeed.
 func BuildPair(tape Tape, r *rng.RNG, maskSeed uint64) (p0, p1 *Store, err error) {
-	words := 0
+	var words [2]int
 	for i, d := range tape {
 		if err := d.validate(); err != nil {
 			return nil, nil, fmt.Errorf("corr: tape entry %d: %w", i, err)
 		}
-		la, lb, lz := d.lens()
-		if words += la + lb + lz; words > maxStoreWords {
-			return nil, nil, fmt.Errorf("corr: tape needs %d words per party by entry %d (%s), over the %d-word store cap", words, i, d, maxStoreWords)
+		for party := range words {
+			la, lb, lz := d.lens(party)
+			if words[party] += la + lb + lz; words[party] > maxStoreWords {
+				return nil, nil, fmt.Errorf("corr: tape needs %d words in party %d's store by entry %d (%s), over the %d-word store cap", words[party], party, i, d, maxStoreWords)
+			}
 		}
 	}
 	stream := mpc.NewStream(r, maskSeed)

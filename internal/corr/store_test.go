@@ -122,14 +122,17 @@ func drainAgainstDealer(t *testing.T, s *Store, seed uint64, tape Tape) {
 // store ≡ dealer suites alone cannot see a change that moves both sides
 // together. The digests were re-recorded on purpose when the draw order
 // moved to per-party sub-streams and the file to PASCORR4 (a seed, the
-// tape and party 1's z halves).
+// tape and party 1's z halves), and again when the FixedB activation mask
+// became party 1's alone and the file PASCORR5: party 0's sub-stream no
+// longer draws FixedB a halves, so its later halves and party 1's FixedB z
+// halves moved, and party 0's file changed only in its magic.
 func TestGoldenStoreAndDealerBytes(t *testing.T) {
 	const seed = 20261015
 	want := map[string]uint64{
-		"store p0":  0xc3488c94898a15ee,
-		"store p1":  0x8e5357fde2c82573,
-		"dealer p0": 0x443167b3875bf1ea,
-		"dealer p1": 0x31ff399930a69a60,
+		"store p0":  0x4b1b44fafd9cd937,
+		"store p1":  0x8a1d439f1ccf284f,
+		"dealer p0": 0x4b885a88471c3d4d,
+		"dealer p1": 0xf98e74343eefaa2c,
 	}
 	got := map[string]uint64{}
 	tape := testTape()

@@ -35,9 +35,8 @@ func randWords(r *rng.RNG, n int) []uint64 {
 
 // TestMulCombineMatchesThreeTermForm draws full-range ring operands for
 // each bilinear op the combine serves and compares share-for-share on both
-// party IDs. The FixedW forms call the same combine with f = the cached
-// opening and y = the weight share, so the conv and matmul cases are theirs
-// too; TestLinearOpSharesGolden pins them through the protocol.
+// party IDs. The FixedW forms run the owner-side combine instead;
+// TestLinearOpSharesGolden pins both through the protocol.
 func TestMulCombineMatchesThreeTermForm(t *testing.T) {
 	const m, k, n = 5, 7, 3
 	dims := ConvDims{N: 2, InC: 4, H: 5, W: 5, OutC: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
@@ -74,9 +73,13 @@ func TestMulCombineMatchesThreeTermForm(t *testing.T) {
 	}
 }
 
-// linearOpShares runs every op that ends in mulCombine once on fixed seeds
-// and returns an FNV-1a digest of each party's output shares, in op order.
-func linearOpShares(t *testing.T) [2]uint64 {
+// linearOpNames names linearOpShares' ops, in the order they run.
+var linearOpNames = []string{"hadamard", "matmul", "conv", "matmul-fixedw", "conv-fixedw"}
+
+// linearOpShares runs every bilinear op once on fixed seeds — the three
+// Beaver ops, then both FixedW forms — and returns an FNV-1a digest of each
+// party's output shares per op, keyed by linearOpNames.
+func linearOpShares(t *testing.T) map[string][2]uint64 {
 	t.Helper()
 	const m, k, n = 3, 5, 4
 	dims := ConvDims{N: 2, InC: 4, H: 6, W: 6, OutC: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -90,7 +93,7 @@ func linearOpShares(t *testing.T) [2]uint64 {
 	}
 	xm, wm := norm(m*k), norm(k*n)
 	xc, wc := norm(dims.InLen()), norm(dims.KLen())
-	var sums [2]uint64
+	sums := make([][2]uint64, len(linearOpNames))
 	runBoth(t, 1903, func(p *Party) error {
 		var shareErr error
 		share := func(vals []float64, shape ...int) Share {
@@ -124,33 +127,47 @@ func linearOpShares(t *testing.T) [2]uint64 {
 			func() (Share, error) { return p.MatMulFixedW(sxm, swm, fwm) },
 			func() (Share, error) { return p.Conv2DFixedW(sxc, swc, fwc, dims) },
 		}
-		h := fnv.New64a()
 		var word [8]byte
 		for i, op := range ops {
 			out, err := op()
 			if err != nil {
-				return fmt.Errorf("op %d: %w", i, err)
+				return fmt.Errorf("%s: %w", linearOpNames[i], err)
 			}
+			h := fnv.New64a()
 			for _, v := range out.V {
 				binary.LittleEndian.PutUint64(word[:], v)
 				h.Write(word[:])
 			}
+			sums[i][p.ID] = h.Sum64()
 		}
-		sums[p.ID] = h.Sum64()
 		return nil
 	})
-	return sums
+	got := make(map[string][2]uint64, len(sums))
+	for i, name := range linearOpNames {
+		got[name] = sums[i]
+	}
+	return got
 }
 
 // TestLinearOpSharesGolden pins each party's output shares of Hadamard,
-// MatMul, Conv2D and both FixedW forms, so a change to an op's combine
-// cannot move a single share bit unnoticed. The digests were re-recorded on
-// purpose when the dealer's draw order changed to per-party sub-streams
-// (each party's a/b halves drawn, the plain operands their sum): the
-// correlations moved, so the output shares did.
+// MatMul, Conv2D and both FixedW forms, op by op, so a change to an op's
+// combine cannot move a single share bit unnoticed. The FixedW digests were
+// re-recorded on purpose when the linear layers went owner-side (party 1
+// owns a, party 0 computes with W): the protocol and its correlations
+// changed. The Beaver digests are what the same per-op split gives under
+// the symmetric FixedW protocol too: they did not move.
 func TestLinearOpSharesGolden(t *testing.T) {
-	want := [2]uint64{0x15e1278c50a44306, 0x60a4ee416d82d4d6}
-	if got := linearOpShares(t); got != want {
-		t.Fatalf("output share digests = {%#x, %#x}, want {%#x, %#x}", got[0], got[1], want[0], want[1])
+	want := map[string][2]uint64{
+		"hadamard":      {0x45bb716e68cbc537, 0x3e5338a79a09aef3},
+		"matmul":        {0xd6ada7ea8f549fac, 0x03c310711604f436},
+		"conv":          {0xf642146eff6b2256, 0x082f27e5e996594c},
+		"matmul-fixedw": {0x55b411bc01c65e68, 0x1dd081dc769429df},
+		"conv-fixedw":   {0x0aee7c6c108b832b, 0xa73d2b8436b895ef},
+	}
+	got := linearOpShares(t)
+	for _, name := range linearOpNames {
+		if got[name] != want[name] {
+			t.Errorf("%s output share digests = {%#x, %#x}, want {%#x, %#x}", name, got[name][0], got[name][1], want[name][0], want[name][1])
+		}
 	}
 }

@@ -22,12 +22,15 @@ type CorrelationSource interface {
 	TakeMatMul(m, k, p int) (a, b, z []uint64, err error)
 	// TakeConv returns shares of (A, B, Z=conv(A,B)) for the geometry.
 	TakeConv(dims ConvDims) (a, b, z []uint64, err error)
-	// TakeMatMulFixedB returns shares (a, z) with z = a@b against the
-	// session-pinned fixed mask b (k×p) for slot mask; a is a fresh m×k.
-	// Only the activation mask is fresh per take — see fixedmask.go.
+	// TakeMatMulFixedB returns this party's side of (a, z) with z = a@b
+	// against the session-pinned fixed mask b (k×p) for slot mask, where a
+	// is a fresh m×k. The activation mask is one-sided: party 1 gets the
+	// whole a, party 0 a nil a; z is additively shared as usual. Only a is
+	// fresh per take — see fixedmask.go.
 	TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error)
-	// TakeConvFixedB returns shares (a, z) with z = conv(a, b) against the
-	// fixed kernel mask b for slot mask and the given geometry.
+	// TakeConvFixedB returns this party's side of (a, z) with
+	// z = conv(a, b) against the fixed kernel mask b for slot mask and the
+	// given geometry; a is nil on party 0, as in TakeMatMulFixedB.
 	TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error)
 	// TakeBits returns packed XOR shares of n AND triples (c = a AND b
 	// bitwise).

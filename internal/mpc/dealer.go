@@ -17,7 +17,10 @@ import (
 // words NewStream draws off its RNG. Every draw takes party 0's a, b and z
 // halves off party 0's sub-stream and party 1's a and b halves off party
 // 1's, in that fixed per-kind order, and defines the plain operands as
-// a = a0 + a1 and b = b0 + b1 (XOR for bit triples). Party 1's z half,
+// a = a0 + a1 and b = b0 + b1 (XOR for bit triples). The FixedB kinds are
+// one-sided: party 1 draws the whole activation mask a and party 0 draws
+// only its z half, because party 1 alone ever masks with a (see
+// fixedmask.go). Party 1's z half,
 // product − z0, is then the only half that is not a sub-stream's output: it
 // needs the correlation's product (a ring convolution, matrix multiply or
 // elementwise product), so it is left to Deal.Z1 — a party-0 consumer never
@@ -77,13 +80,15 @@ func (s *Stream) half() bool { return s.r[0] == nil || s.r[1] == nil }
 // Deal is one correlation drawn off a Stream. Ring halves are additive;
 // bit-triple halves are XOR, packed 64 to a word. B0 and B1 are nil for the
 // kinds whose b is not dealt per correlation (square pairs and the FixedB
-// kinds); a half stream's deal carries only its party's halves.
+// kinds); A0 is nil for the FixedB kinds, whose a is A1 alone; a half
+// stream's deal carries only its party's halves.
 type Deal struct {
 	A0, B0, Z0 []uint64 // party 0's halves
 	A1, B1     []uint64 // party 1's a and b halves
 	b          []uint64 // the fixed mask of the FixedB kinds
 	product    func(z, a, b []uint64)
 	xor        bool // bit triple: halves are XOR, not additive
+	ownA       bool // FixedB kinds: party 1 draws the whole of a
 }
 
 // join returns the plain value h0 + h1, or h0 ⊕ h1 for bit triples.
@@ -102,12 +107,15 @@ func (d Deal) join(h0, h1 []uint64) []uint64 {
 // Z1 computes party 1's z half, product(a, b) − z0 (⊕ z0 for bit triples),
 // from both parties' a and b halves.
 func (d Deal) Z1() []uint64 {
-	b := d.b
+	a, b := d.A1, d.b
+	if !d.ownA {
+		a = d.join(d.A0, d.A1)
+	}
 	if d.B0 != nil {
 		b = d.join(d.B0, d.B1)
 	}
 	z := make([]uint64, len(d.Z0))
-	d.product(z, d.join(d.A0, d.A1), b)
+	d.product(z, a, b)
 	if !d.xor {
 		ringSub(z, z, d.Z0)
 		return z
@@ -118,10 +126,10 @@ func (d Deal) Z1() []uint64 {
 	return z
 }
 
-// deal fills in d's halves in the stream's draw order: party 0's a, b
-// (when b is dealt here, lb > 0) and z, then party 1's a and b, each off
-// its party's sub-stream. Each draw takes n words, or n packed bits for
-// bit triples.
+// deal fills in d's halves in the stream's draw order: party 0's a (unless
+// party 1 owns it), b (when b is dealt here, lb > 0) and z, then party 1's
+// a and b, each off its party's sub-stream. Each draw takes n words, or n
+// packed bits for bit triples.
 func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
 	draw := func(r *rng.RNG, n int) []uint64 {
 		if d.xor {
@@ -132,7 +140,9 @@ func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
 		return w
 	}
 	if r := s.r[0]; r != nil {
-		d.A0 = draw(r, la)
+		if !d.ownA {
+			d.A0 = draw(r, la)
+		}
 		if lb > 0 {
 			d.B0 = draw(r, lb)
 		}
@@ -168,23 +178,24 @@ func (s *Stream) Conv(dims ConvDims) Deal {
 }
 
 // MatMulFixedB deals (a, z = a@b) against the fixed mask b (k×p) of slot
-// mask; a is a fresh m×k.
+// mask; a is a fresh m×k, drawn wholly off party 1's sub-stream (A1), and
+// party 0 draws only z0.
 func (s *Stream) MatMulFixedB(mask, m, k, p int) (Deal, error) {
 	b, err := s.fixedMask(mask, k*p)
 	if err != nil {
 		return Deal{}, err
 	}
-	return s.deal(Deal{b: b, product: matMulOp(m, k, p)}, m*k, 0, m*p), nil
+	return s.deal(Deal{b: b, product: matMulOp(m, k, p), ownA: true}, m*k, 0, m*p), nil
 }
 
 // ConvFixedB deals (a, z = conv(a, b)) against the fixed kernel mask b of
-// slot mask.
+// slot mask, a being party 1's alone as in MatMulFixedB.
 func (s *Stream) ConvFixedB(mask int, dims ConvDims) (Deal, error) {
 	b, err := s.fixedMask(mask, dims.KLen())
 	if err != nil {
 		return Deal{}, err
 	}
-	return s.deal(Deal{b: b, product: convOp(dims)}, dims.InLen(), 0, dims.OutLen()), nil
+	return s.deal(Deal{b: b, product: convOp(dims), ownA: true}, dims.InLen(), 0, dims.OutLen()), nil
 }
 
 // Bits deals n AND triples (c = a AND b bitwise), GMW-style AND gates and

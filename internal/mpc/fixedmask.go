@@ -7,7 +7,7 @@ import (
 	"pasnet/internal/transport"
 )
 
-// Fixed weight-mask correlations.
+// Fixed weight-mask correlations and the owner-side linear protocol.
 //
 // Every flush of a session multiplies the *same* secret weights, yet the
 // plain Beaver protocol re-masks them with a fresh b and re-opens W−b each
@@ -15,11 +15,20 @@ import (
 // count. Because the weight side masks an identical value every flush,
 // one mask per secret is the textbook amortization: fix b once per
 // (session, layer), open F = W−b once at setup, and per flush draw only a
-// fresh activation mask a together with z = a@b. The combine
-// R_i = (X_i − i·E)∘F + E∘Y_i + Z_i then reconstructs x∘W exactly as in
-// the per-flush scheme (the telescoping is identical; only where F comes
-// from changes). The activation side must NOT be reused — opening x−a and
-// x'−a for x ≠ x' reveals x−x'.
+// fresh activation mask a together with z = a∘b.
+//
+// With F public, party 0 (the model vendor) can hold W = F + b outright,
+// and the activation mask need only be party 1's. So a linear op runs
+// owner-side, one-way and one kernel pass per party:
+//
+//	party 1: send E' = X₁ − a;          R₁ = a∘F + z₁
+//	party 0: receive E';                R₀ = (X₀ + E')∘W + z₀
+//
+// R₀ + R₁ = (x − a)∘W + a∘F + a∘b = x∘W. Party 0 sees only X₁ under the
+// uniform mask a; party 1 receives nothing; and R₁ = a∘W − z₀ is uniform
+// through z₀, so local truncation behaves exactly as for a Beaver product.
+// Party 0 may know b: it masks nothing but party 0's own W. The activation
+// side must NOT be reused — sending x−a and x'−a for x ≠ x' reveals x−x'.
 //
 // b is a pure function of (dealer seed, mask slot, length), derived from a
 // stream mixed out-of-band from both the dealer's main stream and the
@@ -116,15 +125,19 @@ func (d *Dealer) FixedMaskHalf(mask, n int) ([]uint64, error) {
 }
 
 // FixedWeight is the session-cached public opening F = W−b of one weight
-// tensor under its fixed mask. It is pinned to the dealer stream and the
-// exact share values it was opened against; the FixedW ops re-validate
-// both so a mask can never silently outlive its value (reviving a pair at
-// a new generation, or mutating the weight share, must mint a fresh one).
+// tensor under its fixed mask, with the party's operand of the owner-side
+// combine. It is pinned to the dealer stream and the exact share values it
+// was opened against; the FixedW ops re-validate both so a mask can never
+// silently outlive its value (reviving a pair at a new generation, or
+// mutating the weight share, must mint a fresh one).
 type FixedWeight struct {
 	// Mask is the mask slot id (the layer's weight index).
 	Mask int
 	// F is the public opened W−b.
 	F []uint64
+	// op is what this party convolves with: W = F + b on party 0, F on
+	// party 1.
+	op []uint64
 	// seed pins the dealer stream that minted b.
 	seed uint64
 	// sum fingerprints the weight share value at open time.
@@ -161,7 +174,8 @@ func (p *Party) OpenFixedW(mask int, w Share) (*FixedWeight, error) {
 // OpenFixedWs opens F = w−b for every (slot, weight) pair in one exchange
 // round, however many weights there are: each slot's half of b is derived
 // under the stream's pinning rule, all the w−b halves travel in one frame,
-// and one FixedWeight per weight comes back in argument order. A session
+// and one FixedWeight per weight comes back in argument order. Party 0
+// also caches W = F + b there, b being its dealer's pinned mask. A session
 // calls it once, after sharing its weights, so opening every layer's F
 // costs one round trip instead of one per layer. With no weights it
 // exchanges nothing.
@@ -199,7 +213,17 @@ func (p *Party) OpenFixedWs(masks []int, ws []Share) ([]*FixedWeight, error) {
 	off = 0
 	for i, w := range ws {
 		n := w.Len()
-		fws[i] = &FixedWeight{Mask: masks[i], F: mine[off : off+n : off+n], seed: p.Dealer.Seed(), sum: hashWords(w.V)}
+		f := mine[off : off+n : off+n]
+		op := f
+		if p.ID == 0 {
+			b, err := p.Dealer.s.fixedMask(masks[i], n)
+			if err != nil {
+				return nil, fmt.Errorf("mpc: open fixed weight: %w", err)
+			}
+			op = make([]uint64, n)
+			ringAdd(op, f, b)
+		}
+		fws[i] = &FixedWeight{Mask: masks[i], F: f, op: op, seed: p.Dealer.Seed(), sum: hashWords(w.V)}
 		off += n
 	}
 	return fws, nil
@@ -223,28 +247,38 @@ func (p *Party) checkFixedW(fw *FixedWeight, w Share) error {
 	return nil
 }
 
-// openOne reveals E = x−a in one exchange round (the activation-only
-// opening of the fixed weight-mask ops; the square protocol shares it).
-// The returned slice is a scratch view valid until the next opening.
-func (p *Party) openOne(x, a []uint64) ([]uint64, error) {
-	mine := grow(&p.scr.mine, len(x))
-	ringSub(mine, x, a)
-	theirs, err := transport.Exchange(p.Conn, mine)
-	if err != nil {
-		return nil, err
+// ownerCombine runs the owner-side protocol of one fixed-weight op (see
+// the file comment) into out, with apply the op's bilinear map: party 1
+// sends E' = X₁ − a and computes a∘F + z₁; party 0 receives E', bounded to
+// len(x) words, and computes (X₀ + E')∘W + z₀. Party 1 sends before its
+// kernel pass, so the two passes overlap.
+func (p *Party) ownerCombine(out, x, a, z []uint64, fw *FixedWeight, apply func(dst, a, b []uint64)) error {
+	if p.ID == 1 {
+		e := grow(&p.scr.mine, len(x))
+		ringSub(e, x, a)
+		if err := p.Conn.SendUint64s(e); err != nil {
+			return err
+		}
+		apply(out, a, fw.op)
+	} else {
+		e, err := p.Conn.RecvUint64sMax(len(x))
+		if err != nil {
+			return err
+		}
+		if len(e) != len(x) {
+			return fmt.Errorf("mpc: masked input length %d != %d", len(e), len(x))
+		}
+		ringAdd(e, e, x)
+		apply(out, e, fw.op)
 	}
-	if len(theirs) != len(mine) {
-		return nil, fmt.Errorf("mpc: open length %d != %d", len(theirs), len(mine))
-	}
-	e := grow(&p.scr.e, len(x))
-	ringAdd(e, mine, theirs)
-	return e, nil
+	ringAdd(out, out, z)
+	return nil
 }
 
 // MatMulFixedW returns truncated fixed-point shares of x (m×k) @ w (k×n)
-// where w is session-constant and fw caches its opened F = W−b. Only the
-// activation side is opened, halving the per-flush opening bytes of
-// MatMul's openPairUneven.
+// where w is session-constant and fw caches its opened F = W−b. Only party
+// 1's masked activation crosses the wire, one way, and each party runs one
+// matrix multiply.
 func (p *Party) MatMulFixedW(x, w Share, fw *FixedWeight) (Share, error) {
 	if len(x.Shape) != 2 || len(w.Shape) != 2 || x.Shape[1] != w.Shape[0] {
 		return Share{}, fmt.Errorf("mpc: matmul shapes %v x %v", x.Shape, w.Shape)
@@ -257,12 +291,10 @@ func (p *Party) MatMulFixedW(x, w Share, fw *FixedWeight) (Share, error) {
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: matmul fixed-b pair: %w", err)
 	}
-	e, err := p.openOne(x.V, a)
-	if err != nil {
-		return Share{}, fmt.Errorf("mpc: matmul open: %w", err)
-	}
 	out := NewShare(m, n)
-	p.mulCombine(out.V, e, fw.F, x.V, w.V, z, matMulOp(m, k, n))
+	if err := p.ownerCombine(out.V, x.V, a, z, fw, matMulOp(m, k, n)); err != nil {
+		return Share{}, fmt.Errorf("mpc: matmul fixed-w: %w", err)
+	}
 	p.TruncateInPlace(&out)
 	return out, nil
 }
@@ -282,13 +314,11 @@ func (p *Party) Conv2DFixedW(x, w Share, fw *FixedWeight, dims ConvDims) (Share,
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: conv fixed-b pair: %w", err)
 	}
-	e, err := p.openOne(x.V, a)
-	if err != nil {
-		return Share{}, fmt.Errorf("mpc: conv open: %w", err)
-	}
 	oh, ow := dims.OutHW()
 	out := NewShare(dims.N, dims.OutC, oh, ow)
-	p.mulCombine(out.V, e, fw.F, x.V, w.V, z, convOp(dims))
+	if err := p.ownerCombine(out.V, x.V, a, z, fw, convOp(dims)); err != nil {
+		return Share{}, fmt.Errorf("mpc: conv fixed-w: %w", err)
+	}
 	p.TruncateInPlace(&out)
 	return out, nil
 }

@@ -11,15 +11,16 @@ import (
 )
 
 // Protocol-level suite for the fixed weight-mask correlations: the FixedW
-// ops must match plaintext across flushes under one opened F = W−b, pay
-// exactly the weight-side opening bytes less than the per-flush ops, and
+// ops must match plaintext across flushes under one opened F = W−b, send
+// only party 1's masked activation (ownerside_test.go pins the frames), and
 // the lifetime guards must reject every way an F can outlive its value
 // (new dealer generation, mutated share, wrong length, re-pinned slot).
 
 // TestMatMulFixedWMatchesPlain runs several flushes of x@W with one opened
 // F = W−b and checks each against plaintext, plus the exact per-op byte
-// saving versus the per-flush MatMul: both send one opening frame, the
-// fixed one smaller by exactly the weight payload.
+// saving versus the per-flush MatMul, whose opening sends x−a and w−b from
+// both parties: the owner-side op sends only x−a, from party 1, so party 1
+// saves the weight payload and party 0 its whole opening.
 func TestMatMulFixedWMatchesPlain(t *testing.T) {
 	const m, k, n = 3, 5, 4
 	r := rng.New(301)
@@ -70,11 +71,15 @@ func TestMatMulFixedWMatchesPlain(t *testing.T) {
 				return err
 			}
 			sent2 := wire.Totals().SentBytes
-			// Same frame count, weight payload dropped: the fixed op is
-			// exactly 8 bytes per weight element cheaper, every flush.
+			// Every flush, the fixed op is 8 bytes per weight element
+			// cheaper on party 1 and sends nothing at all on party 0.
 			saved := (sent1 - sent0) - (sent2 - sent1)
-			if saved != int64(8*k*n) {
-				t.Errorf("party %d flush %d: fixed matmul saved %d bytes, want %d", p.ID, f, saved, 8*k*n)
+			wantSaved := int64(8 * k * n)
+			if p.ID == 0 {
+				wantSaved += 8 * m * k
+			}
+			if saved != wantSaved {
+				t.Errorf("party %d flush %d: fixed matmul saved %d bytes, want %d", p.ID, f, saved, wantSaved)
 			}
 			got, err := p.Reveal(fixedY)
 			if err != nil {

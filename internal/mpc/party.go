@@ -244,10 +244,13 @@ func (p *Party) openPair(x, a, y, b []uint64) (e, f []uint64, err error) {
 }
 
 // mulCombine assembles R_i = (X_i − i·E)∘F + E∘Y_i + Z_i, where ∘ is the
-// bilinear op given by apply. This is paper Eq. 2 with party 1's −E∘F
-// folded into its X∘F term: ∘ distributes over ring subtraction exactly,
-// so every share is bit-identical to the three-term form while each party
-// applies ∘ twice, not three times.
+// bilinear op given by apply: the symmetric Beaver combine of Hadamard,
+// MatMul and Conv2D, whose both operands are secret per call. This is
+// paper Eq. 2 with party 1's −E∘F folded into its X∘F term: ∘ distributes
+// over ring subtraction exactly, so every share is bit-identical to the
+// three-term form while each party applies ∘ twice, not three times. The
+// fixed-weight ops do not use it: their owner-side combine (fixedmask.go)
+// applies ∘ once per party.
 func (p *Party) mulCombine(out, e, f, x, y, z []uint64, apply func(dst, a, b []uint64)) {
 	if p.ID == 1 {
 		xe := grow(&p.scr.xe, len(x))
@@ -288,6 +291,24 @@ func (p *Party) MulHadamard(x, y Share) (Share, error) {
 	}
 	p.TruncateInPlace(&out)
 	return out, nil
+}
+
+// openOne reveals E = x−a in one exchange round: the single opening of a
+// Beaver square pair. The returned slice is a scratch view valid until the
+// next opening.
+func (p *Party) openOne(x, a []uint64) ([]uint64, error) {
+	mine := grow(&p.scr.mine, len(x))
+	ringSub(mine, x, a)
+	theirs, err := transport.Exchange(p.Conn, mine)
+	if err != nil {
+		return nil, err
+	}
+	if len(theirs) != len(mine) {
+		return nil, fmt.Errorf("mpc: open length %d != %d", len(theirs), len(mine))
+	}
+	e := grow(&p.scr.e, len(x))
+	ringAdd(e, mine, theirs)
+	return e, nil
 }
 
 // Square returns shares of x ⊙ x (fixed-point, truncated) using a Beaver

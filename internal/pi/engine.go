@@ -11,8 +11,8 @@ import (
 // Engine executes a compiled program on one party's endpoint. Weight
 // shares and their opened F = W−b are established once by Setup and reused
 // across inferences, as in a deployed two-server system: every linear op
-// opens only its activation side per flush (the fixed weight-mask
-// protocol, mpc fixedmask.go).
+// runs owner-side per flush — party 1 sends its masked activation one way,
+// party 0 multiplies by W itself (mpc fixedmask.go).
 type Engine struct {
 	// Prog is the compiled program.
 	Prog *Program

@@ -56,7 +56,8 @@ func (zeroSource) TakeConv(dims mpc.ConvDims) (a, b, z []uint64, err error) {
 }
 
 func (zeroSource) TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) {
-	// z = a@b = 0 for a = 0, whatever b is — still a valid pair.
+	// z = a@b = 0 for a = 0, whatever b is — still a valid pair. Party 0,
+	// whose a is nil under a real source, ignores this one.
 	return make([]uint64, m*k), make([]uint64, m*p), nil
 }
 
