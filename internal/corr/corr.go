@@ -29,7 +29,8 @@ import (
 type Kind uint8
 
 const (
-	// KindHadamard is an elementwise Beaver triple (z = a ⊙ b).
+	// KindHadamard is an owner-split elementwise triple (z = a ⊙ b): a is
+	// party 1's alone, b party 0's alone.
 	KindHadamard Kind = iota + 1
 	// KindSquare is a Beaver square pair (z = a ⊙ a).
 	KindSquare
@@ -37,7 +38,8 @@ const (
 	KindMatMul
 	// KindConv is a convolution Beaver triple (Z = conv(A, B)).
 	KindConv
-	// KindBits is a batch of GMW AND triples over XOR-shared bits.
+	// KindBits is a batch of owner-split GMW AND triples (c = a ∧ b, c
+	// XOR-shared), a party 1's alone and b party 0's alone.
 	KindBits
 	// KindMatMulFixedB is a matmul pair (a, z = a@b) against a
 	// session-pinned fixed weight mask b (see mpc fixedmask.go). Only the

@@ -15,7 +15,7 @@ import (
 
 // On-disk store format (all integers little-endian):
 //
-//	magic   8 bytes  "PASCORR5"
+//	magic   8 bytes  "PASCORR6"
 //	body:
 //	  party   uint8
 //	  label   uint32                      preprocess-run stamp (see Label)
@@ -55,14 +55,18 @@ import (
 // kinds' activation mask as two halves, one off each party's sub-stream,
 // where "PASCORR5" draws it wholly off party 1's, so the same seed
 // regenerates different FixedB halves (and moves every party-0 half drawn
-// after the first FixedB one). The magic is the version gate — any
+// after the first FixedB one); "PASCORR5" dealt bit and Hadamard triples
+// symmetrically (a and b halves on both sub-streams), where "PASCORR6"
+// deals them owner-split (a off party 1's, b and z0 off party 0's), so the
+// same seed regenerates different halves for them and everything after.
+// The magic is the version gate — any
 // "PASCORR"-prefixed file of another version is rejected with a
 // regeneration hint rather than misparsed, in either direction (old binary
 // × new store, new binary × old store).
 
 // storeMagic identifies a serialized correlation store at this binary's
 // format version.
-const storeMagic = "PASCORR5"
+const storeMagic = "PASCORR6"
 
 // storeMagicPrefix identifies any version of the store format.
 const storeMagicPrefix = "PASCORR"

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"pasnet/internal/mpc"
 	"pasnet/internal/rng"
 )
 
@@ -279,11 +280,41 @@ func storeWords(tape Tape, party int) int {
 	return n
 }
 
+// TestDemandLensPerParty pins lens, the per-party word count behind the
+// store cap, the decoder's tape check and its z-section check, over all
+// seven kinds and both parties: the owner-split kinds count a on party 1
+// only and a dealt b on party 0 only, the symmetric kinds count every half
+// on both.
+func TestDemandLensPerParty(t *testing.T) {
+	conv := mpc.ConvDims{N: 2, InC: 3, H: 6, W: 6, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	cases := []struct {
+		d      Demand
+		p0, p1 [3]int // (a, b, z) words
+	}{
+		{Demand{Kind: KindHadamard, N: 96}, [3]int{0, 96, 96}, [3]int{96, 0, 96}},
+		{Demand{Kind: KindSquare, N: 50}, [3]int{50, 0, 50}, [3]int{50, 0, 50}},
+		{Demand{Kind: KindMatMul, M: 4, K: 9, P: 5}, [3]int{36, 45, 20}, [3]int{36, 45, 20}},
+		{Demand{Kind: KindConv, Conv: conv}, [3]int{216, 108, 288}, [3]int{216, 108, 288}},
+		{Demand{Kind: KindBits, N: 526}, [3]int{0, 9, 9}, [3]int{9, 0, 9}},
+		{Demand{Kind: KindMatMulFixedB, Mask: 1, M: 2, K: 12, P: 4}, [3]int{0, 0, 8}, [3]int{24, 0, 8}},
+		{Demand{Kind: KindConvFixedB, Conv: fixedConvDims}, [3]int{0, 0, 75}, [3]int{50, 0, 75}},
+	}
+	for _, c := range cases {
+		for party, want := range [][3]int{c.p0, c.p1} {
+			la, lb, lz := c.d.lens(party)
+			if got := [3]int{la, lb, lz}; got != want {
+				t.Errorf("%s party %d: lens = %v, want %v", c.d, party, got, want)
+			}
+		}
+	}
+}
+
 // TestStoreWordAccounting pins the per-party word count the store cap is
 // checked against to what each party's store really holds: party 0's
 // FixedB entries carry no a, so its count is smaller, and its file must
 // load under a cap of exactly that count — one a party-1 count would
-// overshoot.
+// overshoot. (Bit and Hadamard triples hold a on party 1 and b on party 0,
+// the same words on each.)
 func TestStoreWordAccounting(t *testing.T) {
 	tape := testTape()
 	s0, s1, err := BuildPair(tape, rng.New(8), 8)

@@ -167,26 +167,27 @@ func convShape(d mpc.ConvDims) kernel.ConvShape {
 // magic, so rewriting the magic yields exactly what the other binary
 // version would produce/consume — both directions must fail with the
 // regeneration hint, not a misparse:
-//   - new binary × old store: a "PASCORR1" … "PASCORR4" file decoded here
-//     — a PASCORR4 store's FixedB halves were dealt two-sided, so it must
-//     be regenerated, not reinterpreted (TestPASCORR4StoreRejected);
+//   - new binary × old store: a "PASCORR1" … "PASCORR5" file decoded here
+//     — a PASCORR4 store's FixedB halves were dealt two-sided, a PASCORR5
+//     store's bit and Hadamard triples, so each must be regenerated, not
+//     reinterpreted (TestPASCORR4StoreRejected, TestPASCORR5StoreRejected);
 //   - old binary × new store: every earlier decoder compared the magic by
-//     strict equality too, so the bump to "PASCORR5" (pinned below: the
-//     FixedB activation mask is party 1's alone) makes it reject our files
-//     the same way.
+//     strict equality too, so the bump to "PASCORR6" (pinned below: bit and
+//     Hadamard triples are owner-split) makes it reject our files the same
+//     way.
 //
 // The message is the same for every version pair — it names the two
 // magics and the fix, not what changed between them.
 func TestStoreVersionGate(t *testing.T) {
-	if storeMagic != "PASCORR5" {
-		t.Fatalf("storeMagic = %q; one-sided FixedB stores shipped as PASCORR5 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
+	if storeMagic != "PASCORR6" {
+		t.Fatalf("storeMagic = %q; owner-split bit and Hadamard stores shipped as PASCORR6 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
 	}
 	s, err := buildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR6"} {
+	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR7"} {
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)
@@ -212,22 +213,38 @@ func TestStoreVersionGate(t *testing.T) {
 // wrong products. So a store directory written before the bump must fail
 // at load, on either party, naming its version and how to fix it.
 func TestPASCORR4StoreRejected(t *testing.T) {
-	s0, s1, err := BuildPair(fixedOnlyTape(), rng.New(12), 12)
+	checkOldStoreRejected(t, "PASCORR4", fixedOnlyTape())
+}
+
+// TestPASCORR5StoreRejected: a PASCORR5 file's seed regenerates symmetric
+// bit and Hadamard triples — a and b halves on both parties — which the
+// owned products would read as whole operands and combine into wrong
+// shares. It must fail at load on either party, like PASCORR4.
+func TestPASCORR5StoreRejected(t *testing.T) {
+	checkOldStoreRejected(t, "PASCORR5", Tape{{Kind: KindBits, N: 526}, {Kind: KindHadamard, N: 96}})
+}
+
+// checkOldStoreRejected writes both parties' stores for tape under the
+// older magic version and checks that ReadFile refuses each by name, with
+// the regenerate-the-store hint and the path.
+func checkOldStoreRejected(t *testing.T, version string, tape Tape) {
+	t.Helper()
+	s0, s1, err := BuildPair(tape, rng.New(12), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []*Store{s0, s1} {
 		path := filepath.Join(t.TempDir(), FileName(s.Party(), []int{1, 2, 5, 5}))
-		v4 := s.Encode()
-		copy(v4, "PASCORR4")
-		if err := os.WriteFile(path, v4, 0o644); err != nil {
+		old := s.Encode()
+		copy(old, version)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := ReadFile(path)
 		if err == nil {
-			t.Fatalf("party %d: a PASCORR4 store must not load", s.Party())
+			t.Fatalf("party %d: a %s store must not load", s.Party(), version)
 		}
-		for _, want := range []string{`"PASCORR4"`, `"PASCORR5"`, "regenerate the store", path} {
+		for _, want := range []string{`"` + version + `"`, `"` + storeMagic + `"`, "regenerate the store", path} {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("party %d: error must contain %q, got: %v", s.Party(), want, err)
 			}

@@ -24,9 +24,11 @@ const maxEntryWords = 1 << 28
 const maxStoreWords = 1 << 28
 
 // entry is one preprocessed correlation: this party's halves. For ring
-// kinds a, b, z are additive halves (b is nil for square pairs and FixedB
-// kinds, and a is nil for party 0's FixedB kinds, whose a is party 1's
-// alone); for KindBits they are the packed XOR halves of (a, b, c = a∧b).
+// kinds z is an additive half, and a and b are additive halves of the
+// symmetric kinds. The owner-split kinds hold each operand on one party: a
+// on party 1's entries only, b (Hadamard and bit triples) on party 0's
+// only. b is nil for square pairs and the FixedB kinds. For KindBits the
+// words are packed, z the XOR half of c = a∧b.
 type entry struct {
 	a, b, z []uint64
 }
@@ -74,15 +76,16 @@ func (s *Store) Remaining() int { return len(s.entries) - s.cursor }
 func (s *Store) Tape() Tape { return s.tape }
 
 // lens returns the flat word counts (a, b, z) of party's side of the
-// demand's correlation material. b is 0 for square pairs and the FixedB
-// kinds, a is 0 for party 0's FixedB kinds; bit triples pack 64 to a word.
+// demand's correlation material. The owner-split kinds count a on party 1
+// only and b on party 0 only; b is 0 for square pairs and the FixedB kinds;
+// bit triples pack 64 to a word.
 func (d Demand) lens(party int) (la, lb, lz int) {
 	switch d.Kind {
 	case KindBits:
 		nw := mpc.BitWords(d.N)
-		return nw, nw, nw
+		return party * nw, (1 - party) * nw, nw
 	case KindHadamard:
-		return d.N, d.N, d.N
+		return party * d.N, (1 - party) * d.N, d.N
 	case KindSquare:
 		return d.N, 0, d.N
 	case KindMatMul:
@@ -185,8 +188,9 @@ func mulFits(vs ...int) bool {
 // BuildPair deals both parties' stores for the tape off one mpc.Stream over
 // the dealer stream r, so every correlation is the one a live dealer on the
 // same stream would hand out. The draw pass keeps the stream's draw order
-// and stores every half that is a sub-stream's output (party 0's a, b and
-// z, with no a for the FixedB kinds; party 1's a and b). Party 1's z halves
+// and stores every half that is a sub-stream's output (party 0's z and the
+// a and b halves it holds; party 1's a and b halves — see lens for which
+// each party holds of which kind). Party 1's z halves
 // need the correlation products, which worker goroutines sized from the
 // kernel pool run as the draws hand them over. The per-product kernels are
 // themselves chunked on the shared pool, and their accumulation order never

@@ -117,53 +117,103 @@ func drainAgainstDealer(t *testing.T, s *Store, seed uint64, tape Tape) {
 }
 
 // TestGoldenStoreAndDealerBytes pins FNV-1a digests of both parties'
-// encoded stores and of both parties' live-dealer halves for testTape, so
-// a change to the draw order or the file layout cannot pass as a refactor:
-// store ≡ dealer suites alone cannot see a change that moves both sides
-// together. The digests were re-recorded on purpose when the draw order
-// moved to per-party sub-streams and the file to PASCORR4 (a seed, the
-// tape and party 1's z halves), and again when the FixedB activation mask
-// became party 1's alone and the file PASCORR5: party 0's sub-stream no
-// longer draws FixedB a halves, so its later halves and party 1's FixedB z
-// halves moved, and party 0's file changed only in its magic.
+// encoded stores (the body after the magic, which TestStoreVersionGate
+// pins) and of both parties' live-dealer halves, per correlation kind, so
+// a change to a kind's draw order or the file layout cannot pass as a
+// refactor: store ≡ dealer suites alone cannot see a change that moves
+// both sides together. Each kind's digests come from a store and dealers
+// dealing only testTape's demands of that kind, so a kind's draws are
+// pinned apart from the draws of the kinds before it. The bits and
+// hadamard rows were re-recorded on purpose when those triples went
+// owner-split (PASCORR6): party 0's file, a seed and the tape, did not
+// move, but its halves and party 1's did. The other rows are what the
+// symmetric-triple code gives for the same per-kind tapes.
 func TestGoldenStoreAndDealerBytes(t *testing.T) {
 	const seed = 20261015
-	want := map[string]uint64{
-		"store p0":  0x4b1b44fafd9cd937,
-		"store p1":  0x8a1d439f1ccf284f,
-		"dealer p0": 0x4b885a88471c3d4d,
-		"dealer p1": 0xf98e74343eefaa2c,
+	// Per kind: store p0, store p1, dealer p0, dealer p1.
+	want := map[Kind][4]uint64{
+		KindHadamard:     {0x91a443340a0e23aa, 0x7dfb7b87996ad3d2, 0xfbbf4ffa56c298c3, 0xd09d0206bb628719},
+		KindSquare:       {0x2d296e96e087558f, 0x03b4649267bf4c43, 0x3f04b59147484d04, 0x8fdb7e0f5b9c7c32},
+		KindMatMul:       {0x84155812efaa8c59, 0x8de509908531f024, 0x6a80769e6a877fcf, 0x63ea1a1c251bb9c7},
+		KindConv:         {0x827e05a2d7863b9b, 0x933afbe10738d43e, 0x62a1dd03d1dc26e2, 0xdf11628685d7edd2},
+		KindBits:         {0x7480b8d3ace1db36, 0x579e61db93b226e0, 0x0ac7e9a5eede61ef, 0xff3e50f1c41a0608},
+		KindMatMulFixedB: {0x6ee0263d0d6df388, 0x082bd89782fd986a, 0x921ed68dc01741bc, 0xf76cc9499a2bda32},
+		KindConvFixedB:   {0xd5d7580a87a67df1, 0xf9067f429d4ac2d8, 0xb8a9ffa304462057, 0x259ab943dfe1e07b},
 	}
-	got := map[string]uint64{}
-	tape := testTape()
+	for kind, w := range want {
+		var tape Tape
+		for _, d := range testTape() {
+			if d.Kind == kind {
+				tape = append(tape, d)
+			}
+		}
+		var got [4]uint64
+		s0, s1, err := BuildPair(tape, rng.New(seed), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*Store{s0, s1} {
+			h := fnv.New64a()
+			h.Write(s.Encode()[len(storeMagic):])
+			got[s.Party()] = h.Sum64()
+		}
+		for party := 0; party < 2; party++ {
+			d := mpc.NewDealer(seed, party)
+			h := fnv.New64a()
+			for _, dem := range tape {
+				a, b, z, err := take(d, dem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ws := range [][]uint64{a, b, z} {
+					for _, w := range ws {
+						h.Write(binary.LittleEndian.AppendUint64(nil, w))
+					}
+				}
+			}
+			got[2+party] = h.Sum64()
+		}
+		if got != w {
+			t.Errorf("%s digests {store p0, store p1, dealer p0, dealer p1} = {%#016x, %#016x, %#016x, %#016x}, want {%#016x, %#016x, %#016x, %#016x}",
+				kind, got[0], got[1], got[2], got[3], w[0], w[1], w[2], w[3])
+		}
+	}
+}
+
+// TestOwnerSplitTriplesOneSided asserts that bit and Hadamard triples come
+// owner-split from both sources: party 0's TakeBits/TakeHadamard return no
+// a, party 1's no b, and the held operands and z halves still satisfy
+// z0 + z1 = a ⊙ b (c0 ⊕ c1 = a ∧ b).
+func TestOwnerSplitTriplesOneSided(t *testing.T) {
+	const seed = 61
+	tape := Tape{{Kind: KindHadamard, N: 33}, {Kind: KindBits, N: 130}}
 	s0, s1, err := BuildPair(tape, rng.New(seed), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []*Store{s0, s1} {
-		h := fnv.New64a()
-		h.Write(s.Encode())
-		got[fmt.Sprintf("store p%d", s.Party())] = h.Sum64()
+	sources := map[string][2]mpc.CorrelationSource{
+		"dealer": {mpc.NewDealer(seed, 0), mpc.NewDealer(seed, 1)},
+		"store":  {s0, s1},
 	}
-	for party := 0; party < 2; party++ {
-		d := mpc.NewDealer(seed, party)
-		h := fnv.New64a()
-		for _, dem := range tape {
-			a, b, z, err := take(d, dem)
+	for name, src := range sources {
+		for _, d := range tape {
+			a0, b0, z0, err := take(src[0], d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, ws := range [][]uint64{a, b, z} {
-				for _, w := range ws {
-					h.Write(binary.LittleEndian.AppendUint64(nil, w))
+			a1, b1, z1, err := take(src[1], d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a0 != nil || b1 != nil {
+				t.Fatalf("%s %s: party 0 holds %d a words, party 1 %d b words; want none", name, d, len(a0), len(b1))
+			}
+			for i := range z0 {
+				if d.Kind == KindBits && z0[i]^z1[i] != a1[i]&b0[i] ||
+					d.Kind == KindHadamard && z0[i]+z1[i] != a1[i]*b0[i] {
+					t.Fatalf("%s %s: word %d is not a ∘ b", name, d, i)
 				}
 			}
-		}
-		got[fmt.Sprintf("dealer p%d", party)] = h.Sum64()
-	}
-	for name, w := range want {
-		if got[name] != w {
-			t.Errorf("%s digest %#016x, want %#016x", name, got[name], w)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func (p *Party) ArgMax(x Share) (Share, error) {
 		if err != nil {
 			return Share{}, fmt.Errorf("mpc: argmax: %w", err)
 		}
-		// One batched Beaver product selects both value and index:
+		// One batched shared×shared product selects both value and index:
 		// out = b + sel·(a−b), applied to the concatenation.
 		idxDiff := p.Sub(aI, bI)
 		cat := NewShare(2 * nOut)

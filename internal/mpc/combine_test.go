@@ -35,8 +35,9 @@ func randWords(r *rng.RNG, n int) []uint64 {
 
 // TestMulCombineMatchesThreeTermForm draws full-range ring operands for
 // each bilinear op the combine serves and compares share-for-share on both
-// party IDs. The FixedW forms run the owner-side combine instead;
-// TestLinearOpSharesGolden pins both through the protocol.
+// party IDs. The FixedW forms run the owner-side combine and Hadamard the
+// owned product instead; TestLinearOpSharesGolden pins all of them through
+// the protocol.
 func TestMulCombineMatchesThreeTermForm(t *testing.T) {
 	const m, k, n = 5, 7, 3
 	dims := ConvDims{N: 2, InC: 4, H: 5, W: 5, OutC: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
@@ -46,7 +47,6 @@ func TestMulCombineMatchesThreeTermForm(t *testing.T) {
 		nx, ny, nout int
 		apply        func(dst, a, b []uint64)
 	}{
-		{"hadamard", 33, 33, 33, ringMul},
 		{"matmul", m * k, k * n, m * n, func(dst, a, b []uint64) { ringMatMul(dst, a, b, m, k, n) }},
 		{"conv", dims.InLen(), dims.KLen(), dims.OutLen(), func(dst, a, b []uint64) { ringConv2D(dst, a, b, dims) }},
 		{"depthwise", dw.InLen(), dw.KLen(), dw.OutLen(), func(dst, a, b []uint64) { ringConv2D(dst, a, b, dw) }},
@@ -77,8 +77,10 @@ func TestMulCombineMatchesThreeTermForm(t *testing.T) {
 var linearOpNames = []string{"hadamard", "matmul", "conv", "matmul-fixedw", "conv-fixedw"}
 
 // linearOpShares runs every bilinear op once on fixed seeds — the three
-// Beaver ops, then both FixedW forms — and returns an FNV-1a digest of each
-// party's output shares per op, keyed by linearOpNames.
+// Beaver ops and both FixedW forms — and returns an FNV-1a digest of each
+// party's output shares per op, keyed by linearOpNames. Each op runs in a
+// session of its own on the same inputs, so its digest depends only on its
+// own correlation draws, never on what an op before it drew.
 func linearOpShares(t *testing.T) map[string][2]uint64 {
 	t.Helper()
 	const m, k, n = 3, 5, 4
@@ -94,54 +96,54 @@ func linearOpShares(t *testing.T) map[string][2]uint64 {
 	xm, wm := norm(m*k), norm(k*n)
 	xc, wc := norm(dims.InLen()), norm(dims.KLen())
 	sums := make([][2]uint64, len(linearOpNames))
-	runBoth(t, 1903, func(p *Party) error {
-		var shareErr error
-		share := func(vals []float64, shape ...int) Share {
-			var enc []uint64
-			if p.ID == 0 {
-				enc = p.EncodeTensor(vals)
+	for i := range linearOpNames {
+		runBoth(t, 1903, func(p *Party) error {
+			var shareErr error
+			share := func(vals []float64, shape ...int) Share {
+				var enc []uint64
+				if p.ID == 0 {
+					enc = p.EncodeTensor(vals)
+				}
+				s, err := p.ShareInput(0, enc, shape...)
+				if err != nil && shareErr == nil {
+					shareErr = err
+				}
+				return s
 			}
-			s, err := p.ShareInput(0, enc, shape...)
-			if err != nil && shareErr == nil {
-				shareErr = err
+			sxm, swm := share(xm, m, k), share(wm, k, n)
+			sxc, swc := share(xc, dims.N, dims.InC, dims.H, dims.W), share(wc, dims.KLen())
+			if shareErr != nil {
+				return shareErr
 			}
-			return s
-		}
-		sxm, swm := share(xm, m, k), share(wm, k, n)
-		sxc, swc := share(xc, dims.N, dims.InC, dims.H, dims.W), share(wc, dims.KLen())
-		if shareErr != nil {
-			return shareErr
-		}
-		fwm, err := p.OpenFixedW(0, swm)
-		if err != nil {
-			return err
-		}
-		fwc, err := p.OpenFixedW(1, swc)
-		if err != nil {
-			return err
-		}
-		ops := []func() (Share, error){
-			func() (Share, error) { return p.MulHadamardRaw(sxm, sxm) },
-			func() (Share, error) { return p.MatMul(sxm, swm) },
-			func() (Share, error) { return p.Conv2D(sxc, swc, dims) },
-			func() (Share, error) { return p.MatMulFixedW(sxm, swm, fwm) },
-			func() (Share, error) { return p.Conv2DFixedW(sxc, swc, fwc, dims) },
-		}
-		var word [8]byte
-		for i, op := range ops {
-			out, err := op()
+			fwm, err := p.OpenFixedW(0, swm)
+			if err != nil {
+				return err
+			}
+			fwc, err := p.OpenFixedW(1, swc)
+			if err != nil {
+				return err
+			}
+			ops := []func() (Share, error){
+				func() (Share, error) { return p.MulHadamardRaw(sxm, sxm) },
+				func() (Share, error) { return p.MatMul(sxm, swm) },
+				func() (Share, error) { return p.Conv2D(sxc, swc, dims) },
+				func() (Share, error) { return p.MatMulFixedW(sxm, swm, fwm) },
+				func() (Share, error) { return p.Conv2DFixedW(sxc, swc, fwc, dims) },
+			}
+			out, err := ops[i]()
 			if err != nil {
 				return fmt.Errorf("%s: %w", linearOpNames[i], err)
 			}
 			h := fnv.New64a()
+			var word [8]byte
 			for _, v := range out.V {
 				binary.LittleEndian.PutUint64(word[:], v)
 				h.Write(word[:])
 			}
 			sums[i][p.ID] = h.Sum64()
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 	got := make(map[string][2]uint64, len(sums))
 	for i, name := range linearOpNames {
 		got[name] = sums[i]
@@ -153,16 +155,18 @@ func linearOpShares(t *testing.T) map[string][2]uint64 {
 // MatMul, Conv2D and both FixedW forms, op by op, so a change to an op's
 // combine cannot move a single share bit unnoticed. The FixedW digests were
 // re-recorded on purpose when the linear layers went owner-side (party 1
-// owns a, party 0 computes with W): the protocol and its correlations
-// changed. The Beaver digests are what the same per-op split gives under
-// the symmetric FixedW protocol too: they did not move.
+// owns a, party 0 computes with W), and the hadamard digest when
+// elementwise products went owner-split (one mulOwned on [x1; y1] ⊙
+// [y0; x0]): those protocols and their correlations changed. Since then
+// every op runs in a fresh session, so the other digests are what the
+// symmetric Hadamard triple's code gives for the same isolated ops.
 func TestLinearOpSharesGolden(t *testing.T) {
 	want := map[string][2]uint64{
-		"hadamard":      {0x45bb716e68cbc537, 0x3e5338a79a09aef3},
-		"matmul":        {0xd6ada7ea8f549fac, 0x03c310711604f436},
-		"conv":          {0xf642146eff6b2256, 0x082f27e5e996594c},
-		"matmul-fixedw": {0x55b411bc01c65e68, 0x1dd081dc769429df},
-		"conv-fixedw":   {0x0aee7c6c108b832b, 0xa73d2b8436b895ef},
+		"hadamard":      {0xd425bb1e2ddb38b1, 0xeee6674f5f12fc69},
+		"matmul":        {0x0fd32cd743da0e92, 0x9a59ede86c6882d5},
+		"conv":          {0xbe9e62171125cb86, 0x73e18a62ba8700a3},
+		"matmul-fixedw": {0xee9213b5c864ba80, 0xeaf479208c3aa471},
+		"conv-fixedw":   {0xd1872cb35a26cc26, 0x8e9b3d199b306a12},
 	}
 	got := linearOpShares(t)
 	for _, name := range linearOpNames {

@@ -36,14 +36,16 @@ const (
 // 2^63. That inequality is a millionaires' comparison between u =
 // low63(x0), held by party 0, and t = 2^63 − 1 − low63(x1), held by party
 // 1: carry = (u > t). It runs in 1 + treeDepth bitAnd exchanges of packed
-// bits, 31·16 + 30 = 526 AND triples per element:
+// bits, 31·16 + 60 = 556 owner-split AND triples per element, each party
+// sending 62 + 7.5 bytes of them:
 //
 // Leaf (one exchange). For digit values u_d and t_d, party 1 forms the
 // one-hot e_g = [t_d = g] and party 0 the thermometer v_g = [u_d > g] and
 // the one-hot w_g = [u_d = g]. Then gt_d = ⊕_g e_g∧v_g and eq_d =
-// ⊕_g e_g∧w_g: every AND joins one party-0-private and one
-// party-1-private bit — XOR-shared as (bit, 0) — so all digits of all
-// elements resolve in a single bitAnd, and the XOR over g is local.
+// ⊕_g e_g∧w_g: every AND joins one party-1-private and one
+// party-0-private bit, which is exactly bitAnd's owned product — each
+// party masks and sends only its own 496 bits per element — so all digits
+// of all elements resolve in a single bitAnd, and the XOR over g is local.
 //
 // Tree (treeDepth exchanges). A logarithmic prefix tree merges adjacent
 // digit groups (hi more significant than lo):
@@ -52,7 +54,8 @@ const (
 //	eq' = eq_hi ∧ eq_lo
 //
 // with both ANDs of a level batched into one exchange (paper Sec. II-C /
-// III-C).
+// III-C). Their operands are XOR-shared, so a level is one andShared: its
+// 2h ANDs per element cost 4h owned triples and 4h bits each way.
 func (p *Party) DReLU(x Share) (BitShare, error) {
 	n := x.Len()
 	if n == 0 {
@@ -77,13 +80,8 @@ func (p *Party) DReLU(x Share) (BitShare, error) {
 			own.setField((j*NumChunks+c)*leafANDs, leafANDs, f)
 		}
 	}
-	// Party 1's one-hots are the a operand, party 0's vectors the b
-	// operand; the other party's share of each is zero.
-	a, b := NewBitShare(own.N), own
-	if p.ID == 1 {
-		a, b = b, a
-	}
-	prod, err := p.bitAnd(a, b)
+	// Party 1's one-hots are its own operand, party 0's vectors its own.
+	prod, err := p.bitAnd(own)
 	if err != nil {
 		return BitShare{}, fmt.Errorf("mpc: drelu leaf: %w", err)
 	}
@@ -111,7 +109,7 @@ func (p *Party) DReLU(x Share) (BitShare, error) {
 			a.setField(j*2*h, 2*h, e>>h|e>>h<<h)
 			b.setField(j*2*h, 2*h, g&lo|(e&lo)<<h)
 		}
-		prod, err := p.bitAnd(a, b)
+		prod, err := p.andShared(a, b)
 		if err != nil {
 			return BitShare{}, fmt.Errorf("mpc: drelu combine: %w", err)
 		}

@@ -14,7 +14,11 @@ package mpc
 // misconfigured store surfaces as a clean error instead of a mid-protocol
 // desync.
 type CorrelationSource interface {
-	// TakeHadamard returns shares (a, b, z) with z = a ⊙ b, each length n.
+	// TakeHadamard returns this party's side of an owner-split triple
+	// (a, b, z) with z = a ⊙ b, each length n: party 1 gets the whole a
+	// and a nil b, party 0 the whole b and a nil a, and z is additively
+	// shared. Each party masks only its own operand with what it holds
+	// (see mulOwned).
 	TakeHadamard(n int) (a, b, z []uint64, err error)
 	// TakeSquare returns shares (a, z) with z = a ⊙ a, each length n.
 	TakeSquare(n int) (a, z []uint64, err error)
@@ -32,8 +36,11 @@ type CorrelationSource interface {
 	// z = conv(a, b) against the fixed kernel mask b for slot mask and the
 	// given geometry; a is nil on party 0, as in TakeMatMulFixedB.
 	TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error)
-	// TakeBits returns packed XOR shares of n AND triples (c = a AND b
-	// bitwise).
+	// TakeBits returns this party's side of n owner-split AND triples
+	// (c = a AND b bitwise), packed: party 1 gets the whole a, party 0 the
+	// whole b, and the other operand comes back with N = n and no words;
+	// c is XOR-shared. As in TakeHadamard, each party masks only its own
+	// operand (see bitAnd).
 	TakeBits(n int) (ta, tb, tc BitShare, err error)
 }
 

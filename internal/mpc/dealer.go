@@ -14,16 +14,19 @@ import (
 // construction.
 //
 // A Stream is two independent sub-streams, one per party, seeded from two
-// words NewStream draws off its RNG. Every draw takes party 0's a, b and z
-// halves off party 0's sub-stream and party 1's a and b halves off party
-// 1's, in that fixed per-kind order, and defines the plain operands as
-// a = a0 + a1 and b = b0 + b1 (XOR for bit triples). The FixedB kinds are
-// one-sided: party 1 draws the whole activation mask a and party 0 draws
-// only its z half, because party 1 alone ever masks with a (see
-// fixedmask.go). Party 1's z half,
-// product − z0, is then the only half that is not a sub-stream's output: it
-// needs the correlation's product (a ring convolution, matrix multiply or
-// elementwise product), so it is left to Deal.Z1 — a party-0 consumer never
+// words NewStream draws off its RNG. Every draw takes party 0's halves off
+// party 0's sub-stream and party 1's off party 1's, in a fixed per-kind
+// order. The symmetric kinds (square pairs, matmul and conv triples) draw
+// party 0's a, b and z halves, then party 1's a and b, and define the plain
+// operands as a = a0 + a1 and b = b0 + b1. The owner-split kinds deal each
+// operand whole to the one party that masks with it: party 1 draws all of
+// a, party 0 all of b (bit and Hadamard triples, where each party masks
+// only its own operand — see bitAnd and mulOwned) or none of it (the FixedB
+// kinds, whose b is the pinned weight mask — see fixedmask.go), and party 0
+// draws its z half. Party 1's z half, product − z0 (⊕ z0 for bit triples),
+// is then the only half that is not a sub-stream's output: it needs the
+// correlation's product (a ring convolution, matrix multiply, elementwise
+// product or AND), so it is left to Deal.Z1 — a party-0 consumer never
 // pays for it, and a store generator can run it off the sequential stream,
 // in parallel. Everything else is regenerated from one sub-stream seed by a
 // half stream (NewHalfStream), which is what lets a store file hold a seed
@@ -78,17 +81,21 @@ func (s *Stream) Seed(party int) uint64 { return s.seeds[party] }
 func (s *Stream) half() bool { return s.r[0] == nil || s.r[1] == nil }
 
 // Deal is one correlation drawn off a Stream. Ring halves are additive;
-// bit-triple halves are XOR, packed 64 to a word. B0 and B1 are nil for the
-// kinds whose b is not dealt per correlation (square pairs and the FixedB
-// kinds); A0 is nil for the FixedB kinds, whose a is A1 alone; a half
-// stream's deal carries only its party's halves.
+// bit-triple halves are XOR, packed 64 to a word. For the owner-split kinds
+// A0 and B1 are nil, A1 is the whole a and B0 the whole b; B0 and B1 are
+// both nil for the kinds whose b is not dealt per correlation (square pairs
+// and the FixedB kinds). A half stream's deal carries only its party's
+// halves.
 type Deal struct {
 	A0, B0, Z0 []uint64 // party 0's halves
 	A1, B1     []uint64 // party 1's a and b halves
 	b          []uint64 // the fixed mask of the FixedB kinds
 	product    func(z, a, b []uint64)
 	xor        bool // bit triple: halves are XOR, not additive
-	ownA       bool // FixedB kinds: party 1 draws the whole of a
+	// ownA marks the owner-split kinds (bit and Hadamard triples, FixedB):
+	// party 1 draws the whole of a and party 0 the whole of any dealt b,
+	// so neither holds a half of the other's mask.
+	ownA bool
 }
 
 // join returns the plain value h0 + h1, or h0 ⊕ h1 for bit triples.
@@ -107,12 +114,15 @@ func (d Deal) join(h0, h1 []uint64) []uint64 {
 // Z1 computes party 1's z half, product(a, b) − z0 (⊕ z0 for bit triples),
 // from both parties' a and b halves.
 func (d Deal) Z1() []uint64 {
-	a, b := d.A1, d.b
+	a, b := d.A1, d.B0
 	if !d.ownA {
 		a = d.join(d.A0, d.A1)
+		if b != nil {
+			b = d.join(d.B0, d.B1)
+		}
 	}
-	if d.B0 != nil {
-		b = d.join(d.B0, d.B1)
+	if b == nil {
+		b = d.b
 	}
 	z := make([]uint64, len(d.Z0))
 	d.product(z, a, b)
@@ -128,8 +138,8 @@ func (d Deal) Z1() []uint64 {
 
 // deal fills in d's halves in the stream's draw order: party 0's a (unless
 // party 1 owns it), b (when b is dealt here, lb > 0) and z, then party 1's
-// a and b, each off its party's sub-stream. Each draw takes n words, or n
-// packed bits for bit triples.
+// a and, unless party 0 owns it, b — each off its party's sub-stream. Each
+// draw takes n words, or n packed bits for bit triples.
 func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
 	draw := func(r *rng.RNG, n int) []uint64 {
 		if d.xor {
@@ -150,16 +160,17 @@ func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
 	}
 	if r := s.r[1]; r != nil {
 		d.A1 = draw(r, la)
-		if lb > 0 {
+		if lb > 0 && !d.ownA {
 			d.B1 = draw(r, lb)
 		}
 	}
 	return d
 }
 
-// Hadamard deals an elementwise Beaver triple of length n.
+// Hadamard deals an owner-split elementwise triple of length n: a off party
+// 1's sub-stream, b and z0 off party 0's.
 func (s *Stream) Hadamard(n int) Deal {
-	return s.deal(Deal{product: ringMul}, n, n, n)
+	return s.deal(Deal{product: ringMul, ownA: true}, n, n, n)
 }
 
 // Square deals a square pair (a, z = a ⊙ a) of length n (paper Eq. 3).
@@ -198,16 +209,17 @@ func (s *Stream) ConvFixedB(mask int, dims ConvDims) (Deal, error) {
 	return s.deal(Deal{b: b, product: convOp(dims), ownA: true}, dims.InLen(), 0, dims.OutLen()), nil
 }
 
-// Bits deals n AND triples (c = a AND b bitwise), GMW-style AND gates and
-// the whole of the comparison protocol. Each of the five draws is one
-// DrawBits, so a sub-stream advances a word per 64 triples per draw.
+// Bits deals n owner-split AND triples (c = a AND b bitwise), the GMW AND
+// gates the whole comparison protocol runs on: a off party 1's sub-stream,
+// b and z0 off party 0's. Each of the three draws is one DrawBits, so the
+// stream advances three words per 64 triples.
 func (s *Stream) Bits(n int) Deal {
 	and := func(z, a, b []uint64) {
 		for i := range z {
 			z[i] = a[i] & b[i]
 		}
 	}
-	return s.deal(Deal{product: and, xor: true}, n, n, n)
+	return s.deal(Deal{product: and, xor: true, ownA: true}, n, n, n)
 }
 
 // Dealer is the trusted third party of the offline phase (paper Sec. II-B:

@@ -481,19 +481,21 @@ func TestReLURandomProperty(t *testing.T) {
 }
 
 // TestReLUWirePin pins ReLU's wire cost frame- and byte-exactly: six
-// exchanges — the leaf bitAnd, four tree bitAnds, the select — and the
-// closed-form packed payload. A change that re-adds a hop or unpacks the
-// bits fails here, not only in the benchmark.
+// exchanges — the leaf bitAnd, four tree andShareds, the select — and the
+// closed-form packed payload. A change that re-adds a hop, unpacks the
+// bits or goes back to opening both operands fails here, not only in the
+// benchmark.
 func TestReLUWirePin(t *testing.T) {
 	for _, n := range []int{1, 64, 100, 2176} {
-		// One direction: every bitAnd opens two packed operands, the select
-		// two 2n-word vectors.
-		words := 4 * n
-		for _, ands := range []int{NumChunks * leafANDs, 16, 8, 4, 2} {
-			words += 2 * BitWords(n*ands)
+		// One direction: each party sends its own masked operand — the
+		// select's 2n words, the leaf's 496n bits and, per tree level h,
+		// the 4hn bits of [x_i; y_i].
+		words := 2*n + BitWords(n*NumChunks*leafANDs)
+		for h := NumChunks / 2; h >= 1; h /= 2 {
+			words += BitWords(4 * h * n)
 		}
-		if n == 64 && 2*8*words != 327*n {
-			t.Fatalf("closed form gives %d B/element on whole words, documented as 327", 2*8*words/n)
+		if n == 64 && 2*8*words != 171*n {
+			t.Fatalf("closed form gives %d B/element on whole words, documented as 171", 2*8*words/n)
 		}
 		r := rng.New(uint64(n))
 		xs := make([]float64, n)
@@ -728,7 +730,7 @@ func TestBitAndTruthTable(t *testing.T) {
 		return out
 	}
 	runBoth(t, 18, func(p *Party) error {
-		c, err := p.bitAnd(share(p.ID, plainA), share(p.ID, plainB))
+		c, err := p.andShared(share(p.ID, plainA), share(p.ID, plainB))
 		if err != nil {
 			return err
 		}
@@ -885,11 +887,14 @@ func TestTruncationErrorBound(t *testing.T) {
 func TestDealerDeterminism(t *testing.T) {
 	d0 := NewDealer(42, 0)
 	d1 := NewDealer(42, 1)
+	// Hadamard triples are owner-split: a is party 1's, b party 0's.
 	a0, b0, z0, _ := d0.TakeHadamard(16)
 	a1, b1, z1, _ := d1.TakeHadamard(16)
+	if a0 != nil || b1 != nil {
+		t.Fatalf("party 0 got %d a words, party 1 %d b words; want none", len(a0), len(b1))
+	}
 	for i := 0; i < 16; i++ {
-		a := a0[i] + a1[i]
-		b := b0[i] + b1[i]
+		a, b := a1[i], b0[i]
 		z := z0[i] + z1[i]
 		if z != a*b {
 			t.Fatalf("triple %d: z=%d a*b=%d", i, z, a*b)
@@ -904,20 +909,24 @@ func TestDealerDeterminism(t *testing.T) {
 			t.Fatalf("square pair %d inconsistent", i)
 		}
 	}
-	// Bit triples: c = a∧b on every bit, every share canonical (tail bits
-	// past n zero), across counts on and off a word boundary.
+	// Bit triples: c = a∧b on every bit, a party 1's and b party 0's
+	// whole, every held share canonical (tail bits past n zero), across
+	// counts on and off a word boundary.
 	for _, n := range []int{1, 63, 64, 65, 526} {
 		ba0, bb0, bc0, _ := d0.TakeBits(n)
 		ba1, bb1, bc1, _ := d1.TakeBits(n)
 		var ones uint64
-		for _, sh := range []BitShare{ba0, bb0, bc0, ba1, bb1, bc1} {
+		for _, sh := range []BitShare{bb0, bc0, ba1, bc1} {
 			if sh.N != n || len(sh.W) != BitWords(n) || !tailClear(sh) {
 				t.Fatalf("bit triples n=%d: share has N=%d, %d words, tail clear=%v", n, sh.N, len(sh.W), tailClear(sh))
 			}
 		}
+		if ba0.N != n || ba0.W != nil || bb1.N != n || bb1.W != nil {
+			t.Fatalf("bit triples n=%d: party 0's a (N=%d, %d words) and party 1's b (N=%d, %d words) must be empty", n, ba0.N, len(ba0.W), bb1.N, len(bb1.W))
+		}
 		for i := 0; i < n; i++ {
-			a := ba0.Bit(i) ^ ba1.Bit(i)
-			b := bb0.Bit(i) ^ bb1.Bit(i)
+			a := ba1.Bit(i)
+			b := bb0.Bit(i)
 			if bc0.Bit(i)^bc1.Bit(i) != a&b {
 				t.Fatalf("bit triple %d of %d inconsistent", i, n)
 			}

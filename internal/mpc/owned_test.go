@@ -1,0 +1,125 @@
+package mpc
+
+import (
+	"testing"
+
+	"pasnet/internal/obs"
+	"pasnet/internal/rng"
+)
+
+// Suite for the owned products: each party masks and sends only the
+// operand it holds, so a product of one party-1-private and one
+// party-0-private operand costs one half-size frame each way, and a
+// product of two shared operands — one owned product on [x1; y1] ∘
+// [y0; x0] — costs what two symmetric openings did.
+
+// wirePin runs op on both parties over an instrumented connection,
+// checks that each party sent and received exactly one frame of words
+// words, then runs the check op returned (whose own traffic is not
+// counted).
+func wirePin(t *testing.T, name string, seed uint64, words int, op func(p *Party) (check func() error, err error)) {
+	t.Helper()
+	runBoth(t, seed, func(p *Party) error {
+		wire := obs.InstrumentConn(p.Conn, nil)
+		p.Conn = wire
+		check, err := op(p)
+		if err != nil {
+			return err
+		}
+		got := wire.Totals()
+		want := obs.WireTotals{SentBytes: int64(8 * words), SentFrames: 1, RecvBytes: int64(8 * words), RecvFrames: 1}
+		if got != want {
+			t.Errorf("%s, party %d: moved %+v, want %+v", name, p.ID, got, want)
+		}
+		return check()
+	})
+}
+
+// TestOwnedProductWirePin pins both owned products frame- and byte-exactly
+// and checks what they compute: a private×private bitAnd of n bits sends
+// one ⌈n/64⌉-word frame per party, a private×private mulOwned of n
+// elements one n-word frame, and their shared×shared forms (andShared,
+// MulHadamardRaw) twice that, in one frame — the bytes of a symmetric
+// Beaver opening of both operands.
+func TestOwnedProductWirePin(t *testing.T) {
+	const nb, nr = 640, 37
+	r := rng.New(71)
+	// x is party 1's operand and y party 0's; x1 and y1 are party 1's
+	// halves when both are shared.
+	bx, by, bx1, by1 := DrawBits(r, nb), DrawBits(r, nb), DrawBits(r, nb), DrawBits(r, nb)
+	rx, ry, rx1, ry1 := randWords(r, nr), randWords(r, nr), randWords(r, nr), randWords(r, nr)
+
+	own := func(p *Party, x, y BitShare) BitShare {
+		if p.ID == 1 {
+			return x
+		}
+		return y
+	}
+	xorShare := func(p *Party, plain, half1 BitShare) BitShare {
+		if p.ID == 1 {
+			return half1
+		}
+		out := NewBitShare(plain.N)
+		for i := range out.W {
+			out.W[i] = plain.W[i] ^ half1.W[i]
+		}
+		return out
+	}
+	addShare := func(p *Party, plain, half1 []uint64) Share {
+		out := Share{V: append([]uint64(nil), half1...), Shape: []int{len(plain)}}
+		if p.ID == 0 {
+			ringSub(out.V, plain, half1)
+		}
+		return out
+	}
+	// bitsCheck opens c and compares it with x ∧ y, ringCheck with x ⊙ y.
+	bitsCheck := func(p *Party, name string, c BitShare) func() error {
+		return func() error {
+			plain, err := openBits(p, c)
+			if err != nil {
+				return err
+			}
+			for i := range plain.W {
+				if want := bx.W[i] & by.W[i]; plain.W[i] != want {
+					t.Errorf("%s, party %d: word %d = %#x, want %#x", name, p.ID, i, plain.W[i], want)
+				}
+			}
+			return nil
+		}
+	}
+	ringCheck := func(p *Party, name string, c []uint64) func() error {
+		return func() error {
+			plain, err := p.Reveal(Share{V: c, Shape: []int{len(c)}})
+			if err != nil {
+				return err
+			}
+			for i := range plain {
+				if want := rx[i] * ry[i]; plain[i] != want {
+					t.Errorf("%s, party %d: element %d = %#x, want %#x", name, p.ID, i, plain[i], want)
+				}
+			}
+			return nil
+		}
+	}
+
+	wirePin(t, "private bitAnd", 72, BitWords(nb), func(p *Party) (func() error, error) {
+		c, err := p.bitAnd(own(p, bx, by))
+		return bitsCheck(p, "private bitAnd", c), err
+	})
+	wirePin(t, "shared andShared", 73, 2*BitWords(nb), func(p *Party) (func() error, error) {
+		c, err := p.andShared(xorShare(p, bx, bx1), xorShare(p, by, by1))
+		return bitsCheck(p, "shared andShared", c), err
+	})
+	wirePin(t, "private mulOwned", 74, nr, func(p *Party) (func() error, error) {
+		mine := ry
+		if p.ID == 1 {
+			mine = rx
+		}
+		c, err := p.mulOwned(mine)
+		return ringCheck(p, "private mulOwned", c), err
+	})
+	wirePin(t, "shared MulHadamardRaw", 75, 2*nr, func(p *Party) (func() error, error) {
+		c, err := p.MulHadamardRaw(addShare(p, rx, rx1), addShare(p, ry, ry1))
+		return ringCheck(p, "shared MulHadamardRaw", c.V), err
+	})
+}

@@ -37,7 +37,7 @@ type Party struct {
 }
 
 // scratch is the per-party reusable buffer set. The e/f views handed out
-// by openPair/openPairUneven stay valid only until the next opening.
+// by openPairUneven stay valid only until the next opening.
 type scratch struct {
 	mine, e, f, tmp, xe []uint64
 }
@@ -237,20 +237,14 @@ func (p *Party) TruncateInPlace(x *Share) {
 	})
 }
 
-// openPair reveals E = x−a and F = y−b in a single exchange round. The
-// returned slices are scratch views valid until the next opening.
-func (p *Party) openPair(x, a, y, b []uint64) (e, f []uint64, err error) {
-	return p.openPairUneven(x, a, y, b)
-}
-
 // mulCombine assembles R_i = (X_i − i·E)∘F + E∘Y_i + Z_i, where ∘ is the
-// bilinear op given by apply: the symmetric Beaver combine of Hadamard,
-// MatMul and Conv2D, whose both operands are secret per call. This is
-// paper Eq. 2 with party 1's −E∘F folded into its X∘F term: ∘ distributes
-// over ring subtraction exactly, so every share is bit-identical to the
-// three-term form while each party applies ∘ twice, not three times. The
-// fixed-weight ops do not use it: their owner-side combine (fixedmask.go)
-// applies ∘ once per party.
+// bilinear op given by apply: the symmetric Beaver combine of MatMul and
+// Conv2D, whose both operands are secret per call. This is paper Eq. 2
+// with party 1's −E∘F folded into its X∘F term: ∘ distributes over ring
+// subtraction exactly, so every share is bit-identical to the three-term
+// form while each party applies ∘ twice, not three times. The fixed-weight
+// ops do not use it: their owner-side combine (fixedmask.go) applies ∘ once
+// per party, and elementwise products go through mulOwned.
 func (p *Party) mulCombine(out, e, f, x, y, z []uint64, apply func(dst, a, b []uint64)) {
 	if p.ID == 1 {
 		xe := grow(&p.scr.xe, len(x))
@@ -264,22 +258,67 @@ func (p *Party) mulCombine(out, e, f, x, y, z []uint64, apply func(dst, a, b []u
 	ringAdd(out, out, z)
 }
 
+// mulOwned returns shares of x ⊙ y for a ring operand x that party 1 holds
+// whole and an operand y that party 0 holds whole; each party passes its
+// own as mine. On an owner-split triple (party 1 holds a, party 0 b, with
+// z0 + z1 = a ⊙ b) party 1 sends x − a and party 0 sends y − b, in one
+// exchange of len(mine) words each way, and the shares are
+//
+//	party 0: (x − a) ⊙ y + z0,    party 1: a ⊙ (y − b) + z1,
+//
+// which sum to x ⊙ y. Each party sees the other's operand only under a
+// mask it never holds, and one elementwise product per party forms its
+// share.
+func (p *Party) mulOwned(mine []uint64) ([]uint64, error) {
+	n := len(mine)
+	a, b, z, err := p.corr().TakeHadamard(n)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: hadamard triple: %w", err)
+	}
+	mask, op := b, mine // party 0 masks y with b and multiplies by y
+	if p.ID == 1 {
+		mask, op = a, a // party 1 masks x with a and multiplies by a
+	}
+	sent := grow(&p.scr.mine, n)
+	ringSub(sent, mine, mask)
+	theirs, err := transport.Exchange(p.Conn, sent)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: hadamard open: %w", err)
+	}
+	if len(theirs) != n {
+		return nil, fmt.Errorf("mpc: hadamard open length %d != %d", len(theirs), n)
+	}
+	out := make([]uint64, n)
+	ringMul(out, theirs, op)
+	ringAdd(out, out, z)
+	return out, nil
+}
+
 // MulHadamardRaw returns shares of x ⊙ y without truncation (for integer
-// operands such as B2A bits).
+// operands such as B2A bits). Both operands are shared, so with
+// x = x0 + x1 and y = y0 + y1 the product splits into the local terms
+// x0 ⊙ y0 and x1 ⊙ y1 and the two cross terms, which are one owned product
+// [x1; y1] ⊙ [y0; x0] of 2n elements: one exchange of 2n words each way.
 func (p *Party) MulHadamardRaw(x, y Share) (Share, error) {
-	if x.Len() != y.Len() {
+	n := x.Len()
+	if y.Len() != n {
 		return Share{}, fmt.Errorf("mpc: hadamard size mismatch %v vs %v", x.Shape, y.Shape)
 	}
-	a, b, z, err := p.corr().TakeHadamard(x.Len())
-	if err != nil {
-		return Share{}, fmt.Errorf("mpc: hadamard triple: %w", err)
+	mine := make([]uint64, 2*n)
+	first, second := x.V, y.V // party 1: [x1; y1]
+	if p.ID == 0 {
+		first, second = y.V, x.V // party 0: [y0; x0]
 	}
-	e, f, err := p.openPair(x.V, a, y.V, b)
+	copy(mine, first)
+	copy(mine[n:], second)
+	cross, err := p.mulOwned(mine)
 	if err != nil {
-		return Share{}, fmt.Errorf("mpc: hadamard open: %w", err)
+		return Share{}, err
 	}
 	out := NewShare(x.Shape...)
-	p.mulCombine(out.V, e, f, x.V, y.V, z, ringMul)
+	ringMul(out.V, x.V, y.V)
+	ringAdd(out.V, out.V, cross[:n])
+	ringAdd(out.V, out.V, cross[n:])
 	return out, nil
 }
 
@@ -381,9 +420,10 @@ func (p *Party) Conv2D(x, w Share, dims ConvDims) (Share, error) {
 }
 
 // openPairUneven opens E = x−a and F = y−b of possibly different lengths
-// in one exchange round. The returned slices are scratch views valid until
-// the next opening; the transport copies outgoing payloads before Exchange
-// returns, so reusing mine across openings is safe.
+// in one exchange round: the opening of MatMul and Conv2D. The returned
+// slices are scratch views valid until the next opening; the transport
+// copies outgoing payloads before Exchange returns, so reusing mine across
+// openings is safe.
 func (p *Party) openPairUneven(x, a, y, b []uint64) (e, f []uint64, err error) {
 	nx, ny := len(x), len(y)
 	mine := grow(&p.scr.mine, nx+ny)
@@ -403,41 +443,62 @@ func (p *Party) openPairUneven(x, a, y, b []uint64) (e, f []uint64, err error) {
 	return e, f, nil
 }
 
-// bitAnd computes XOR shares of a AND b bitwise via dealer AND triples: one
-// exchange of packed words for the whole batch, word-wide XOR/AND on both
-// sides of it.
-func (p *Party) bitAnd(a, b BitShare) (BitShare, error) {
-	n := a.N
-	if b.N != n {
-		return BitShare{}, fmt.Errorf("mpc: bitAnd size mismatch %d vs %d", n, b.N)
-	}
-	ta, tb, tc, err := p.corr().TakeBits(n)
+// bitAnd is mulOwned over packed bits: XOR shares of x AND y bitwise for
+// bits x that party 1 holds whole and bits y that party 0 holds whole, each
+// party passing its own as mine. On owner-split AND triples party 1 sends
+// x ⊕ a and party 0 sends y ⊕ b, one exchange of ⌈n/64⌉ words each way,
+// and the shares are (x ⊕ a) ∧ y ⊕ c0 on party 0 and a ∧ (y ⊕ b) ⊕ c1 on
+// party 1. andShared builds the product of two XOR-shared operands on it.
+func (p *Party) bitAnd(mine BitShare) (BitShare, error) {
+	ta, tb, tc, err := p.corr().TakeBits(mine.N)
 	if err != nil {
 		return BitShare{}, fmt.Errorf("mpc: bit triples: %w", err)
 	}
-	nw := len(a.W)
-	mine := grow(&p.scr.mine, 2*nw)
-	for i := 0; i < nw; i++ {
-		mine[i] = a.W[i] ^ ta.W[i]
-		mine[nw+i] = b.W[i] ^ tb.W[i]
+	mask, op := tb.W, mine.W // party 0 masks y with b and ANDs with y
+	if p.ID == 1 {
+		mask, op = ta.W, ta.W // party 1 masks x with a and ANDs with a
 	}
-	theirs, err := transport.Exchange(p.Conn, mine)
+	nw := len(mine.W)
+	sent := grow(&p.scr.mine, nw)
+	for i, w := range mine.W {
+		sent[i] = w ^ mask[i]
+	}
+	theirs, err := transport.Exchange(p.Conn, sent)
 	if err != nil {
 		return BitShare{}, fmt.Errorf("mpc: bitAnd open: %w", err)
 	}
-	if len(theirs) != 2*nw {
-		return BitShare{}, fmt.Errorf("mpc: bitAnd open length %d != %d", len(theirs), 2*nw)
+	if len(theirs) != nw {
+		return BitShare{}, fmt.Errorf("mpc: bitAnd open length %d != %d", len(theirs), nw)
 	}
-	out := NewBitShare(n)
-	for i := 0; i < nw; i++ {
-		d := mine[i] ^ theirs[i]
-		e := mine[nw+i] ^ theirs[nw+i]
-		out.W[i] = tc.W[i] ^ (d & tb.W[i]) ^ (e & ta.W[i])
-		if p.ID == 0 {
-			out.W[i] ^= d & e
-		}
+	out := NewBitShare(mine.N)
+	for i := range out.W {
+		out.W[i] = theirs[i]&op[i] ^ tc.W[i]
 	}
 	return out, nil
+}
+
+// andShared returns XOR shares of x AND y bitwise for XOR-shared x and y.
+// With x = x0 ⊕ x1 and y = y0 ⊕ y1 the product splits into the local terms
+// x0 ∧ y0 and x1 ∧ y1 and the two cross terms, which are one bitAnd on
+// [x1; y1] ∧ [y0; x0] of 2n bits: ⌈2n/64⌉ words each way.
+func (p *Party) andShared(x, y BitShare) (BitShare, error) {
+	n := x.N
+	if y.N != n {
+		return BitShare{}, fmt.Errorf("mpc: bitAnd size mismatch %d vs %d", n, y.N)
+	}
+	first, second := x, y // party 1: [x1; y1]
+	if p.ID == 0 {
+		first, second = y, x // party 0: [y0; x0]
+	}
+	cross, err := p.bitAnd(catBits(first, second))
+	if err != nil {
+		return BitShare{}, err
+	}
+	lo, hi := cross.slice(0, n), cross.slice(n, n)
+	for i := range lo.W {
+		lo.W[i] ^= x.W[i]&y.W[i] ^ hi.W[i]
+	}
+	return lo, nil
 }
 
 // selectBits returns shares of b ⊙ x for XOR-shared selector bits b — the
@@ -447,20 +508,20 @@ func (p *Party) bitAnd(a, b BitShare) (BitShare, error) {
 //	b·x = b0·x0 + b1·x1 + b1·[x0(1−2b0)] + b0·[x1(1−2b1)]:
 //
 // two local terms plus two products of one party-0-private and one
-// party-1-private value, both taken from a single 2n-element Beaver
-// triple. The selector is an unscaled integer, so the result keeps x's
-// fixed-point scale and needs no truncation.
+// party-1-private value, both one owned product of 2n elements, so each
+// party sends 2n words. The selector is an unscaled integer, so the result
+// keeps x's fixed-point scale and needs no truncation.
 func (p *Party) selectBits(bits BitShare, x Share) (Share, error) {
 	n := x.Len()
 	if bits.N != n {
 		return Share{}, fmt.Errorf("mpc: select: %d bits for %d values", bits.N, n)
 	}
-	// Party 0 holds u = [x0(1−2b0) ; b0], party 1 v = [b1 ; x1(1−2b1)];
-	// u ⊙ v is the two cross terms. Each is shared as (own, 0).
-	u, v := NewShare(2*n), NewShare(2*n)
-	signed, own := u.V[:n], u.V[n:]
+	// Party 0 holds [x0(1−2b0) ; b0], party 1 [b1 ; x1(1−2b1)]; their
+	// product is the two cross terms.
+	mine := make([]uint64, 2*n)
+	signed, own := mine[:n], mine[n:]
 	if p.ID == 1 {
-		own, signed = v.V[:n], v.V[n:]
+		own, signed = mine[:n], mine[n:]
 	}
 	out := NewShare(x.Shape...)
 	for i, xi := range x.V {
@@ -469,39 +530,35 @@ func (p *Party) selectBits(bits BitShare, x Share) (Share, error) {
 		signed[i] = xi * (1 - 2*b)
 		out.V[i] = b * xi
 	}
-	cross, err := p.MulHadamardRaw(u, v)
+	cross, err := p.mulOwned(mine)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: select: %w", err)
 	}
-	ringAdd(out.V, out.V, cross.V[:n])
-	ringAdd(out.V, out.V, cross.V[n:])
+	ringAdd(out.V, out.V, cross[:n])
+	ringAdd(out.V, out.V, cross[n:])
 	return out, nil
 }
 
 // B2A converts XOR bit shares to arithmetic shares over the ring using
-// b = b0 + b1 − 2·b0·b1, with the cross term from one Beaver product.
-// The result is an *integer* sharing (not fixed-point scaled).
+// b = b0 + b1 − 2·b0·b1, with the cross term b0·b1 one owned product of
+// each party's own bits: n words each way. The result is an *integer*
+// sharing (not fixed-point scaled).
 func (p *Party) B2A(bits BitShare, shape ...int) (Share, error) {
 	n := bits.N
 	out := NewShare(shape...)
 	if out.Len() != n {
 		return Share{}, fmt.Errorf("mpc: b2a shape %v != %d bits", shape, n)
 	}
-	x := NewShare(n)
-	y := NewShare(n)
-	own := x.V
-	if p.ID == 1 {
-		own = y.V
-	}
+	own := make([]uint64, n)
 	for i := range own {
 		own[i] = bits.Bit(i)
 	}
-	prod, err := p.MulHadamardRaw(x, y) // shares of b0·b1
+	prod, err := p.mulOwned(own) // shares of b0·b1
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: b2a: %w", err)
 	}
 	for i := range out.V {
-		out.V[i] = own[i] - 2*prod.V[i]
+		out.V[i] = own[i] - 2*prod[i]
 	}
 	return out, nil
 }

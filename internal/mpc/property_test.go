@@ -65,7 +65,8 @@ func TestShareAlgebraProperties(t *testing.T) {
 }
 
 // TestBeaverTripleProperty: every triple the dealer issues satisfies
-// z = a∘b after reconstruction, for arbitrary sizes.
+// z = a∘b after reconstruction, for arbitrary sizes, with a dealt whole to
+// party 1 and b whole to party 0.
 func TestBeaverTripleProperty(t *testing.T) {
 	prop := func(seed uint64, sizeRaw uint8) bool {
 		size := int(sizeRaw%64) + 1
@@ -73,8 +74,11 @@ func TestBeaverTripleProperty(t *testing.T) {
 		d1 := NewDealer(seed, 1)
 		a0, b0, z0, _ := d0.TakeHadamard(size)
 		a1, b1, z1, _ := d1.TakeHadamard(size)
+		if a0 != nil || b1 != nil || len(a1) != size || len(b0) != size {
+			return false
+		}
 		for i := 0; i < size; i++ {
-			if z0[i]+z1[i] != (a0[i]+a1[i])*(b0[i]+b1[i]) {
+			if z0[i]+z1[i] != a1[i]*b0[i] {
 				return false
 			}
 		}

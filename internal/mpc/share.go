@@ -98,9 +98,40 @@ func (b BitShare) setField(pos, width int, v uint64) {
 	}
 }
 
+// catBits returns x's bits followed by y's.
+func catBits(x, y BitShare) BitShare {
+	out := NewBitShare(x.N + y.N)
+	copy(out.W, x.W)
+	i, s := x.N>>6, uint(x.N)&63
+	for _, w := range y.W {
+		out.W[i] |= w << s
+		if i++; s != 0 && i < len(out.W) {
+			out.W[i] |= w >> (64 - s)
+		}
+	}
+	return out
+}
+
+// slice returns the n bits of b starting at bit pos.
+func (b BitShare) slice(pos, n int) BitShare {
+	out := NewBitShare(n)
+	i, s := pos>>6, uint(pos)&63
+	for j := range out.W {
+		w := b.W[i+j] >> s
+		if s != 0 && i+j+1 < len(b.W) {
+			w |= b.W[i+j+1] << (64 - s)
+		}
+		out.W[j] = w
+	}
+	if tail := uint(n) & 63; tail != 0 {
+		out.W[len(out.W)-1] &= 1<<tail - 1
+	}
+	return out
+}
+
 // DrawBits draws n uniform bits off r as whole words — ceil(n/64) draws,
 // bits past n then cleared. It is how Stream.Bits consumes a dealer
-// stream, once per each of its five draws.
+// stream, once per each of its three draws.
 func DrawBits(r *rng.RNG, n int) BitShare {
 	b := NewBitShare(n)
 	r.FillUint64(b.W)

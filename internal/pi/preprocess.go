@@ -33,7 +33,10 @@ var ErrNoStore = errors.New("no preprocessed store for this geometry")
 // merely replays them.
 
 // zeroSource hands out all-zero correlations — a valid (degenerate)
-// triple, since 0 ⊙ 0 = 0 holds for every bilinear op. The demand trace
+// triple, since 0 ⊙ 0 = 0 holds for every bilinear op. It hands every
+// party every operand; under a real source the owner-split kinds give
+// party 0 no a and party 1 no b, and each party's op reads only the
+// operands it would hold. The demand trace
 // consumes it instead of a live dealer so tracing records the full demand
 // sequence without paying for any correlation generation; privacy is
 // irrelevant there (the trace runs in-process on zero inputs).
@@ -56,8 +59,7 @@ func (zeroSource) TakeConv(dims mpc.ConvDims) (a, b, z []uint64, err error) {
 }
 
 func (zeroSource) TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) {
-	// z = a@b = 0 for a = 0, whatever b is — still a valid pair. Party 0,
-	// whose a is nil under a real source, ignores this one.
+	// z = a@b = 0 for a = 0, whatever b is — still a valid pair.
 	return make([]uint64, m*k), make([]uint64, m*p), nil
 }
 
