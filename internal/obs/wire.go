@@ -1,29 +1,26 @@
 package obs
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"pasnet/internal/transport"
 )
 
-// wireKindNames maps each transport frame kind byte to its metric
-// label. Index positions must stay aligned with wireKindBytes.
-var (
-	wireKindBytes = [...]byte{'u', 'U', 'b', 's', 'm', 'e'}
-	wireKindNames = [...]string{"u32", "u64", "bytes", "shape", "model", "err"}
-)
+const numWireKinds = len(transport.Kinds)
 
-const numWireKinds = len(wireKindBytes)
-
+// kindIndex is a frame kind's counter index: its position in
+// transport.Kinds.
 func kindIndex(k byte) int {
-	for i, b := range wireKindBytes {
-		if b == k {
-			return i
-		}
+	if i := slices.Index(transport.Kinds[:], k); i >= 0 {
+		return i
 	}
-	return 2 // unknown kinds accounted as opaque bytes
+	return slices.Index(transport.Kinds[:], transport.KindBytes) // unknown kinds accounted as opaque bytes
 }
+
+// typedConn names the Conn a WireConn embeds for its typed methods.
+type typedConn = transport.Conn
 
 // Direction markers for round counting.
 const (
@@ -32,25 +29,30 @@ const (
 	dirRecv
 )
 
-// WireConn wraps a transport.Conn and accounts traffic on a registry:
-// payload bytes and frame counts per frame kind in both directions
-// (pasnet_wire_{sent,recv}_{bytes,frames}_total{kind=...}), plus
-// protocol rounds (pasnet_wire_rounds_total) — a round completes each
-// time the link's direction flips from sending to receiving, so a
-// request/reply pair counts one round and a batched flush of many
-// sends followed by one receive also counts one.
+// WireConn wraps a transport.Conn and accounts traffic on a registry at
+// the frame: it is a transport.Link over the wrapped conn's typed methods
+// (transport.AsLink), and its own typed methods are transport.NewConn's
+// over itself. It counts payload bytes and frames per frame kind in both
+// directions (pasnet_wire_{sent,recv}_{bytes,frames}_total{kind=...}),
+// plus protocol rounds (pasnet_wire_rounds_total) — a round completes
+// each time the link's direction flips from sending to receiving, so a
+// request/reply pair counts one round and a batched flush of many sends
+// followed by one receive also counts one.
 //
-// Receive-side byte counts mirror the send-side payload conventions
-// (4 bytes per uint32, 8 per uint64, raw length for byte/shape/model/
-// error frames) rather than re-reading the wire, so the two endpoints
-// of a link report symmetric totals.
+// Byte counts are the frame's payload size on the wire
+// (transport.Frame.Len: 4 bytes per uint32, 8 per uint64, the encoded
+// length of byte/shape/model/error frames), so the two endpoints of a
+// link report symmetric totals.
 //
-// The concurrent send+recv used by the Exchange helpers makes the
+// The concurrent send+recv transport.Exchange runs makes the
 // direction flip racy for that pattern; the count remains a faithful
 // lower bound and is exact for the strictly alternating request/reply
 // protocol the serving loops speak.
 type WireConn struct {
+	typedConn // the typed methods, over this conn's own frames
+
 	inner transport.Conn
+	link  transport.Link
 
 	sentBytes  [numWireKinds]*Counter
 	sentFrames [numWireKinds]*Counter
@@ -66,12 +68,14 @@ type WireConn struct {
 // attached to every series. Safe on a nil registry: the counters
 // still count, they are just not exported anywhere.
 func InstrumentConn(c transport.Conn, r *Registry, labels ...string) *WireConn {
-	w := &WireConn{inner: c}
+	w := &WireConn{inner: c, link: transport.AsLink(c)}
+	w.typedConn = transport.NewConn(w)
 	mk := func(name, kind string) *Counter {
 		ls := append(append(make([]string, 0, len(labels)+2), labels...), "kind", kind)
 		return r.Counter(name, ls...)
 	}
-	for i, kind := range wireKindNames {
+	for i, k := range transport.Kinds {
+		kind := transport.KindName(k)
 		w.sentBytes[i] = mk("pasnet_wire_sent_bytes_total", kind)
 		w.sentFrames[i] = mk("pasnet_wire_sent_frames_total", kind)
 		w.recvBytes[i] = mk("pasnet_wire_recv_bytes_total", kind)
@@ -125,132 +129,29 @@ func (w *WireConn) noteRecv(kind byte, payloadBytes int) {
 	}
 }
 
-// SendUints implements transport.Conn.
-func (w *WireConn) SendUints(xs []uint32) error {
-	err := w.inner.SendUints(xs)
+// WriteFrame implements transport.Link.
+func (w *WireConn) WriteFrame(f transport.Frame) error {
+	err := w.link.WriteFrame(f)
 	if err == nil {
-		w.noteSend('u', 4*len(xs))
+		w.noteSend(f.Kind, f.Len())
 	}
 	return err
 }
 
-// RecvUints implements transport.Conn.
-func (w *WireConn) RecvUints() ([]uint32, error) {
-	xs, err := w.inner.RecvUints()
+// ReadFrame implements transport.Link.
+func (w *WireConn) ReadFrame(want byte, maxElems int) (transport.Frame, error) {
+	f, err := w.link.ReadFrame(want, maxElems)
 	if err == nil {
-		w.noteRecv('u', 4*len(xs))
+		w.noteRecv(f.Kind, f.Len())
 	}
-	return xs, err
+	return f, err
 }
 
-// SendUint64s implements transport.Conn.
-func (w *WireConn) SendUint64s(xs []uint64) error {
-	err := w.inner.SendUint64s(xs)
-	if err == nil {
-		w.noteSend('U', 8*len(xs))
-	}
-	return err
-}
-
-// RecvUint64s implements transport.Conn.
-func (w *WireConn) RecvUint64s() ([]uint64, error) {
-	xs, err := w.inner.RecvUint64s()
-	if err == nil {
-		w.noteRecv('U', 8*len(xs))
-	}
-	return xs, err
-}
-
-// RecvUint64sMax implements transport.Conn.
-func (w *WireConn) RecvUint64sMax(maxElems int) ([]uint64, error) {
-	xs, err := w.inner.RecvUint64sMax(maxElems)
-	if err == nil {
-		w.noteRecv('U', 8*len(xs))
-	}
-	return xs, err
-}
-
-// SendBytes implements transport.Conn.
-func (w *WireConn) SendBytes(b []byte) error {
-	err := w.inner.SendBytes(b)
-	if err == nil {
-		w.noteSend('b', len(b))
-	}
-	return err
-}
-
-// RecvBytes implements transport.Conn.
-func (w *WireConn) RecvBytes() ([]byte, error) {
-	b, err := w.inner.RecvBytes()
-	if err == nil {
-		w.noteRecv('b', len(b))
-	}
-	return b, err
-}
-
-// SendShape implements transport.Conn.
-func (w *WireConn) SendShape(shape []int) error {
-	err := w.inner.SendShape(shape)
-	if err == nil {
-		w.noteSend('s', 4*len(shape))
-	}
-	return err
-}
-
-// RecvShape implements transport.Conn.
-func (w *WireConn) RecvShape() ([]int, error) {
-	shape, err := w.inner.RecvShape()
-	if err == nil {
-		w.noteRecv('s', 4*len(shape))
-	}
-	return shape, err
-}
-
-// SendModelShape implements transport.Conn.
-func (w *WireConn) SendModelShape(model string, shape []int) error {
-	err := w.inner.SendModelShape(model, shape)
-	if err == nil {
-		w.noteSend('m', 1+len(model)+4*len(shape))
-	}
-	return err
-}
-
-// RecvModelShape implements transport.Conn.
-func (w *WireConn) RecvModelShape() (string, []int, error) {
-	model, shape, err := w.inner.RecvModelShape()
-	if err == nil {
-		w.noteRecv('m', 1+len(model)+4*len(shape))
-	}
-	return model, shape, err
-}
-
-// SendError implements transport.Conn.
-func (w *WireConn) SendError(msg string) error {
-	err := w.inner.SendError(msg)
-	if err == nil {
-		w.noteSend('e', len(transport.ClampError(msg)))
-	}
-	return err
-}
-
-// RecvReply implements transport.Conn.
-func (w *WireConn) RecvReply(maxElems int) ([]uint64, string, error) {
-	vals, errMsg, err := w.inner.RecvReply(maxElems)
-	if err == nil {
-		if errMsg != "" {
-			w.noteRecv('e', len(errMsg))
-		} else {
-			w.noteRecv('U', 8*len(vals))
-		}
-	}
-	return vals, errMsg, err
-}
-
-// SetReadDeadline implements transport.Conn.
+// SetReadDeadline implements transport.Link.
 func (w *WireConn) SetReadDeadline(t time.Time) error { return w.inner.SetReadDeadline(t) }
 
-// SetWriteDeadline implements transport.Conn.
+// SetWriteDeadline implements transport.Link.
 func (w *WireConn) SetWriteDeadline(t time.Time) error { return w.inner.SetWriteDeadline(t) }
 
-// Close implements transport.Conn.
+// Close implements transport.Link.
 func (w *WireConn) Close() error { return w.inner.Close() }

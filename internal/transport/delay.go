@@ -24,15 +24,18 @@ func DelayPipe(d time.Duration) (Conn, Conn) {
 	dead := make(chan struct{})
 	var once sync.Once
 	kill := func() { once.Do(func() { close(dead) }) }
-	return &delayConn{inner: a, d: d, sendTS: ab, recvTS: ba, dead: dead, kill: kill},
-		&delayConn{inner: b, d: d, sendTS: ba, recvTS: ab, dead: dead, kill: kill}
+	return NewConn(&delayLink{Link: a, d: d, sendTS: ab, recvTS: ba, dead: dead, kill: kill}),
+		NewConn(&delayLink{Link: b, d: d, sendTS: ba, recvTS: ab, dead: dead, kill: kill})
 }
 
-// delayConn decorates one endpoint: sends stamp their wall time into the
-// direction's timestamp queue (FIFO, 1:1 with frames); receives pop the
-// matching stamp and sleep until stamp+d before taking the frame.
-type delayConn struct {
-	inner  Conn
+// delayLink decorates one pipe endpoint: each written frame stamps its
+// wall time into the direction's timestamp queue (FIFO, 1:1 with frames);
+// each read pops the matching stamp and sleeps until stamp+d before taking
+// the frame. SetWriteDeadline is the endpoint's own: the delay model only
+// shapes delivery time, never send admission, so write deadlines behave
+// exactly as on the undecorated pipe.
+type delayLink struct {
+	Link
 	d      time.Duration
 	sendTS chan<- time.Time
 	recvTS <-chan time.Time
@@ -49,7 +52,7 @@ type delayConn struct {
 // in-flight window; if it ever fills, the send proceeds unstamped and
 // the receiver simply doesn't sleep for that frame (a timing model, not
 // a correctness surface).
-func (c *delayConn) stamp() {
+func (c *delayLink) stamp() {
 	select {
 	case c.sendTS <- time.Now():
 	default:
@@ -59,9 +62,9 @@ func (c *delayConn) stamp() {
 // wait sleeps out the current frame's remaining delivery time. An armed
 // read deadline bounds the wait for a stamp, otherwise a peer that never
 // sends would park the receiver here forever, out of reach of the inner
-// conn's deadline; on expiry wait falls through to the inner receive,
+// link's deadline; on expiry wait falls through to the inner receive,
 // which fails immediately with the deadline error.
-func (c *delayConn) wait() {
+func (c *delayLink) wait() {
 	c.dmu.Lock()
 	dl := c.deadline
 	c.dmu.Unlock()
@@ -81,64 +84,24 @@ func (c *delayConn) wait() {
 	}
 }
 
-func (c *delayConn) SendUints(xs []uint32) error { c.stamp(); return c.inner.SendUints(xs) }
-func (c *delayConn) RecvUints() ([]uint32, error) {
-	c.wait()
-	return c.inner.RecvUints()
-}
-
-func (c *delayConn) SendUint64s(xs []uint64) error { c.stamp(); return c.inner.SendUint64s(xs) }
-func (c *delayConn) RecvUint64s() ([]uint64, error) {
-	c.wait()
-	return c.inner.RecvUint64s()
-}
-
-func (c *delayConn) RecvUint64sMax(maxElems int) ([]uint64, error) {
-	c.wait()
-	return c.inner.RecvUint64sMax(maxElems)
-}
-
-func (c *delayConn) SendBytes(b []byte) error { c.stamp(); return c.inner.SendBytes(b) }
-func (c *delayConn) RecvBytes() ([]byte, error) {
-	c.wait()
-	return c.inner.RecvBytes()
-}
-
-func (c *delayConn) SendShape(shape []int) error { c.stamp(); return c.inner.SendShape(shape) }
-func (c *delayConn) RecvShape() ([]int, error) {
-	c.wait()
-	return c.inner.RecvShape()
-}
-
-func (c *delayConn) SendModelShape(model string, shape []int) error {
+func (c *delayLink) WriteFrame(f Frame) error {
 	c.stamp()
-	return c.inner.SendModelShape(model, shape)
+	return c.Link.WriteFrame(f)
 }
 
-func (c *delayConn) RecvModelShape() (string, []int, error) {
+func (c *delayLink) ReadFrame(want byte, maxElems int) (Frame, error) {
 	c.wait()
-	return c.inner.RecvModelShape()
+	return c.Link.ReadFrame(want, maxElems)
 }
 
-func (c *delayConn) SendError(msg string) error { c.stamp(); return c.inner.SendError(msg) }
-func (c *delayConn) RecvReply(maxElems int) ([]uint64, string, error) {
-	c.wait()
-	return c.inner.RecvReply(maxElems)
-}
-
-func (c *delayConn) SetReadDeadline(t time.Time) error {
+func (c *delayLink) SetReadDeadline(t time.Time) error {
 	c.dmu.Lock()
 	c.deadline = t
 	c.dmu.Unlock()
-	return c.inner.SetReadDeadline(t)
+	return c.Link.SetReadDeadline(t)
 }
 
-// SetWriteDeadline delegates to the inner conn: the delay model only
-// shapes delivery time, never send admission, so write deadlines behave
-// exactly as on the undecorated pipe.
-func (c *delayConn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
-
-func (c *delayConn) Close() error {
+func (c *delayLink) Close() error {
 	c.kill()
-	return c.inner.Close()
+	return c.Link.Close()
 }

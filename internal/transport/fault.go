@@ -30,10 +30,14 @@ type FaultPlan struct {
 	CorruptAt int
 }
 
-// FaultConn decorates one Conn endpoint with a FaultPlan. It is inert —
-// frames pass through uncounted — until Arm is called.
+// FaultConn decorates one Conn endpoint with a FaultPlan. It is a Link
+// whose ReadFrame runs the plan first, over the inner conn's own typed
+// methods (AsLink). It is inert — frames pass through uncounted — until
+// Arm is called.
 type FaultConn struct {
-	inner Conn
+	conn // the typed methods, over this decorator's own frames
+
+	inner Link
 	plan  FaultPlan
 
 	mu       sync.Mutex
@@ -48,7 +52,9 @@ type FaultConn struct {
 // NewFaultConn wraps inner with plan. Compose freely: the inner conn may
 // itself be a DelayPipe endpoint, so chaos and wire-delay models stack.
 func NewFaultConn(inner Conn, plan FaultPlan) *FaultConn {
-	return &FaultConn{inner: inner, plan: plan, closed: make(chan struct{})}
+	c := &FaultConn{inner: AsLink(inner), plan: plan, closed: make(chan struct{})}
+	c.link = c
+	return c
 }
 
 // FaultPipe is the chaos counterpart of Pipe/DelayPipe: a duplex pipe
@@ -130,64 +136,18 @@ func (c *FaultConn) stall(deadline time.Time) {
 	}
 }
 
-func (c *FaultConn) SendUints(xs []uint32) error   { return c.inner.SendUints(xs) }
-func (c *FaultConn) SendUint64s(xs []uint64) error { return c.inner.SendUint64s(xs) }
-func (c *FaultConn) SendBytes(b []byte) error      { return c.inner.SendBytes(b) }
-func (c *FaultConn) SendShape(shape []int) error   { return c.inner.SendShape(shape) }
-func (c *FaultConn) SendModelShape(model string, shape []int) error {
-	return c.inner.SendModelShape(model, shape)
-}
-func (c *FaultConn) SendError(msg string) error { return c.inner.SendError(msg) }
+// WriteFrame implements Link; the plan schedules receive faults only.
+func (c *FaultConn) WriteFrame(f Frame) error { return c.inner.WriteFrame(f) }
 
-func (c *FaultConn) RecvUints() ([]uint32, error) {
+// ReadFrame implements Link.
+func (c *FaultConn) ReadFrame(want byte, maxElems int) (Frame, error) {
 	if err := c.pre(); err != nil {
-		return nil, err
+		return Frame{}, err
 	}
-	return c.inner.RecvUints()
+	return c.inner.ReadFrame(want, maxElems)
 }
 
-func (c *FaultConn) RecvUint64s() ([]uint64, error) {
-	if err := c.pre(); err != nil {
-		return nil, err
-	}
-	return c.inner.RecvUint64s()
-}
-
-func (c *FaultConn) RecvUint64sMax(maxElems int) ([]uint64, error) {
-	if err := c.pre(); err != nil {
-		return nil, err
-	}
-	return c.inner.RecvUint64sMax(maxElems)
-}
-
-func (c *FaultConn) RecvBytes() ([]byte, error) {
-	if err := c.pre(); err != nil {
-		return nil, err
-	}
-	return c.inner.RecvBytes()
-}
-
-func (c *FaultConn) RecvShape() ([]int, error) {
-	if err := c.pre(); err != nil {
-		return nil, err
-	}
-	return c.inner.RecvShape()
-}
-
-func (c *FaultConn) RecvModelShape() (string, []int, error) {
-	if err := c.pre(); err != nil {
-		return "", nil, err
-	}
-	return c.inner.RecvModelShape()
-}
-
-func (c *FaultConn) RecvReply(maxElems int) ([]uint64, string, error) {
-	if err := c.pre(); err != nil {
-		return nil, "", err
-	}
-	return c.inner.RecvReply(maxElems)
-}
-
+// SetReadDeadline implements Link.
 func (c *FaultConn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.deadline = t
@@ -195,10 +155,12 @@ func (c *FaultConn) SetReadDeadline(t time.Time) error {
 	return c.inner.SetReadDeadline(t)
 }
 
-// SetWriteDeadline delegates to the inner conn; the fault plan only
-// schedules receive-path faults, so sends keep the inner semantics.
+// SetWriteDeadline implements Link by delegating to the inner conn; the
+// fault plan only schedules receive-path faults, so sends keep the inner
+// semantics.
 func (c *FaultConn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
 
+// Close implements Link.
 func (c *FaultConn) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return c.inner.Close()

@@ -1,8 +1,17 @@
 // Package transport provides the two-party message channel used by the 2PC
 // protocols: an in-memory duplex pipe for single-process simulation and
 // tests, and a TCP transport for genuine two-process deployment
-// (cmd/pasnet-server). Neither counts traffic: wrap an endpoint in
-// obs.InstrumentConn for byte, frame and round totals.
+// (cmd/pasnet-server).
+//
+// Everything rests on one frame primitive. A Frame is a kind byte plus a
+// typed payload, and a Link moves frames: WriteFrame, ReadFrame, the two
+// deadlines and Close. MemConn, TCPConn, DelayPipe's endpoints, FaultConn
+// and obs.WireConn are links, each adding only its own logic at the frame.
+// Conn, the typed API the protocols speak, is written once over any Link
+// (NewConn); a decorator over a Conn it did not build reaches it through
+// AsLink, which dispatches each frame to the Conn's own typed methods.
+// Nothing here counts traffic: wrap an endpoint in obs.InstrumentConn for
+// byte, frame and round totals.
 package transport
 
 import (
@@ -11,12 +20,15 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Conn is a reliable, ordered, message-framed duplex channel between the
-// two computing parties.
+// two computing parties: the typed API the protocols speak. Each typed
+// method is one frame (NewConn is their only implementation); the
+// deadlines and Close are the Link's.
 type Conn interface {
 	// SendUints transmits a framed slice of ring elements.
 	SendUints(xs []uint32) error
@@ -80,12 +92,78 @@ type Conn interface {
 	Close() error
 }
 
-// message is the unit carried by the in-memory pipe.
-type message struct {
-	kind byte // 'u' uint32s, 'U' uint64s, 'b' bytes, 's' shape, 'm' model+shape, 'e' error
-	u32  []uint32
-	u64  []uint64
-	raw  []byte
+// Frame kinds: the first byte of every TCP frame header.
+const (
+	KindUints      byte = 'u' // ring elements, 4 bytes each
+	KindUint64s    byte = 'U' // 64-bit values, 8 bytes each
+	KindBytes      byte = 'b' // an opaque byte slice
+	KindShape      byte = 's' // a tensor-shape control frame
+	KindModelShape byte = 'm' // a model identifier plus a shape
+	KindError      byte = 'e' // a per-query failure message
+	// KindReply is never on the wire: as ReadFrame's want it accepts a
+	// KindUint64s frame (bounded by maxElems) or a KindError frame.
+	KindReply byte = 'r'
+)
+
+// Kinds lists the six wire kinds in a fixed order; obs indexes its
+// per-kind wire counters by it.
+var Kinds = [...]byte{KindUints, KindUint64s, KindBytes, KindShape, KindModelShape, KindError}
+
+// KindName is a frame kind's short name: its wire-counter label, and how
+// framing errors name it.
+func KindName(kind byte) string {
+	switch kind {
+	case KindUints:
+		return "u32"
+	case KindUint64s:
+		return "u64"
+	case KindBytes:
+		return "bytes"
+	case KindShape:
+		return "shape"
+	case KindModelShape:
+		return "model"
+	case KindError:
+		return "err"
+	case KindReply:
+		return "reply"
+	}
+	return fmt.Sprintf("%q", kind)
+}
+
+// Frame is one message on a link: a kind and its payload in typed form,
+// so MemConn carries it as is and never serializes. The payload field is
+// fixed by the kind: U32 for KindUints, U64 for KindUint64s, Raw for the
+// rest (a shape or model+shape frame's encoded control payload, an error
+// frame's clamped message). TCPConn writes it as the 1-byte kind, a
+// little-endian uint32 payload length, then the payload.
+type Frame struct {
+	Kind byte
+	U32  []uint32
+	U64  []uint64
+	Raw  []byte
+}
+
+// Len is the frame's payload size on the wire, header excluded.
+func (f Frame) Len() int { return 4*len(f.U32) + 8*len(f.U64) + len(f.Raw) }
+
+// Link is the frame primitive under Conn. Decorators are links over an
+// inner link and add their own logic at the frame: DelayPipe stamps and
+// waits, FaultConn runs its fault plan before a read, obs.WireConn counts
+// by kind.
+type Link interface {
+	// WriteFrame sends f. The caller may reuse f's payload afterwards.
+	WriteFrame(f Frame) error
+	// ReadFrame receives the next frame, which must be of kind want
+	// (KindReply: a KindUint64s or a KindError frame). maxElems, when not
+	// negative, bounds a KindUint64s frame's element count, checked before
+	// any payload allocation like every other frame bound.
+	ReadFrame(want byte, maxElems int) (Frame, error)
+	// SetReadDeadline and SetWriteDeadline have Conn's semantics.
+	SetReadDeadline(t time.Time) error
+	SetWriteDeadline(t time.Time) error
+	// Close releases the underlying resources.
+	Close() error
 }
 
 // shapeDims bounds the rank of a shape frame so a corrupted or hostile
@@ -176,14 +254,71 @@ func ClampError(msg string) string {
 	return msg
 }
 
-// MemConn is one endpoint of an in-memory duplex pipe. The message channel
-// is never closed (a concurrent send on a closed channel would panic the
-// sender); shutdown is signalled out-of-band through per-endpoint close
-// channels instead, so Close racing an in-flight send is an error return,
-// not a crash.
+// maxFrameBytes bounds a data frame's payload so a corrupted or hostile
+// header cannot force a giant allocation before any content validation
+// runs. The largest legitimate frames are weight-share transfers, well
+// under this.
+const maxFrameBytes = 1 << 30
+
+// kindLimit is the per-kind payload cap enforced before any allocation:
+// control frames are tiny by definition, data frames are bounded by
+// maxFrameBytes (or tighter, when the receiver knows the expected size and
+// calls a bounded receive).
+func kindLimit(kind byte) uint64 {
+	switch kind {
+	case KindShape:
+		return 4 * shapeDims
+	case KindModelShape:
+		return 1 + maxModelIDLen + 4*shapeDims
+	case KindError:
+		return maxErrorBytes
+	default:
+		return maxFrameBytes
+	}
+}
+
+// admit is the one frame check every receive path runs, on a frame's kind
+// and payload length before any payload is allocated: the kind must be a
+// wire kind and the one the caller expects, the length within the kind's
+// limit (and a bounded uint64 receive's maxElems), and a data frame's
+// length a whole number of elements.
+func admit(want byte, maxElems int, kind byte, n uint64) error {
+	ok := kind == want
+	if want == KindReply {
+		ok = kind == KindUint64s || kind == KindError
+	}
+	if !ok || !slices.Contains(Kinds[:], kind) {
+		return fmt.Errorf("transport: expected a %s frame, got a %q frame", KindName(want), kind)
+	}
+	if kind == KindUint64s && maxElems >= 0 && n/8 > uint64(maxElems) {
+		return fmt.Errorf("transport: uint64 frame of %d bytes exceeds expected %d elements", n, maxElems)
+	}
+	if limit := kindLimit(kind); n > limit {
+		return fmt.Errorf("transport: frame kind %q payload %d exceeds limit %d", kind, n, limit)
+	}
+	elem := uint64(1)
+	switch kind {
+	case KindUints:
+		elem = 4
+	case KindUint64s:
+		elem = 8
+	}
+	if n%elem != 0 {
+		return fmt.Errorf("transport: frame kind %q payload of %d bytes is not a whole number of %d-byte elements", kind, n, elem)
+	}
+	return nil
+}
+
+// MemConn is one endpoint of an in-memory duplex pipe, a Link carrying
+// Frames as they are. The frame channel is never closed (a concurrent
+// send on a closed channel would panic the sender); shutdown is signalled
+// out-of-band through per-endpoint close channels instead, so Close racing
+// an in-flight send is an error return, not a crash.
 type MemConn struct {
-	send chan<- message
-	recv <-chan message
+	conn // the typed methods, over this endpoint's own frames
+
+	send chan<- Frame
+	recv <-chan Frame
 
 	// closed is this endpoint's own close signal (its send direction);
 	// peerClosed is the peer endpoint's, which turns receives into EOF
@@ -201,16 +336,17 @@ type MemConn struct {
 // Buffering is generous enough that the symmetric send-then-receive
 // pattern used by the protocols cannot deadlock.
 func Pipe() (*MemConn, *MemConn) {
-	ab := make(chan message, 1024)
-	ba := make(chan message, 1024)
+	ab := make(chan Frame, 1024)
+	ba := make(chan Frame, 1024)
 	a := &MemConn{send: ab, recv: ba, closed: make(chan struct{}), closeOnce: new(sync.Once)}
 	b := &MemConn{send: ba, recv: ab, closed: make(chan struct{}), closeOnce: new(sync.Once)}
 	a.peerClosed = b.closed
 	b.peerClosed = a.closed
+	a.link, b.link = a, b
 	return a, b
 }
 
-// SetReadDeadline implements Conn.
+// SetReadDeadline implements Link.
 func (m *MemConn) SetReadDeadline(t time.Time) error {
 	m.dmu.Lock()
 	m.deadline = t
@@ -218,7 +354,7 @@ func (m *MemConn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
-// SetWriteDeadline implements Conn.
+// SetWriteDeadline implements Link.
 func (m *MemConn) SetWriteDeadline(t time.Time) error {
 	m.dmu.Lock()
 	m.wdeadline = t
@@ -229,48 +365,61 @@ func (m *MemConn) SetWriteDeadline(t time.Time) error {
 // recvEOF resolves a peer-close signal: frames the peer buffered before
 // closing are still delivered, then receives report EOF — matching the
 // drain-then-EOF behavior of a closed channel without ever closing one.
-func (m *MemConn) recvEOF() (message, error) {
+func (m *MemConn) recvEOF() (Frame, error) {
 	select {
-	case msg := <-m.recv:
-		return msg, nil
+	case f := <-m.recv:
+		return f, nil
 	default:
-		return message{}, io.EOF
+		return Frame{}, io.EOF
 	}
 }
 
-// recvMsg blocks for the next frame, honoring the read deadline with
-// net.Conn semantics: an expired deadline fails immediately (even if a
-// frame is already buffered), an armed one bounds the wait. All MemConn
-// receive paths go through it.
-func (m *MemConn) recvMsg() (message, error) {
+// ReadFrame implements Link. It blocks for the next frame, honoring the
+// read deadline with net.Conn semantics: an expired deadline fails
+// immediately (even if a frame is already buffered), an armed one bounds
+// the wait. The delivered frame then passes the same admit check a TCP
+// header does.
+func (m *MemConn) ReadFrame(want byte, maxElems int) (Frame, error) {
+	f, err := m.recvFrame()
+	if err != nil {
+		return Frame{}, err
+	}
+	if err := admit(want, maxElems, f.Kind, uint64(f.Len())); err != nil {
+		return Frame{}, err
+	}
+	return f, nil
+}
+
+func (m *MemConn) recvFrame() (Frame, error) {
 	m.dmu.Lock()
 	dl := m.deadline
 	m.dmu.Unlock()
 	if dl.IsZero() {
 		select {
-		case msg := <-m.recv:
-			return msg, nil
+		case f := <-m.recv:
+			return f, nil
 		case <-m.peerClosed:
 			return m.recvEOF()
 		}
 	}
 	wait := time.Until(dl)
 	if wait <= 0 {
-		return message{}, fmt.Errorf("transport: read deadline exceeded: %w", os.ErrDeadlineExceeded)
+		return Frame{}, fmt.Errorf("transport: read deadline exceeded: %w", os.ErrDeadlineExceeded)
 	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
-	case msg := <-m.recv:
-		return msg, nil
+	case f := <-m.recv:
+		return f, nil
 	case <-m.peerClosed:
 		return m.recvEOF()
 	case <-timer.C:
-		return message{}, fmt.Errorf("transport: read deadline exceeded: %w", os.ErrDeadlineExceeded)
+		return Frame{}, fmt.Errorf("transport: read deadline exceeded: %w", os.ErrDeadlineExceeded)
 	}
 }
 
-// sendMsg enqueues a frame, honoring the write deadline and both close
+// WriteFrame implements Link. It enqueues a copy of f's payload, so the
+// caller may reuse its slice, honoring the write deadline and both close
 // signals. Sending after this endpoint's own Close fails with an error
 // satisfying errors.Is(err, io.ErrClosedPipe). A send with room in the
 // pipe still succeeds after the *peer* closed — close is
@@ -280,7 +429,15 @@ func (m *MemConn) recvMsg() (message, error) {
 // on a full pipe fails on peer close (no reader will ever free a slot) or
 // at the write deadline; the old implementation wedged such a sender
 // forever.
-func (m *MemConn) sendMsg(msg message) error {
+func (m *MemConn) WriteFrame(f Frame) error {
+	switch f.Kind {
+	case KindUints:
+		f.U32 = append(make([]uint32, 0, len(f.U32)), f.U32...)
+	case KindUint64s:
+		f.U64 = append(make([]uint64, 0, len(f.U64)), f.U64...)
+	default:
+		f.Raw = append(make([]byte, 0, len(f.Raw)), f.Raw...)
+	}
 	select {
 	case <-m.closed:
 		return fmt.Errorf("transport: send on closed connection: %w", io.ErrClosedPipe)
@@ -295,13 +452,13 @@ func (m *MemConn) sendMsg(msg message) error {
 		return fmt.Errorf("transport: write deadline exceeded: %w", os.ErrDeadlineExceeded)
 	}
 	select {
-	case m.send <- msg:
+	case m.send <- f:
 		return nil
 	default:
 	}
 	if dl.IsZero() {
 		select {
-		case m.send <- msg:
+		case m.send <- f:
 			return nil
 		case <-m.closed:
 			return fmt.Errorf("transport: send on closed connection: %w", io.ErrClosedPipe)
@@ -312,7 +469,7 @@ func (m *MemConn) sendMsg(msg message) error {
 	timer := time.NewTimer(time.Until(dl))
 	defer timer.Stop()
 	select {
-	case m.send <- msg:
+	case m.send <- f:
 		return nil
 	case <-m.closed:
 		return fmt.Errorf("transport: send on closed connection: %w", io.ErrClosedPipe)
@@ -323,144 +480,7 @@ func (m *MemConn) sendMsg(msg message) error {
 	}
 }
 
-// SendUints implements Conn. The slice is copied so callers may reuse it.
-func (m *MemConn) SendUints(xs []uint32) error {
-	cp := make([]uint32, len(xs))
-	copy(cp, xs)
-	return m.sendMsg(message{kind: 'u', u32: cp})
-}
-
-// RecvUints implements Conn.
-func (m *MemConn) RecvUints() ([]uint32, error) {
-	msg, err := m.recvMsg()
-	if err != nil {
-		return nil, err
-	}
-	if msg.kind != 'u' {
-		return nil, wrongKind("uint32", msg.kind)
-	}
-	return msg.u32, nil
-}
-
-// SendUint64s implements Conn.
-func (m *MemConn) SendUint64s(xs []uint64) error {
-	cp := make([]uint64, len(xs))
-	copy(cp, xs)
-	return m.sendMsg(message{kind: 'U', u64: cp})
-}
-
-// RecvUint64s implements Conn.
-func (m *MemConn) RecvUint64s() ([]uint64, error) {
-	msg, err := m.recvMsg()
-	if err != nil {
-		return nil, err
-	}
-	if msg.kind != 'U' {
-		return nil, wrongKind("uint64", msg.kind)
-	}
-	return msg.u64, nil
-}
-
-// RecvUint64sMax implements Conn. The in-memory pipe has no header to
-// pre-validate, so the bound is checked on the delivered slice.
-func (m *MemConn) RecvUint64sMax(maxElems int) ([]uint64, error) {
-	xs, err := m.RecvUint64s()
-	if err != nil {
-		return nil, err
-	}
-	if len(xs) > maxElems {
-		return nil, fmt.Errorf("transport: uint64 frame of %d elements exceeds expected %d", len(xs), maxElems)
-	}
-	return xs, nil
-}
-
-// SendBytes implements Conn.
-func (m *MemConn) SendBytes(b []byte) error {
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return m.sendMsg(message{kind: 'b', raw: cp})
-}
-
-// RecvBytes implements Conn.
-func (m *MemConn) RecvBytes() ([]byte, error) {
-	msg, err := m.recvMsg()
-	if err != nil {
-		return nil, err
-	}
-	if msg.kind != 'b' {
-		return nil, wrongKind("byte", msg.kind)
-	}
-	return msg.raw, nil
-}
-
-// SendShape implements Conn.
-func (m *MemConn) SendShape(shape []int) error {
-	payload, err := encodeShape(shape)
-	if err != nil {
-		return err
-	}
-	return m.sendMsg(message{kind: 's', raw: payload})
-}
-
-// RecvShape implements Conn.
-func (m *MemConn) RecvShape() ([]int, error) {
-	msg, err := m.recvMsg()
-	if err != nil {
-		return nil, err
-	}
-	if msg.kind != 's' {
-		return nil, wrongKind("shape", msg.kind)
-	}
-	return decodeShape(msg.raw)
-}
-
-// SendModelShape implements Conn.
-func (m *MemConn) SendModelShape(model string, shape []int) error {
-	payload, err := encodeModelShape(model, shape)
-	if err != nil {
-		return err
-	}
-	return m.sendMsg(message{kind: 'm', raw: payload})
-}
-
-// RecvModelShape implements Conn.
-func (m *MemConn) RecvModelShape() (string, []int, error) {
-	msg, err := m.recvMsg()
-	if err != nil {
-		return "", nil, err
-	}
-	if msg.kind != 'm' {
-		return "", nil, wrongKind("model+shape", msg.kind)
-	}
-	return decodeModelShape(msg.raw)
-}
-
-// SendError implements Conn.
-func (m *MemConn) SendError(errMsg string) error {
-	payload := []byte(ClampError(errMsg))
-	return m.sendMsg(message{kind: 'e', raw: payload})
-}
-
-// RecvReply implements Conn.
-func (m *MemConn) RecvReply(maxElems int) ([]uint64, string, error) {
-	msg, err := m.recvMsg()
-	if err != nil {
-		return nil, "", err
-	}
-	switch msg.kind {
-	case 'e':
-		return nil, string(msg.raw), nil
-	case 'U':
-		if len(msg.u64) > maxElems {
-			return nil, "", fmt.Errorf("transport: uint64 reply of %d elements exceeds expected %d", len(msg.u64), maxElems)
-		}
-		return msg.u64, "", nil
-	default:
-		return nil, "", wrongKind("reply", msg.kind)
-	}
-}
-
-// Close implements Conn. Closing signals the peer (its receives drain any
+// Close implements Link. Closing signals the peer (its receives drain any
 // buffered frames, then report EOF) and fails this endpoint's subsequent
 // sends with io.ErrClosedPipe — including sends already blocked on a full
 // pipe. Close is idempotent and safe against concurrent in-flight sends:
@@ -471,16 +491,23 @@ func (m *MemConn) Close() error {
 	return nil
 }
 
-// TCPConn frames messages over a net.Conn with a 5-byte header
-// (kind + little-endian payload length). Sends run inline; the protocol
-// layer's exchange helper is responsible for avoiding rendezvous deadlock.
+// TCPConn is a Link over a net.Conn: each frame is a 5-byte header
+// (kind + little-endian payload length) and the payload. Sends run
+// inline; the protocol layer's exchange helper is responsible for
+// avoiding rendezvous deadlock.
 type TCPConn struct {
+	conn // the typed methods, over this connection's own frames
+
 	nc  net.Conn
-	buf [5]byte
+	hdr [5]byte // the read side's header buffer
 }
 
 // NewTCPConn wraps an established network connection.
-func NewTCPConn(nc net.Conn) *TCPConn { return &TCPConn{nc: nc} }
+func NewTCPConn(nc net.Conn) *TCPConn {
+	t := &TCPConn{nc: nc}
+	t.link = t
+	return t
+}
 
 // Dial connects to a listening peer.
 func Dial(addr string) (*TCPConn, error) {
@@ -491,9 +518,23 @@ func Dial(addr string) (*TCPConn, error) {
 	return NewTCPConn(nc), nil
 }
 
-func (t *TCPConn) writeFrame(kind byte, payload []byte) error {
+// WriteFrame implements Link.
+func (t *TCPConn) WriteFrame(f Frame) error {
+	payload := f.Raw
+	switch f.Kind {
+	case KindUints:
+		payload = make([]byte, 4*len(f.U32))
+		for i, x := range f.U32 {
+			binary.LittleEndian.PutUint32(payload[4*i:], x)
+		}
+	case KindUint64s:
+		payload = make([]byte, 8*len(f.U64))
+		for i, x := range f.U64 {
+			binary.LittleEndian.PutUint64(payload[8*i:], x)
+		}
+	}
 	var hdr [5]byte
-	hdr[0] = kind
+	hdr[0] = f.Kind
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
 	if _, err := t.nc.Write(hdr[:]); err != nil {
 		return err
@@ -502,248 +543,56 @@ func (t *TCPConn) writeFrame(kind byte, payload []byte) error {
 	return err
 }
 
-// maxFrameBytes bounds a data frame's payload so a corrupted or hostile
-// header cannot force a giant allocation before any content validation
-// runs. The largest legitimate frames are weight-share transfers, well
-// under this.
-const maxFrameBytes = 1 << 30
-
-// kindLimit is the per-kind payload cap enforced before any allocation:
-// control frames are tiny by definition, data frames are bounded by
-// maxFrameBytes (or tighter, when the receiver knows the expected size and
-// calls a bounded receive).
-func kindLimit(kind byte) uint32 {
-	switch kind {
-	case 's':
-		return 4 * shapeDims
-	case 'm':
-		return 1 + maxModelIDLen + 4*shapeDims
-	case 'e':
-		return maxErrorBytes
-	default:
-		return maxFrameBytes
-	}
+// ReadFrame implements Link.
+func (t *TCPConn) ReadFrame(want byte, maxElems int) (Frame, error) {
+	return readFrame(t.nc, t.hdr[:], want, maxElems)
 }
 
-// readHeader reads the next frame's 5-byte header and returns its kind and
-// declared payload length. Nothing is allocated for the payload yet.
-func (t *TCPConn) readHeader() (byte, uint32, error) {
-	if _, err := io.ReadFull(t.nc, t.buf[:]); err != nil {
-		return 0, 0, err
+// readFrame is the TCP frame decoder: it reads a 5-byte header from r into
+// hdr, admits the declared kind and length, and only then allocates and
+// reads the payload.
+func readFrame(r io.Reader, hdr []byte, want byte, maxElems int) (Frame, error) {
+	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
+		return Frame{}, err
 	}
-	return t.buf[0], binary.LittleEndian.Uint32(t.buf[1:]), nil
-}
-
-// readPayload validates a declared payload length against limit — before
-// allocating — then reads the payload. It is the single funnel every
-// TCP receive path completes through.
-func (t *TCPConn) readPayload(kind byte, n, limit uint32) ([]byte, error) {
-	if n > limit {
-		return nil, fmt.Errorf("transport: frame kind %q payload %d exceeds limit %d", kind, n, limit)
+	kind, n := hdr[0], binary.LittleEndian.Uint32(hdr[1:5])
+	if err := admit(want, maxElems, kind, uint64(n)); err != nil {
+		return Frame{}, err
 	}
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(t.nc, payload); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return Frame{}, err
 	}
-	return payload, nil
-}
-
-func (t *TCPConn) readFrame(wantKind byte) ([]byte, error) {
-	kind, n, err := t.readHeader()
-	if err != nil {
-		return nil, err
-	}
-	if kind != wantKind {
-		return nil, wrongKind(fmt.Sprintf("%q", wantKind), kind)
-	}
-	return t.readPayload(kind, n, kindLimit(kind))
-}
-
-// SendUints implements Conn.
-func (t *TCPConn) SendUints(xs []uint32) error {
-	payload := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(payload[4*i:], x)
-	}
-	return t.writeFrame('u', payload)
-}
-
-// RecvUints implements Conn.
-func (t *TCPConn) RecvUints() ([]uint32, error) {
-	payload, err := t.readFrame('u')
-	if err != nil {
-		return nil, err
-	}
-	if len(payload)%4 != 0 {
-		return nil, raggedFrame('u', len(payload), 4)
-	}
-	xs := make([]uint32, len(payload)/4)
-	for i := range xs {
-		xs[i] = binary.LittleEndian.Uint32(payload[4*i:])
-	}
-	return xs, nil
-}
-
-// SendUint64s implements Conn.
-func (t *TCPConn) SendUint64s(xs []uint64) error {
-	payload := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(payload[8*i:], x)
-	}
-	return t.writeFrame('U', payload)
-}
-
-// RecvUint64s implements Conn.
-func (t *TCPConn) RecvUint64s() ([]uint64, error) {
-	payload, err := t.readFrame('U')
-	if err != nil {
-		return nil, err
-	}
-	return decodeUint64s(payload)
-}
-
-// recvBoundedUint64s finishes receiving a 'U' frame whose header (with
-// declared length n) was already read: the element bound is enforced
-// before any payload allocation, so a hostile length header is rejected
-// at header-read time. It is the single place the bounded-receive rule
-// lives; RecvUint64sMax and RecvReply both go through it.
-func (t *TCPConn) recvBoundedUint64s(n uint32, maxElems int) ([]uint64, error) {
-	limit := uint64(8) * uint64(maxElems)
-	if limit > maxFrameBytes {
-		limit = maxFrameBytes
-	}
-	if uint64(n) > limit {
-		return nil, fmt.Errorf("transport: uint64 frame of %d bytes exceeds expected %d elements", n, maxElems)
-	}
-	payload, err := t.readPayload('U', n, uint32(limit))
-	if err != nil {
-		return nil, err
-	}
-	return decodeUint64s(payload)
-}
-
-// RecvUint64sMax implements Conn.
-func (t *TCPConn) RecvUint64sMax(maxElems int) ([]uint64, error) {
-	kind, n, err := t.readHeader()
-	if err != nil {
-		return nil, err
-	}
-	if kind != 'U' {
-		return nil, wrongKind("'U'", kind)
-	}
-	return t.recvBoundedUint64s(n, maxElems)
-}
-
-// decodeUint64s decodes a 'U' payload. RecvUint64s, RecvUint64sMax and
-// RecvReply all finish here, so a payload that is not a whole number of
-// words is rejected on every path instead of losing its tail.
-func decodeUint64s(payload []byte) ([]uint64, error) {
-	if len(payload)%8 != 0 {
-		return nil, raggedFrame('U', len(payload), 8)
-	}
-	xs := make([]uint64, len(payload)/8)
-	for i := range xs {
-		xs[i] = binary.LittleEndian.Uint64(payload[8*i:])
-	}
-	return xs, nil
-}
-
-// wrongKind describes a frame of kind got arriving where a want frame
-// belongs: the two endpoints disagree about which protocol step they are
-// in.
-func wrongKind(want string, got byte) error {
-	return fmt.Errorf("transport: expected %s frame, got a %q frame", want, got)
-}
-
-// raggedFrame describes a data frame whose payload is not a whole number
-// of elements — a corrupted or hostile peer, never a short read.
-func raggedFrame(kind byte, n, elem int) error {
-	return fmt.Errorf("transport: frame kind %q payload of %d bytes is not a whole number of %d-byte elements", kind, n, elem)
-}
-
-// SendBytes implements Conn.
-func (t *TCPConn) SendBytes(b []byte) error { return t.writeFrame('b', b) }
-
-// RecvBytes implements Conn.
-func (t *TCPConn) RecvBytes() ([]byte, error) { return t.readFrame('b') }
-
-// SendShape implements Conn.
-func (t *TCPConn) SendShape(shape []int) error {
-	payload, err := encodeShape(shape)
-	if err != nil {
-		return err
-	}
-	return t.writeFrame('s', payload)
-}
-
-// RecvShape implements Conn.
-func (t *TCPConn) RecvShape() ([]int, error) {
-	payload, err := t.readFrame('s')
-	if err != nil {
-		return nil, err
-	}
-	return decodeShape(payload)
-}
-
-// SendModelShape implements Conn.
-func (t *TCPConn) SendModelShape(model string, shape []int) error {
-	payload, err := encodeModelShape(model, shape)
-	if err != nil {
-		return err
-	}
-	return t.writeFrame('m', payload)
-}
-
-// RecvModelShape implements Conn.
-func (t *TCPConn) RecvModelShape() (string, []int, error) {
-	payload, err := t.readFrame('m')
-	if err != nil {
-		return "", nil, err
-	}
-	return decodeModelShape(payload)
-}
-
-// SendError implements Conn.
-func (t *TCPConn) SendError(errMsg string) error {
-	return t.writeFrame('e', []byte(ClampError(errMsg)))
-}
-
-// RecvReply implements Conn.
-func (t *TCPConn) RecvReply(maxElems int) ([]uint64, string, error) {
-	kind, n, err := t.readHeader()
-	if err != nil {
-		return nil, "", err
-	}
+	f := Frame{Kind: kind}
 	switch kind {
-	case 'e':
-		payload, err := t.readPayload(kind, n, maxErrorBytes)
-		if err != nil {
-			return nil, "", err
+	case KindUints:
+		f.U32 = make([]uint32, n/4)
+		for i := range f.U32 {
+			f.U32[i] = binary.LittleEndian.Uint32(payload[4*i:])
 		}
-		return nil, string(payload), nil
-	case 'U':
-		vals, err := t.recvBoundedUint64s(n, maxElems)
-		if err != nil {
-			return nil, "", err
+	case KindUint64s:
+		f.U64 = make([]uint64, n/8)
+		for i := range f.U64 {
+			f.U64[i] = binary.LittleEndian.Uint64(payload[8*i:])
 		}
-		return vals, "", nil
 	default:
-		return nil, "", wrongKind("reply", kind)
+		f.Raw = payload
 	}
+	return f, nil
 }
 
-// SetReadDeadline implements Conn by delegating to the network
+// SetReadDeadline implements Link by delegating to the network
 // connection; its timeout errors already satisfy
 // errors.Is(err, os.ErrDeadlineExceeded).
 func (t *TCPConn) SetReadDeadline(tm time.Time) error { return t.nc.SetReadDeadline(tm) }
 
-// SetWriteDeadline implements Conn by delegating to the network
+// SetWriteDeadline implements Link by delegating to the network
 // connection. A send to a peer that has stopped reading blocks once the
 // kernel socket buffer fills; the deadline turns that stall into an
 // os.ErrDeadlineExceeded instead of a wedged goroutine.
 func (t *TCPConn) SetWriteDeadline(tm time.Time) error { return t.nc.SetWriteDeadline(tm) }
 
-// Close implements Conn.
+// Close implements Link.
 func (t *TCPConn) Close() error { return t.nc.Close() }
 
 // Exchange sends mine and receives the peer's slice concurrently, the
@@ -753,36 +602,6 @@ func Exchange(c Conn, mine []uint64) ([]uint64, error) {
 	errc := make(chan error, 1)
 	go func() { errc <- c.SendUint64s(mine) }()
 	theirs, err := c.RecvUint64s()
-	if sendErr := <-errc; sendErr != nil {
-		return nil, fmt.Errorf("transport: exchange send: %w", sendErr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: exchange recv: %w", err)
-	}
-	return theirs, nil
-}
-
-// ExchangeShapes is Exchange for shape control frames: each party sends its
-// view of the tensor geometry and receives the peer's, letting both sides
-// validate agreement before any protocol data flows.
-func ExchangeShapes(c Conn, mine []int) ([]int, error) {
-	errc := make(chan error, 1)
-	go func() { errc <- c.SendShape(mine) }()
-	theirs, err := c.RecvShape()
-	if sendErr := <-errc; sendErr != nil {
-		return nil, fmt.Errorf("transport: exchange send: %w", sendErr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: exchange recv: %w", err)
-	}
-	return theirs, nil
-}
-
-// ExchangeBytes is Exchange for raw byte payloads.
-func ExchangeBytes(c Conn, mine []byte) ([]byte, error) {
-	errc := make(chan error, 1)
-	go func() { errc <- c.SendBytes(mine) }()
-	theirs, err := c.RecvBytes()
 	if sendErr := <-errc; sendErr != nil {
 		return nil, fmt.Errorf("transport: exchange send: %w", sendErr)
 	}

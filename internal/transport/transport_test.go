@@ -89,28 +89,6 @@ func TestShapeFrameLimits(t *testing.T) {
 	}
 }
 
-func TestExchangeShapesSymmetric(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan []int, 1)
-	go func() {
-		got, err := ExchangeShapes(b, []int{2, 3})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- got
-	}()
-	got, err := ExchangeShapes(a, []int{0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := <-done
-	if len(got) != 2 || got[0] != 2 || len(other) != 2 || other[0] != 0 {
-		t.Fatalf("exchange shapes wrong: %v %v", got, other)
-	}
-}
-
 func TestMemPipeCopiesPayload(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
@@ -166,28 +144,6 @@ func TestExchangeSymmetric(t *testing.T) {
 	}
 	if fromB[0] != 100 || fromA[0] != 200 {
 		t.Fatalf("exchange swapped: %v %v", fromA, fromB)
-	}
-}
-
-func TestExchangeBytesSymmetric(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan []byte, 1)
-	go func() {
-		got, err := ExchangeBytes(b, []byte{2})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- got
-	}()
-	got, err := ExchangeBytes(a, []byte{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := <-done
-	if got[0] != 2 || other[0] != 1 {
-		t.Fatalf("exchange bytes wrong: %v %v", got, other)
 	}
 }
 
