@@ -15,7 +15,7 @@ import (
 
 // On-disk store format (all integers little-endian):
 //
-//	magic   8 bytes  "PASCORR6"
+//	magic   8 bytes  "PASCORR7"
 //	body:
 //	  party   uint8
 //	  label   uint32                      preprocess-run stamp (see Label)
@@ -58,7 +58,11 @@ import (
 // after the first FixedB one); "PASCORR5" dealt bit and Hadamard triples
 // symmetrically (a and b halves on both sub-streams), where "PASCORR6"
 // deals them owner-split (a off party 1's, b and z0 off party 0's), so the
-// same seed regenerates different halves for them and everything after.
+// same seed regenerates different halves for them and everything after;
+// "PASCORR6" was dealt for the six-hop comparison's bit demands (a leaf
+// and four binary tree levels), where "PASCORR7" stores the four-hop
+// one's (a leaf, a fan-in-4 level and a root), so its tape no longer
+// matches what a ReLU takes.
 // The magic is the version gate — any
 // "PASCORR"-prefixed file of another version is rejected with a
 // regeneration hint rather than misparsed, in either direction (old binary
@@ -66,7 +70,7 @@ import (
 
 // storeMagic identifies a serialized correlation store at this binary's
 // format version.
-const storeMagic = "PASCORR6"
+const storeMagic = "PASCORR7"
 
 // storeMagicPrefix identifies any version of the store format.
 const storeMagicPrefix = "PASCORR"

@@ -167,27 +167,29 @@ func convShape(d mpc.ConvDims) kernel.ConvShape {
 // magic, so rewriting the magic yields exactly what the other binary
 // version would produce/consume — both directions must fail with the
 // regeneration hint, not a misparse:
-//   - new binary × old store: a "PASCORR1" … "PASCORR5" file decoded here
+//   - new binary × old store: a "PASCORR1" … "PASCORR6" file decoded here
 //     — a PASCORR4 store's FixedB halves were dealt two-sided, a PASCORR5
-//     store's bit and Hadamard triples, so each must be regenerated, not
-//     reinterpreted (TestPASCORR4StoreRejected, TestPASCORR5StoreRejected);
+//     store's bit and Hadamard triples, a PASCORR6 store's bit demands for
+//     the six-hop comparison, so each must be regenerated, not
+//     reinterpreted (TestPASCORR4StoreRejected, TestPASCORR5StoreRejected,
+//     TestPASCORR6StoreRejected);
 //   - old binary × new store: every earlier decoder compared the magic by
-//     strict equality too, so the bump to "PASCORR6" (pinned below: bit and
-//     Hadamard triples are owner-split) makes it reject our files the same
-//     way.
+//     strict equality too, so the bump to "PASCORR7" (pinned below: the
+//     bit demands are the four-hop comparison's) makes it reject our files
+//     the same way.
 //
 // The message is the same for every version pair — it names the two
 // magics and the fix, not what changed between them.
 func TestStoreVersionGate(t *testing.T) {
-	if storeMagic != "PASCORR6" {
-		t.Fatalf("storeMagic = %q; owner-split bit and Hadamard stores shipped as PASCORR6 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
+	if storeMagic != "PASCORR7" {
+		t.Fatalf("storeMagic = %q; four-hop comparison stores shipped as PASCORR7 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
 	}
 	s, err := buildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR7"} {
+	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR6", "PASCORR8"} {
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)
@@ -222,6 +224,18 @@ func TestPASCORR4StoreRejected(t *testing.T) {
 // shares. It must fail at load on either party, like PASCORR4.
 func TestPASCORR5StoreRejected(t *testing.T) {
 	checkOldStoreRejected(t, "PASCORR5", Tape{{Kind: KindBits, N: 526}, {Kind: KindHadamard, N: 96}})
+}
+
+// TestPASCORR6StoreRejected: a PASCORR6 file decodes to valid triples, but
+// its bit demands are the six-hop comparison's — one element's ReLU took
+// 496 leaf bits, four tree levels of 32, 16, 8 and 4 and the select's 2
+// ring products — so the first DReLU would fail mid-flush on a geometry
+// mismatch that hides the protocol change. It must fail at load instead.
+func TestPASCORR6StoreRejected(t *testing.T) {
+	checkOldStoreRejected(t, "PASCORR6", Tape{
+		{Kind: KindBits, N: 496}, {Kind: KindBits, N: 32}, {Kind: KindBits, N: 16},
+		{Kind: KindBits, N: 8}, {Kind: KindBits, N: 4}, {Kind: KindHadamard, N: 2},
+	})
 }
 
 // checkOldStoreRejected writes both parties' stores for tape under the

@@ -480,22 +480,19 @@ func TestReLURandomProperty(t *testing.T) {
 		want, 1e-2)
 }
 
-// TestReLUWirePin pins ReLU's wire cost frame- and byte-exactly: six
-// exchanges — the leaf bitAnd, four tree andShareds, the select — and the
-// closed-form packed payload. A change that re-adds a hop, unpacks the
-// bits or goes back to opening both operands fails here, not only in the
-// benchmark.
+// TestReLUWirePin pins ReLU's wire cost frame- and byte-exactly: four
+// exchanges — the leaf, the tree level and the root owned rounds, the
+// select — and the closed-form packed payload. A change that re-adds a
+// hop, unpacks the bits or goes back to opening both operands fails here,
+// not only in the benchmark.
 func TestReLUWirePin(t *testing.T) {
 	for _, n := range []int{1, 64, 100, 2176} {
 		// One direction: each party sends its own masked operand — the
-		// select's 2n words, the leaf's 496n bits and, per tree level h,
-		// the 4hn bits of [x_i; y_i].
-		words := 2*n + BitWords(n*NumChunks*leafANDs)
-		for h := NumChunks / 2; h >= 1; h /= 2 {
-			words += BitWords(4 * h * n)
-		}
-		if n == 64 && 2*8*words != 171*n {
-			t.Fatalf("closed form gives %d B/element on whole words, documented as 171", 2*8*words/n)
+		// select's 2n words and the leaf's 434n, the level's 98n and the
+		// root's 14n product bits.
+		words := 2*n + BitWords(434*n) + BitWords(98*n) + BitWords(14*n)
+		if n == 64 && 2*8*words != 1685*n/10 {
+			t.Fatalf("closed form gives %.1f B/element on whole words, documented as 168.5", float64(2*8*words)/float64(n))
 		}
 		r := rng.New(uint64(n))
 		xs := make([]float64, n)
@@ -517,7 +514,7 @@ func TestReLUWirePin(t *testing.T) {
 				return err
 			}
 			got := wire.Totals()
-			want := obs.WireTotals{SentBytes: int64(8 * words), SentFrames: 6, RecvBytes: int64(8 * words), RecvFrames: 6}
+			want := obs.WireTotals{SentBytes: int64(8 * words), SentFrames: 4, RecvBytes: int64(8 * words), RecvFrames: 4}
 			if got != want {
 				t.Errorf("party %d, %d elements: ReLU moved %+v, want %+v", p.ID, n, got, want)
 			}
@@ -730,7 +727,7 @@ func TestBitAndTruthTable(t *testing.T) {
 		return out
 	}
 	runBoth(t, 18, func(p *Party) error {
-		c, err := p.andShared(share(p.ID, plainA), share(p.ID, plainB))
+		c, err := ownedAnd(p, share(p.ID, plainA), share(p.ID, plainB))
 		if err != nil {
 			return err
 		}

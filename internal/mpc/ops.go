@@ -6,7 +6,7 @@ import (
 )
 
 // ReLU computes shares of max(x, 0) elementwise: a DReLU comparison and a
-// one-round select on its bit (paper 2PC-ReLU) — six exchanges in all.
+// one-round select on its bit (paper 2PC-ReLU) — four exchanges in all.
 func (p *Party) ReLU(x Share) (Share, error) {
 	bits, err := p.DReLU(x)
 	if err != nil {

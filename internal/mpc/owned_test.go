@@ -10,8 +10,31 @@ import (
 // Suite for the owned products: each party masks and sends only the
 // operand it holds, so a product of one party-1-private and one
 // party-0-private operand costs one half-size frame each way, and a
-// product of two shared operands — one owned product on [x1; y1] ∘
-// [y0; x0] — costs what two symmetric openings did.
+// product of two shared operands — an owned round of two products per
+// bit, or one owned product on [x1; y1] ⊙ [y0; x0] — costs what two
+// symmetric openings did.
+
+// andFn is a two-input AND of XOR-shared bits as an owned function: a
+// party's index holds its share of one input in bit 0 and of the other in
+// bit 1. (x0 ⊕ x1) ∧ (y0 ⊕ y1) has two cross terms, so k = 2.
+var andFn = factorOwned(4, func(x, y int) bool { return x^y == 3 })
+
+// ownedAnd returns XOR shares of x AND y bitwise for XOR-shared x and y in
+// one owned round.
+func ownedAnd(p *Party, x, y BitShare) (BitShare, error) {
+	r := make([]uint8, x.N)
+	for i := range r {
+		r[i] = uint8(x.Bit(i) | y.Bit(i)<<1)
+	}
+	if err := p.ownedRound(r, []ownedSlot{slot(andFn, 1)}); err != nil {
+		return BitShare{}, err
+	}
+	out := NewBitShare(x.N)
+	for i, b := range r {
+		out.W[i>>6] |= uint64(b) << (uint(i) & 63)
+	}
+	return out, nil
+}
 
 // wirePin runs op on both parties over an instrumented connection,
 // checks that each party sent and received exactly one frame of words
@@ -38,9 +61,9 @@ func wirePin(t *testing.T, name string, seed uint64, words int, op func(p *Party
 // TestOwnedProductWirePin pins both owned products frame- and byte-exactly
 // and checks what they compute: a private×private bitAnd of n bits sends
 // one ⌈n/64⌉-word frame per party, a private×private mulOwned of n
-// elements one n-word frame, and their shared×shared forms (andShared,
-// MulHadamardRaw) twice that, in one frame — the bytes of a symmetric
-// Beaver opening of both operands.
+// elements one n-word frame, and their shared×shared forms (an owned
+// round of k = 2, MulHadamardRaw) twice that, in one frame — the bytes of
+// a symmetric Beaver opening of both operands.
 func TestOwnedProductWirePin(t *testing.T) {
 	const nb, nr = 640, 37
 	r := rng.New(71)
@@ -106,9 +129,9 @@ func TestOwnedProductWirePin(t *testing.T) {
 		c, err := p.bitAnd(own(p, bx, by))
 		return bitsCheck(p, "private bitAnd", c), err
 	})
-	wirePin(t, "shared andShared", 73, 2*BitWords(nb), func(p *Party) (func() error, error) {
-		c, err := p.andShared(xorShare(p, bx, bx1), xorShare(p, by, by1))
-		return bitsCheck(p, "shared andShared", c), err
+	wirePin(t, "shared owned round", 73, 2*BitWords(nb), func(p *Party) (func() error, error) {
+		c, err := ownedAnd(p, xorShare(p, bx, bx1), xorShare(p, by, by1))
+		return bitsCheck(p, "shared owned round", c), err
 	})
 	wirePin(t, "private mulOwned", 74, nr, func(p *Party) (func() error, error) {
 		mine := ry

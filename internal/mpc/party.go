@@ -40,6 +40,8 @@ type Party struct {
 // by openPairUneven stay valid only until the next opening.
 type scratch struct {
 	mine, e, f, tmp, xe []uint64
+	// own is an owned round's packed operand.
+	own []uint64
 }
 
 // grow returns (*buf)[:n], reallocating only when capacity is short.
@@ -448,7 +450,7 @@ func (p *Party) openPairUneven(x, a, y, b []uint64) (e, f []uint64, err error) {
 // party passing its own as mine. On owner-split AND triples party 1 sends
 // x ⊕ a and party 0 sends y ⊕ b, one exchange of ⌈n/64⌉ words each way,
 // and the shares are (x ⊕ a) ∧ y ⊕ c0 on party 0 and a ∧ (y ⊕ b) ⊕ c1 on
-// party 1. andShared builds the product of two XOR-shared operands on it.
+// party 1. ownedRound evaluates functions of XOR-shared bits on it.
 func (p *Party) bitAnd(mine BitShare) (BitShare, error) {
 	ta, tb, tc, err := p.corr().TakeBits(mine.N)
 	if err != nil {
@@ -475,30 +477,6 @@ func (p *Party) bitAnd(mine BitShare) (BitShare, error) {
 		out.W[i] = theirs[i]&op[i] ^ tc.W[i]
 	}
 	return out, nil
-}
-
-// andShared returns XOR shares of x AND y bitwise for XOR-shared x and y.
-// With x = x0 ⊕ x1 and y = y0 ⊕ y1 the product splits into the local terms
-// x0 ∧ y0 and x1 ∧ y1 and the two cross terms, which are one bitAnd on
-// [x1; y1] ∧ [y0; x0] of 2n bits: ⌈2n/64⌉ words each way.
-func (p *Party) andShared(x, y BitShare) (BitShare, error) {
-	n := x.N
-	if y.N != n {
-		return BitShare{}, fmt.Errorf("mpc: bitAnd size mismatch %d vs %d", n, y.N)
-	}
-	first, second := x, y // party 1: [x1; y1]
-	if p.ID == 0 {
-		first, second = y, x // party 0: [y0; x0]
-	}
-	cross, err := p.bitAnd(catBits(first, second))
-	if err != nil {
-		return BitShare{}, err
-	}
-	lo, hi := cross.slice(0, n), cross.slice(n, n)
-	for i := range lo.W {
-		lo.W[i] ^= x.W[i]&y.W[i] ^ hi.W[i]
-	}
-	return lo, nil
 }
 
 // selectBits returns shares of b ⊙ x for XOR-shared selector bits b — the

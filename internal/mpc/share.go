@@ -79,56 +79,6 @@ func NewBitShare(n int) BitShare {
 // Bit returns bit i.
 func (b BitShare) Bit(i int) uint64 { return b.W[i>>6] >> (uint(i) & 63) & 1 }
 
-// field returns the width-bit field (width ≤ 64) starting at bit pos.
-func (b BitShare) field(pos, width int) uint64 {
-	i, s := pos>>6, uint(pos)&63
-	v := b.W[i] >> s
-	if int(s)+width > 64 {
-		v |= b.W[i+1] << (64 - s)
-	}
-	return v & (1<<uint(width) - 1)
-}
-
-// setField ORs v (< 2^width) into the zero field starting at bit pos.
-func (b BitShare) setField(pos, width int, v uint64) {
-	i, s := pos>>6, uint(pos)&63
-	b.W[i] |= v << s
-	if int(s)+width > 64 {
-		b.W[i+1] |= v >> (64 - s)
-	}
-}
-
-// catBits returns x's bits followed by y's.
-func catBits(x, y BitShare) BitShare {
-	out := NewBitShare(x.N + y.N)
-	copy(out.W, x.W)
-	i, s := x.N>>6, uint(x.N)&63
-	for _, w := range y.W {
-		out.W[i] |= w << s
-		if i++; s != 0 && i < len(out.W) {
-			out.W[i] |= w >> (64 - s)
-		}
-	}
-	return out
-}
-
-// slice returns the n bits of b starting at bit pos.
-func (b BitShare) slice(pos, n int) BitShare {
-	out := NewBitShare(n)
-	i, s := pos>>6, uint(pos)&63
-	for j := range out.W {
-		w := b.W[i+j] >> s
-		if s != 0 && i+j+1 < len(b.W) {
-			w |= b.W[i+j+1] << (64 - s)
-		}
-		out.W[j] = w
-	}
-	if tail := uint(n) & 63; tail != 0 {
-		out.W[len(out.W)-1] &= 1<<tail - 1
-	}
-	return out
-}
-
 // DrawBits draws n uniform bits off r as whole words — ceil(n/64) draws,
 // bits past n then cleared. It is how Stream.Bits consumes a dealer
 // stream, once per each of its three draws.
