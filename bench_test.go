@@ -195,6 +195,27 @@ func Benchmark2PCReLU1k(b *testing.B) {
 	b.ReportMetric(float64(wire.SentFrames+wire.RecvFrames), "frames/op")
 }
 
+// Benchmark2PCReLU1kNarrow is Benchmark2PCReLU1k on a layer whose
+// recorded input bound runs the 21-bit comparison: 76.25 B/elem and 6
+// frames/op where the 63-bit one moves 168.5 and 8. A bound of 31 is just
+// under the 32 where the gate stops; the Norm·10 inputs sit far inside the
+// 128.0 the narrow comparison is exact to.
+func Benchmark2PCReLU1kNarrow(b *testing.B) {
+	const n = 1024
+	var wire obs.WireTotals // party 1's count of the last ReLU, both directions
+	benchProtocol(b, n, func(p *mpc.Party, x mpc.Share) error {
+		w := obs.InstrumentConn(p.Conn, nil)
+		p.Conn = w
+		_, err := p.ReLUBounded(x, 31)
+		if p.ID == 1 {
+			wire = w.Totals()
+		}
+		return err
+	})
+	b.ReportMetric(float64(wire.SentBytes+wire.RecvBytes)/n, "B/elem")
+	b.ReportMetric(float64(wire.SentFrames+wire.RecvFrames), "frames/op")
+}
+
 // Benchmark2PCSessionSetup brings up one fixed-mask session pair of the
 // demo backbone (ResNet-18 at width 1/16, 3×8×8 inputs, 4 classes, 21
 // weight tensors; untrained, since setup cost does not depend on weight

@@ -235,6 +235,7 @@ func buildRegistry(cfg config) (*gateway.Registry, error) {
 	}
 	d := buildDataset(cfg.seed)
 	reg := gateway.NewRegistry()
+	reg.SetLogf(func(format string, args ...any) { fmt.Printf(format+"\n", args...) })
 	for _, name := range names {
 		m, err := buildModel(name, cfg.seed, d)
 		if err != nil {

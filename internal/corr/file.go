@@ -15,7 +15,7 @@ import (
 
 // On-disk store format (all integers little-endian):
 //
-//	magic   8 bytes  "PASCORR7"
+//	magic   8 bytes  "PASCORR8"
 //	body:
 //	  party   uint8
 //	  label   uint32                      preprocess-run stamp (see Label)
@@ -62,7 +62,10 @@ import (
 // "PASCORR6" was dealt for the six-hop comparison's bit demands (a leaf
 // and four binary tree levels), where "PASCORR7" stores the four-hop
 // one's (a leaf, a fan-in-4 level and a root), so its tape no longer
-// matches what a ReLU takes.
+// matches what a ReLU takes; "PASCORR7" was dealt for a model whose every
+// ReLU compares 63 bits, where "PASCORR8" stores the 21-bit comparison's
+// demands (a 147-product leaf and a 30-product root per element) for each
+// ReLU layer whose recorded input bound allows it.
 // The magic is the version gate — any
 // "PASCORR"-prefixed file of another version is rejected with a
 // regeneration hint rather than misparsed, in either direction (old binary
@@ -70,7 +73,7 @@ import (
 
 // storeMagic identifies a serialized correlation store at this binary's
 // format version.
-const storeMagic = "PASCORR7"
+const storeMagic = "PASCORR8"
 
 // storeMagicPrefix identifies any version of the store format.
 const storeMagicPrefix = "PASCORR"

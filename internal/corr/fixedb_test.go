@@ -167,29 +167,29 @@ func convShape(d mpc.ConvDims) kernel.ConvShape {
 // magic, so rewriting the magic yields exactly what the other binary
 // version would produce/consume — both directions must fail with the
 // regeneration hint, not a misparse:
-//   - new binary × old store: a "PASCORR1" … "PASCORR6" file decoded here
+//   - new binary × old store: a "PASCORR1" … "PASCORR7" file decoded here
 //     — a PASCORR4 store's FixedB halves were dealt two-sided, a PASCORR5
 //     store's bit and Hadamard triples, a PASCORR6 store's bit demands for
-//     the six-hop comparison, so each must be regenerated, not
-//     reinterpreted (TestPASCORR4StoreRejected, TestPASCORR5StoreRejected,
-//     TestPASCORR6StoreRejected);
+//     the six-hop comparison, a PASCORR7 store's for 63-bit comparisons
+//     only, so each must be regenerated, not reinterpreted
+//     (TestPASCORR4StoreRejected … TestPASCORR7StoreRejected);
 //   - old binary × new store: every earlier decoder compared the magic by
-//     strict equality too, so the bump to "PASCORR7" (pinned below: the
-//     bit demands are the four-hop comparison's) makes it reject our files
-//     the same way.
+//     strict equality too, so the bump to "PASCORR8" (pinned below: the
+//     bit demands are the bounded ReLUs' 21-bit comparisons) makes it
+//     reject our files the same way.
 //
 // The message is the same for every version pair — it names the two
 // magics and the fix, not what changed between them.
 func TestStoreVersionGate(t *testing.T) {
-	if storeMagic != "PASCORR7" {
-		t.Fatalf("storeMagic = %q; four-hop comparison stores shipped as PASCORR7 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
+	if storeMagic != "PASCORR8" {
+		t.Fatalf("storeMagic = %q; narrow-comparison stores shipped as PASCORR8 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
 	}
 	s, err := buildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR6", "PASCORR8"} {
+	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR6", "PASCORR7", "PASCORR9"} {
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)
@@ -235,6 +235,18 @@ func TestPASCORR6StoreRejected(t *testing.T) {
 	checkOldStoreRejected(t, "PASCORR6", Tape{
 		{Kind: KindBits, N: 496}, {Kind: KindBits, N: 32}, {Kind: KindBits, N: 16},
 		{Kind: KindBits, N: 8}, {Kind: KindBits, N: 4}, {Kind: KindHadamard, N: 2},
+	})
+}
+
+// TestPASCORR7StoreRejected: a PASCORR7 file decodes to valid triples, but
+// it was dealt for a model whose every ReLU compares 63 bits — 546 bit
+// triples per element, a 434-bit leaf, a 98-bit level and a 14-bit root —
+// so the first ReLU that now runs the 21-bit comparison (a 147-bit leaf,
+// then a 30-bit root) would fail mid-flush on a geometry mismatch that
+// hides the protocol change. It must fail at load instead.
+func TestPASCORR7StoreRejected(t *testing.T) {
+	checkOldStoreRejected(t, "PASCORR7", Tape{
+		{Kind: KindBits, N: 434}, {Kind: KindBits, N: 98}, {Kind: KindBits, N: 14}, {Kind: KindHadamard, N: 2},
 	})
 }
 

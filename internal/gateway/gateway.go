@@ -28,7 +28,10 @@ import (
 	"time"
 
 	"pasnet/internal/corr"
+	"pasnet/internal/fixed"
 	"pasnet/internal/models"
+	"pasnet/internal/mpc"
+	"pasnet/internal/nn"
 	"pasnet/internal/pi"
 	"pasnet/internal/rng"
 	"pasnet/internal/tensor"
@@ -155,6 +158,8 @@ type Registry struct {
 	// unbounded. The gateway side configures its own sessions through
 	// RouterOptions.FlushDeadline.
 	flushDeadline time.Duration
+	// logf, when set, receives Register's per-model comparison line.
+	logf func(format string, args ...any)
 }
 
 // ProvisionPolicy records how shard stores are provisioned: which flush
@@ -203,6 +208,35 @@ func (r *Registry) FlushDeadline() time.Duration {
 	return r.flushDeadline
 }
 
+// SetLogf installs the registry's log: Register then reports, for each
+// model, how many ReLU layers run the narrow comparison and their least
+// headroom (see reluWidths) — the signal an operator needs when a model's
+// data drifts. Nil (the default) is silent.
+func (r *Registry) SetLogf(logf func(format string, args ...any)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.logf = logf
+}
+
+// reluWidths reports how many of net's ReLU layers the serving codec runs
+// on the narrow mpc.NarrowBits-bit comparison rather than the 63-bit one,
+// out of how many, and the least headroom among the narrow ones:
+// 2^NarrowBits ulp over the layer's recorded input bound
+// (mpc.ReLUHeadroom), 0 when none runs narrow. A served input past that
+// range is compared wrongly.
+func reluWidths(net *nn.Network) (narrow, total int, least float64) {
+	codec := fixed.Default64()
+	for _, l := range net.ReLUs() {
+		total++
+		if h := mpc.ReLUHeadroom(codec, l.Bound); h > mpc.NarrowMargin {
+			if narrow++; narrow == 1 || h < least {
+				least = h
+			}
+		}
+	}
+	return narrow, total, least
+}
+
 // SetFixedMasks does nothing: every shard session and store runs the
 // fixed weight-mask protocol.
 //
@@ -249,10 +283,28 @@ func (r *Registry) Register(spec *ModelSpec) error {
 		d.Model = spec.ID
 		d.Shard = i
 	}
+	logf, err := r.add(spec)
+	if err != nil {
+		return err
+	}
+	if logf != nil {
+		narrow, total, least := reluWidths(spec.Model.Net)
+		line := fmt.Sprintf("gateway: model %q: %d of %d ReLU layers compare %d bits", spec.ID, narrow, total, mpc.NarrowBits)
+		if narrow > 0 {
+			line += fmt.Sprintf(", least headroom %.2f× over the recorded input bound", least)
+		}
+		logf("%s", line)
+	}
+	return nil
+}
+
+// add commits a validated spec under the registry lock and returns the
+// registry's log, which Register calls after the lock is released.
+func (r *Registry) add(spec *ModelSpec) (logf func(format string, args ...any), err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.specs[spec.ID]; ok {
-		return fmt.Errorf("gateway: model %q already registered", spec.ID)
+		return nil, fmt.Errorf("gateway: model %q already registered", spec.ID)
 	}
 	// Seed uniqueness is registry-wide: two pairs sharing a dealer seed —
 	// even across models — would draw identical correlation streams,
@@ -263,10 +315,10 @@ func (r *Registry) Register(spec *ModelSpec) error {
 	for i, d := range spec.Shards {
 		owner := fmt.Sprintf("%s/%d", spec.ID, i)
 		if prev, dup := r.seeds[d.Seed]; dup {
-			return fmt.Errorf("gateway: model %q shard %d shares dealer seed %d with %s — every pair needs its own correlation stream", spec.ID, i, d.Seed, prev)
+			return nil, fmt.Errorf("gateway: model %q shard %d shares dealer seed %d with %s — every pair needs its own correlation stream", spec.ID, i, d.Seed, prev)
 		}
 		if prev, dup := fresh[d.Seed]; dup {
-			return fmt.Errorf("gateway: model %q shard %d shares dealer seed %d with %s — every pair needs its own correlation stream", spec.ID, i, d.Seed, prev)
+			return nil, fmt.Errorf("gateway: model %q shard %d shares dealer seed %d with %s — every pair needs its own correlation stream", spec.ID, i, d.Seed, prev)
 		}
 		fresh[d.Seed] = owner
 	}
@@ -275,7 +327,7 @@ func (r *Registry) Register(spec *ModelSpec) error {
 	}
 	r.specs[spec.ID] = spec
 	r.order = append(r.order, spec.ID)
-	return nil
+	return r.logf, nil
 }
 
 // probeGeometry verifies at registration time that the declared query

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -76,5 +77,45 @@ func TestRegisterProbesGeometry(t *testing.T) {
 	spec := &ModelSpec{ID: "poly", Model: poly, Input: []int{3, 16, 16}, Shards: Shards("poly", 1, 80, "")}
 	if err := NewRegistry().Register(spec); err != nil {
 		t.Fatalf("polymorphic model rejected at alternate resolution: %v", err)
+	}
+}
+
+// TestRegisterLogsComparisonWidths pins the operator's view of the narrow
+// comparison: Register logs, per model, how many ReLU layers compare 21
+// bits and the least headroom among them — 128.0 over the largest narrow
+// bound — and a ReLU-free model logs none.
+func TestRegisterLogsComparisonWidths(t *testing.T) {
+	r := rng.New(5)
+	relus := []*nn.ReLU{nn.NewReLU(), nn.NewReLU(), nn.NewReLU(), nn.NewReLU()}
+	// Headroom 64 and 6.4 run narrow; 3.2 is inside the two-bit margin and
+	// 0 recorded no bound, so both run 63 bits.
+	for i, b := range []float64{2, 20, 40, 0} {
+		relus[i].Bound = b
+	}
+	net := nn.NewNetwork(nn.NewSequential(
+		nn.NewConv2D("c1", tensor.ConvSpec{InC: 3, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, false, r),
+		relus[0], relus[1],
+		nn.NewResidual(nn.NewSequential(relus[2]), nil, nil),
+		relus[3],
+		nn.NewFlatten(),
+		nn.NewLinear("fc", 4*8*8, 4, r),
+	))
+	x2, input := testModel("x2", 3, 8, 4, 21)
+
+	var lines []string
+	reg := NewRegistry()
+	reg.SetLogf(func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) })
+	for i, m := range []*models.Model{{Name: "relu", Net: net}, x2} {
+		spec := &ModelSpec{ID: m.Name, Model: m, Input: input, Shards: Shards(m.Name, 1, uint64(80+i), "")}
+		if err := reg.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		`gateway: model "relu": 2 of 4 ReLU layers compare 21 bits, least headroom 6.40× over the recorded input bound`,
+		`gateway: model "x2": 0 of 0 ReLU layers compare 21 bits`,
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("Register logged\n%s\nwant\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
 	}
 }

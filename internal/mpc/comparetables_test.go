@@ -2,15 +2,17 @@ package mpc
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 )
 
 // TestComparisonFactorTables evaluates the comparison's owned tables on
 // every index pair — 16² leaf digits, 8² top digits, 256² tree-node
-// shares — the way ownedRound does (parity of each output's products of
-// the two parties' operands, XOR both local bits), against truth tables
-// written out here, and pins their product counts: the counts are the
-// leaf's, the level's and the root's bits on the wire.
+// shares, and the narrow layout's 32² lowest digits and 512² root shares
+// — the way ownedRound does (parity of each output's products of the two
+// parties' operands, XOR both local bits), against truth tables written
+// out here, and pins their product counts: the counts are the leaf's, the
+// level's and the root's bits on the wire.
 func TestComparisonFactorTables(t *testing.T) {
 	// A node's plain index v holds child c's g at bit 2c and its e at bit
 	// 2c+1, child 3 the most significant.
@@ -21,6 +23,31 @@ func TestComparisonFactorTables(t *testing.T) {
 			(e(v, 3) && e(v, 2) && e(v, 1) && g(v, 0))
 	}
 	nodeEqTruth := func(v int) bool { return e(v, 3) && e(v, 2) && e(v, 1) && e(v, 0) }
+	// The narrow root's plain index holds child 0's g at bit 0 and child
+	// c ≥ 1's g at bit 2c−1, its e at bit 2c; its gt is the XOR form over
+	// five children, the lowest one's e never read.
+	rg := func(v, c int) bool { return c == 0 && v&1 == 1 || c > 0 && v>>(2*c-1)&1 == 1 }
+	re := func(v, c int) bool { return v>>(2*c)&1 == 1 }
+	rootGtTruth := func(v int) bool {
+		gt, above := false, true
+		for c := 4; c >= 0; c-- {
+			gt = gt != (above && rg(v, c))
+			above = above && c > 0 && re(v, c)
+		}
+		return gt
+	}
+	for v := 0; v < 512; v++ {
+		if v>>1&(v>>2)&0x55 != 0 {
+			continue
+		}
+		lex, eq := false, true
+		for c := 4; c >= 0 && eq && !lex; c-- {
+			lex, eq = rg(v, c), c > 0 && re(v, c)
+		}
+		if rootGtTruth(v) != lex {
+			t.Fatalf("narrow root truth at %#x: gt %v, lexicographic gt %v", v, rootGtTruth(v), lex)
+		}
+	}
 	// On children that are (gt, eq) pairs — never both set — the XOR form
 	// is the lexicographic comparison the tree needs.
 	for v := 0; v < 256; v++ {
@@ -49,8 +76,12 @@ func TestComparisonFactorTables(t *testing.T) {
 			func(u, t int) bool { return u > t }, func(u, t int) bool { return u == t }}},
 		{"node", nodeFn, 256, []int{14, 14}, []func(x, y int) bool{
 			func(x, y int) bool { return nodeGtTruth(x ^ y) }, func(x, y int) bool { return nodeEqTruth(x ^ y) }}},
+		{"narrow lowest digit", lowFn, 32, []int{31}, []func(x, y int) bool{
+			func(u, t int) bool { return u > t }}},
+		{"narrow root", rootFn, 512, []int{30}, []func(x, y int) bool{
+			func(x, y int) bool { return rootGtTruth(x ^ y) }}},
 	} {
-		if len(tc.fn.k) != len(tc.k) || tc.fn.k[0] != tc.k[0] || tc.fn.k[1] != tc.k[1] {
+		if !slices.Equal(tc.fn.k, tc.k) {
 			t.Errorf("%s: product counts %v, want %v", tc.name, tc.fn.k, tc.k)
 			continue
 		}

@@ -521,6 +521,45 @@ func TestReLUWirePin(t *testing.T) {
 			return nil
 		})
 	}
+
+	t.Run("narrow", func(t *testing.T) {
+		// A bound with headroom runs the narrow layout: the root's owned
+		// round folds into one exchange after the leaf, so three exchanges
+		// — the select's 2n words, the leaf's 147n and the root's 30n
+		// product bits each way.
+		for _, n := range []int{1, 64, 100, 2176} {
+			words := 2*n + BitWords(147*n) + BitWords(30*n)
+			if n == 64 && 2*8*words != 7625*n/100 {
+				t.Fatalf("closed form gives %.2f B/element on whole words, documented as 76.25", float64(2*8*words)/float64(n))
+			}
+			r := rng.New(uint64(n))
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = r.Norm()
+			}
+			runBoth(t, uint64(40+n), func(p *Party) error {
+				var enc []uint64
+				if p.ID == 0 {
+					enc = p.EncodeTensor(xs)
+				}
+				x, err := p.ShareInput(0, enc, n)
+				if err != nil {
+					return err
+				}
+				wire := obs.InstrumentConn(p.Conn, nil)
+				p.Conn = wire
+				if _, err := p.ReLUBounded(x, 8); err != nil {
+					return err
+				}
+				got := wire.Totals()
+				want := obs.WireTotals{SentBytes: int64(8 * words), SentFrames: 3, RecvBytes: int64(8 * words), RecvFrames: 3}
+				if got != want {
+					t.Errorf("party %d, %d elements: narrow ReLU moved %+v, want %+v", p.ID, n, got, want)
+				}
+				return nil
+			})
+		}
+	})
 }
 
 func TestMaxPool(t *testing.T) {

@@ -7,8 +7,20 @@ import (
 
 // ReLU computes shares of max(x, 0) elementwise: a DReLU comparison and a
 // one-round select on its bit (paper 2PC-ReLU) — four exchanges in all.
-func (p *Party) ReLU(x Share) (Share, error) {
-	bits, err := p.DReLU(x)
+func (p *Party) ReLU(x Share) (Share, error) { return p.ReLUBounded(x, 0) }
+
+// ReLUBounded is ReLU for a layer whose inputs were recorded within
+// |x| ≤ bound, 0 meaning no bound: when ReLUHeadroom(p.Codec, bound)
+// exceeds NarrowMargin the comparison runs the narrow layout — three
+// exchanges in all — and otherwise the wide one. Both parties must pass
+// the same bound; if they do not, their owned rounds differ in length and
+// both fail on the first one.
+func (p *Party) ReLUBounded(x Share, bound float64) (Share, error) {
+	lay := &wideCmp
+	if ReLUHeadroom(p.Codec, bound) > NarrowMargin {
+		lay = &narrowCmp
+	}
+	bits, err := p.drelu(x, lay)
 	if err != nil {
 		return Share{}, fmt.Errorf("mpc: relu: %w", err)
 	}

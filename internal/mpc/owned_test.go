@@ -26,7 +26,7 @@ func ownedAnd(p *Party, x, y BitShare) (BitShare, error) {
 	for i := range r {
 		r[i] = uint8(x.Bit(i) | y.Bit(i)<<1)
 	}
-	if err := p.ownedRound(r, []ownedSlot{slot(andFn, 1)}); err != nil {
+	if err := ownedRound(p, r, r, []ownedSlot{slot(andFn, 1)}); err != nil {
 		return BitShare{}, err
 	}
 	out := NewBitShare(x.N)

@@ -341,3 +341,63 @@ func TestEvaluateEmptyDataset(t *testing.T) {
 		t.Fatalf("empty dataset accuracy %v", got)
 	}
 }
+
+// TestTrainModelRecordsReLUBounds: after training, every ReLU layer's
+// Bound is the largest |pre-ReLU| value of the training set in eval mode —
+// the batched pass at the training batch size must record exactly what a
+// row-at-a-time walk of the layer graph sees.
+func TestTrainModelRecordsReLUBounds(t *testing.T) {
+	train, val := searchData(t)
+	cfg := models.CIFARConfig(0.0625, 5)
+	cfg.InputHW = 16
+	cfg.NumClasses = 4
+	cfg.Act = models.ActReLU
+	m := models.ResNet18(cfg)
+	topts := DefaultTrainOptions()
+	topts.Steps = 10
+	topts.BatchSize = 8
+	if _, err := TrainModel(m, train, val, topts); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[*nn.ReLU]float64{}
+	var walk func(l nn.Layer, x *tensor.Tensor) *tensor.Tensor
+	walk = func(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
+		switch v := l.(type) {
+		case *nn.ReLU:
+			for _, e := range x.Data {
+				want[v] = math.Max(want[v], math.Abs(e))
+			}
+		case *nn.Sequential:
+			for _, c := range v.Layers {
+				x = walk(c, x)
+			}
+			return x
+		case *nn.Residual:
+			sc := x
+			if v.Shortcut != nil {
+				sc = walk(v.Shortcut, x)
+			}
+			y := tensor.Add(walk(v.Body, x), sc)
+			if v.PostAct != nil {
+				y = walk(v.PostAct, y)
+			}
+			return y
+		}
+		return l.Forward(x, false)
+	}
+	for i := 0; i < train.Len(); i++ {
+		x, _ := train.Batch([]int{i})
+		walk(m.Net.Root, x)
+	}
+
+	relus := m.Net.ReLUs()
+	if len(relus) == 0 || len(want) != len(relus) {
+		t.Fatalf("walk saw %d ReLU layers, the network has %d", len(want), len(relus))
+	}
+	for i, l := range relus {
+		if !(l.Bound > 0) || l.Bound != want[l] {
+			t.Errorf("ReLU %d: recorded bound %v, row-by-row maximum %v", i, l.Bound, want[l])
+		}
+	}
+}

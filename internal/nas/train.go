@@ -6,6 +6,7 @@ import (
 	"pasnet/internal/dataset"
 	"pasnet/internal/models"
 	"pasnet/internal/nn"
+	"pasnet/internal/tensor"
 )
 
 // TrainOptions configures plain supervised training of a derived model
@@ -71,9 +72,29 @@ func TrainModel(m *models.Model, train, val *dataset.Dataset, opts TrainOptions)
 			res.Curve = append(res.Curve, Evaluate(m, val, opts.BatchSize))
 		}
 	}
+	// Each ReLU's input bound on the training set is model data: the 2PC
+	// comparison sizes itself to it (see nn.ReLU.Bound).
+	rows := inOrder(train, opts.BatchSize)
+	net.RecordReLUBounds(func(i int) *tensor.Tensor {
+		x, _ := rows(i)
+		return x
+	})
 	res.ValAccuracy = Evaluate(m, val, opts.BatchSize)
 	res.ValTop5 = EvaluateTopK(m, val, opts.BatchSize, 5)
 	return res, nil
+}
+
+// inOrder returns a function giving batch i of d in dataset order,
+// batchSize rows each (32 when batchSize ≤ 0), or nil past the last.
+func inOrder(d *dataset.Dataset, batchSize int) func(i int) (*tensor.Tensor, []int) {
+	if batchSize <= 0 {
+		batchSize = 32
+	}
+	all := make([]int, d.Len())
+	for i := range all {
+		all[i] = i
+	}
+	return func(i int) (*tensor.Tensor, []int) { return d.BatchAt(all, i, batchSize) }
 }
 
 // Evaluate returns top-1 accuracy of the model on a dataset.
@@ -83,20 +104,13 @@ func Evaluate(m *models.Model, d *dataset.Dataset, batchSize int) float64 {
 
 // EvaluateTopK returns top-k accuracy of the model on a dataset.
 func EvaluateTopK(m *models.Model, d *dataset.Dataset, batchSize int, k int) float64 {
-	if batchSize <= 0 {
-		batchSize = 32
-	}
 	total, correct := 0, 0.0
-	for start := 0; start < d.Len(); start += batchSize {
-		end := start + batchSize
-		if end > d.Len() {
-			end = d.Len()
+	rows := inOrder(d, batchSize)
+	for i := 0; ; i++ {
+		x, y := rows(i)
+		if x == nil {
+			break
 		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, y := d.Batch(idx)
 		out := m.Net.Forward(x, false)
 		correct += nn.TopK(out, y, k) * float64(len(y))
 		total += len(y)

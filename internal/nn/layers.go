@@ -135,7 +135,13 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask []bool
+	// Bound is model data: the largest |input| the layer saw on the
+	// training set in eval mode (see Network.RecordReLUBounds), 0 when none
+	// was recorded. The 2PC comparison sizes itself to it.
+	Bound float64
+
+	mask      []bool
+	recording bool
 }
 
 // NewReLU returns a ReLU layer.
@@ -143,6 +149,11 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if l.recording {
+		for _, v := range x.Data {
+			l.Bound = math.Max(l.Bound, math.Abs(v))
+		}
+	}
 	y := tensor.New(x.Shape...)
 	if train {
 		l.mask = make([]bool, x.Len())

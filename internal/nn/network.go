@@ -137,3 +137,53 @@ func (n *Network) GradNorm() float64 {
 	}
 	return math.Sqrt(s)
 }
+
+// ReLUs returns the network's ReLU layers in forward order, through
+// sequences and both residual branches.
+func (n *Network) ReLUs() []*ReLU {
+	var out []*ReLU
+	var walk func(l Layer)
+	walk = func(l Layer) {
+		switch v := l.(type) {
+		case *ReLU:
+			out = append(out, v)
+		case *Sequential:
+			for _, c := range v.Layers {
+				walk(c)
+			}
+		case *Residual:
+			for _, c := range []Layer{v.Body, v.Shortcut, v.PostAct} {
+				if c != nil {
+					walk(c)
+				}
+			}
+		}
+	}
+	walk(n.Root)
+	return out
+}
+
+// RecordReLUBounds sets every ReLU layer's Bound to the largest |input|
+// it sees while the batches batch(0), batch(1), … — up to the first nil —
+// run forward in eval mode, and returns how many ReLU layers there are. A
+// network without one runs no batch.
+func (n *Network) RecordReLUBounds(batch func(i int) *tensor.Tensor) int {
+	relus := n.ReLUs()
+	if len(relus) == 0 {
+		return 0
+	}
+	for _, l := range relus {
+		l.Bound, l.recording = 0, true
+	}
+	for i := 0; ; i++ {
+		x := batch(i)
+		if x == nil {
+			break
+		}
+		n.Forward(x, false)
+	}
+	for _, l := range relus {
+		l.recording = false
+	}
+	return len(relus)
+}

@@ -475,3 +475,77 @@ func TestSmallCNNTrains(t *testing.T) {
 		t.Fatalf("tiny CNN accuracy %.2f, want >= 0.9", acc)
 	}
 }
+
+// TestRecordReLUBounds pins the bound recording the 2PC comparison sizes
+// itself to: ReLUs walks sequences and every residual branch in forward
+// order; RecordReLUBounds sets each layer's Bound to the largest |input|
+// of the eval-mode passes it runs — resetting what an earlier call
+// recorded — and leaves train-mode passes unrecorded; a network without a
+// ReLU runs no batch.
+func TestRecordReLUBounds(t *testing.T) {
+	r := rng.New(3)
+	relus := []*ReLU{NewReLU(), NewReLU(), NewReLU(), NewReLU()}
+	lin := func(name string) *Linear { return NewLinear(name, 4, 4, r) }
+	net := NewNetwork(NewSequential(
+		lin("l0"), relus[0],
+		NewResidual(NewSequential(lin("b"), relus[1]), NewSequential(relus[2]), relus[3]),
+	))
+	got := net.ReLUs()
+	if len(got) != len(relus) {
+		t.Fatalf("ReLUs found %d layers, want %d", len(got), len(relus))
+	}
+	for i := range got {
+		if got[i] != relus[i] {
+			t.Fatalf("ReLUs()[%d] is not the %d-th ReLU in forward order", i, i)
+		}
+	}
+
+	batches := []*tensor.Tensor{tensor.New(3, 4).RandNorm(r, 1), tensor.New(2, 4).RandNorm(r, 5)}
+	// Bounds computed by hand, one eval-mode layer at a time.
+	want := make([]float64, len(relus))
+	maxAbs := func(i int, x *tensor.Tensor) {
+		for _, v := range x.Data {
+			want[i] = math.Max(want[i], math.Abs(v))
+		}
+	}
+	res := net.Root.(*Sequential).Layers[2].(*Residual)
+	for _, x := range batches {
+		h := net.Root.(*Sequential).Layers[0].Forward(x, false)
+		maxAbs(0, h)
+		h = relus[0].Forward(h, false)
+		b := res.Body.(*Sequential).Layers[0].Forward(h, false)
+		maxAbs(1, b)
+		maxAbs(2, h)
+		sum := tensor.Add(relus[1].Forward(b, false), h)
+		maxAbs(3, sum)
+	}
+	// A stale bound and a train-mode pass must not leak into the record.
+	relus[0].Bound = 1e9
+	net.Forward(tensor.New(2, 4).RandNorm(r, 100), true)
+	n := net.RecordReLUBounds(func(i int) *tensor.Tensor {
+		if i < len(batches) {
+			return batches[i]
+		}
+		return nil
+	})
+	if n != len(relus) {
+		t.Fatalf("RecordReLUBounds reported %d layers, want %d", n, len(relus))
+	}
+	for i, l := range relus {
+		if l.Bound != want[i] {
+			t.Errorf("ReLU %d bound %v, want %v", i, l.Bound, want[i])
+		}
+	}
+	net.Forward(tensor.New(2, 4).RandNorm(r, 100), false)
+	if relus[0].Bound != want[0] {
+		t.Errorf("an eval pass after recording moved the bound to %v", relus[0].Bound)
+	}
+
+	noReLU := NewNetwork(NewSequential(lin("x")))
+	if n := noReLU.RecordReLUBounds(func(int) *tensor.Tensor {
+		t.Fatal("a network without a ReLU ran a batch")
+		return nil
+	}); n != 0 {
+		t.Fatalf("RecordReLUBounds on a ReLU-free network reported %d layers", n)
+	}
+}

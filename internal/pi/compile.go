@@ -42,6 +42,9 @@ type progOp struct {
 	groups      int
 	// activation parameters (public, per the paper's X²act cost model).
 	x2 mpc.X2ActParams
+	// ReLU input bound recorded on the training set (0: none); mpc picks
+	// the comparison's width from it.
+	bound float64
 	// pooling geometry.
 	k, stride int
 	// residual branches.
@@ -144,7 +147,7 @@ func compileSeq(layers []nn.Layer) (*Program, error) {
 				name:        v.Weight.Name,
 			})
 		case *nn.ReLU:
-			prog.Ops = append(prog.Ops, progOp{kind: opReLU, name: "relu"})
+			prog.Ops = append(prog.Ops, progOp{kind: opReLU, name: "relu", bound: v.Bound})
 		case *nn.X2Act:
 			prog.Ops = append(prog.Ops, progOp{
 				kind: opX2Act,

@@ -171,7 +171,7 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 				return mpc.Share{}, fmt.Errorf("pi: %s bias: %w", op.name, err)
 			}
 		case opReLU:
-			x, err = p.ReLU(x)
+			x, err = p.ReLUBounded(x, op.bound)
 			if err != nil {
 				return mpc.Share{}, fmt.Errorf("pi: relu: %w", err)
 			}
