@@ -196,8 +196,8 @@ func Benchmark2PCReLU1k(b *testing.B) {
 }
 
 // Benchmark2PCReLU1kNarrow is Benchmark2PCReLU1k on a layer whose
-// recorded input bound runs the 21-bit comparison: 76.25 B/elem and 6
-// frames/op where the 63-bit one moves 168.5 and 8. A bound of 31 is just
+// recorded input bound runs the 21-bit comparison: 60.5 B/elem and 6
+// frames/op where the 63-bit one moves 152.75 and 8. A bound of 31 is just
 // under the 32 where the gate stops; the Norm·10 inputs sit far inside the
 // 128.0 the narrow comparison is exact to.
 func Benchmark2PCReLU1kNarrow(b *testing.B) {
@@ -283,6 +283,26 @@ func Benchmark2PCMaxPool(b *testing.B) {
 		_, err := p.MaxPool2D(x.Reshape(1, 4, 16, 16), 2, 2, 2)
 		return err
 	})
+}
+
+// Benchmark2PCArgMax is the classifier endgame: the row-wise argmax of 16
+// rows of 10 logits, a tournament of four levels, each one wide comparison
+// and one select of values and indices together (4 exchanges per level,
+// 32 frames/op both ways). B/elem is per logit, both directions.
+func Benchmark2PCArgMax(b *testing.B) {
+	const rows, classes = 16, 10
+	var wire obs.WireTotals // party 1's count of the last ArgMax, both directions
+	benchProtocol(b, rows*classes, func(p *mpc.Party, x mpc.Share) error {
+		w := obs.InstrumentConn(p.Conn, nil)
+		p.Conn = w
+		_, err := p.ArgMax(x.Reshape(rows, classes))
+		if p.ID == 1 {
+			wire = w.Totals()
+		}
+		return err
+	})
+	b.ReportMetric(float64(wire.SentBytes+wire.RecvBytes)/(rows*classes), "B/elem")
+	b.ReportMetric(float64(wire.SentFrames+wire.RecvFrames), "frames/op")
 }
 
 func Benchmark2PCConv8x8(b *testing.B) {

@@ -41,13 +41,12 @@ func main() {
 			return err
 		}
 
-		// Ciphertext multiply (Beaver triples) and local add.
-		prod, err := p.MulHadamard(uSh, wSh)
+		// Ciphertext dot product: a 1×2 @ 2×1 multiply on one Beaver
+		// matrix triple.
+		sum, err := p.MatMul(uSh.Reshape(1, 2), wSh.Reshape(2, 1))
 		if err != nil {
 			return err
 		}
-		sum := mpc.NewShare(1)
-		sum.V[0] = prod.V[0] + prod.V[1]
 
 		// Secure comparison: is the dot product positive?
 		bit, err := p.DReLU(sum)

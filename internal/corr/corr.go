@@ -29,8 +29,10 @@ import (
 type Kind uint8
 
 const (
-	// KindHadamard is an owner-split elementwise triple (z = a ⊙ b): a is
-	// party 1's alone, b party 0's alone.
+	// KindHadamard is an owner-split selector triple for n selects:
+	// a = [c1 ; r1] is party 1's alone, b = [c0 ; r0] party 0's alone (n
+	// packed bits c, then n ring words r), and z = [c1 ⊙ r0 ; c0 ⊙ r1] is
+	// additively shared (see mpc.Stream.Hadamard).
 	KindHadamard Kind = iota + 1
 	// KindSquare is a Beaver square pair (z = a ⊙ a).
 	KindSquare

@@ -15,7 +15,7 @@ import (
 
 // On-disk store format (all integers little-endian):
 //
-//	magic   8 bytes  "PASCORR8"
+//	magic   8 bytes  "PASCORR9"
 //	body:
 //	  party   uint8
 //	  label   uint32                      preprocess-run stamp (see Label)
@@ -36,8 +36,8 @@ import (
 // Every other half is a sub-stream's output (see mpc.Stream), so the
 // decoder regenerates it from the seed through an mpc half stream — the
 // same per-kind draws that dealt it — and a file is its header, its tape
-// and, for party 1, the z halves: a quarter to a sixth of the materialised
-// store. The decoded Store is fully materialised, as it always was.
+// and, for party 1, the z halves: a third (selector triples) to a sixth
+// of the materialised store. The decoded Store is fully materialised, as it always was.
 //
 // The trailer means a flipped byte or a truncated download fails loudly at
 // load time instead of desyncing the two parties mid-protocol. The whole
@@ -65,7 +65,11 @@ import (
 // matches what a ReLU takes; "PASCORR7" was dealt for a model whose every
 // ReLU compares 63 bits, where "PASCORR8" stores the 21-bit comparison's
 // demands (a 147-product leaf and a 30-product root per element) for each
-// ReLU layer whose recorded input bound allows it.
+// ReLU layer whose recorded input bound allows it; "PASCORR8" dealt the
+// Hadamard kind as an elementwise ring triple of the select's 2n words,
+// where "PASCORR9" deals it as the selector triple (n packed bits and n
+// words per operand, the same 2n-word z) for n selects, so an old tape's
+// Hadamard demands and every half dealt after them regenerate differently.
 // The magic is the version gate — any
 // "PASCORR"-prefixed file of another version is rejected with a
 // regeneration hint rather than misparsed, in either direction (old binary
@@ -73,7 +77,7 @@ import (
 
 // storeMagic identifies a serialized correlation store at this binary's
 // format version.
-const storeMagic = "PASCORR8"
+const storeMagic = "PASCORR9"
 
 // storeMagicPrefix identifies any version of the store format.
 const storeMagicPrefix = "PASCORR"

@@ -284,14 +284,16 @@ func storeWords(tape Tape, party int) int {
 // store cap, the decoder's tape check and its z-section check, over all
 // seven kinds and both parties: the owner-split kinds count a on party 1
 // only and a dealt b on party 0 only, the symmetric kinds count every half
-// on both.
+// on both. A selector triple for n selects counts ⌈n/64⌉ bit words and n
+// ring words per operand and 2n z words.
 func TestDemandLensPerParty(t *testing.T) {
 	conv := mpc.ConvDims{N: 2, InC: 3, H: 6, W: 6, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	cases := []struct {
 		d      Demand
 		p0, p1 [3]int // (a, b, z) words
 	}{
-		{Demand{Kind: KindHadamard, N: 96}, [3]int{0, 96, 96}, [3]int{96, 0, 96}},
+		{Demand{Kind: KindHadamard, N: 96}, [3]int{0, 98, 192}, [3]int{98, 0, 192}},
+		{Demand{Kind: KindHadamard, N: 7}, [3]int{0, 8, 14}, [3]int{8, 0, 14}},
 		{Demand{Kind: KindSquare, N: 50}, [3]int{50, 0, 50}, [3]int{50, 0, 50}},
 		{Demand{Kind: KindMatMul, M: 4, K: 9, P: 5}, [3]int{36, 45, 20}, [3]int{36, 45, 20}},
 		{Demand{Kind: KindConv, Conv: conv}, [3]int{216, 108, 288}, [3]int{216, 108, 288}},
@@ -313,7 +315,7 @@ func TestDemandLensPerParty(t *testing.T) {
 // checked against to what each party's store really holds: party 0's
 // FixedB entries carry no a, so its count is smaller, and its file must
 // load under a cap of exactly that count — one a party-1 count would
-// overshoot. (Bit and Hadamard triples hold a on party 1 and b on party 0,
+// overshoot. (Bit and selector triples hold a on party 1 and b on party 0,
 // the same words on each.)
 func TestStoreWordAccounting(t *testing.T) {
 	tape := testTape()
@@ -345,8 +347,10 @@ func TestStoreWordAccounting(t *testing.T) {
 
 // TestStoreFileSize pins what a file holds: party 0's is header and tape
 // alone, party 1's adds exactly its z halves, and testTape's pair is at
-// least 4× smaller than the PASCORR3 pair, which held every half of both
-// parties.
+// least 3× smaller than the PASCORR3 pair, which held every half of both
+// parties. A selector triple is the least compressible kind: its file
+// holds 2n z words of the 6n its two parties materialise, a third, where
+// a bit triple's holds a quarter.
 func TestStoreFileSize(t *testing.T) {
 	tape := testTape()
 	s0, s1, err := BuildPair(tape, rng.New(5), 5)
@@ -370,8 +374,8 @@ func TestStoreFileSize(t *testing.T) {
 	// PASCORR3 dealt every FixedB a as two halves, so each of its files
 	// held what party 1's decoded store holds now.
 	v3 := 2 * (len(storeMagic) + 1 + 4 + 4 + 4 + tapeBytes + 8*storeWords(tape, 1))
-	if 4*pair > v3 {
-		t.Fatalf("store pair is %d bytes against %d materialised: under 4× smaller", pair, v3)
+	if 3*pair > v3 {
+		t.Fatalf("store pair is %d bytes against %d materialised: under 3× smaller", pair, v3)
 	}
 }
 

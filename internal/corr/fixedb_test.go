@@ -167,29 +167,30 @@ func convShape(d mpc.ConvDims) kernel.ConvShape {
 // magic, so rewriting the magic yields exactly what the other binary
 // version would produce/consume — both directions must fail with the
 // regeneration hint, not a misparse:
-//   - new binary × old store: a "PASCORR1" … "PASCORR7" file decoded here
+//   - new binary × old store: a "PASCORR1" … "PASCORR8" file decoded here
 //     — a PASCORR4 store's FixedB halves were dealt two-sided, a PASCORR5
 //     store's bit and Hadamard triples, a PASCORR6 store's bit demands for
 //     the six-hop comparison, a PASCORR7 store's for 63-bit comparisons
-//     only, so each must be regenerated, not reinterpreted
-//     (TestPASCORR4StoreRejected … TestPASCORR7StoreRejected);
+//     only, a PASCORR8 store's Hadamard demands as ring triples of the
+//     select's 2n words, so each must be regenerated, not reinterpreted
+//     (TestPASCORR4StoreRejected … TestPASCORR8StoreRejected);
 //   - old binary × new store: every earlier decoder compared the magic by
-//     strict equality too, so the bump to "PASCORR8" (pinned below: the
-//     bit demands are the bounded ReLUs' 21-bit comparisons) makes it
+//     strict equality too, so the bump to "PASCORR9" (pinned below: the
+//     Hadamard kind is the one-bit select's selector triple) makes it
 //     reject our files the same way.
 //
 // The message is the same for every version pair — it names the two
 // magics and the fix, not what changed between them.
 func TestStoreVersionGate(t *testing.T) {
-	if storeMagic != "PASCORR8" {
-		t.Fatalf("storeMagic = %q; narrow-comparison stores shipped as PASCORR8 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
+	if storeMagic != "PASCORR9" {
+		t.Fatalf("storeMagic = %q; selector-triple stores shipped as PASCORR9 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
 	}
 	s, err := buildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR6", "PASCORR7", "PASCORR9"} {
+	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR6", "PASCORR7", "PASCORR8"} {
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)
@@ -247,6 +248,19 @@ func TestPASCORR6StoreRejected(t *testing.T) {
 func TestPASCORR7StoreRejected(t *testing.T) {
 	checkOldStoreRejected(t, "PASCORR7", Tape{
 		{Kind: KindBits, N: 434}, {Kind: KindBits, N: 98}, {Kind: KindBits, N: 14}, {Kind: KindHadamard, N: 2},
+	})
+}
+
+// TestPASCORR8StoreRejected: a PASCORR8 file decodes to valid triples, but
+// it dealt each select's Hadamard demand as an elementwise ring triple of
+// 2n words — a one-element narrow ReLU took a 147-bit leaf, a 30-bit root
+// and a Hadamard demand of 2 — where the one-bit select now takes a
+// selector triple for n, so the first select would fail mid-flush on a
+// geometry mismatch that hides the protocol change. It must fail at load
+// instead.
+func TestPASCORR8StoreRejected(t *testing.T) {
+	checkOldStoreRejected(t, "PASCORR8", Tape{
+		{Kind: KindBits, N: 147}, {Kind: KindBits, N: 30}, {Kind: KindHadamard, N: 2},
 	})
 }
 

@@ -26,7 +26,7 @@ const maxStoreWords = 1 << 28
 // entry is one preprocessed correlation: this party's halves. For ring
 // kinds z is an additive half, and a and b are additive halves of the
 // symmetric kinds. The owner-split kinds hold each operand on one party: a
-// on party 1's entries only, b (Hadamard and bit triples) on party 0's
+// on party 1's entries only, b (selector and bit triples) on party 0's
 // only. b is nil for square pairs and the FixedB kinds. For KindBits the
 // words are packed, z the XOR half of c = a∧b.
 type entry struct {
@@ -78,14 +78,16 @@ func (s *Store) Tape() Tape { return s.tape }
 // lens returns the flat word counts (a, b, z) of party's side of the
 // demand's correlation material. The owner-split kinds count a on party 1
 // only and b on party 0 only; b is 0 for square pairs and the FixedB kinds;
-// bit triples pack 64 to a word.
+// bit triples pack 64 to a word; a selector triple's a and b are n packed
+// bits and n words, its z 2n words.
 func (d Demand) lens(party int) (la, lb, lz int) {
 	switch d.Kind {
 	case KindBits:
 		nw := mpc.BitWords(d.N)
 		return party * nw, (1 - party) * nw, nw
 	case KindHadamard:
-		return party * d.N, (1 - party) * d.N, d.N
+		nw := mpc.BitWords(d.N) + d.N
+		return party * nw, (1 - party) * nw, 2 * d.N
 	case KindSquare:
 		return d.N, 0, d.N
 	case KindMatMul:

@@ -126,13 +126,16 @@ func drainAgainstDealer(t *testing.T, s *Store, seed uint64, tape Tape) {
 // pinned apart from the draws of the kinds before it. The bits and
 // hadamard rows were re-recorded on purpose when those triples went
 // owner-split (PASCORR6): party 0's file, a seed and the tape, did not
-// move, but its halves and party 1's did. The other rows are what the
-// symmetric-triple code gives for the same per-kind tapes.
+// move, but its halves and party 1's did. The hadamard row was re-recorded
+// on purpose again, alone, when the kind became the selector triple
+// (PASCORR9): every half of both parties moved, and the stores' bytes with
+// party 1's z halves. The other rows are what the symmetric-triple code
+// gives for the same per-kind tapes, unmoved by either change.
 func TestGoldenStoreAndDealerBytes(t *testing.T) {
 	const seed = 20261015
 	// Per kind: store p0, store p1, dealer p0, dealer p1.
 	want := map[Kind][4]uint64{
-		KindHadamard:     {0x91a443340a0e23aa, 0x7dfb7b87996ad3d2, 0xfbbf4ffa56c298c3, 0xd09d0206bb628719},
+		KindHadamard:     {0x91a443340a0e23aa, 0xad9514f7c9630432, 0x5858988f2b81d157, 0x679e2b83d53cf800},
 		KindSquare:       {0x2d296e96e087558f, 0x03b4649267bf4c43, 0x3f04b59147484d04, 0x8fdb7e0f5b9c7c32},
 		KindMatMul:       {0x84155812efaa8c59, 0x8de509908531f024, 0x6a80769e6a877fcf, 0x63ea1a1c251bb9c7},
 		KindConv:         {0x827e05a2d7863b9b, 0x933afbe10738d43e, 0x62a1dd03d1dc26e2, 0xdf11628685d7edd2},
@@ -180,13 +183,15 @@ func TestGoldenStoreAndDealerBytes(t *testing.T) {
 	}
 }
 
-// TestOwnerSplitTriplesOneSided asserts that bit and Hadamard triples come
+// TestOwnerSplitTriplesOneSided asserts that bit and selector triples come
 // owner-split from both sources: party 0's TakeBits/TakeHadamard return no
-// a, party 1's no b, and the held operands and z halves still satisfy
-// z0 + z1 = a ⊙ b (c0 ⊕ c1 = a ∧ b).
+// a, party 1's no b, the held operands' bits past the last triple are
+// clear, and with the z halves they still satisfy c0 ⊕ c1 = a ∧ b (bits)
+// and z0 + z1 = [c1 ⊙ r0 ; c0 ⊙ r1] for a = [c1 ; r1], b = [c0 ; r0]
+// (selectors).
 func TestOwnerSplitTriplesOneSided(t *testing.T) {
 	const seed = 61
-	tape := Tape{{Kind: KindHadamard, N: 33}, {Kind: KindBits, N: 130}}
+	tape := Tape{{Kind: KindHadamard, N: 33}, {Kind: KindBits, N: 130}, {Kind: KindHadamard, N: 64}}
 	s0, s1, err := BuildPair(tape, rng.New(seed), seed)
 	if err != nil {
 		t.Fatal(err)
@@ -208,10 +213,23 @@ func TestOwnerSplitTriplesOneSided(t *testing.T) {
 			if a0 != nil || b1 != nil {
 				t.Fatalf("%s %s: party 0 holds %d a words, party 1 %d b words; want none", name, d, len(a0), len(b1))
 			}
-			for i := range z0 {
-				if d.Kind == KindBits && z0[i]^z1[i] != a1[i]&b0[i] ||
-					d.Kind == KindHadamard && z0[i]+z1[i] != a1[i]*b0[i] {
-					t.Fatalf("%s %s: word %d is not a ∘ b", name, d, i)
+			nw := mpc.BitWords(d.N)
+			if tail := uint(d.N) & 63; tail != 0 && (a1[nw-1]>>tail != 0 || b0[nw-1]>>tail != 0) {
+				t.Fatalf("%s %s: bits set past the last triple", name, d)
+			}
+			if d.Kind == KindBits {
+				for i := range z0 {
+					if z0[i]^z1[i] != a1[i]&b0[i] {
+						t.Fatalf("%s %s: word %d is not a ∧ b", name, d, i)
+					}
+				}
+				continue
+			}
+			c1, c0 := mpc.BitShare{N: d.N, W: a1[:nw]}, mpc.BitShare{N: d.N, W: b0[:nw]}
+			r1, r0 := a1[nw:], b0[nw:]
+			for i := range d.N {
+				if z0[i]+z1[i] != c1.Bit(i)*r0[i] || z0[d.N+i]+z1[d.N+i] != c0.Bit(i)*r1[i] {
+					t.Fatalf("%s %s: select %d: z is not [c1·r0 ; c0·r1]", name, d, i)
 				}
 			}
 		}

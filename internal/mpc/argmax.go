@@ -5,7 +5,9 @@ import "fmt"
 // ArgMax computes shares of the row-wise argmax of an N×D share: the
 // private-inference endgame in which the client learns only the predicted
 // class, not the logits. It runs the same batched comparison tournament
-// as 2PC-MaxPool while obliviously routing index shares alongside values.
+// as 2PC-MaxPool while obliviously routing index shares alongside values:
+// each level is one DReLU and one select, so one exchange more than the
+// comparison.
 func (p *Party) ArgMax(x Share) (Share, error) {
 	if len(x.Shape) != 2 {
 		return Share{}, fmt.Errorf("mpc: argmax needs N×D share, got %v", x.Shape)
@@ -43,20 +45,20 @@ func (p *Party) ArgMax(x Share) (Share, error) {
 		if err != nil {
 			return Share{}, fmt.Errorf("mpc: argmax: %w", err)
 		}
-		sel, err := p.B2A(bits, nOut)
-		if err != nil {
-			return Share{}, fmt.Errorf("mpc: argmax: %w", err)
-		}
-		// One batched shared×shared product selects both value and index:
-		// out = b + sel·(a−b), applied to the concatenation.
+		// One select of the concatenation [a−b ; idx(a)−idx(b)] on the
+		// comparison bit, twice over, routes value and index together:
+		// out = b + bit·(a−b).
 		idxDiff := p.Sub(aI, bI)
 		cat := NewShare(2 * nOut)
 		copy(cat.V[:nOut], diff.V)
 		copy(cat.V[nOut:], idxDiff.V)
-		selCat := NewShare(2 * nOut)
-		copy(selCat.V[:nOut], sel.V)
-		copy(selCat.V[nOut:], sel.V)
-		prod, err := p.MulHadamardRaw(selCat, cat)
+		twice := NewBitShare(2 * nOut)
+		for i := range nOut {
+			bit := bits.Bit(i)
+			twice.W[i>>6] |= bit << (uint(i) & 63)
+			twice.W[(nOut+i)>>6] |= bit << (uint(nOut+i) & 63)
+		}
+		prod, err := p.selectBits(twice, cat)
 		if err != nil {
 			return Share{}, fmt.Errorf("mpc: argmax: %w", err)
 		}

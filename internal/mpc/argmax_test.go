@@ -3,6 +3,7 @@ package mpc
 import (
 	"testing"
 
+	"pasnet/internal/obs"
 	"pasnet/internal/rng"
 )
 
@@ -89,6 +90,47 @@ func TestArgMaxRejectsBadShape(t *testing.T) {
 		}
 		if _, err := p.ArgMax(NewShare(2, 0)); err == nil {
 			t.Error("empty rows must be rejected")
+		}
+		return nil
+	})
+}
+
+// TestArgMaxWirePin pins the tournament's wire cost by formula: each level
+// over m = N·⌊D'/2⌋ pairs is one wide DReLU (three exchanges of the leaf's
+// 434m, the level's 98m and the root's 14m product bits) and one select of
+// the 2m values and indices (one exchange of 2m words and 2m selector
+// bits) — four exchanges per level, one fewer than a bit-to-ring
+// conversion followed by a ring product took.
+func TestArgMaxWirePin(t *testing.T) {
+	const n, d = 3, 7 // levels over 7 → 4 → 2 → 1 candidates
+	r := rng.New(67)
+	xs := make([]float64, n*d)
+	for i := range xs {
+		xs[i] = r.Norm() * 20
+	}
+	var frames, words int
+	for c := d; c > 1; c = (c + 1) / 2 {
+		m := n * (c / 2)
+		frames += 4
+		words += BitWords(434*m) + BitWords(98*m) + BitWords(14*m) + BitWords(2*m) + 2*m
+	}
+	runBoth(t, 68, func(p *Party) error {
+		var enc []uint64
+		if p.ID == 0 {
+			enc = p.EncodeTensor(xs)
+		}
+		x, err := p.ShareInput(0, enc, n, d)
+		if err != nil {
+			return err
+		}
+		wire := obs.InstrumentConn(p.Conn, nil)
+		p.Conn = wire
+		if _, err := p.ArgMax(x); err != nil {
+			return err
+		}
+		want := obs.WireTotals{SentBytes: int64(8 * words), SentFrames: int64(frames), RecvBytes: int64(8 * words), RecvFrames: int64(frames)}
+		if got := wire.Totals(); got != want {
+			t.Errorf("party %d: ArgMax moved %+v, want %+v", p.ID, got, want)
 		}
 		return nil
 	})

@@ -35,9 +35,9 @@ func randWords(r *rng.RNG, n int) []uint64 {
 
 // TestMulCombineMatchesThreeTermForm draws full-range ring operands for
 // each bilinear op the combine serves and compares share-for-share on both
-// party IDs. The FixedW forms run the owner-side combine and Hadamard the
-// owned product instead; TestLinearOpSharesGolden pins all of them through
-// the protocol.
+// party IDs. The FixedW forms run the owner-side combine and the select the
+// owned bit×ring product instead; TestLinearOpSharesGolden pins all of them
+// through the protocol.
 func TestMulCombineMatchesThreeTermForm(t *testing.T) {
 	const m, k, n = 5, 7, 3
 	dims := ConvDims{N: 2, InC: 4, H: 5, W: 5, OutC: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
@@ -74,10 +74,10 @@ func TestMulCombineMatchesThreeTermForm(t *testing.T) {
 }
 
 // linearOpNames names linearOpShares' ops, in the order they run.
-var linearOpNames = []string{"hadamard", "matmul", "conv", "matmul-fixedw", "conv-fixedw"}
+var linearOpNames = []string{"select", "matmul", "conv", "matmul-fixedw", "conv-fixedw"}
 
-// linearOpShares runs every bilinear op once on fixed seeds — the three
-// Beaver ops and both FixedW forms — and returns an FNV-1a digest of each
+// linearOpShares runs every bilinear op once on fixed seeds — the select,
+// the two Beaver ops and both FixedW forms — and returns an FNV-1a digest of each
 // party's output shares per op, keyed by linearOpNames. Each op runs in a
 // session of its own on the same inputs, so its digest depends only on its
 // own correlation draws, never on what an op before it drew.
@@ -95,6 +95,13 @@ func linearOpShares(t *testing.T) map[string][2]uint64 {
 	}
 	xm, wm := norm(m*k), norm(k*n)
 	xc, wc := norm(dims.InLen()), norm(dims.KLen())
+	// The select's bits are the signs of wm, cycled over xm.
+	signs := make([]uint64, m*k)
+	for i := range signs {
+		if wm[i%len(wm)] < 0 {
+			signs[i] = 1
+		}
+	}
 	sums := make([][2]uint64, len(linearOpNames))
 	for i := range linearOpNames {
 		runBoth(t, 1903, func(p *Party) error {
@@ -124,7 +131,7 @@ func linearOpShares(t *testing.T) map[string][2]uint64 {
 				return err
 			}
 			ops := []func() (Share, error){
-				func() (Share, error) { return p.MulHadamardRaw(sxm, sxm) },
+				func() (Share, error) { return p.selectBits(shareTestBits(p.ID, signs), sxm) },
 				func() (Share, error) { return p.MatMul(sxm, swm) },
 				func() (Share, error) { return p.Conv2D(sxc, swc, dims) },
 				func() (Share, error) { return p.MatMulFixedW(sxm, swm, fwm) },
@@ -151,18 +158,19 @@ func linearOpShares(t *testing.T) map[string][2]uint64 {
 	return got
 }
 
-// TestLinearOpSharesGolden pins each party's output shares of Hadamard,
+// TestLinearOpSharesGolden pins each party's output shares of the select,
 // MatMul, Conv2D and both FixedW forms, op by op, so a change to an op's
 // combine cannot move a single share bit unnoticed. The FixedW digests were
 // re-recorded on purpose when the linear layers went owner-side (party 1
-// owns a, party 0 computes with W), and the hadamard digest when
-// elementwise products went owner-split (one mulOwned on [x1; y1] ⊙
-// [y0; x0]): those protocols and their correlations changed. Since then
-// every op runs in a fresh session, so the other digests are what the
-// symmetric Hadamard triple's code gives for the same isolated ops.
+// owns a, party 0 computes with W), and the select row replaced the
+// elementwise product's when that product left the protocol and the
+// select went to one bit per selector on the selector triple: those
+// protocols and their correlations changed. Every op runs in a fresh
+// session, so the other digests are what the symmetric triple's code gives
+// for the same isolated ops.
 func TestLinearOpSharesGolden(t *testing.T) {
 	want := map[string][2]uint64{
-		"hadamard":      {0xd425bb1e2ddb38b1, 0xeee6674f5f12fc69},
+		"select":        {0x1ceab4bd1a2063e7, 0x131f6b768509bd1f},
 		"matmul":        {0x0fd32cd743da0e92, 0x9a59ede86c6882d5},
 		"conv":          {0xbe9e62171125cb86, 0x73e18a62ba8700a3},
 		"matmul-fixedw": {0xee9213b5c864ba80, 0xeaf479208c3aa471},

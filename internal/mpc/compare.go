@@ -21,6 +21,11 @@ import (
 // recorded input bound leaves headroom runs the narrow layout instead
 // (see ReLUHeadroom and DReLU): five digits over the low NarrowBits = 21
 // bits, above which bit 21 of the shares' sum is the sign.
+//
+// ReLU, max and argmax close the comparison with one select (selectBits),
+// which sends each selector bit as one bit and its value as one masked
+// word: 8.125 bytes per element each way. A ReLU moves 152.75 bytes per
+// element over both directions on the wide layout and 60.5 on the narrow.
 const (
 	// ChunkBits is the width of one comparison digit.
 	ChunkBits = 4

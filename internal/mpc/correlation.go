@@ -14,11 +14,12 @@ package mpc
 // misconfigured store surfaces as a clean error instead of a mid-protocol
 // desync.
 type CorrelationSource interface {
-	// TakeHadamard returns this party's side of an owner-split triple
-	// (a, b, z) with z = a ⊙ b, each length n: party 1 gets the whole a
-	// and a nil b, party 0 the whole b and a nil a, and z is additively
-	// shared. Each party masks only its own operand with what it holds
-	// (see mulOwned).
+	// TakeHadamard returns this party's side of an owner-split selector
+	// triple for n selects: party 1 gets a = [c1 ; r1] and a nil b, party
+	// 0 b = [c0 ; r0] and a nil a — n packed bits c (tail clear, so
+	// BitWords(n) words), then n ring words r — and z, 2n words, is an
+	// additive share of [c1 ⊙ r0 ; c0 ⊙ r1]. Each party masks only its own
+	// selector bits and operand with what it holds (see selectBits).
 	TakeHadamard(n int) (a, b, z []uint64, err error)
 	// TakeSquare returns shares (a, z) with z = a ⊙ a, each length n.
 	TakeSquare(n int) (a, z []uint64, err error)

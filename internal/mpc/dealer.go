@@ -20,15 +20,15 @@ import (
 // party 0's a, b and z halves, then party 1's a and b, and define the plain
 // operands as a = a0 + a1 and b = b0 + b1. The owner-split kinds deal each
 // operand whole to the one party that masks with it: party 1 draws all of
-// a, party 0 all of b (bit and Hadamard triples, where each party masks
-// only its own operand — see bitAnd and mulOwned) or none of it (the FixedB
-// kinds, whose b is the pinned weight mask — see fixedmask.go), and party 0
-// draws its z half. Party 1's z half, product − z0 (⊕ z0 for bit triples),
-// is then the only half that is not a sub-stream's output: it needs the
-// correlation's product (a ring convolution, matrix multiply, elementwise
-// product or AND), so it is left to Deal.Z1 — a party-0 consumer never
-// pays for it, and a store generator can run it off the sequential stream,
-// in parallel. Everything else is regenerated from one sub-stream seed by a
+// a, party 0 all of b (bit and selector triples, where each party masks
+// only its own operand — see bitAnd and selectBits) or none of it (the
+// FixedB kinds, whose b is the pinned weight mask — see fixedmask.go), and
+// party 0 draws its z half. Party 1's z half, product − z0 (⊕ z0 for bit
+// triples), is then the only half that is not a sub-stream's output: it
+// needs the correlation's product (a ring convolution, matrix multiply,
+// bit×ring product or AND), so it is left to Deal.Z1 — a party-0 consumer
+// never pays for it, and a store generator can run it off the sequential
+// stream, in parallel. Everything else is regenerated from one sub-stream seed by a
 // half stream (NewHalfStream), which is what lets a store file hold a seed
 // where it would hold masks.
 //
@@ -92,7 +92,10 @@ type Deal struct {
 	b          []uint64 // the fixed mask of the FixedB kinds
 	product    func(z, a, b []uint64)
 	xor        bool // bit triple: halves are XOR, not additive
-	// ownA marks the owner-split kinds (bit and Hadamard triples, FixedB):
+	// sel marks the selector triple: a and b are each n packed bits, tail
+	// clear, then n ring words.
+	sel bool
+	// ownA marks the owner-split kinds (bit and selector triples, FixedB):
 	// party 1 draws the whole of a and party 0 the whole of any dealt b,
 	// so neither holds a half of the other's mask.
 	ownA bool
@@ -139,7 +142,8 @@ func (d Deal) Z1() []uint64 {
 // deal fills in d's halves in the stream's draw order: party 0's a (unless
 // party 1 owns it), b (when b is dealt here, lb > 0) and z, then party 1's
 // a and, unless party 0 owns it, b — each off its party's sub-stream. Each
-// draw takes n words, or n packed bits for bit triples.
+// draw takes n words, or n packed bits for bit triples; a selector triple's
+// a and b take n packed bits and then n words.
 func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
 	draw := func(r *rng.RNG, n int) []uint64 {
 		if d.xor {
@@ -149,28 +153,56 @@ func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
 		r.FillUint64(w)
 		return w
 	}
+	operand := draw
+	if d.sel {
+		operand = func(r *rng.RNG, n int) []uint64 {
+			w := draw(r, BitWords(n)+n)
+			if tail := uint(n) & 63; tail != 0 {
+				w[BitWords(n)-1] &= 1<<tail - 1
+			}
+			return w
+		}
+	}
 	if r := s.r[0]; r != nil {
 		if !d.ownA {
-			d.A0 = draw(r, la)
+			d.A0 = operand(r, la)
 		}
 		if lb > 0 {
-			d.B0 = draw(r, lb)
+			d.B0 = operand(r, lb)
 		}
 		d.Z0 = draw(r, lz)
 	}
 	if r := s.r[1]; r != nil {
-		d.A1 = draw(r, la)
+		d.A1 = operand(r, la)
 		if lb > 0 && !d.ownA {
-			d.B1 = draw(r, lb)
+			d.B1 = operand(r, lb)
 		}
 	}
 	return d
 }
 
-// Hadamard deals an owner-split elementwise triple of length n: a off party
-// 1's sub-stream, b and z0 off party 0's.
+// Hadamard deals an owner-split selector triple for n selects, the
+// correlation of selectBits: party 1 draws a = [c1 ; r1] and party 0
+// b = [c0 ; r0] — n packed bits c, tail clear, then n ring words r — and
+// z0, 2n words, with
+//
+//	z = z0 + z1 = [c1 ⊙ r0 ; c0 ⊙ r1],
+//
+// each party's bit times the other's ring word.
 func (s *Stream) Hadamard(n int) Deal {
-	return s.deal(Deal{product: ringMul, ownA: true}, n, n, n)
+	return s.deal(Deal{product: selectorProduct, sel: true, ownA: true}, n, n, 2*n)
+}
+
+// selectorProduct is the selector triple's product (see Hadamard).
+func selectorProduct(z, a, b []uint64) {
+	n := len(z) / 2
+	c1, r1 := a[:len(a)-n], a[len(a)-n:]
+	c0, r0 := b[:len(b)-n], b[len(b)-n:]
+	for i := range n {
+		w, s := i>>6, uint(i)&63
+		z[i] = -(c1[w] >> s & 1) & r0[i]
+		z[n+i] = -(c0[w] >> s & 1) & r1[i]
+	}
 }
 
 // Square deals a square pair (a, z = a ⊙ a) of length n (paper Eq. 3).

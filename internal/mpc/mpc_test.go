@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -138,92 +139,6 @@ func TestAddSubLinear(t *testing.T) {
 			return p.AddPublic(sc, []uint64{p.Codec.Encode(1), p.Codec.Encode(1), p.Codec.Encode(1)}), nil
 		},
 		[]float64{1*2.5 + 1, -2*2.5 + 1, 3*2.5 + 1}, 1e-2)
-}
-
-func TestMulHadamard(t *testing.T) {
-	xs := []float64{1.5, -2, 0.25, -0.125, 8}
-	ys := []float64{2, 3, -4, 8, 0.5}
-	var mu sync.Mutex
-	results := map[int][]float64{}
-	runBoth(t, 5, func(p *Party) error {
-		var encX, encY []uint64
-		if p.ID == 0 {
-			encX = p.EncodeTensor(xs)
-		}
-		if p.ID == 1 {
-			encY = p.EncodeTensor(ys)
-		}
-		x, err := p.ShareInput(0, encX, 5)
-		if err != nil {
-			return err
-		}
-		y, err := p.ShareInput(1, encY, 5)
-		if err != nil {
-			return err
-		}
-		z, err := p.MulHadamard(x, y)
-		if err != nil {
-			return err
-		}
-		plain, err := p.Reveal(z)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[p.ID] = p.DecodeTensor(plain)
-		mu.Unlock()
-		return nil
-	})
-	for id, got := range results {
-		for i := range xs {
-			want := xs[i] * ys[i]
-			if math.Abs(got[i]-want) > 1e-2 {
-				t.Fatalf("party %d elem %d: %v want %v", id, i, got[i], want)
-			}
-		}
-	}
-}
-
-func TestMulHadamardRandomProperty(t *testing.T) {
-	r := rng.New(77)
-	const n = 128
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = r.Norm() * 5
-		ys[i] = r.Norm() * 5
-	}
-	runBoth(t, 6, func(p *Party) error {
-		var encX, encY []uint64
-		if p.ID == 0 {
-			encX = p.EncodeTensor(xs)
-			encY = p.EncodeTensor(ys)
-		}
-		x, err := p.ShareInput(0, encX, n)
-		if err != nil {
-			return err
-		}
-		y, err := p.ShareInput(0, encY, n)
-		if err != nil {
-			return err
-		}
-		z, err := p.MulHadamard(x, y)
-		if err != nil {
-			return err
-		}
-		plain, err := p.Reveal(z)
-		if err != nil {
-			return err
-		}
-		got := p.DecodeTensor(plain)
-		for i := range xs {
-			if math.Abs(got[i]-xs[i]*ys[i]) > 0.05 {
-				t.Errorf("elem %d: %v want %v", i, got[i], xs[i]*ys[i])
-				return nil
-			}
-		}
-		return nil
-	})
 }
 
 func TestSquare(t *testing.T) {
@@ -487,12 +402,12 @@ func TestReLURandomProperty(t *testing.T) {
 // not only in the benchmark.
 func TestReLUWirePin(t *testing.T) {
 	for _, n := range []int{1, 64, 100, 2176} {
-		// One direction: each party sends its own masked operand — the
-		// select's 2n words and the leaf's 434n, the level's 98n and the
-		// root's 14n product bits.
-		words := 2*n + BitWords(434*n) + BitWords(98*n) + BitWords(14*n)
-		if n == 64 && 2*8*words != 1685*n/10 {
-			t.Fatalf("closed form gives %.1f B/element on whole words, documented as 168.5", float64(2*8*words)/float64(n))
+		// One direction: each party sends its own masked operands — the
+		// select's n words and n selector bits, and the leaf's 434n, the
+		// level's 98n and the root's 14n product bits.
+		words := n + BitWords(n) + BitWords(434*n) + BitWords(98*n) + BitWords(14*n)
+		if n == 64 && 2*8*words != 15275*n/100 {
+			t.Fatalf("closed form gives %.2f B/element on whole words, documented as 152.75", float64(2*8*words)/float64(n))
 		}
 		r := rng.New(uint64(n))
 		xs := make([]float64, n)
@@ -525,12 +440,12 @@ func TestReLUWirePin(t *testing.T) {
 	t.Run("narrow", func(t *testing.T) {
 		// A bound with headroom runs the narrow layout: the root's owned
 		// round folds into one exchange after the leaf, so three exchanges
-		// — the select's 2n words, the leaf's 147n and the root's 30n
-		// product bits each way.
+		// — the select's n words and n bits, the leaf's 147n and the
+		// root's 30n product bits each way.
 		for _, n := range []int{1, 64, 100, 2176} {
-			words := 2*n + BitWords(147*n) + BitWords(30*n)
-			if n == 64 && 2*8*words != 7625*n/100 {
-				t.Fatalf("closed form gives %.2f B/element on whole words, documented as 76.25", float64(2*8*words)/float64(n))
+			words := n + BitWords(n) + BitWords(147*n) + BitWords(30*n)
+			if n == 64 && 2*8*words != 605*n/10 {
+				t.Fatalf("closed form gives %.2f B/element on whole words, documented as 60.5", float64(2*8*words)/float64(n))
 			}
 			r := rng.New(uint64(n))
 			xs := make([]float64, n)
@@ -800,73 +715,45 @@ func shareTestBits(id int, plain []uint64) BitShare {
 	return bits
 }
 
-func TestB2A(t *testing.T) {
-	plain := []uint64{0, 1, 1, 0, 1}
-	runBoth(t, 19, func(p *Party) error {
-		ar, err := p.B2A(shareTestBits(p.ID, plain), len(plain))
-		if err != nil {
-			return err
-		}
-		vals, err := p.Reveal(ar)
-		if err != nil {
-			return err
-		}
-		for i, b := range plain {
-			if vals[i] != b {
-				t.Errorf("B2A bit %d: got %d want %d", i, vals[i], b)
-			}
-		}
-		return nil
-	})
-}
-
-// TestSelectMatchesB2AProduct pins the one-round select against the
-// two-round construction it replaced: on the same selector bits and the
-// same value shares, B2A followed by MulHadamardRaw reveals exactly what
-// selectBits reveals (both are exact integer arithmetic in the ring).
-func TestSelectMatchesB2AProduct(t *testing.T) {
+// TestSelectBitsProperty checks the one-exchange select exactly: random
+// plain bits under random XOR splits and random full-range value splits,
+// at counts on and off a word boundary, reveal b·x to the bit, and the
+// select's one frame each way carries ⌈n/64⌉ + n words.
+func TestSelectBitsProperty(t *testing.T) {
 	r := rng.New(23)
-	const n = 67
-	plain := make([]uint64, n)
-	pairs := make([][2]uint64, n)
-	for i := range plain {
-		plain[i] = r.Uint64() & 1
-		pairs[i] = [2]uint64{r.Uint64(), r.Uint64()}
-	}
-	runBoth(t, 23, func(p *Party) error {
-		bits := shareTestBits(p.ID, plain)
-		x := NewShare(n)
-		for i, pr := range pairs {
-			x.V[i] = pr[p.ID]
+	for _, n := range []int{1, 63, 64, 65, 2176} {
+		plain, half1 := DrawBits(r, n), DrawBits(r, n)
+		pairs := make([][2]uint64, n)
+		for i := range pairs {
+			pairs[i] = [2]uint64{r.Uint64(), r.Uint64()}
 		}
-		sel, err := p.selectBits(bits, x)
-		if err != nil {
-			return err
-		}
-		ba, err := p.B2A(bits, n)
-		if err != nil {
-			return err
-		}
-		ref, err := p.MulHadamardRaw(ba, x)
-		if err != nil {
-			return err
-		}
-		got, err := p.Reveal(sel)
-		if err != nil {
-			return err
-		}
-		want, err := p.Reveal(ref)
-		if err != nil {
-			return err
-		}
-		for i := range want {
-			if got[i] != want[i] || want[i] != plain[i]*(pairs[i][0]+pairs[i][1]) {
-				t.Errorf("party %d elem %d: select %#x, b2a·x %#x, bit %d", p.ID, i, got[i], want[i], plain[i])
-				return nil
+		wirePin(t, fmt.Sprintf("select n=%d", n), uint64(23+n), BitWords(n)+n, func(p *Party) (func() error, error) {
+			bits := BitShare{N: n, W: append([]uint64(nil), half1.W...)}
+			if p.ID == 0 {
+				for i := range bits.W {
+					bits.W[i] ^= plain.W[i]
+				}
 			}
-		}
-		return nil
-	})
+			x := NewShare(n)
+			for i, pr := range pairs {
+				x.V[i] = pr[p.ID]
+			}
+			sel, err := p.selectBits(bits, x)
+			return func() error {
+				got, err := p.Reveal(sel)
+				if err != nil {
+					return err
+				}
+				for i := range got {
+					if want := plain.Bit(i) * (pairs[i][0] + pairs[i][1]); got[i] != want {
+						t.Errorf("n=%d party %d elem %d: select %#x, want %#x (bit %d)", n, p.ID, i, got[i], want, plain.Bit(i))
+						return nil
+					}
+				}
+				return nil
+			}, err
+		})
+	}
 }
 
 func TestCompareGE(t *testing.T) {
@@ -921,21 +808,15 @@ func TestTruncationErrorBound(t *testing.T) {
 }
 
 func TestDealerDeterminism(t *testing.T) {
-	d0 := NewDealer(42, 0)
-	d1 := NewDealer(42, 1)
-	// Hadamard triples are owner-split: a is party 1's, b party 0's.
-	a0, b0, z0, _ := d0.TakeHadamard(16)
-	a1, b1, z1, _ := d1.TakeHadamard(16)
-	if a0 != nil || b1 != nil {
-		t.Fatalf("party 0 got %d a words, party 1 %d b words; want none", len(a0), len(b1))
-	}
-	for i := 0; i < 16; i++ {
-		a, b := a1[i], b0[i]
-		z := z0[i] + z1[i]
-		if z != a*b {
-			t.Fatalf("triple %d: z=%d a*b=%d", i, z, a*b)
+	// Selector triples are owner-split with clear bit tails, across
+	// counts on and off a word boundary.
+	for _, n := range []int{1, 16, 63, 64, 65} {
+		if err := checkSelectorTriple(42, n); err != nil {
+			t.Fatal(err)
 		}
 	}
+	d0 := NewDealer(42, 0)
+	d1 := NewDealer(42, 1)
 	// Square pairs.
 	sa0, sz0, _ := d0.TakeSquare(8)
 	sa1, sz1, _ := d1.TakeSquare(8)

@@ -11,8 +11,9 @@ import (
 // operand it holds, so a product of one party-1-private and one
 // party-0-private operand costs one half-size frame each way, and a
 // product of two shared operands — an owned round of two products per
-// bit, or one owned product on [x1; y1] ⊙ [y0; x0] — costs what two
-// symmetric openings did.
+// bit — costs what two symmetric openings did. The select is the bit×ring
+// owned product: each party sends its selector bits as bits and its ring
+// operand as words, whether the bits and values are shared or private.
 
 // andFn is a two-input AND of XOR-shared bits as an owned function: a
 // party's index holds its share of one input in bit 0 and of the other in
@@ -60,17 +61,18 @@ func wirePin(t *testing.T, name string, seed uint64, words int, op func(p *Party
 
 // TestOwnedProductWirePin pins both owned products frame- and byte-exactly
 // and checks what they compute: a private×private bitAnd of n bits sends
-// one ⌈n/64⌉-word frame per party, a private×private mulOwned of n
-// elements one n-word frame, and their shared×shared forms (an owned
-// round of k = 2, MulHadamardRaw) twice that, in one frame — the bytes of
-// a symmetric Beaver opening of both operands.
+// one ⌈n/64⌉-word frame per party and its shared×shared form (an owned
+// round of k = 2) twice that, in one frame — the bytes of a symmetric
+// Beaver opening of both operands; a select of n elements sends one frame
+// of ⌈n/64⌉ + n words per party whether its bits and values are private
+// (party 1's bits, party 0's values) or shared.
 func TestOwnedProductWirePin(t *testing.T) {
 	const nb, nr = 640, 37
 	r := rng.New(71)
 	// x is party 1's operand and y party 0's; x1 and y1 are party 1's
 	// halves when both are shared.
 	bx, by, bx1, by1 := DrawBits(r, nb), DrawBits(r, nb), DrawBits(r, nb), DrawBits(r, nb)
-	rx, ry, rx1, ry1 := randWords(r, nr), randWords(r, nr), randWords(r, nr), randWords(r, nr)
+	ry, ry1 := randWords(r, nr), randWords(r, nr)
 
 	own := func(p *Party, x, y BitShare) BitShare {
 		if p.ID == 1 {
@@ -95,7 +97,8 @@ func TestOwnedProductWirePin(t *testing.T) {
 		}
 		return out
 	}
-	// bitsCheck opens c and compares it with x ∧ y, ringCheck with x ⊙ y.
+	// bitsCheck opens c and compares it with x ∧ y, ringCheck with bx ⊙ ry
+	// on the first nr bits.
 	bitsCheck := func(p *Party, name string, c BitShare) func() error {
 		return func() error {
 			plain, err := openBits(p, c)
@@ -117,13 +120,16 @@ func TestOwnedProductWirePin(t *testing.T) {
 				return err
 			}
 			for i := range plain {
-				if want := rx[i] * ry[i]; plain[i] != want {
+				if want := bx.Bit(i) * ry[i]; plain[i] != want {
 					t.Errorf("%s, party %d: element %d = %#x, want %#x", name, p.ID, i, plain[i], want)
 				}
 			}
 			return nil
 		}
 	}
+	// sx is the selector bx cut to nr bits.
+	sx := BitShare{N: nr, W: []uint64{bx.W[0] & (1<<nr - 1)}}
+	sx1 := BitShare{N: nr, W: []uint64{bx1.W[0] & (1<<nr - 1)}}
 
 	wirePin(t, "private bitAnd", 72, BitWords(nb), func(p *Party) (func() error, error) {
 		c, err := p.bitAnd(own(p, bx, by))
@@ -133,16 +139,18 @@ func TestOwnedProductWirePin(t *testing.T) {
 		c, err := ownedAnd(p, xorShare(p, bx, bx1), xorShare(p, by, by1))
 		return bitsCheck(p, "shared owned round", c), err
 	})
-	wirePin(t, "private mulOwned", 74, nr, func(p *Party) (func() error, error) {
-		mine := ry
+	wirePin(t, "private select", 74, BitWords(nr)+nr, func(p *Party) (func() error, error) {
+		bits, vals := NewBitShare(nr), make([]uint64, nr)
 		if p.ID == 1 {
-			mine = rx
+			bits = sx
+		} else {
+			copy(vals, ry)
 		}
-		c, err := p.mulOwned(mine)
-		return ringCheck(p, "private mulOwned", c), err
+		c, err := p.selectBits(bits, Share{V: vals, Shape: []int{nr}})
+		return ringCheck(p, "private select", c.V), err
 	})
-	wirePin(t, "shared MulHadamardRaw", 75, 2*nr, func(p *Party) (func() error, error) {
-		c, err := p.MulHadamardRaw(addShare(p, rx, rx1), addShare(p, ry, ry1))
-		return ringCheck(p, "shared MulHadamardRaw", c.V), err
+	wirePin(t, "shared select", 75, BitWords(nr)+nr, func(p *Party) (func() error, error) {
+		c, err := p.selectBits(xorShare(p, sx, sx1), addShare(p, ry, ry1))
+		return ringCheck(p, "shared select", c.V), err
 	})
 }

@@ -246,7 +246,7 @@ func (p *Party) TruncateInPlace(x *Share) {
 // subtraction exactly, so every share is bit-identical to the three-term
 // form while each party applies ∘ twice, not three times. The fixed-weight
 // ops do not use it: their owner-side combine (fixedmask.go) applies ∘ once
-// per party, and elementwise products go through mulOwned.
+// per party.
 func (p *Party) mulCombine(out, e, f, x, y, z []uint64, apply func(dst, a, b []uint64)) {
 	if p.ID == 1 {
 		xe := grow(&p.scr.xe, len(x))
@@ -258,80 +258,6 @@ func (p *Party) mulCombine(out, e, f, x, y, z []uint64, apply func(dst, a, b []u
 	apply(tmp, e, y) // E ∘ Y_i
 	ringAdd(out, out, tmp)
 	ringAdd(out, out, z)
-}
-
-// mulOwned returns shares of x ⊙ y for a ring operand x that party 1 holds
-// whole and an operand y that party 0 holds whole; each party passes its
-// own as mine. On an owner-split triple (party 1 holds a, party 0 b, with
-// z0 + z1 = a ⊙ b) party 1 sends x − a and party 0 sends y − b, in one
-// exchange of len(mine) words each way, and the shares are
-//
-//	party 0: (x − a) ⊙ y + z0,    party 1: a ⊙ (y − b) + z1,
-//
-// which sum to x ⊙ y. Each party sees the other's operand only under a
-// mask it never holds, and one elementwise product per party forms its
-// share.
-func (p *Party) mulOwned(mine []uint64) ([]uint64, error) {
-	n := len(mine)
-	a, b, z, err := p.corr().TakeHadamard(n)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: hadamard triple: %w", err)
-	}
-	mask, op := b, mine // party 0 masks y with b and multiplies by y
-	if p.ID == 1 {
-		mask, op = a, a // party 1 masks x with a and multiplies by a
-	}
-	sent := grow(&p.scr.mine, n)
-	ringSub(sent, mine, mask)
-	theirs, err := transport.Exchange(p.Conn, sent)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: hadamard open: %w", err)
-	}
-	if len(theirs) != n {
-		return nil, fmt.Errorf("mpc: hadamard open length %d != %d", len(theirs), n)
-	}
-	out := make([]uint64, n)
-	ringMul(out, theirs, op)
-	ringAdd(out, out, z)
-	return out, nil
-}
-
-// MulHadamardRaw returns shares of x ⊙ y without truncation (for integer
-// operands such as B2A bits). Both operands are shared, so with
-// x = x0 + x1 and y = y0 + y1 the product splits into the local terms
-// x0 ⊙ y0 and x1 ⊙ y1 and the two cross terms, which are one owned product
-// [x1; y1] ⊙ [y0; x0] of 2n elements: one exchange of 2n words each way.
-func (p *Party) MulHadamardRaw(x, y Share) (Share, error) {
-	n := x.Len()
-	if y.Len() != n {
-		return Share{}, fmt.Errorf("mpc: hadamard size mismatch %v vs %v", x.Shape, y.Shape)
-	}
-	mine := make([]uint64, 2*n)
-	first, second := x.V, y.V // party 1: [x1; y1]
-	if p.ID == 0 {
-		first, second = y.V, x.V // party 0: [y0; x0]
-	}
-	copy(mine, first)
-	copy(mine[n:], second)
-	cross, err := p.mulOwned(mine)
-	if err != nil {
-		return Share{}, err
-	}
-	out := NewShare(x.Shape...)
-	ringMul(out.V, x.V, y.V)
-	ringAdd(out.V, out.V, cross[:n])
-	ringAdd(out.V, out.V, cross[n:])
-	return out, nil
-}
-
-// MulHadamard returns shares of the fixed-point product x ⊙ y, truncated.
-func (p *Party) MulHadamard(x, y Share) (Share, error) {
-	out, err := p.MulHadamardRaw(x, y)
-	if err != nil {
-		return Share{}, err
-	}
-	p.TruncateInPlace(&out)
-	return out, nil
 }
 
 // openOne reveals E = x−a in one exchange round: the single opening of a
@@ -445,12 +371,13 @@ func (p *Party) openPairUneven(x, a, y, b []uint64) (e, f []uint64, err error) {
 	return e, f, nil
 }
 
-// bitAnd is mulOwned over packed bits: XOR shares of x AND y bitwise for
-// bits x that party 1 holds whole and bits y that party 0 holds whole, each
-// party passing its own as mine. On owner-split AND triples party 1 sends
-// x ⊕ a and party 0 sends y ⊕ b, one exchange of ⌈n/64⌉ words each way,
-// and the shares are (x ⊕ a) ∧ y ⊕ c0 on party 0 and a ∧ (y ⊕ b) ⊕ c1 on
-// party 1. ownedRound evaluates functions of XOR-shared bits on it.
+// bitAnd is the owned product over packed bits: XOR shares of x AND y
+// bitwise for bits x that party 1 holds whole and bits y that party 0 holds
+// whole, each party passing its own as mine. On owner-split AND triples
+// party 1 sends x ⊕ a and party 0 sends y ⊕ b, one exchange of ⌈n/64⌉
+// words each way, and the shares are (x ⊕ a) ∧ y ⊕ c0 on party 0 and
+// a ∧ (y ⊕ b) ⊕ c1 on party 1. ownedRound evaluates functions of
+// XOR-shared bits on it.
 func (p *Party) bitAnd(mine BitShare) (BitShare, error) {
 	ta, tb, tc, err := p.corr().TakeBits(mine.N)
 	if err != nil {
@@ -480,63 +407,70 @@ func (p *Party) bitAnd(mine BitShare) (BitShare, error) {
 }
 
 // selectBits returns shares of b ⊙ x for XOR-shared selector bits b — the
-// multiplexer closing ReLU and max — in one opening. With b = b0 ⊕ b1 =
-// b0 + b1 − 2·b0·b1 and x = x0 + x1,
+// multiplexer closing ReLU, max and argmax — in one exchange. With
+// b = b0 ⊕ b1 = b0 + b1 − 2·b0·b1 and x = x0 + x1,
 //
-//	b·x = b0·x0 + b1·x1 + b1·[x0(1−2b0)] + b0·[x1(1−2b1)]:
+//	b·x = b0·x0 + b1·x1 + b1·y0 + b0·y1,    yi = xi(1−2bi):
 //
-// two local terms plus two products of one party-0-private and one
-// party-1-private value, both one owned product of 2n elements, so each
-// party sends 2n words. The selector is an unscaled integer, so the result
-// keeps x's fixed-point scale and needs no truncation.
+// two local terms and two bit×ring products of one party's bit and the
+// other's word. On a selector triple (see Stream.Hadamard) party i sends
+// its bits masked with its dealt bits, di = bi ⊕ ci, one bit each, and yi
+// masked with its dealt words, ei = yi − ri, one word each. Since
+// bj = dj + (1−2dj)·cj and yi = ei + ri, each cross term is
+//
+//	bj·yi = dj·yi + (1−2dj)·(cj·ei + cj·ri),
+//
+// the first term local to party i, cj·ei local to party j, and cj·ri the
+// triple's z; so party 0's share is
+//
+//	b0x0 + d1y0 + (1−2d1)·z0[:n] + (1−2d0)·(c0e1 + z0[n:])
+//
+// and party 1's b1x1 + (1−2d1)·(c1e0 + z1[:n]) + d0y1 + (1−2d0)·z1[n:].
+// Each party sees the other's bits and words only under masks it never
+// holds. The selector is an unscaled integer, so the result keeps x's
+// fixed-point scale and needs no truncation.
 func (p *Party) selectBits(bits BitShare, x Share) (Share, error) {
 	n := x.Len()
 	if bits.N != n {
 		return Share{}, fmt.Errorf("mpc: select: %d bits for %d values", bits.N, n)
 	}
-	// Party 0 holds [x0(1−2b0) ; b0], party 1 [b1 ; x1(1−2b1)]; their
-	// product is the two cross terms.
-	mine := make([]uint64, 2*n)
-	signed, own := mine[:n], mine[n:]
+	a, b, z, err := p.corr().TakeHadamard(n)
+	if err != nil {
+		return Share{}, fmt.Errorf("mpc: select: selector triple: %w", err)
+	}
+	// zPeer is this party's share of the peer's bits times its words, zOwn
+	// of its bits times the peer's.
+	mine, zPeer, zOwn := b, z[:n], z[n:]
 	if p.ID == 1 {
-		own, signed = mine[:n], mine[n:]
+		mine, zPeer, zOwn = a, z[n:], z[:n]
+	}
+	nw := BitWords(n)
+	c, r := mine[:nw], mine[nw:]
+	sent := grow(&p.scr.mine, nw+n)
+	for i, w := range bits.W {
+		sent[i] = w ^ c[i]
 	}
 	out := NewShare(x.Shape...)
 	for i, xi := range x.V {
-		b := bits.Bit(i)
-		own[i] = b
-		signed[i] = xi * (1 - 2*b)
-		out.V[i] = b * xi
+		g := -bits.Bit(i)
+		out.V[i] = g & xi
+		sent[nw+i] = (xi ^ g - g) - r[i]
 	}
-	cross, err := p.mulOwned(mine)
+	theirs, err := transport.Exchange(p.Conn, sent)
 	if err != nil {
-		return Share{}, fmt.Errorf("mpc: select: %w", err)
+		return Share{}, fmt.Errorf("mpc: select open: %w", err)
 	}
-	ringAdd(out.V, out.V, cross[:n])
-	ringAdd(out.V, out.V, cross[n:])
-	return out, nil
-}
-
-// B2A converts XOR bit shares to arithmetic shares over the ring using
-// b = b0 + b1 − 2·b0·b1, with the cross term b0·b1 one owned product of
-// each party's own bits: n words each way. The result is an *integer*
-// sharing (not fixed-point scaled).
-func (p *Party) B2A(bits BitShare, shape ...int) (Share, error) {
-	n := bits.N
-	out := NewShare(shape...)
-	if out.Len() != n {
-		return Share{}, fmt.Errorf("mpc: b2a shape %v != %d bits", shape, n)
+	if len(theirs) != nw+n {
+		return Share{}, fmt.Errorf("mpc: select open length %d != %d", len(theirs), nw+n)
 	}
-	own := make([]uint64, n)
-	for i := range own {
-		own[i] = bits.Bit(i)
-	}
-	prod, err := p.mulOwned(own) // shares of b0·b1
-	if err != nil {
-		return Share{}, fmt.Errorf("mpc: b2a: %w", err)
-	}
+	// −d is all ones for d = 1: v^m − m is (1−2d)·v, m & v is d·v.
 	for i := range out.V {
-		out.V[i] = own[i] - 2*prod[i]
+		w, s := i>>6, uint(i)&63
+		mi, mj := -(sent[w] >> s & 1), -(theirs[w] >> s & 1)
+		ci := -(c[w] >> s & 1)
+		y := sent[nw+i] + r[i]
+		own := ci&theirs[nw+i] + zOwn[i]
+		out.V[i] += mj&y + (zPeer[i] ^ mj - mj) + (own ^ mi - mi)
 	}
 	return out, nil
 }

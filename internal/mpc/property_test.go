@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -64,29 +65,45 @@ func TestShareAlgebraProperties(t *testing.T) {
 	}
 }
 
-// TestBeaverTripleProperty: every triple the dealer issues satisfies
-// z = a∘b after reconstruction, for arbitrary sizes, with a dealt whole to
-// party 1 and b whole to party 0.
+// TestBeaverTripleProperty: every selector triple the dealer issues is
+// owner-split with clear bit tails and satisfies z = [c1 ⊙ r0 ; c0 ⊙ r1]
+// after reconstruction, for arbitrary sizes.
 func TestBeaverTripleProperty(t *testing.T) {
 	prop := func(seed uint64, sizeRaw uint8) bool {
-		size := int(sizeRaw%64) + 1
-		d0 := NewDealer(seed, 0)
-		d1 := NewDealer(seed, 1)
-		a0, b0, z0, _ := d0.TakeHadamard(size)
-		a1, b1, z1, _ := d1.TakeHadamard(size)
-		if a0 != nil || b1 != nil || len(a1) != size || len(b0) != size {
-			return false
-		}
-		for i := 0; i < size; i++ {
-			if z0[i]+z1[i] != a1[i]*b0[i] {
-				return false
-			}
-		}
-		return true
+		return checkSelectorTriple(seed, int(sizeRaw%160)+1) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkSelectorTriple deals one selector triple for n selects from both
+// parties' dealers on seed and checks its contract (see
+// CorrelationSource.TakeHadamard): party 1 holds a = [c1 ; r1] alone and
+// party 0 b = [c0 ; r0] alone, each ⌈n/64⌉ bit words with the bits past n
+// clear and n ring words, and z0 + z1 = [c1 ⊙ r0 ; c0 ⊙ r1] on all 2n
+// words.
+func checkSelectorTriple(seed uint64, n int) error {
+	a0, b0, z0, _ := NewDealer(seed, 0).TakeHadamard(n)
+	a1, b1, z1, _ := NewDealer(seed, 1).TakeHadamard(n)
+	nw := BitWords(n)
+	if a0 != nil || b1 != nil {
+		return fmt.Errorf("n=%d: party 0 got %d a words, party 1 %d b words; want none", n, len(a0), len(b1))
+	}
+	if len(a1) != nw+n || len(b0) != nw+n || len(z0) != 2*n || len(z1) != 2*n {
+		return fmt.Errorf("n=%d: a %d, b %d, z %d/%d words; want %d, %d, %d", n, len(a1), len(b0), len(z0), len(z1), nw+n, nw+n, 2*n)
+	}
+	c1, c0 := BitShare{N: n, W: a1[:nw]}, BitShare{N: n, W: b0[:nw]}
+	if !tailClear(c1) || !tailClear(c0) {
+		return fmt.Errorf("n=%d: selector bits set past the last select", n)
+	}
+	r1, r0 := a1[nw:], b0[nw:]
+	for i := range n {
+		if z0[i]+z1[i] != c1.Bit(i)*r0[i] || z0[n+i]+z1[n+i] != c0.Bit(i)*r1[i] {
+			return fmt.Errorf("n=%d: select %d: z does not match [c1·r0 ; c0·r1]", n, i)
+		}
+	}
+	return nil
 }
 
 // TestDReLUProperty runs the full comparison protocol on random batches
@@ -160,44 +177,33 @@ func TestDReLUProperty(t *testing.T) {
 	}
 }
 
-// TestMulTruncProperty: fixed-point secure multiplication stays within a
-// small ULP bound of the real product across random operands.
+// TestMulTruncProperty: the fixed-point secure product — a Beaver square,
+// the elementwise product the served programs run — stays within a small
+// ULP bound of the real square across random operands, so the truncation
+// bound stays pinned.
 func TestMulTruncProperty(t *testing.T) {
 	iter := 0
-	prop := func(rawA, rawB []int16) bool {
+	prop := func(raw []int16) bool {
 		iter++
-		n := len(rawA)
-		if len(rawB) < n {
-			n = len(rawB)
-		}
+		n := min(len(raw), 16)
 		if n == 0 {
 			return true
 		}
-		if n > 16 {
-			n = 16
-		}
 		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := 0; i < n; i++ {
-			xs[i] = float64(rawA[i]) / 64
-			ys[i] = float64(rawB[i]) / 64
+		for i := range xs {
+			xs[i] = float64(raw[i]) / 64
 		}
 		ok := true
 		err := RunProtocol(uint64(5000+iter), testCodec, func(p *Party) error {
-			var encX, encY []uint64
+			var enc []uint64
 			if p.ID == 0 {
-				encX = p.EncodeTensor(xs)
-				encY = p.EncodeTensor(ys)
+				enc = p.EncodeTensor(xs)
 			}
-			x, err := p.ShareInput(0, encX, n)
+			x, err := p.ShareInput(0, enc, n)
 			if err != nil {
 				return err
 			}
-			y, err := p.ShareInput(0, encY, n)
-			if err != nil {
-				return err
-			}
-			z, err := p.MulHadamard(x, y)
+			z, err := p.Square(x)
 			if err != nil {
 				return err
 			}
@@ -208,8 +214,8 @@ func TestMulTruncProperty(t *testing.T) {
 			if p.ID == 0 {
 				got := p.DecodeTensor(vals)
 				for i := 0; i < n; i++ {
-					tol := (math.Abs(xs[i])+math.Abs(ys[i])+4)/testCodec.Scale() + 2/testCodec.Scale()
-					if math.Abs(got[i]-xs[i]*ys[i]) > tol {
+					tol := (2*math.Abs(xs[i])+4)/testCodec.Scale() + 2/testCodec.Scale()
+					if math.Abs(got[i]-xs[i]*xs[i]) > tol {
 						ok = false
 					}
 				}

@@ -150,10 +150,11 @@ func flushWire(t *testing.T, progs [2]*Program, x *tensor.Tensor, seed uint64) (
 }
 
 // TestUnboundedReLUWireUnchanged: a model without recorded bounds moves
-// exactly the frames and bytes every model moved before bounds existed
-// (the figures pinned here), and the bounded one saves exactly the narrow
-// layout's difference — one exchange and 546 − 177 owned triples per
-// element — at each of its ReLU layers.
+// exactly the frames every model moved before bounds existed and the bytes
+// it moved then less the one-bit select's saving (the figures pinned
+// here), and the bounded one saves exactly the narrow layout's difference
+// — one exchange and 546 − 177 owned triples per element — at each of its
+// ReLU layers.
 func TestUnboundedReLUWireUnchanged(t *testing.T) {
 	net, _ := boundedVariant(t, 7200, 0)
 	v := netVariants[1]
@@ -172,9 +173,17 @@ func TestUnboundedReLUWireUnchanged(t *testing.T) {
 		t.Fatal(errs)
 	}
 
-	// Party 0 and party 1 sent these before ReLU layers had bounds. The
-	// three ReLU layers see 2·4·8·8, 2·4·4·4 and 2·4·4·4 elements.
+	// Party 0 and party 1 sent 21 and 26 frames, 97104 and 106320 bytes,
+	// before ReLU layers had bounds, when a select of n elements sent 2n
+	// words; it now sends n words and ⌈n/64⌉ words of selector bits. The
+	// three ReLU layers select 2·4·8·8, 2·4·4·4 and 2·4·4·4 elements, the
+	// 2×2 maxpool's two levels 2·128 and 128.
 	wantFrames, wantBytes := [2]int64{21, 26}, [2]int64{97104, 106320}
+	for _, n := range []int{512, 128, 128, 256, 128} {
+		for id := range wantBytes {
+			wantBytes[id] -= 8 * int64(n-mpc.BitWords(n))
+		}
+	}
 	var saveFrames, saveBytes int64
 	for _, n := range []int{512, 128, 128} {
 		saveFrames++

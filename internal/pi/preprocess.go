@@ -43,7 +43,8 @@ var ErrNoStore = errors.New("no preprocessed store for this geometry")
 type zeroSource struct{}
 
 func (zeroSource) TakeHadamard(n int) (a, b, z []uint64, err error) {
-	return make([]uint64, n), make([]uint64, n), make([]uint64, n), nil
+	nw := mpc.BitWords(n) + n
+	return make([]uint64, nw), make([]uint64, nw), make([]uint64, 2*n), nil
 }
 
 func (zeroSource) TakeSquare(n int) (a, z []uint64, err error) {
