@@ -183,7 +183,7 @@ func transposeU(a []uint64, rows, cols int) []uint64 {
 }
 
 // TestConvCrossBackend runs the conv forward and backward paths naive and
-// tiled over the random geometry zoo: the im2col GEMM and the gradient
+// tiled over the random geometry zoo: the lowered conv GEMM and the gradient
 // GEMM variants must agree exactly in the ring and bit-identically in
 // float64, at 1 worker and NumCPU.
 func TestConvCrossBackend(t *testing.T) {

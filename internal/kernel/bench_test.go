@@ -31,12 +31,12 @@ func servedShapes(n int) []ConvShape {
 }
 
 // BenchmarkConvServed times one pass over servedShapes in the ring domain
-// at the two served batch sizes (a 1-row flush takes Conv2D's serial-block
-// branch, a 16-row flush the batched one) and reports allocations and
-// GMAC/s, so the kernel's share of a served query can be reproduced
-// without the ledger.
+// at the served flush sizes — 1 and 16 rows, and the ~2-row flushes of a
+// queue-aware multi-client lane — and reports allocations and GMAC/s, so
+// the kernel's share of a served query can be reproduced without the
+// ledger.
 func BenchmarkConvServed(b *testing.B) {
-	for _, n := range []int{1, 16} {
+	for _, n := range []int{1, 2, 4, 16} {
 		b.Run(fmt.Sprintf("ring-N%d", n), func(b *testing.B) {
 			r := rng.New(8)
 			shapes := servedShapes(n)

@@ -48,12 +48,18 @@ func (s ConvShape) check(out, x, k int) {
 	}
 }
 
-// Conv2D computes out = conv(x, k) for the given shape via im2col + GEMM
-// (or the naive reference loops when SetNaive is on). The lowering uses the
-// (InC/G·KH·KW) × (OH·OW) column layout so each (batch, group) output block
-// is one row-major GEMM with no transposes. Accumulation order per output
-// element matches the naive loops, so float64 results are bit-identical
-// and ring results are exactly equal.
+// Conv2D computes out = conv(x, k) for the given shape (or runs the naive
+// reference loops when SetNaive is on). Each group is one transposed GEMM,
+// outᵀ = colsᵀ · Kᵀ: its rows are all N·OH·OW output positions of the
+// call, its columns the group's output channels and its k extent the
+// group's (channel, ky, kx) taps. Row panels are packed straight from the
+// NCHW input through a per-call tap-offset table, so no im2col matrix is
+// materialised; Kᵀ is packed into column strips once per call; and each
+// tile is stored back into NCHW through per-position row offsets and the
+// OH·OW channel stride. A batch of queries therefore fills the tile rows
+// even where a layer has few output channels or a tiny map. Accumulation
+// order per output element matches the naive loops, so float64 results
+// are bit-identical and ring results are exactly equal.
 func Conv2D[T Elem](out, x, k []T, s ConvShape) {
 	s.check(len(out), len(x), len(k))
 	if Naive() {
@@ -69,45 +75,132 @@ func Conv2D[T Elem](out, x, k []T, s ConvShape) {
 	icg := s.InC / g
 	ocg := s.OutC / g
 	ckk := icg * s.KH * s.KW
-	tasks := s.N * g
-	if tasks >= 2*Workers() {
-		// Enough (batch, group) blocks to feed every worker: parallelize
-		// across blocks. Every batch row multiplies the same kernel, so each
-		// group's matrix is packed once per call and shared read-only; each
-		// worker chunk owns one im2col and one B-strip buffer for all of its
-		// blocks.
-		plen := panelLen(ocg, ckk)
-		ap := make([]T, g*plen)
-		for gi := 0; gi < g; gi++ {
-			packARows(ap[gi*plen:(gi+1)*plen], k[gi*ocg*ckk:(gi+1)*ocg*ckk], ckk, 0, ocg)
+	offs := tapOffsets(s, icg)
+	strips := (ocg + tileN - 1) / tileN
+	slen := ckk * tileN
+	kp := make([]T, g*strips*slen)
+	for gi := 0; gi < g; gi++ {
+		kg := k[gi*ocg*ckk : (gi+1)*ocg*ckk]
+		for si := 0; si < strips; si++ {
+			j0 := si * tileN
+			packBTransStrip(kp[(gi*strips+si)*slen:(gi*strips+si+1)*slen], kg, ckk, j0, min(tileN, ocg-j0))
 		}
-		parallelFor(tasks, 1, func(lo, hi int) {
-			cols := make([]T, ckk*ohw)
-			bp := make([]T, ckk*tileN)
-			packB := func(strip []T, j0, nr int) { packBStrip(strip, cols, ckk, ohw, j0, nr) }
-			for t := lo; t < hi; t++ {
-				b, gi := t/g, t%g
-				im2colRows(cols, x, s, b, gi, 0, ckk)
-				blk := out[(b*s.OutC+gi*ocg)*ohw : (b*s.OutC+(gi+1)*ocg)*ohw]
-				tiledDrive(blk, ap[gi*plen:(gi+1)*plen], bp, ckk, ohw, 0, ocg, false, packB)
+	}
+	m := s.N * ohw
+	panels := (m + tileM - 1) / tileM
+	parallelFor(g*panels, 1+gemmFlopGrain/(tileM*ckk*ocg), func(lo, hi int) {
+		ap := make([]T, tileM*ckk)
+		var rows [tileM]int
+		for t := lo; t < hi; t++ {
+			gi, r0 := t/panels, t%panels*tileM
+			mr := min(tileM, m-r0)
+			packConvPanel(ap, &rows, x, offs, s, gi, r0, mr)
+			gkp := kp[gi*strips*slen : (gi+1)*strips*slen]
+			for si := 0; si < strips; si++ {
+				j0 := si * tileN
+				microTile(out[j0*ohw:], ap, gkp[si*slen:(si+1)*slen], ckk, &rows, ohw, mr, min(tileN, ocg-j0), false)
 			}
-		})
+		}
+	})
+}
+
+// tapOffsets lists a group's (channel-in-group, ky, kx) taps in the naive
+// loops' accumulation order, each as its input offset from the receptive
+// field's top-left corner in the group's first channel.
+func tapOffsets(s ConvShape, icg int) []int {
+	offs := make([]int, 0, icg*s.KH*s.KW)
+	for cg := 0; cg < icg; cg++ {
+		for ky := 0; ky < s.KH; ky++ {
+			for kx := 0; kx < s.KW; kx++ {
+				offs = append(offs, (cg*s.H+ky)*s.W+kx)
+			}
+		}
+	}
+	return offs
+}
+
+// packConvPanel packs the colsᵀ panel of output positions [r0, r0+mr)
+// (flattened over batch row and map position) for group gi into ap,
+// k-major with the tileM position lanes interleaved, and sets rows[ii] to
+// lane ii's NCHW offset at the group's first output channel. Taps that
+// fall in padding and the lanes past mr are zero.
+func packConvPanel[T Elem](ap []T, rows *[tileM]int, x []T, offs []int, s ConvShape, gi, r0, mr int) {
+	oh, ow := s.OutHW()
+	ohw := oh * ow
+	g := s.NormGroups()
+	icg, ocg := s.InC/g, s.OutC/g
+	b := r0 / ohw
+	pos := r0 - b*ohw
+	oy := pos / ow
+	ox := pos - oy*ow
+	var base [tileM]int
+	border := 0 // bit ii set: lane ii's receptive field crosses the padding
+	for ii := 0; ii < mr; ii++ {
+		iy0, ix0 := oy*s.Stride-s.Pad, ox*s.Stride-s.Pad
+		base[ii] = ((b*s.InC+gi*icg)*s.H+iy0)*s.W + ix0
+		rows[ii] = (b*s.OutC+gi*ocg)*ohw + pos
+		if iy0 < 0 || iy0+s.KH > s.H || ix0 < 0 || ix0+s.KW > s.W {
+			border |= 1 << ii
+			packBorderLane(ap, x, s, ii, b*s.InC+gi*icg, icg, iy0, ix0)
+		}
+		pos++
+		if ox++; ox == ow {
+			ox = 0
+			if oy++; oy == oh {
+				oy, pos = 0, 0
+				b++
+			}
+		}
+	}
+	if mr == tileM && border == 0 {
+		for p, o := range offs {
+			a := ap[p*tileM : p*tileM+tileM : p*tileM+tileM]
+			a[0], a[1], a[2] = x[base[0]+o], x[base[1]+o], x[base[2]+o]
+			a[3], a[4], a[5] = x[base[3]+o], x[base[4]+o], x[base[5]+o]
+		}
 		return
 	}
-	// Few blocks (the 2PC inference case is N=1, G=1): run blocks serially
-	// and parallelize inside the im2col and the GEMM.
-	cols := make([]T, ckk*ohw)
-	colGrain := 1 + gemmFlopGrain/(ohw+1)
-	for t := 0; t < tasks; t++ {
-		b, gi := t/g, t%g
-		parallelFor(ckk, colGrain, func(lo, hi int) {
-			im2colRows(cols, x, s, b, gi, lo, hi)
-		})
-		kmat := k[gi*ocg*ckk : (gi+1)*ocg*ckk]
-		blk := out[(b*s.OutC+gi*ocg)*ohw : (b*s.OutC+(gi+1)*ocg)*ohw]
-		parallelFor(ocg, rowGrain(ckk*ohw), func(lo, hi int) {
-			tiledRows(blk, kmat, cols, ckk, ohw, lo, hi)
-		})
+	for ii := 0; ii < tileM; ii++ {
+		switch {
+		case ii >= mr:
+			for p := range offs {
+				ap[p*tileM+ii] = 0
+			}
+		case border&(1<<ii) == 0:
+			xb := base[ii]
+			for p, o := range offs {
+				ap[p*tileM+ii] = x[xb+o]
+			}
+		}
+	}
+}
+
+// packBorderLane fills panel lane ii for an output position whose
+// receptive field, top-left corner (iy0, ix0) in input channel c0 (the
+// group's first), crosses the padding: taps outside the map are zero.
+func packBorderLane[T Elem](ap, x []T, s ConvShape, ii, c0, icg, iy0, ix0 int) {
+	kxLo, kxHi := max(0, -ix0), min(s.KW, s.W-ix0)
+	p := ii
+	for c := c0; c < c0+icg; c++ {
+		for ky := 0; ky < s.KH; ky++ {
+			iy := iy0 + ky
+			if iy < 0 || iy >= s.H {
+				for kx := 0; kx < s.KW; kx++ {
+					ap[p] = 0
+					p += tileM
+				}
+				continue
+			}
+			row := (c*s.H + iy) * s.W
+			for kx := 0; kx < s.KW; kx++ {
+				if kx >= kxLo && kx < kxHi {
+					ap[p] = x[row+ix0+kx]
+				} else {
+					ap[p] = 0
+				}
+				p += tileM
+			}
+		}
 	}
 }
 
@@ -152,10 +245,10 @@ func Conv2DNaive[T Elem](out, x, k []T, s ConvShape) {
 	}
 }
 
-// im2colRows fills column-matrix rows [r0, r1) for batch b, group gi. Row
-// r corresponds to one (channel-in-group, ky, kx) tap; its ohw entries are
-// the tap's value at every output position (zero where the tap falls in
-// padding).
+// im2colRows fills column-matrix rows [r0, r1) for batch b, group gi, the
+// lowering Conv2DGrads runs on. Row r corresponds to one (channel-in-group,
+// ky, kx) tap; its ohw entries are the tap's value at every output
+// position (zero where the tap falls in padding).
 func im2colRows[T Elem](cols, x []T, s ConvShape, b, gi, r0, r1 int) {
 	oh, ow := s.OutHW()
 	ohw := oh * ow

@@ -63,18 +63,47 @@ func fillU64(r *rng.RNG, n int) []uint64 {
 	return out
 }
 
+// Sentinels fill every destination before a Conv2D call, so an output
+// element the lowering fails to store shows up as a mismatch instead of
+// matching a zeroed buffer.
+const (
+	sentinelF64 float64 = -7.25e30
+	sentinelU64 uint64  = 0xa5a5a5a5a5a5a5a5
+)
+
+func filled[T Elem](n int, v T) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// raggedShapes are batch-n geometries whose N·OH·OW is not a multiple of
+// tileM and whose OutC/G is not a multiple of tileN, so the last row panel
+// and the last channel strip of each group store a partial tile; the last
+// has every output position in padding (an all-zero output).
+func raggedShapes(n int) []ConvShape {
+	return []ConvShape{
+		{N: n, InC: 3, H: 7, W: 7, OutC: 7, KH: 3, KW: 3, Stride: 2, Pad: 1},
+		{N: n, InC: 6, H: 5, W: 5, OutC: 10, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 2},
+		{N: n, InC: 3, H: 1, W: 1, OutC: 5, KH: 1, KW: 1, Stride: 3, Pad: 2},
+	}
+}
+
 // TestConv2DMatchesNaive checks the lowered conv against the scalar
-// reference over random geometries in both element domains, at worker
-// counts 1 and 8 (results must be identical — ring exactly, float64 up to
-// the identical accumulation order, i.e. exactly for finite inputs).
+// reference over random geometries and the ragged-tile ones in both
+// element domains, at worker counts 1 and 8 (results must be identical —
+// ring exactly, float64 up to the identical accumulation order, i.e.
+// exactly for finite inputs).
 func TestConv2DMatchesNaive(t *testing.T) {
 	r := rng.New(42)
 	for _, w := range []int{1, 8} {
 		prev := SetWorkers(w)
-		for _, s := range randShapes(r, 40) {
+		for _, s := range append(randShapes(r, 40), raggedShapes(2)...) {
 			x := fillF64(r, s.InLen())
 			k := fillF64(r, s.KLen())
-			got := make([]float64, s.OutLen())
+			got := filled(s.OutLen(), sentinelF64)
 			want := make([]float64, s.OutLen())
 			Conv2D(got, x, k, s)
 			Conv2DNaive(want, x, k, s)
@@ -85,7 +114,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 			}
 			xu := fillU64(r, s.InLen())
 			ku := fillU64(r, s.KLen())
-			gotU := make([]uint64, s.OutLen())
+			gotU := filled(s.OutLen(), sentinelU64)
 			wantU := make([]uint64, s.OutLen())
 			Conv2D(gotU, xu, ku, s)
 			Conv2DNaive(wantU, xu, ku, s)
@@ -99,13 +128,13 @@ func TestConv2DMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestConv2DServedGeometries pins Conv2D ≡ Conv2DNaive where the packed-
-// once batched branch actually serves: every demo-backbone conv at flush
-// sizes 1/2/4/16, a depthwise block (one output row per group), and output
-// channel counts below, at and just past a tileM multiple — at 1, 2 and 4
-// workers (which moves calls between the serial-block and batched branches
-// and changes how blocks share a chunk's buffers), float64 bit-identical
-// and ring exact.
+// TestConv2DServedGeometries pins Conv2D ≡ Conv2DNaive on the shapes a
+// served flush runs: every demo-backbone conv at flush sizes 1/2/4/16, a
+// depthwise block (one output channel per group), output channel counts
+// below, at and just past a tileM multiple, and the ragged-tile shapes —
+// at 1, 2 and 4 workers (which moves the row-panel chunk boundaries and
+// how many panels share a chunk's buffer), float64 bit-identical and ring
+// exact.
 func TestConv2DServedGeometries(t *testing.T) {
 	r := rng.New(43)
 	for _, n := range []int{1, 2, 4, 16} {
@@ -114,7 +143,7 @@ func TestConv2DServedGeometries(t *testing.T) {
 			ConvShape{N: n, InC: 5, H: 5, W: 5, OutC: tileM - 1, KH: 3, KW: 3, Stride: 1, Pad: 1},
 			ConvShape{N: n, InC: 5, H: 5, W: 5, OutC: 2 * tileM, KH: 3, KW: 3, Stride: 2, Pad: 1},
 			ConvShape{N: n, InC: 4, H: 5, W: 5, OutC: 2*tileM + 2, KH: 3, KW: 3, Stride: 1, Pad: 0, Groups: 2})
-		for _, s := range shapes {
+		for _, s := range append(shapes, raggedShapes(n)...) {
 			x, k := fillF64(r, s.InLen()), fillF64(r, s.KLen())
 			xu, ku := fillU64(r, s.InLen()), fillU64(r, s.KLen())
 			want, wantU := make([]float64, s.OutLen()), make([]uint64, s.OutLen())
@@ -122,7 +151,7 @@ func TestConv2DServedGeometries(t *testing.T) {
 			Conv2DNaive(wantU, xu, ku, s)
 			for _, w := range []int{1, 2, 4} {
 				prev := SetWorkers(w)
-				got, gotU := make([]float64, s.OutLen()), make([]uint64, s.OutLen())
+				got, gotU := filled(s.OutLen(), sentinelF64), filled(s.OutLen(), sentinelU64)
 				Conv2D(got, x, k, s)
 				Conv2D(gotU, xu, ku, s)
 				SetWorkers(prev)
@@ -139,26 +168,27 @@ func TestConv2DServedGeometries(t *testing.T) {
 	}
 }
 
-// TestConv2DBatchedAllocations pins the batched branch's buffer count: a
-// 16-row call packs the kernel once and gives each worker chunk one im2col
-// and one B-strip buffer, so allocations scale with workers, not with
-// batch rows × groups (the same call used to make two buffers per block:
-// 32 dense, 256 for the depthwise shape).
+// TestConv2DBatchedAllocations pins Conv2D's buffer inventory at the
+// served flush sizes: per call the tap-offset table, the packed Kᵀ strips,
+// the parallelFor closure and, once the call splits, its WaitGroup; per
+// worker chunk one A panel. Allocations therefore scale with workers, not
+// with batch rows × groups (an im2col lowering with per-block buffers made
+// 32 of them for the dense shape at N=16 and 256 for the depthwise one).
 func TestConv2DBatchedAllocations(t *testing.T) {
 	const workers = 2
 	defer SetWorkers(SetWorkers(workers))
 	r := rng.New(44)
-	for _, s := range []ConvShape{
-		{N: 16, InC: 4, H: 8, W: 8, OutC: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
-		{N: 16, InC: 8, H: 4, W: 4, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 8},
-	} {
-		x, k, out := fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
-		allocs := testing.AllocsPerRun(20, func() { Conv2D(out, x, k, s) })
-		// Per call: the packed panels and the parallelFor bookkeeping; per
-		// chunk: im2col buffer, B strip and the strip-packing closure.
-		if limit := float64(4 + 4*workers); allocs > limit {
-			t.Errorf("shape %+v: %v allocations per call at %d workers, want at most %v (N·groups = %d blocks)",
-				s, allocs, workers, limit, s.N*s.NormGroups())
+	for _, n := range []int{1, 2, 16} {
+		for _, s := range []ConvShape{
+			{N: n, InC: 4, H: 8, W: 8, OutC: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
+			{N: n, InC: 8, H: 4, W: 4, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 8},
+		} {
+			x, k, out := fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
+			allocs := testing.AllocsPerRun(20, func() { Conv2D(out, x, k, s) })
+			if limit := float64(4 + workers); allocs > limit {
+				t.Errorf("shape %+v: %v allocations per call at %d workers, want at most %v (N·groups = %d blocks)",
+					s, allocs, workers, limit, s.N*s.NormGroups())
+			}
 		}
 	}
 }

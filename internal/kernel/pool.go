@@ -1,6 +1,8 @@
 // Package kernel holds the shared compute kernels behind every convolution
-// and matrix-multiplication hot path in the repository: im2col/col2im
-// lowering, a register-tiled GEMM, and chunked elementwise primitives, all
+// and matrix-multiplication hot path in the repository: a register-tiled
+// GEMM, the batch-folded convolution lowering that feeds it output
+// positions packed straight from the input, the im2col/col2im lowering of
+// the training backward pass, and chunked elementwise primitives, all
 // instantiated over both float64 (plaintext training) and uint64 (the 2PC
 // ring Z_{2^64}, where Go's native wrapping arithmetic is exactly the ring
 // semantics).

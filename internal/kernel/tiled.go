@@ -41,41 +41,19 @@ const (
 //
 // The GEMM variants hand their pack functions over as closures so all
 // share one driver: each variant differs only in where an (i, p) or
-// (p, j) element of its operand lives.
+// (p, j) element of its operand lives. Conv2D fills the same layout one
+// panel at a time (packConvPanel) and drives microTile itself.
 
 // panelLen returns the packedA length for a chunk of rows output rows
 // with k-extent k: whole tileM-row panels.
 func panelLen(rows, k int) int { return (rows + tileM - 1) / tileM * tileM * k }
 
-// tiledDrive computes dst rows [lo, hi) of an m×n GEMM with k-extent k
-// from ap, those rows' already-packed A panels, so a caller multiplying
-// one A against many B operands (Conv2D's batch rows) packs it once.
-// packB fills the caller's k·tileN scratch bp with one tileN-wide B strip
-// for column j0 (zero-padding ragged strips). When acc is true the tile is
-// added into dst instead of overwriting it.
-func tiledDrive[T Elem](dst, ap, bp []T, k, n, lo, hi int, acc bool,
-	packB func(bp []T, j0, nr int),
-) {
-	panels := (hi - lo + tileM - 1) / tileM
-	for j0 := 0; j0 < n; j0 += tileN {
-		nr := n - j0
-		if nr > tileN {
-			nr = tileN
-		}
-		packB(bp, j0, nr)
-		for pi := 0; pi < panels; pi++ {
-			i0 := lo + pi*tileM
-			mr := hi - i0
-			if mr > tileM {
-				mr = tileM
-			}
-			microTile(dst, ap[pi*tileM*k:(pi+1)*tileM*k], bp, k, n, i0, j0, mr, nr, acc)
-		}
-	}
-}
-
-// tiledOnce is the one-shot entry to tiledDrive: it allocates the chunk's
-// panel and strip buffers, fills the panels through packA and drives them.
+// tiledOnce computes dst rows [lo, hi) of a row-major m×n GEMM with
+// k-extent k: it allocates the chunk's panel and strip buffers, fills the
+// panels through packA, then for each tileN-wide column strip fills the
+// strip through packB (zero-padding ragged strips) and runs every panel
+// against it. When acc is true tiles are added into dst instead of
+// overwriting it.
 func tiledOnce[T Elem](dst []T, k, n, lo, hi int, acc bool,
 	packA func(ap []T),
 	packB func(bp []T, j0, nr int),
@@ -85,15 +63,31 @@ func tiledOnce[T Elem](dst []T, k, n, lo, hi int, acc bool,
 	}
 	ap := make([]T, panelLen(hi-lo, k))
 	packA(ap)
-	tiledDrive(dst, ap, make([]T, k*tileN), k, n, lo, hi, acc, packB)
+	bp := make([]T, k*tileN)
+	panels := (hi - lo + tileM - 1) / tileM
+	var rows [tileM]int
+	for j0 := 0; j0 < n; j0 += tileN {
+		nr := min(tileN, n-j0)
+		packB(bp, j0, nr)
+		for pi := 0; pi < panels; pi++ {
+			i0 := lo + pi*tileM
+			for ii := range rows {
+				rows[ii] = (i0 + ii) * n
+			}
+			microTile(dst[j0:], ap[pi*tileM*k:(pi+1)*tileM*k], bp, k, &rows, 1, min(tileM, hi-i0), nr, acc)
+		}
+	}
 }
 
 // microTile reduces one tileM×tileN output tile over the full k extent.
 // ap is the tile's packed A panel (k groups of tileM row lanes), bp the
 // packed B strip (k groups of tileN column lanes); the re-slicing below
 // pins their exact lengths so the hot loop carries no bounds checks. Only
-// the mr×nr live corner is stored.
-func microTile[T Elem](dst, ap, bp []T, k, n, i0, j0, mr, nr int, acc bool) {
+// the mr×nr live corner is stored: tile element (ii, jj) goes to
+// dst[rows[ii]+jj*cs], so a row-major GEMM passes its row starts and
+// cs = 1, and Conv2D's transposed GEMM passes each output position's NCHW
+// offset and the channel stride OH·OW.
+func microTile[T Elem](dst, ap, bp []T, k int, rows *[tileM]int, cs, mr, nr int, acc bool) {
 	var c [tileM][tileN]T
 	a := ap[: tileM*k : tileM*k]
 	b := bp[: tileN*k : tileN*k]
@@ -128,14 +122,12 @@ func microTile[T Elem](dst, ap, bp []T, k, n, i0, j0, mr, nr int, acc bool) {
 		b = b[tileN:]
 	}
 	for ii := 0; ii < mr; ii++ {
-		drow := dst[(i0+ii)*n+j0 : (i0+ii)*n+j0+nr]
-		if acc {
-			for jj := range drow {
-				drow[jj] += c[ii][jj]
-			}
-		} else {
-			for jj := range drow {
-				drow[jj] = c[ii][jj]
+		o := rows[ii]
+		for jj := 0; jj < nr; jj++ {
+			if acc {
+				dst[o+jj*cs] += c[ii][jj]
+			} else {
+				dst[o+jj*cs] = c[ii][jj]
 			}
 		}
 	}
@@ -204,10 +196,10 @@ func packBTransStrip[T Elem](bp, b []T, k, j0, nr int) {
 }
 
 // tiledRows computes dst rows [lo, hi) of a @ b for row-major a (rows of
-// length k) and b (k×n) — the unit the worker pool parallelizes over, and
-// the one GEMM MatMul and the conv im2col path share, so a kernel change
-// retunes training, dealer triple generation and the online 2PC path at
-// once.
+// length k) and b (k×n) — the unit the worker pool parallelizes MatMul
+// over. It and Conv2D's transposed GEMM feed the same microTile, so a
+// microkernel change retunes training, dealer triple generation and the
+// online 2PC path at once.
 func tiledRows[T Elem](dst, a, b []T, k, n, lo, hi int) {
 	tiledOnce(dst, k, n, lo, hi, false,
 		func(ap []T) { packARows(ap, a, k, lo, hi) },

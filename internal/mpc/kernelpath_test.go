@@ -10,7 +10,7 @@ import (
 )
 
 // Test2PCConvKernelEquivalence runs the full 2PC-Conv protocol — dealer
-// triples, Beaver opening and combine — once on the lowered im2col/GEMM
+// triples, Beaver opening and combine — once on the lowered conv/GEMM
 // kernel and once with kernel.SetNaive forcing the scalar reference loops,
 // and requires bit-identical reconstructed outputs for dense, strided,
 // grouped and depthwise geometries.

@@ -157,7 +157,7 @@ func (d ConvDims) shape() kernel.ConvShape {
 
 // ringConv2D computes a wrapping NCHW convolution: x (N,InC,H,W) with
 // kernel k (OutC,InC/Groups,KH,KW) into out (N,OutC,OH,OW). It runs on the
-// shared im2col/GEMM kernel (kernel.SetNaive restores the scalar loops).
+// shared conv/GEMM kernel (kernel.SetNaive restores the scalar loops).
 func ringConv2D(out, x, k []uint64, d ConvDims) {
 	kernel.Conv2D(out, x, k, d.shape())
 }

@@ -27,7 +27,7 @@ func NewDepthwiseConv2D(name string, c, k, stride, pad int, r *rng.RNG) *Depthwi
 }
 
 // spec returns the grouped convolution geometry (groups == channels)
-// that routes the layer through the shared im2col/GEMM kernel.
+// that routes the layer through the shared conv/GEMM kernel.
 func (l *DepthwiseConv2D) spec() tensor.ConvSpec {
 	return tensor.ConvSpec{
 		InC: l.C, OutC: l.C, KH: l.KH, KW: l.KW,

@@ -15,7 +15,7 @@ import (
 // These tests pin the ROADMAP's worker-count-independence invariant at the
 // protocol level: full pi.Run outputs, one query or a packed batch, must be bit-identical
 // for any kernel worker count and for the naive reference kernels vs the
-// lowered im2col/GEMM path. The kernel package guarantees accumulation
+// lowered conv/GEMM path. The kernel package guarantees accumulation
 // order never depends on chunking; a regression there (or any
 // nondeterminism in the protocol stack above it) would let the two 2PC
 // parties drift out of lockstep, so the invariant is asserted on the whole

@@ -44,7 +44,7 @@ func (s ConvSpec) OutSize(h, w int) (oh, ow int) {
 
 // Conv2D computes a 2-D convolution of x (N×InC×H×W) with kernel
 // k (OutC×(InC/Groups)×KH×KW), returning N×OutC×OH×OW. It runs on the
-// shared im2col/GEMM kernel (kernel.SetNaive restores the scalar
+// shared conv/GEMM kernel (kernel.SetNaive restores the scalar
 // reference loops). Depthwise kernels may drop the singleton channel dim
 // (OutC×KH×KW).
 func Conv2D(x, k *Tensor, s ConvSpec) *Tensor {

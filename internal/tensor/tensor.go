@@ -1,5 +1,5 @@
 // Package tensor implements dense float64 tensors and the numeric kernels
-// (matmul, im2col convolution, pooling) that back both the plaintext neural
+// (matmul, lowered convolution, pooling) that back both the plaintext neural
 // network library and the correctness references for the 2PC protocols.
 //
 // Tensors are row-major with explicit shapes. The layout convention for
