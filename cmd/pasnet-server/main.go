@@ -159,7 +159,7 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.IntVar(&cfg.shards, "shards", 1, "2PC session pairs per model")
 	fs.StringVar(&cfg.model, "model", "", "client mode: model ID to query (empty: the first -models entry)")
 	fs.StringVar(&cfg.sched, "sched", "roundrobin", "gateway: shard dispatch policy, roundrobin or queue (queue depth × flush-latency estimate)")
-	fs.BoolVar(&cfg.pipeline, "pipeline", false, "gateway: pipelined flush schedule — overlap one flush's reconstruction with the next flush's input sharing per pair (bit-identical outputs)")
+	fs.BoolVar(&cfg.pipeline, "pipeline", false, "gateway: pipelined flush schedule — overlap one flush's reconstruction with the next flush's announce per pair (bit-identical outputs)")
 	fs.BoolVar(&cfg.lifecycle, "lifecycle", false, "gateway/vendor: revive dead shard pairs (re-dial with backoff, fresh streams and stores) instead of retiring them; the vendor accepts links until interrupted")
 	fs.IntVar(&cfg.budgetWarn, "budget-warn", 0, "gateway: log a re-provision warning when a shard's remaining preprocessed budget drops below this many correlations (0: off)")
 	fs.DurationVar(&cfg.flushDeadline, "flush-deadline", 0, "computing parties: bound every in-flush receive on a 2PC pair, so a stalled peer fails that pair (triggering failover/revival) instead of wedging it forever (0: unbounded)")

@@ -72,7 +72,8 @@ type Calibration struct {
 	// geometries, and a calibration Source label.
 	LUT *hwmodel.LUT
 	// OverheadSec is the measured per-row online cost outside the
-	// operator list — input sharing, output reconstruction, pack/unpack.
+	// operator list — the control rounds, output reconstruction,
+	// pack/unpack.
 	// Serving pays it once per query, so end-to-end prediction adds it
 	// to the operator sum.
 	OverheadSec float64
@@ -151,7 +152,7 @@ func Calibrate(opts CalibrateOptions) (*Calibration, error) {
 				return nil, fmt.Errorf("autodeploy: probe %s rep %d: %w", v.label, rep, err)
 			}
 			// The run's online time per row not attributed to any traced
-			// operator: the shape and source rounds, input sharing, output
+			// operator: the shape and source rounds, output
 			// reconstruction, pack/unpack.
 			ovh := res.OnlineSeconds / float64(opts.Rows)
 			for _, rd := range reg.OpFeed().Readings() {

@@ -87,6 +87,19 @@ type Demand struct {
 	Conv mpc.ConvDims
 	// Mask is the fixed-mask slot id for the FixedB kinds (zero otherwise).
 	Mask int
+	// Shared marks a FixedB demand that deals no activation mask of its
+	// own: it reuses the a of the FixedB demand right before it, whose
+	// input must be as long as its own — the second linear op on one
+	// activation (mpc.CorrelationSource.TakeConvFixedBShared).
+	Shared bool
+}
+
+// inLen is the word count of a FixedB demand's activation mask.
+func (d Demand) inLen() int {
+	if d.Kind == KindConvFixedB {
+		return d.Conv.InLen()
+	}
+	return d.M * d.K
 }
 
 // String renders the demand with its geometry, the vocabulary of store
@@ -96,18 +109,26 @@ func (d Demand) String() string {
 	case KindMatMul:
 		return fmt.Sprintf("matmul(%dx%d @ %dx%d)", d.M, d.K, d.K, d.P)
 	case KindMatMulFixedB:
-		return fmt.Sprintf("matmul-fixedb(mask=%d, %dx%d @ %dx%d)", d.Mask, d.M, d.K, d.K, d.P)
+		return fmt.Sprintf("matmul-fixedb(mask=%d%s, %dx%d @ %dx%d)", d.Mask, d.sharedTag(), d.M, d.K, d.K, d.P)
 	case KindConv:
 		c := d.Conv
 		return fmt.Sprintf("conv(N=%d C=%d %dx%d, k=%dx%dx%d s=%d p=%d g=%d)",
 			c.N, c.InC, c.H, c.W, c.OutC, c.KH, c.KW, c.Stride, c.Pad, c.Groups)
 	case KindConvFixedB:
 		c := d.Conv
-		return fmt.Sprintf("conv-fixedb(mask=%d, N=%d C=%d %dx%d, k=%dx%dx%d s=%d p=%d g=%d)",
-			d.Mask, c.N, c.InC, c.H, c.W, c.OutC, c.KH, c.KW, c.Stride, c.Pad, c.Groups)
+		return fmt.Sprintf("conv-fixedb(mask=%d%s, N=%d C=%d %dx%d, k=%dx%dx%d s=%d p=%d g=%d)",
+			d.Mask, d.sharedTag(), c.N, c.InC, c.H, c.W, c.OutC, c.KH, c.KW, c.Stride, c.Pad, c.Groups)
 	default:
 		return fmt.Sprintf("%s(n=%d)", d.Kind, d.N)
 	}
+}
+
+// sharedTag marks a shared-mask demand in String.
+func (d Demand) sharedTag() string {
+	if d.Shared {
+		return ", shared"
+	}
+	return ""
 }
 
 // Tape is the ordered correlation demand sequence of one program
@@ -190,6 +211,18 @@ func (r *Recorder) TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error
 func (r *Recorder) TakeConvFixedB(mask int, dims mpc.ConvDims) (a, z []uint64, err error) {
 	r.tape = append(r.tape, Demand{Kind: KindConvFixedB, Mask: mask, Conv: dims})
 	return r.src.TakeConvFixedB(mask, dims)
+}
+
+// TakeMatMulFixedBShared implements mpc.CorrelationSource.
+func (r *Recorder) TakeMatMulFixedBShared(mask, m, k, p int) (z []uint64, err error) {
+	r.tape = append(r.tape, Demand{Kind: KindMatMulFixedB, Mask: mask, M: m, K: k, P: p, Shared: true})
+	return r.src.TakeMatMulFixedBShared(mask, m, k, p)
+}
+
+// TakeConvFixedBShared implements mpc.CorrelationSource.
+func (r *Recorder) TakeConvFixedBShared(mask int, dims mpc.ConvDims) (z []uint64, err error) {
+	r.tape = append(r.tape, Demand{Kind: KindConvFixedB, Mask: mask, Conv: dims, Shared: true})
+	return r.src.TakeConvFixedBShared(mask, dims)
 }
 
 // TakeBits implements mpc.CorrelationSource.

@@ -15,7 +15,7 @@ import (
 
 // On-disk store format (all integers little-endian):
 //
-//	magic   8 bytes  "PASCORR9"
+//	magic   8 bytes  "PASCORRA"
 //	body:
 //	  party   uint8
 //	  label   uint32                      preprocess-run stamp (see Label)
@@ -23,7 +23,9 @@ import (
 //	                                      seed
 //	  count   uint32                      demand tape length
 //	  tape, per entry:
-//	    kind  uint8
+//	    kind  uint8                       the Kind, with the top bit
+//	                                      (0x80) set on a shared-mask
+//	                                      FixedB demand (Demand.Shared)
 //	    dims  kind-dependent uint32s      (n) | (m,k,p) | 10 conv fields |
 //	                                      (mask,m,k,p) | mask + 10 conv
 //	  z section (party 1's file only):    every entry's z half in tape
@@ -69,7 +71,11 @@ import (
 // Hadamard kind as an elementwise ring triple of the select's 2n words,
 // where "PASCORR9" deals it as the selector triple (n packed bits and n
 // words per operand, the same 2n-word z) for n selects, so an old tape's
-// Hadamard demands and every half dealt after them regenerate differently.
+// Hadamard demands and every half dealt after them regenerate differently;
+// "PASCORR9" dealt a fresh activation mask for every FixedB demand, where
+// "PASCORRA" marks the second linear op on one input as a shared-mask
+// demand that draws no a, so a downsampling residual's shortcut takes
+// different halves and every party-1 half after it moves.
 // The magic is the version gate — any
 // "PASCORR"-prefixed file of another version is rejected with a
 // regeneration hint rather than misparsed, in either direction (old binary
@@ -77,13 +83,16 @@ import (
 
 // storeMagic identifies a serialized correlation store at this binary's
 // format version.
-const storeMagic = "PASCORR9"
+const storeMagic = "PASCORRA"
 
 // storeMagicPrefix identifies any version of the store format.
 const storeMagicPrefix = "PASCORR"
 
 // headerLen is the fixed part of the body: party, label, seed and count.
 const headerLen = 1 + 4 + 8 + 4
+
+// sharedKindBit marks a shared-mask demand in a tape entry's kind byte.
+const sharedKindBit = 0x80
 
 // wordBlock is the size of the blocks words are encoded and decoded in.
 const wordBlock = 1 << 12
@@ -112,7 +121,11 @@ func (s *Store) encodeTo(w io.Writer) error {
 	blk = binary.LittleEndian.AppendUint32(blk, uint32(len(s.entries)))
 	bw.Write(blk)
 	for _, d := range s.tape {
-		blk = append(blk[:0], byte(d.Kind))
+		kind := byte(d.Kind)
+		if d.Shared {
+			kind |= sharedKindBit
+		}
+		blk = append(blk[:0], kind)
 		for _, f := range d.dimFields() {
 			blk = binary.LittleEndian.AppendUint32(blk, uint32(*f))
 		}
@@ -208,8 +221,13 @@ func decode(src io.ReadSeeker, size int64, maxWords int64) (*Store, error) {
 	}
 	tape := make(Tape, 0, min(count, 4096))
 	var words, zWords int64
+	var prev Demand
 	for i := 0; i < count; i++ {
 		d := Demand{Kind: Kind(r.u8())}
+		if k := d.Kind &^ sharedKindBit; d.Kind != k && (k == KindMatMulFixedB || k == KindConvFixedB) {
+			// Any other kind byte with the top bit set stays an unknown kind.
+			d = Demand{Kind: k, Shared: true}
+		}
 		for _, f := range d.dimFields() {
 			*f = int(r.u32())
 		}
@@ -217,6 +235,9 @@ func decode(src io.ReadSeeker, size int64, maxWords int64) (*Store, error) {
 			return nil, fmt.Errorf("corr: store file truncated in entry %d header: %w", i, r.err)
 		}
 		if err := d.validate(); err != nil {
+			return nil, fmt.Errorf("corr: store file entry %d: %w", i, err)
+		}
+		if err := d.validateShared(prev, i == 0); err != nil {
 			return nil, fmt.Errorf("corr: store file entry %d: %w", i, err)
 		}
 		la, lb, lz := d.lens(party)
@@ -228,6 +249,7 @@ func decode(src io.ReadSeeker, size int64, maxWords int64) (*Store, error) {
 			zWords += int64(lz)
 		}
 		tape = append(tape, d)
+		prev = d
 	}
 	if r.left < 8*zWords {
 		return nil, fmt.Errorf("corr: store file truncated: the tape's z halves need %d bytes, %d left", 8*zWords, r.left)

@@ -172,25 +172,26 @@ func convShape(d mpc.ConvDims) kernel.ConvShape {
 //     store's bit and Hadamard triples, a PASCORR6 store's bit demands for
 //     the six-hop comparison, a PASCORR7 store's for 63-bit comparisons
 //     only, a PASCORR8 store's Hadamard demands as ring triples of the
-//     select's 2n words, so each must be regenerated, not reinterpreted
-//     (TestPASCORR4StoreRejected … TestPASCORR8StoreRejected);
+//     select's 2n words, a PASCORR9 store's second linear op on one input
+//     with a fresh activation mask, so each must be regenerated, not
+//     reinterpreted (TestPASCORR4StoreRejected … TestPASCORR9StoreRejected);
 //   - old binary × new store: every earlier decoder compared the magic by
-//     strict equality too, so the bump to "PASCORR9" (pinned below: the
-//     Hadamard kind is the one-bit select's selector triple) makes it
-//     reject our files the same way.
+//     strict equality too, so the bump to "PASCORRA" (pinned below: a
+//     residual's two heads share one activation mask) makes it reject our
+//     files the same way.
 //
 // The message is the same for every version pair — it names the two
 // magics and the fix, not what changed between them.
 func TestStoreVersionGate(t *testing.T) {
-	if storeMagic != "PASCORR9" {
-		t.Fatalf("storeMagic = %q; selector-triple stores shipped as PASCORR9 — a bump needs a version-history line in file.go and this pin moved", storeMagic)
+	if storeMagic != "PASCORRA" {
+		t.Fatalf("storeMagic = %q; shared-mask stores shipped as PASCORRA — a bump needs a version-history line in file.go and this pin moved", storeMagic)
 	}
 	s, err := buildSeeded(testTape(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR6", "PASCORR7", "PASCORR8"} {
+	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR6", "PASCORR7", "PASCORR8", "PASCORR9"} {
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)
@@ -261,6 +262,20 @@ func TestPASCORR7StoreRejected(t *testing.T) {
 func TestPASCORR8StoreRejected(t *testing.T) {
 	checkOldStoreRejected(t, "PASCORR8", Tape{
 		{Kind: KindBits, N: 147}, {Kind: KindBits, N: 30}, {Kind: KindHadamard, N: 2},
+	})
+}
+
+// TestPASCORR9StoreRejected: a PASCORR9 file dealt a downsampling
+// residual's 1×1 shortcut a fresh activation mask, where the engine now
+// runs it under the body conv's mask and takes a shared-mask demand, so
+// the shortcut would fail mid-flush on a mask mismatch. It must fail at
+// load instead.
+func TestPASCORR9StoreRejected(t *testing.T) {
+	body := mpc.ConvDims{N: 1, InC: 2, H: 4, W: 4, OutC: 4, KH: 3, KW: 3, Stride: 2, Pad: 1}
+	short := body
+	short.KH, short.KW, short.Pad = 1, 1, 0
+	checkOldStoreRejected(t, "PASCORR9", Tape{
+		{Kind: KindConvFixedB, Mask: 3, Conv: body}, {Kind: KindConvFixedB, Mask: 5, Conv: short},
 	})
 }
 

@@ -43,6 +43,29 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(s.Encode())
 	}
+	// Shared-mask demands: a valid tape of them for each party, and files
+	// whose flag sits on an entry with no FixedB predecessor or one of
+	// another input length, the two shapes the decoder refuses.
+	body := Demand{Kind: KindConvFixedB, Conv: sharedBodyDims}
+	wide := body
+	wide.Mask, wide.Conv.H = 1, 8
+	for party := 0; party < 2; party++ {
+		s, err := buildSeeded(sharedTape(), party, 13)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(s.Encode())
+		for _, tape := range []Tape{{{Kind: KindBits, N: 5}, body}, {body, wide}} {
+			s, err := buildSeeded(tape, party, 13)
+			if err != nil {
+				f.Fatal(err)
+			}
+			enc := s.Encode()
+			flagSharedKind(enc, tape, 1)
+			reseal(enc)
+			f.Add(enc)
+		}
+	}
 	huge := make(Tape, 18)
 	for i := range huge {
 		huge[i] = Demand{Kind: KindSquare, N: maxEntryWords / 2}

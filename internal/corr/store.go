@@ -27,8 +27,9 @@ const maxStoreWords = 1 << 28
 // kinds z is an additive half, and a and b are additive halves of the
 // symmetric kinds. The owner-split kinds hold each operand on one party: a
 // on party 1's entries only, b (selector and bit triples) on party 0's
-// only. b is nil for square pairs and the FixedB kinds. For KindBits the
-// words are packed, z the XOR half of c = a∧b.
+// only. b is nil for square pairs and the FixedB kinds. A shared-mask
+// FixedB entry's a (party 1's) is its predecessor's, the same slice. For
+// KindBits the words are packed, z the XOR half of c = a∧b.
 type entry struct {
 	a, b, z []uint64
 }
@@ -77,9 +78,10 @@ func (s *Store) Tape() Tape { return s.tape }
 
 // lens returns the flat word counts (a, b, z) of party's side of the
 // demand's correlation material. The owner-split kinds count a on party 1
-// only and b on party 0 only; b is 0 for square pairs and the FixedB kinds;
-// bit triples pack 64 to a word; a selector triple's a and b are n packed
-// bits and n words, its z 2n words.
+// only and b on party 0 only; b is 0 for square pairs and the FixedB kinds,
+// and a is 0 for a shared-mask FixedB demand, which reuses its
+// predecessor's; bit triples pack 64 to a word; a selector triple's a and
+// b are n packed bits and n words, its z 2n words.
 func (d Demand) lens(party int) (la, lb, lz int) {
 	switch d.Kind {
 	case KindBits:
@@ -93,10 +95,16 @@ func (d Demand) lens(party int) (la, lb, lz int) {
 	case KindMatMul:
 		return d.M * d.K, d.K * d.P, d.M * d.P
 	case KindMatMulFixedB:
+		if d.Shared {
+			return 0, 0, d.M * d.P
+		}
 		return party * d.M * d.K, 0, d.M * d.P
 	case KindConv:
 		return d.Conv.InLen(), d.Conv.KLen(), d.Conv.OutLen()
 	case KindConvFixedB:
+		if d.Shared {
+			return 0, 0, d.Conv.OutLen()
+		}
 		return party * d.Conv.InLen(), 0, d.Conv.OutLen()
 	default:
 		return 0, 0, 0
@@ -155,8 +163,8 @@ func (d Demand) validate() error {
 }
 
 // validateMask bounds the fixed-mask slot of FixedB demands and insists
-// the non-fixed kinds carry none (a nonzero Mask on a plain triple means
-// a miswritten or corrupted tape).
+// the non-fixed kinds carry none, nor the shared-mask flag (either on a
+// plain triple means a miswritten or corrupted tape).
 func (d Demand) validateMask() error {
 	switch d.Kind {
 	case KindMatMulFixedB, KindConvFixedB:
@@ -167,6 +175,30 @@ func (d Demand) validateMask() error {
 		if d.Mask != 0 {
 			return fmt.Errorf("%s demand carries fixed mask slot %d", d.Kind, d.Mask)
 		}
+		if d.Shared {
+			return fmt.Errorf("%s demand is marked shared-mask, which only a fixed-b kind can be", d.Kind)
+		}
+	}
+	return nil
+}
+
+// isFixedB reports whether d is of a FixedB kind.
+func (d Demand) isFixedB() bool {
+	return d.Kind == KindMatMulFixedB || d.Kind == KindConvFixedB
+}
+
+// validateShared checks a shared-mask demand against the demand right
+// before it on the tape (first: it has none), whose activation mask it
+// reuses: that must be a FixedB demand masking an input of the same
+// length. Any other demand passes.
+func (d Demand) validateShared(prev Demand, first bool) error {
+	switch {
+	case !d.Shared:
+		return nil
+	case first || !prev.isFixedB():
+		return fmt.Errorf("shared-mask demand %s has no fixed-b demand right before it to share an activation mask with", d)
+	case prev.inLen() != d.inLen():
+		return fmt.Errorf("shared-mask demand %s masks a %d-word input, but the demand before it, %s, masks %d words", d, d.inLen(), prev, prev.inLen())
 	}
 	return nil
 }
@@ -212,6 +244,9 @@ func BuildPair(tape Tape, r *rng.RNG, maskSeed uint64) (p0, p1 *Store, err error
 	var words [2]int
 	for i, d := range tape {
 		if err := d.validate(); err != nil {
+			return nil, nil, fmt.Errorf("corr: tape entry %d: %w", i, err)
+		}
+		if err := d.validateShared(tape[max(i-1, 0)], i == 0); err != nil {
 			return nil, nil, fmt.Errorf("corr: tape entry %d: %w", i, err)
 		}
 		for party := range words {
@@ -267,8 +302,14 @@ func (d Demand) deal(s *mpc.Stream) (mpc.Deal, error) {
 	case KindConv:
 		return s.Conv(d.Conv), nil
 	case KindMatMulFixedB:
+		if d.Shared {
+			return s.MatMulFixedBShared(d.Mask, d.M, d.K, d.P)
+		}
 		return s.MatMulFixedB(d.Mask, d.M, d.K, d.P)
 	case KindConvFixedB:
+		if d.Shared {
+			return s.ConvFixedBShared(d.Mask, d.Conv)
+		}
 		return s.ConvFixedB(d.Mask, d.Conv)
 	case KindBits:
 		return s.Bits(d.N), nil
@@ -281,6 +322,15 @@ func (d Demand) deal(s *mpc.Stream) (mpc.Deal, error) {
 // phase's actual request. The error text names the correlation kind and
 // the recorded vs requested geometry so a misprovisioned deployment is
 // diagnosable from either party's log alone.
+//
+// A plain FixedB take of a shared-mask entry stays legal: the entry holds
+// its predecessor's a and a z for that a, which is consistent material. The
+// engine never asks for it — its takes and the tape come from one walk of
+// one program — but a caller replaying a tape's linear demands one op at a
+// time does; it then masks two inputs with one a, which a timing harness
+// on random inputs may do and a session must not. A shared take of a
+// fresh-mask entry is refused: that entry's z is for an a the caller has
+// not got.
 func (s *Store) next(want Demand) (*entry, error) {
 	if s.cursor >= len(s.entries) {
 		return nil, fmt.Errorf(
@@ -295,6 +345,14 @@ func (s *Store) next(want Demand) (*entry, error) {
 		return nil, fmt.Errorf(
 			"corr: store kind mismatch at correlation #%d: store recorded %s, online phase requested %s — the store was written for another protocol; regenerate it with this binary's preprocess step (pasnet-server -party preprocess)",
 			s.cursor+1, got, want)
+	}
+	if want.Shared && !got.Shared {
+		return nil, fmt.Errorf(
+			"corr: store mask mismatch at correlation #%d: store recorded %s with a fresh activation mask, online phase requested %s — the store was written for a program that masks this input twice; regenerate it with this binary's preprocess step (pasnet-server -party preprocess)",
+			s.cursor+1, got, want)
+	}
+	if !want.Shared {
+		got.Shared = false
 	}
 	if got != want {
 		return nil, fmt.Errorf(
@@ -358,6 +416,24 @@ func (s *Store) TakeConvFixedB(mask int, dims mpc.ConvDims) (a, z []uint64, err 
 		return nil, nil, err
 	}
 	return e.a, e.z, nil
+}
+
+// TakeMatMulFixedBShared implements mpc.CorrelationSource.
+func (s *Store) TakeMatMulFixedBShared(mask, m, k, p int) (z []uint64, err error) {
+	e, err := s.next(Demand{Kind: KindMatMulFixedB, Mask: mask, M: m, K: k, P: p, Shared: true})
+	if err != nil {
+		return nil, err
+	}
+	return e.z, nil
+}
+
+// TakeConvFixedBShared implements mpc.CorrelationSource.
+func (s *Store) TakeConvFixedBShared(mask int, dims mpc.ConvDims) (z []uint64, err error) {
+	e, err := s.next(Demand{Kind: KindConvFixedB, Mask: mask, Conv: dims, Shared: true})
+	if err != nil {
+		return nil, err
+	}
+	return e.z, nil
 }
 
 // TakeBits implements mpc.CorrelationSource.

@@ -50,9 +50,17 @@ func buildSeeded(tape Tape, party int, seed uint64) (*Store, error) {
 
 // take draws the demand's correlation from src through the
 // CorrelationSource method of its kind and returns the a, b and z halves
-// as words (b is nil for square pairs and the FixedB kinds; bit triples
-// come back packed).
+// as words (b is nil for square pairs and the FixedB kinds, a too for a
+// shared-mask demand; bit triples come back packed).
 func take(src mpc.CorrelationSource, d Demand) (a, b, z []uint64, err error) {
+	switch {
+	case d.Shared && d.Kind == KindMatMulFixedB:
+		z, err = src.TakeMatMulFixedBShared(d.Mask, d.M, d.K, d.P)
+		return nil, nil, z, err
+	case d.Shared:
+		z, err = src.TakeConvFixedBShared(d.Mask, d.Conv)
+		return nil, nil, z, err
+	}
 	switch d.Kind {
 	case KindHadamard:
 		return src.TakeHadamard(d.N)

@@ -33,10 +33,10 @@ type RouterOptions struct {
 	// behavior) or sched.QueueAware (queue depth × EWMA flush latency).
 	Policy sched.Policy
 	// Pipeline runs each shard pair on the phase-split pipelined flush
-	// schedule (sched.PipelinedSession): flush n+1's input sharing
-	// overlaps flush n's output reconstruction, hiding a protocol round
-	// per flush. Bit-identical to the serialized schedule (the sched
-	// equivalence suite pins this).
+	// schedule (sched.PipelinedSession): flush n+1's announce (shape and
+	// source stamp) overlaps flush n's output reconstruction, hiding a
+	// protocol round per flush. Bit-identical to the serialized schedule
+	// (the sched equivalence suite pins this).
 	Pipeline bool
 	// QueueCap bounds each shard lane's pending queue in queries
 	// (default 256); a submission to a full lane blocks, never drops.

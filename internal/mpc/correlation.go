@@ -37,6 +37,15 @@ type CorrelationSource interface {
 	// z = conv(a, b) against the fixed kernel mask b for slot mask and the
 	// given geometry; a is nil on party 0, as in TakeMatMulFixedB.
 	TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error)
+	// TakeMatMulFixedBShared returns this party's half of z = a@b against
+	// the fixed mask b of slot mask, for the a the take right before it
+	// handed out — which must have been a FixedB take whose a has m×k
+	// words. It deals no a: one activation feeding two linear ops is
+	// masked once, and the second op only needs its own product.
+	TakeMatMulFixedBShared(mask, m, k, p int) (z []uint64, err error)
+	// TakeConvFixedBShared is the convolution analogue of
+	// TakeMatMulFixedBShared.
+	TakeConvFixedBShared(mask int, dims ConvDims) (z []uint64, err error)
 	// TakeBits returns this party's side of n owner-split AND triples
 	// (c = a AND b bitwise), packed: party 1 gets the whole a, party 0 the
 	// whole b, and the other operand comes back with N = n and no words;
@@ -90,6 +99,26 @@ func (d *Dealer) TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err err
 	}
 	a, _, z = d.half(t)
 	return a, z, nil
+}
+
+// TakeMatMulFixedBShared implements CorrelationSource.
+func (d *Dealer) TakeMatMulFixedBShared(mask, m, k, p int) (z []uint64, err error) {
+	t, err := d.s.MatMulFixedBShared(mask, m, k, p)
+	if err != nil {
+		return nil, err
+	}
+	_, _, z = d.half(t)
+	return z, nil
+}
+
+// TakeConvFixedBShared implements CorrelationSource.
+func (d *Dealer) TakeConvFixedBShared(mask int, dims ConvDims) (z []uint64, err error) {
+	t, err := d.s.ConvFixedBShared(mask, dims)
+	if err != nil {
+		return nil, err
+	}
+	_, _, z = d.half(t)
+	return z, nil
 }
 
 // TakeBits implements CorrelationSource.

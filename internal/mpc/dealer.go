@@ -35,7 +35,10 @@ import (
 // The FixedB draws multiply against a session-pinned weight mask b that
 // never touches the stream: b is derived out-of-band from maskSeed and the
 // slot (see fixedmask.go) and cached here, pinned to the length it was
-// first derived at.
+// first derived at. A shared-mask FixedB draw (MatMulFixedBShared,
+// ConvFixedBShared) draws no a at all: it reuses the a of the FixedB deal
+// right before it, so two linear ops on one input are masked once, and
+// only z₀ comes off the stream.
 //
 // A Stream is not safe for concurrent use.
 type Stream struct {
@@ -43,6 +46,12 @@ type Stream struct {
 	seeds    [2]uint64
 	maskSeed uint64
 	masks    map[int][]uint64 // fixed weight masks by slot
+	// lastA and lastLen are the activation mask and its length of the
+	// latest deal when that deal was a FixedB one (lastA is nil where the
+	// stream holds no a: party 0's half stream), and lastLen is 0 after
+	// any other deal. A shared-mask deal takes its a from them.
+	lastA   []uint64
+	lastLen int
 }
 
 // NewStream deals from r: it draws the two sub-stream seeds off r, party
@@ -141,7 +150,8 @@ func (d Deal) Z1() []uint64 {
 
 // deal fills in d's halves in the stream's draw order: party 0's a (unless
 // party 1 owns it), b (when b is dealt here, lb > 0) and z, then party 1's
-// a and, unless party 0 owns it, b — each off its party's sub-stream. Each
+// a (unless la is 0: a shared-mask deal) and, unless party 0 owns it, b —
+// each off its party's sub-stream. Each
 // draw takes n words, or n packed bits for bit triples; a selector triple's
 // a and b take n packed bits and then n words.
 func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
@@ -163,6 +173,7 @@ func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
 			return w
 		}
 	}
+	s.lastA, s.lastLen = nil, 0
 	if r := s.r[0]; r != nil {
 		if !d.ownA {
 			d.A0 = operand(r, la)
@@ -173,7 +184,9 @@ func (s *Stream) deal(d Deal, la, lb, lz int) Deal {
 		d.Z0 = draw(r, lz)
 	}
 	if r := s.r[1]; r != nil {
-		d.A1 = operand(r, la)
+		if la > 0 {
+			d.A1 = operand(r, la)
+		}
 		if lb > 0 && !d.ownA {
 			d.B1 = operand(r, lb)
 		}
@@ -224,21 +237,52 @@ func (s *Stream) Conv(dims ConvDims) Deal {
 // mask; a is a fresh m×k, drawn wholly off party 1's sub-stream (A1), and
 // party 0 draws only z0.
 func (s *Stream) MatMulFixedB(mask, m, k, p int) (Deal, error) {
-	b, err := s.fixedMask(mask, k*p)
-	if err != nil {
-		return Deal{}, err
-	}
-	return s.deal(Deal{b: b, product: matMulOp(m, k, p), ownA: true}, m*k, 0, m*p), nil
+	return s.fixedB(mask, k*p, matMulOp(m, k, p), m*k, m*p, false)
 }
 
 // ConvFixedB deals (a, z = conv(a, b)) against the fixed kernel mask b of
 // slot mask, a being party 1's alone as in MatMulFixedB.
 func (s *Stream) ConvFixedB(mask int, dims ConvDims) (Deal, error) {
-	b, err := s.fixedMask(mask, dims.KLen())
+	return s.fixedB(mask, dims.KLen(), convOp(dims), dims.InLen(), dims.OutLen(), false)
+}
+
+// MatMulFixedBShared deals z = a@b against the fixed mask b of slot mask
+// for the a of the FixedB deal right before it, which must mask an input
+// of m·k words: the second linear op on one activation, masked once. It
+// draws only z0.
+func (s *Stream) MatMulFixedBShared(mask, m, k, p int) (Deal, error) {
+	return s.fixedB(mask, k*p, matMulOp(m, k, p), m*k, m*p, true)
+}
+
+// ConvFixedBShared is the convolution analogue of MatMulFixedBShared.
+func (s *Stream) ConvFixedBShared(mask int, dims ConvDims) (Deal, error) {
+	return s.fixedB(mask, dims.KLen(), convOp(dims), dims.InLen(), dims.OutLen(), true)
+}
+
+// fixedB deals (a, z = product(a, b)) against the fixed mask b of slot
+// mask (lb words): a fresh la-word a off party 1's sub-stream or, shared,
+// the previous deal's a, which must be a FixedB deal's of the same length.
+func (s *Stream) fixedB(mask, lb int, product func(z, a, b []uint64), la, lz int, shared bool) (Deal, error) {
+	prevA, prevLen := s.lastA, s.lastLen
+	if shared && prevLen == 0 {
+		return Deal{}, fmt.Errorf("mpc: shared-mask deal for fixed mask slot %d has no FixedB deal right before it to share an activation mask with", mask)
+	}
+	if shared && prevLen != la {
+		return Deal{}, fmt.Errorf("mpc: shared-mask deal for fixed mask slot %d masks a %d-word input, but the FixedB deal before it masked %d words", mask, la, prevLen)
+	}
+	b, err := s.fixedMask(mask, lb)
 	if err != nil {
 		return Deal{}, err
 	}
-	return s.deal(Deal{b: b, product: convOp(dims), ownA: true}, dims.InLen(), 0, dims.OutLen()), nil
+	d := Deal{b: b, product: product, ownA: true}
+	if !shared {
+		d = s.deal(d, la, 0, lz)
+	} else {
+		d = s.deal(d, 0, 0, lz)
+		d.A1 = prevA
+	}
+	s.lastA, s.lastLen = d.A1, la
+	return d, nil
 }
 
 // Bits deals n owner-split AND triples (c = a AND b bitwise), the GMW AND

@@ -27,8 +27,18 @@ import (
 // R₀ + R₁ = (x − a)∘W + a∘F + a∘b = x∘W. Party 0 sees only X₁ under the
 // uniform mask a; party 1 receives nothing; and R₁ = a∘W − z₀ is uniform
 // through z₀, so local truncation behaves exactly as for a Beaver product.
-// Party 0 may know b: it masks nothing but party 0's own W. The activation
-// side must NOT be reused — sending x−a and x'−a for x ≠ x' reveals x−x'.
+// Party 0 may know b: it masks nothing but party 0's own W.
+//
+// One activation tensor is masked once per flush, however many linear ops
+// read it. When two ops take the same input — a downsampling residual's
+// first body conv and its 1×1 shortcut — LinearFixedW runs them as one
+// owner-side op: one a, one E' = X₁ − a on the wire, and per op i its own
+// zᵢ = a∘bᵢ (the second dealt as a shared-mask FixedB correlation that
+// draws no a) and its own kernel pass on each party. Party 0 learns
+// nothing more: it sees the one masked value it saw before. The
+// activation side must NOT be reused across different values — sending
+// x−a and x'−a for x ≠ x' reveals x−x' — so a shared mask only ever
+// follows the FixedB take that masked the very same tensor.
 //
 // b is a pure function of (dealer seed, mask slot, length), derived from a
 // stream mixed out-of-band from both the dealer's main stream and the
@@ -247,19 +257,113 @@ func (p *Party) checkFixedW(fw *FixedWeight, w Share) error {
 	return nil
 }
 
-// ownerCombine runs the owner-side protocol of one fixed-weight op (see
-// the file comment) into out, with apply the op's bilinear map: party 1
-// sends E' = X₁ − a and computes a∘F + z₁; party 0 receives E', bounded to
-// len(x) words, and computes (X₀ + E')∘W + z₀. Party 1 sends before its
-// kernel pass, so the two passes overlap.
-func (p *Party) ownerCombine(out, x, a, z []uint64, fw *FixedWeight, apply func(dst, a, b []uint64)) error {
+// FixedWOp is one linear op of LinearFixedW: a session-constant weight
+// share, its opened F = W−b, and the op's geometry — Conv for a
+// convolution, nil for a matrix product of the input's rows by W (k×n).
+type FixedWOp struct {
+	W    Share
+	FW   *FixedWeight
+	Conv *ConvDims
+}
+
+// ownerLeg is one op of an owner-side combine: its fixed weight, z half,
+// bilinear map and output.
+type ownerLeg struct {
+	fw    *FixedWeight
+	z     []uint64
+	apply func(dst, a, b []uint64)
+	out   Share
+}
+
+// LinearFixedW returns truncated fixed-point shares of every op of ops
+// applied to the one input x, in order, masking x once: the first op takes
+// a FixedB pair (a, z₀), every later op a shared-mask z for that same a,
+// party 1 sends E' = X₁ − a once, and each party runs one kernel pass per
+// op (see the file comment). With one op it is MatMulFixedW or
+// Conv2DFixedW.
+func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
+	if len(ops) == 0 {
+		return nil, fmt.Errorf("mpc: linear fixed-w: no ops")
+	}
+	for _, op := range ops {
+		if err := checkFixedWOp(x, op); err != nil {
+			return nil, err
+		}
+		if err := p.checkFixedW(op.FW, op.W); err != nil {
+			return nil, err
+		}
+	}
+	var a []uint64
+	legs := make([]ownerLeg, len(ops))
+	for i, op := range ops {
+		l := &legs[i]
+		l.fw = op.FW
+		var err error
+		if d := op.Conv; d != nil {
+			if i == 0 {
+				a, l.z, err = p.corr().TakeConvFixedB(op.FW.Mask, *d)
+			} else {
+				l.z, err = p.corr().TakeConvFixedBShared(op.FW.Mask, *d)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("mpc: conv fixed-b pair: %w", err)
+			}
+			oh, ow := d.OutHW()
+			l.out = NewShare(d.N, d.OutC, oh, ow)
+			l.apply = convOp(*d)
+			continue
+		}
+		m, k, n := x.Shape[0], x.Shape[1], op.W.Shape[1]
+		if i == 0 {
+			a, l.z, err = p.corr().TakeMatMulFixedB(op.FW.Mask, m, k, n)
+		} else {
+			l.z, err = p.corr().TakeMatMulFixedBShared(op.FW.Mask, m, k, n)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("mpc: matmul fixed-b pair: %w", err)
+		}
+		l.out = NewShare(m, n)
+		l.apply = matMulOp(m, k, n)
+	}
+	if err := p.ownerCombine(x.V, a, legs); err != nil {
+		return nil, fmt.Errorf("mpc: linear fixed-w: %w", err)
+	}
+	outs := make([]Share, len(legs))
+	for i := range legs {
+		outs[i] = legs[i].out
+		p.TruncateInPlace(&outs[i])
+	}
+	return outs, nil
+}
+
+// checkFixedWOp validates op's geometry against its input x.
+func checkFixedWOp(x Share, op FixedWOp) error {
+	if d := op.Conv; d != nil {
+		if x.Len() != d.InLen() || op.W.Len() != d.KLen() {
+			return fmt.Errorf("mpc: conv dims mismatch: x %d vs %d, w %d vs %d",
+				x.Len(), d.InLen(), op.W.Len(), d.KLen())
+		}
+		return nil
+	}
+	if len(x.Shape) != 2 || len(op.W.Shape) != 2 || x.Shape[1] != op.W.Shape[0] {
+		return fmt.Errorf("mpc: matmul shapes %v x %v", x.Shape, op.W.Shape)
+	}
+	return nil
+}
+
+// ownerCombine runs the owner-side protocol of fixed-weight ops on one
+// input (see the file comment), each leg into its out: party 1 sends
+// E' = X₁ − a once and computes a∘F + z₁ per leg; party 0 receives E',
+// bounded to len(x) words, and computes (X₀ + E')∘W + z₀ per leg. Party 1
+// sends before its kernel passes, so the two parties' passes overlap.
+func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg) error {
+	operand := a
 	if p.ID == 1 {
 		e := grow(&p.scr.mine, len(x))
 		ringSub(e, x, a)
 		if err := p.Conn.SendUint64s(e); err != nil {
 			return err
 		}
-		apply(out, a, fw.op)
 	} else {
 		e, err := p.Conn.RecvUint64sMax(len(x))
 		if err != nil {
@@ -269,9 +373,12 @@ func (p *Party) ownerCombine(out, x, a, z []uint64, fw *FixedWeight, apply func(
 			return fmt.Errorf("mpc: masked input length %d != %d", len(e), len(x))
 		}
 		ringAdd(e, e, x)
-		apply(out, e, fw.op)
+		operand = e
 	}
-	ringAdd(out, out, z)
+	for _, l := range legs {
+		l.apply(l.out.V, operand, l.fw.op)
+		ringAdd(l.out.V, l.out.V, l.z)
+	}
 	return nil
 }
 
@@ -280,45 +387,20 @@ func (p *Party) ownerCombine(out, x, a, z []uint64, fw *FixedWeight, apply func(
 // 1's masked activation crosses the wire, one way, and each party runs one
 // matrix multiply.
 func (p *Party) MatMulFixedW(x, w Share, fw *FixedWeight) (Share, error) {
-	if len(x.Shape) != 2 || len(w.Shape) != 2 || x.Shape[1] != w.Shape[0] {
-		return Share{}, fmt.Errorf("mpc: matmul shapes %v x %v", x.Shape, w.Shape)
-	}
-	if err := p.checkFixedW(fw, w); err != nil {
+	outs, err := p.LinearFixedW(x, FixedWOp{W: w, FW: fw})
+	if err != nil {
 		return Share{}, err
 	}
-	m, k, n := x.Shape[0], x.Shape[1], w.Shape[1]
-	a, z, err := p.corr().TakeMatMulFixedB(fw.Mask, m, k, n)
-	if err != nil {
-		return Share{}, fmt.Errorf("mpc: matmul fixed-b pair: %w", err)
-	}
-	out := NewShare(m, n)
-	if err := p.ownerCombine(out.V, x.V, a, z, fw, matMulOp(m, k, n)); err != nil {
-		return Share{}, fmt.Errorf("mpc: matmul fixed-w: %w", err)
-	}
-	p.TruncateInPlace(&out)
-	return out, nil
+	return outs[0], nil
 }
 
 // Conv2DFixedW returns truncated fixed-point shares of conv(x, w) with the
 // session-constant kernel w under its cached opened F = W−b (see
 // MatMulFixedW).
 func (p *Party) Conv2DFixedW(x, w Share, fw *FixedWeight, dims ConvDims) (Share, error) {
-	if x.Len() != dims.InLen() || w.Len() != dims.KLen() {
-		return Share{}, fmt.Errorf("mpc: conv dims mismatch: x %d vs %d, w %d vs %d",
-			x.Len(), dims.InLen(), w.Len(), dims.KLen())
-	}
-	if err := p.checkFixedW(fw, w); err != nil {
+	outs, err := p.LinearFixedW(x, FixedWOp{W: w, FW: fw, Conv: &dims})
+	if err != nil {
 		return Share{}, err
 	}
-	a, z, err := p.corr().TakeConvFixedB(fw.Mask, dims)
-	if err != nil {
-		return Share{}, fmt.Errorf("mpc: conv fixed-b pair: %w", err)
-	}
-	oh, ow := dims.OutHW()
-	out := NewShare(dims.N, dims.OutC, oh, ow)
-	if err := p.ownerCombine(out.V, x.V, a, z, fw, convOp(dims)); err != nil {
-		return Share{}, fmt.Errorf("mpc: conv fixed-w: %w", err)
-	}
-	p.TruncateInPlace(&out)
-	return out, nil
+	return outs[0], nil
 }

@@ -182,6 +182,152 @@ func TestFixedWOneWayWire(t *testing.T) {
 	}
 }
 
+// TestLinearFixedWSharedMask runs two linear ops on one input as one
+// owner-side op — a strided 3×3 body conv with a 1×1 shortcut, a
+// depthwise conv with a dense one, and two matmuls — from the live dealer
+// and from a store of the traced tape. Either way party 1 sends one
+// len(x)-word frame and receives nothing, each output reconstructs its
+// plain product within 1 ULP, and the two sources give bit-identical
+// shares.
+func TestLinearFixedWSharedMask(t *testing.T) {
+	const seed = 808
+	codec := fixed.Default64()
+	body := mpc.ConvDims{N: 2, InC: 4, H: 6, W: 6, OutC: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
+	short := mpc.ConvDims{N: 2, InC: 4, H: 6, W: 6, OutC: 6, KH: 1, KW: 1, Stride: 2}
+	dw := mpc.ConvDims{N: 2, InC: 4, H: 6, W: 6, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 4}
+	cases := []struct {
+		name   string
+		xShape []int
+		convs  []*mpc.ConvDims // nil entries: matmuls
+		wShape [][]int
+	}{
+		{"conv-1x1", []int{2, 4, 6, 6}, []*mpc.ConvDims{&body, &short}, [][]int{{body.KLen()}, {short.KLen()}}},
+		{"depthwise-conv", []int{2, 4, 6, 6}, []*mpc.ConvDims{&dw, &short}, [][]int{{dw.KLen()}, {short.KLen()}}},
+		{"matmul-matmul", []int{3, 5}, []*mpc.ConvDims{nil, nil}, [][]int{{5, 4}, {5, 2}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := rng.New(809)
+			xVals := make([]float64, prod(c.xShape))
+			r.FillNorm(xVals, 1)
+			wVals := make([][]float64, len(c.wShape))
+			for i, ws := range c.wShape {
+				wVals[i] = make([]float64, prod(ws))
+				r.FillNorm(wVals[i], 0.5)
+			}
+			// run returns each party's output shares, their wire totals
+			// over the op, and the reconstructed outputs. With tape set it
+			// runs on the live dealer, traces party 0's demands and deals
+			// sources from them; otherwise it runs on those sources.
+			var sources [2]mpc.CorrelationSource
+			run := func(tape bool) (outs [2][][]uint64, wire [2]obs.WireTotals, plain [][]uint64) {
+				var rec *corr.Recorder
+				var mu sync.Mutex
+				err := mpc.RunProtocol(seed, codec, func(p *mpc.Party) error {
+					var encX []uint64
+					if p.ID == 1 {
+						encX = p.EncodeTensor(xVals)
+					}
+					x, err := p.ShareInput(1, encX, c.xShape...)
+					if err != nil {
+						return err
+					}
+					ops := make([]mpc.FixedWOp, len(c.wShape))
+					for i, ws := range c.wShape {
+						var enc []uint64
+						if p.ID == 0 {
+							enc = p.EncodeTensor(wVals[i])
+						}
+						w, err := p.ShareInput(0, enc, ws...)
+						if err != nil {
+							return err
+						}
+						fw, err := p.OpenFixedW(i, w)
+						if err != nil {
+							return err
+						}
+						ops[i] = mpc.FixedWOp{W: w, FW: fw, Conv: c.convs[i]}
+					}
+					if !tape {
+						p.Source = sources[p.ID]
+					} else if p.ID == 0 {
+						rec = corr.NewRecorder(p.Dealer)
+						p.Source = rec
+					}
+					conn := obs.InstrumentConn(p.Conn, nil)
+					p.Conn = conn
+					ys, err := p.LinearFixedW(x, ops...)
+					if err != nil {
+						return err
+					}
+					totals := conn.Totals()
+					var shares, revealed [][]uint64
+					for _, y := range ys {
+						v, err := p.Reveal(y)
+						if err != nil {
+							return err
+						}
+						shares, revealed = append(shares, y.V), append(revealed, v)
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					outs[p.ID], wire[p.ID] = shares, totals
+					plain = revealed
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tape {
+					got := rec.Tape()
+					if len(got) != 2 || got[0].Shared || !got[1].Shared {
+						t.Fatalf("traced tape %v, want a fresh-mask demand then a shared-mask one", got)
+					}
+					s0, s1, err := corr.BuildPair(got, rng.New(seed), seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sources = [2]mpc.CorrelationSource{s0, s1}
+				}
+				return outs, wire, plain
+			}
+			live, wire, plain := run(true)
+			xLen := prod(c.xShape)
+			if want := (obs.WireTotals{SentFrames: 1, SentBytes: int64(8 * xLen)}); wire[1] != want {
+				t.Errorf("party 1 wire %+v, want one %d-word frame sent for both ops", wire[1], xLen)
+			}
+			if want := (obs.WireTotals{RecvFrames: 1, RecvBytes: int64(8 * xLen)}); wire[0] != want {
+				t.Errorf("party 0 wire %+v, want one %d-word frame received for both ops", wire[0], xLen)
+			}
+			xEnc := codec.EncodeSlice(xVals, nil)
+			for i := range c.wShape {
+				ref := make([]uint64, len(plain[i]))
+				wEnc := codec.EncodeSlice(wVals[i], nil)
+				if d := c.convs[i]; d != nil {
+					kernel.Conv2D(ref, xEnc, wEnc, convShape(*d))
+				} else {
+					kernel.MatMul(ref, xEnc, wEnc, c.xShape[0], c.xShape[1], c.wShape[i][1])
+				}
+				for j := range ref {
+					if d := int64(plain[i][j] - uint64(int64(ref[j])>>codec.FracBits)); d < -1 || d > 1 {
+						t.Fatalf("op %d elem %d off the plain product by %d ULP", i, j, d)
+					}
+				}
+			}
+			stored, _, _ := run(false)
+			for id := range stored {
+				for i := range stored[id] {
+					for j, v := range stored[id][i] {
+						if v != live[id][i][j] {
+							t.Fatalf("party %d op %d share[%d]: store-fed %#x, live %#x", id, i, j, v, live[id][i][j])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 func prod(shape []int) int {
 	n := 1
 	for _, d := range shape {

@@ -27,7 +27,7 @@ type Party struct {
 	Source CorrelationSource
 	// Codec fixes the fixed-point precision for truncation.
 	Codec fixed.Codec64
-	// Rand is this party's private randomness (input-sharing masks).
+	// Rand is this party's private randomness (ShareInput's masks).
 	Rand *rng.RNG
 
 	// scr holds scratch buffers reused across Beaver openings so the hot
@@ -130,7 +130,7 @@ func (p *Party) Reveal(sh Share) ([]uint64, error) {
 // RevealSend transmits this party's half of a reveal without waiting for
 // the peer's. Together with RevealRecv it splits Reveal into its two wire
 // directions, so a pipelined scheduler can send its output share, begin
-// the next flush's input sharing, and collect the peer's share later — as
+// the next flush, and collect the peer's share later — as
 // long as the deferred receive stays first in the connection's receive
 // order. RevealSend(x) then RevealRecv(x) reconstructs exactly what
 // Reveal(x) would (the peer cannot distinguish the two schedules).
@@ -141,12 +141,12 @@ func (p *Party) RevealSend(sh Share) error {
 	return nil
 }
 
-// RevealRecv receives the peer's reveal half and reconstructs the secret
-// (see RevealSend). It allocates its own output and touches no party
-// scratch state, so it may run concurrently with the next flush's
-// protocol rounds.
+// RevealRecv receives the peer's reveal half, bounded to len(sh.V) words,
+// and reconstructs the secret (see RevealSend). It allocates its own
+// output and touches no party scratch state, so it may run concurrently
+// with the next flush's protocol rounds.
 func (p *Party) RevealRecv(sh Share) ([]uint64, error) {
-	theirs, err := p.Conn.RecvUint64s()
+	theirs, err := p.Conn.RecvUint64sMax(len(sh.V))
 	if err != nil {
 		return nil, fmt.Errorf("mpc: reveal recv: %w", err)
 	}
@@ -158,13 +158,16 @@ func (p *Party) RevealRecv(sh Share) ([]uint64, error) {
 	return out, nil
 }
 
-// RevealTo reconstructs the secret only at the named party; the other
-// party returns nil.
+// RevealTo reconstructs the secret only at the named party, whose receive
+// is bounded to len(sh.V) words; the other party returns nil.
 func (p *Party) RevealTo(owner int, sh Share) ([]uint64, error) {
 	if p.ID == owner {
-		theirs, err := p.Conn.RecvUint64s()
+		theirs, err := p.Conn.RecvUint64sMax(len(sh.V))
 		if err != nil {
 			return nil, fmt.Errorf("mpc: reveal-to recv: %w", err)
+		}
+		if len(theirs) != len(sh.V) {
+			return nil, fmt.Errorf("mpc: reveal-to length %d != %d", len(theirs), len(sh.V))
 		}
 		out := make([]uint64, len(sh.V))
 		ringAdd(out, sh.V, theirs)

@@ -399,7 +399,8 @@ func NewSessionOpts(p *mpc.Party, m *models.Model, expect []int, _ SessionOption
 }
 
 // Query runs one batched evaluation from party 1's side: negotiate the
-// batch shape, secret-share the packed queries, run the program, and
+// batch shape, take the packed queries as its input share, run the
+// program, and
 // reconstruct the flat batched logits (row i holds query row i's logits).
 // It is exactly the serialized composition of the Flight phases (see
 // flight.go), which is what makes pipelined and serialized schedules
@@ -443,11 +444,9 @@ func (s *Session) ServeOne() (logits []float64, done bool, err error) {
 	if err := s.negotiateSource(shape); err != nil {
 		return nil, false, err
 	}
-	xs, err := s.party.ShareInput(1, nil, shape...)
-	if err != nil {
-		return nil, false, err
-	}
-	out, err := s.eng.Infer(xs)
+	// Party 1 holds the query whole as its input share (flight.go), so
+	// party 0's share is zeros of the validated shape.
+	out, err := s.eng.Infer(mpc.NewShare(shape...))
 	if err != nil {
 		return nil, false, err
 	}

@@ -57,14 +57,28 @@ type Program struct {
 	Ops []progOp
 }
 
+// isLinear reports whether op is a linear (fixed-weight) op.
+func (op *progOp) isLinear() bool {
+	return op.kind == opConv || op.kind == opDWConv || op.kind == opLinear
+}
+
+// sharesHead reports whether a residual's body and shortcut both start
+// with a linear op on the block input, which the engine then runs as one
+// op under one activation mask.
+func (op *progOp) sharesHead() bool {
+	return op.kind == opResidual && op.shortcut != nil &&
+		len(op.body.Ops) > 0 && op.body.Ops[0].isLinear() &&
+		len(op.shortcut.Ops) > 0 && op.shortcut.Ops[0].isLinear()
+}
+
 // NumSecretTensors returns how many weight tensors Setup will share.
 func (p *Program) NumSecretTensors() int {
 	n := 0
 	for _, op := range p.Ops {
-		switch op.kind {
-		case opConv, opDWConv, opLinear:
+		switch {
+		case op.isLinear():
 			n++
-		case opResidual:
+		case op.kind == opResidual:
 			n += op.body.NumSecretTensors()
 			if op.shortcut != nil {
 				n += op.shortcut.NumSecretTensors()

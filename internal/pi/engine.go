@@ -118,14 +118,14 @@ func (e *Engine) Infer(x mpc.Share) (mpc.Share, error) {
 		return mpc.Share{}, fmt.Errorf("pi: engine not set up")
 	}
 	widx := 0
-	return e.run(e.Prog, x, &widx)
+	return e.run(e.Prog.Ops, x, &widx)
 }
 
-func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
+func (e *Engine) run(ops []progOp, x mpc.Share, widx *int) (mpc.Share, error) {
 	p := e.party
 	var err error
-	for i := range prog.Ops {
-		op := &prog.Ops[i]
+	for i := range ops {
+		op := &ops[i]
 		// Flatten is a free reshape with no hwmodel identity.
 		trace := e.feed != nil && op.kind != opFlatten
 		var inShape []int
@@ -135,41 +135,14 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 			opStart = time.Now()
 		}
 		switch op.kind {
-		case opConv, opDWConv:
-			if len(x.Shape) != 4 {
-				return mpc.Share{}, fmt.Errorf("pi: %s expects NCHW input, got %v", op.name, x.Shape)
-			}
-			dims := mpc.ConvDims{
-				N: x.Shape[0], InC: x.Shape[1], H: x.Shape[2], W: x.Shape[3],
-				OutC: op.convSpec.OutC, KH: op.convSpec.KH, KW: op.convSpec.KW,
-				Stride: op.convSpec.Stride, Pad: op.convSpec.Pad,
-			}
-			if op.kind == opDWConv {
-				dims.Groups = dims.InC
-				dims.OutC = dims.InC
-			}
-			x, err = p.Conv2DFixedW(x, e.weights[*widx], e.fixedWs[*widx], dims)
+		case opConv, opDWConv, opLinear:
+			var ys []mpc.Share
+			ys, err = e.linear(x, []*progOp{op}, []int{*widx})
 			*widx++
 			if err != nil {
-				return mpc.Share{}, fmt.Errorf("pi: %s: %w", op.name, err)
+				return mpc.Share{}, err
 			}
-			if op.bias != nil {
-				x, err = p.AddBias(x, op.bias)
-				if err != nil {
-					return mpc.Share{}, fmt.Errorf("pi: %s bias: %w", op.name, err)
-				}
-			}
-		case opLinear:
-			// The In×Out transpose was materialized once at Setup.
-			x, err = p.MatMulFixedW(x, e.weights[*widx], e.fixedWs[*widx])
-			*widx++
-			if err != nil {
-				return mpc.Share{}, fmt.Errorf("pi: %s: %w", op.name, err)
-			}
-			x, err = p.AddBiasVec(x, op.bias)
-			if err != nil {
-				return mpc.Share{}, fmt.Errorf("pi: %s bias: %w", op.name, err)
-			}
+			x = ys[0]
 		case opReLU:
 			x, err = p.ReLUBounded(x, op.bound)
 			if err != nil {
@@ -200,21 +173,14 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 			n := x.Shape[0]
 			x = x.Reshape(n, x.Len()/n)
 		case opResidual:
-			saved := x
-			body, err := e.run(op.body, saved, widx)
+			var body, short mpc.Share
+			body, short, err = e.residual(op, x, widx)
 			if err != nil {
 				return mpc.Share{}, err
 			}
-			short := saved
-			if op.shortcut != nil {
-				short, err = e.run(op.shortcut, saved, widx)
-				if err != nil {
-					return mpc.Share{}, err
-				}
-			}
 			if trace {
-				// The branch ops traced themselves through the recursion;
-				// the residual's own reading is only its Add.
+				// The branch ops traced themselves; the residual's own
+				// reading is only its Add.
 				inShape = body.Shape
 				opStart = time.Now()
 			}
@@ -228,4 +194,109 @@ func (e *Engine) run(prog *Program, x mpc.Share, widx *int) (mpc.Share, error) {
 		}
 	}
 	return x, nil
+}
+
+// residual runs a residual block's two branches on x and returns their
+// outputs. When both branches start with a linear op (sharesHead), the
+// two heads run first as one owner-side op under one activation mask —
+// party 1 sends x's masked opening once, not once per branch — and each
+// branch then runs the rest of its ops. The weight slots keep the
+// depth-first program order either way: the shortcut head's is the one
+// after the body's last.
+func (e *Engine) residual(op *progOp, x mpc.Share, widx *int) (body, short mpc.Share, err error) {
+	bodyOps := op.body.Ops
+	var shortOps []progOp
+	if op.shortcut != nil {
+		shortOps = op.shortcut.Ops
+	}
+	body, short = x, x
+	hoisted := op.sharesHead()
+	if hoisted {
+		var start time.Time
+		if e.feed != nil {
+			start = time.Now()
+		}
+		heads := []*progOp{&bodyOps[0], &shortOps[0]}
+		ys, err := e.linear(x, heads, []int{*widx, *widx + op.body.NumSecretTensors()})
+		if err != nil {
+			return mpc.Share{}, mpc.Share{}, err
+		}
+		if e.feed != nil {
+			e.traceHeads(heads, x.Shape, ys, time.Since(start).Seconds())
+		}
+		body, short = ys[0], ys[1]
+		bodyOps, shortOps = bodyOps[1:], shortOps[1:]
+		*widx++
+	}
+	if body, err = e.run(bodyOps, body, widx); err != nil {
+		return mpc.Share{}, mpc.Share{}, err
+	}
+	if hoisted {
+		*widx++
+	}
+	if short, err = e.run(shortOps, short, widx); err != nil {
+		return mpc.Share{}, mpc.Share{}, err
+	}
+	return body, short, nil
+}
+
+// traceHeads reports a hoisted head pair's readings, one per op: the pair
+// ran as one op in sec, which is split between them in proportion to
+// their multiplies (output words times multiplies per output word).
+func (e *Engine) traceHeads(heads []*progOp, inShape []int, ys []mpc.Share, sec float64) {
+	work := make([]float64, len(heads))
+	total := 0.0
+	for i, h := range heads {
+		// A weight tensor's leading dim is its output channels (features),
+		// so its length over that is the multiplies per output word.
+		work[i] = float64(ys[i].Len()) * float64(len(h.weights)/h.weightShape[0])
+		total += work[i]
+	}
+	for i, h := range heads {
+		kind, shape := traceOp(h, inShape)
+		e.feed.Record(kind, shape, inShape[0], sec*work[i]/total)
+	}
+}
+
+// linear runs the linear ops ops — one, or a residual's two heads — on
+// the one input x under one activation mask (mpc.Party.LinearFixedW), op i
+// with the weight in slot slots[i], and adds each op's bias.
+func (e *Engine) linear(x mpc.Share, ops []*progOp, slots []int) ([]mpc.Share, error) {
+	p := e.party
+	fops := make([]mpc.FixedWOp, len(ops))
+	for i, op := range ops {
+		fops[i] = mpc.FixedWOp{W: e.weights[slots[i]], FW: e.fixedWs[slots[i]]}
+		if op.kind == opLinear {
+			// The In×Out transpose was materialized once at Setup.
+			continue
+		}
+		if len(x.Shape) != 4 {
+			return nil, fmt.Errorf("pi: %s expects NCHW input, got %v", op.name, x.Shape)
+		}
+		dims := mpc.ConvDims{
+			N: x.Shape[0], InC: x.Shape[1], H: x.Shape[2], W: x.Shape[3],
+			OutC: op.convSpec.OutC, KH: op.convSpec.KH, KW: op.convSpec.KW,
+			Stride: op.convSpec.Stride, Pad: op.convSpec.Pad,
+		}
+		if op.kind == opDWConv {
+			dims.Groups = dims.InC
+			dims.OutC = dims.InC
+		}
+		fops[i].Conv = &dims
+	}
+	ys, err := p.LinearFixedW(x, fops...)
+	if err != nil {
+		return nil, fmt.Errorf("pi: %s: %w", ops[0].name, err)
+	}
+	for i, op := range ops {
+		if op.kind == opLinear {
+			ys[i], err = p.AddBiasVec(ys[i], op.bias)
+		} else if op.bias != nil {
+			ys[i], err = p.AddBias(ys[i], op.bias)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pi: %s bias: %w", op.name, err)
+		}
+	}
+	return ys, nil
 }

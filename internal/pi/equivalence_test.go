@@ -148,6 +148,62 @@ var netVariants = []netVariant{
 			))
 		},
 	},
+	{
+		// A projection shortcut that pools before its 1×1 conv: only the
+		// body starts with a linear op, so the two branches' convs read
+		// different inputs and each masks its own.
+		name: "pooled-shortcut", hw: 8, inC: 2,
+		build: func(r *rng.RNG, hw, inC, classes int) *nn.Network {
+			body := nn.NewSequential(
+				conv("qb1", 4, 6, 3, 2, 1, r),
+				nn.NewBatchNorm2D("qbn1", 6),
+				nn.NewX2Act("qa1", (hw/2)*(hw/2)*6),
+				conv("qb2", 6, 6, 3, 1, 1, r),
+			)
+			short := nn.NewSequential(
+				nn.NewAvgPool(2, 2, 2),
+				conv("qs", 4, 6, 1, 1, 0, r),
+			)
+			return nn.NewNetwork(nn.NewSequential(
+				conv("stem", inC, 4, 3, 1, 1, r),
+				nn.NewBatchNorm2D("sbn", 4),
+				nn.NewX2Act("sa", hw*hw*4),
+				nn.NewResidual(body, short, nil),
+				nn.NewGlobalAvgPool(),
+				nn.NewFlatten(),
+				nn.NewLinear("fc", 6, classes, r),
+			))
+		},
+	},
+	{
+		// A depthwise conv heads the shortcut and a dense conv the body,
+		// both on the block input: the two heads run as one op under one
+		// activation mask.
+		name: "depthwise-shortcut", hw: 8, inC: 3,
+		build: func(r *rng.RNG, hw, inC, classes int) *nn.Network {
+			body := nn.NewSequential(
+				conv("db1", 4, 4, 3, 1, 1, r),
+				nn.NewBatchNorm2D("dbn1", 4),
+				nn.NewReLU(),
+				conv("db2", 4, 4, 3, 1, 1, r),
+				nn.NewBatchNorm2D("dbn2", 4),
+			)
+			short := nn.NewSequential(
+				nn.NewDepthwiseConv2D("ds", 4, 3, 1, 1, r),
+				nn.NewBatchNorm2D("dsbn", 4),
+			)
+			return nn.NewNetwork(nn.NewSequential(
+				conv("stem", inC, 4, 3, 1, 1, r),
+				nn.NewBatchNorm2D("sbn", 4),
+				nn.NewReLU(),
+				nn.NewResidual(body, short, nil),
+				nn.NewX2Act("da", hw*hw*4),
+				nn.NewGlobalAvgPool(),
+				nn.NewFlatten(),
+				nn.NewLinear("fc", 4, classes, r),
+			))
+		},
+	},
 }
 
 // warmNet runs a few train-mode forwards so BatchNorm running statistics

@@ -77,12 +77,55 @@ func TestFixedMaskCrossSourceEquivalence(t *testing.T) {
 	}
 }
 
+// engineSlots lists the weight slots of prog's linear ops in the order the
+// engine takes their correlations, each with whether its take is
+// shared-mask: program order, except that when a residual's body and
+// shortcut both start with a linear op, the shortcut head (its slot is the
+// one after the body's last) is taken right after the body head, under
+// its activation mask.
+func engineSlots(prog *Program) (slots []int, shared []bool) {
+	next := 0
+	var walk func(ops []progOp)
+	walk = func(ops []progOp) {
+		for i := range ops {
+			op := &ops[i]
+			switch {
+			case op.isLinear():
+				slots, shared = append(slots, next), append(shared, false)
+				next++
+			case op.kind == opResidual:
+				body := op.body.Ops
+				var short []progOp
+				if op.shortcut != nil {
+					short = op.shortcut.Ops
+				}
+				hoist := len(body) > 0 && body[0].isLinear() && len(short) > 0 && short[0].isLinear()
+				if hoist {
+					slots = append(slots, next, next+op.body.NumSecretTensors())
+					shared = append(shared, false, true)
+					next++
+					body, short = body[1:], short[1:]
+				}
+				walk(body)
+				if hoist {
+					next++
+				}
+				walk(short)
+			}
+		}
+	}
+	walk(prog.Ops)
+	return slots, shared
+}
+
 // TestFixedTapeDeterminismAcrossKernelSettings pins the fixed-mask
 // material as worker-count- and kernel-path-independent on both of its
 // sides: under every kernel setting, Setup of the demo backbone opens the
 // golden F = W−b, and the traced tape's FixedB demands name the slots
-// Setup opened — each once, in order, each sized to its F — with no
-// per-flush weight-mask demand left.
+// Setup opened — each once, in the engine's order (engineSlots), each
+// sized to its F, shared-mask exactly where a residual's shortcut head
+// shares its body head's mask — with no per-flush weight-mask demand
+// left.
 func TestFixedTapeDeterminismAcrossKernelSettings(t *testing.T) {
 	prog := demoProgram(t)
 	for _, s := range kernelSettings() {
@@ -101,6 +144,10 @@ func TestFixedTapeDeterminismAcrossKernelSettings(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
+			order, shared := engineSlots(prog)
+			if len(order) != len(fs) {
+				t.Fatalf("%s: the program has %d linear ops, Setup opened %d", s.name, len(order), len(fs))
+			}
 			slot := 0
 			for i, d := range tape {
 				var words int
@@ -114,9 +161,9 @@ func TestFixedTapeDeterminismAcrossKernelSettings(t *testing.T) {
 				default:
 					continue
 				}
-				if slot >= len(fs) || d.Mask != slot || words != len(fs[slot]) {
-					t.Fatalf("%s: demand %d %s names mask %d of %d words; want slot %d of the %d Setup opened",
-						s.name, i, d, d.Mask, words, slot, len(fs))
+				if slot >= len(fs) || d.Mask != order[slot] || d.Shared != shared[slot] || words != len(fs[order[slot]]) {
+					t.Fatalf("%s: demand %d %s names mask %d of %d words; want slot %d (shared %v) of the %d Setup opened",
+						s.name, i, d, d.Mask, words, order[min(slot, len(order)-1)], shared[min(slot, len(order)-1)], len(fs))
 				}
 				slot++
 			}
@@ -382,5 +429,40 @@ func TestFallbackBudgetRegression(t *testing.T) {
 	}
 	if sess1.Fallbacks() != 1 {
 		t.Errorf("party 1 fallbacks = %d, want 1", sess1.Fallbacks())
+	}
+}
+
+// TestSharedHeadsOnTape pins where the engine shares an activation mask:
+// only at a residual whose body and shortcut both start with a linear op
+// on the block input — a dense pair, a nested residual's outer block, a
+// depthwise shortcut head — never at an identity shortcut or one that
+// pools first. Each such residual's tape carries one shared-mask demand,
+// right after the fresh-mask demand of its body head.
+func TestSharedHeadsOnTape(t *testing.T) {
+	want := map[string]int{"x2-projection-shortcut": 1, "nested-residual": 1, "depthwise-shortcut": 1}
+	for vi, v := range netVariants {
+		r := rng.New(uint64(3000 + vi))
+		net := v.build(r, v.hw, v.inC, 3)
+		prog, err := Compile(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tape, err := TraceTape(prog, []int{2, v.inC, v.hw, v.hw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := 0
+		for i, d := range tape {
+			if !d.Shared {
+				continue
+			}
+			shared++
+			if i == 0 || tape[i-1].Shared || (tape[i-1].Kind != corr.KindConvFixedB && tape[i-1].Kind != corr.KindMatMulFixedB) {
+				t.Fatalf("%s: shared-mask demand %d (%s) does not follow a fresh FixedB demand", v.name, i, d)
+			}
+		}
+		if shared != want[v.name] {
+			t.Errorf("%s: %d shared-mask demands, want %d", v.name, shared, want[v.name])
+		}
 	}
 }

@@ -10,17 +10,26 @@ import (
 
 // This file splits party 1's flush into its protocol phases so a
 // pipelined scheduler (internal/sched) can overlap one flush's output
-// reconstruction with the next flush's input sharing on the same session
-// pair. The phases of one Flight must run in order —
+// reconstruction with the next flush's announce on the same session pair.
+// The phases of one Flight must run in order —
 //
 //	BeginQuery → Evaluate → SendResult → RecvPeerShare → Result
 //
 // — and Session.Query is exactly their composition, so a serialized and a
-// pipelined schedule produce bit-identical logits: the dealer stream and
-// the party's private mask RNG are only consumed inside BeginQuery and
-// Evaluate, which a pipelined scheduler still runs strictly in flush
-// order; SendResult/RecvPeerShare carry plain reveal halves whose values
-// are schedule-independent.
+// pipelined schedule produce bit-identical logits: the dealer stream is
+// only consumed inside BeginQuery and Evaluate, which a pipelined
+// scheduler still runs strictly in flush order; SendResult/RecvPeerShare
+// carry plain reveal halves whose values are schedule-independent.
+//
+// The query is not secret-shared by a frame of its own: party 1's share is
+// the encoded query itself and party 0's is zeros (Session.ServeOne), so the
+// program's first linear op sends the only frame that carries it,
+// E' = X − a. A trivial sharing reveals nothing, whatever the program's
+// first op is, because every frame party 1 sends is masked by dealer
+// material party 0 does not hold: the activation mask a of a linear op,
+// party 1's half of a square pair's a, its AND- and selector-triple
+// operands, and the reveal, which opens only the logits both parties
+// learn anyway.
 //
 // The party-0 peer needs no matching change: its serialized serve loop
 // sends its reveal half and then negotiates the next flush, which is the
@@ -47,9 +56,9 @@ type Flight struct {
 }
 
 // BeginQuery runs the ingest phase of one flush from party 1's side —
-// the announce half (send the shape frame, the source stamp, and the
-// input share) composed with the confirm half (receive and validate the
-// peer's). The returned Flight carries the input share into Evaluate.
+// the announce half (send the shape frame and the source stamp) composed
+// with the confirm half (receive and validate the peer's). The returned
+// Flight carries party 1's input share, the encoded query, into Evaluate.
 func (s *Session) BeginQuery(x *tensor.Tensor) (*Flight, error) {
 	f, err := s.QueryAnnounce(x)
 	if err != nil {
@@ -62,15 +71,15 @@ func (s *Session) BeginQuery(x *tensor.Tensor) (*Flight, error) {
 }
 
 // QueryAnnounce runs the send half of the ingest phase: transmit this
-// flush's shape frame, correlation-source stamp, and masked input share,
-// performing no receive at all. A pipelined scheduler calls it while the
-// previous flush's reveal receive is still in flight — these sends are
-// what genuinely overlap that wire wait — and gates Confirm behind the
+// flush's shape frame and correlation-source stamp, performing no receive
+// at all, and encode the query as party 1's input share (see the file
+// comment: the query itself crosses the wire only masked, inside the
+// first linear op). A pipelined scheduler calls it while the previous
+// flush's reveal receive is still in flight — these sends are what
+// genuinely overlap that wire wait — and gates Confirm behind the
 // receive-order baton. The values are bit-identical to the serialized
-// order: the input mask is the flush's only private-randomness draw
-// either way, and the stamp reads the same store cursor (the previous
-// flush's evaluation has completed before a scheduler may announce the
-// next).
+// order: the stamp reads the same store cursor (the previous flush's
+// evaluation has completed before a scheduler may announce the next).
 func (s *Session) QueryAnnounce(x *tensor.Tensor) (*Flight, error) {
 	if s.party.ID != 1 {
 		return nil, fmt.Errorf("pi: QueryAnnounce is party 1's side; party 0 serves")
@@ -91,10 +100,7 @@ func (s *Session) QueryAnnounce(x *tensor.Tensor) (*Flight, error) {
 	if err != nil {
 		return nil, err
 	}
-	xs, err := s.party.ShareInput(1, s.party.EncodeTensor(x.Data), x.Shape...)
-	if err != nil {
-		return nil, err
-	}
+	xs := mpc.Share{Shape: append([]int(nil), x.Shape...), V: s.party.EncodeTensor(x.Data)}
 	f := &Flight{s: s, shape: x.Shape, src: src, xs: xs}
 	if s.spans != nil {
 		f.ingestSec = time.Since(t0).Seconds()

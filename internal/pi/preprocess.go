@@ -68,6 +68,14 @@ func (zeroSource) TakeConvFixedB(mask int, dims mpc.ConvDims) (a, z []uint64, er
 	return make([]uint64, dims.InLen()), make([]uint64, dims.OutLen()), nil
 }
 
+func (zeroSource) TakeMatMulFixedBShared(mask, m, k, p int) (z []uint64, err error) {
+	return make([]uint64, m*p), nil
+}
+
+func (zeroSource) TakeConvFixedBShared(mask int, dims mpc.ConvDims) (z []uint64, err error) {
+	return make([]uint64, dims.OutLen()), nil
+}
+
 func (zeroSource) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
 	return mpc.NewBitShare(n), mpc.NewBitShare(n), mpc.NewBitShare(n), nil
 }
@@ -80,7 +88,8 @@ func (zeroSource) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
 // on zero inputs and zero correlations: correlation demand never depends
 // on input values or correlation material, only on shapes — an invariant
 // the trace itself enforces by comparing the two parties' independently
-// recorded tapes.
+// recorded tapes. The zero query is shared as a flush shares a query:
+// party 1 holds it whole, party 0 holds zeros.
 func TraceTape(prog *Program, inputShape []int) (corr.Tape, error) {
 	n := 1
 	for _, d := range inputShape {
@@ -97,15 +106,7 @@ func TraceTape(prog *Program, inputShape []int) (corr.Tape, error) {
 		if err := eng.Setup(p); err != nil {
 			return err
 		}
-		var enc []uint64
-		if p.ID == 1 {
-			enc = make([]uint64, n)
-		}
-		xs, err := p.ShareInput(1, enc, inputShape...)
-		if err != nil {
-			return err
-		}
-		if _, err := eng.Infer(xs); err != nil {
+		if _, err := eng.Infer(mpc.NewShare(inputShape...)); err != nil {
 			return err
 		}
 		tapes[p.ID] = rec.Tape()

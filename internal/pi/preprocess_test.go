@@ -375,14 +375,15 @@ func TestPerFlushStoreFailsWithRegenerateHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The tape a per-flush session demanded: the same demands, with Beaver
-	// triples where the linear ops now take FixedB pairs.
+	// triples where the linear ops now take FixedB pairs, fresh or
+	// shared-mask.
 	perFlush := make(corr.Tape, len(tape))
 	for i, d := range tape {
 		switch d.Kind {
 		case corr.KindConvFixedB:
-			d.Kind, d.Mask = corr.KindConv, 0
+			d.Kind, d.Mask, d.Shared = corr.KindConv, 0, false
 		case corr.KindMatMulFixedB:
-			d.Kind, d.Mask = corr.KindMatMul, 0
+			d.Kind, d.Mask, d.Shared = corr.KindMatMul, 0, false
 		}
 		perFlush[i] = d
 	}

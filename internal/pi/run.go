@@ -36,8 +36,8 @@ type Result struct {
 	// the weight shares and the F = W−b opening.
 	SetupBytes int64
 	// OnlineSeconds is the wall-clock of the flush — shape and source
-	// rounds, input sharing, every layer protocol and output
-	// reconstruction, with both parties running concurrently. Session
+	// rounds, every layer protocol and output reconstruction, with both
+	// parties running concurrently. Session
 	// setup is excluded. On the live-dealer path this still includes lazy
 	// correlation generation; on the preprocessed path it does not — that
 	// cost moves to OfflineSeconds, the split the paper's online latency

@@ -2,7 +2,7 @@
 // router and the per-shard pi.Session stack: a Dispatcher owns one bounded
 // work queue per (model, shard) and picks shards by queue depth and EWMA
 // flush latency instead of blind round-robin; a PipelinedSession overlaps
-// one flush's output reconstruction with the next flush's input sharing on
+// one flush's output reconstruction with the next flush's announce on
 // the same session pair (double-buffered, bit-identical to the serialized
 // schedule); and a Lifecycle moves a shard pair to a fresh generation —
 // re-dialing dead pairs with backoff instead of retiring them for the
@@ -85,7 +85,7 @@ func (ss *SerializedSession) Close() error {
 func (ss *SerializedSession) Kill() { ss.conn.Close() }
 
 // PipelinedSession runs the phase-split flush schedule: BeginFlush runs
-// ingest (shape/source negotiation, input sharing) and evaluate, sends
+// ingest (shape/source negotiation) and evaluate, sends
 // this party's reveal half, and returns — the peer-share receive, the
 // reconstruction and the logit decode run on a completer goroutine while
 // the next BeginFlush proceeds. Double buffering depth is one: at most

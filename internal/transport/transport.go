@@ -598,10 +598,13 @@ func (t *TCPConn) Close() error { return t.nc.Close() }
 // Exchange sends mine and receives the peer's slice concurrently, the
 // symmetric rendezvous at the heart of Beaver-style openings. The send is
 // performed on a separate goroutine so neither TCP peer can block the other.
+// Both sides of an opening exchange equal lengths, so the receive is
+// bounded to len(mine) words: a peer frame claiming more fails at its
+// header, before any payload is allocated.
 func Exchange(c Conn, mine []uint64) ([]uint64, error) {
 	errc := make(chan error, 1)
 	go func() { errc <- c.SendUint64s(mine) }()
-	theirs, err := c.RecvUint64s()
+	theirs, err := c.RecvUint64sMax(len(mine))
 	if sendErr := <-errc; sendErr != nil {
 		return nil, fmt.Errorf("transport: exchange send: %w", sendErr)
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -347,6 +348,22 @@ func TestHostileHeaderRejectedBeforeAllocation(t *testing.T) {
 				t.Fatal("hostile frame header must be rejected")
 			}
 		})
+	}
+}
+
+// TestExchangeBoundedToOwnLength: both sides of an opening exchange equal
+// lengths, so a peer header claiming more words than this side sends gets
+// the admit error after the header alone — before any payload-sized
+// allocation or read, which on this pipe would block forever.
+func TestExchangeBoundedToOwnLength(t *testing.T) {
+	hostile, victim := net.Pipe()
+	defer hostile.Close()
+	defer victim.Close()
+	go io.Copy(io.Discard, hostile)              // take the victim's own frame
+	go hostile.Write([]byte{'U', 0, 0, 0, 0x40}) // claims 1 GiB
+	_, err := Exchange(NewTCPConn(victim), make([]uint64, 4))
+	if err == nil || !strings.Contains(err.Error(), "exceeds expected 4 elements") {
+		t.Fatalf("want the 4-element bound's admit error, got %v", err)
 	}
 }
 
