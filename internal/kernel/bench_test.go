@@ -34,27 +34,43 @@ func servedShapes(n int) []ConvShape {
 // at the served flush sizes — 1 and 16 rows, and the ~2-row flushes of a
 // queue-aware multi-client lane — and reports allocations and GMAC/s, so
 // the kernel's share of a served query can be reproduced without the
-// ledger.
+// ledger. The ring-N* runs are one-shot Conv2D calls, which pack the kernel
+// every time (training, Beaver triples); the ring-N*-packed runs reuse one
+// ConvPlan per shape, built outside the timer, as a served session's fixed
+// weights do. GMAC/s counts every tap of the padded receptive field, so it
+// is comparable across lowerings.
 func BenchmarkConvServed(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 16} {
-		b.Run(fmt.Sprintf("ring-N%d", n), func(b *testing.B) {
-			r := rng.New(8)
-			shapes := servedShapes(n)
-			xs, ks, outs := make([][]uint64, len(shapes)), make([][]uint64, len(shapes)), make([][]uint64, len(shapes))
-			macs := 0
-			for i, s := range shapes {
-				xs[i], ks[i], outs[i] = fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
-				macs += s.OutLen() * (s.InC / s.NormGroups()) * s.KH * s.KW
+	for _, packed := range []bool{false, true} {
+		for _, n := range []int{1, 2, 4, 16} {
+			name := fmt.Sprintf("ring-N%d", n)
+			if packed {
+				name += "-packed"
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, s := range shapes {
-					Conv2D(outs[j], xs[j], ks[j], s)
+			b.Run(name, func(b *testing.B) {
+				r := rng.New(8)
+				shapes := servedShapes(n)
+				xs, ks, outs := make([][]uint64, len(shapes)), make([][]uint64, len(shapes)), make([][]uint64, len(shapes))
+				plans := make([]*ConvPlan[uint64], len(shapes))
+				macs := 0
+				for i, s := range shapes {
+					xs[i], ks[i], outs[i] = fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
+					plans[i] = NewConvPlan(ks[i], s)
+					macs += s.OutLen() * (s.InC / s.NormGroups()) * s.KH * s.KW
 				}
-			}
-			b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j, s := range shapes {
+						if packed {
+							plans[j].Run(outs[j], xs[j], n)
+						} else {
+							Conv2D(outs[j], xs[j], ks[j], s)
+						}
+					}
+				}
+				b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
 	}
 }
 

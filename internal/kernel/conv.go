@@ -2,6 +2,13 @@ package kernel
 
 import "fmt"
 
+// This file holds the convolution entry points: the one forward lowering
+// (ConvPlan, which Conv2D builds and runs once), the naive reference loops
+// it is pinned to, and the im2col lowering of the training backward pass.
+// The forward lowering multiplies only the taps that fall inside the input
+// map, grouped by window class (see ConvPlan); the backward pass still
+// runs over the padded receptive field.
+
 // ConvShape captures the geometry of an NCHW convolution: input
 // (N,InC,H,W), kernel (OutC,InC/Groups,KH,KW), symmetric stride/padding.
 // Groups <= 1 is a dense convolution; InC == OutC == Groups is depthwise.
@@ -49,158 +56,281 @@ func (s ConvShape) check(out, x, k int) {
 }
 
 // Conv2D computes out = conv(x, k) for the given shape (or runs the naive
-// reference loops when SetNaive is on). Each group is one transposed GEMM,
-// outᵀ = colsᵀ · Kᵀ: its rows are all N·OH·OW output positions of the
-// call, its columns the group's output channels and its k extent the
-// group's (channel, ky, kx) taps. Row panels are packed straight from the
-// NCHW input through a per-call tap-offset table, so no im2col matrix is
-// materialised; Kᵀ is packed into column strips once per call; and each
-// tile is stored back into NCHW through per-position row offsets and the
-// OH·OW channel stride. A batch of queries therefore fills the tile rows
-// even where a layer has few output channels or a tiny map. Accumulation
-// order per output element matches the naive loops, so float64 results
-// are bit-identical and ring results are exactly equal.
+// reference loops when SetNaive is on). It packs k into a ConvPlan and runs
+// it once; a caller that convolves against the same kernel again builds the
+// plan itself and keeps it.
 func Conv2D[T Elem](out, x, k []T, s ConvShape) {
 	s.check(len(out), len(x), len(k))
 	if Naive() {
 		Conv2DNaive(out, x, k, s)
 		return
 	}
+	var p ConvPlan[T]
+	p.build(k, s)
+	p.run(out, x, s.N)
+}
+
+// ConvPlan is a convolution kernel packed for one geometry, the batch size
+// aside: Run convolves any number of input rows with it, so a kernel that
+// is constant across calls — a served layer's weights, a session's fixed
+// weight mask — is packed once instead of once per call.
+//
+// The lowering multiplies only taps that fall inside the input map. An
+// output row oy reads kernel rows [max(0, −iy0), min(KH, H−iy0)) of its
+// receptive field, iy0 = oy·Stride − Pad, and likewise per column. Both
+// ends of that window move monotonically with oy, so the output rows split
+// into runs that share one row window (top border, interior, bottom
+// border), and the columns likewise. A class is one (row run, column run)
+// rectangle of output positions: all of its positions read the same taps,
+// so each (group, class) is one transposed GEMM, outᵀ = colsᵀ · Kᵀ, whose
+// rows are the class's positions over every batch row, whose columns are
+// the group's output channels and whose k extent is the class's in-bounds
+// (channel, ky, kx) taps. A 3×3 pad-1 conv has at most 9 classes, and on a
+// 1×1 map one, whose K is the centre tap alone. Row panels are packed
+// straight from the NCHW input through the class's tap-offset table, so no
+// im2col matrix is materialised and no lane ever reads padding; the plan
+// holds each class's Kᵀ column strips; each tile is stored back into NCHW
+// through per-position row offsets and the OH·OW channel stride. The taps
+// a class multiplies are exactly the ones the naive loops do not skip, in
+// the same (c, ky, kx) order, so float64 results are bit-identical and ring
+// results exactly equal.
+//
+// A ConvPlan is immutable once built and safe for concurrent Runs. It
+// keeps a reference to k for the SetNaive path, so k must not change while
+// the plan is in use.
+type ConvPlan[T Elem] struct {
+	s       ConvShape // the geometry, N = 0
+	k       []T       // the kernel it was packed from
+	classes []convClass
+	taps    []int // every class's tap offsets, class after class
+	kp      []T   // per group, per class: the class's Kᵀ strips
+	gstride int   // kp words per group
+	maxK    int   // the widest class's k extent
+	macs    int   // in-bounds taps per output channel and batch row
+}
+
+// convClass is one rectangle of output positions that share a kernel
+// window: rows [oy0, oy0+h) × columns [ox0, ox0+w), reading kernel rows
+// [ky0, ky1) × columns [kx0, kx1). Its k = icg·(ky1−ky0)·(kx1−kx0) taps are
+// taps[t0:t0+k], each an input offset from the receptive field's top-left
+// corner in the group's first channel. Its Kᵀ strips start at word kp of
+// each group's span of the plan's kp; the strip of output channels
+// [j0, j0+tileN) is the k·tileN words from kp + j0·k.
+type convClass struct {
+	oy0, ox0, h, w int
+	ky0, ky1       int
+	kx0, kx1       int
+	k, t0, kp      int
+}
+
+// convRun is one run of output rows (or columns) sharing a kernel window.
+type convRun struct{ o0, n, k0, k1 int }
+
+// convRuns splits out output rows into runs of equal kernel window for a
+// map of size in, a kernel of size kk and the shape's stride and pad. It
+// calls fn once per run, in order, and returns the run count.
+func convRuns(out, in, kk, stride, pad int, fn func(convRun)) int {
+	runs := 0
+	var cur convRun
+	for o := 0; o < out; o++ {
+		i0 := o*stride - pad
+		k0 := max(0, -i0)
+		k1 := max(min(kk, in-i0), k0)
+		if o > 0 && k0 == cur.k0 && k1 == cur.k1 {
+			cur.n++
+			continue
+		}
+		if o > 0 && fn != nil {
+			fn(cur)
+		}
+		cur = convRun{o0: o, n: 1, k0: k0, k1: k1}
+		runs++
+	}
+	if runs > 0 && fn != nil {
+		fn(cur)
+	}
+	return runs
+}
+
+// NewConvPlan packs k for the geometry s; s.N is ignored, Run takes it.
+func NewConvPlan[T Elem](k []T, s ConvShape) *ConvPlan[T] {
+	s.N = 0
+	s.check(0, 0, len(k))
+	p := new(ConvPlan[T])
+	p.build(k, s)
+	return p
+}
+
+// Shape returns the geometry the plan was built for, with N = 0.
+func (p *ConvPlan[T]) Shape() ConvShape { return p.s }
+
+// Run computes out = conv(x, k) for n batch rows of x (or runs the naive
+// reference loops against k when SetNaive is on).
+func (p *ConvPlan[T]) Run(out, x []T, n int) {
+	s := p.s
+	s.N = n
+	s.check(len(out), len(x), len(p.k))
+	if Naive() {
+		Conv2DNaive(out, x, p.k, s)
+		return
+	}
+	p.run(out, x, n)
+}
+
+// build fills p for k and s (whose lengths the caller has checked): the
+// class table, the tap offsets and every (group, class) Kᵀ strip.
+func (p *ConvPlan[T]) build(k []T, s ConvShape) {
+	s.N = 0
+	p.s, p.k = s, k
 	oh, ow := s.OutHW()
-	ohw := oh * ow
-	if ohw <= 0 {
+	if oh <= 0 || ow <= 0 {
 		return
 	}
 	g := s.NormGroups()
-	icg := s.InC / g
-	ocg := s.OutC / g
-	ckk := icg * s.KH * s.KW
-	offs := tapOffsets(s, icg)
+	icg, ocg := s.InC/g, s.OutC/g
+	nr := convRuns(oh, s.H, s.KH, s.Stride, s.Pad, nil)
+	nc := convRuns(ow, s.W, s.KW, s.Stride, s.Pad, nil)
+	p.classes = make([]convClass, 0, nr*nc)
+	ntaps := 0
+	convRuns(oh, s.H, s.KH, s.Stride, s.Pad, func(r convRun) {
+		convRuns(ow, s.W, s.KW, s.Stride, s.Pad, func(c convRun) {
+			kc := icg * (r.k1 - r.k0) * (c.k1 - c.k0)
+			p.classes = append(p.classes, convClass{
+				oy0: r.o0, h: r.n, ky0: r.k0, ky1: r.k1,
+				ox0: c.o0, w: c.n, kx0: c.k0, kx1: c.k1,
+				k: kc, t0: ntaps,
+			})
+			ntaps += kc
+		})
+	})
 	strips := (ocg + tileN - 1) / tileN
-	slen := ckk * tileN
-	kp := make([]T, g*strips*slen)
-	for gi := 0; gi < g; gi++ {
-		kg := k[gi*ocg*ckk : (gi+1)*ocg*ckk]
-		for si := 0; si < strips; si++ {
-			j0 := si * tileN
-			packBTransStrip(kp[(gi*strips+si)*slen:(gi*strips+si+1)*slen], kg, ckk, j0, min(tileN, ocg-j0))
+	p.taps = make([]int, ntaps)
+	p.gstride = strips * tileN * ntaps
+	p.kp = make([]T, g*p.gstride)
+	ckk := icg * s.KH * s.KW
+	for ci := range p.classes {
+		c := &p.classes[ci]
+		c.kp = strips * tileN * c.t0
+		p.maxK = max(p.maxK, c.k)
+		p.macs += c.h * c.w * c.k
+		offs := p.taps[c.t0 : c.t0+c.k]
+		t := 0
+		for cg := 0; cg < icg; cg++ {
+			for ky := c.ky0; ky < c.ky1; ky++ {
+				for kx := c.kx0; kx < c.kx1; kx++ {
+					offs[t] = (cg*s.H+ky)*s.W + kx
+					t++
+				}
+			}
+		}
+		for gi := 0; gi < g; gi++ {
+			gkp := p.kp[gi*p.gstride+c.kp:]
+			for j0 := 0; j0 < ocg; j0 += tileN {
+				packClassStrip(gkp[j0*c.k:(j0+tileN)*c.k], k[(gi*ocg+j0)*ckk:], c, s, icg, ckk, min(tileN, ocg-j0))
+			}
 		}
 	}
-	m := s.N * ohw
-	panels := (m + tileM - 1) / tileM
-	parallelFor(g*panels, 1+gemmFlopGrain/(tileM*ckk*ocg), func(lo, hi int) {
-		ap := make([]T, tileM*ckk)
-		var rows [tileM]int
-		for t := lo; t < hi; t++ {
-			gi, r0 := t/panels, t%panels*tileM
-			mr := min(tileM, m-r0)
-			packConvPanel(ap, &rows, x, offs, s, gi, r0, mr)
-			gkp := kp[gi*strips*slen : (gi+1)*strips*slen]
-			for si := 0; si < strips; si++ {
-				j0 := si * tileN
-				microTile(out[j0*ohw:], ap, gkp[si*slen:(si+1)*slen], ckk, &rows, ohw, mr, min(tileN, ocg-j0), false)
+}
+
+// packClassStrip packs the Kᵀ column strip of nr output channels, the
+// first one's kernel at kc[0:ckk], over class c's taps: tap p of channel
+// jj goes to bp[p·tileN + jj], and lanes past nr are zero.
+func packClassStrip[T Elem](bp, kc []T, c *convClass, s ConvShape, icg, ckk, nr int) {
+	if nr < tileN {
+		clear(bp)
+	}
+	var k0, k1, k2, k3 []T
+	if nr == tileN {
+		k0, k1, k2, k3 = kc[:ckk:ckk], kc[ckk:2*ckk:2*ckk], kc[2*ckk:3*ckk:3*ckk], kc[3*ckk:4*ckk:4*ckk]
+	}
+	p := 0
+	for cg := 0; cg < icg; cg++ {
+		for ky := c.ky0; ky < c.ky1; ky++ {
+			row := (cg*s.KH + ky) * s.KW
+			for i := row + c.kx0; i < row+c.kx1; i++ {
+				q := bp[p : p+tileN : p+tileN]
+				if nr == tileN {
+					q[0], q[1], q[2], q[3] = k0[i], k1[i], k2[i], k3[i]
+				} else {
+					for jj := 0; jj < nr; jj++ {
+						q[jj] = kc[jj*ckk+i]
+					}
+				}
+				p += tileN
+			}
+		}
+	}
+}
+
+// run is Run past the checks: every (group, class) GEMM over n batch rows,
+// its row panels the unit parallelFor splits.
+func (p *ConvPlan[T]) run(out, x []T, n int) {
+	s, classes, taps, kp, gstride := p.s, p.classes, p.taps, p.kp, p.gstride
+	oh, ow := s.OutHW()
+	ohw := oh * ow
+	if ohw <= 0 || n <= 0 {
+		return
+	}
+	g := s.NormGroups()
+	icg, ocg := s.InC/g, s.OutC/g
+	panels := 0
+	for ci := range classes {
+		panels += (n*classes[ci].h*classes[ci].w + tileM - 1) / tileM
+	}
+	// A panel's work is tileM·K·ocg multiplies; p.macs/ohw is the mean K.
+	grain := 1 + gemmFlopGrain/(tileM*max(1, p.macs/ohw)*ocg)
+	apLen := tileM * p.maxK
+	parallelFor(g*panels, grain, func(lo, hi int) {
+		ap := make([]T, apLen)
+		var rows, base [tileM]int
+		t := 0
+		for gi := 0; gi < g && t < hi; gi++ {
+			gkp := kp[gi*gstride : (gi+1)*gstride]
+			for ci := 0; ci < len(classes) && t < hi; ci++ {
+				c := &classes[ci]
+				area := c.h * c.w
+				m := n * area
+				np := (m + tileM - 1) / tileM
+				if t+np <= lo {
+					t += np
+					continue
+				}
+				offs := taps[c.t0 : c.t0+c.k]
+				for pi := max(0, lo-t); pi < np && t+pi < hi; pi++ {
+					r0 := pi * tileM
+					mr := min(tileM, m-r0)
+					for ii := 0; ii < tileM; ii++ {
+						if ii >= mr {
+							base[ii] = base[0] // a dead lane re-reads lane 0; it is never stored
+							continue
+						}
+						b, j := (r0+ii)/area, (r0+ii)%area
+						oy, ox := c.oy0+j/c.w, c.ox0+j%c.w
+						base[ii] = ((b*s.InC+gi*icg)*s.H+oy*s.Stride-s.Pad)*s.W + ox*s.Stride - s.Pad
+						rows[ii] = (b*s.OutC+gi*ocg)*ohw + oy*ow + ox
+					}
+					a := ap[: tileM*c.k : tileM*c.k]
+					packClassPanel(a, x, offs, &base)
+					ckp := gkp[c.kp:]
+					for j0 := 0; j0 < ocg; j0 += tileN {
+						microTile(out[j0*ohw:], a, ckp[j0*c.k:(j0+tileN)*c.k], c.k, &rows, ohw, mr, min(tileN, ocg-j0), false)
+					}
+				}
+				t += np
 			}
 		}
 	})
 }
 
-// tapOffsets lists a group's (channel-in-group, ky, kx) taps in the naive
-// loops' accumulation order, each as its input offset from the receptive
-// field's top-left corner in the group's first channel.
-func tapOffsets(s ConvShape, icg int) []int {
-	offs := make([]int, 0, icg*s.KH*s.KW)
-	for cg := 0; cg < icg; cg++ {
-		for ky := 0; ky < s.KH; ky++ {
-			for kx := 0; kx < s.KW; kx++ {
-				offs = append(offs, (cg*s.H+ky)*s.W+kx)
-			}
-		}
-	}
-	return offs
-}
-
-// packConvPanel packs the colsᵀ panel of output positions [r0, r0+mr)
-// (flattened over batch row and map position) for group gi into ap,
-// k-major with the tileM position lanes interleaved, and sets rows[ii] to
-// lane ii's NCHW offset at the group's first output channel. Taps that
-// fall in padding and the lanes past mr are zero.
-func packConvPanel[T Elem](ap []T, rows *[tileM]int, x []T, offs []int, s ConvShape, gi, r0, mr int) {
-	oh, ow := s.OutHW()
-	ohw := oh * ow
-	g := s.NormGroups()
-	icg, ocg := s.InC/g, s.OutC/g
-	b := r0 / ohw
-	pos := r0 - b*ohw
-	oy := pos / ow
-	ox := pos - oy*ow
-	var base [tileM]int
-	border := 0 // bit ii set: lane ii's receptive field crosses the padding
-	for ii := 0; ii < mr; ii++ {
-		iy0, ix0 := oy*s.Stride-s.Pad, ox*s.Stride-s.Pad
-		base[ii] = ((b*s.InC+gi*icg)*s.H+iy0)*s.W + ix0
-		rows[ii] = (b*s.OutC+gi*ocg)*ohw + pos
-		if iy0 < 0 || iy0+s.KH > s.H || ix0 < 0 || ix0+s.KW > s.W {
-			border |= 1 << ii
-			packBorderLane(ap, x, s, ii, b*s.InC+gi*icg, icg, iy0, ix0)
-		}
-		pos++
-		if ox++; ox == ow {
-			ox = 0
-			if oy++; oy == oh {
-				oy, pos = 0, 0
-				b++
-			}
-		}
-	}
-	if mr == tileM && border == 0 {
-		for p, o := range offs {
-			a := ap[p*tileM : p*tileM+tileM : p*tileM+tileM]
-			a[0], a[1], a[2] = x[base[0]+o], x[base[1]+o], x[base[2]+o]
-			a[3], a[4], a[5] = x[base[3]+o], x[base[4]+o], x[base[5]+o]
-		}
-		return
-	}
-	for ii := 0; ii < tileM; ii++ {
-		switch {
-		case ii >= mr:
-			for p := range offs {
-				ap[p*tileM+ii] = 0
-			}
-		case border&(1<<ii) == 0:
-			xb := base[ii]
-			for p, o := range offs {
-				ap[p*tileM+ii] = x[xb+o]
-			}
-		}
-	}
-}
-
-// packBorderLane fills panel lane ii for an output position whose
-// receptive field, top-left corner (iy0, ix0) in input channel c0 (the
-// group's first), crosses the padding: taps outside the map are zero.
-func packBorderLane[T Elem](ap, x []T, s ConvShape, ii, c0, icg, iy0, ix0 int) {
-	kxLo, kxHi := max(0, -ix0), min(s.KW, s.W-ix0)
-	p := ii
-	for c := c0; c < c0+icg; c++ {
-		for ky := 0; ky < s.KH; ky++ {
-			iy := iy0 + ky
-			if iy < 0 || iy >= s.H {
-				for kx := 0; kx < s.KW; kx++ {
-					ap[p] = 0
-					p += tileM
-				}
-				continue
-			}
-			row := (c*s.H + iy) * s.W
-			for kx := 0; kx < s.KW; kx++ {
-				if kx >= kxLo && kx < kxHi {
-					ap[p] = x[row+ix0+kx]
-				} else {
-					ap[p] = 0
-				}
-				p += tileM
-			}
-		}
+// packClassPanel packs one colsᵀ panel, k-major with the tileM position
+// lanes interleaved: lane ii's tap p is x[base[ii] + offs[p]]. Every tap of
+// a class lies inside the map, so no lane needs a bounds test.
+func packClassPanel[T Elem](ap, x []T, offs []int, base *[tileM]int) {
+	b0, b1, b2, b3, b4, b5 := base[0], base[1], base[2], base[3], base[4], base[5]
+	for p, o := range offs {
+		a := ap[p*tileM : p*tileM+tileM : p*tileM+tileM]
+		a[0], a[1], a[2] = x[b0+o], x[b1+o], x[b2+o]
+		a[3], a[4], a[5] = x[b3+o], x[b4+o], x[b5+o]
 	}
 }
 

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"pasnet/internal/rng"
@@ -169,11 +171,15 @@ func TestConv2DServedGeometries(t *testing.T) {
 }
 
 // TestConv2DBatchedAllocations pins Conv2D's buffer inventory at the
-// served flush sizes: per call the tap-offset table, the packed Kᵀ strips,
-// the parallelFor closure and, once the call splits, its WaitGroup; per
-// worker chunk one A panel. Allocations therefore scale with workers, not
-// with batch rows × groups (an im2col lowering with per-block buffers made
-// 32 of them for the dense shape at N=16 and 256 for the depthwise one).
+// served flush sizes. A one-shot call builds a plan — its class table, the
+// class tap offsets and the packed Kᵀ strips — and runs it: the
+// parallelFor closure, once the call splits its WaitGroup, and per worker
+// chunk one A panel. Allocations therefore scale with workers, not with
+// batch rows × groups (an im2col lowering with per-block buffers made 32
+// of them for the dense shape at N=16 and 256 for the depthwise one) nor
+// with the class count (4 classes for the dense shape, 9 per group for the
+// depthwise one). Run on a prebuilt plan allocates only the closure,
+// WaitGroup and panels — never a weight-sized buffer.
 func TestConv2DBatchedAllocations(t *testing.T) {
 	const workers = 2
 	defer SetWorkers(SetWorkers(workers))
@@ -185,12 +191,143 @@ func TestConv2DBatchedAllocations(t *testing.T) {
 		} {
 			x, k, out := fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
 			allocs := testing.AllocsPerRun(20, func() { Conv2D(out, x, k, s) })
-			if limit := float64(4 + workers); allocs > limit {
+			if limit := float64(5 + workers); allocs > limit {
 				t.Errorf("shape %+v: %v allocations per call at %d workers, want at most %v (N·groups = %d blocks)",
 					s, allocs, workers, limit, s.N*s.NormGroups())
 			}
+			p := NewConvPlan(k, s)
+			allocs = testing.AllocsPerRun(20, func() { p.Run(out, x, n) })
+			if limit := float64(2 + workers); allocs > limit {
+				t.Errorf("shape %+v: %v allocations per Run on a prebuilt plan, want at most %v", s, allocs, limit)
+			}
+			// The closure and WaitGroup are a few words; the panels are
+			// tileM·maxK words per chunk. The bound sits below one copy of
+			// the packed strips, so a Run that re-packs the kernel fails.
+			limit := uint64(workers*tileM*p.maxK*8 + 512)
+			if kb := uint64(len(p.kp) * 8); limit >= kb {
+				t.Fatalf("shape %+v: panel bound %d B does not sit below the %d B of packed strips", s, limit, kb)
+			}
+			if got := runBytes(func() { p.Run(out, x, n) }); got > limit {
+				t.Errorf("shape %+v: Run on a prebuilt plan allocates %d B per call, want at most %d (panels only)", s, got, limit)
+			}
 		}
 	}
+}
+
+// runBytes returns the heap bytes one call of fn allocates, averaged over
+// many calls.
+func runBytes(fn func()) uint64 {
+	const runs = 50
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// planShapes are the geometries TestConvPlanMatchesNaive packs once: the
+// served ones, the ragged-tile ones, depthwise, stride 2, pad 0 (one class),
+// kernels wider than the map (a 3×3 on 1×1, a 5×5 pad 2 on 2×2, a 3×3 on a
+// 1×W strip) and H ≠ W maps. N is left to Run.
+func planShapes() []ConvShape {
+	shapes := append(servedShapes(0), raggedShapes(0)...)
+	return append(shapes,
+		ConvShape{InC: 8, H: 4, W: 4, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 8},
+		ConvShape{InC: 6, H: 9, W: 9, OutC: 6, KH: 3, KW: 3, Stride: 2, Pad: 1, Groups: 6},
+		ConvShape{InC: 3, H: 7, W: 7, OutC: 5, KH: 3, KW: 3, Stride: 2, Pad: 1},
+		ConvShape{InC: 4, H: 6, W: 6, OutC: 9, KH: 3, KW: 3, Stride: 1, Pad: 0},
+		ConvShape{InC: 4, H: 5, W: 7, OutC: 6, KH: 2, KW: 3, Stride: 2, Pad: 0, Groups: 2},
+		ConvShape{InC: 5, H: 1, W: 1, OutC: 7, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		ConvShape{InC: 3, H: 2, W: 2, OutC: 5, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		ConvShape{InC: 3, H: 1, W: 6, OutC: 5, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		ConvShape{InC: 2, H: 5, W: 3, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		ConvShape{InC: 3, H: 6, W: 11, OutC: 4, KH: 5, KW: 3, Stride: 2, Pad: 2},
+	)
+}
+
+// TestConvPlanMatchesNaive builds one plan per shape and runs it at batch
+// sizes 1, 2 and 16 and at 1 and 2 workers against Conv2DNaive over
+// sentinel-filled outputs: ring results exactly equal, float64
+// bit-identical. It also pins the class count: one for a single output
+// position (a 3×3 on a 1×1 map) and at pad 0 (no window is ever clipped),
+// at most 9 on the served shapes, and class areas that sum to OH·OW.
+func TestConvPlanMatchesNaive(t *testing.T) {
+	r := rng.New(46)
+	for si, s := range planShapes() {
+		k, ku := fillF64(r, s.KLen()), fillU64(r, s.KLen())
+		p, pu := NewConvPlan(k, s), NewConvPlan(ku, s)
+		oh, ow := s.OutHW()
+		area := 0
+		for _, c := range pu.classes {
+			area += c.h * c.w
+		}
+		if area != oh*ow {
+			t.Fatalf("shape %+v: classes cover %d output positions, want %d", s, area, oh*ow)
+		}
+		if nc := len(pu.classes); (oh*ow == 1 || s.Pad == 0) && nc != 1 {
+			t.Errorf("shape %+v: %d classes, want 1", s, nc)
+		} else if si < len(servedShapes(0)) && nc > 9 {
+			t.Errorf("served shape %+v: %d classes, want at most 9", s, nc)
+		}
+		for _, n := range []int{1, 2, 16} {
+			sn := s
+			sn.N = n
+			x, xu := fillF64(r, sn.InLen()), fillU64(r, sn.InLen())
+			want, wantU := make([]float64, sn.OutLen()), make([]uint64, sn.OutLen())
+			Conv2DNaive(want, x, k, sn)
+			Conv2DNaive(wantU, xu, ku, sn)
+			for _, w := range []int{1, 2} {
+				prev := SetWorkers(w)
+				got, gotU := filled(sn.OutLen(), sentinelF64), filled(sn.OutLen(), sentinelU64)
+				p.Run(got, x, n)
+				pu.Run(gotU, xu, n)
+				SetWorkers(prev)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("N=%d workers=%d shape %+v: float64 not bit-identical to naive at %d: %v vs %v", n, w, s, i, got[i], want[i])
+					}
+					if gotU[i] != wantU[i] {
+						t.Fatalf("N=%d workers=%d shape %+v: ring mismatch at %d: %d vs %d", n, w, s, i, gotU[i], wantU[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConvPlanConcurrentRuns runs one plan from several goroutines at once,
+// each at its own batch size, as pipelined flushes share a session's
+// plans; every result must equal the naive conv.
+func TestConvPlanConcurrentRuns(t *testing.T) {
+	s := ConvShape{InC: 4, H: 6, W: 6, OutC: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	k := fillU64(rng.New(47), s.KLen())
+	p := NewConvPlan(k, s)
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			sn := s
+			sn.N = n
+			x := fillU64(rng.New(uint64(n)), sn.InLen())
+			want := make([]uint64, sn.OutLen())
+			Conv2DNaive(want, x, k, sn)
+			for i := 0; i < 20; i++ {
+				got := filled(sn.OutLen(), sentinelU64)
+				p.Run(got, x, n)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Errorf("N=%d run %d: mismatch at %d", n, i, j)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestConv2DNaiveOption checks that the SetNaive escape hatch reroutes the

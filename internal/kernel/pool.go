@@ -1,11 +1,12 @@
 // Package kernel holds the shared compute kernels behind every convolution
 // and matrix-multiplication hot path in the repository: a register-tiled
 // GEMM, the batch-folded convolution lowering that feeds it output
-// positions packed straight from the input, the im2col/col2im lowering of
-// the training backward pass, and chunked elementwise primitives, all
-// instantiated over both float64 (plaintext training) and uint64 (the 2PC
-// ring Z_{2^64}, where Go's native wrapping arithmetic is exactly the ring
-// semantics).
+// positions packed straight from the input — in-bounds taps only, against
+// a kernel packed once per geometry (ConvPlan) — the im2col/col2im
+// lowering of the training backward pass, and chunked elementwise
+// primitives, all instantiated over both float64 (plaintext training) and
+// uint64 (the 2PC ring Z_{2^64}, where Go's native wrapping arithmetic is
+// exactly the ring semantics).
 //
 // Work is spread over a package-level worker pool sized from
 // runtime.NumCPU(). The split points never depend on the worker count in a

@@ -41,8 +41,9 @@ const (
 //
 // The GEMM variants hand their pack functions over as closures so all
 // share one driver: each variant differs only in where an (i, p) or
-// (p, j) element of its operand lives. Conv2D fills the same layout one
-// panel at a time (packConvPanel) and drives microTile itself.
+// (p, j) element of its operand lives. A ConvPlan fills the same layout
+// one panel at a time (packClassPanel) from one window class's in-bounds
+// taps, against Kᵀ strips it packed once, and drives microTile itself.
 
 // panelLen returns the packedA length for a chunk of rows output rows
 // with k-extent k: whole tileM-row panels.

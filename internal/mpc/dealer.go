@@ -3,6 +3,7 @@ package mpc
 import (
 	"fmt"
 
+	"pasnet/internal/kernel"
 	"pasnet/internal/rng"
 )
 
@@ -38,7 +39,10 @@ import (
 // first derived at. A shared-mask FixedB draw (MatMulFixedBShared,
 // ConvFixedBShared) draws no a at all: it reuses the a of the FixedB deal
 // right before it, so two linear ops on one input are masked once, and
-// only z₀ comes off the stream.
+// only z₀ comes off the stream. A conv FixedB draw's product runs against
+// b packed once per slot (a kernel.ConvPlan kept beside the mask), packed
+// by the draw itself: the products that run later, on other goroutines
+// (BuildPair's workers), only read it.
 //
 // A Stream is not safe for concurrent use.
 type Stream struct {
@@ -46,6 +50,9 @@ type Stream struct {
 	seeds    [2]uint64
 	maskSeed uint64
 	masks    map[int][]uint64 // fixed weight masks by slot
+	// plans holds each slot's mask packed for the conv geometry it last
+	// masked (see withConv).
+	plans map[int]*kernel.ConvPlan[uint64]
 	// lastA and lastLen are the activation mask and its length of the
 	// latest deal when that deal was a FixedB one (lastA is nil where the
 	// stream holds no a: party 0's half stream), and lastLen is 0 after
@@ -237,13 +244,15 @@ func (s *Stream) Conv(dims ConvDims) Deal {
 // mask; a is a fresh m×k, drawn wholly off party 1's sub-stream (A1), and
 // party 0 draws only z0.
 func (s *Stream) MatMulFixedB(mask, m, k, p int) (Deal, error) {
-	return s.fixedB(mask, k*p, matMulOp(m, k, p), m*k, m*p, false)
+	d, err := s.fixedB(mask, k*p, m*k, m*p, false)
+	return withMatMul(d, m, k, p), err
 }
 
 // ConvFixedB deals (a, z = conv(a, b)) against the fixed kernel mask b of
 // slot mask, a being party 1's alone as in MatMulFixedB.
 func (s *Stream) ConvFixedB(mask int, dims ConvDims) (Deal, error) {
-	return s.fixedB(mask, dims.KLen(), convOp(dims), dims.InLen(), dims.OutLen(), false)
+	d, err := s.fixedB(mask, dims.KLen(), dims.InLen(), dims.OutLen(), false)
+	return s.withConv(d, mask, dims), err
 }
 
 // MatMulFixedBShared deals z = a@b against the fixed mask b of slot mask
@@ -251,18 +260,54 @@ func (s *Stream) ConvFixedB(mask int, dims ConvDims) (Deal, error) {
 // of m·k words: the second linear op on one activation, masked once. It
 // draws only z0.
 func (s *Stream) MatMulFixedBShared(mask, m, k, p int) (Deal, error) {
-	return s.fixedB(mask, k*p, matMulOp(m, k, p), m*k, m*p, true)
+	d, err := s.fixedB(mask, k*p, m*k, m*p, true)
+	return withMatMul(d, m, k, p), err
 }
 
 // ConvFixedBShared is the convolution analogue of MatMulFixedBShared.
 func (s *Stream) ConvFixedBShared(mask int, dims ConvDims) (Deal, error) {
-	return s.fixedB(mask, dims.KLen(), convOp(dims), dims.InLen(), dims.OutLen(), true)
+	d, err := s.fixedB(mask, dims.KLen(), dims.InLen(), dims.OutLen(), true)
+	return s.withConv(d, mask, dims), err
 }
 
-// fixedB deals (a, z = product(a, b)) against the fixed mask b of slot
-// mask (lb words): a fresh la-word a off party 1's sub-stream or, shared,
-// the previous deal's a, which must be a FixedB deal's of the same length.
-func (s *Stream) fixedB(mask, lb int, product func(z, a, b []uint64), la, lz int, shared bool) (Deal, error) {
+// withMatMul gives a FixedB deal with a mask (a half stream's has none)
+// its matrix-multiply product.
+func withMatMul(d Deal, m, k, p int) Deal {
+	if d.b != nil {
+		d.product = matMulOp(m, k, p)
+	}
+	return d
+}
+
+// withConv gives a FixedB deal with a mask its convolution product, which
+// runs slot mask's b packed once for the geometry: the slot's plan is
+// packed here, in the draw, when the slot has none yet or its plan was
+// packed for another geometry (a plan holds its b, so the mask's pinning
+// carries over).
+func (s *Stream) withConv(d Deal, mask int, dims ConvDims) Deal {
+	if d.b == nil {
+		return d
+	}
+	shape := dims.shape()
+	shape.N = 0
+	plan, ok := s.plans[mask]
+	if !ok || plan.Shape() != shape {
+		plan = kernel.NewConvPlan(d.b, shape)
+		if s.plans == nil {
+			s.plans = make(map[int]*kernel.ConvPlan[uint64])
+		}
+		s.plans[mask] = plan
+	}
+	n := dims.N
+	d.product = func(z, a, _ []uint64) { plan.Run(z, a, n) }
+	return d
+}
+
+// fixedB deals (a, z) against the fixed mask b of slot mask (lb words): a
+// fresh la-word a off party 1's sub-stream or, shared, the previous deal's
+// a, which must be a FixedB deal's of the same length. The caller attaches
+// the product.
+func (s *Stream) fixedB(mask, lb, la, lz int, shared bool) (Deal, error) {
 	prevA, prevLen := s.lastA, s.lastLen
 	if shared && prevLen == 0 {
 		return Deal{}, fmt.Errorf("mpc: shared-mask deal for fixed mask slot %d has no FixedB deal right before it to share an activation mask with", mask)
@@ -274,7 +319,7 @@ func (s *Stream) fixedB(mask, lb int, product func(z, a, b []uint64), la, lz int
 	if err != nil {
 		return Deal{}, err
 	}
-	d := Deal{b: b, product: product, ownA: true}
+	d := Deal{b: b, ownA: true}
 	if !shared {
 		d = s.deal(d, la, 0, lz)
 	} else {

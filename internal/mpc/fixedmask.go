@@ -2,7 +2,9 @@ package mpc
 
 import (
 	"fmt"
+	"sync/atomic"
 
+	"pasnet/internal/kernel"
 	"pasnet/internal/rng"
 	"pasnet/internal/transport"
 )
@@ -140,6 +142,10 @@ func (d *Dealer) FixedMaskHalf(mask, n int) ([]uint64, error) {
 // was opened against; the FixedW ops re-validate both so a mask can never
 // silently outlive its value (reviving a pair at a new generation, or
 // mutating the weight share, must mint a fresh one).
+//
+// For a convolution the operand is packed once, at the op's first flush,
+// into a kernel.ConvPlan that every later flush runs; a re-opened weight
+// is a new FixedWeight and packs anew. A FixedWeight must not be copied.
 type FixedWeight struct {
 	// Mask is the mask slot id (the layer's weight index).
 	Mask int
@@ -152,6 +158,22 @@ type FixedWeight struct {
 	seed uint64
 	// sum fingerprints the weight share value at open time.
 	sum uint64
+	// plan is op packed for the conv geometry it last ran at.
+	plan atomic.Pointer[kernel.ConvPlan[uint64]]
+}
+
+// convPlan returns the party's operand packed for the conv geometry d,
+// packing it on first use and again only if the geometry changes. Two
+// flushes racing to pack it build identical plans, so either may win.
+func (fw *FixedWeight) convPlan(d ConvDims) *kernel.ConvPlan[uint64] {
+	s := d.shape()
+	s.N = 0
+	if pl := fw.plan.Load(); pl != nil && pl.Shape() == s {
+		return pl
+	}
+	pl := kernel.NewConvPlan(fw.op, s)
+	fw.plan.Store(pl)
+	return pl
 }
 
 // hashWords is an FNV-1a-style fold over whole words (one xor and one
@@ -266,12 +288,12 @@ type FixedWOp struct {
 	Conv *ConvDims
 }
 
-// ownerLeg is one op of an owner-side combine: its fixed weight, z half,
-// bilinear map and output.
+// ownerLeg is one op of an owner-side combine: its z half, its map from
+// the masked input to dst (a product with the party's fixed-weight
+// operand) and its output.
 type ownerLeg struct {
-	fw    *FixedWeight
 	z     []uint64
-	apply func(dst, a, b []uint64)
+	apply func(dst, a []uint64)
 	out   Share
 }
 
@@ -297,7 +319,6 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 	legs := make([]ownerLeg, len(ops))
 	for i, op := range ops {
 		l := &legs[i]
-		l.fw = op.FW
 		var err error
 		if d := op.Conv; d != nil {
 			if i == 0 {
@@ -310,7 +331,8 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 			}
 			oh, ow := d.OutHW()
 			l.out = NewShare(d.N, d.OutC, oh, ow)
-			l.apply = convOp(*d)
+			plan, n := op.FW.convPlan(*d), d.N
+			l.apply = func(dst, a []uint64) { plan.Run(dst, a, n) }
 			continue
 		}
 		m, k, n := x.Shape[0], x.Shape[1], op.W.Shape[1]
@@ -323,7 +345,8 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 			return nil, fmt.Errorf("mpc: matmul fixed-b pair: %w", err)
 		}
 		l.out = NewShare(m, n)
-		l.apply = matMulOp(m, k, n)
+		w := op.FW.op
+		l.apply = func(dst, a []uint64) { ringMatMul(dst, a, w, m, k, n) }
 	}
 	if err := p.ownerCombine(x.V, a, legs); err != nil {
 		return nil, fmt.Errorf("mpc: linear fixed-w: %w", err)
@@ -376,7 +399,7 @@ func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg) error {
 		operand = e
 	}
 	for _, l := range legs {
-		l.apply(l.out.V, operand, l.fw.op)
+		l.apply(l.out.V, operand)
 		ringAdd(l.out.V, l.out.V, l.z)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pasnet/internal/kernel"
 	"pasnet/internal/obs"
 	"pasnet/internal/rng"
 )
@@ -352,4 +353,207 @@ func TestFixedWeightLifetimeGuards(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFixedWeightPlanBelongsToItsOpening pins the packed conv operand to
+// the FixedWeight it was built from. A flush packs the party's operand (W
+// on party 0, F on party 1) once: a later flush, at another batch size,
+// runs the same plan; a different map size packs anew. Re-opening the same
+// shares under a revived dealer seed mints a new FixedWeight, which packs
+// its own operand and never inherits the old plan — the output it computes
+// matches plaintext under the new generation's mask.
+func TestFixedWeightPlanBelongsToItsOpening(t *testing.T) {
+	r := rng.New(331)
+	dims := ConvDims{N: 2, InC: 2, H: 5, W: 5, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	ws := make([]float64, dims.KLen())
+	r.FillNorm(ws, 0.5)
+	xs := make([]float64, 4*dims.InC*7*7)
+	r.FillNorm(xs, 1)
+	// conv runs one Conv2DFixedW at batch n and map hw and checks it
+	// against plaintext.
+	conv := func(p *Party, w Share, fw *FixedWeight, n, hw int) error {
+		d := dims
+		d.N, d.H, d.W = n, hw, hw
+		in := xs[:d.InLen()]
+		var encX []uint64
+		if p.ID == 1 {
+			encX = p.EncodeTensor(in)
+		}
+		x, err := p.ShareInput(1, encX, d.N, d.InC, d.H, d.W)
+		if err != nil {
+			return err
+		}
+		y, err := p.Conv2DFixedW(x, w, fw, d)
+		if err != nil {
+			return err
+		}
+		plain, err := p.Reveal(y)
+		if err != nil {
+			return err
+		}
+		got, want := p.DecodeTensor(plain), plainConvRef(in, ws, d)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 0.05 {
+				t.Errorf("party %d N=%d %d×%d: conv elem %d = %v, want %v", p.ID, n, hw, hw, i, got[i], want[i])
+				break
+			}
+		}
+		return nil
+	}
+	// packs reports whether pl runs fw's operand at dims' geometry.
+	packs := func(pl *kernel.ConvPlan[uint64], fw *FixedWeight, d ConvDims) bool {
+		x := make([]uint64, d.InLen())
+		rng.New(332).FillUint64(x)
+		got, want := make([]uint64, d.OutLen()), make([]uint64, d.OutLen())
+		pl.Run(got, x, d.N)
+		kernel.Conv2DNaive(want, x, fw.op, d.shape())
+		return wordsEqual(got, want)
+	}
+	var mu sync.Mutex
+	shares := map[int]Share{}
+	old := map[int]*kernel.ConvPlan[uint64]{}
+	runBoth(t, 333, func(p *Party) error {
+		var encW []uint64
+		if p.ID == 0 {
+			encW = p.EncodeTensor(ws)
+		}
+		w, err := p.ShareInput(0, encW, dims.OutC, dims.InC, dims.KH, dims.KW)
+		if err != nil {
+			return err
+		}
+		fw, err := p.OpenFixedW(5, w)
+		if err != nil {
+			return err
+		}
+		if fw.plan.Load() != nil {
+			t.Errorf("party %d: a fresh opening holds a plan before any flush", p.ID)
+		}
+		if err := conv(p, w, fw, 2, 5); err != nil {
+			return err
+		}
+		first := fw.plan.Load()
+		if first == nil || !packs(first, fw, dims) {
+			t.Errorf("party %d: the first flush did not pack the party's operand", p.ID)
+		}
+		if err := conv(p, w, fw, 1, 5); err != nil {
+			return err
+		}
+		if fw.plan.Load() != first {
+			t.Errorf("party %d: a flush at another batch size re-packed the operand", p.ID)
+		}
+		if err := conv(p, w, fw, 1, 7); err != nil {
+			return err
+		}
+		d7 := dims
+		d7.N, d7.H, d7.W = 1, 7, 7
+		if pl := fw.plan.Load(); pl == first || !packs(pl, fw, d7) {
+			t.Errorf("party %d: a flush on a 7×7 map ran the 5×5 plan", p.ID)
+		}
+		mu.Lock()
+		shares[p.ID], old[p.ID] = w, fw.plan.Load()
+		mu.Unlock()
+		return nil
+	})
+	runBoth(t, 334, func(p *Party) error {
+		fw, err := p.OpenFixedW(5, shares[p.ID])
+		if err != nil {
+			return err
+		}
+		if err := conv(p, shares[p.ID], fw, 1, 7); err != nil {
+			return err
+		}
+		pl := fw.plan.Load()
+		if pl == nil || pl == old[p.ID] {
+			t.Errorf("party %d: the revived opening reused the old generation's plan", p.ID)
+		}
+		d7 := dims
+		d7.N, d7.H, d7.W = 1, 7, 7
+		if pl != nil && !packs(pl, fw, d7) {
+			t.Errorf("party %d: the revived opening's plan does not pack its own operand", p.ID)
+		}
+		return nil
+	})
+}
+
+// TestStreamPacksEachFixedMaskOnce pins the Stream's per-slot plan: conv
+// FixedB draws on one slot reuse the plan the first draw packed, whatever
+// the batch size, and a draw at another geometry packs a new one. Each
+// deal's z is the product with the plain mask.
+func TestStreamPacksEachFixedMaskOnce(t *testing.T) {
+	const seed = 335
+	s := NewStream(rng.New(seed), seed)
+	d := ConvDims{N: 2, InC: 3, H: 4, W: 4, OutC: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	check := func(t Deal, d ConvDims) bool {
+		want := make([]uint64, d.OutLen())
+		kernel.Conv2DNaive(want, t.A1, FixedMaskPlain(seed, 2, d.KLen()), d.shape())
+		z := t.Z1()
+		ringAdd(z, z, t.Z0)
+		return wordsEqual(z, want)
+	}
+	t1, err := s.ConvFixedB(2, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := s.plans[2]
+	d1 := d
+	d1.N = 1
+	t2, err := s.ConvFixedB(2, d1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.plans[2] != first {
+		t.Fatal("a draw at another batch size re-packed the slot's mask")
+	}
+	d6 := d
+	d6.H, d6.W = 6, 6
+	t3, err := s.ConvFixedBShared(2, d6)
+	if err == nil {
+		t.Fatal("a shared draw on a differently sized input must fail")
+	}
+	if t3, err = s.ConvFixedB(2, d6); err != nil {
+		t.Fatal(err)
+	}
+	if s.plans[2] == first {
+		t.Fatal("a draw on a 6×6 map ran the 4×4 plan")
+	}
+	for i, c := range []struct {
+		t Deal
+		d ConvDims
+	}{{t1, d}, {t2, d1}, {t3, d6}} {
+		if !check(c.t, c.d) {
+			t.Fatalf("deal %d: z0 + z1 is not conv(a, b)", i)
+		}
+	}
+}
+
+// TestFixedWeightPlanConcurrentFlushes packs and runs one FixedWeight's
+// plan from several goroutines at once, at two map sizes, so the race
+// detector sees every access to the cached plan; each run must match the
+// naive conv of the operand.
+func TestFixedWeightPlanConcurrentFlushes(t *testing.T) {
+	r := rng.New(336)
+	dims := ConvDims{N: 2, InC: 3, H: 4, W: 4, OutC: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	fw := &FixedWeight{op: make([]uint64, dims.KLen())}
+	r.FillUint64(fw.op)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				d := dims
+				d.H, d.W = 4+(g+i)%2, 4+(g+i)%2
+				x := make([]uint64, d.InLen())
+				rng.New(uint64(g*100 + i)).FillUint64(x)
+				got, want := make([]uint64, d.OutLen()), make([]uint64, d.OutLen())
+				fw.convPlan(d).Run(got, x, d.N)
+				kernel.Conv2DNaive(want, x, fw.op, d.shape())
+				if !wordsEqual(got, want) {
+					t.Errorf("goroutine %d run %d: %d×%d conv diverges from naive", g, i, d.H, d.W)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
