@@ -16,15 +16,13 @@ import (
 
 // dispatchMode is one scheduling configuration under test.
 type dispatchMode struct {
-	name     string
-	policy   sched.Policy
-	pipeline bool
+	name   string
+	policy sched.Policy
 }
 
 var dispatchModes = []dispatchMode{
 	{name: "roundrobin-serialized", policy: sched.RoundRobin},
 	{name: "queue-serialized", policy: sched.QueueAware},
-	{name: "queue-pipelined", policy: sched.QueueAware, pipeline: true},
 }
 
 // dispatchResult is one (shard count, mode) configuration's cost over the
@@ -44,9 +42,8 @@ type dispatchResult struct {
 }
 
 // dispatchReport is the BENCH_dispatch.json schema: the perf-trajectory
-// file recording what queue-aware picking and pipelined flushes buy over
-// blind round-robin with serialized flushes, under a skewed closed-loop
-// load on a heterogeneous shard fleet.
+// file recording what queue-aware picking buys over blind round-robin,
+// under a skewed closed-loop load on a heterogeneous shard fleet.
 type dispatchReport struct {
 	GeneratedUnix int64  `json:"generated_unix"`
 	Workers       int    `json:"workers"`
@@ -55,7 +52,7 @@ type dispatchReport struct {
 	// nominal shard link, and LaggardDelayMS the laggard replica's
 	// (transport.DelayPipe models both: every protocol round costs wire
 	// time, frames in flight overlap — the deployment regime in which
-	// scheduling and pipelining effects exist at all). At 2+ shards the
+	// scheduling effects exist at all). At 2+ shards the
 	// highest-indexed shard is the laggard — the cross-rack replica a
 	// blind rotation keeps feeding.
 	OneWayDelayMS    float64          `json:"one_way_delay_ms"`
@@ -64,11 +61,11 @@ type dispatchReport struct {
 	QueriesPerClient int              `json:"queries_per_client"`
 	Results          []dispatchResult `json:"results"`
 	// SpeedupVsRoundRobin maps "sN" to round-robin-serialized ms/query
-	// divided by queue-pipelined ms/query at N shards: the headline is
+	// divided by queue-serialized ms/query at N shards: the headline is
 	// that this exceeds 1 once the fleet is heterogeneous (2+ shards),
 	// because round-robin keeps handing the laggard its full share while
 	// the queue-aware picker learns the lane's speed and routes around
-	// it, and pipelining hides a protocol round per flush on top.
+	// it.
 	SpeedupVsRoundRobin map[string]float64 `json:"speedup_vs_round_robin"`
 }
 
@@ -76,10 +73,10 @@ type dispatchReport struct {
 // shards it drives a closed-loop client load (each client submits its
 // next query when its previous one returns — the serving shape, and the
 // feedback loop a scheduler actually sees) through the gateway under
-// each scheduling mode — round-robin serialized (the pre-scheduler
-// baseline), queue-aware serialized, and queue-aware pipelined — and
-// records amortized ms/query, taking the fastest of several repetitions
-// so a noisy runner cannot manufacture a phantom regression. The load is
+// each picking policy — round-robin (the pre-scheduler baseline) and
+// queue-aware, both on serialized flushes — and records amortized
+// ms/query, taking the fastest of several repetitions so a noisy runner
+// cannot manufacture a phantom regression. The load is
 // doubly skewed: every fourth query of a client is a heavy multi-row
 // batch, and the highest-indexed shard pair sits behind a slow link (a
 // cross-rack replica). All pairs run the live dealer: the story here is
@@ -142,9 +139,9 @@ func dispatchBench(c *config) error {
 			})
 			fmt.Fprintf(out, "  %7d %22s %14.2f %14.3f\n", shards, mode.name, best, best/float64(totalQueries))
 		}
-		speedup := perMode["roundrobin-serialized"] / perMode["queue-pipelined"]
+		speedup := perMode["roundrobin-serialized"] / perMode["queue-serialized"]
 		rep.SpeedupVsRoundRobin[fmt.Sprintf("s%d", shards)] = speedup
-		fmt.Fprintf(out, "  %7d %22s %14s %13.2fx\n", shards, "(rr-serialized / q-pipelined)", "", speedup)
+		fmt.Fprintf(out, "  %7d %22s %14s %13.2fx\n", shards, "(rr / q, serialized)", "", speedup)
 	}
 
 	return writeBenchJSON(out, c.benchJSON, "dispatch", rep)
@@ -214,13 +211,12 @@ func dispatchRun(m *models.Model, shards int, mode dispatchMode, clients, perCli
 	rt, err := gateway.NewRouter(reg, gateway.RouterOptions{
 		Batch: 4,
 		// A short gather window (every mode gets it, so the comparison is
-		// about policy and schedule) lets lanes fill batches instead of
+		// about policy) lets lanes fill batches instead of
 		// flushing single queries: with per-flush round cost on the wire,
 		// co-batching amortizes rounds.
-		Window:   2 * time.Millisecond,
-		Policy:   mode.policy,
-		Pipeline: mode.pipeline,
-		Dial:     vendor.dial,
+		Window: 2 * time.Millisecond,
+		Policy: mode.policy,
+		Dial:   vendor.dial,
 	})
 	if err != nil {
 		return 0, err

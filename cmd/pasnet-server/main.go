@@ -102,10 +102,8 @@ type config struct {
 	// model is the client role's target model ID ("" = the first -models
 	// entry).
 	model string
-	// sched picks the gateway's shard-dispatch policy; pipeline switches
-	// its pairs to the phase-split pipelined flush schedule.
-	sched    string
-	pipeline bool
+	// sched picks the gateway's shard-dispatch policy.
+	sched string
 	// lifecycle re-dials and re-provisions dead shard pairs with backoff
 	// instead of retiring them (gateway role; the vendor keeps accepting
 	// links to serve later generations, revived or rolled over).
@@ -159,7 +157,6 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.IntVar(&cfg.shards, "shards", 1, "2PC session pairs per model")
 	fs.StringVar(&cfg.model, "model", "", "client mode: model ID to query (empty: the first -models entry)")
 	fs.StringVar(&cfg.sched, "sched", "roundrobin", "gateway: shard dispatch policy, roundrobin or queue (queue depth × flush-latency estimate)")
-	fs.BoolVar(&cfg.pipeline, "pipeline", false, "gateway: pipelined flush schedule — overlap one flush's reconstruction with the next flush's announce per pair (bit-identical outputs)")
 	fs.BoolVar(&cfg.lifecycle, "lifecycle", false, "gateway/vendor: revive dead shard pairs (re-dial with backoff, fresh streams and stores) instead of retiring them; the vendor accepts links until interrupted")
 	fs.IntVar(&cfg.budgetWarn, "budget-warn", 0, "gateway: log a re-provision warning when a shard's remaining preprocessed budget drops below this many correlations (0: off)")
 	fs.DurationVar(&cfg.flushDeadline, "flush-deadline", 0, "computing parties: bound every in-flush receive on a 2PC pair, so a stalled peer fails that pair (triggering failover/revival) instead of wedging it forever (0: unbounded)")
@@ -384,8 +381,8 @@ func runMultiVendor(cfg config) error {
 // runGateway is party 1: it owns one persistent session pair per (model,
 // shard), batches queries per shard, and routes each
 // client query through the dispatch scheduler (round-robin or
-// queue-aware, serialized or pipelined flushes, optional lifecycle
-// revival of dead pairs and store rollover of live ones).
+// queue-aware picking, optional lifecycle revival of dead pairs and store
+// rollover of live ones).
 func runGateway(cfg config) error {
 	reg, err := buildRegistry(cfg)
 	if err != nil {
@@ -400,7 +397,6 @@ func runGateway(cfg config) error {
 	opts := gateway.RouterOptions{
 		Batch:         cfg.batch,
 		Window:        cfg.window,
-		Pipeline:      cfg.pipeline,
 		QueueCap:      cfg.queueCap,
 		FlushDeadline: cfg.flushDeadline,
 		QueueTarget:   cfg.queueTarget,
@@ -443,8 +439,8 @@ func runGateway(cfg config) error {
 	if cfg.store != "" {
 		fmt.Println("gateway: serving from per-shard correlation stores under", cfg.store)
 	}
-	fmt.Printf("gateway: sessions up (%s dispatch%s), batching up to %d queries per %v window per shard\n",
-		cfg.sched, map[bool]string{true: ", pipelined flushes"}[cfg.pipeline], cfg.batch, cfg.window)
+	fmt.Printf("gateway: sessions up (%s dispatch), batching up to %d queries per %v window per shard\n",
+		cfg.sched, cfg.batch, cfg.window)
 	stopMonitor := make(chan struct{})
 	if cfg.budgetWarn > 0 {
 		go budgetMonitor(rt, cfg.budgetWarn, stopMonitor)

@@ -261,22 +261,26 @@ func TestReplyWriterStopsAdmittingAfterWriteFailure(t *testing.T) {
 	}
 }
 
-// TestFlagSurface pins the CLI contract of the one serving stack: 27
+// TestFlagSurface pins the CLI contract of the one serving stack: 26
 // flags, no -backbone (folded into -models), no -fixedmasks (fixed weight
-// masks are the only protocol), and -party 1 is gone.
+// masks are the only protocol), no -pipeline (every pair runs one flush
+// schedule), and -party 1 is gone.
 func TestFlagSurface(t *testing.T) {
 	var cfg config
 	fs := newFlagSet(&cfg)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 27 {
-		t.Fatalf("pasnet-server declares %d flags, want 27", n)
+	if n != 26 {
+		t.Fatalf("pasnet-server declares %d flags, want 26", n)
 	}
 	if fs.Lookup("backbone") != nil {
 		t.Fatal("-backbone must be folded into -models")
 	}
 	if fs.Lookup("fixedmasks") != nil {
 		t.Fatal("-fixedmasks must be gone: there is one weight-mask protocol")
+	}
+	if fs.Lookup("pipeline") != nil {
+		t.Fatal("-pipeline must be gone: there is one flush schedule")
 	}
 	if err := fs.Parse([]string{"-party", "1"}); err != nil {
 		t.Fatal(err)

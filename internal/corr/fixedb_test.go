@@ -167,14 +167,10 @@ func convShape(d mpc.ConvDims) kernel.ConvShape {
 // magic, so rewriting the magic yields exactly what the other binary
 // version would produce/consume — both directions must fail with the
 // regeneration hint, not a misparse:
-//   - new binary × old store: a "PASCORR1" … "PASCORR8" file decoded here
-//     — a PASCORR4 store's FixedB halves were dealt two-sided, a PASCORR5
-//     store's bit and Hadamard triples, a PASCORR6 store's bit demands for
-//     the six-hop comparison, a PASCORR7 store's for 63-bit comparisons
-//     only, a PASCORR8 store's Hadamard demands as ring triples of the
-//     select's 2n words, a PASCORR9 store's second linear op on one input
-//     with a fresh activation mask, so each must be regenerated, not
-//     reinterpreted (TestPASCORR4StoreRejected … TestPASCORR9StoreRejected);
+//   - new binary × old store: a file of any retired magic, "PASCORR1" …
+//     "PASCORR9", decoded here must be regenerated, not reinterpreted
+//     (retiredStores says why for each; TestRetiredStoreMagicsRejected
+//     loads each through ReadFile);
 //   - old binary × new store: every earlier decoder compared the magic by
 //     strict equality too, so the bump to "PASCORRA" (pinned below: a
 //     residual's two heads share one activation mask) makes it reject our
@@ -191,7 +187,8 @@ func TestStoreVersionGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := s.Encode()
-	for _, other := range []string{"PASCORR1", "PASCORR2", "PASCORR3", "PASCORR4", "PASCORR5", "PASCORR6", "PASCORR7", "PASCORR8", "PASCORR9"} {
+	for _, r := range retiredStores() {
+		other := r.magic
 		old := append([]byte(nil), good...)
 		copy(old, other)
 		_, err := Decode(old)
@@ -211,72 +208,75 @@ func TestStoreVersionGate(t *testing.T) {
 	}
 }
 
-// TestPASCORR4StoreRejected: a PASCORR4 file has this format's layout —
-// a seed, the tape and party 1's z halves — but its seed regenerates
-// two-sided FixedB halves, which the one-sided protocol would combine into
-// wrong products. So a store directory written before the bump must fail
-// at load, on either party, naming its version and how to fix it.
-func TestPASCORR4StoreRejected(t *testing.T) {
-	checkOldStoreRejected(t, "PASCORR4", fixedOnlyTape())
+// retiredStore is a store magic before this one and a tape of the
+// demands that changed under it.
+type retiredStore struct {
+	magic string
+	tape  Tape
 }
 
-// TestPASCORR5StoreRejected: a PASCORR5 file's seed regenerates symmetric
-// bit and Hadamard triples — a and b halves on both parties — which the
-// owned products would read as whole operands and combine into wrong
-// shares. It must fail at load on either party, like PASCORR4.
-func TestPASCORR5StoreRejected(t *testing.T) {
-	checkOldStoreRejected(t, "PASCORR5", Tape{{Kind: KindBits, N: 526}, {Kind: KindHadamard, N: 96}})
-}
-
-// TestPASCORR6StoreRejected: a PASCORR6 file decodes to valid triples, but
-// its bit demands are the six-hop comparison's — one element's ReLU took
-// 496 leaf bits, four tree levels of 32, 16, 8 and 4 and the select's 2
-// ring products — so the first DReLU would fail mid-flush on a geometry
-// mismatch that hides the protocol change. It must fail at load instead.
-func TestPASCORR6StoreRejected(t *testing.T) {
-	checkOldStoreRejected(t, "PASCORR6", Tape{
-		{Kind: KindBits, N: 496}, {Kind: KindBits, N: 32}, {Kind: KindBits, N: 16},
-		{Kind: KindBits, N: 8}, {Kind: KindBits, N: 4}, {Kind: KindHadamard, N: 2},
-	})
-}
-
-// TestPASCORR7StoreRejected: a PASCORR7 file decodes to valid triples, but
-// it was dealt for a model whose every ReLU compares 63 bits — 546 bit
-// triples per element, a 434-bit leaf, a 98-bit level and a 14-bit root —
-// so the first ReLU that now runs the 21-bit comparison (a 147-bit leaf,
-// then a 30-bit root) would fail mid-flush on a geometry mismatch that
-// hides the protocol change. It must fail at load instead.
-func TestPASCORR7StoreRejected(t *testing.T) {
-	checkOldStoreRejected(t, "PASCORR7", Tape{
-		{Kind: KindBits, N: 434}, {Kind: KindBits, N: 98}, {Kind: KindBits, N: 14}, {Kind: KindHadamard, N: 2},
-	})
-}
-
-// TestPASCORR8StoreRejected: a PASCORR8 file decodes to valid triples, but
-// it dealt each select's Hadamard demand as an elementwise ring triple of
-// 2n words — a one-element narrow ReLU took a 147-bit leaf, a 30-bit root
-// and a Hadamard demand of 2 — where the one-bit select now takes a
-// selector triple for n, so the first select would fail mid-flush on a
-// geometry mismatch that hides the protocol change. It must fail at load
-// instead.
-func TestPASCORR8StoreRejected(t *testing.T) {
-	checkOldStoreRejected(t, "PASCORR8", Tape{
-		{Kind: KindBits, N: 147}, {Kind: KindBits, N: 30}, {Kind: KindHadamard, N: 2},
-	})
-}
-
-// TestPASCORR9StoreRejected: a PASCORR9 file dealt a downsampling
-// residual's 1×1 shortcut a fresh activation mask, where the engine now
-// runs it under the body conv's mask and takes a shared-mask demand, so
-// the shortcut would fail mid-flush on a mask mismatch. It must fail at
-// load instead.
-func TestPASCORR9StoreRejected(t *testing.T) {
+// retiredStores lists every retired magic, each with why a file of it
+// must be regenerated rather than reinterpreted (see file.go's version
+// history).
+func retiredStores() []retiredStore {
 	body := mpc.ConvDims{N: 1, InC: 2, H: 4, W: 4, OutC: 4, KH: 3, KW: 3, Stride: 2, Pad: 1}
 	short := body
 	short.KH, short.KW, short.Pad = 1, 1, 0
-	checkOldStoreRejected(t, "PASCORR9", Tape{
-		{Kind: KindConvFixedB, Mask: 3, Conv: body}, {Kind: KindConvFixedB, Mask: 5, Conv: short},
-	})
+	return []retiredStore{
+		// PASCORR1–3 laid the file out differently altogether: no FixedB
+		// kinds, bits one byte each, every half of both parties on disk.
+		{"PASCORR1", testTape()},
+		{"PASCORR2", testTape()},
+		{"PASCORR3", testTape()},
+		// PASCORR4 has this layout — a seed, the tape and party 1's z
+		// halves — but its seed regenerates two-sided FixedB halves, which
+		// the one-sided protocol would combine into wrong products.
+		{"PASCORR4", fixedOnlyTape()},
+		// PASCORR5's seed regenerates symmetric bit and Hadamard triples — a
+		// and b halves on both parties — which the owned products would
+		// read as whole operands and combine into wrong shares.
+		{"PASCORR5", Tape{{Kind: KindBits, N: 526}, {Kind: KindHadamard, N: 96}}},
+		// PASCORR6 decodes to valid triples, but its bit demands are the
+		// six-hop comparison's — one element's ReLU took 496 leaf bits, four
+		// tree levels of 32, 16, 8 and 4 and the select's 2 ring products —
+		// so the first DReLU would fail mid-flush on a geometry mismatch
+		// that hides the protocol change.
+		{"PASCORR6", Tape{
+			{Kind: KindBits, N: 496}, {Kind: KindBits, N: 32}, {Kind: KindBits, N: 16},
+			{Kind: KindBits, N: 8}, {Kind: KindBits, N: 4}, {Kind: KindHadamard, N: 2},
+		}},
+		// PASCORR7 was dealt for a model whose every ReLU compares 63 bits —
+		// 546 bit triples per element, a 434-bit leaf, a 98-bit level and a
+		// 14-bit root — so the first ReLU that now runs the 21-bit
+		// comparison (a 147-bit leaf, then a 30-bit root) would fail
+		// mid-flush.
+		{"PASCORR7", Tape{
+			{Kind: KindBits, N: 434}, {Kind: KindBits, N: 98}, {Kind: KindBits, N: 14}, {Kind: KindHadamard, N: 2},
+		}},
+		// PASCORR8 dealt each select's Hadamard demand as an elementwise ring
+		// triple of 2n words — a one-element narrow ReLU took a 147-bit
+		// leaf, a 30-bit root and a Hadamard demand of 2 — where the one-bit
+		// select now takes a selector triple for n.
+		{"PASCORR8", Tape{
+			{Kind: KindBits, N: 147}, {Kind: KindBits, N: 30}, {Kind: KindHadamard, N: 2},
+		}},
+		// PASCORR9 dealt a downsampling residual's 1×1 shortcut a fresh
+		// activation mask, where the engine now runs it under the body
+		// conv's mask and takes a shared-mask demand, so the shortcut would
+		// fail mid-flush on a mask mismatch.
+		{"PASCORR9", Tape{
+			{Kind: KindConvFixedB, Mask: 3, Conv: body}, {Kind: KindConvFixedB, Mask: 5, Conv: short},
+		}},
+	}
+}
+
+// TestRetiredStoreMagicsRejected: a store directory written under any
+// retired magic must fail at load, on either party, naming its version
+// and how to fix it, rather than misparse or fail mid-flush.
+func TestRetiredStoreMagicsRejected(t *testing.T) {
+	for _, r := range retiredStores() {
+		t.Run(r.magic, func(t *testing.T) { checkOldStoreRejected(t, r.magic, r.tape) })
+	}
 }
 
 // checkOldStoreRejected writes both parties' stores for tape under the

@@ -32,11 +32,9 @@ type RouterOptions struct {
 	// Policy picks shards: sched.RoundRobin (default, the pre-scheduler
 	// behavior) or sched.QueueAware (queue depth × EWMA flush latency).
 	Policy sched.Policy
-	// Pipeline runs each shard pair on the phase-split pipelined flush
-	// schedule (sched.PipelinedSession): flush n+1's announce (shape and
-	// source stamp) overlaps flush n's output reconstruction, hiding a
-	// protocol round per flush. Bit-identical to the serialized schedule
-	// (the sched equivalence suite pins this).
+	// Deprecated: Pipeline is ignored — every shard pair runs its flushes
+	// serialized (sched.SerializedSession). The field goes with the next
+	// change to the benchmark module, its last caller.
 	Pipeline bool
 	// QueueCap bounds each shard lane's pending queue in queries
 	// (default 256); a submission to a full lane blocks, never drops.
@@ -274,9 +272,6 @@ func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int) (sched.
 			return nil, fmt.Errorf("gateway: model %q shard %d: %w", desc.Model, desc.Shard, err)
 		}
 		sess.UsePreprocessed(dp)
-	}
-	if rt.opts.Pipeline {
-		return sched.NewPipelinedSession(sess, conn), nil
 	}
 	return sched.NewSerializedSession(sess, conn), nil
 }

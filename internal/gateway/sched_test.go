@@ -17,96 +17,10 @@ import (
 	"pasnet/internal/transport"
 )
 
-// This file extends the routing-equivalence suite to the dispatch
-// scheduler: pipelined routing must be bit-identical to serialized
-// routing on both sourcing paths, dead shards must come back through the
-// lifecycle with fresh streams and fresh stores, the per-shard
-// preprocessed budget must be visible in Status, and the router must
-// shut down gracefully under concurrent submissions.
-
-// routedRun stands up a fresh deployment (registry, loopback vendor,
-// router with the given options), routes the given per-model query
-// sequences through it with pipelined submission (all waits collected
-// after all submits), and returns the per-model logits. Registries and
-// stores are rebuilt per run — both are deterministic in the seeds, so
-// two runs are comparable bit-for-bit.
-func routedRun(t *testing.T, opts RouterOptions, storeFed bool, perModel int) map[string][][]float64 {
-	t.Helper()
-	storeRoot := ""
-	if storeFed {
-		storeRoot = t.TempDir()
-	}
-	reg := buildTwoModelRegistry(t, storeRoot)
-	if storeFed {
-		if _, err := WriteShardStores(reg, []int{1}, perModel); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lb := NewLoopback(reg)
-	opts.Dial = lb.Dial
-	rt, err := NewRouter(reg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string][][]float64{}
-	for _, id := range reg.Models() {
-		spec, _ := reg.Lookup(id)
-		r := rng.New(900 + uint64(len(id)))
-		waits := make([]func() ([]float64, error), perModel)
-		for q := 0; q < perModel; q++ {
-			x := tensor.New(1, spec.Input[0], spec.Input[1], spec.Input[2]).RandNorm(r, 0.5)
-			waits[q] = rt.SubmitAsync(id, x)
-		}
-		for q, wait := range waits {
-			logits, err := wait()
-			if err != nil {
-				t.Fatalf("%s query %d: %v", id, q, err)
-			}
-			out[id] = append(out[id], logits)
-		}
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lb.Wait(); err != nil {
-		t.Fatalf("vendor side: %v", err)
-	}
-	return out
-}
-
-// TestPipelinedRoutingEquivalence extends the routing-equivalence suite
-// through the scheduler: a pipelined router reproduces a serialized
-// router's logits bit-for-bit on the live-dealer and the store-fed path.
-// Batch=1 with round-robin picking keeps shard assignment and per-shard
-// flush order deterministic, so the only degree of freedom is the flush
-// schedule — which must not be observable in any output bit.
-func TestPipelinedRoutingEquivalence(t *testing.T) {
-	const perModel = 4
-	for _, storeFed := range []bool{false, true} {
-		name := "live"
-		if storeFed {
-			name = "store-fed"
-		}
-		t.Run(name, func(t *testing.T) {
-			serial := routedRun(t, RouterOptions{Batch: 1}, storeFed, perModel)
-			piped := routedRun(t, RouterOptions{Batch: 1, Pipeline: true}, storeFed, perModel)
-			for id, want := range serial {
-				got := piped[id]
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d pipelined replies, want %d", id, len(got), len(want))
-				}
-				for q := range want {
-					for i := range want[q] {
-						if got[q][i] != want[q][i] {
-							t.Fatalf("%s query %d logit %d: pipelined %v diverged from serialized %v",
-								id, q, i, got[q][i], want[q][i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
+// This file covers the router's dispatch scheduler: dead shards must come
+// back through the lifecycle with fresh streams and fresh stores, the
+// per-shard preprocessed budget must be visible in Status, and the router
+// must shut down gracefully under concurrent submissions.
 
 // TestBudgetTelemetry pins the re-provision-before-exhaustion signal:
 // Status carries each shard's remaining preprocessed budget from the
@@ -350,7 +264,7 @@ func TestHelloRejectsThirdElement(t *testing.T) {
 func TestRouterSubmitVsCloseRace(t *testing.T) {
 	reg := buildTwoModelRegistry(t, "")
 	lb := NewLoopback(reg)
-	rt, err := NewRouter(reg, RouterOptions{Batch: 2, Policy: sched.QueueAware, Pipeline: true, Dial: lb.Dial})
+	rt, err := NewRouter(reg, RouterOptions{Batch: 2, Policy: sched.QueueAware, Dial: lb.Dial})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,8 +299,8 @@ func TestConvPlanMatchesNaive(t *testing.T) {
 }
 
 // TestConvPlanConcurrentRuns runs one plan from several goroutines at once,
-// each at its own batch size, as pipelined flushes share a session's
-// plans; every result must equal the naive conv.
+// each at its own batch size (a plan is immutable, so concurrent Runs may
+// share it); every result must equal the naive conv.
 func TestConvPlanConcurrentRuns(t *testing.T) {
 	s := ConvShape{InC: 4, H: 6, W: 6, OutC: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	k := fillU64(rng.New(47), s.KLen())

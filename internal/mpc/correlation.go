@@ -93,7 +93,7 @@ func (d *Dealer) TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error) 
 
 // TakeConvFixedB implements CorrelationSource.
 func (d *Dealer) TakeConvFixedB(mask int, dims ConvDims) (a, z []uint64, err error) {
-	t, err := d.s.ConvFixedB(mask, dims)
+	t, err := d.convFixedB(mask, dims, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -113,7 +113,7 @@ func (d *Dealer) TakeMatMulFixedBShared(mask, m, k, p int) (z []uint64, err erro
 
 // TakeConvFixedBShared implements CorrelationSource.
 func (d *Dealer) TakeConvFixedBShared(mask int, dims ConvDims) (z []uint64, err error) {
-	t, err := d.s.ConvFixedBShared(mask, dims)
+	t, err := d.convFixedB(mask, dims, true)
 	if err != nil {
 		return nil, err
 	}

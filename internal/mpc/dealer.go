@@ -42,7 +42,8 @@ import (
 // only z₀ comes off the stream. A conv FixedB draw's product runs against
 // b packed once per slot (a kernel.ConvPlan kept beside the mask), packed
 // by the draw itself: the products that run later, on other goroutines
-// (BuildPair's workers), only read it.
+// (BuildPair's workers), only read it. Party 0's live Dealer, which never
+// runs a product, draws without packing.
 //
 // A Stream is not safe for concurrent use.
 type Stream struct {
@@ -380,4 +381,16 @@ func (d *Dealer) half(t Deal) (a, b, z []uint64) {
 		return t.A0, t.B0, t.Z0
 	}
 	return t.A1, t.B1, t.Z1()
+}
+
+// convFixedB deals a conv FixedB correlation (shared: for the previous
+// deal's a, as ConvFixedBShared) with its product attached only for party
+// 1. Party 0 never runs the product (see half), so its stream packs no
+// plan of the slot's b.
+func (d *Dealer) convFixedB(mask int, dims ConvDims, shared bool) (Deal, error) {
+	t, err := d.s.fixedB(mask, dims.KLen(), dims.InLen(), dims.OutLen(), shared)
+	if d.party == 0 {
+		return t, err
+	}
+	return d.s.withConv(t, mask, dims), err
 }

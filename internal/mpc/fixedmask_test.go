@@ -526,6 +526,67 @@ func TestStreamPacksEachFixedMaskOnce(t *testing.T) {
 	}
 }
 
+// TestLiveDealerPlansOnlyOnPartyOne pins which live dealer packs conv
+// plans: after one flush of a conv program — a stem conv, then a strided
+// body conv and a 1×1 shortcut sharing one mask — party 1's dealer stream
+// holds one plan per conv slot, and party 0's, whose deals never run the
+// product, holds none.
+func TestLiveDealerPlansOnlyOnPartyOne(t *testing.T) {
+	convs := []ConvDims{
+		{N: 2, InC: 2, H: 6, W: 6, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{N: 2, InC: 4, H: 6, W: 6, OutC: 4, KH: 3, KW: 3, Stride: 2, Pad: 1},
+		{N: 2, InC: 4, H: 6, W: 6, OutC: 4, KH: 1, KW: 1, Stride: 2},
+	}
+	r := rng.New(341)
+	ws := make([][]float64, len(convs))
+	for i, d := range convs {
+		ws[i] = make([]float64, d.KLen())
+		r.FillNorm(ws[i], 0.5)
+	}
+	xs := make([]float64, convs[0].InLen())
+	r.FillNorm(xs, 1)
+	var plans [2]int
+	runBoth(t, 342, func(p *Party) error {
+		ops := make([]FixedWOp, len(convs))
+		for i := range convs {
+			var enc []uint64
+			if p.ID == 0 {
+				enc = p.EncodeTensor(ws[i])
+			}
+			w, err := p.ShareInput(0, enc, convs[i].KLen())
+			if err != nil {
+				return err
+			}
+			fw, err := p.OpenFixedW(i, w)
+			if err != nil {
+				return err
+			}
+			ops[i] = FixedWOp{W: w, FW: fw, Conv: &convs[i]}
+		}
+		var encX []uint64
+		if p.ID == 1 {
+			encX = p.EncodeTensor(xs)
+		}
+		d := convs[0]
+		x, err := p.ShareInput(1, encX, d.N, d.InC, d.H, d.W)
+		if err != nil {
+			return err
+		}
+		y, err := p.LinearFixedW(x, ops[0])
+		if err != nil {
+			return err
+		}
+		if _, err := p.LinearFixedW(y[0], ops[1], ops[2]); err != nil {
+			return err
+		}
+		plans[p.ID] = len(p.Dealer.s.plans)
+		return nil
+	})
+	if plans[0] != 0 || plans[1] != len(convs) {
+		t.Fatalf("live dealers hold %d (party 0) and %d (party 1) conv plans, want 0 and %d", plans[0], plans[1], len(convs))
+	}
+}
+
 // TestFixedWeightPlanConcurrentFlushes packs and runs one FixedWeight's
 // plan from several goroutines at once, at two map sizes, so the race
 // detector sees every access to the cached plan; each run must match the

@@ -129,11 +129,9 @@ func (p *Party) Reveal(sh Share) ([]uint64, error) {
 
 // RevealSend transmits this party's half of a reveal without waiting for
 // the peer's. Together with RevealRecv it splits Reveal into its two wire
-// directions, so a pipelined scheduler can send its output share, begin
-// the next flush, and collect the peer's share later — as
-// long as the deferred receive stays first in the connection's receive
-// order. RevealSend(x) then RevealRecv(x) reconstructs exactly what
-// Reveal(x) would (the peer cannot distinguish the two schedules).
+// directions, so a caller can time each (pi.Session.Query's reveal_send
+// and reveal_recv phases). RevealSend(x) then RevealRecv(x) reconstructs
+// exactly what Reveal(x) would, and the peer cannot tell the two apart.
 func (p *Party) RevealSend(sh Share) error {
 	if err := p.Conn.SendUint64s(sh.V); err != nil {
 		return fmt.Errorf("mpc: reveal send: %w", err)
@@ -142,9 +140,7 @@ func (p *Party) RevealSend(sh Share) error {
 }
 
 // RevealRecv receives the peer's reveal half, bounded to len(sh.V) words,
-// and reconstructs the secret (see RevealSend). It allocates its own
-// output and touches no party scratch state, so it may run concurrently
-// with the next flush's protocol rounds.
+// and reconstructs the secret (see RevealSend).
 func (p *Party) RevealRecv(sh Share) ([]uint64, error) {
 	theirs, err := p.Conn.RecvUint64sMax(len(sh.V))
 	if err != nil {

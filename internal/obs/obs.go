@@ -333,9 +333,11 @@ func (r *Registry) OpFeed() *OpFeed {
 	return &r.feed
 }
 
-// FlushSpans bundles the five pi.Flight phase histograms of one
-// instrumented session family, pre-resolved so the flush hot path
-// never touches the registration lock.
+// FlushSpans bundles the five flush-phase histograms party 1's
+// pi.Session.Query reports for one instrumented session family —
+// ingest (shape and source negotiation), evaluate, reveal_send,
+// reveal_recv and decode — pre-resolved so the flush hot path never
+// touches the registration lock.
 type FlushSpans struct {
 	Ingest     *Histogram
 	Evaluate   *Histogram

@@ -120,11 +120,11 @@ func CheckShape(actual, expected []int) error {
 }
 
 // negotiateShape is party 0's half of the pre-flush control round: party 1
-// announces the batch geometry it is about to share (Flight's
-// QueryAnnounce/Confirm), party 0 announces the geometry it expects, and
-// each side validates the other's view before any protocol data flows. A
-// mismatch therefore surfaces as an immediate, symmetric error instead of
-// a mid-protocol length desync. Party 0 learns the flush's batch size this
+// announces the batch geometry it is about to share (Session.Query),
+// party 0 announces the geometry it expects, and each side validates the
+// other's view before any protocol data flows. A mismatch therefore
+// surfaces as an immediate, symmetric error instead of a mid-protocol
+// length desync. Party 0 learns the flush's batch size this
 // way. An empty shape from party 1 is the end-of-session sentinel, and is
 // returned as (nil, nil).
 func negotiateShape(p *mpc.Party, mine []int) ([]int, error) {
@@ -180,12 +180,12 @@ type Session struct {
 	// (see SetFlushDeadline). Set before traffic flows.
 	flushDeadline time.Duration
 	// spans, when set by Instrument, receives per-phase flush timings
-	// (see flight.go). Nil keeps the flush path free of clock reads.
+	// (see Query). Nil keeps the flush path free of clock reads.
 	spans *obs.FlushSpans
 }
 
-// Instrument wires the session into an observability registry: the five
-// Flight phases (ingest/evaluate/reveal_send/reveal_recv/decode) report
+// Instrument wires the session into an observability registry: party 1's
+// five flush phases (ingest/evaluate/reveal_send/reveal_recv/decode) report
 // per-phase latency histograms under the given label pairs, and the
 // engine reports every flush's per-op timings to the registry's OpFeed.
 // Call before traffic flows; the phase and op timers only run once
@@ -265,30 +265,24 @@ func (s *Session) UsePreprocessed(p SourceProvider) { s.provider = p }
 // the parties' dealer streams advance only on flushes both run live, so
 // they stay lockstep across any store/dealer interleaving.
 func (s *Session) negotiateSource(shape []int) error {
-	ss, err := s.announceSource(shape)
+	src, stamp, err := s.announceSource(shape)
 	if err != nil {
 		return err
 	}
-	return s.confirmSource(ss, shape)
-}
-
-// sourceStamp carries the announce half's resolved source and the stamp
-// it transmitted into the confirm half.
-type sourceStamp struct {
-	src   mpc.CorrelationSource
-	stamp []int
+	return s.confirmSource(src, stamp, shape)
 }
 
 // announceSource is the send half of the source round: resolve this
-// party's source for the flush geometry and transmit the stamp. The
-// stamp is sent even when the local provider failed (tag 2/3): the peer
-// needs it to land in its own receive, or it would hang — the exact
-// asymmetry this round exists to prevent. Tags: 0 live dealer, 1 store,
-// 2 degradable miss (ErrNoStore), 3 hard provider failure (corrupt
-// store, unreadable dir, ...). Hard failures stay fatal on both sides:
-// serving silently without the offline split would mask a real defect
-// (a corrupt store file is not a capacity-planning gap).
-func (s *Session) announceSource(shape []int) (*sourceStamp, error) {
+// party's source for the flush geometry and transmit the stamp, which it
+// returns with the source for confirmSource. The stamp is sent even when
+// the local provider failed (tag 2/3): the peer needs it to land in its
+// own receive, or it would hang — the exact asymmetry this round exists
+// to prevent. Tags: 0 live dealer, 1 store, 2 degradable miss
+// (ErrNoStore), 3 hard provider failure (corrupt store, unreadable dir,
+// ...). Hard failures stay fatal on both sides: serving silently without
+// the offline split would mask a real defect (a corrupt store file is not
+// a capacity-planning gap).
+func (s *Session) announceSource(shape []int) (mpc.CorrelationSource, []int, error) {
 	var src mpc.CorrelationSource
 	var srcErr error
 	if s.provider != nil {
@@ -311,22 +305,21 @@ func (s *Session) announceSource(shape []int) (*sourceStamp, error) {
 		}
 	}
 	if err := s.party.Conn.SendShape(mine); err != nil {
-		return nil, fmt.Errorf("pi: correlation source negotiation: %w", err)
+		return nil, nil, fmt.Errorf("pi: correlation source negotiation: %w", err)
 	}
 	if mine[0] == 3 {
-		return nil, fmt.Errorf("pi: correlation source for geometry %v: %w", shape, srcErr)
+		return nil, nil, fmt.Errorf("pi: correlation source for geometry %v: %w", shape, srcErr)
 	}
-	return &sourceStamp{src: src, stamp: mine}, nil
+	return src, mine, nil
 }
 
 // confirmSource is the receive half of the source round: take the peer's
-// stamp, cross-validate, and install the flush's source.
-func (s *Session) confirmSource(ss *sourceStamp, shape []int) error {
+// stamp, cross-validate it against mine, and install the flush's source.
+func (s *Session) confirmSource(src mpc.CorrelationSource, mine, shape []int) error {
 	theirs, err := s.party.Conn.RecvShape()
 	if err != nil {
 		return fmt.Errorf("pi: correlation source negotiation: %w", err)
 	}
-	mine := ss.stamp
 	if len(theirs) == 3 && theirs[0] == 3 {
 		return fmt.Errorf("pi: peer failed to resolve its correlation source for geometry %v", shape)
 	}
@@ -348,8 +341,8 @@ func (s *Session) confirmSource(ss *sourceStamp, shape []int) error {
 		return fmt.Errorf("pi: correlation sources diverge: this party uses %s, peer uses %s — both parties must serve either from the live dealer or from stores of one preprocess run, in lockstep",
 			stampString(mine), stampString(theirs))
 	}
-	if ss.src != nil {
-		s.party.Source = ss.src
+	if src != nil {
+		s.party.Source = src
 	} else {
 		s.party.Source = s.party.Dealer
 	}
@@ -399,27 +392,89 @@ func NewSessionOpts(p *mpc.Party, m *models.Model, expect []int, _ SessionOption
 }
 
 // Query runs one batched evaluation from party 1's side: negotiate the
-// batch shape, take the packed queries as its input share, run the
-// program, and
-// reconstruct the flat batched logits (row i holds query row i's logits).
-// It is exactly the serialized composition of the Flight phases (see
-// flight.go), which is what makes pipelined and serialized schedules
-// bit-identical.
+// batch shape and correlation source, take the packed queries as its input
+// share, run the program, and reconstruct the flat batched logits (row i
+// holds query row i's logits). Its frames go out in a fixed order: shape
+// and source stamp sent, the peer's shape and stamp received, the
+// program's rounds, the reveal half sent, the peer's half received. An
+// instrumented session times the five phases (ingest, evaluate,
+// reveal_send, reveal_recv, decode).
+//
+// The query is not secret-shared by a frame of its own: party 1's share is
+// the encoded query itself and party 0's is zeros (ServeOne), so the
+// program's first linear op sends the only frame that carries it,
+// E' = X − a. A trivial sharing reveals nothing, whatever the program's
+// first op is, because every frame party 1 sends is masked by dealer
+// material party 0 does not hold: the activation mask a of a linear op,
+// party 1's half of a square pair's a, its AND- and selector-triple
+// operands, and the reveal, which opens only the logits both parties
+// learn anyway.
 func (s *Session) Query(x *tensor.Tensor) ([]float64, error) {
-	f, err := s.BeginQuery(x)
+	if s.party.ID != 1 {
+		return nil, fmt.Errorf("pi: Query is party 1's side; party 0 serves")
+	}
+	sp := s.spans
+	var t time.Time
+	if sp != nil {
+		t = time.Now()
+	}
+	// Each flush re-arms the deadline; party 1 performs no receive outside
+	// a flush, so the deadline never fires while idle.
+	s.armDeadline()
+	if err := s.party.Conn.SendShape(x.Shape); err != nil {
+		return nil, fmt.Errorf("pi: shape negotiation: %w", err)
+	}
+	src, stamp, err := s.announceSource(x.Shape)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Evaluate(); err != nil {
+	theirs, err := s.party.Conn.RecvShape()
+	if err != nil {
+		return nil, fmt.Errorf("pi: shape negotiation: %w", err)
+	}
+	if err := CheckShape(x.Shape, theirs); err != nil {
 		return nil, err
 	}
-	if err := f.SendResult(); err != nil {
+	if err := s.confirmSource(src, stamp, x.Shape); err != nil {
 		return nil, err
 	}
-	if err := f.RecvPeerShare(); err != nil {
+	xs := mpc.Share{Shape: append([]int(nil), x.Shape...), V: s.party.EncodeTensor(x.Data)}
+	if sp != nil {
+		t = lap(sp.Ingest, t)
+	}
+	out, err := s.eng.Infer(xs)
+	if err != nil {
 		return nil, err
 	}
-	return f.Result(), nil
+	if sp != nil {
+		t = lap(sp.Evaluate, t)
+	}
+	if err := s.party.RevealSend(out); err != nil {
+		return nil, err
+	}
+	if sp != nil {
+		t = lap(sp.RevealSend, t)
+	}
+	vals, err := s.party.RevealRecv(out)
+	if err != nil {
+		return nil, err
+	}
+	if sp != nil {
+		t = lap(sp.RevealRecv, t)
+	}
+	logits := s.party.DecodeTensor(vals)
+	if sp != nil {
+		lap(sp.Decode, t)
+	}
+	return logits, nil
+}
+
+// lap records the time since t on h and returns the phase's end, which
+// starts the next phase.
+func lap(h *obs.Histogram, t time.Time) time.Time {
+	now := time.Now()
+	h.Observe(now.Sub(t).Seconds())
+	return now
 }
 
 // ServeOne runs one batched evaluation from party 0's side, returning
@@ -444,7 +499,7 @@ func (s *Session) ServeOne() (logits []float64, done bool, err error) {
 	if err := s.negotiateSource(shape); err != nil {
 		return nil, false, err
 	}
-	// Party 1 holds the query whole as its input share (flight.go), so
+	// Party 1 holds the query whole as its input share (Query), so
 	// party 0's share is zeros of the validated shape.
 	out, err := s.eng.Infer(mpc.NewShare(shape...))
 	if err != nil {

@@ -164,11 +164,10 @@ type worker struct {
 	rolling     bool // a budget rollover is building or queued
 
 	// pendingInstall stashes an install marker gather() pulled mid-batch
-	// until the flush it interrupted has begun. Worker-goroutine only.
+	// until the flush it interrupted has run. Worker-goroutine only.
 	pendingInstall *install
 
-	comp sync.WaitGroup // outstanding flush-completion goroutines
-	done chan struct{}  // worker loop exited (dispatcher Close)
+	done chan struct{} // worker loop exited (dispatcher Close)
 }
 
 // latModel is a model group's online flush-latency model. A flush costs
@@ -763,7 +762,6 @@ func (w *worker) run() {
 			w.handleInstall(in)
 		}
 	}
-	w.comp.Wait()
 	w.mu.Lock()
 	sess, down := w.sess, w.down
 	w.mu.Unlock()
@@ -815,9 +813,8 @@ func (w *worker) gather(first *item) []*item {
 	return items
 }
 
-// flush packs one gathered batch, starts it on the session, and completes
-// it on a goroutine (for a pipelined session the completion overlaps the
-// next flush; for a serialized one it returns immediately).
+// flush packs one gathered batch, runs it on the lane's session and
+// delivers each item its logits.
 func (w *worker) flush(items []*item) {
 	queries := make([]*tensor.Tensor, len(items))
 	var rows int64
@@ -840,40 +837,32 @@ func (w *worker) flush(items []*item) {
 	w.inflightFlush.Add(1)
 	sess := w.session()
 	wait, err := sess.BeginFlush(packed)
+	var out []float64
+	if err == nil {
+		w.flushes.Add(1)
+		out, err = wait()
+	}
+	w.inflightFlush.Add(-1)
+	w.inflightRows.Add(-rows)
 	if err != nil {
-		w.inflightFlush.Add(-1)
-		w.inflightRows.Add(-rows)
 		w.fail(err, sess)
 		w.d.failover(items, err)
 		return
 	}
-	w.flushes.Add(1)
-	w.comp.Add(1)
-	go func() {
-		defer w.comp.Done()
-		out, err := wait()
-		w.inflightFlush.Add(-1)
-		w.inflightRows.Add(-rows)
-		if err != nil {
-			w.fail(err, sess)
-			w.d.failover(items, err)
-			return
+	w.observe(time.Since(start), rows)
+	if lc := w.d.lc; lc != nil {
+		lc.rollover(w, sess)
+	}
+	per, err := pi.SplitLogits(out, counts)
+	if err != nil {
+		for _, it := range items {
+			it.deliver(itemResult{err: err})
 		}
-		w.observe(time.Since(start), rows)
-		if lc := w.d.lc; lc != nil {
-			lc.rollover(w, sess)
-		}
-		per, err := pi.SplitLogits(out, counts)
-		if err != nil {
-			for _, it := range items {
-				it.deliver(itemResult{err: err})
-			}
-			return
-		}
-		for i, it := range items {
-			it.deliver(itemResult{logits: per[i]})
-		}
-	}()
+		return
+	}
+	for i, it := range items {
+		it.deliver(itemResult{logits: per[i]})
+	}
 }
 
 // observe folds one completed flush into the group's pooled latency
@@ -957,11 +946,10 @@ func (w *worker) fail(err error, from FlushSession) {
 // handleInstall puts a freshly built generation into service between
 // flushes (worker goroutine only; see Lifecycle). A revival brings the
 // dead lane back up. A rollover retires the old session gracefully — its
-// Close waits out an in-flight pipelined receive and sends the
-// end-of-session sentinel; the close error is irrelevant, the old pair is
-// retired either way — unless the lane died (or was quarantined) while
-// the rollover was built: revival owns the lane then, and the rollover's
-// session is killed. An install older than the serving generation (a
+// Close sends the end-of-session sentinel; the close error is irrelevant,
+// the old pair is retired either way — unless the lane died (or was
+// quarantined) while the rollover was built: revival owns the lane then,
+// and the rollover's session is killed. An install older than the serving generation (a
 // slow rollover overtaken by a revival) is killed too.
 func (w *worker) handleInstall(in *install) {
 	w.mu.Lock()

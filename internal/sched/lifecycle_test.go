@@ -400,9 +400,8 @@ func TestRolloverBuildFailureNoStrike(t *testing.T) {
 }
 
 // TestRolloverSkipsSupersededSession pins the stale-completion rule: a
-// flush completing on a session the lane has already rolled away from —
-// a pipelined session's last receive can land after the install — does
-// not start another rollover, whatever budget it reports.
+// flush completion reported by a session the lane has already rolled away
+// from does not start another rollover, whatever budget it reports.
 func TestRolloverSkipsSupersededSession(t *testing.T) {
 	var calls atomic.Int32
 	old := lowBudget()

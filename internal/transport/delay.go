@@ -9,7 +9,7 @@ import (
 // delivered no earlier than its send time plus the one-way delay, but
 // frames in flight overlap — three frames sent back to back arrive d
 // after their sends, not 3d after the first — which is how a real link
-// behaves and what makes protocol-round pipelining measurable in a
+// behaves and what makes a protocol's round count measurable in a
 // single-process benchmark. The in-memory pipe itself stays instant; the
 // receiver sleeps out whatever remains of each frame's delivery time, so
 // compute on either side overlaps the wire delay exactly as it would
