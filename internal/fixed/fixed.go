@@ -1,115 +1,14 @@
-// Package fixed implements fixed-point arithmetic over the ring Z_{2^32},
-// the number system used by PASNet's 2PC protocols.
+// Package fixed implements fixed-point arithmetic over the ring Z_{2^64},
+// the number system PASNet's 2PC protocols execute in (Codec64), plus the
+// small demonstration rings of the paper's Fig. 2 (RingN).
 //
-// A real number v is encoded as round(v * 2^FracBits) reduced modulo 2^32
-// and interpreted in two's complement, exactly as in the paper's 32-bit
-// fixed-point ring (Sec. IV "the fixed point ring size is set to 32 bits").
-// Addition and subtraction wrap naturally; multiplication of two encodings
-// produces a value scaled by 2^(2*FracBits) and must be re-scaled with
-// Truncate. The generic RingN helpers implement the paper's Fig. 2
-// small-ring walkthrough (4-bit ring) for testing.
+// A real number v is encoded as round(v * 2^FracBits) reduced modulo 2^64
+// and interpreted in two's complement. Addition and subtraction wrap
+// naturally; multiplication of two encodings produces a value scaled by
+// 2^(2*FracBits) and must be re-scaled with Truncate. The paper's FPGA
+// protocol runs in a 32-bit ring (Sec. IV); Codec64's doc says why the
+// executable protocols use 64 bits.
 package fixed
-
-// WordBits is the ring bit-width: Z_{2^WordBits}.
-const WordBits = 32
-
-// DefaultFracBits is the default number of fractional bits. 12 bits leaves
-// 19 magnitude bits, enough headroom for the conv accumulations in the
-// scaled-down models while keeping ~2.4e-4 quantization error.
-const DefaultFracBits = 12
-
-// Codec converts between float64 and ring elements at a given precision.
-type Codec struct {
-	// FracBits is the number of fractional bits f; one unit in the ring
-	// represents 2^-f.
-	FracBits uint
-}
-
-// NewCodec returns a codec with the given fractional precision.
-// It panics if f is not in [1, 30].
-func NewCodec(f uint) Codec {
-	if f < 1 || f > 30 {
-		panic("fixed: fractional bits out of range [1,30]")
-	}
-	return Codec{FracBits: f}
-}
-
-// Default returns the codec used throughout the repository.
-func Default() Codec { return Codec{FracBits: DefaultFracBits} }
-
-// Scale returns 2^FracBits as a float64.
-func (c Codec) Scale() float64 { return float64(int64(1) << c.FracBits) }
-
-// Encode converts a real value to its ring representation.
-// Values outside the representable range wrap, as on real hardware.
-func (c Codec) Encode(v float64) uint32 {
-	scaled := v * c.Scale()
-	// Round half away from zero, matching common fixed-point RTL.
-	if scaled >= 0 {
-		scaled += 0.5
-	} else {
-		scaled -= 0.5
-	}
-	return uint32(int64(scaled))
-}
-
-// Decode converts a ring element back to a real value using the signed
-// (two's complement) interpretation.
-func (c Codec) Decode(x uint32) float64 {
-	return float64(int32(x)) / c.Scale()
-}
-
-// EncodeSlice encodes a float slice into dst (allocated if nil).
-func (c Codec) EncodeSlice(vs []float64, dst []uint32) []uint32 {
-	if dst == nil {
-		dst = make([]uint32, len(vs))
-	}
-	for i, v := range vs {
-		dst[i] = c.Encode(v)
-	}
-	return dst
-}
-
-// DecodeSlice decodes a ring slice into dst (allocated if nil).
-func (c Codec) DecodeSlice(xs []uint32, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(xs))
-	}
-	for i, x := range xs {
-		dst[i] = c.Decode(x)
-	}
-	return dst
-}
-
-// MulTrunc multiplies two encodings and truncates the product back to
-// FracBits fractional bits using an arithmetic (sign-preserving) shift.
-// This is the plaintext reference for the 2PC multiply-then-truncate path.
-func (c Codec) MulTrunc(a, b uint32) uint32 {
-	prod := int64(int32(a)) * int64(int32(b))
-	return uint32(prod >> c.FracBits)
-}
-
-// Truncate arithmetically shifts a ring element right by FracBits,
-// rescaling a double-precision product to single precision.
-func (c Codec) Truncate(x uint32) uint32 {
-	return uint32(int32(x) >> c.FracBits)
-}
-
-// Neg returns the additive inverse in the ring.
-func Neg(x uint32) uint32 { return -x }
-
-// Signed reinterprets a ring element in two's complement.
-func Signed(x uint32) int32 { return int32(x) }
-
-// IsNeg reports whether the signed interpretation of x is negative,
-// i.e. whether the most significant bit is set.
-func IsNeg(x uint32) bool { return x>>31 == 1 }
-
-// MSB returns the most significant bit of x.
-func MSB(x uint32) uint32 { return x >> 31 }
-
-// Low31 returns x with the most significant bit cleared.
-func Low31(x uint32) uint32 { return x &^ (1 << 31) }
 
 // RingN provides modular arithmetic in Z_{2^bits} for small demonstration
 // rings such as the 4-bit ring of the paper's Fig. 2.

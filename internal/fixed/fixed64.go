@@ -1,16 +1,5 @@
 package fixed
 
-// Word64Bits is the width of the executable-protocol ring Z_{2^64}.
-//
-// The paper runs its FPGA protocol in a 32-bit ring. Our executable 2PC
-// layer uses a 64-bit ring instead so that SecureML-style local truncation
-// of double-scaled products is numerically safe (wrap probability about
-// |x|/2^(63-2f) instead of |x|/2^(31-2f)); CrypTen makes the same choice.
-// The hardware latency/communication model in internal/hwmodel continues
-// to charge the paper's 32-bit costs (see the header of
-// internal/mpc/compare.go for how the comparison maps onto the wider ring).
-const Word64Bits = 64
-
 // DefaultFracBits64 is the default fractional precision in the 64-bit
 // ring. 14 bits gives 2^-14 quantization with 49 magnitude bits of
 // headroom; the SecureML local-truncation wrap probability per element is
@@ -19,17 +8,17 @@ const Word64Bits = 64
 const DefaultFracBits64 = 14
 
 // Codec64 converts between float64 and Z_{2^64} ring elements.
+//
+// The paper runs its FPGA protocol in a 32-bit ring. The executable 2PC
+// layer uses a 64-bit ring instead so that SecureML-style local truncation
+// of double-scaled products is numerically safe (wrap probability about
+// |x|/2^(63-2f) instead of |x|/2^(31-2f)); CrypTen makes the same choice.
+// The hardware latency/communication model in internal/hwmodel continues
+// to charge the paper's 32-bit costs (see the header of
+// internal/mpc/compare.go for how the comparison maps onto the wider ring).
 type Codec64 struct {
 	// FracBits is the number of fractional bits f.
 	FracBits uint
-}
-
-// NewCodec64 returns a 64-bit codec; f must be in [1, 56].
-func NewCodec64(f uint) Codec64 {
-	if f < 1 || f > 56 {
-		panic("fixed: fractional bits out of range [1,56]")
-	}
-	return Codec64{FracBits: f}
 }
 
 // Default64 returns the codec used by the executable 2PC protocols.
@@ -87,12 +76,3 @@ func (c Codec64) MulTrunc(a, b uint64) uint64 {
 func (c Codec64) Truncate(x uint64) uint64 {
 	return uint64(int64(x) >> c.FracBits)
 }
-
-// MSB64 returns the most significant bit of x.
-func MSB64(x uint64) uint64 { return x >> 63 }
-
-// Low63 clears the most significant bit.
-func Low63(x uint64) uint64 { return x &^ (1 << 63) }
-
-// IsNeg64 reports whether x is negative in two's complement.
-func IsNeg64(x uint64) bool { return x>>63 == 1 }

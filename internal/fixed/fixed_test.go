@@ -9,7 +9,7 @@ import (
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := Default()
+	c := Default64()
 	for _, v := range []float64{0, 1, -1, 0.5, -0.5, 3.14159, -271.828, 1e4, -1e4} {
 		got := c.Decode(c.Encode(v))
 		if math.Abs(got-v) > 1/c.Scale() {
@@ -19,7 +19,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
-	c := Default()
+	c := Default64()
 	if err := quick.Check(func(raw int32) bool {
 		v := float64(raw) / (1 << 16) // covers about ±32768
 		got := c.Decode(c.Encode(v))
@@ -30,7 +30,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestAdditionHomomorphism(t *testing.T) {
-	c := Default()
+	c := Default64()
 	r := rng.New(1)
 	for i := 0; i < 1000; i++ {
 		a := r.Norm() * 100
@@ -43,7 +43,7 @@ func TestAdditionHomomorphism(t *testing.T) {
 }
 
 func TestMulTrunc(t *testing.T) {
-	c := Default()
+	c := Default64()
 	r := rng.New(2)
 	for i := 0; i < 1000; i++ {
 		a := r.Norm() * 10
@@ -58,50 +58,16 @@ func TestMulTrunc(t *testing.T) {
 }
 
 func TestTruncateMatchesArithShift(t *testing.T) {
-	c := NewCodec(8)
-	if err := quick.Check(func(x uint32) bool {
-		return c.Truncate(x) == uint32(int32(x)>>8)
+	c := Codec64{FracBits: 8}
+	if err := quick.Check(func(x uint64) bool {
+		return c.Truncate(x) == uint64(int64(x)>>8)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSignHelpers(t *testing.T) {
-	if !IsNeg(0x80000000) || IsNeg(0x7fffffff) {
-		t.Error("IsNeg boundary wrong")
-	}
-	if MSB(0x80000000) != 1 || MSB(0x7fffffff) != 0 {
-		t.Error("MSB wrong")
-	}
-	if Low31(0xffffffff) != 0x7fffffff {
-		t.Error("Low31 wrong")
-	}
-	if Neg(5)+5 != 0 {
-		t.Error("Neg wrong")
-	}
-	if Signed(0xffffffff) != -1 {
-		t.Error("Signed wrong")
-	}
-}
-
-func TestNewCodecBounds(t *testing.T) {
-	for _, f := range []uint{0, 31, 40} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewCodec(%d) should panic", f)
-				}
-			}()
-			NewCodec(f)
-		}()
-	}
-	if c := NewCodec(16); c.Scale() != 65536 {
-		t.Error("NewCodec(16) scale wrong")
-	}
-}
-
 func TestSliceCodecs(t *testing.T) {
-	c := Default()
+	c := Default64()
 	vs := []float64{1.5, -2.25, 0, 100}
 	enc := c.EncodeSlice(vs, nil)
 	dec := c.DecodeSlice(enc, nil)
@@ -111,7 +77,7 @@ func TestSliceCodecs(t *testing.T) {
 		}
 	}
 	// In-place variants with preallocated destinations.
-	enc2 := make([]uint32, len(vs))
+	enc2 := make([]uint64, len(vs))
 	if got := c.EncodeSlice(vs, enc2); &got[0] != &enc2[0] {
 		t.Error("EncodeSlice did not reuse destination")
 	}

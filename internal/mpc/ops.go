@@ -1,9 +1,6 @@
 package mpc
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ReLU computes shares of max(x, 0) elementwise: a DReLU comparison and a
 // one-round select on its bit (paper 2PC-ReLU) — four exchanges in all.
@@ -244,10 +241,4 @@ func (p *Party) EncodeTensor(vs []float64) []uint64 {
 // DecodeTensor converts ring values back to floats.
 func (p *Party) DecodeTensor(xs []uint64) []float64 {
 	return p.Codec.DecodeSlice(xs, nil)
-}
-
-// MaxDecodedAbs is a helper bound used by tests: the largest magnitude
-// representable without wrap at the party's precision.
-func (p *Party) MaxDecodedAbs() float64 {
-	return math.Exp2(63-float64(p.Codec.FracBits)) - 1
 }

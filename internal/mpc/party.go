@@ -78,9 +78,6 @@ func (p *Party) corr() CorrelationSource {
 	return p.Dealer
 }
 
-// Other returns the peer's ID.
-func (p *Party) Other() int { return 1 - p.ID }
-
 // ShareInput secret-shares a tensor held by owner. The owner passes the
 // plaintext ring encoding; the other party passes nil. Both receive their
 // additive share (paper: shr(x) = (r, x−r)). The receiver knows the exact

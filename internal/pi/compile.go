@@ -18,28 +18,45 @@ import (
 type opKind int
 
 const (
-	opConv opKind = iota
-	opDWConv
-	opLinear
+	opLinear opKind = iota
 	opReLU
 	opX2Act
 	opMaxPool
 	opAvgPool
 	opGlobalAvgPool
 	opFlatten
-	opResidual
+	opAdd
 )
 
-// progOp is one step of the compiled program.
+// headKind is the form of one linear head's weights.
+type headKind int
+
+const (
+	headConv headKind = iota
+	headDWConv
+	headFC
+)
+
+// linearHead is one entry of the weight table: a linear layer's
+// plaintext parameters, owned by party 0 and shared during Setup.
+type linearHead struct {
+	kind     headKind
+	weights  []float64
+	shape    []int
+	bias     []float64
+	convSpec tensor.ConvSpec
+	name     string
+}
+
+// progOp is one step of the compiled program. It reads the values in in
+// and writes the values in out.
 type progOp struct {
-	kind opKind
-	// conv / dwconv / linear parameters (plaintext, owned by party 0;
-	// shared during Setup).
-	weights     []float64
-	weightShape []int
-	bias        []float64
-	convSpec    tensor.ConvSpec
-	groups      int
+	kind    opKind
+	in, out []int
+	// slots are a linear op's weight-table entries, one per output. Two
+	// slots are a residual's body and shortcut heads, run on one input
+	// under one activation mask.
+	slots []int
 	// activation parameters (public, per the paper's X²act cost model).
 	x2 mpc.X2ActParams
 	// ReLU input bound recorded on the training set (0: none); mpc picks
@@ -47,123 +64,110 @@ type progOp struct {
 	bound float64
 	// pooling geometry.
 	k, stride int
-	// residual branches.
-	body, shortcut *Program
-	name           string
+	name      string
 }
 
-// Program is a compiled 2PC inference program.
+// Program is a compiled 2PC inference program: a weight table in slot
+// order and a flat op list. Value 0 holds the flush input and, after the
+// last op, the output.
 type Program struct {
+	// Ops is the op list in execution order.
 	Ops []progOp
-}
-
-// isLinear reports whether op is a linear (fixed-weight) op.
-func (op *progOp) isLinear() bool {
-	return op.kind == opConv || op.kind == opDWConv || op.kind == opLinear
-}
-
-// sharesHead reports whether a residual's body and shortcut both start
-// with a linear op on the block input, which the engine then runs as one
-// op under one activation mask.
-func (op *progOp) sharesHead() bool {
-	return op.kind == opResidual && op.shortcut != nil &&
-		len(op.body.Ops) > 0 && op.body.Ops[0].isLinear() &&
-		len(op.shortcut.Ops) > 0 && op.shortcut.Ops[0].isLinear()
+	// weights is the weight table; an entry's index is its mask slot.
+	weights []linearHead
+	// maxValue is the highest value ID an op names.
+	maxValue int
 }
 
 // NumSecretTensors returns how many weight tensors Setup will share.
-func (p *Program) NumSecretTensors() int {
-	n := 0
-	for _, op := range p.Ops {
-		switch {
-		case op.isLinear():
-			n++
-		case op.kind == opResidual:
-			n += op.body.NumSecretTensors()
-			if op.shortcut != nil {
-				n += op.shortcut.NumSecretTensors()
-			}
-		}
-	}
-	return n
-}
+func (p *Program) NumSecretTensors() int { return len(p.weights) }
 
 // Compile lowers a trained network into a 2PC program. Batch
 // normalization layers are folded into the preceding convolution using
 // their running statistics; the network must therefore be in its final
 // (trained) state.
+//
+// Weight slots are assigned in layer order, depth-first through residual
+// blocks, the body before the shortcut. A residual becomes its body's
+// ops, its shortcut's ops and an add; when both branches start with a
+// linear op, the two heads become one linear op with both slots.
 func Compile(net *nn.Network) (*Program, error) {
 	seq, ok := net.Root.(*nn.Sequential)
 	if !ok {
 		return nil, fmt.Errorf("pi: root layer must be *nn.Sequential, got %T", net.Root)
 	}
-	return compileSeq(seq.Layers)
+	prog := &Program{}
+	if _, err := prog.lower(seq.Layers, 0, 0, 0); err != nil {
+		return nil, err
+	}
+	return prog, nil
 }
 
-func compileSeq(layers []nn.Layer) (*Program, error) {
-	prog := &Program{}
-	i := 0
-	for i < len(layers) {
-		l := layers[i]
-		switch v := l.(type) {
-		case *nn.Conv2D:
-			op := progOp{
-				kind:        opConv,
-				convSpec:    v.Spec,
-				name:        v.Weight.Name,
-				weightShape: v.Weight.W.Shape,
+// lower appends the ops of layers: the first reads value in, and each op
+// writes value dst, the input of the next. Values above top are free for
+// residual branches. It returns the value holding the result — in, if the
+// layers emit no op.
+func (p *Program) lower(layers []nn.Layer, in, dst, top int) (int, error) {
+	cur := in
+	emit := func(op progOp) {
+		op.in, op.out = []int{cur}, []int{dst}
+		p.Ops = append(p.Ops, op)
+		cur = dst
+	}
+	head := func(h linearHead) {
+		p.weights = append(p.weights, h)
+		emit(progOp{kind: opLinear, slots: []int{len(p.weights) - 1}, name: h.name})
+	}
+	// foldBN folds a batch normalization that follows layer i into w and
+	// bias, reporting whether it did.
+	foldBN := func(i int, w *tensor.Tensor, bias []float64) ([]float64, []float64, bool) {
+		if i+1 < len(layers) {
+			if bn, ok := layers[i+1].(*nn.BatchNorm2D); ok {
+				w, bias = bn.FoldInto(w, bias)
+				return w.Data, bias, true
 			}
-			w := v.Weight.W
+		}
+		return w.Data, bias, false
+	}
+	for i := 0; i < len(layers); i++ {
+		var err error
+		switch v := layers[i].(type) {
+		case *nn.Conv2D:
 			var bias []float64
 			if v.Bias != nil {
 				bias = append([]float64(nil), v.Bias.W.Data...)
 			}
-			// Fold a following BatchNorm2D.
-			if i+1 < len(layers) {
-				if bn, ok := layers[i+1].(*nn.BatchNorm2D); ok {
-					w, bias = bn.FoldInto(w, bias)
-					i++
-				}
+			h := linearHead{kind: headConv, convSpec: v.Spec, name: v.Weight.Name, shape: v.Weight.W.Shape}
+			var folded bool
+			if h.weights, h.bias, folded = foldBN(i, v.Weight.W, bias); folded {
+				i++
 			}
-			op.weights = w.Data
-			op.bias = bias
-			prog.Ops = append(prog.Ops, op)
+			head(h)
 		case *nn.DepthwiseConv2D:
-			op := progOp{
-				kind:        opDWConv,
-				groups:      v.C,
-				name:        v.Weight.Name,
-				weightShape: v.Weight.W.Shape,
-				convSpec: tensor.ConvSpec{
-					InC: v.C, OutC: v.C, KH: v.KH, KW: v.KW, Stride: v.Stride, Pad: v.Pad,
-				},
+			h := linearHead{
+				kind: headDWConv, name: v.Weight.Name, shape: v.Weight.W.Shape,
+				convSpec: tensor.ConvSpec{InC: v.C, OutC: v.C, KH: v.KH, KW: v.KW, Stride: v.Stride, Pad: v.Pad},
 			}
 			// Depthwise weight C×K×K is logically OutC×1×K×K.
-			w := v.Weight.W.Reshape(v.C, 1, v.KH, v.KW)
-			var bias []float64
-			if i+1 < len(layers) {
-				if bn, ok := layers[i+1].(*nn.BatchNorm2D); ok {
-					w, bias = bn.FoldInto(w, nil)
-					i++
-				}
+			var folded bool
+			if h.weights, h.bias, folded = foldBN(i, v.Weight.W.Reshape(v.C, 1, v.KH, v.KW), nil); folded {
+				i++
 			}
-			op.weights = w.Data
-			op.bias = bias
-			prog.Ops = append(prog.Ops, op)
+			head(h)
 		case *nn.BatchNorm2D:
-			return nil, fmt.Errorf("pi: batchnorm at %d not preceded by a convolution", i)
+			return 0, fmt.Errorf("pi: batchnorm at %d not preceded by a convolution", i)
 		case *nn.Linear:
-			prog.Ops = append(prog.Ops, progOp{
-				kind:        opLinear,
-				weights:     v.Weight.W.Data,
-				weightShape: v.Weight.W.Shape,
-				bias:        append([]float64(nil), v.Bias.W.Data...),
-				name:        v.Weight.Name,
+			head(linearHead{
+				kind:    headFC,
+				weights: v.Weight.W.Data,
+				shape:   v.Weight.W.Shape,
+				bias:    append([]float64(nil), v.Bias.W.Data...),
+				name:    v.Weight.Name,
 			})
 		case *nn.ReLU:
-			prog.Ops = append(prog.Ops, progOp{kind: opReLU, name: "relu", bound: v.Bound})
+			emit(progOp{kind: opReLU, name: "relu", bound: v.Bound})
 		case *nn.X2Act:
-			prog.Ops = append(prog.Ops, progOp{
+			emit(progOp{
 				kind: opX2Act,
 				name: v.W1.Name,
 				x2: mpc.X2ActParams{
@@ -175,50 +179,69 @@ func compileSeq(layers []nn.Layer) (*Program, error) {
 				},
 			})
 		case *nn.MaxPool:
-			prog.Ops = append(prog.Ops, progOp{kind: opMaxPool, k: v.KH, stride: v.Stride, name: "maxpool"})
+			emit(progOp{kind: opMaxPool, k: v.KH, stride: v.Stride, name: "maxpool"})
 		case *nn.AvgPool:
-			prog.Ops = append(prog.Ops, progOp{kind: opAvgPool, k: v.KH, stride: v.Stride, name: "avgpool"})
+			emit(progOp{kind: opAvgPool, k: v.KH, stride: v.Stride, name: "avgpool"})
 		case *nn.GlobalAvgPool:
-			prog.Ops = append(prog.Ops, progOp{kind: opGlobalAvgPool, name: "gap"})
+			emit(progOp{kind: opGlobalAvgPool, name: "gap"})
 		case *nn.Flatten:
-			prog.Ops = append(prog.Ops, progOp{kind: opFlatten, name: "flatten"})
+			emit(progOp{kind: opFlatten, name: "flatten"})
 		case *nn.Identity:
 			// no-op
 		case *nn.Sequential:
-			sub, err := compileSeq(v.Layers)
-			if err != nil {
-				return nil, err
-			}
-			prog.Ops = append(prog.Ops, sub.Ops...)
+			cur, err = p.lower(v.Layers, cur, dst, top)
 		case *nn.Residual:
-			op := progOp{kind: opResidual, name: "residual"}
-			body, err := compileResidualBranch(v.Body)
-			if err != nil {
-				return nil, err
-			}
-			op.body = body
-			if v.Shortcut != nil {
-				sc, err := compileResidualBranch(v.Shortcut)
-				if err != nil {
-					return nil, err
-				}
-				op.shortcut = sc
-			}
-			if v.PostAct != nil {
-				return nil, fmt.Errorf("pi: residual PostAct must be a separate layer for compilation")
-			}
-			prog.Ops = append(prog.Ops, op)
+			cur, err = p.residual(v, cur, dst, top)
 		default:
-			return nil, fmt.Errorf("pi: cannot compile layer type %T", l)
+			return 0, fmt.Errorf("pi: cannot compile layer type %T", layers[i])
 		}
-		i++
+		if err != nil {
+			return 0, err
+		}
 	}
-	return prog, nil
+	return cur, nil
 }
 
-func compileResidualBranch(l nn.Layer) (*Program, error) {
-	if seq, ok := l.(*nn.Sequential); ok {
-		return compileSeq(seq.Layers)
+// residual appends a residual block on value in, writing its sum to dst.
+// The branches run in the two values above top, so the block input
+// outlives the body, and so does the shortcut's value, which a joined
+// head writes before the body runs. When each branch's first op is a
+// linear op of its own (not one inside a nested block), the shortcut
+// head joins the body head's op.
+func (p *Program) residual(r *nn.Residual, in, dst, top int) (int, error) {
+	if r.PostAct != nil {
+		return 0, fmt.Errorf("pi: residual PostAct must be a separate layer for compilation")
 	}
-	return compileSeq([]nn.Layer{l})
+	body, short := top+1, top+2
+	p.maxValue = max(p.maxValue, short)
+	bodyAt := len(p.Ops)
+	bodyOut, err := p.lower(branch(r.Body), in, body, short)
+	if err != nil {
+		return 0, err
+	}
+	shortAt, shortOut := len(p.Ops), in
+	if r.Shortcut != nil {
+		if shortOut, err = p.lower(branch(r.Shortcut), in, short, short); err != nil {
+			return 0, err
+		}
+	}
+	startsWithHead := func(at, v int) bool {
+		return at < len(p.Ops) && p.Ops[at].kind == opLinear && p.Ops[at].out[0] == v
+	}
+	if startsWithHead(bodyAt, body) && startsWithHead(shortAt, short) {
+		b, s := &p.Ops[bodyAt], p.Ops[shortAt]
+		b.slots = append(b.slots, s.slots[0])
+		b.out = append(b.out, s.out[0])
+		p.Ops = append(p.Ops[:shortAt], p.Ops[shortAt+1:]...)
+	}
+	p.Ops = append(p.Ops, progOp{kind: opAdd, in: []int{bodyOut, shortOut}, out: []int{dst}, name: "residual"})
+	return dst, nil
+}
+
+// branch returns a residual branch's layers.
+func branch(l nn.Layer) []nn.Layer {
+	if seq, ok := l.(*nn.Sequential); ok {
+		return seq.Layers
+	}
+	return []nn.Layer{l}
 }

@@ -1,7 +1,8 @@
 package pi
 
 import (
-	"sync"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"pasnet/internal/fixed"
@@ -9,68 +10,26 @@ import (
 	"pasnet/internal/nn"
 	"pasnet/internal/rng"
 	"pasnet/internal/tensor"
+	"pasnet/internal/transport"
 )
 
-// These table-driven tests pin the weight-index correspondence between
-// Compile's program order and Engine.Setup/run's depth-first widx walk.
-// The walk recurses body-before-shortcut through residual ops; if either
-// side's ordering ever changed independently, inference would silently
-// consume the wrong weight tensor for every op after the divergence. The
-// tests reconstruct each shared weight from both parties' Setup state and
-// match it against the plaintext tensor the program op carries.
-
-// weightOrderOp is one secret tensor in expected setup order.
-type weightOrderOp struct {
-	name    string
-	kind    opKind
-	weights []float64
-	shape   []int
-}
-
-// expectedWeightOrder walks a program depth-first (body before shortcut),
-// mirroring the documented Setup/run traversal.
-func expectedWeightOrder(prog *Program) []weightOrderOp {
-	var out []weightOrderOp
-	for i := range prog.Ops {
-		op := &prog.Ops[i]
-		switch op.kind {
-		case opConv, opDWConv, opLinear:
-			out = append(out, weightOrderOp{name: op.name, kind: op.kind, weights: op.weights, shape: op.weightShape})
-		case opResidual:
-			out = append(out, expectedWeightOrder(op.body)...)
-			if op.shortcut != nil {
-				out = append(out, expectedWeightOrder(op.shortcut)...)
-			}
-		}
-	}
-	return out
-}
+// These table-driven tests pin the weight-slot order Compile assigns —
+// layer order, depth-first through residual blocks, the body before the
+// shortcut — and that Setup shares the weight table in that order: if
+// the two ever disagreed, inference would silently consume the wrong
+// weight tensor for every op after the divergence. The tests reconstruct
+// each shared weight from both parties' Setup state and match it against
+// the plaintext tensor its table entry carries.
 
 // setupWeights runs Engine.Setup on both parties and reconstructs every
 // shared weight tensor in setup order.
 func setupWeights(t *testing.T, prog *Program) [][]uint64 {
 	t.Helper()
-	var mu sync.Mutex
-	shares := [2][]mpc.Share{}
-	err := mpc.RunProtocol(17, fixed.Default64(), func(p *mpc.Party) error {
-		eng := NewEngine(prog)
-		if err := eng.Setup(p); err != nil {
-			return err
-		}
-		mu.Lock()
-		shares[p.ID] = eng.weights
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shares[0]) != len(shares[1]) {
-		t.Fatalf("parties hold %d vs %d weight shares", len(shares[0]), len(shares[1]))
-	}
-	out := make([][]uint64, len(shares[0]))
+	c0, c1 := transport.Pipe()
+	engs := setupBoth(t, prog, c0, c1)
+	out := make([][]uint64, len(engs[0].weights))
 	for i := range out {
-		out[i] = mpc.CombineShares(shares[0][i].V, shares[1][i].V)
+		out[i] = mpc.CombineShares(engs[0].weights[i].V, engs[1].weights[i].V)
 	}
 	return out
 }
@@ -174,27 +133,24 @@ func TestSetupWeightOrderThroughResiduals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			order := expectedWeightOrder(prog)
+			order := prog.weights
 			if len(order) != len(c.order) {
-				t.Fatalf("walk found %d secret tensors, want %d", len(order), len(c.order))
+				t.Fatalf("the weight table holds %d secret tensors, want %d", len(order), len(c.order))
 			}
 			for i, want := range c.order {
 				if order[i].name != want {
 					t.Fatalf("setup slot %d holds %q, want %q", i, order[i].name, want)
 				}
 			}
-			if n := prog.NumSecretTensors(); n != len(order) {
-				t.Fatalf("NumSecretTensors %d != walk %d", n, len(order))
-			}
 			combined := setupWeights(t, prog)
 			if len(combined) != len(order) {
 				t.Fatalf("Setup shared %d tensors, want %d", len(combined), len(order))
 			}
-			for i, op := range order {
-				enc := codec.EncodeSlice(op.weights, nil)
-				if op.kind == opLinear {
+			for i, h := range order {
+				enc := codec.EncodeSlice(h.weights, nil)
+				if h.kind == headFC {
 					// Setup stores linear weights transposed (In×Out).
-					outD, in := op.shape[0], op.shape[1]
+					outD, in := h.shape[0], h.shape[1]
 					tr := make([]uint64, len(enc))
 					for row := 0; row < outD; row++ {
 						for col := 0; col < in; col++ {
@@ -204,14 +160,66 @@ func TestSetupWeightOrderThroughResiduals(t *testing.T) {
 					enc = tr
 				}
 				if len(combined[i]) != len(enc) {
-					t.Fatalf("slot %d (%s): %d ring words, want %d", i, op.name, len(combined[i]), len(enc))
+					t.Fatalf("slot %d (%s): %d ring words, want %d", i, h.name, len(combined[i]), len(enc))
 				}
 				for j := range enc {
 					if combined[i][j] != enc[j] {
-						t.Fatalf("slot %d (%s) diverges from plaintext weights at %d — setup order and program order miscorrespond", i, op.name, j)
+						t.Fatalf("slot %d (%s) diverges from plaintext weights at %d — setup order and program order miscorrespond", i, h.name, j)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestTraceTapeGolden pins the demand tape one flush consumes — each
+// demand's kind, dims, mask slot and shared flag — for the demo backbone
+// in its three program classes at one and two rows, and for a nested
+// residual net, to digests recorded while Program was still a tree of
+// residual ops: lowering it to a flat op list must not move one demand.
+func TestTraceTapeGolden(t *testing.T) {
+	r := rng.New(31)
+	mk := func(name string, inC, outC int) *nn.Conv2D {
+		return nn.NewConv2D(name, tensor.ConvSpec{InC: inC, OutC: outC, KH: 3, KW: 3, Stride: 1, Pad: 1}, false, r)
+	}
+	nested := nn.NewNetwork(nn.NewSequential(
+		mk("stem", 2, 3),
+		nn.NewResidual(nn.NewSequential(
+			mk("outerA", 3, 3),
+			nn.NewResidual(nn.NewSequential(mk("innerBody", 3, 3)), nn.NewSequential(mk("innerShort", 3, 3)), nil),
+			mk("outerB", 3, 3),
+		), nn.NewSequential(mk("outerShort", 3, 3)), nil),
+		nn.NewFlatten(),
+		nn.NewLinear("fc", 3*16, 2, r),
+	))
+	for _, c := range []struct {
+		name  string
+		net   *nn.Network
+		shape []int
+		want  uint64
+	}{
+		{"relu-max/N=1", trainedDemoModel(t, "relu-max").Net, []int{1, 3, 8, 8}, 0xb7e051ee217a407c},
+		{"relu-max/N=2", trainedDemoModel(t, "relu-max").Net, []int{2, 3, 8, 8}, 0x5537dfa968bac113},
+		{"x2-avg/N=1", trainedDemoModel(t, "x2-avg").Net, []int{1, 3, 8, 8}, 0x0b7f24bc0a57d701},
+		{"x2-avg/N=2", trainedDemoModel(t, "x2-avg").Net, []int{2, 3, 8, 8}, 0x7ebaa8f28a1259bf},
+		{"mixed/N=1", trainedDemoModel(t, "mixed").Net, []int{1, 3, 8, 8}, 0xa034d3f302a115c6},
+		{"mixed/N=2", trainedDemoModel(t, "mixed").Net, []int{2, 3, 8, 8}, 0x85267ad29a132259},
+		{"nested-residual/N=2", nested, []int{2, 2, 4, 4}, 0x299025320b837589},
+	} {
+		prog, err := Compile(c.net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tape, err := TraceTape(prog, c.shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, d := range tape {
+			fmt.Fprintf(h, "%d %d %d %d %d %+v %d %t\n", d.Kind, d.N, d.M, d.K, d.P, d.Conv, d.Mask, d.Shared)
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: tape digest %#016x, want %#016x", c.name, got, c.want)
+		}
 	}
 }

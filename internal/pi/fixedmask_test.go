@@ -79,44 +79,20 @@ func TestFixedMaskCrossSourceEquivalence(t *testing.T) {
 
 // engineSlots lists the weight slots of prog's linear ops in the order the
 // engine takes their correlations, each with whether its take is
-// shared-mask: program order, except that when a residual's body and
-// shortcut both start with a linear op, the shortcut head (its slot is the
-// one after the body's last) is taken right after the body head, under
-// its activation mask.
+// shared-mask: a linear op's first slot takes a fresh mask, and a second
+// (a residual's shortcut head) rides under the first one's.
 func engineSlots(prog *Program) (slots []int, shared []bool) {
-	next := 0
-	var walk func(ops []progOp)
-	walk = func(ops []progOp) {
-		for i := range ops {
-			op := &ops[i]
-			switch {
-			case op.isLinear():
-				slots, shared = append(slots, next), append(shared, false)
-				next++
-			case op.kind == opResidual:
-				body := op.body.Ops
-				var short []progOp
-				if op.shortcut != nil {
-					short = op.shortcut.Ops
-				}
-				hoist := len(body) > 0 && body[0].isLinear() && len(short) > 0 && short[0].isLinear()
-				if hoist {
-					slots = append(slots, next, next+op.body.NumSecretTensors())
-					shared = append(shared, false, true)
-					next++
-					body, short = body[1:], short[1:]
-				}
-				walk(body)
-				if hoist {
-					next++
-				}
-				walk(short)
-			}
+	for _, op := range prog.Ops {
+		for i, s := range op.slots {
+			slots, shared = append(slots, s), append(shared, i > 0)
 		}
 	}
-	walk(prog.Ops)
 	return slots, shared
 }
+
+// sharesHead reports whether op runs a residual's two heads under one
+// activation mask.
+func (op *progOp) sharesHead() bool { return len(op.slots) > 1 }
 
 // TestFixedTapeDeterminismAcrossKernelSettings pins the fixed-mask
 // material as worker-count- and kernel-path-independent on both of its

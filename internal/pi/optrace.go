@@ -6,23 +6,11 @@ import (
 
 // traceOp derives the hwmodel identity of a compiled op from its input
 // share geometry, mirroring how models.builder records the op list (so a
-// traced key matches the corresponding NetOp's). A residual block traces
-// as its Add, at the branch output geometry the engine passes as inShape;
-// flatten has no hwmodel identity and is never traced.
+// traced key matches the corresponding NetOp's). An add traces at its
+// first input's geometry, the body output; a linear op traces per head
+// (traceHead), and flatten has no hwmodel identity and is never traced.
 func traceOp(op *progOp, inShape []int) (hwmodel.OpKind, hwmodel.OpShape) {
 	switch op.kind {
-	case opConv, opDWConv:
-		fi, ic := inShape[2], inShape[1]
-		k, stride, pad := op.convSpec.KH, op.convSpec.Stride, op.convSpec.Pad
-		fo := (fi+2*pad-k)/stride + 1
-		shape := hwmodel.OpShape{FI: fi, IC: ic, OC: op.convSpec.OutC, K: k, Stride: stride, FO: fo}
-		if op.kind == opDWConv {
-			shape.OC = ic
-			shape.Groups = ic
-		}
-		return hwmodel.OpConv, shape
-	case opLinear:
-		return hwmodel.OpFC, hwmodel.OpShape{IC: inShape[1], OC: op.weightShape[0]}
 	case opReLU:
 		return hwmodel.OpReLU, actShape(inShape)
 	case opX2Act:
@@ -33,10 +21,26 @@ func traceOp(op *progOp, inShape []int) (hwmodel.OpKind, hwmodel.OpShape) {
 		return hwmodel.OpAvgPool, hwmodel.OpShape{FI: inShape[2], IC: inShape[1], K: op.k, Stride: op.stride}
 	case opGlobalAvgPool:
 		return hwmodel.OpAvgPool, hwmodel.OpShape{FI: inShape[2], IC: inShape[1], K: inShape[2], Stride: 1}
-	case opResidual:
+	case opAdd:
 		return hwmodel.OpAdd, hwmodel.OpShape{FI: inShape[2], IC: inShape[1]}
 	}
 	return hwmodel.OpIdentity, hwmodel.OpShape{}
+}
+
+// traceHead is traceOp for one head of a linear op.
+func traceHead(h *linearHead, inShape []int) (hwmodel.OpKind, hwmodel.OpShape) {
+	if h.kind == headFC {
+		return hwmodel.OpFC, hwmodel.OpShape{IC: inShape[1], OC: h.shape[0]}
+	}
+	fi, ic := inShape[2], inShape[1]
+	k, stride, pad := h.convSpec.KH, h.convSpec.Stride, h.convSpec.Pad
+	fo := (fi+2*pad-k)/stride + 1
+	shape := hwmodel.OpShape{FI: fi, IC: ic, OC: h.convSpec.OutC, K: k, Stride: stride, FO: fo}
+	if h.kind == headDWConv {
+		shape.OC = ic
+		shape.Groups = ic
+	}
+	return hwmodel.OpConv, shape
 }
 
 // actShape maps an activation input to its op geometry. Activations are 4D

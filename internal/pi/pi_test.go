@@ -1,7 +1,9 @@
 package pi
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"pasnet/internal/dataset"
@@ -15,14 +17,40 @@ import (
 	"pasnet/internal/tensor"
 )
 
+// trainedModels caches every model the suite trains, once per test
+// binary: training is most of the suite's time. A cached model is shared,
+// so no test may mutate it, or a program compiled from it (a linear
+// head's weights alias the model's data); a test that must builds its own.
+var trainedModels sync.Map // key → trainedModel
+
+type trainedModel struct {
+	m *models.Model
+	d *dataset.Dataset
+}
+
+// cachedModel returns the model cached under key, if one is.
+func cachedModel(key string) (trainedModel, bool) {
+	c, ok := trainedModels.Load(key)
+	if !ok {
+		return trainedModel{}, false
+	}
+	return c.(trainedModel), true
+}
+
 // smallModel builds and lightly trains a tiny model so BN statistics and
 // weights are realistic before compilation. It returns the model together
 // with the dataset so tests can draw in-distribution queries (polynomial
 // networks, like the paper's, are only meaningful on inputs resembling
 // the training distribution — far-off-distribution noise explodes through
-// the quadratic layers in plaintext and ciphertext alike).
+// the quadratic layers in plaintext and ciphertext alike). The pair is
+// trained once per (backbone, activation) and cached: callers must not
+// mutate it.
 func smallModel(t *testing.T, name string, act models.ActChoice) (*models.Model, *dataset.Dataset) {
 	t.Helper()
+	key := fmt.Sprintf("small/%s/%v", name, act)
+	if c, ok := cachedModel(key); ok {
+		return c.m, c.d
+	}
 	cfg := models.CIFARConfig(0.0625, 3)
 	cfg.InputHW = 16
 	cfg.NumClasses = 4
@@ -41,6 +69,7 @@ func smallModel(t *testing.T, name string, act models.ActChoice) (*models.Model,
 	if _, err := nas.TrainModel(m, d, d, opts); err != nil {
 		t.Fatal(err)
 	}
+	trainedModels.Store(key, trainedModel{m, d})
 	return m, d
 }
 

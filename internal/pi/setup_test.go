@@ -202,7 +202,7 @@ func TestHostileShareHeaderRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstWeight := 1
-	for _, d := range expectedWeightOrder(prog)[0].shape {
+	for _, d := range prog.weights[0].shape {
 		firstWeight *= d
 	}
 	const queryWords = 3 * 8 * 8

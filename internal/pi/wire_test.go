@@ -17,9 +17,13 @@ import (
 // trainedDemoModel trains the demo backbone (ResNet18 at width 1/16 on
 // 8×8 inputs, four classes) in one program class, as the served-query
 // benchmark does: relu-max, x2-avg, or mixed (X²act and average pooling at
-// even slots, ReLU and max pooling at odd ones).
+// even slots, ReLU and max pooling at odd ones). It is trained once per
+// class and cached (trainedModels): callers must not mutate it.
 func trainedDemoModel(t *testing.T, class string) *models.Model {
 	t.Helper()
+	if c, ok := cachedModel("demo/" + class); ok {
+		return c.m
+	}
 	cfg := models.CIFARConfig(0.0625, 3)
 	cfg.InputHW = 8
 	cfg.NumClasses = 4
@@ -57,6 +61,7 @@ func trainedDemoModel(t *testing.T, class string) *models.Model {
 	if _, err := nas.TrainModel(m, d, d, opts); err != nil {
 		t.Fatal(err)
 	}
+	trainedModels.Store("demo/"+class, trainedModel{m, d})
 	return m
 }
 
@@ -86,66 +91,60 @@ func wireFormula(t *testing.T, prog *Program, shape []int) (frames, bytes [2]int
 		frames[party] += 2
 		bytes[party] += 4*int64(len(shape)) + 4*3
 	}
-	var walk func(ops []progOp, shape []int) []int
-	walk = func(ops []progOp, shape []int) []int {
-		for i := range ops {
-			op := &ops[i]
-			n := 1
-			for _, d := range shape {
-				n *= d
-			}
-			switch op.kind {
-			case opConv, opDWConv:
-				send(1, n)
-				cs := op.convSpec
+	shapes := make([][]int, prog.maxValue+1)
+	shapes[0] = shape
+	for _, op := range prog.Ops {
+		shape := shapes[op.in[0]]
+		n := 1
+		for _, d := range shape {
+			n *= d
+		}
+		switch op.kind {
+		case opLinear:
+			send(1, n)
+			for j, s := range op.slots {
+				h := &prog.weights[s]
+				if h.kind == headFC {
+					shapes[op.out[j]] = []int{shape[0], h.shape[0]}
+					continue
+				}
+				cs := h.convSpec
 				oc := cs.OutC
-				if op.kind == opDWConv {
+				if h.kind == headDWConv {
 					oc = shape[1]
 				}
 				hw := (shape[2]+2*cs.Pad-cs.KH)/cs.Stride + 1
-				shape = []int{shape[0], oc, hw, hw}
-			case opLinear:
-				send(1, n)
-				shape = []int{shape[0], op.weightShape[0]}
-			case opX2Act:
-				send(0, n)
-				send(1, n)
-			case opReLU:
-				rounds := []int{434, 98, 14}
-				if mpc.ReLUHeadroom(codec, op.bound) > mpc.NarrowMargin {
-					rounds = []int{147, 30}
-				}
-				for party := range 2 {
-					for _, k := range rounds {
-						send(party, mpc.BitWords(k*n))
-					}
-					send(party, mpc.BitWords(n)+n)
-				}
-			case opAvgPool:
-				hw := (shape[2]-op.k)/op.stride + 1
-				shape = []int{shape[0], shape[1], hw, hw}
-			case opGlobalAvgPool:
-				shape = []int{shape[0], shape[1]}
-			case opFlatten:
-				shape = []int{shape[0], n / shape[0]}
-			case opResidual:
-				out := walk(op.body.Ops, shape)
-				if op.shortcut != nil {
-					linear := func(k opKind) bool { return k == opConv || k == opDWConv || k == opLinear }
-					if linear(op.body.Ops[0].kind) && linear(op.shortcut.Ops[0].kind) {
-						frames[1]--
-						bytes[1] -= 8 * int64(n)
-					}
-					walk(op.shortcut.Ops, shape)
-				}
-				shape = out
-			default:
-				t.Fatalf("no wire formula for op kind %d (%s)", op.kind, op.name)
+				shapes[op.out[j]] = []int{shape[0], oc, hw, hw}
 			}
+			continue
+		case opX2Act:
+			send(0, n)
+			send(1, n)
+		case opReLU:
+			rounds := []int{434, 98, 14}
+			if mpc.ReLUHeadroom(codec, op.bound) > mpc.NarrowMargin {
+				rounds = []int{147, 30}
+			}
+			for party := range 2 {
+				for _, k := range rounds {
+					send(party, mpc.BitWords(k*n))
+				}
+				send(party, mpc.BitWords(n)+n)
+			}
+		case opAvgPool:
+			hw := (shape[2]-op.k)/op.stride + 1
+			shape = []int{shape[0], shape[1], hw, hw}
+		case opGlobalAvgPool:
+			shape = []int{shape[0], shape[1]}
+		case opFlatten:
+			shape = []int{shape[0], n / shape[0]}
+		case opAdd:
+		default:
+			t.Fatalf("no wire formula for op kind %d (%s)", op.kind, op.name)
 		}
-		return shape
+		shapes[op.out[0]] = shape
 	}
-	out := walk(prog.Ops, shape)
+	out := shapes[0]
 	logits := 1
 	for _, d := range out {
 		logits *= d

@@ -145,9 +145,6 @@ func (r *RNG) Norm() float64 {
 	return u * f
 }
 
-// NormFloat64 is an alias for Norm matching math/rand's method name.
-func (r *RNG) NormFloat64() float64 { return r.Norm() }
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -218,12 +218,6 @@ func (t *Tensor) RandNorm(r *rng.RNG, sigma float64) *Tensor {
 	return t
 }
 
-// RandUniform fills t with Uniform[lo, hi) samples.
-func (t *Tensor) RandUniform(r *rng.RNG, lo, hi float64) *Tensor {
-	r.FillUniform(t.Data, lo, hi)
-	return t
-}
-
 func checkSame(a, b *Tensor) {
 	if !SameShape(a, b) {
 		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", a.Shape, b.Shape))
