@@ -86,8 +86,14 @@ type Config struct {
 	// ActAt optionally overrides the choice per slot ID.
 	ActAt func(slot int) ActChoice
 	// Pool is the default pooling at every pool slot.
+	//
+	// Only backbones with pool slots read Pool and PoolAt: VGG-16's
+	// stages and the ImageNet ResNet stem (ImageNetStem). The CIFAR ResNet
+	// stem (3×3/1) has no pool slot, so a CIFAR ResNet — the served demo
+	// backbone among them — compiles to a program with no pooling op but
+	// its closing global average pool, whatever these fields say.
 	Pool PoolChoice
-	// PoolAt optionally overrides the pooling per slot ID.
+	// PoolAt optionally overrides the pooling per slot ID (see Pool).
 	PoolAt func(slot int) PoolChoice
 	// ActFactory, when set, constructs the activation layer for a slot
 	// (used by the NAS supernet to insert gated operators). It overrides

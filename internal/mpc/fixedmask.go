@@ -282,27 +282,39 @@ func (p *Party) checkFixedW(fw *FixedWeight, w Share) error {
 // FixedWOp is one linear op of LinearFixedW: a session-constant weight
 // share, its opened F = W−b, and the op's geometry — Conv for a
 // convolution, nil for a matrix product of the input's rows by W (k×n).
+//
+// Out, when non-nil, is the op's destination: exactly its output's words,
+// which the returned share then holds; nil allocates them. Bias, when
+// non-nil, is the op's public bias encoded per output channel (a
+// convolution's OutC, a product's n columns), which party 0 adds in the
+// same pass that truncates — AddBias/AddBiasVec fused into the op.
 type FixedWOp struct {
 	W    Share
 	FW   *FixedWeight
 	Conv *ConvDims
+	Out  []uint64
+	Bias []uint64
 }
 
 // ownerLeg is one op of an owner-side combine: its z half, its map from
 // the masked input to dst (a product with the party's fixed-weight
-// operand) and its output.
+// operand), its output, and its bias (nil: none) with the words per
+// output channel it repeats over.
 type ownerLeg struct {
 	z     []uint64
 	apply func(dst, a []uint64)
 	out   Share
+	bias  []uint64
+	inner int
 }
 
 // LinearFixedW returns truncated fixed-point shares of every op of ops
 // applied to the one input x, in order, masking x once: the first op takes
 // a FixedB pair (a, z₀), every later op a shared-mask z for that same a,
 // party 1 sends E' = X₁ − a once, and each party runs one kernel pass per
-// op (see the file comment). With one op it is MatMulFixedW or
-// Conv2DFixedW.
+// op (see the file comment), then one pass that adds z, truncates and adds
+// the op's bias. With one op and neither Out nor Bias it is MatMulFixedW
+// or Conv2DFixedW.
 func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("mpc: linear fixed-w: no ops")
@@ -330,23 +342,26 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 				return nil, fmt.Errorf("mpc: conv fixed-b pair: %w", err)
 			}
 			oh, ow := d.OutHW()
-			l.out = NewShare(d.N, d.OutC, oh, ow)
+			l.out, l.inner = Share{Shape: []int{d.N, d.OutC, oh, ow}}, oh*ow
 			plan, n := op.FW.convPlan(*d), d.N
 			l.apply = func(dst, a []uint64) { plan.Run(dst, a, n) }
-			continue
-		}
-		m, k, n := x.Shape[0], x.Shape[1], op.W.Shape[1]
-		if i == 0 {
-			a, l.z, err = p.corr().TakeMatMulFixedB(op.FW.Mask, m, k, n)
 		} else {
-			l.z, err = p.corr().TakeMatMulFixedBShared(op.FW.Mask, m, k, n)
+			m, k, n := x.Shape[0], x.Shape[1], op.W.Shape[1]
+			if i == 0 {
+				a, l.z, err = p.corr().TakeMatMulFixedB(op.FW.Mask, m, k, n)
+			} else {
+				l.z, err = p.corr().TakeMatMulFixedBShared(op.FW.Mask, m, k, n)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("mpc: matmul fixed-b pair: %w", err)
+			}
+			l.out, l.inner = Share{Shape: []int{m, n}}, 1
+			w := op.FW.op
+			l.apply = func(dst, a []uint64) { ringMatMul(dst, a, w, m, k, n) }
 		}
-		if err != nil {
-			return nil, fmt.Errorf("mpc: matmul fixed-b pair: %w", err)
+		if err := l.place(op); err != nil {
+			return nil, err
 		}
-		l.out = NewShare(m, n)
-		w := op.FW.op
-		l.apply = func(dst, a []uint64) { ringMatMul(dst, a, w, m, k, n) }
 	}
 	if err := p.ownerCombine(x.V, a, legs); err != nil {
 		return nil, fmt.Errorf("mpc: linear fixed-w: %w", err)
@@ -354,9 +369,30 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 	outs := make([]Share, len(legs))
 	for i := range legs {
 		outs[i] = legs[i].out
-		p.TruncateInPlace(&outs[i])
 	}
 	return outs, nil
+}
+
+// place gives the leg op's destination (or fresh words) and bias, whose
+// shapes it checks against the leg's output shape.
+func (l *ownerLeg) place(op FixedWOp) error {
+	n, ch := 1, l.out.Shape[1]
+	for _, d := range l.out.Shape {
+		n *= d
+	}
+	if op.Bias != nil && len(op.Bias) != ch {
+		return fmt.Errorf("mpc: linear fixed-w: %d bias words for %d output channels", len(op.Bias), ch)
+	}
+	l.bias = op.Bias
+	if op.Out == nil {
+		l.out.V = make([]uint64, n)
+		return nil
+	}
+	if len(op.Out) != n {
+		return fmt.Errorf("mpc: linear fixed-w: destination of %d words for output %v", len(op.Out), l.out.Shape)
+	}
+	l.out.V = op.Out
+	return nil
 }
 
 // checkFixedWOp validates op's geometry against its input x.
@@ -377,8 +413,10 @@ func checkFixedWOp(x Share, op FixedWOp) error {
 // ownerCombine runs the owner-side protocol of fixed-weight ops on one
 // input (see the file comment), each leg into its out: party 1 sends
 // E' = X₁ − a once and computes a∘F + z₁ per leg; party 0 receives E',
-// bounded to len(x) words, and computes (X₀ + E')∘W + z₀ per leg. Party 1
-// sends before its kernel passes, so the two parties' passes overlap.
+// bounded to len(x) words, and computes (X₀ + E')∘W + z₀ per leg. Each
+// leg's output is truncated, and biased on party 0, in the pass that adds
+// its z. Party 1 sends before its kernel passes, so the two parties'
+// passes overlap.
 func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg) error {
 	operand := a
 	if p.ID == 1 {
@@ -400,7 +438,7 @@ func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg) error {
 	}
 	for _, l := range legs {
 		l.apply(l.out.V, operand)
-		ringAdd(l.out.V, l.out.V, l.z)
+		p.truncAddTo(l.out.V, l.z, l.bias, l.inner)
 	}
 	return nil
 }

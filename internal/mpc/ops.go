@@ -1,6 +1,10 @@
 package mpc
 
-import "fmt"
+import (
+	"fmt"
+
+	"pasnet/internal/kernel"
+)
 
 // ReLU computes shares of max(x, 0) elementwise: a DReLU comparison and a
 // one-round select on its bit (paper 2PC-ReLU) — four exchanges in all.
@@ -126,8 +130,30 @@ func (p *Party) AvgPool2D(x Share, kh, kw, stride int) (Share, error) {
 	if err != nil {
 		return Share{}, err
 	}
+	out := NewShare(x.Shape[0], x.Shape[1], oh, ow)
+	if err := p.AvgPool2DTo(out, x, kh, kw, stride); err != nil {
+		return Share{}, err
+	}
+	return out, nil
+}
+
+// AvgPool2DTo is AvgPool2D into dst, which must have the pooled output's
+// length: each output word is its window's sum scaled by the encoded
+// 1/(kh·kw) and truncated in the same pass, as ScalePublic does to the
+// sums.
+func (p *Party) AvgPool2DTo(dst, x Share, kh, kw, stride int) error {
+	oh, ow, err := poolOutHW("avgpool", x.Shape, kh, kw, stride)
+	if err != nil {
+		return err
+	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	sum := NewShare(n, c, oh, ow)
+	if dst.Len() != n*c*oh*ow {
+		return fmt.Errorf("mpc: avgpool: destination length %d != output %d", dst.Len(), n*c*oh*ow)
+	}
+	scale, f, trunc := p.Codec.Encode(1/float64(kh*kw)), p.Codec.FracBits, trunc0
+	if p.ID == 1 {
+		trunc = trunc1
+	}
 	oi := 0
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -140,13 +166,13 @@ func (p *Party) AvgPool2D(x Share, kh, kw, stride int) (Share, error) {
 							s += x.V[base+(oy*stride+ky)*w+ox*stride+kx]
 						}
 					}
-					sum.V[oi] = s
+					dst.V[oi] = trunc(scale*s, f)
 					oi++
 				}
 			}
 		}
 	}
-	return p.ScalePublic(sum, 1/float64(kh*kw)), nil
+	return nil
 }
 
 // GlobalAvgPool2D averages over the full spatial extent, producing an
@@ -170,26 +196,54 @@ type X2ActParams struct {
 // X2Act evaluates the polynomial activation on a share: one ciphertext
 // square plus public scalings (paper 2PC-X²act: CMPx2 + 2 COMMx2).
 func (p *Party) X2Act(x Share, prm X2ActParams) (Share, error) {
-	sq, err := p.Square(x)
-	if err != nil {
-		return Share{}, fmt.Errorf("mpc: x2act: %w", err)
-	}
-	// y = (c1 ⊙ sq + c2 ⊙ x) >> f + bias, with one shared truncation to
-	// keep the rounding error of the linear combination to a single ULP.
-	c1 := p.Codec.Encode(prm.Scale * prm.W1)
-	c2 := p.Codec.Encode(prm.Scale * prm.W2)
 	out := NewShare(x.Shape...)
-	for i := range out.V {
-		out.V[i] = c1*sq.V[i] + c2*x.V[i]
-	}
-	p.TruncateInPlace(&out)
-	bias := p.Codec.Encode(prm.Scale * prm.B)
-	if p.ID == 0 {
-		for i := range out.V {
-			out.V[i] += bias
-		}
+	if err := p.X2ActTo(out, x, prm); err != nil {
+		return Share{}, err
 	}
 	return out, nil
+}
+
+// X2ActTo is X2Act into dst, which must have x's length. After the square
+// pair's one opening E = x − a it makes one pass, each word
+//
+//	trunc(c1·trunc(Z + 2E∘A [+ E∘E on party 1]) + c2·x) [+ bias on party 0],
+//
+// Square's combine and truncation followed by y = (c1 ⊙ sq + c2 ⊙ x) >> f
+// and the bias, with one shared truncation of the linear combination to
+// keep its rounding error to a single ULP — the same ring arithmetic, so
+// the same share words, as those steps run one after another.
+func (p *Party) X2ActTo(dst, x Share, prm X2ActParams) error {
+	if dst.Len() != x.Len() {
+		return fmt.Errorf("mpc: x2act: destination length %d != input %d", dst.Len(), x.Len())
+	}
+	a, z, err := p.corr().TakeSquare(x.Len())
+	if err != nil {
+		return fmt.Errorf("mpc: x2act: square pair: %w", err)
+	}
+	e, err := p.openOne(x.V, a)
+	if err != nil {
+		return fmt.Errorf("mpc: x2act: square open: %w", err)
+	}
+	c1 := p.Codec.Encode(prm.Scale * prm.W1)
+	c2 := p.Codec.Encode(prm.Scale * prm.W2)
+	bias := p.Codec.Encode(prm.Scale * prm.B)
+	f, out, xv := p.Codec.FracBits, dst.V, x.V
+	if p.ID == 0 {
+		kernel.Range(len(out), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				sq := trunc0(z[i]+2*(e[i]*a[i]), f)
+				out[i] = trunc0(c1*sq+c2*xv[i], f) + bias
+			}
+		})
+		return nil
+	}
+	kernel.Range(len(out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sq := trunc1(z[i]+2*(e[i]*a[i])+e[i]*e[i], f)
+			out[i] = trunc1(c1*sq+c2*xv[i], f)
+		}
+	})
+	return nil
 }
 
 // AddBias adds a public per-channel bias to an NCHW share (party 0

@@ -175,9 +175,12 @@ func (p *Party) RevealTo(owner int, sh Share) ([]uint64, error) {
 // Add returns shares of x + y (local, paper Eq. 1).
 func (p *Party) Add(x, y Share) Share {
 	out := NewShare(x.Shape...)
-	ringAdd(out.V, x.V, y.V)
+	p.AddTo(out, x, y)
 	return out
 }
+
+// AddTo is Add into dst, which must have x's length; dst may alias x or y.
+func (p *Party) AddTo(dst, x, y Share) { ringAdd(dst.V, x.V, y.V) }
 
 // Sub returns shares of x − y (local).
 func (p *Party) Sub(x, y Share) Share {
@@ -223,14 +226,56 @@ func (p *Party) TruncateInPlace(x *Share) {
 	if p.ID == 0 {
 		kernel.Range(len(v), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				v[i] = uint64(int64(v[i]) >> f)
+				v[i] = trunc0(v[i], f)
 			}
 		})
 		return
 	}
 	kernel.Range(len(v), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v[i] = -uint64(int64(-v[i]) >> f)
+			v[i] = trunc1(v[i], f)
+		}
+	})
+}
+
+// trunc0 and trunc1 are party 0's and party 1's local truncation of one
+// share word by f bits (TruncateInPlace); the fused epilogues call them
+// inside their single pass.
+func trunc0(v uint64, f uint) uint64 { return uint64(int64(v) >> f) }
+func trunc1(v uint64, f uint) uint64 { return -uint64(int64(-v) >> f) }
+
+// noBias is truncAddTo's one zero channel.
+var noBias = []uint64{0}
+
+// truncAddTo finishes a linear op in one pass over dst: each word becomes
+// trunc(dst[i] + z[i]), and on party 0 it then gains its channel's public
+// bias, bias[(i/inner) % len(bias)] for runs of inner words per channel
+// (nil: no bias). That is the ring add of z, TruncateInPlace and
+// AddBias/AddBiasVec, word for word.
+func (p *Party) truncAddTo(dst, z, bias []uint64, inner int) {
+	f := p.Codec.FracBits
+	if p.ID == 1 {
+		kernel.Range(len(dst), func(lo, hi int) {
+			d, zz := dst[lo:hi], z[lo:hi]
+			for i := range d {
+				d[i] = trunc1(d[i]+zz[i], f)
+			}
+		})
+		return
+	}
+	if bias == nil {
+		bias, inner = noBias, max(1, len(dst))
+	}
+	kernel.Range(len(dst), func(lo, hi int) {
+		for i := lo; i < hi; {
+			run := i / inner
+			end := min(hi, (run+1)*inner)
+			b := bias[run%len(bias)]
+			d, zz := dst[i:end], z[i:end]
+			for j := range d {
+				d[j] = trunc0(d[j]+zz[j], f) + b
+			}
+			i = end
 		}
 	})
 }

@@ -26,6 +26,24 @@ type Engine struct {
 	// feed, when non-nil, receives every traced op's wall time (see
 	// SetOpFeed). A nil feed keeps run free of clock reads.
 	feed *obs.OpFeed
+	// ws is the flush workspace, built by the first Infer after Setup.
+	ws *workspace
+}
+
+// workspace holds what Infer reuses from flush to flush: two buffers per
+// value ID, grown by capacity, so a served flush allocates no activation
+// tensor once the buffers have reached its size, and each weight slot's
+// bias, encoded once.
+type workspace struct {
+	// bufs[2v+j] is value v's buffer j.
+	bufs [][]uint64
+	// vals holds each value's share during a flush, home the index into
+	// bufs of the buffer behind it (-1: memory the workspace does not own,
+	// the flush input or an op's own result).
+	vals []mpc.Share
+	home []int
+	// bias is each weight slot's encoded bias (nil: none).
+	bias [][]uint64
 }
 
 // NewEngine wraps a program.
@@ -51,6 +69,7 @@ func (e *Engine) Setup(p *mpc.Party) error {
 	e.party = p
 	e.weights = e.weights[:0]
 	e.fixedWs = nil
+	e.ws = nil
 	masks := make([]int, len(e.Prog.weights))
 	for i := range e.Prog.weights {
 		h := &e.Prog.weights[i]
@@ -89,34 +108,43 @@ func (e *Engine) Setup(p *mpc.Party) error {
 	return nil
 }
 
-// Infer runs the program on an input share and returns the output share.
+// Infer runs the program on an input share and returns the output share,
+// which the caller owns.
+//
+// Every op writes into the workspace (see workspace): into whichever of
+// its output value's two buffers holds none of its inputs, so an op that
+// reads and writes one value ping-pongs between that value's buffers, and
+// a reshape keeps its input's buffer. Value IDs are reused only once their
+// old contents are dead, so this never overwrites a live value. The
+// comparison ops (ReLU, max pooling) and a windowed average pool return
+// shares of their own, which the flush reads in place.
 func (e *Engine) Infer(x mpc.Share) (mpc.Share, error) {
 	if e.party == nil {
 		return mpc.Share{}, fmt.Errorf("pi: engine not set up")
 	}
-	p := e.party
-	vals := make([]mpc.Share, e.Prog.maxValue+1)
-	vals[0] = x
+	if e.ws == nil {
+		e.ws = e.newWorkspace()
+	}
+	p, ws := e.party, e.ws
+	ws.vals[0], ws.home[0] = x, -1
 	for i := range e.Prog.Ops {
 		op := &e.Prog.Ops[i]
-		in := vals[op.in[0]]
+		in := ws.vals[op.in[0]]
 		var start time.Time
 		if e.feed != nil {
 			start = time.Now()
 		}
 		var y mpc.Share
 		var err error
+		home := -1
 		switch op.kind {
 		case opLinear:
-			ys, err := e.linear(in, op.slots)
+			ys, err := e.linear(op, in)
 			if err != nil {
 				return mpc.Share{}, err
 			}
 			if e.feed != nil {
 				e.traceHeads(op.slots, in.Shape, ys, time.Since(start).Seconds())
-			}
-			for j, y := range ys {
-				vals[op.out[j]] = y
 			}
 			continue
 		case opReLU:
@@ -124,7 +152,11 @@ func (e *Engine) Infer(x mpc.Share) (mpc.Share, error) {
 				return mpc.Share{}, fmt.Errorf("pi: relu: %w", err)
 			}
 		case opX2Act:
-			if y, err = p.X2Act(in, op.x2); err != nil {
+			y = mpc.Share{Shape: in.Shape}
+			if y.V, home, err = e.buffer(op, 0, in.Shape); err == nil {
+				err = p.X2ActTo(y, in, op.x2)
+			}
+			if err != nil {
 				return mpc.Share{}, fmt.Errorf("pi: x2act: %w", err)
 			}
 		case opMaxPool:
@@ -136,26 +168,89 @@ func (e *Engine) Infer(x mpc.Share) (mpc.Share, error) {
 				return mpc.Share{}, fmt.Errorf("pi: avgpool: %w", err)
 			}
 		case opGlobalAvgPool:
-			if y, err = p.GlobalAvgPool2D(in); err != nil {
+			if len(in.Shape) != 4 {
+				return mpc.Share{}, fmt.Errorf("pi: gap needs an NCHW input, got %v", in.Shape)
+			}
+			y = mpc.Share{Shape: in.Shape[:2:2]}
+			if y.V, home, err = e.buffer(op, 0, y.Shape); err == nil {
+				err = p.AvgPool2DTo(y, in, in.Shape[2], in.Shape[3], 1)
+			}
+			if err != nil {
 				return mpc.Share{}, fmt.Errorf("pi: gap: %w", err)
 			}
-			y = y.Reshape(y.Shape[0], y.Shape[1])
 		case opFlatten:
 			n := in.Shape[0]
-			y = in.Reshape(n, in.Len()/n)
+			y, home = in.Reshape(n, in.Len()/n), ws.home[op.in[0]]
 		case opAdd:
-			y = p.Add(in, vals[op.in[1]])
+			y = mpc.Share{Shape: in.Shape}
+			if y.V, home, err = e.buffer(op, 0, in.Shape); err != nil {
+				return mpc.Share{}, fmt.Errorf("pi: add: %w", err)
+			}
+			p.AddTo(y, in, ws.vals[op.in[1]])
 		default:
 			return mpc.Share{}, fmt.Errorf("pi: unknown op kind %d", op.kind)
 		}
-		vals[op.out[0]] = y
+		ws.vals[op.out[0]], ws.home[op.out[0]] = y, home
 		// Flatten is a free reshape with no hwmodel identity.
 		if e.feed != nil && op.kind != opFlatten {
 			kind, shape := traceOp(op, in.Shape)
 			e.feed.Record(kind, shape, in.Shape[0], time.Since(start).Seconds())
 		}
 	}
-	return vals[0], nil
+	out := ws.vals[0].Clone()
+	clear(ws.vals)
+	return out, nil
+}
+
+// newWorkspace sizes the workspace for the program and encodes every
+// bias with the party's codec; the buffers themselves grow on first use.
+func (e *Engine) newWorkspace() *workspace {
+	nv := e.Prog.maxValue + 1
+	ws := &workspace{
+		bufs: make([][]uint64, 2*nv),
+		vals: make([]mpc.Share, nv),
+		home: make([]int, nv),
+		bias: make([][]uint64, len(e.Prog.weights)),
+	}
+	for i := range e.Prog.weights {
+		if b := e.Prog.weights[i].bias; b != nil {
+			ws.bias[i] = e.party.EncodeTensor(b)
+		}
+	}
+	return ws
+}
+
+// buffer returns the words op's output j, of the given shape, is to be
+// written to, with their buffer's workspace index: the one of the output
+// value's two buffers behind none of op's inputs, grown to the shape's
+// size if it is short.
+func (e *Engine) buffer(op *progOp, j int, shape []int) ([]uint64, int, error) {
+	ws, v := e.ws, op.out[j]
+	busy := func(h int) bool {
+		for _, in := range op.in {
+			if ws.home[in] == h {
+				return true
+			}
+		}
+		return false
+	}
+	h := 2 * v
+	if busy(h) {
+		if h++; busy(h) {
+			return nil, 0, fmt.Errorf("pi: %s: both buffers of value %d hold its inputs", op.name, v)
+		}
+	}
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if n < 0 {
+		return nil, 0, fmt.Errorf("pi: %s: output shape %v", op.name, shape)
+	}
+	if cap(ws.bufs[h]) < n {
+		ws.bufs[h] = make([]uint64, n)
+	}
+	return ws.bufs[h][:n], h, nil
 }
 
 // traceHeads reports a linear op's readings, one per head: the op ran in
@@ -177,47 +272,50 @@ func (e *Engine) traceHeads(slots []int, inShape []int, ys []mpc.Share, sec floa
 	}
 }
 
-// linear runs the heads in slots — one, or a residual's two — on the one
-// input x under one activation mask (mpc.Party.LinearFixedW), and adds
-// each head's bias.
-func (e *Engine) linear(x mpc.Share, slots []int) ([]mpc.Share, error) {
-	p := e.party
-	fops := make([]mpc.FixedWOp, len(slots))
-	for i, s := range slots {
+// linear runs op's heads — one, or a residual's two — on the one input x
+// under one activation mask (mpc.Party.LinearFixedW), each writing its
+// value's workspace buffer with its bias added in the op's last pass, and
+// returns the heads' outputs.
+func (e *Engine) linear(op *progOp, x mpc.Share) ([]mpc.Share, error) {
+	ws := e.ws
+	fops := make([]mpc.FixedWOp, len(op.slots))
+	homes := make([]int, len(op.slots))
+	for i, s := range op.slots {
 		h := &e.Prog.weights[s]
-		fops[i] = mpc.FixedWOp{W: e.weights[s], FW: e.fixedWs[s]}
+		fops[i] = mpc.FixedWOp{W: e.weights[s], FW: e.fixedWs[s], Bias: ws.bias[s]}
+		var shape []int
 		if h.kind == headFC {
-			// The In×Out transpose was materialized once at Setup.
-			continue
+			// The In×Out transpose was materialized once at Setup;
+			// LinearFixedW checks the input against it.
+			shape = []int{x.Shape[0], e.weights[s].Shape[1]}
+		} else {
+			if len(x.Shape) != 4 {
+				return nil, fmt.Errorf("pi: %s expects NCHW input, got %v", h.name, x.Shape)
+			}
+			dims := mpc.ConvDims{
+				N: x.Shape[0], InC: x.Shape[1], H: x.Shape[2], W: x.Shape[3],
+				OutC: h.convSpec.OutC, KH: h.convSpec.KH, KW: h.convSpec.KW,
+				Stride: h.convSpec.Stride, Pad: h.convSpec.Pad,
+			}
+			if h.kind == headDWConv {
+				dims.Groups = dims.InC
+				dims.OutC = dims.InC
+			}
+			fops[i].Conv = &dims
+			oh, ow := dims.OutHW()
+			shape = []int{dims.N, dims.OutC, oh, ow}
 		}
-		if len(x.Shape) != 4 {
-			return nil, fmt.Errorf("pi: %s expects NCHW input, got %v", h.name, x.Shape)
+		var err error
+		if fops[i].Out, homes[i], err = e.buffer(op, i, shape); err != nil {
+			return nil, err
 		}
-		dims := mpc.ConvDims{
-			N: x.Shape[0], InC: x.Shape[1], H: x.Shape[2], W: x.Shape[3],
-			OutC: h.convSpec.OutC, KH: h.convSpec.KH, KW: h.convSpec.KW,
-			Stride: h.convSpec.Stride, Pad: h.convSpec.Pad,
-		}
-		if h.kind == headDWConv {
-			dims.Groups = dims.InC
-			dims.OutC = dims.InC
-		}
-		fops[i].Conv = &dims
 	}
-	ys, err := p.LinearFixedW(x, fops...)
+	ys, err := e.party.LinearFixedW(x, fops...)
 	if err != nil {
-		return nil, fmt.Errorf("pi: %s: %w", e.Prog.weights[slots[0]].name, err)
+		return nil, fmt.Errorf("pi: %s: %w", e.Prog.weights[op.slots[0]].name, err)
 	}
-	for i, s := range slots {
-		h := &e.Prog.weights[s]
-		if h.kind == headFC {
-			ys[i], err = p.AddBiasVec(ys[i], h.bias)
-		} else if h.bias != nil {
-			ys[i], err = p.AddBias(ys[i], h.bias)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pi: %s bias: %w", h.name, err)
-		}
+	for i, y := range ys {
+		ws.vals[op.out[i]], ws.home[op.out[i]] = y, homes[i]
 	}
 	return ys, nil
 }

@@ -191,10 +191,3 @@ func (r *RNG) FillNorm(dst []float64, sigma float64) {
 		dst[i] = r.Norm() * sigma
 	}
 }
-
-// FillUniform fills dst with uniform values in [lo, hi).
-func (r *RNG) FillUniform(dst []float64, lo, hi float64) {
-	for i := range dst {
-		dst[i] = lo + (hi-lo)*r.Float64()
-	}
-}

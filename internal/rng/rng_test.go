@@ -143,12 +143,6 @@ func TestFillers(t *testing.T) {
 		t.Fatal("FillUint32 produced all zeros")
 	}
 	f := make([]float64, 64)
-	r.FillUniform(f, 2, 3)
-	for _, v := range f {
-		if v < 2 || v >= 3 {
-			t.Fatalf("FillUniform out of range: %v", v)
-		}
-	}
 	r.FillNorm(f, 0.5)
 }
 
