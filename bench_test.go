@@ -219,10 +219,10 @@ func Benchmark2PCReLU1kNarrow(b *testing.B) {
 // Benchmark2PCSessionSetup brings up one fixed-mask session pair of the
 // demo backbone (ResNet-18 at width 1/16, 3×8×8 inputs, 4 classes, 21
 // weight tensors; untrained, since setup cost does not depend on weight
-// values) over a 1 ms one-way link: weight sharing plus the F = W−b
-// opening. ms/op is bring-up wall time, frames/op the frames both parties
-// sent. Setup depth is constant in the layer count, so ms/op stays near
-// two one-way delays.
+// values) over a 1 ms one-way link: party 0's one frame of every
+// F = W−b. ms/op is bring-up wall time, frames/op the frames both parties
+// sent. Setup is one frame whatever the layer count, so ms/op stays near
+// one one-way delay.
 func Benchmark2PCSessionSetup(b *testing.B) {
 	cfg := models.CIFARConfig(0.0625, 3)
 	cfg.InputHW = 8
@@ -249,7 +249,7 @@ func Benchmark2PCSessionSetup(b *testing.B) {
 		}()
 		_, err1 := pi.NewSessionOpts(p1, m, nil, pi.SessionOptions{})
 		if err1 != nil {
-			d1.Close() // releases party 0 if it still waits on the opening
+			d1.Close() // releases party 0 if it is still sending F
 		}
 		if err := errors.Join(<-errc, err1); err != nil {
 			b.Fatal(err)

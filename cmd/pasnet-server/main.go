@@ -26,8 +26,8 @@
 //		-client-connect 127.0.0.1:9100 -queries 4
 //
 // Both computing parties build the same (deterministically seeded) trained
-// models and per-shard dealer streams; weight shares are established once
-// per shard link and reused across every batched flush. The gateway routes
+// models and per-shard dealer streams; party 0 sends every weight's
+// F = W−b once per shard link, reused across every batched flush. The gateway routes
 // each client query to one of its model's shard pairs round-robin, failing
 // over to the next healthy shard when a pair dies. Running the gateway
 // without -client-listen instead evaluates -queries local queries through

@@ -46,8 +46,8 @@ func main() {
 	fmt.Printf("trained all-poly ResNet-18: val top-1 %.3f\n", tr.ValAccuracy)
 
 	// 2. Private inference on a fresh query, verified against plaintext:
-	// a party-0 and a party-1 session come up in-process (weights shared,
-	// F = W−b opened), then party 1 queries once.
+	// a party-0 and a party-1 session come up in-process (party 0 sends
+	// every F = W−b), then party 1 queries once.
 	x, label := val.Batch([]int{0})
 	fmt.Printf("query: validation image with true class %d\n", label[0])
 	res, err := pi.Run(m, []*tensor.Tensor{x}, 15, pi.RunOptions{})
@@ -102,13 +102,13 @@ func main() {
 	fmt.Printf("online-only speedup over the live-dealer path: %.2fx, bit-identical logits\n",
 		batch.OnlineSeconds/pre.OnlineSeconds)
 
-	// 5. Setup vs online traffic: the session shares the weights and opens
-	// each layer's F = W−b once, at setup; every flush then sends only
+	// 5. Setup vs online traffic: party 0 sends each layer's F = W−b once,
+	// at setup, in one frame; every flush then sends only
 	// party 1's masked activation, one way, per linear layer. (Only the
 	// weight side may be masked once: it masks the *same* value every
 	// flush. Activation masks stay fresh — reusing one would leak query
 	// differences.)
-	fmt.Printf("\nsetup vs online: %.2f KB once (weight shares + the W−b opening), then %.2f KB/query online\n",
+	fmt.Printf("\nsetup vs online: %.2f KB once (party 0's frame of F = W−b), then %.2f KB/query online\n",
 		float64(pre.SetupBytes)/1e3, float64(pre.OnlineBytes)/1e3/k)
 
 	// 6. The multi-model shard gateway: register two models, provision

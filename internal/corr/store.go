@@ -238,7 +238,7 @@ func mulFits(vs ...int) bool {
 // fixed weight masks (the FixedB kinds) are derived out-of-band from the
 // dealer seed, not from the main stream, so a store provisioned off a
 // per-geometry stream still replays z = a@b against the same b the
-// session's live dealer minted and opened F = W−b with at setup. Tapes
+// session's live dealer minted and party 0 sent F = W−b under at setup. Tapes
 // without FixedB demands never touch maskSeed.
 func BuildPair(tape Tape, r *rng.RNG, maskSeed uint64) (p0, p1 *Store, err error) {
 	var words [2]int

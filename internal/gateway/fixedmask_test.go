@@ -13,8 +13,8 @@ import (
 	"pasnet/internal/tensor"
 )
 
-// TestFixedMaskRoutingEquivalence pins that a shard pair's one F = W−b
-// opening serves every batch geometry the router packs, live and
+// TestFixedMaskRoutingEquivalence pins that a shard pair's one F = W−b,
+// sent at setup, serves every batch geometry the router packs, live and
 // store-fed: a single-shard model flushed at N=2, N=1 and N=2 through the
 // router is bit-identical, row for row, to a direct session pair run of
 // the same flush sequence and matches plaintext, and the store-fed shard

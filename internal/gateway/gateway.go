@@ -577,7 +577,7 @@ func ReprovisionShardStore(reg *Registry, model string, shard, gen int) ([]strin
 			return nil, err
 		}
 		// The revived generation's fresh pair seed also mints fresh fixed
-		// weight masks: gen N+1's session opens a new F = W−b and its
+		// weight masks: gen N+1's session fixes a new F = W−b and its
 		// stores replay against that new b, never gen N's.
 		ps, err := pi.WriteStorePair(tape, seed, shape, policy.Flushes, dir)
 		if err != nil {

@@ -57,8 +57,8 @@ func testModel(name string, inC, hw, classes int, seed uint64) (*models.Model, [
 
 // directShardRun reproduces one shard pair outside the gateway: a fresh
 // session pair over a pipe, constructed exactly as the router and vendor
-// construct theirs (same dealer seed, same private seeds, same store
-// provisioning), evaluating the given flush sequence. The gateway's routed
+// construct theirs (same dealer seed, private seeds from crypto/rand, same
+// store provisioning), evaluating the given flush sequence. The gateway's routed
 // results must be bit-identical to this — routing must add nothing.
 func directShardRun(t *testing.T, spec *ModelSpec, desc ShardDesc, queries []*tensor.Tensor) [][]float64 {
 	t.Helper()
@@ -69,7 +69,7 @@ func directShardRun(t *testing.T, spec *ModelSpec, desc ShardDesc, queries []*te
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p0 := mpc.NewParty(0, c0, desc.Seed, shardPrivSeed(desc.Seed, 0), codec)
+		p0 := mpc.NewParty(0, c0, desc.Seed, privSeed(), codec)
 		sess, err := pi.NewSessionOpts(p0, spec.Model, append([]int{0}, spec.Input...), pi.SessionOptions{})
 		if err != nil {
 			serveErr = err
@@ -80,7 +80,7 @@ func directShardRun(t *testing.T, spec *ModelSpec, desc ShardDesc, queries []*te
 		}
 		serveErr = sess.Serve()
 	}()
-	p1 := mpc.NewParty(1, c1, desc.Seed, shardPrivSeed(desc.Seed, 1), codec)
+	p1 := mpc.NewParty(1, c1, desc.Seed, privSeed(), codec)
 	sess, err := pi.NewSessionOpts(p1, spec.Model, nil, pi.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	crand "crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -12,7 +14,6 @@ import (
 	"pasnet/internal/mpc"
 	"pasnet/internal/obs"
 	"pasnet/internal/pi"
-	"pasnet/internal/rng"
 	"pasnet/internal/sched"
 	"pasnet/internal/tensor"
 	"pasnet/internal/transport"
@@ -249,7 +250,7 @@ func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int) (sched.
 			storeDir = ""
 		}
 	}
-	p := mpc.NewParty(1, conn, seed, shardPrivSeed(seed, 1), fixed.Default64())
+	p := mpc.NewParty(1, conn, seed, privSeed(), fixed.Default64())
 	sess, err := pi.NewSessionOpts(p, spec.Model, nil, pi.SessionOptions{})
 	if err != nil {
 		conn.Close()
@@ -309,11 +310,13 @@ func setDeadline(conn transport.Conn, d time.Duration) {
 	_ = conn.SetWriteDeadline(t)
 }
 
-// shardPrivSeed derives a party's private randomness seed for one shard
-// pair generation. It only needs to differ from the peer's; deriving it
-// from the pair's dealer seed keeps deployments reproducible.
-func shardPrivSeed(seed uint64, party int) uint64 {
-	return rng.MixSeed(seed, 0x9e3779b9, uint64(party)+1)
+// privSeed draws a serving party's private randomness seed from
+// crypto/rand: serving never draws from Party.Rand, and a seed derived
+// from the pair's dealer seed is one the peer can compute.
+func privSeed() uint64 {
+	var b [8]byte
+	crand.Read(b[:]) // never fails: it crashes the program instead
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Submit routes one query to the named model and blocks for its logits.

@@ -89,7 +89,7 @@ func ServeShardConn(conn transport.Conn, reg *Registry) error {
 		return fmt.Errorf("gateway: shard hello ack: %w", err)
 	}
 	seed := ReviveSeed(desc.Seed, gen)
-	p := mpc.NewParty(0, conn, seed, shardPrivSeed(seed, 0), fixed.Default64())
+	p := mpc.NewParty(0, conn, seed, privSeed(), fixed.Default64())
 	expect := append([]int{0}, spec.Input...)
 	sess, err := pi.NewSessionOpts(p, spec.Model, expect, pi.SessionOptions{})
 	if err != nil {

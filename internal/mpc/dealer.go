@@ -370,7 +370,7 @@ func NewDealer(seed uint64, party int) *Dealer {
 }
 
 // Seed returns the shared dealer-stream seed this endpoint was built from.
-// Fixed weight masks are pinned to it: an opened F = W−b is only valid
+// Fixed weight masks are pinned to it: a fixed F = W−b is only valid
 // against the dealer stream whose seed minted b.
 func (d *Dealer) Seed() uint64 { return d.s.maskSeed }
 

@@ -2,11 +2,11 @@ package mpc
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"pasnet/internal/kernel"
 	"pasnet/internal/rng"
-	"pasnet/internal/transport"
 )
 
 // Fixed weight-mask correlations and the owner-side linear protocol.
@@ -16,12 +16,14 @@ import (
 // time, so weight-side opening bytes and triple material scale with flush
 // count. Because the weight side masks an identical value every flush,
 // one mask per secret is the textbook amortization: fix b once per
-// (session, layer), open F = W−b once at setup, and per flush draw only a
-// fresh activation mask a together with z = a∘b.
+// (session, layer), make F = W−b public once at setup, and per flush draw
+// only a fresh activation mask a together with z = a∘b.
 //
-// With F public, party 0 (the model vendor) can hold W = F + b outright,
-// and the activation mask need only be party 1's. So a linear op runs
-// owner-side, one-way and one kernel pass per party:
+// Party 0 is the model vendor: it holds W in the clear, so at setup it
+// sends party 1 every weight's F = W−b in one frame (FixWeights), and no
+// weight is ever secret-shared. The activation mask need only be party
+// 1's. So a linear op runs owner-side, one-way and one kernel pass per
+// party:
 //
 //	party 1: send E' = X₁ − a;          R₁ = a∘F + z₁
 //	party 0: receive E';                R₀ = (X₀ + E')∘W + z₀
@@ -50,9 +52,9 @@ import (
 //   - a preprocessed store (whose stream seed differs from the live
 //     dealer's) derives the same b, so store-fed ≡ live stays bit-exact
 //     and a mid-session dealer fallback stays consistent with the F that
-//     was opened at setup;
+//     was sent at setup;
 //   - b is independent of batch geometry, so stores provisioned for
-//     different flush shapes share one opened F.
+//     different flush shapes share one F.
 //
 // Like the rest of the Stream, deriving the plain b from the shared seed
 // is the common-seed trusted-dealer *simulation* — it models offline-phase
@@ -65,31 +67,12 @@ const fixedMaskTag = 0x6d61736b2d666978 // "masq-fix"
 // MaxFixedMask bounds mask slot ids accepted by dealers and stores.
 const MaxFixedMask = 1 << 20
 
-// fixedMaskRNG returns the derivation stream for one (seed, mask, n) slot.
-func fixedMaskRNG(seed uint64, mask, n int) *rng.RNG {
-	return rng.New(rng.MixSeed(seed, fixedMaskTag, uint64(mask), uint64(n)))
-}
-
 // FixedMaskPlain returns the plain fixed mask b for slot mask of length n
 // under the given dealer seed.
 func FixedMaskPlain(seed uint64, mask, n int) []uint64 {
 	plain := make([]uint64, n)
-	fixedMaskRNG(seed, mask, n).FillUint64(plain)
+	rng.New(rng.MixSeed(seed, fixedMaskTag, uint64(mask), uint64(n))).FillUint64(plain)
 	return plain
-}
-
-// fixedMaskMaterial returns the plain mask and both additive halves, split
-// mask-then-difference (party 0's half drawn after the plain mask, party
-// 1's the difference) so either party can derive its half locally.
-func fixedMaskMaterial(seed uint64, mask, n int) (plain, half0, half1 []uint64) {
-	r := fixedMaskRNG(seed, mask, n)
-	plain = make([]uint64, n)
-	half0 = make([]uint64, n)
-	half1 = make([]uint64, n)
-	r.FillUint64(plain)
-	r.FillUint64(half0)
-	ringSub(half1, plain, half0)
-	return plain, half0, half1
 }
 
 // fixedMask returns the plain mask b of slot id, deriving it on first use
@@ -121,46 +104,35 @@ func (s *Stream) fixedMask(mask, n int) ([]uint64, error) {
 	return b, nil
 }
 
-// FixedMaskHalf returns this party's additive half of the fixed mask b for
-// slot mask of length n, under the stream's pinning rule. Party.OpenFixedWs
-// uses it once per weight per session to open F = W−b; the halves are
-// derived there, not cached, since nothing else needs them.
-func (d *Dealer) FixedMaskHalf(mask, n int) ([]uint64, error) {
-	if _, err := d.s.fixedMask(mask, n); err != nil {
-		return nil, err
-	}
-	_, h0, h1 := fixedMaskMaterial(d.s.maskSeed, mask, n)
-	if d.party == 0 {
-		return h0, nil
-	}
-	return h1, nil
-}
-
-// FixedWeight is the session-cached public opening F = W−b of one weight
-// tensor under its fixed mask, with the party's operand of the owner-side
-// combine. It is pinned to the dealer stream and the exact share values it
-// was opened against; the FixedW ops re-validate both so a mask can never
-// silently outlive its value (reviving a pair at a new generation, or
-// mutating the weight share, must mint a fresh one).
+// FixedWeight is one session-constant weight tensor fixed under its mask:
+// the public F = W−b party 0 sent at setup, with the party's operand of
+// the owner-side combine. It records its own shape and holds its operand
+// privately, so a product never reads a caller's copy of the weight, and
+// it is pinned to the dealer stream whose seed minted b: the FixedW ops
+// re-validate that, so a mask can never silently outlive its stream
+// (reviving a pair at a new generation must fix the weight anew).
 //
 // For a convolution the operand is packed once, at the op's first flush,
-// into a kernel.ConvPlan that every later flush runs; a re-opened weight
+// into a kernel.ConvPlan that every later flush runs; a re-fixed weight
 // is a new FixedWeight and packs anew. A FixedWeight must not be copied.
 type FixedWeight struct {
 	// Mask is the mask slot id (the layer's weight index).
 	Mask int
-	// F is the public opened W−b.
-	F []uint64
-	// op is what this party convolves with: W = F + b on party 0, F on
+	// shape is the weight tensor's shape.
+	shape []int
+	// f is the public W−b.
+	f []uint64
+	// op is what this party multiplies by: W = F + b on party 0, F on
 	// party 1.
 	op []uint64
 	// seed pins the dealer stream that minted b.
 	seed uint64
-	// sum fingerprints the weight share value at open time.
-	sum uint64
 	// plan is op packed for the conv geometry it last ran at.
 	plan atomic.Pointer[kernel.ConvPlan[uint64]]
 }
+
+// F returns a copy of the public W−b.
+func (fw *FixedWeight) F() []uint64 { return slices.Clone(fw.f) }
 
 // convPlan returns the party's operand packed for the conv geometry d,
 // packing it on first use and again only if the geometry changes. Two
@@ -176,112 +148,109 @@ func (fw *FixedWeight) convPlan(d ConvDims) *kernel.ConvPlan[uint64] {
 	return pl
 }
 
-// hashWords is an FNV-1a-style fold over whole words (one xor and one
-// multiply per word), used to detect a weight share changing under a fixed
-// mask. Each step is a bijection of the running state, so two shares that
-// differ in any single word always hash differently.
-func hashWords(v []uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, w := range v {
-		h = (h ^ w) * prime
+// FixWeights fixes every weight of a session under its mask slot in one
+// frame from the owner. Party 0 passes each weight's encoded values ws[i]
+// of shape shapes[i] and sends every F = W − b, b its dealer's pinned mask
+// of the slot; party 1 passes nil ws and receives that frame, bounded to
+// the words the shapes hold. Each FixedWeight is built the same way on
+// both parties: party 0's operand is F + b, which is the encoded W, and
+// party 1's is F. They come back in argument order; with no weights
+// nothing is sent.
+func (p *Party) FixWeights(masks []int, shapes [][]int, ws [][]uint64) ([]*FixedWeight, error) {
+	if len(masks) != len(shapes) || (p.ID == 0 && len(ws) != len(shapes)) {
+		return nil, fmt.Errorf("mpc: fix weights: %d mask slots, %d shapes and %d weights", len(masks), len(shapes), len(ws))
 	}
-	return h
+	if len(shapes) == 0 {
+		return nil, nil
+	}
+	lens := make([]int, len(shapes))
+	total := 0
+	for i, shape := range shapes {
+		lens[i] = 1
+		for _, d := range shape {
+			lens[i] *= d
+		}
+		if p.ID == 0 && len(ws[i]) != lens[i] {
+			return nil, fmt.Errorf("mpc: fix weight %d: %d words for shape %v", i, len(ws[i]), shape)
+		}
+		total += lens[i]
+	}
+	frame := make([]uint64, total)
+	if p.ID == 1 {
+		var err error
+		if frame, err = p.Conn.RecvUint64sMax(total); err != nil {
+			return nil, fmt.Errorf("mpc: fix weights: %w", err)
+		}
+		if len(frame) != total {
+			return nil, fmt.Errorf("mpc: fixed weights frame of %d words, want %d", len(frame), total)
+		}
+	}
+	fws := make([]*FixedWeight, len(shapes))
+	off := 0
+	for i, n := range lens {
+		b, err := p.Dealer.s.fixedMask(masks[i], n)
+		if err != nil {
+			return nil, fmt.Errorf("mpc: fix weight: %w", err)
+		}
+		f := frame[off : off+n : off+n]
+		op := f
+		if p.ID == 0 {
+			ringSub(f, ws[i], b)
+			op = make([]uint64, n)
+			ringAdd(op, f, b)
+		}
+		fws[i] = &FixedWeight{Mask: masks[i], shape: slices.Clone(shapes[i]), f: f, op: op, seed: p.Dealer.Seed()}
+		off += n
+	}
+	if p.ID == 0 {
+		if err := p.Conn.SendUint64s(frame); err != nil {
+			return nil, fmt.Errorf("mpc: fix weights: %w", err)
+		}
+	}
+	return fws, nil
 }
 
-// OpenFixedW opens F = w−b for one fixed mask slot in one exchange round:
-// the one-weight call of OpenFixedWs. The returned FixedWeight feeds every
-// subsequent MatMulFixedW/Conv2DFixedW on that layer.
+// OpenFixedW fixes one secret-shared weight w under slot mask: party 1
+// sends its share to party 0, which then holds W and fixes it as
+// FixWeights does. Revealing W to party 0 leaks nothing new: party 0
+// holds W = F + b once the weight is fixed.
 func (p *Party) OpenFixedW(mask int, w Share) (*FixedWeight, error) {
-	fws, err := p.OpenFixedWs([]int{mask}, []Share{w})
+	var ws [][]uint64
+	if p.ID == 1 {
+		if err := p.Conn.SendUint64s(w.V); err != nil {
+			return nil, fmt.Errorf("mpc: open fixed weight: %w", err)
+		}
+	} else {
+		theirs, err := p.Conn.RecvUint64sMax(w.Len())
+		if err != nil {
+			return nil, fmt.Errorf("mpc: open fixed weight: %w", err)
+		}
+		// A short share fails FixWeights' length check.
+		ringAdd(theirs, theirs, w.V)
+		ws = [][]uint64{theirs}
+	}
+	fws, err := p.FixWeights([]int{mask}, [][]int{w.Shape}, ws)
 	if err != nil {
 		return nil, err
 	}
 	return fws[0], nil
 }
 
-// OpenFixedWs opens F = w−b for every (slot, weight) pair in one exchange
-// round, however many weights there are: each slot's half of b is derived
-// under the stream's pinning rule, all the w−b halves travel in one frame,
-// and one FixedWeight per weight comes back in argument order. Party 0
-// also caches W = F + b there, b being its dealer's pinned mask. A session
-// calls it once, after sharing its weights, so opening every layer's F
-// costs one round trip instead of one per layer. With no weights it
-// exchanges nothing.
-func (p *Party) OpenFixedWs(masks []int, ws []Share) ([]*FixedWeight, error) {
-	if len(masks) != len(ws) {
-		return nil, fmt.Errorf("mpc: open fixed weights: %d mask slots for %d weights", len(masks), len(ws))
-	}
-	if len(ws) == 0 {
-		return nil, nil
-	}
-	total := 0
-	for _, w := range ws {
-		total += w.Len()
-	}
-	mine := make([]uint64, total)
-	off := 0
-	for i, w := range ws {
-		half, err := p.Dealer.FixedMaskHalf(masks[i], w.Len())
-		if err != nil {
-			return nil, fmt.Errorf("mpc: open fixed weight: %w", err)
-		}
-		ringSub(mine[off:off+w.Len()], w.V, half)
-		off += w.Len()
-	}
-	theirs, err := transport.Exchange(p.Conn, mine)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: open fixed weight: %w", err)
-	}
-	if len(theirs) != total {
-		return nil, fmt.Errorf("mpc: open fixed weight length %d != %d", len(theirs), total)
-	}
-	// Exchange has finished sending mine, so it can hold the opened F.
-	ringAdd(mine, mine, theirs)
-	fws := make([]*FixedWeight, len(ws))
-	off = 0
-	for i, w := range ws {
-		n := w.Len()
-		f := mine[off : off+n : off+n]
-		op := f
-		if p.ID == 0 {
-			b, err := p.Dealer.s.fixedMask(masks[i], n)
-			if err != nil {
-				return nil, fmt.Errorf("mpc: open fixed weight: %w", err)
-			}
-			op = make([]uint64, n)
-			ringAdd(op, f, b)
-		}
-		fws[i] = &FixedWeight{Mask: masks[i], F: f, op: op, seed: p.Dealer.Seed(), sum: hashWords(w.V)}
-		off += n
-	}
-	return fws, nil
-}
-
-// checkFixedW validates that fw is still a sound opening of w under this
-// party's dealer stream.
-func (p *Party) checkFixedW(fw *FixedWeight, w Share) error {
+// checkFixedW validates that fw was fixed under this party's dealer
+// stream.
+func (p *Party) checkFixedW(fw *FixedWeight) error {
 	if fw == nil {
 		return fmt.Errorf("mpc: nil fixed weight")
 	}
 	if fw.seed != p.Dealer.Seed() {
 		return fmt.Errorf("mpc: fixed weight for mask %d was opened under dealer seed %#x, session runs %#x — a revived generation must re-open W−b, not inherit the old F", fw.Mask, fw.seed, p.Dealer.Seed())
 	}
-	if len(fw.F) != w.Len() {
-		return fmt.Errorf("mpc: fixed weight mask %d length %d != weight length %d", fw.Mask, len(fw.F), w.Len())
-	}
-	if hashWords(w.V) != fw.sum {
-		return fmt.Errorf("mpc: weight share under fixed mask %d changed since W−b was opened — a fixed mask may only mask a session-constant value", fw.Mask)
-	}
 	return nil
 }
 
-// FixedWOp is one linear op of LinearFixedW: a session-constant weight
-// share, its opened F = W−b, and the op's geometry — Conv for a
-// convolution, nil for a matrix product of the input's rows by W (k×n).
+// FixedWOp is one linear op of LinearFixedW: a fixed weight and the op's
+// geometry — Conv for a convolution, nil for a matrix product of the
+// input's rows by W (k×n).
 //
 // Out, when non-nil, is the op's destination: exactly its output's words,
 // which the returned share then holds; nil allocates them. Bias, when
@@ -289,7 +258,6 @@ func (p *Party) checkFixedW(fw *FixedWeight, w Share) error {
 // convolution's OutC, a product's n columns), which party 0 adds in the
 // same pass that truncates — AddBias/AddBiasVec fused into the op.
 type FixedWOp struct {
-	W    Share
 	FW   *FixedWeight
 	Conv *ConvDims
 	Out  []uint64
@@ -320,10 +288,10 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 		return nil, fmt.Errorf("mpc: linear fixed-w: no ops")
 	}
 	for _, op := range ops {
-		if err := checkFixedWOp(x, op); err != nil {
+		if err := p.checkFixedW(op.FW); err != nil {
 			return nil, err
 		}
-		if err := p.checkFixedW(op.FW, op.W); err != nil {
+		if err := checkFixedWOp(x, op); err != nil {
 			return nil, err
 		}
 	}
@@ -346,7 +314,7 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 			plan, n := op.FW.convPlan(*d), d.N
 			l.apply = func(dst, a []uint64) { plan.Run(dst, a, n) }
 		} else {
-			m, k, n := x.Shape[0], x.Shape[1], op.W.Shape[1]
+			m, k, n := x.Shape[0], x.Shape[1], op.FW.shape[1]
 			if i == 0 {
 				a, l.z, err = p.corr().TakeMatMulFixedB(op.FW.Mask, m, k, n)
 			} else {
@@ -395,17 +363,31 @@ func (l *ownerLeg) place(op FixedWOp) error {
 	return nil
 }
 
-// checkFixedWOp validates op's geometry against its input x.
+// checkFixedWOp validates op's geometry against its input x and its fixed
+// weight's shape.
 func checkFixedWOp(x Share, op FixedWOp) error {
+	w := op.FW
 	if d := op.Conv; d != nil {
-		if x.Len() != d.InLen() || op.W.Len() != d.KLen() {
+		if x.Len() != d.InLen() || len(w.op) != d.KLen() {
 			return fmt.Errorf("mpc: conv dims mismatch: x %d vs %d, w %d vs %d",
-				x.Len(), d.InLen(), op.W.Len(), d.KLen())
+				x.Len(), d.InLen(), len(w.op), d.KLen())
 		}
 		return nil
 	}
-	if len(x.Shape) != 2 || len(op.W.Shape) != 2 || x.Shape[1] != op.W.Shape[0] {
-		return fmt.Errorf("mpc: matmul shapes %v x %v", x.Shape, op.W.Shape)
+	if len(x.Shape) != 2 || len(w.shape) != 2 || x.Shape[1] != w.shape[0] {
+		return fmt.Errorf("mpc: matmul shapes %v x %v", x.Shape, w.shape)
+	}
+	return nil
+}
+
+// checkWeight validates w, a caller's copy of the weight fw fixed, against
+// fw's shape. The product reads fw alone.
+func (p *Party) checkWeight(w Share, fw *FixedWeight) error {
+	if err := p.checkFixedW(fw); err != nil {
+		return err
+	}
+	if len(fw.op) != w.Len() || !slices.Equal(fw.shape, w.Shape) {
+		return fmt.Errorf("mpc: fixed weight mask %d length %d (shape %v) != weight length %d (shape %v)", fw.Mask, len(fw.op), fw.shape, w.Len(), w.Shape)
 	}
 	return nil
 }
@@ -444,11 +426,14 @@ func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg) error {
 }
 
 // MatMulFixedW returns truncated fixed-point shares of x (m×k) @ w (k×n)
-// where w is session-constant and fw caches its opened F = W−b. Only party
-// 1's masked activation crosses the wire, one way, and each party runs one
-// matrix multiply.
+// where w is session-constant and fw is w fixed; w is read only to check
+// its shape. Only party 1's masked activation crosses the wire, one way,
+// and each party runs one matrix multiply.
 func (p *Party) MatMulFixedW(x, w Share, fw *FixedWeight) (Share, error) {
-	outs, err := p.LinearFixedW(x, FixedWOp{W: w, FW: fw})
+	if err := p.checkWeight(w, fw); err != nil {
+		return Share{}, err
+	}
+	outs, err := p.LinearFixedW(x, FixedWOp{FW: fw})
 	if err != nil {
 		return Share{}, err
 	}
@@ -456,10 +441,12 @@ func (p *Party) MatMulFixedW(x, w Share, fw *FixedWeight) (Share, error) {
 }
 
 // Conv2DFixedW returns truncated fixed-point shares of conv(x, w) with the
-// session-constant kernel w under its cached opened F = W−b (see
-// MatMulFixedW).
+// session-constant kernel w fixed as fw (see MatMulFixedW).
 func (p *Party) Conv2DFixedW(x, w Share, fw *FixedWeight, dims ConvDims) (Share, error) {
-	outs, err := p.LinearFixedW(x, FixedWOp{W: w, FW: fw, Conv: &dims})
+	if err := p.checkWeight(w, fw); err != nil {
+		return Share{}, err
+	}
+	outs, err := p.LinearFixedW(x, FixedWOp{FW: fw, Conv: &dims})
 	if err != nil {
 		return Share{}, err
 	}

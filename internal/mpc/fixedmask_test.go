@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,9 +14,11 @@ import (
 
 // Protocol-level suite for the fixed weight-mask correlations: the FixedW
 // ops must match plaintext across flushes under one opened F = W−b, send
-// only party 1's masked activation (ownerside_test.go pins the frames), and
-// the lifetime guards must reject every way an F can outlive its value
-// (new dealer generation, mutated share, wrong length, re-pinned slot).
+// only party 1's masked activation (ownerside_test.go pins the frames),
+// setup must fix every weight in one frame from party 0, and the lifetime
+// guards must reject every way an F can outlive its stream (new dealer
+// generation, wrong length, re-pinned slot) while a caller's later writes
+// to its copy of the weight never reach the product.
 
 // TestMatMulFixedWMatchesPlain runs several flushes of x@W with one opened
 // F = W−b and checks each against plaintext, plus the exact per-op byte
@@ -179,9 +182,70 @@ func TestConv2DFixedWMatchesPlain(t *testing.T) {
 	})
 }
 
+// TestFixWeightsOneFrame pins how a session fixes its weights: party 0
+// sends every weight's F = W−b in one frame and party 1 sends nothing; both
+// hold the same F, party 0 multiplies by W, and party 1's F plus the plain
+// mask is W.
+func TestFixWeightsOneFrame(t *testing.T) {
+	const seed = 352
+	shapes := [][]int{{3, 4}, {2, 2, 3, 3}, {5}}
+	masks := []int{0, 1, 7}
+	r := rng.New(351)
+	ws := make([][]uint64, len(shapes))
+	total := 0
+	for i, shape := range shapes {
+		n := 1
+		for _, d := range shape {
+			n *= d
+		}
+		ws[i] = make([]uint64, n)
+		r.FillUint64(ws[i])
+		total += n
+	}
+	var mu sync.Mutex
+	var wire [2]obs.WireTotals
+	var fixed [2][]*FixedWeight
+	runBoth(t, seed, func(p *Party) error {
+		conn := obs.InstrumentConn(p.Conn, nil)
+		p.Conn = conn
+		var mine [][]uint64
+		if p.ID == 0 {
+			mine = ws
+		}
+		fws, err := p.FixWeights(masks, shapes, mine)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		wire[p.ID], fixed[p.ID] = conn.Totals(), fws
+		mu.Unlock()
+		return nil
+	})
+	if want := (obs.WireTotals{SentFrames: 1, SentBytes: int64(8 * total)}); wire[0] != want {
+		t.Errorf("party 0 wire %+v, want one %d-word frame sent and nothing received", wire[0], total)
+	}
+	if want := (obs.WireTotals{RecvFrames: 1, RecvBytes: int64(8 * total)}); wire[1] != want {
+		t.Errorf("party 1 wire %+v, want one %d-word frame received and nothing sent", wire[1], total)
+	}
+	for i, w := range ws {
+		f0, f1 := fixed[0][i].F(), fixed[1][i].F()
+		if !wordsEqual(f0, f1) {
+			t.Fatalf("weight %d: the parties hold different F", i)
+		}
+		rebuilt := make([]uint64, len(w))
+		ringAdd(rebuilt, f1, FixedMaskPlain(seed, masks[i], len(w)))
+		if !wordsEqual(rebuilt, w) || !wordsEqual(fixed[0][i].op, w) || !wordsEqual(fixed[1][i].op, f1) {
+			t.Fatalf("weight %d: F + b is not W, or an operand is not W (party 0) / F (party 1)", i)
+		}
+		if fixed[1][i].Mask != masks[i] || !slices.Equal(fixed[1][i].shape, shapes[i]) {
+			t.Fatalf("weight %d fixed as slot %d shape %v, want %d %v", i, fixed[1][i].Mask, fixed[1][i].shape, masks[i], shapes[i])
+		}
+	}
+}
+
 // TestFixedMaskDerivation pins the out-of-band derivation: the plain b is a
 // deterministic function of (seed, slot, length), distinct across all
-// three, and the parties' halves are a valid additive sharing of it.
+// three, and deriving it leaves the dealer's main stream where it was.
 func TestFixedMaskDerivation(t *testing.T) {
 	const n = 16
 	plain := FixedMaskPlain(9, 4, n)
@@ -194,20 +258,11 @@ func TestFixedMaskDerivation(t *testing.T) {
 	if wordsEqual(FixedMaskPlain(9, 5, n), plain) {
 		t.Fatal("different slots must mint different masks")
 	}
-	p2, h0, h1 := fixedMaskMaterial(9, 4, n)
-	if !wordsEqual(p2, plain) {
-		t.Fatal("material plain diverges from FixedMaskPlain")
-	}
-	sum := make([]uint64, n)
-	ringAdd(sum, h0, h1)
-	if !wordsEqual(sum, plain) {
-		t.Fatal("halves do not reconstruct the plain mask")
-	}
 	// Drawing a fixed mask must not perturb the dealer's replayable main
 	// stream: two dealers, one touching a mask, issue identical triples.
 	dA := NewDealer(21, 0)
 	dB := NewDealer(21, 0)
-	if _, err := dB.FixedMaskHalf(2, n); err != nil {
+	if _, err := dB.s.fixedMask(2, n); err != nil {
 		t.Fatal(err)
 	}
 	a1, b1, z1, _ := dA.TakeMatMul(2, 3, 4)
@@ -233,29 +288,29 @@ func wordsEqual(a, b []uint64) bool {
 // and its id must stay in range — both fail loudly at the dealer.
 func TestFixedMaskSlotPinning(t *testing.T) {
 	d := NewDealer(31, 0)
-	if _, err := d.FixedMaskHalf(7, 12); err != nil {
+	if _, err := d.s.fixedMask(7, 12); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.FixedMaskHalf(7, 13); err == nil ||
+	if _, err := d.s.fixedMask(7, 13); err == nil ||
 		!strings.Contains(err.Error(), "session-constant tensor") {
 		t.Fatalf("re-pinning a slot to a new length must fail, got: %v", err)
 	}
 	if _, _, err := d.TakeMatMulFixedB(7, 2, 3, 5); err == nil {
 		t.Fatal("slot pinned to length 12 must reject a 3x5 mask request")
 	}
-	if _, err := d.FixedMaskHalf(-1, 4); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, err := d.s.fixedMask(-1, 4); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("negative slot must fail, got: %v", err)
 	}
-	if _, err := d.FixedMaskHalf(MaxFixedMask+1, 4); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, err := d.s.fixedMask(MaxFixedMask+1, 4); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("oversized slot must fail, got: %v", err)
 	}
 }
 
-// TestFixedWeightLifetimeGuards pins the mask-lifetime satellite at the
-// protocol layer: a FixedWeight must be rejected when the dealer
-// generation changed (a revived pair inheriting gen N's F), when the
-// weight share mutated under it, when the length disagrees, and when it
-// was never opened at all.
+// TestFixedWeightLifetimeGuards pins the mask lifetime at the protocol
+// layer: a FixedWeight must be rejected when the dealer generation changed
+// (a revived pair inheriting gen N's F), when the length disagrees, and
+// when it was never opened at all; and once a weight is fixed, writing to
+// the caller's share or to the F it read must not reach the product.
 func TestFixedWeightLifetimeGuards(t *testing.T) {
 	const k, n = 4, 3
 	ws := make([]float64, k*n)
@@ -300,22 +355,63 @@ func TestFixedWeightLifetimeGuards(t *testing.T) {
 		})
 	})
 	t.Run("mutated-share", func(t *testing.T) {
-		runBoth(t, 322, func(p *Party) error {
-			w := shares[p.ID]
-			mutated := NewShare(w.Shape...)
-			copy(mutated.V, w.V)
-			mutated.V[0]++
-			_, err := p.MatMulFixedW(x, mutated, opened[p.ID])
-			if err == nil || !strings.Contains(err.Error(), "changed since W−b was opened") {
-				t.Errorf("party %d: mutated share under a fixed mask must be rejected, got: %v", p.ID, err)
+		// Two runs from one seed, the second writing to the caller's share
+		// and to the F slice it read after fixing the weight: each party's
+		// product share must not move one word.
+		xs := make([]float64, 2*k)
+		r.FillNorm(xs, 1)
+		product := func(mutate bool) [2][]uint64 {
+			var out [2][]uint64
+			runBoth(t, 322, func(p *Party) error {
+				var encW, encX []uint64
+				if p.ID == 0 {
+					encW = p.EncodeTensor(ws)
+				} else {
+					encX = p.EncodeTensor(xs)
+				}
+				w, err := p.ShareInput(0, encW, k, n)
+				if err != nil {
+					return err
+				}
+				fw, err := p.OpenFixedW(0, w)
+				if err != nil {
+					return err
+				}
+				if mutate {
+					for i := range w.V {
+						w.V[i]++
+					}
+					f := fw.F()
+					for i := range f {
+						f[i]++
+					}
+				}
+				x, err := p.ShareInput(1, encX, 2, k)
+				if err != nil {
+					return err
+				}
+				y, err := p.MatMulFixedW(x, w, fw)
+				if err != nil {
+					return err
+				}
+				mu.Lock()
+				out[p.ID] = y.V
+				mu.Unlock()
+				return nil
+			})
+			return out
+		}
+		clean, mutated := product(false), product(true)
+		for id := range clean {
+			if !wordsEqual(clean[id], mutated[id]) {
+				t.Errorf("party %d: writing to the share or F after fixing the weight moved the product", id)
 			}
-			return nil
-		})
+		}
 	})
 	t.Run("length-mismatch", func(t *testing.T) {
 		runBoth(t, 322, func(p *Party) error {
 			short := opened[p.ID]
-			clipped := &FixedWeight{Mask: short.Mask, F: short.F[:len(short.F)-1], seed: short.seed, sum: short.sum}
+			clipped := &FixedWeight{Mask: short.Mask, shape: short.shape, f: short.f[:len(short.f)-1], op: short.op[:len(short.op)-1], seed: short.seed}
 			_, err := p.MatMulFixedW(x, shares[p.ID], clipped)
 			if err == nil || !strings.Contains(err.Error(), "length") {
 				t.Errorf("party %d: length mismatch must be rejected, got: %v", p.ID, err)
@@ -348,7 +444,7 @@ func TestFixedWeightLifetimeGuards(t *testing.T) {
 			return nil
 		})
 		for id := range reopened {
-			if wordsEqual(reopened[id].F, opened[id].F) {
+			if wordsEqual(reopened[id].F(), opened[id].F()) {
 				t.Fatalf("party %d: a new generation must mint a fresh mask (F unchanged)", id)
 			}
 		}
@@ -561,7 +657,7 @@ func TestLiveDealerPlansOnlyOnPartyOne(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			ops[i] = FixedWOp{W: w, FW: fw, Conv: &convs[i]}
+			ops[i] = FixedWOp{FW: fw, Conv: &convs[i]}
 		}
 		var encX []uint64
 		if p.ID == 1 {

@@ -169,7 +169,7 @@ func TestLinearFixedWFusedMatchesUnfused(t *testing.T) {
 								if err != nil {
 									return nil, err
 								}
-								ops[i] = mpc.FixedWOp{W: w, FW: fw}
+								ops[i] = mpc.FixedWOp{FW: fw}
 								if h.conv != nil {
 									ops[i].Conv = h.conv(n)
 								}

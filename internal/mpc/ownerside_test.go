@@ -142,7 +142,7 @@ func TestFixedWOneWayWire(t *testing.T) {
 				defer mu.Unlock()
 				wire[p.ID] = totals
 				if p.ID == 1 {
-					out1, f, xLen, plain = y.V, fw.F, x.Len(), rec
+					out1, f, xLen, plain = y.V, fw.F(), x.Len(), rec
 				}
 				return nil
 			})
@@ -246,7 +246,7 @@ func TestLinearFixedWSharedMask(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						ops[i] = mpc.FixedWOp{W: w, FW: fw, Conv: c.convs[i]}
+						ops[i] = mpc.FixedWOp{FW: fw, Conv: c.convs[i]}
 					}
 					if !tape {
 						p.Source = sources[p.ID]

@@ -17,19 +17,21 @@ import (
 // layer order, depth-first through residual blocks, the body before the
 // shortcut — and that Setup shares the weight table in that order: if
 // the two ever disagreed, inference would silently consume the wrong
-// weight tensor for every op after the divergence. The tests reconstruct
-// each shared weight from both parties' Setup state and match it against
-// the plaintext tensor its table entry carries.
+// weight tensor for every op after the divergence. The tests rebuild each
+// weight as W = F + b from party 1's Setup state — the F party 0 sent and
+// the plain mask of its slot — and match it against the plaintext tensor
+// its table entry carries.
 
-// setupWeights runs Engine.Setup on both parties and reconstructs every
-// shared weight tensor in setup order.
+// setupWeights runs Engine.Setup on both parties and rebuilds every fixed
+// weight tensor in setup order.
 func setupWeights(t *testing.T, prog *Program) [][]uint64 {
 	t.Helper()
 	c0, c1 := transport.Pipe()
 	engs := setupBoth(t, prog, c0, c1)
-	out := make([][]uint64, len(engs[0].weights))
-	for i := range out {
-		out[i] = mpc.CombineShares(engs[0].weights[i].V, engs[1].weights[i].V)
+	out := make([][]uint64, len(engs[1].fixedWs))
+	for i, fw := range engs[1].fixedWs {
+		f := fw.F()
+		out[i] = mpc.CombineShares(f, mpc.FixedMaskPlain(setupSeed, fw.Mask, len(f)))
 	}
 	return out
 }
@@ -144,7 +146,7 @@ func TestSetupWeightOrderThroughResiduals(t *testing.T) {
 			}
 			combined := setupWeights(t, prog)
 			if len(combined) != len(order) {
-				t.Fatalf("Setup shared %d tensors, want %d", len(combined), len(order))
+				t.Fatalf("Setup fixed %d tensors, want %d", len(combined), len(order))
 			}
 			for i, h := range order {
 				enc := codec.EncodeSlice(h.weights, nil)

@@ -8,8 +8,8 @@ import (
 	"pasnet/internal/obs"
 )
 
-// Engine executes a compiled program on one party's endpoint. Weight
-// shares and their opened F = W−b are established once by Setup and reused
+// Engine executes a compiled program on one party's endpoint. Every
+// weight is fixed once by Setup — party 0 sends its F = W−b — and reused
 // across inferences, as in a deployed two-server system: every linear op
 // runs owner-side per flush — party 1 sends its masked activation one way,
 // party 0 multiplies by W itself (mpc fixedmask.go).
@@ -18,10 +18,8 @@ type Engine struct {
 	Prog *Program
 	// party is bound at Setup.
 	party *mpc.Party
-	// weights holds this party's shares of the secret tensors, in the
-	// program's weight-table (slot) order.
-	weights []mpc.Share
-	// fixedWs holds the per-weight opened F = W−b, parallel to weights.
+	// fixedWs holds every weight fixed under its mask, in the program's
+	// weight-table (slot) order.
 	fixedWs []*mpc.FixedWeight
 	// feed, when non-nil, receives every traced op's wall time (see
 	// SetOpFeed). A nil feed keeps run free of clock reads.
@@ -58,51 +56,48 @@ func NewEngine(prog *Program) *Engine { return &Engine{Prog: prog} }
 // toggle and the protocol stream is unchanged. A nil feed disables it.
 func (e *Engine) SetOpFeed(feed *obs.OpFeed) { e.feed = feed }
 
-// Setup secret-shares the model parameters from party 0 (the model
-// vendor). Both parties must call it before Infer. It runs in two passes
-// over the weight table so its depth does not grow with the layer count:
-// first every weight is shared (party 0 sends them back to back without
-// waiting, so all the shares are in flight together), then one exchange
-// opens every weight's F = W−b — the once-per-session cost the flushes
-// then stop paying. Setup is one round trip.
+// Setup fixes the model's weights for the session: party 0 (the model
+// vendor) encodes every weight and sends all their F = W−b in one frame,
+// which party 1 receives (mpc.Party.FixWeights). No weight is ever
+// secret-shared, and setup is one one-way frame whatever the layer count.
+// Both parties must call it before Infer.
 func (e *Engine) Setup(p *mpc.Party) error {
 	e.party = p
-	e.weights = e.weights[:0]
 	e.fixedWs = nil
 	e.ws = nil
-	masks := make([]int, len(e.Prog.weights))
+	n := len(e.Prog.weights)
+	masks, shapes := make([]int, n), make([][]int, n)
+	var ws [][]uint64
 	for i := range e.Prog.weights {
 		h := &e.Prog.weights[i]
-		var enc []uint64
-		if p.ID == 0 {
-			enc = p.EncodeTensor(h.weights)
-		}
-		sh, err := p.ShareInput(0, enc, h.shape...)
-		if err != nil {
-			return fmt.Errorf("pi: setup %s: %w", h.name, err)
-		}
-		if h.kind == headFC {
-			// Infer computes y = x Wᵀ; store the transposed share once
-			// (a local, deterministic re-layout both parties apply
-			// identically) instead of re-materializing it per query.
-			out, in := h.shape[0], h.shape[1]
-			wt := mpc.NewShare(in, out)
-			for r := 0; r < out; r++ {
-				for c := 0; c < in; c++ {
-					wt.V[c*out+r] = sh.V[r*in+c]
-				}
-			}
-			sh = wt
-		}
-		e.weights = append(e.weights, sh)
 		// The mask slot is the weight's table index, so the same layer
 		// maps to the same slot on both parties and in every store built
 		// for this program.
-		masks[i] = i
+		masks[i], shapes[i] = i, h.shape
+		if h.kind == headFC {
+			// Infer computes y = x Wᵀ; fix the In×Out transpose once
+			// instead of re-materializing it per query.
+			shapes[i] = []int{h.shape[1], h.shape[0]}
+		}
+		if p.ID != 0 {
+			continue
+		}
+		enc := p.EncodeTensor(h.weights)
+		if h.kind == headFC {
+			out, in := h.shape[0], h.shape[1]
+			wt := make([]uint64, len(enc))
+			for r := 0; r < out; r++ {
+				for c := 0; c < in; c++ {
+					wt[c*out+r] = enc[r*in+c]
+				}
+			}
+			enc = wt
+		}
+		ws = append(ws, enc)
 	}
-	fws, err := p.OpenFixedWs(masks, e.weights)
+	fws, err := p.FixWeights(masks, shapes, ws)
 	if err != nil {
-		return fmt.Errorf("pi: setup: opening F = W−b: %w", err)
+		return fmt.Errorf("pi: setup: fixing F = W−b: %w", err)
 	}
 	e.fixedWs = fws
 	return nil
@@ -282,12 +277,12 @@ func (e *Engine) linear(op *progOp, x mpc.Share) ([]mpc.Share, error) {
 	homes := make([]int, len(op.slots))
 	for i, s := range op.slots {
 		h := &e.Prog.weights[s]
-		fops[i] = mpc.FixedWOp{W: e.weights[s], FW: e.fixedWs[s], Bias: ws.bias[s]}
+		fops[i] = mpc.FixedWOp{FW: e.fixedWs[s], Bias: ws.bias[s]}
 		var shape []int
 		if h.kind == headFC {
-			// The In×Out transpose was materialized once at Setup;
+			// The In×Out transpose was fixed once at Setup;
 			// LinearFixedW checks the input against it.
-			shape = []int{x.Shape[0], e.weights[s].Shape[1]}
+			shape = []int{x.Shape[0], h.shape[0]}
 		} else {
 			if len(x.Shape) != 4 {
 				return nil, fmt.Errorf("pi: %s expects NCHW input, got %v", h.name, x.Shape)

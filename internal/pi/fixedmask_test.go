@@ -16,15 +16,16 @@ import (
 	"pasnet/internal/transport"
 )
 
-// Suite for the session lifetime of the weight masks: one F = W−b opening
-// serves every later flush and geometry (store-fed ≡ live, bit-for-bit),
-// the tape's fixed-mask demands name exactly the slots Setup opened under
+// Suite for the session lifetime of the weight masks: one F = W−b, sent at
+// setup, serves every later flush and geometry (store-fed ≡ live,
+// bit-for-bit), the tape's fixed-mask demands name exactly the slots Setup
+// fixed under
 // every kernel setting, the weight side is paid once, in setup, and the
 // fallback budget-telemetry regression (a live-dealer fallback must reset
 // RemainingBudget to -1 on both parties, not leave a stale store stamp).
 
 // TestFixedMaskCrossSourceEquivalence pins that the masks outlive the
-// flush: over the program zoo, one Setup opens F = W−b and then serves an
+// flush: over the program zoo, one Setup fixes F = W−b and then serves an
 // N=1 flush followed by an N=4 flush, whose linear layers reuse the same
 // mask slots at a new geometry. Fed from one store built over both
 // flushes' tapes, the session is bit-identical to the live-dealer session,
@@ -96,9 +97,9 @@ func (op *progOp) sharesHead() bool { return len(op.slots) > 1 }
 
 // TestFixedTapeDeterminismAcrossKernelSettings pins the fixed-mask
 // material as worker-count- and kernel-path-independent on both of its
-// sides: under every kernel setting, Setup of the demo backbone opens the
+// sides: under every kernel setting, Setup of the demo backbone fixes the
 // golden F = W−b, and the traced tape's FixedB demands name the slots
-// Setup opened — each once, in the engine's order (engineSlots), each
+// Setup fixed — each once, in the engine's order (engineSlots), each
 // sized to its F, shared-mask exactly where a residual's shortcut head
 // shares its body head's mask — with no per-flush weight-mask demand
 // left.
@@ -111,10 +112,10 @@ func TestFixedTapeDeterminismAcrossKernelSettings(t *testing.T) {
 			engs := setupBoth(t, prog, c0, c1)
 			var fs [][]uint64
 			for _, fw := range engs[0].fixedWs {
-				fs = append(fs, fw.F)
+				fs = append(fs, fw.F())
 			}
 			if got := wordsDigest(fs...); got != goldenSetupF {
-				t.Fatalf("%s: Setup opened F digest %#x, want %#x", s.name, got, goldenSetupF)
+				t.Fatalf("%s: Setup fixed F digest %#x, want %#x", s.name, got, goldenSetupF)
 			}
 			tape, err := TraceTape(prog, []int{2, 3, 8, 8})
 			if err != nil {
@@ -122,7 +123,7 @@ func TestFixedTapeDeterminismAcrossKernelSettings(t *testing.T) {
 			}
 			order, shared := engineSlots(prog)
 			if len(order) != len(fs) {
-				t.Fatalf("%s: the program has %d linear ops, Setup opened %d", s.name, len(order), len(fs))
+				t.Fatalf("%s: the program has %d linear ops, Setup fixed %d", s.name, len(order), len(fs))
 			}
 			slot := 0
 			for i, d := range tape {
@@ -138,20 +139,20 @@ func TestFixedTapeDeterminismAcrossKernelSettings(t *testing.T) {
 					continue
 				}
 				if slot >= len(fs) || d.Mask != order[slot] || d.Shared != shared[slot] || words != len(fs[order[slot]]) {
-					t.Fatalf("%s: demand %d %s names mask %d of %d words; want slot %d (shared %v) of the %d Setup opened",
+					t.Fatalf("%s: demand %d %s names mask %d of %d words; want slot %d (shared %v) of the %d Setup fixed",
 						s.name, i, d, d.Mask, words, order[min(slot, len(order)-1)], shared[min(slot, len(order)-1)], len(fs))
 				}
 				slot++
 			}
 			if slot != len(fs) {
-				t.Fatalf("%s: tape uses %d mask slots, Setup opened %d", s.name, slot, len(fs))
+				t.Fatalf("%s: tape uses %d mask slots, Setup fixed %d", s.name, slot, len(fs))
 			}
 		})
 	}
 }
 
 // weightWords sums the weight-operand element counts of a demand tape —
-// the words Setup shares and opens F = W−b over, once per session.
+// the words of F = W−b Setup sends, once per session.
 func weightWords(tape corr.Tape) int {
 	words := 0
 	for _, d := range tape {
@@ -166,9 +167,8 @@ func weightWords(tape corr.Tape) int {
 }
 
 // TestFixedMaskBytesAmortized pins where the weight side is paid: over a
-// multi-flush session pair, setup moves exactly the weight shares plus
-// the F = W−b opening (party 0's shares, then one opening half from each
-// party: 3·8 bytes per weight word), and every flush moves the same bytes
+// multi-flush session pair, setup moves exactly party 0's one frame of
+// F = W−b (8 bytes per weight word), and every flush moves the same bytes
 // — nothing weight-sized comes back after setup. The op-level saving over
 // per-flush weight masks (8 bytes per weight word and party) is pinned by
 // mpc's TestMatMulFixedWMatchesPlain.
@@ -232,8 +232,8 @@ func TestFixedMaskBytesAmortized(t *testing.T) {
 	}
 	total := func() int64 { return c0.Totals().SentBytes + c1.Totals().SentBytes }
 	setup := total()
-	if want := int64(3 * 8 * wWords); setup != want {
-		t.Errorf("setup moved %d bytes, want exactly %d (weight shares + both F = W−b halves over %d weight words)", setup, want, wWords)
+	if want := int64(8 * wWords); setup != want {
+		t.Errorf("setup moved %d bytes, want exactly %d (F = W−b over %d weight words)", setup, want, wWords)
 	}
 	last := setup
 	var flushBytes []int64
@@ -260,9 +260,9 @@ func TestFixedMaskBytesAmortized(t *testing.T) {
 
 // TestRunBatchFixedMaskEquivalence pins the high-level API's weight-side
 // bookkeeping: on the live and the preprocessed path, for one query or
-// three, Result.SetupBytes is exactly the weight shares plus both
-// F = W−b halves — paid per session, whatever the source or the batch —
-// and the two paths' logits stay bit-identical.
+// three, Result.SetupBytes is exactly party 0's frame of F = W−b — paid
+// per session, whatever the source or the batch — and the two paths'
+// logits stay bit-identical.
 func TestRunBatchFixedMaskEquivalence(t *testing.T) {
 	m, d := smallModel(t, "resnet18", models.ActX2)
 	prog, err := Compile(m.Net)
@@ -273,7 +273,7 @@ func TestRunBatchFixedMaskEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSetup := int64(3 * 8 * weightWords(tape))
+	wantSetup := int64(8 * weightWords(tape))
 	for _, queries := range [][]*tensor.Tensor{
 		{query(d, 1)},
 		{query(d, 1), query(d, 2), query(d, 3)},
@@ -287,7 +287,7 @@ func TestRunBatchFixedMaskEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if live.SetupBytes != wantSetup || pre.SetupBytes != wantSetup {
-			t.Fatalf("K=%d: setup bytes live %d, preprocessed %d; want %d (3·8 B per weight word)",
+			t.Fatalf("K=%d: setup bytes live %d, preprocessed %d; want %d (8 B per weight word)",
 				len(queries), live.SetupBytes, pre.SetupBytes, wantSetup)
 		}
 		for i := range live.Output {

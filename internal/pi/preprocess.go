@@ -83,8 +83,8 @@ func (zeroSource) TakeBits(n int) (ta, tb, tc mpc.BitShare, err error) {
 // TraceTape runs the compiled program once over an in-process transport
 // with recording correlation sources and returns the demand tape one
 // session flush consumes at the given input geometry: linear ops take the
-// FixedB kinds. (Setup's one-time F = W−b opening is a transport exchange,
-// not a correlation take, so it never appears on the tape.) The trace runs
+// FixedB kinds. (Setup's one frame of F = W−b is a transport send, not a
+// correlation take, so it never appears on the tape.) The trace runs
 // on zero inputs and zero correlations: correlation demand never depends
 // on input values or correlation material, only on shapes — an invariant
 // the trace itself enforces by comparing the two parties' independently

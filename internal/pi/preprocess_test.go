@@ -57,7 +57,7 @@ func inferLogits(t *testing.T, prog *Program, x *tensor.Tensor, seed uint64, sou
 }
 
 // inferFlushes is inferLogits over a session: one Setup, then one packed
-// evaluation per input in order, all on the same F = W−b openings.
+// evaluation per input in order, all on the same F = W−b.
 func inferFlushes(t *testing.T, prog *Program, xs []*tensor.Tensor, seed uint64, sources [2]mpc.CorrelationSource) [][]float64 {
 	t.Helper()
 	var mu sync.Mutex
@@ -67,8 +67,8 @@ func inferFlushes(t *testing.T, prog *Program, xs []*tensor.Tensor, seed uint64,
 		if err := eng.Setup(p); err != nil {
 			return err
 		}
-		// Setup consumes no correlations (the F = W−b opening derives its
-		// masks from the dealer seed), so installing the store after it is
+		// Setup consumes no correlations (party 0 derives the masks of
+		// F = W−b from the dealer seed), so installing the store after it is
 		// equivalent to installing it before.
 		if src := sources[p.ID]; src != nil {
 			p.Source = src

@@ -33,7 +33,7 @@ type Result struct {
 	// excluding session setup).
 	OnlineBytes int64
 	// SetupBytes is the measured traffic of bringing both sessions up:
-	// the weight shares and the F = W−b opening.
+	// party 0's one frame of every weight's F = W−b.
 	SetupBytes int64
 	// OnlineSeconds is the wall-clock of the flush — shape and source
 	// rounds, every layer protocol and output reconstruction, with both
@@ -65,7 +65,7 @@ type RunOptions struct {
 
 // Run executes a full private inference of a trained model the way a
 // deployment serves it: a party-0 and a party-1 Session over an in-memory
-// link are brought up (weights shared, F = W−b opened), then party 1
+// link are brought up (party 0 sends every F = W−b), then party 1
 // queries the packed batch (PackQueries) in one flush and closes. The
 // result is checked against plaintext evaluation, and both parties must
 // reconstruct identical logits.

@@ -18,12 +18,11 @@ import (
 	"pasnet/internal/transport"
 )
 
-// Session bring-up suite: Setup shares every weight and then opens every
-// F = W−b in one exchange, so its depth is constant in the layer count.
-// The golden digests pin that the batching moved no share or F value, the
-// wire pin that it moved no payload byte and sends the fewest frames, and
-// the delay pin that the depth really is constant. The hostile-header
-// cases pin how bring-up fails.
+// Session bring-up suite: Setup is one frame from party 0 carrying every
+// weight's F = W−b, so its depth is one one-way delay whatever the layer
+// count. The golden digest pins that no F value moved, the wire pin that
+// party 0 sends that one frame and party 1 nothing, and the delay pin the
+// depth. The hostile-header cases pin how bring-up fails.
 
 // demoModel is the ledger's served shape — ResNet-18 at width 1/16 on
 // 3×8×8 inputs, 4 classes, all-X² — untrained: bring-up never depends on
@@ -57,6 +56,9 @@ func demoProgram(t testing.TB) *Program {
 	return prog
 }
 
+// setupSeed is the dealer seed setupBoth runs both parties under.
+const setupSeed = 4242
+
 // setupBoth runs Engine.Setup for both parties over the given endpoints
 // and returns the two engines. A party that fails closes its endpoint so
 // the other cannot wait on it forever.
@@ -67,7 +69,7 @@ func setupBoth(t *testing.T, prog *Program, c0, c1 transport.Conn) [2]*Engine {
 	for id, c := range []transport.Conn{c0, c1} {
 		eng := NewEngine(prog)
 		engs[id] = eng
-		p := mpc.NewParty(id, c, 4242, uint64(100+id), fixed.Default64())
+		p := mpc.NewParty(id, c, setupSeed, uint64(100+id), fixed.Default64())
 		go func() {
 			err := eng.Setup(p)
 			if err != nil {
@@ -97,56 +99,41 @@ func wordsDigest(vs ...[]uint64) uint64 {
 }
 
 // goldenSetupF is the digest of every F = W−b the demo backbone's Setup
-// opens under setupBoth's seeds.
+// fixes under setupBoth's seeds.
 const goldenSetupF uint64 = 0x2f1f6690b7093716
 
-// TestSetupGoldenDigests pins both parties' weight shares and every opened
-// F of the demo backbone under Setup to digests recorded when
-// Setup still opened one layer per exchange: batching the openings must
-// not move a single share or F word.
+// TestSetupGoldenDigests pins every F of the demo backbone under Setup to
+// the digest recorded while Setup still secret-shared the weights and
+// opened F — no F word may move — and checks that both parties hold the
+// same F under each slot.
 func TestSetupGoldenDigests(t *testing.T) {
-	const (
-		wantShares0 uint64 = 0x069710e2fb8ec0b7
-		wantShares1 uint64 = 0xd68f49a949488e8f
-		wantF              = goldenSetupF
-	)
 	prog := demoProgram(t)
 	c0, c1 := transport.Pipe()
 	engs := setupBoth(t, prog, c0, c1)
-	var digests [2]uint64
 	var fs [2][][]uint64
 	for id, eng := range engs {
-		var vs [][]uint64
-		for _, w := range eng.weights {
-			vs = append(vs, w.V)
-		}
-		digests[id] = wordsDigest(vs...)
-		if len(eng.fixedWs) != len(eng.weights) {
-			t.Fatalf("party %d: %d openings for %d weights", id, len(eng.fixedWs), len(eng.weights))
+		if len(eng.fixedWs) != demoLayers {
+			t.Fatalf("party %d: %d fixed weights, want %d", id, len(eng.fixedWs), demoLayers)
 		}
 		for i, fw := range eng.fixedWs {
 			if fw.Mask != i {
-				t.Fatalf("party %d: weight %d opened under slot %d", id, i, fw.Mask)
+				t.Fatalf("party %d: weight %d fixed under slot %d", id, i, fw.Mask)
 			}
-			fs[id] = append(fs[id], fw.F)
+			fs[id] = append(fs[id], fw.F())
 		}
 	}
 	f0, f1 := wordsDigest(fs[0]...), wordsDigest(fs[1]...)
 	if f0 != f1 {
-		t.Fatalf("the parties opened different F: %#x vs %#x", f0, f1)
+		t.Fatalf("the parties hold different F: %#x vs %#x", f0, f1)
 	}
-	if digests[0] != wantShares0 || digests[1] != wantShares1 || f0 != wantF {
-		t.Fatalf("setup digests moved: shares %#x/%#x F %#x, want %#x/%#x F %#x",
-			digests[0], digests[1], f0, wantShares0, wantShares1, wantF)
+	if f0 != goldenSetupF {
+		t.Fatalf("setup F digest moved: %#x, want %#x", f0, goldenSetupF)
 	}
 }
 
 // TestSetupWireFrames pins what Setup puts on the wire for the demo
-// backbone's L = 21 weight tensors of W words in all: party 0 sends L
-// shares plus its one opening half (L + 1 frames), party 1 only its
-// opening half (1 frame, whatever L is). The payload bytes are the
-// one-layer-per-exchange figures, to the byte (that schedule sent 2L and L
-// frames).
+// backbone's L = 21 weight tensors of W words in all: party 0 sends one
+// frame of every F (8·W bytes), party 1 sends nothing, whatever L is.
 func TestSetupWireFrames(t *testing.T) {
 	prog := demoProgram(t)
 	if n := prog.NumSecretTensors(); n != demoLayers {
@@ -156,18 +143,15 @@ func TestSetupWireFrames(t *testing.T) {
 	w0, w1 := obs.InstrumentConn(m0, nil), obs.InstrumentConn(m1, nil)
 	setupBoth(t, prog, w0, w1)
 	t0, t1 := w0.Totals(), w1.Totals()
-	if t0.SentFrames != demoLayers+1 || t0.SentBytes != 16*demoWeightWords || t1.SentFrames != 1 || t1.SentBytes != 8*demoWeightWords {
-		t.Errorf("party 0 sent %d frames / %d B, party 1 %d / %d; want %d / %d and 1 / %d",
-			t0.SentFrames, t0.SentBytes, t1.SentFrames, t1.SentBytes,
-			demoLayers+1, 16*demoWeightWords, 8*demoWeightWords)
+	if t0.SentFrames != 1 || t0.SentBytes != 8*demoWeightWords || t1.SentFrames != 0 || t1.SentBytes != 0 {
+		t.Errorf("party 0 sent %d frames / %d B, party 1 %d / %d; want 1 / %d and 0 / 0",
+			t0.SentFrames, t0.SentBytes, t1.SentFrames, t1.SentBytes, 8*demoWeightWords)
 	}
 }
 
 // TestSetupDepthConstant pins setup depth over a 20 ms one-way link: a
-// Setup of the demo backbone is one round trip (all shares and
-// party 0's opening half in flight together, then party 1's half), so it
-// finishes well under five one-way delays. Opening one layer per exchange
-// took two delays per weight tensor, about 42 × 20 ms here.
+// Setup of the demo backbone is one frame from party 0, so it finishes
+// under two one-way delays whatever the layer count.
 func TestSetupDepthConstant(t *testing.T) {
 	const delay = 20 * time.Millisecond
 	prog := demoProgram(t)
@@ -175,8 +159,8 @@ func TestSetupDepthConstant(t *testing.T) {
 	defer c0.Close()
 	start := time.Now()
 	setupBoth(t, prog, c0, c1)
-	if el := time.Since(start); el >= 5*delay {
-		t.Fatalf("setup took %v over a %v link, want under %v (constant depth)", el, delay, 5*delay)
+	if el := time.Since(start); el >= 2*delay {
+		t.Fatalf("setup took %v over a %v link, want under %v (one frame)", el, delay, 2*delay)
 	}
 }
 
@@ -190,20 +174,16 @@ func shapeFrame(dims ...int) []byte {
 }
 
 // TestHostileShareHeaderRejected injects raw 'U' headers over net.Pipe
-// where a share belongs — on the weight path (party 1's Setup) and on the
-// input path (party 0's flush, after a well-formed F opening, shape and
-// source round). A header claiming 2²⁷ words, or one word more than the share
-// holds, must fail at the header: a descriptive error, no payload
-// allocation, no wait for bytes that never come.
+// where a bounded frame belongs — on the weight path (party 1's Setup,
+// receiving every F in one frame) and on the input path (party 0's flush,
+// after the shape and source round). A header claiming 2²⁷ words, or one
+// word more than the frame holds, must fail at the header: a descriptive
+// error, no payload allocation, no wait for bytes that never come.
 func TestHostileShareHeaderRejected(t *testing.T) {
 	m := demoModel(t)
 	prog, err := Compile(m.Net)
 	if err != nil {
 		t.Fatal(err)
-	}
-	firstWeight := 1
-	for _, d := range prog.weights[0].shape {
-		firstWeight *= d
 	}
 	const queryWords = 3 * 8 * 8
 	for _, tc := range []struct {
@@ -212,7 +192,7 @@ func TestHostileShareHeaderRejected(t *testing.T) {
 		weight bool
 	}{
 		{"weight/2^27-words", 1 << 27, true},
-		{"weight/one-word-over", firstWeight + 1, true},
+		{"weight/one-word-over", demoWeightWords + 1, true},
 		{"input/2^27-words", 1 << 27, false},
 		{"input/one-word-over", queryWords + 1, false},
 	} {
@@ -233,12 +213,10 @@ func TestHostileShareHeaderRejected(t *testing.T) {
 				}()
 			} else {
 				go func() {
-					// The hostile peer answers Setup's F = W−b opening with
-					// an all-zero half, then the shape, then stamps the live
-					// dealer; the drain above reads party 0's frames.
-					opening := binary.LittleEndian.AppendUint32([]byte{'U'}, 8*demoWeightWords)
-					opening = append(opening, make([]byte, 8*demoWeightWords)...)
-					for _, f := range [][]byte{opening, shapeFrame(1, 3, 8, 8), shapeFrame(0, 0, 0), header} {
+					// The hostile peer sends the shape, then stamps the live
+					// dealer; the drain above reads party 0's frames,
+					// Setup's F among them.
+					for _, f := range [][]byte{shapeFrame(1, 3, 8, 8), shapeFrame(0, 0, 0), header} {
 						if _, err := hostile.Write(f); err != nil {
 							return
 						}
