@@ -38,7 +38,8 @@ func servedShapes(n int) []ConvShape {
 // every time (training, Beaver triples); the ring-N*-packed runs reuse one
 // ConvPlan per shape, built outside the timer, as a served session's fixed
 // weights do. GMAC/s counts every tap of the padded receptive field, so it
-// is comparable across lowerings.
+// is comparable across lowerings; in-bounds-GMAC/s counts only the taps a
+// ConvPlan multiplies (about 60 % of them on these shapes), the work done.
 func BenchmarkConvServed(b *testing.B) {
 	for _, packed := range []bool{false, true} {
 		for _, n := range []int{1, 2, 4, 16} {
@@ -51,11 +52,12 @@ func BenchmarkConvServed(b *testing.B) {
 				shapes := servedShapes(n)
 				xs, ks, outs := make([][]uint64, len(shapes)), make([][]uint64, len(shapes)), make([][]uint64, len(shapes))
 				plans := make([]*ConvPlan[uint64], len(shapes))
-				macs := 0
+				macs, inBounds := 0, 0
 				for i, s := range shapes {
 					xs[i], ks[i], outs[i] = fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
 					plans[i] = NewConvPlan(ks[i], s)
 					macs += s.OutLen() * (s.InC / s.NormGroups()) * s.KH * s.KW
+					inBounds += plans[i].inBoundsMACs(n)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -69,9 +71,65 @@ func BenchmarkConvServed(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+				b.ReportMetric(float64(inBounds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "in-bounds-GMAC/s")
 			})
 		}
 	}
+}
+
+// inBoundsMACs is the number of multiply-adds one Run at n batch rows
+// performs: every output channel's in-bounds taps at every position.
+func (p *ConvPlan[T]) inBoundsMACs(n int) int { return n * p.s.OutC * p.macs }
+
+// paperScaleShapes lists the 3×3 convolutions of a full-width CIFAR
+// ResNet-18 on 32×32 inputs at batch size n, in layer order: the stem, the
+// first stage's four 64-channel convs, then per later stage a stride-2
+// entry and three convs at the doubled width — 17 layers, 0.549 G padded
+// MACs per image. The 1×1 projection shortcuts are left out.
+func paperScaleShapes(n int) []ConvShape {
+	conv := func(inC, hw, outC, stride int) ConvShape {
+		return ConvShape{N: n, InC: inC, H: hw, W: hw, OutC: outC, KH: 3, KW: 3, Stride: stride, Pad: 1}
+	}
+	shapes := []ConvShape{conv(3, 32, 64, 1)}
+	for range 4 {
+		shapes = append(shapes, conv(64, 32, 64, 1))
+	}
+	for c, hw := 64, 32; c < 512; c, hw = 2*c, hw/2 {
+		shapes = append(shapes, conv(c, hw, 2*c, 2))
+		for range 3 {
+			shapes = append(shapes, conv(2*c, hw/2, 2*c, 1))
+		}
+	}
+	return shapes
+}
+
+// BenchmarkConvPaperScale times one ring-domain image (N = 1) through
+// paperScaleShapes on packed ConvPlans and reports in-bounds GMAC/s — the
+// paper's regime, which the width-1/16 served backbone hides. Plans are
+// built outside the timer, one layer at a time and reused across a run of
+// identical layers: a 512→512 plan alone holds ~103 MB.
+func BenchmarkConvPaperScale(b *testing.B) {
+	r := rng.New(9)
+	shapes := paperScaleShapes(1)
+	inBounds := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var p *ConvPlan[uint64]
+		for j, s := range shapes {
+			b.StopTimer()
+			if j == 0 || s != shapes[j-1] {
+				p = nil // let the previous layer's plan go before packing the next
+				p = NewConvPlan(fillU64(r, s.KLen()), s)
+			}
+			x, out := fillU64(r, s.InLen()), make([]uint64, s.OutLen())
+			b.StartTimer()
+			p.Run(out, x, s.N)
+			if i == 0 {
+				inBounds += p.inBoundsMACs(s.N)
+			}
+		}
+	}
+	b.ReportMetric(float64(inBounds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "in-bounds-GMAC/s")
 }
 
 func benchConv[T Elem](b *testing.B, fill func(*rng.RNG, int) []T, naive bool) {

@@ -296,25 +296,32 @@ func (p *ConvPlan[T]) run(out, x []T, n int) {
 					continue
 				}
 				offs := taps[c.t0 : c.t0+c.k]
-				for pi := max(0, lo-t); pi < np && t+pi < hi; pi++ {
-					r0 := pi * tileM
-					mr := min(tileM, m-r0)
+				// (b, cy, cx) walks the class's positions lane by lane:
+				// batch row b, row cy and column cx within the class.
+				p0 := max(0, lo-t)
+				b, j := p0*tileM/area, p0*tileM%area
+				cy, cx := j/c.w, j%c.w
+				for pi := p0; pi < np && t+pi < hi; pi++ {
+					mr := min(tileM, m-pi*tileM)
 					for ii := 0; ii < tileM; ii++ {
 						if ii >= mr {
 							base[ii] = base[0] // a dead lane re-reads lane 0; it is never stored
 							continue
 						}
-						b, j := (r0+ii)/area, (r0+ii)%area
-						oy, ox := c.oy0+j/c.w, c.ox0+j%c.w
+						oy, ox := c.oy0+cy, c.ox0+cx
 						base[ii] = ((b*s.InC+gi*icg)*s.H+oy*s.Stride-s.Pad)*s.W + ox*s.Stride - s.Pad
 						rows[ii] = (b*s.OutC+gi*ocg)*ohw + oy*ow + ox
+						if cx++; cx == c.w {
+							cx = 0
+							if cy++; cy == c.h {
+								cy = 0
+								b++
+							}
+						}
 					}
 					a := ap[: tileM*c.k : tileM*c.k]
 					packClassPanel(a, x, offs, &base)
-					ckp := gkp[c.kp:]
-					for j0 := 0; j0 < ocg; j0 += tileN {
-						microTile(out[j0*ohw:], a, ckp[j0*c.k:(j0+tileN)*c.k], c.k, &rows, ohw, mr, min(tileN, ocg-j0), false)
-					}
+					microStrips(out, a, gkp[c.kp:], c.k, &rows, ohw, mr, ocg, false)
 				}
 				t += np
 			}

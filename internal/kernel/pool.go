@@ -8,6 +8,14 @@
 // uint64 (the 2PC ring Z_{2^64}, where Go's native wrapping arithmetic is
 // exactly the ring semantics).
 //
+// The GEMM's 6×4 microkernel runs in AVX-512 assembly for the ring on an
+// amd64 CPU that has AVX-512 F, DQ and VL, which a CPUID and XGETBV check
+// decides once at init; there is no setting for it. Other CPUs and
+// architectures, and float64 everywhere, run the Go microkernel, which is
+// also the assembly's equivalence reference. Ring products are exact mod
+// 2⁶⁴, so both bodies give the same words; float64 stays on Go because a
+// fused multiply-add would round once and change training's bits.
+//
 // Work is spread over a package-level worker pool sized from
 // runtime.NumCPU(). The split points never depend on the worker count in a
 // way that changes accumulation order — each output row is always reduced

@@ -2,8 +2,19 @@ package kernel
 
 // This file holds the register-tiled GEMM kernel every non-naive entry
 // point runs on: each variant packs its operands into contiguous panel
-// buffers and feeds a tileM×tileN microkernel whose output tile lives in
-// unrolled scalar accumulators for the whole k extent.
+// buffers and feeds a tileM×tileN microkernel whose output tile stays in
+// registers for the whole k extent. The microkernel has two bodies. In
+// the ring, on an amd64 CPU with AVX-512 F, DQ and VL (a CPUID and XGETBV
+// check in microtile_amd64.s, run once at init), it is assembly: six YMM
+// rows of four lanes, each k step one B row load and six VPMULLQ + VPADDQ
+// against A lanes broadcast from memory, and it walks every B strip of an
+// A panel and stores the tiles itself. Everywhere else — float64 always,
+// the ring on other CPUs and architectures — it is the Go microTile, with
+// unrolled scalar accumulators; it is also the vector body's equivalence
+// reference. float64 stays on the Go tile: a vector float body must keep
+// a separate multiply and add, never a fused multiply-add, which rounds
+// once instead of twice and would change training's bits, and none is
+// written yet.
 //
 // Why this is fast: a row-streaming inner loop does one load of b, one
 // load of dst, one multiply-add and one store of dst per output
@@ -17,18 +28,20 @@ package kernel
 // — the same order the naive reference loops use — so float64 results
 // match bit-for-bit (for finite inputs) and the worker-count-independence
 // invariant that keeps the two 2PC parties in lockstep is untouched. The
-// uint64 ring would tolerate any reordering (wrapping adds commute), but
-// sharing one schedule keeps both domains on one implementation. Tiling
-// happens only over the i/j output axes; padded tile lanes accumulate
-// garbage that is never stored.
+// vector body keeps that order too (it vectorizes across a tile's output
+// columns, never across k), and ring products are exact mod 2⁶⁴ in any
+// case, so every share is the same on either body. Tiling happens only
+// over the i/j output axes; padded tile lanes accumulate garbage that is
+// never stored.
 
 const (
 	// tileM×tileN is the microkernel's output tile. 6×4 measured fastest
-	// of the pure-Go candidates (4×4, 2×4, 6×4, 8×4, 4×8, 6×8, 8×8) on
-	// both element domains: 24 accumulators spill a little, but each k
-	// step amortizes 24 multiply-adds over 10 stride-1 loads, which beats
-	// the shapes that stay register-resident; the packing layouts below
-	// are sized to it.
+	// of the Go candidates (4×4, 2×4, 6×4, 8×4, 4×8, 6×8, 8×8) on both
+	// element domains: 24 accumulators spill a little, but each k step
+	// amortizes 24 multiply-adds over 10 stride-1 loads, which beats the
+	// shapes that stay register-resident; the packing layouts below are
+	// sized to it. The vector ring body uses the same shape, not re-tuned
+	// for it: a 4-word B row is one YMM register and the tile six more.
 	tileM = 6
 	tileN = 4
 )
@@ -43,7 +56,7 @@ const (
 // share one driver: each variant differs only in where an (i, p) or
 // (p, j) element of its operand lives. A ConvPlan fills the same layout
 // one panel at a time (packClassPanel) from one window class's in-bounds
-// taps, against Kᵀ strips it packed once, and drives microTile itself.
+// taps, against Kᵀ strips it packed once, and drives microStrips itself.
 
 // panelLen returns the packedA length for a chunk of rows output rows
 // with k-extent k: whole tileM-row panels.
@@ -75,8 +88,26 @@ func tiledOnce[T Elem](dst []T, k, n, lo, hi int, acc bool,
 			for ii := range rows {
 				rows[ii] = (i0 + ii) * n
 			}
-			microTile(dst[j0:], ap[pi*tileM*k:(pi+1)*tileM*k], bp, k, &rows, 1, min(tileM, hi-i0), nr, acc)
+			microStrips(dst[j0:], ap[pi*tileM*k:(pi+1)*tileM*k], bp, k, &rows, 1, min(tileM, hi-i0), nr, acc)
 		}
+	}
+}
+
+// microStrips reduces the tiles of one A panel against n columns of B,
+// packed as consecutive tileN-wide strips of k·tileN words: columns
+// [j0, j0+tileN) come from bp[j0·k:] and are stored at dst[j0·cs:], so a
+// conv walks all of a group's output channels in one call. In the ring it
+// runs the vector tile where the CPU has one; otherwise, and for float64
+// always, it runs microTile strip by strip.
+func microStrips[T Elem](dst, ap, bp []T, k int, rows *[tileM]int, cs, mr, n int, acc bool) {
+	if useRingVec {
+		if d, ok := any(dst).([]uint64); ok {
+			ringTiles(d, any(ap).([]uint64), any(bp).([]uint64), k, rows, cs, mr, n, acc)
+			return
+		}
+	}
+	for j0 := 0; j0 < n; j0 += tileN {
+		microTile(dst[j0*cs:], ap, bp[j0*k:(j0+tileN)*k], k, rows, cs, mr, min(tileN, n-j0), acc)
 	}
 }
 
@@ -198,7 +229,7 @@ func packBTransStrip[T Elem](bp, b []T, k, j0, nr int) {
 
 // tiledRows computes dst rows [lo, hi) of a @ b for row-major a (rows of
 // length k) and b (k×n) — the unit the worker pool parallelizes MatMul
-// over. It and Conv2D's transposed GEMM feed the same microTile, so a
+// over. It and Conv2D's transposed GEMM feed the same microStrips, so a
 // microkernel change retunes training, dealer triple generation and the
 // online 2PC path at once.
 func tiledRows[T Elem](dst, a, b []T, k, n, lo, hi int) {

@@ -1,10 +1,11 @@
 // Package pasnet reproduces "PASNet: Polynomial Architecture Search
 // Framework for Two-party Computation-based Secure Neural Network
 // Deployment" (DAC 2023) as a pure-Go library: a 2PC secret-sharing
-// protocol suite with OT-based comparison, an FPGA latency model for
-// cryptographic DNN operators, a from-scratch CNN training stack, the
-// differentiable hardware-aware polynomial architecture search, and a
-// verified private-inference engine.
+// protocol suite whose comparison resolves its digits with AND gates on
+// dealer triples (package ot keeps the paper's Fig. 4 OT flow as a
+// reference), an FPGA latency model for cryptographic DNN operators, a
+// from-scratch CNN training stack, the differentiable hardware-aware
+// polynomial architecture search, and a verified private-inference engine.
 //
 // This root package re-exports the high-level facade; see README.md for a
 // tour and the examples/ directory for runnable programs.
