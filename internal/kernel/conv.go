@@ -1,6 +1,9 @@
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // This file holds the convolution entry points: the one forward lowering
 // (ConvPlan, which Conv2D builds and runs once), the naive reference loops
@@ -281,7 +284,13 @@ func (p *ConvPlan[T]) run(out, x []T, n int) {
 	grain := 1 + gemmFlopGrain/(tileM*max(1, p.macs/ohw)*ocg)
 	apLen := tileM * p.maxK
 	parallelFor(g*panels, grain, func(lo, hi int) {
-		ap := make([]T, apLen)
+		buf := getPanel[T](apLen)
+		defer panelPool.Put(buf)
+		ap := *buf
+		// Input and output offset steps along the (b, cy, cx) cursor: one
+		// class column, one output row and one batch row.
+		xs, xrow, xbatch := s.Stride, s.Stride*s.W, s.InC*s.H*s.W
+		obatch := s.OutC * ohw
 		var rows, base [tileM]int
 		t := 0
 		for gi := 0; gi < g && t < hi; gi++ {
@@ -297,27 +306,33 @@ func (p *ConvPlan[T]) run(out, x []T, n int) {
 				}
 				offs := taps[c.t0 : c.t0+c.k]
 				// (b, cy, cx) walks the class's positions lane by lane:
-				// batch row b, row cy and column cx within the class.
+				// batch row b, row cy and column cx within the class. xo and
+				// ro are its input window's and its output's offsets, carried
+				// by the steps past a class column and a class row.
 				p0 := max(0, lo-t)
 				b, j := p0*tileM/area, p0*tileM%area
 				cy, cx := j/c.w, j%c.w
+				oy, ox := c.oy0+cy, c.ox0+cx
+				xo := ((b*s.InC+gi*icg)*s.H+oy*s.Stride-s.Pad)*s.W + ox*s.Stride - s.Pad
+				ro := (b*s.OutC+gi*ocg)*ohw + oy*ow + ox
+				xcol, ocol := xrow-c.w*xs, ow-c.w
+				xcls, ocls := xbatch-c.h*xrow, obatch-c.h*ow
 				for pi := p0; pi < np && t+pi < hi; pi++ {
 					mr := min(tileM, m-pi*tileM)
-					for ii := 0; ii < tileM; ii++ {
-						if ii >= mr {
-							base[ii] = base[0] // a dead lane re-reads lane 0; it is never stored
-							continue
-						}
-						oy, ox := c.oy0+cy, c.ox0+cx
-						base[ii] = ((b*s.InC+gi*icg)*s.H+oy*s.Stride-s.Pad)*s.W + ox*s.Stride - s.Pad
-						rows[ii] = (b*s.OutC+gi*ocg)*ohw + oy*ow + ox
+					for ii := 0; ii < mr; ii++ {
+						base[ii], rows[ii] = xo, ro
+						xo, ro = xo+xs, ro+1
 						if cx++; cx == c.w {
 							cx = 0
+							xo, ro = xo+xcol, ro+ocol
 							if cy++; cy == c.h {
 								cy = 0
-								b++
+								xo, ro = xo+xcls, ro+ocls
 							}
 						}
+					}
+					for ii := mr; ii < tileM; ii++ {
+						base[ii] = base[0] // a dead lane re-reads lane 0; it is never stored
 					}
 					a := ap[: tileM*c.k : tileM*c.k]
 					packClassPanel(a, x, offs, &base)
@@ -327,6 +342,21 @@ func (p *ConvPlan[T]) run(out, x []T, n int) {
 			}
 		}
 	})
+}
+
+// panelPool pools the A panels ConvPlan.run packs into. A plan is shared by
+// concurrent Runs, so each worker chunk takes a panel here and returns it
+// when the chunk ends; a panel of the other element domain, or one too
+// short, is dropped.
+var panelPool sync.Pool
+
+// getPanel returns a pooled panel of at least n elements.
+func getPanel[T Elem](n int) *[]T {
+	if b, ok := panelPool.Get().(*[]T); ok && len(*b) >= n {
+		return b
+	}
+	b := make([]T, n)
+	return &b
 }
 
 // packClassPanel packs one colsᵀ panel, k-major with the tileM position

@@ -174,12 +174,13 @@ func TestConv2DServedGeometries(t *testing.T) {
 // served flush sizes. A one-shot call builds a plan — its class table, the
 // class tap offsets and the packed Kᵀ strips — and runs it: the
 // parallelFor closure, once the call splits its WaitGroup, and per worker
-// chunk one A panel. Allocations therefore scale with workers, not with
+// chunk one A panel when the panel pool holds none. Allocations therefore
+// scale with workers, not with
 // batch rows × groups (an im2col lowering with per-block buffers made 32
 // of them for the dense shape at N=16 and 256 for the depthwise one) nor
 // with the class count (4 classes for the dense shape, 9 per group for the
 // depthwise one). Run on a prebuilt plan allocates only the closure,
-// WaitGroup and panels — never a weight-sized buffer.
+// WaitGroup and at most those panels — never a weight-sized buffer.
 func TestConv2DBatchedAllocations(t *testing.T) {
 	const workers = 2
 	defer SetWorkers(SetWorkers(workers))

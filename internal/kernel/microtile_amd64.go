@@ -1,11 +1,12 @@
 package kernel
 
-// hasRingVec reports whether this CPU runs the AVX-512 ring tile; the
-// CPUID and XGETBV check runs once, at package init.
+// hasRingVec reports whether this CPU runs the AVX-512 ring tile and ring
+// passes; the CPUID and XGETBV check runs once, at package init.
 var hasRingVec = ringVecSupported()
 
-// useRingVec routes microStrips[uint64] to the vector tile. It starts
-// equal to hasRingVec; tests clear it to run the Go tile on the same CPU.
+// useRingVec routes microStrips[uint64] to the vector tile and the ring's
+// elementwise passes to their vector loops. It starts equal to hasRingVec;
+// tests clear it to run the Go bodies on the same CPU.
 var useRingVec = hasRingVec
 
 // ringTiles is microStrips' uint64 body on the vector path. It pins the

@@ -10,11 +10,15 @@
 //
 // The GEMM's 6×4 microkernel runs in AVX-512 assembly for the ring on an
 // amd64 CPU that has AVX-512 F, DQ and VL, which a CPUID and XGETBV check
-// decides once at init; there is no setting for it. Other CPUs and
-// architectures, and float64 everywhere, run the Go microkernel, which is
-// also the assembly's equivalence reference. Ring products are exact mod
-// 2⁶⁴, so both bodies give the same words; float64 stays on Go because a
-// fused multiply-add would round once and change training's bits.
+// decides once at init; there is no setting for it. The same check routes
+// the ring's elementwise passes — Add, Sub, TruncAdd (a linear op's z add,
+// truncation and bias) and X2Act (the polynomial activation's combine) —
+// to eight-lane ZMM loops whose last partial block runs under a lane mask.
+// Other CPUs and architectures, and float64 everywhere, run the Go loops,
+// which are also the assembly's equivalence references. Ring arithmetic
+// is exact mod 2⁶⁴ and VPSRAQ equals int64 >> f, so both bodies give the
+// same words; float64 stays on Go because a fused multiply-add would round
+// once and change training's bits.
 //
 // Work is spread over a package-level worker pool sized from
 // runtime.NumCPU(). The split points never depend on the worker count in a

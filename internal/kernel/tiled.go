@@ -14,7 +14,9 @@ package kernel
 // reference. float64 stays on the Go tile: a vector float body must keep
 // a separate multiply and add, never a fused multiply-add, which rounds
 // once instead of twice and would change training's bits, and none is
-// written yet.
+// written yet. The same gate (useRingVec) routes the ring's elementwise
+// passes, which finish each 2PC op around these GEMMs, to the AVX-512
+// loops in elementwise_amd64.s.
 //
 // Why this is fast: a row-streaming inner loop does one load of b, one
 // load of dst, one multiply-add and one store of dst per output

@@ -203,15 +203,17 @@ func (p *Party) X2Act(x Share, prm X2ActParams) (Share, error) {
 	return out, nil
 }
 
-// X2ActTo is X2Act into dst, which must have x's length. After the square
-// pair's one opening E = x − a it makes one pass, each word
+// X2ActTo is X2Act into dst, which must have x's length. The square pair's
+// one opening sends x − a; then a single pass (kernel.X2Act) forms
+// E = (x − a) + (peer's x − a) and each word
 //
 //	trunc(c1·trunc(Z + 2E∘A [+ E∘E on party 1]) + c2·x) [+ bias on party 0],
 //
 // Square's combine and truncation followed by y = (c1 ⊙ sq + c2 ⊙ x) >> f
 // and the bias, with one shared truncation of the linear combination to
 // keep its rounding error to a single ULP — the same ring arithmetic, so
-// the same share words, as those steps run one after another.
+// the same share words, as those steps run one after another. E is never
+// stored.
 func (p *Party) X2ActTo(dst, x Share, prm X2ActParams) error {
 	if dst.Len() != x.Len() {
 		return fmt.Errorf("mpc: x2act: destination length %d != input %d", dst.Len(), x.Len())
@@ -220,29 +222,17 @@ func (p *Party) X2ActTo(dst, x Share, prm X2ActParams) error {
 	if err != nil {
 		return fmt.Errorf("mpc: x2act: square pair: %w", err)
 	}
-	e, err := p.openOne(x.V, a)
+	mine, theirs, err := p.exchangeOne(x.V, a)
 	if err != nil {
 		return fmt.Errorf("mpc: x2act: square open: %w", err)
 	}
 	c1 := p.Codec.Encode(prm.Scale * prm.W1)
 	c2 := p.Codec.Encode(prm.Scale * prm.W2)
-	bias := p.Codec.Encode(prm.Scale * prm.B)
-	f, out, xv := p.Codec.FracBits, dst.V, x.V
+	var bias uint64
 	if p.ID == 0 {
-		kernel.Range(len(out), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sq := trunc0(z[i]+2*(e[i]*a[i]), f)
-				out[i] = trunc0(c1*sq+c2*xv[i], f) + bias
-			}
-		})
-		return nil
+		bias = p.Codec.Encode(prm.Scale * prm.B)
 	}
-	kernel.Range(len(out), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sq := trunc1(z[i]+2*(e[i]*a[i])+e[i]*e[i], f)
-			out[i] = trunc1(c1*sq+c2*xv[i], f)
-		}
-	})
+	kernel.X2Act(dst.V, mine, theirs, a, z, x.V, c1, c2, bias, p.Codec.FracBits, p.ID)
 	return nil
 }
 

@@ -239,45 +239,23 @@ func (p *Party) TruncateInPlace(x *Share) {
 }
 
 // trunc0 and trunc1 are party 0's and party 1's local truncation of one
-// share word by f bits (TruncateInPlace); the fused epilogues call them
-// inside their single pass.
+// share word by f bits (TruncateInPlace); AvgPool2D's pass calls them too.
+// The linear and X² epilogues truncate inside kernel.TruncAdd and
+// kernel.X2Act, with the same rounding.
 func trunc0(v uint64, f uint) uint64 { return uint64(int64(v) >> f) }
 func trunc1(v uint64, f uint) uint64 { return -uint64(int64(-v) >> f) }
 
-// noBias is truncAddTo's one zero channel.
-var noBias = []uint64{0}
-
 // truncAddTo finishes a linear op in one pass over dst: each word becomes
 // trunc(dst[i] + z[i]), and on party 0 it then gains its channel's public
-// bias, bias[(i/inner) % len(bias)] for runs of inner words per channel
+// bias, bias[(i/inner) mod len(bias)] for runs of inner words per channel
 // (nil: no bias). That is the ring add of z, TruncateInPlace and
-// AddBias/AddBiasVec, word for word.
+// AddBias/AddBiasVec, word for word; kernel.TruncAdd runs it as one vector
+// pass where the CPU has the vector ring passes.
 func (p *Party) truncAddTo(dst, z, bias []uint64, inner int) {
-	f := p.Codec.FracBits
 	if p.ID == 1 {
-		kernel.Range(len(dst), func(lo, hi int) {
-			d, zz := dst[lo:hi], z[lo:hi]
-			for i := range d {
-				d[i] = trunc1(d[i]+zz[i], f)
-			}
-		})
-		return
+		bias = nil
 	}
-	if bias == nil {
-		bias, inner = noBias, max(1, len(dst))
-	}
-	kernel.Range(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; {
-			run := i / inner
-			end := min(hi, (run+1)*inner)
-			b := bias[run%len(bias)]
-			d, zz := dst[i:end], z[i:end]
-			for j := range d {
-				d[j] = trunc0(d[j]+zz[j], f) + b
-			}
-			i = end
-		}
-	})
+	kernel.TruncAdd(dst, z, bias, inner, p.Codec.FracBits, p.ID)
 }
 
 // mulCombine assembles R_i = (X_i − i·E)∘F + E∘Y_i + Z_i, where ∘ is the
@@ -305,18 +283,30 @@ func (p *Party) mulCombine(out, e, f, x, y, z []uint64, apply func(dst, a, b []u
 // Beaver square pair. The returned slice is a scratch view valid until the
 // next opening.
 func (p *Party) openOne(x, a []uint64) ([]uint64, error) {
-	mine := grow(&p.scr.mine, len(x))
-	ringSub(mine, x, a)
-	theirs, err := transport.Exchange(p.Conn, mine)
+	mine, theirs, err := p.exchangeOne(x, a)
 	if err != nil {
 		return nil, err
-	}
-	if len(theirs) != len(mine) {
-		return nil, fmt.Errorf("mpc: open length %d != %d", len(theirs), len(mine))
 	}
 	e := grow(&p.scr.e, len(x))
 	ringAdd(e, mine, theirs)
 	return e, nil
+}
+
+// exchangeOne is openOne's round without its add: it sends this party's
+// x−a and returns it with the peer's, whose sum is E. mine is a scratch
+// view valid until the next opening. X2ActTo adds the two inside its
+// combine pass.
+func (p *Party) exchangeOne(x, a []uint64) (mine, theirs []uint64, err error) {
+	mine = grow(&p.scr.mine, len(x))
+	ringSub(mine, x, a)
+	theirs, err = transport.Exchange(p.Conn, mine)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(theirs) != len(mine) {
+		return nil, nil, fmt.Errorf("mpc: open length %d != %d", len(theirs), len(mine))
+	}
+	return mine, theirs, nil
 }
 
 // Square returns shares of x ⊙ x (fixed-point, truncated) using a Beaver

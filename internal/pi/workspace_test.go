@@ -95,14 +95,14 @@ func demoQuery(n int) *tensor.Tensor {
 }
 
 // warmFlushAllocBound caps what both parties together allocate over one
-// warm 16-row flush of the x2-avg demo program on two kernel workers (the
-// conv kernel allocates a panel per worker chunk), the output copy and
-// every frame the in-memory link copies included. With the workspace it
-// reads ~1,157,000 B; when every op allocated its output it read
-// 3,769,312 B. Allocating again only the outputs of the eight residual
-// adds, the smallest op family of the program, costs ~123 KB and fails
-// it.
-const warmFlushAllocBound = 1_250_000
+// warm 16-row flush of the x2-avg demo program on two kernel workers, the
+// output copy and every frame the in-memory link copies included. With the
+// workspace and pooled conv panels it reads ~982,500 B (~1,157,000 B when
+// the conv kernel allocated a panel per worker chunk); when every op
+// allocated its output it read 3,769,312 B. Allocating the conv panels
+// again (~170 KB), or again only the outputs of the eight residual adds,
+// the smallest op family of the program (~123 KB), fails it.
+const warmFlushAllocBound = 1_080_000
 
 func TestEngineWorkspace(t *testing.T) {
 	for _, class := range []string{"x2-avg", "mixed"} {
