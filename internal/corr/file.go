@@ -41,6 +41,11 @@ import (
 // and, for party 1, the z halves: a third (selector triples) to a sixth
 // of the materialised store. The decoded Store is fully materialised, as it always was.
 //
+// The z section always holds z₁, the dealt half. Party 1's store loaded
+// with its session's binder (ReadBoundFile) holds Y₁ in their place once
+// decoded (see Store), but the file is the same bytes either way; a
+// bound store is never written back.
+//
 // The trailer means a flipped byte or a truncated download fails loudly at
 // load time instead of desyncing the two parties mid-protocol. The whole
 // tape is read and validated — every geometry against the generator's
@@ -98,16 +103,22 @@ const sharedKindBit = 0x80
 const wordBlock = 1 << 12
 
 // Encode serializes the store (including its consumed entries; a decoded
-// store always starts with its cursor rewound to the beginning).
+// store always starts with its cursor rewound to the beginning). It
+// panics on a bound store, whose z halves are no longer the file's.
 func (s *Store) Encode() []byte {
 	var buf bytes.Buffer
-	s.encodeTo(&buf) // a bytes.Buffer does not fail
+	if err := s.encodeTo(&buf); err != nil {
+		panic(err) // a bytes.Buffer does not fail; a bound store does
+	}
 	return buf.Bytes()
 }
 
 // encodeTo streams the serialized store to w, so writing a store never
 // holds a second copy of it.
 func (s *Store) encodeTo(w io.Writer) error {
+	if s.binder != nil {
+		return fmt.Errorf("corr: encode: the store is bound and holds party 1's output shares where its file holds z halves; write a store before binding it")
+	}
 	if _, err := io.WriteString(w, storeMagic); err != nil {
 		return err
 	}
@@ -173,6 +184,13 @@ func Decode(data []byte) (*Store, error) {
 // halves. A store whose tape needs more than maxWords words is refused
 // before anything is allocated.
 func decode(src io.ReadSeeker, size int64, maxWords int64) (*Store, error) {
+	return decodeBound(src, size, maxWords, nil)
+}
+
+// decodeBound is decode binding party 1's store with b, when b is not nil,
+// as it decodes: each FixedB entry, once read, goes to a binding's workers
+// (Store.Bind), so the passes overlap the rest of the decode.
+func decodeBound(src io.ReadSeeker, size int64, maxWords int64, b *mpc.Binder) (*Store, error) {
 	if size < int64(len(storeMagic)+headerLen+4) {
 		return nil, fmt.Errorf("corr: store file truncated: %d bytes is shorter than the fixed header", size)
 	}
@@ -258,6 +276,20 @@ func decode(src io.ReadSeeker, size int64, maxWords int64) (*Store, error) {
 		return nil, fmt.Errorf("corr: store file has %d trailing bytes after the last entry", r.left-8*zWords)
 	}
 	s := &Store{party: party, label: label, seed: seed, tape: tape, entries: make([]entry, len(tape))}
+	var bd *binding
+	if b != nil {
+		if err := s.bindable(b); err != nil {
+			return nil, err
+		}
+		bd = s.startBinding(len(tape))
+		// On an error the queued passes still finish before decode
+		// returns; the store they bind is dropped.
+		defer func() {
+			if bd != nil {
+				bd.wait()
+			}
+		}()
+	}
 	half := mpc.NewHalfStream(party, seed)
 	for i, d := range tape {
 		t, err := d.deal(half)
@@ -278,6 +310,20 @@ func decode(src io.ReadSeeker, size int64, maxWords int64) (*Store, error) {
 			return nil, fmt.Errorf("corr: store file entry %d (%s) has bits set past its last triple", i, d)
 		}
 		s.entries[i] = entry{a: t.A1, b: t.B1, z: z}
+		if bd == nil {
+			continue
+		}
+		pass, err := passFor(b, d)
+		if err != nil {
+			return nil, fmt.Errorf("corr: bind store file entry %d (%s): %w", i, d, err)
+		}
+		if pass != nil {
+			bd.jobs <- bindJob{i, pass}
+		}
+	}
+	if bd != nil {
+		bd.wait()
+		bd, s.binder = nil, b
 	}
 	return s, nil
 }
@@ -298,7 +344,15 @@ func (s *Store) WriteFile(path string) error {
 }
 
 // ReadFile loads and decodes a store file.
-func ReadFile(path string) (*Store, error) {
+func ReadFile(path string) (*Store, error) { return readFile(path, nil) }
+
+// ReadBoundFile loads party 1's store file bound to the session b was
+// made for: each FixedB entry's Y₁ is computed while the rest of the file
+// decodes (see decode), and the store is Bind's. A party-0 file fails.
+func ReadBoundFile(path string, b *mpc.Binder) (*Store, error) { return readFile(path, b) }
+
+// readFile is ReadFile, binding with b when it is not nil.
+func readFile(path string, b *mpc.Binder) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("corr: read store: %w", err)
@@ -308,7 +362,7 @@ func ReadFile(path string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corr: read store: %w", err)
 	}
-	s, err := decode(f, st.Size(), maxStoreWords)
+	s, err := decodeBound(f, st.Size(), maxStoreWords, b)
 	if err != nil {
 		return nil, fmt.Errorf("corr: %s: %w", path, err)
 	}

@@ -43,6 +43,12 @@ type entry struct {
 // protocol bytes move — so both parties fail symmetrically instead of
 // desyncing.
 //
+// Party 1's store can be bound to its session (Bind, ReadBoundFile): each
+// FixedB entry's z₁ is then replaced in place by the op's output share
+// Y₁ = trunc(a∘F + z₁) under the session's fixed weights, the same word
+// count, and its FixedB takes hand out Y₁ where z₁ was (see mpc's
+// fixedmask.go). Binding changes no file: a bound store is never encoded.
+//
 // A Store is not safe for concurrent use, mirroring the Dealer it
 // replaces.
 type Store struct {
@@ -52,6 +58,8 @@ type Store struct {
 	tape    Tape
 	entries []entry
 	cursor  int
+	// binder is what the FixedB entries were bound with; nil: they hold z₁.
+	binder *mpc.Binder
 }
 
 // Party returns which party's halves the store holds.
@@ -75,6 +83,108 @@ func (s *Store) Remaining() int { return len(s.entries) - s.cursor }
 
 // Tape returns the demand tape the store was generated for.
 func (s *Store) Tape() Tape { return s.tape }
+
+// Binder returns what the store was bound with, nil while unbound; it
+// implements the bound-source check of mpc.Party.LinearFixedW.
+func (s *Store) Binder() *mpc.Binder { return s.binder }
+
+// Bind binds party 1's loaded store to the session b was made for: every
+// unconsumed FixedB entry's z₁ becomes Y₁, on worker goroutines sized from
+// the kernel pool. Every entry's pass is resolved before any runs, so a
+// store of another program fails whole and stays unbound. A store is bound
+// once: binding it again, to any binder, is refused.
+func (s *Store) Bind(b *mpc.Binder) error {
+	if err := s.bindable(b); err != nil {
+		return err
+	}
+	var jobs []bindJob
+	for i := s.cursor; i < len(s.entries); i++ {
+		pass, err := passFor(b, s.tape[i])
+		if err != nil {
+			return fmt.Errorf("corr: bind entry %d (%s): %w", i, s.tape[i], err)
+		}
+		if pass != nil {
+			jobs = append(jobs, bindJob{i, pass})
+		}
+	}
+	bd := s.startBinding(len(jobs))
+	for _, j := range jobs {
+		bd.jobs <- j
+	}
+	bd.wait()
+	s.binder = b
+	return nil
+}
+
+// bindable checks that b may bind s: party 1's store, not bound yet.
+func (s *Store) bindable(b *mpc.Binder) error {
+	switch {
+	case b == nil:
+		return fmt.Errorf("corr: bind: nil binder")
+	case s.party != 1:
+		return fmt.Errorf("corr: bind: the store holds party %d's halves; only party 1's output share is bound offline", s.party)
+	case s.binder != nil:
+		return fmt.Errorf("corr: bind: the store is already bound (to the weights of dealer seed %#x); a store is bound once, to one session", s.binder.Seed())
+	}
+	return nil
+}
+
+// bindJob is one FixedB entry's owner pass, run by a binding's worker.
+type bindJob struct {
+	i    int
+	pass func(dst, a, z []uint64)
+}
+
+// passFor returns party 1's owner pass of demand d under b, or nil for a
+// demand of a kind binding leaves alone (every non-FixedB kind). A
+// shared-mask entry's pass runs on the a it holds, its predecessor's.
+func passFor(b *mpc.Binder, d Demand) (func(dst, a, z []uint64), error) {
+	switch d.Kind {
+	case KindConvFixedB:
+		return b.Conv(d.Mask, d.Conv)
+	case KindMatMulFixedB:
+		return b.MatMul(d.Mask, d.M, d.K, d.P)
+	}
+	return nil, nil
+}
+
+// binding runs bind jobs on worker goroutines, as BuildPair runs its
+// products: each worker writes Y₁ into a scratch buffer of its own and
+// copies it over the entry's z₁.
+type binding struct {
+	jobs chan bindJob
+	wg   sync.WaitGroup
+}
+
+// startBinding starts min(kernel.Workers(), n) workers over s's entries
+// behind a queue of n jobs, so queueing a job never waits on a pass.
+func (s *Store) startBinding(n int) *binding {
+	bd := &binding{jobs: make(chan bindJob, n)}
+	jobs := bd.jobs
+	for range min(kernel.Workers(), n) {
+		bd.wg.Add(1)
+		go func() {
+			defer bd.wg.Done()
+			var tmp []uint64
+			for j := range jobs {
+				e := &s.entries[j.i]
+				if cap(tmp) < len(e.z) {
+					tmp = make([]uint64, len(e.z))
+				}
+				y := tmp[:len(e.z)]
+				j.pass(y, e.a, e.z)
+				copy(e.z, y)
+			}
+		}()
+	}
+	return bd
+}
+
+// wait closes the queue and waits for every queued pass to finish.
+func (bd *binding) wait() {
+	close(bd.jobs)
+	bd.wg.Wait()
+}
 
 // lens returns the flat word counts (a, b, z) of party's side of the
 // demand's correlation material. The owner-split kinds count a on party 1

@@ -267,12 +267,14 @@ func (rt *Router) connectShard(spec *ModelSpec, desc ShardDesc, gen int) (sched.
 	sess.SetFlushDeadline(rt.opts.FlushDeadline)
 	if storeDir != "" {
 		dp := pi.NewDirProvider(storeDir)
-		// Deserialization belongs to setup, not to any flush's online path.
+		// Installed first, the provider binds each store to the session
+		// as it decodes: deserialization and party 1's linear-layer
+		// output shares belong to setup, not to any flush's online path.
+		sess.UsePreprocessed(dp)
 		if err := dp.Preload(1); err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("gateway: model %q shard %d: %w", desc.Model, desc.Shard, err)
 		}
-		sess.UsePreprocessed(dp)
 	}
 	return sched.NewSerializedSession(sess, conn), nil
 }

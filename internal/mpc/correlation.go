@@ -31,7 +31,10 @@ type CorrelationSource interface {
 	// against the session-pinned fixed mask b (k×p) for slot mask, where a
 	// is a fresh m×k. The activation mask is one-sided: party 1 gets the
 	// whole a, party 0 a nil a; z is additively shared as usual. Only a is
-	// fresh per take — see fixedmask.go.
+	// fresh per take — see fixedmask.go. A bound source (a store bound by
+	// a Binder) hands party 1, in place of its z half, the op's output
+	// share Y₁ = trunc(a∘F + z₁); this and the three other FixedB takes
+	// are the only ones binding changes.
 	TakeMatMulFixedB(mask, m, k, p int) (a, z []uint64, err error)
 	// TakeConvFixedB returns this party's side of (a, z) with
 	// z = conv(a, b) against the fixed kernel mask b for slot mask and the

@@ -25,13 +25,23 @@ import (
 // 1's. So a linear op runs owner-side, one-way and one kernel pass per
 // party:
 //
-//	party 1: send E' = X₁ − a;          R₁ = a∘F + z₁
+//	party 1: send E' = X₁ − a;          R₁ = a∘F + z₁   (bound at load)
 //	party 0: receive E';                R₀ = (X₀ + E')∘W + z₀
 //
 // R₀ + R₁ = (x − a)∘W + a∘F + a∘b = x∘W. Party 0 sees only X₁ under the
 // uniform mask a; party 1 receives nothing; and R₁ = a∘W − z₀ is uniform
 // through z₀, so local truncation behaves exactly as for a Beaver product.
 // Party 0 may know b: it masks nothing but party 0's own W.
+//
+// Party 1's row reads nothing of the query: its output share
+// Y₁ = trunc(a∘F + z₁) is a function of its correlation and the
+// session-constant F alone, so it is offline work (Delphi's client-side
+// linear share, here party 1's). A store bound to its session (a Binder,
+// corr.Store.Bind) holds Y₁ in place of z₁, computed while the store
+// loads, and online party 1 only sends E' and copies Y₁ out. The live
+// dealer and an unbound store hand out z₁, and party 1 runs the same owner
+// pass (ownerLeg.pass) at take time. Party 0's row needs E', so it stays
+// online.
 //
 // One activation tensor is masked once per flush, however many linear ops
 // read it. When two ops take the same input — a downsampling residual's
@@ -276,17 +286,56 @@ type ownerLeg struct {
 	inner int
 }
 
+// pass is the owner pass of one leg: out = trunc(operand∘op + z), and on
+// party 0 plus its bias, as one kernel pass and one fused epilogue (the
+// ring add of z, TruncateInPlace and AddBias/AddBiasVec, word for word).
+// It is the one place either party's output share of a fixed-weight op is
+// computed: party 0's per flush, party 1's per flush from an unbound
+// source, and party 1's once per correlation when a Binder binds a store.
+func (l *ownerLeg) pass(operand []uint64, f uint, party int) {
+	l.apply(l.out.V, operand)
+	bias := l.bias
+	if party == 1 {
+		bias = nil
+	}
+	kernel.TruncAdd(l.out.V, l.z, bias, l.inner, f, party)
+}
+
+// product returns fw's leg for one op, without its z, destination or
+// bias: the product with the party's operand, the output shape and the
+// words per output channel of a convolution at geometry d or, d nil, of
+// an m-row matrix product by the k×n weight.
+func (fw *FixedWeight) product(d *ConvDims, m int) ownerLeg {
+	if d != nil {
+		plan, n := fw.convPlan(*d), d.N
+		oh, ow := d.OutHW()
+		return ownerLeg{
+			apply: func(dst, a []uint64) { plan.Run(dst, a, n) },
+			out:   Share{Shape: []int{d.N, d.OutC, oh, ow}},
+			inner: oh * ow,
+		}
+	}
+	w, k, n := fw.op, fw.shape[0], fw.shape[1]
+	return ownerLeg{
+		apply: func(dst, a []uint64) { ringMatMul(dst, a, w, m, k, n) },
+		out:   Share{Shape: []int{m, n}},
+		inner: 1,
+	}
+}
+
 // LinearFixedW returns truncated fixed-point shares of every op of ops
 // applied to the one input x, in order, masking x once: the first op takes
 // a FixedB pair (a, z₀), every later op a shared-mask z for that same a,
 // party 1 sends E' = X₁ − a once, and each party runs one kernel pass per
 // op (see the file comment), then one pass that adds z, truncates and adds
-// the op's bias. With one op and neither Out nor Bias it is MatMulFixedW
-// or Conv2DFixedW.
+// the op's bias. From a bound source party 1's takes hand it each op's
+// output share Y₁, which it copies out, running no pass. With one op and
+// neither Out nor Bias it is MatMulFixedW or Conv2DFixedW.
 func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("mpc: linear fixed-w: no ops")
 	}
+	binder := p.binder()
 	for _, op := range ops {
 		if err := p.checkFixedW(op.FW); err != nil {
 			return nil, err
@@ -294,44 +343,43 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 		if err := checkFixedWOp(x, op); err != nil {
 			return nil, err
 		}
+		if err := binder.check(op.FW); err != nil {
+			return nil, err
+		}
 	}
 	var a []uint64
 	legs := make([]ownerLeg, len(ops))
 	for i, op := range ops {
 		l := &legs[i]
+		var z []uint64
 		var err error
 		if d := op.Conv; d != nil {
 			if i == 0 {
-				a, l.z, err = p.corr().TakeConvFixedB(op.FW.Mask, *d)
+				a, z, err = p.corr().TakeConvFixedB(op.FW.Mask, *d)
 			} else {
-				l.z, err = p.corr().TakeConvFixedBShared(op.FW.Mask, *d)
+				z, err = p.corr().TakeConvFixedBShared(op.FW.Mask, *d)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("mpc: conv fixed-b pair: %w", err)
 			}
-			oh, ow := d.OutHW()
-			l.out, l.inner = Share{Shape: []int{d.N, d.OutC, oh, ow}}, oh*ow
-			plan, n := op.FW.convPlan(*d), d.N
-			l.apply = func(dst, a []uint64) { plan.Run(dst, a, n) }
 		} else {
 			m, k, n := x.Shape[0], x.Shape[1], op.FW.shape[1]
 			if i == 0 {
-				a, l.z, err = p.corr().TakeMatMulFixedB(op.FW.Mask, m, k, n)
+				a, z, err = p.corr().TakeMatMulFixedB(op.FW.Mask, m, k, n)
 			} else {
-				l.z, err = p.corr().TakeMatMulFixedBShared(op.FW.Mask, m, k, n)
+				z, err = p.corr().TakeMatMulFixedBShared(op.FW.Mask, m, k, n)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("mpc: matmul fixed-b pair: %w", err)
 			}
-			l.out, l.inner = Share{Shape: []int{m, n}}, 1
-			w := op.FW.op
-			l.apply = func(dst, a []uint64) { ringMatMul(dst, a, w, m, k, n) }
 		}
+		*l = op.FW.product(op.Conv, x.Shape[0])
+		l.z = z
 		if err := l.place(op); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.ownerCombine(x.V, a, legs); err != nil {
+	if err := p.ownerCombine(x.V, a, legs, binder != nil); err != nil {
 		return nil, fmt.Errorf("mpc: linear fixed-w: %w", err)
 	}
 	outs := make([]Share, len(legs))
@@ -394,12 +442,12 @@ func (p *Party) checkWeight(w Share, fw *FixedWeight) error {
 
 // ownerCombine runs the owner-side protocol of fixed-weight ops on one
 // input (see the file comment), each leg into its out: party 1 sends
-// E' = X₁ − a once and computes a∘F + z₁ per leg; party 0 receives E',
-// bounded to len(x) words, and computes (X₀ + E')∘W + z₀ per leg. Each
-// leg's output is truncated, and biased on party 0, in the pass that adds
-// its z. Party 1 sends before its kernel passes, so the two parties'
+// E' = X₁ − a once and runs each leg's owner pass, a∘F + z₁ truncated —
+// or, bound, copies out the Y₁ its leg's z already is; party 0 receives
+// E', bounded to len(x) words, and runs (X₀ + E')∘W + z₀ truncated and
+// biased per leg. Party 1 sends before its passes, so the two parties'
 // passes overlap.
-func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg) error {
+func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg, bound bool) error {
 	operand := a
 	if p.ID == 1 {
 		e := grow(&p.scr.mine, len(x))
@@ -418,9 +466,13 @@ func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg) error {
 		ringAdd(e, e, x)
 		operand = e
 	}
-	for _, l := range legs {
-		l.apply(l.out.V, operand)
-		p.truncAddTo(l.out.V, l.z, l.bias, l.inner)
+	for i := range legs {
+		l := &legs[i]
+		if bound {
+			copy(l.out.V, l.z)
+			continue
+		}
+		l.pass(operand, p.Codec.FracBits, p.ID)
 	}
 	return nil
 }
@@ -451,4 +503,117 @@ func (p *Party) Conv2DFixedW(x, w Share, fw *FixedWeight, dims ConvDims) (Share,
 		return Share{}, err
 	}
 	return outs[0], nil
+}
+
+// Binder binds party 1's FixedB correlations to one session's fixed
+// weights: it turns an entry's z₁ into the output share Y₁ = trunc(a∘F + z₁)
+// of the op that will take it (see the file comment), so that work leaves
+// the online path. A store calls it as it loads (corr.ReadBoundFile) or
+// once loaded (corr.Store.Bind). A bound source is pinned to the weights
+// it was bound with: LinearFixedW fails party 1 on any other weight, such
+// as a revived generation's or another model's. A Binder is read-only
+// once made, so any number of goroutines may use it at once.
+type Binder struct {
+	fws  map[int]*FixedWeight // by mask slot
+	seed uint64
+	f    uint
+}
+
+// NewBinder returns party 1's binder for a session's fixed weights, each
+// of which must have been fixed under this party's dealer stream and
+// under a slot of its own. Party 0 has nothing to bind: its output share
+// needs E'.
+func (p *Party) NewBinder(fws []*FixedWeight) (*Binder, error) {
+	if p.ID != 1 {
+		return nil, fmt.Errorf("mpc: binder: party %d has no offline share to bind; only party 1's output share is query-independent", p.ID)
+	}
+	b := &Binder{fws: make(map[int]*FixedWeight, len(fws)), seed: p.Dealer.Seed(), f: p.Codec.FracBits}
+	for _, fw := range fws {
+		if err := p.checkFixedW(fw); err != nil {
+			return nil, fmt.Errorf("mpc: binder: %w", err)
+		}
+		if _, dup := b.fws[fw.Mask]; dup {
+			return nil, fmt.Errorf("mpc: binder: two fixed weights under mask slot %d", fw.Mask)
+		}
+		b.fws[fw.Mask] = fw
+	}
+	return b, nil
+}
+
+// Seed returns the dealer seed the binder's weights were fixed under.
+func (b *Binder) Seed() uint64 { return b.seed }
+
+// Conv returns party 1's owner pass of the convolution of slot mask at
+// geometry d: pass(dst, a, z) writes trunc(a∘F + z) into dst, which must
+// not overlap a or z. It fails on a slot the session has no weight for or
+// a geometry the slot's weight does not fit: a store of another program.
+func (b *Binder) Conv(mask int, d ConvDims) (func(dst, a, z []uint64), error) {
+	fw, err := b.weight(mask)
+	if err != nil {
+		return nil, err
+	}
+	if len(fw.op) != d.KLen() {
+		return nil, fmt.Errorf("mpc: binder: conv of mask %d needs a %d-word kernel, the session's weight holds %d", mask, d.KLen(), len(fw.op))
+	}
+	return b.pass(fw, &d, 0), nil
+}
+
+// MatMul is Conv for the product of an m×k input by slot mask's k×n
+// weight.
+func (b *Binder) MatMul(mask, m, k, n int) (func(dst, a, z []uint64), error) {
+	fw, err := b.weight(mask)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Equal(fw.shape, []int{k, n}) {
+		return nil, fmt.Errorf("mpc: binder: matmul of mask %d needs a %d×%d weight, the session's is %v", mask, k, n, fw.shape)
+	}
+	return b.pass(fw, nil, m), nil
+}
+
+// weight returns the session's weight of slot mask.
+func (b *Binder) weight(mask int) (*FixedWeight, error) {
+	fw, ok := b.fws[mask]
+	if !ok {
+		return nil, fmt.Errorf("mpc: binder: the session has no fixed weight under mask slot %d (a store of another model?)", mask)
+	}
+	return fw, nil
+}
+
+// pass is the owner pass of fw's op (see FixedWeight.product) as party 1
+// runs it.
+func (b *Binder) pass(fw *FixedWeight, d *ConvDims, m int) func(dst, a, z []uint64) {
+	leg := fw.product(d, m)
+	return func(dst, a, z []uint64) {
+		l := leg
+		l.z, l.out.V = z, dst
+		l.pass(a, b.f, 1)
+	}
+}
+
+// check fails unless fw is the weight b bound its slot with; a nil b (an
+// unbound source) passes everything.
+func (b *Binder) check(fw *FixedWeight) error {
+	if b == nil || b.fws[fw.Mask] == fw {
+		return nil
+	}
+	return fmt.Errorf("mpc: the correlation store was bound to the fixed weights of a session under dealer seed %#x, but the weight of mask %d was fixed by another (dealer seed %#x): a bound store holds that session's output shares and serves no other — a revived generation or another model needs its own store", b.seed, fw.Mask, fw.seed)
+}
+
+// boundSource is a correlation source that may be bound (corr.Store):
+// Binder returns what it was bound with, nil while unbound.
+type boundSource interface {
+	Binder() *Binder
+}
+
+// binder returns what party 1's source was bound with: nil on party 0,
+// for the live dealer and for an unbound store.
+func (p *Party) binder() *Binder {
+	if p.ID != 1 {
+		return nil
+	}
+	if bs, ok := p.corr().(boundSource); ok {
+		return bs.Binder()
+	}
+	return nil
 }

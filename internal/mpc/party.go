@@ -245,19 +245,6 @@ func (p *Party) TruncateInPlace(x *Share) {
 func trunc0(v uint64, f uint) uint64 { return uint64(int64(v) >> f) }
 func trunc1(v uint64, f uint) uint64 { return -uint64(int64(-v) >> f) }
 
-// truncAddTo finishes a linear op in one pass over dst: each word becomes
-// trunc(dst[i] + z[i]), and on party 0 it then gains its channel's public
-// bias, bias[(i/inner) mod len(bias)] for runs of inner words per channel
-// (nil: no bias). That is the ring add of z, TruncateInPlace and
-// AddBias/AddBiasVec, word for word; kernel.TruncAdd runs it as one vector
-// pass where the CPU has the vector ring passes.
-func (p *Party) truncAddTo(dst, z, bias []uint64, inner int) {
-	if p.ID == 1 {
-		bias = nil
-	}
-	kernel.TruncAdd(dst, z, bias, inner, p.Codec.FracBits, p.ID)
-}
-
 // mulCombine assembles R_i = (X_i − i·E)∘F + E∘Y_i + Z_i, where ∘ is the
 // bilinear op given by apply: the symmetric Beaver combine of MatMul and
 // Conv2D, whose both operands are secret per call. This is paper Eq. 2

@@ -164,6 +164,12 @@ type Session struct {
 	// provider, when set, supplies a preprocessed correlation source per
 	// flush geometry; nil keeps the live dealer.
 	provider SourceProvider
+	// binder is party 1's binder for its fixed weights (nil on party 0):
+	// UsePreprocessed hands it to a provider that binds its stores, and a
+	// flush refuses a store bound by any other. bindErr is what handing it
+	// over failed with; every flush then fails on both parties.
+	binder  *mpc.Binder
+	bindErr error
 	// fallbacks counts flushes degraded to the live dealer because a
 	// provider could not resolve the flush geometry (see negotiateSource).
 	// Atomic: monitoring callers (gateway Router.Status) may read it while
@@ -249,7 +255,38 @@ func (s *Session) RemainingBudget() int { return int(s.budget.Load()) }
 // dealer — a per-flush control round cross-checks this (see
 // negotiateSource), so inconsistent provisioning fails loudly instead of
 // silently corrupting every result.
-func (s *Session) UsePreprocessed(p SourceProvider) { s.provider = p }
+//
+// On party 1 it also binds the provider's stores to this session (see
+// corr.Store.Bind) when the provider binds (DirProvider, Run's store
+// pair): stores it already holds are bound now, and stores it loads later
+// as they decode — so install a DirProvider before its Preload, and the
+// passes overlap the load. A provider bound to another session, or a store
+// of another program, fails every flush on both parties.
+func (s *Session) UsePreprocessed(p SourceProvider) {
+	s.provider, s.bindErr = p, nil
+	if bp, ok := p.(binding); ok && s.binder != nil {
+		s.bindErr = bp.bind(s.binder)
+	}
+}
+
+// binding is a SourceProvider that binds party 1's stores (see
+// UsePreprocessed).
+type binding interface {
+	bind(b *mpc.Binder) error
+}
+
+// checkBound fails a flush whose source party 1 may not take: its
+// provider failed to bind, or the source is a store bound to another
+// session's weights, whose output shares are not this session's.
+func (s *Session) checkBound(src mpc.CorrelationSource) error {
+	if s.bindErr != nil {
+		return s.bindErr
+	}
+	if st, ok := src.(*corr.Store); ok && st.Binder() != nil && st.Binder() != s.binder {
+		return fmt.Errorf("pi: the store was bound to another session's fixed weights (dealer seed %#x); it serves only that session — a revived generation or another model needs its own store", st.Binder().Seed())
+	}
+	return nil
+}
 
 // negotiateSource is the per-flush correlation-source control round: each
 // party resolves its source for the negotiated geometry and the two
@@ -286,7 +323,9 @@ func (s *Session) announceSource(shape []int) (mpc.CorrelationSource, []int, err
 	var src mpc.CorrelationSource
 	var srcErr error
 	if s.provider != nil {
-		src, srcErr = s.provider.SourceFor(s.party.ID, shape)
+		if src, srcErr = s.provider.SourceFor(s.party.ID, shape); srcErr == nil {
+			srcErr = s.checkBound(src)
+		}
 	}
 	mine := []int{0, 0, 0}
 	switch {
@@ -387,6 +426,11 @@ func NewSessionOpts(p *mpc.Party, m *models.Model, expect []int, _ SessionOption
 		return nil, err
 	}
 	s := &Session{party: p, eng: eng, expect: expect}
+	if p.ID == 1 {
+		if s.binder, err = p.NewBinder(eng.fixedWs); err != nil {
+			return nil, err
+		}
+	}
 	s.budget.Store(-1)
 	return s, nil
 }

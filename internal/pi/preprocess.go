@@ -147,10 +147,16 @@ type SourceProvider interface {
 // (party, geometry), and serves each file's stream across flushes until it
 // is exhausted — at which point the online phase fails with the store's
 // descriptive exhaustion error rather than desyncing.
+//
+// Installed in a party-1 Session (UsePreprocessed), it binds every
+// party-1 store to that session: the ones it holds at once, and every
+// later one as it decodes (corr.ReadBoundFile), on Preload or on a lazy
+// SourceFor. It binds for one session only.
 type DirProvider struct {
 	dir    string
 	mu     sync.Mutex
 	stores map[string]*corr.Store
+	binder *mpc.Binder
 }
 
 // NewDirProvider serves stores from dir.
@@ -187,7 +193,7 @@ func (dp *DirProvider) Preload(party int) error {
 		if _, ok := dp.stores[name]; ok {
 			continue
 		}
-		s, err := corr.ReadFile(filepath.Join(dp.dir, name))
+		s, err := dp.read(party, name)
 		if err != nil {
 			return fmt.Errorf("pi: preload store %s: %w", name, err)
 		}
@@ -208,7 +214,7 @@ func (dp *DirProvider) SourceFor(party int, shape []int) (mpc.CorrelationSource,
 	if s, ok := dp.stores[name]; ok {
 		return s, nil
 	}
-	s, err := corr.ReadFile(filepath.Join(dp.dir, name))
+	s, err := dp.read(party, name)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("pi: party %d at geometry %v: %w", party, shape, ErrNoStore)
@@ -220,6 +226,37 @@ func (dp *DirProvider) SourceFor(party int, shape []int) (mpc.CorrelationSource,
 	}
 	dp.stores[name] = s
 	return s, nil
+}
+
+// read loads the store file name for party, bound as it decodes when it
+// is party 1's and the provider has a binder. The caller holds dp.mu.
+func (dp *DirProvider) read(party int, name string) (*corr.Store, error) {
+	path := filepath.Join(dp.dir, name)
+	if party == 1 && dp.binder != nil {
+		return corr.ReadBoundFile(path, dp.binder)
+	}
+	return corr.ReadFile(path)
+}
+
+// bind implements binding: it binds every party-1 store loaded so far
+// and keeps b for the ones loaded later. A provider already bound to
+// another session's binder refuses.
+func (dp *DirProvider) bind(b *mpc.Binder) error {
+	dp.mu.Lock()
+	defer dp.mu.Unlock()
+	if dp.binder != nil && dp.binder != b {
+		return fmt.Errorf("pi: store directory %s is bound to another session (dealer seed %#x); each session needs a DirProvider of its own", dp.dir, dp.binder.Seed())
+	}
+	dp.binder = b
+	for name, s := range dp.stores {
+		if s.Party() != 1 || s.Binder() == b {
+			continue
+		}
+		if err := s.Bind(b); err != nil {
+			return fmt.Errorf("pi: bind store %s: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // StoreSeed derives the per-geometry dealer stream seed shared by the two

@@ -172,6 +172,14 @@ func (sp storePair) SourceFor(party int, _ []int) (mpc.CorrelationSource, error)
 	return sp[party], nil
 }
 
+// bind implements binding: party 1's store is bound to its session.
+func (sp storePair) bind(b *mpc.Binder) error {
+	if sp[1].Binder() == b {
+		return nil
+	}
+	return sp[1].Bind(b)
+}
+
 // MaxAbsErr is the largest |got−want| element: the distance of private
 // logits from their plaintext reference. A length mismatch or a NaN on
 // either side is +Inf — never smaller than a real deviation, so a bound
