@@ -1,0 +1,9 @@
+// examples/ is outside the row: the walkthrough shares its inputs.
+package main
+
+import "pasnet/internal/mpc"
+
+func main() {
+	var p mpc.Party
+	p.ShareInput(0, nil)
+}

@@ -103,9 +103,10 @@ func TestRunDeterminismAcrossWorkersAndKernels(t *testing.T) {
 }
 
 // TestInferDeterminismComparisonPath repeats the invariant on a program
-// with ReLU and max pooling, whose OT-based comparison rounds are the
-// protocol's other source of potential ordering sensitivity. The hand-built
-// net needs no training, so all four kernel settings stay cheap.
+// with ReLU and max pooling, whose comparison rounds (on dealer AND
+// triples) are the protocol's other source of potential ordering
+// sensitivity. The hand-built net needs no training, so all four kernel
+// settings stay cheap.
 func TestInferDeterminismComparisonPath(t *testing.T) {
 	v := netVariants[1] // relu-maxpool-residual
 	r := rng.New(77)
