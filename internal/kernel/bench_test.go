@@ -30,6 +30,20 @@ func servedShapes(n int) []ConvShape {
 	return shapes
 }
 
+// servedProgram lists the 20 convolutions one served query of the demo
+// backbone runs, in program order, at batch size n: the stem, stage 1's
+// four 4→4 convs, then per later stage its entry, its 1×1 shortcut and
+// three convs at the doubled width — servedShapes with each shape as often
+// as the program runs it.
+func servedProgram(n int) []ConvShape {
+	sh := servedShapes(n)
+	prog := []ConvShape{sh[0], sh[1], sh[1], sh[1], sh[1]}
+	for i := 2; i < len(sh); i += 3 {
+		prog = append(prog, sh[i], sh[i+1], sh[i+2], sh[i+2], sh[i+2])
+	}
+	return prog
+}
+
 // BenchmarkConvServed times one pass over servedShapes in the ring domain
 // at the served flush sizes — 1 and 16 rows, and the ~2-row flushes of a
 // queue-aware multi-client lane — and reports allocations and GMAC/s, so
@@ -40,40 +54,54 @@ func servedShapes(n int) []ConvShape {
 // weights do. GMAC/s counts every tap of the padded receptive field, so it
 // is comparable across lowerings; in-bounds-GMAC/s counts only the taps a
 // ConvPlan multiplies (about 60 % of them on these shapes), the work done.
+// ring-N16-program runs servedProgram(16) on packed plans: every conv of a
+// served 16-row flush, as party 0 runs them.
 func BenchmarkConvServed(b *testing.B) {
+	type run struct {
+		name   string
+		n      int
+		packed bool
+		shapes func(int) []ConvShape
+	}
+	var runs []run
 	for _, packed := range []bool{false, true} {
 		for _, n := range []int{1, 2, 4, 16} {
 			name := fmt.Sprintf("ring-N%d", n)
 			if packed {
 				name += "-packed"
 			}
-			b.Run(name, func(b *testing.B) {
-				r := rng.New(8)
-				shapes := servedShapes(n)
-				xs, ks, outs := make([][]uint64, len(shapes)), make([][]uint64, len(shapes)), make([][]uint64, len(shapes))
-				plans := make([]*ConvPlan[uint64], len(shapes))
-				macs, inBounds := 0, 0
-				for i, s := range shapes {
-					xs[i], ks[i], outs[i] = fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
-					plans[i] = NewConvPlan(ks[i], s)
-					macs += s.OutLen() * (s.InC / s.NormGroups()) * s.KH * s.KW
-					inBounds += plans[i].inBoundsMACs(n)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for j, s := range shapes {
-						if packed {
-							plans[j].Run(outs[j], xs[j], n)
-						} else {
-							Conv2D(outs[j], xs[j], ks[j], s)
-						}
+			runs = append(runs, run{name, n, packed, servedShapes})
+		}
+	}
+	runs = append(runs, run{"ring-N16-program", 16, true, servedProgram})
+	for _, c := range runs {
+		n, packed := c.n, c.packed
+		b.Run(c.name, func(b *testing.B) {
+			r := rng.New(8)
+			shapes := c.shapes(n)
+			xs, ks, outs := make([][]uint64, len(shapes)), make([][]uint64, len(shapes)), make([][]uint64, len(shapes))
+			plans := make([]*ConvPlan[uint64], len(shapes))
+			macs, inBounds := 0, 0
+			for i, s := range shapes {
+				xs[i], ks[i], outs[i] = fillU64(r, s.InLen()), fillU64(r, s.KLen()), make([]uint64, s.OutLen())
+				plans[i] = NewConvPlan(ks[i], s)
+				macs += s.OutLen() * (s.InC / s.NormGroups()) * s.KH * s.KW
+				inBounds += plans[i].inBoundsMACs(n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, s := range shapes {
+					if packed {
+						plans[j].Run(outs[j], xs[j], n)
+					} else {
+						Conv2D(outs[j], xs[j], ks[j], s)
 					}
 				}
-				b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-				b.ReportMetric(float64(inBounds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "in-bounds-GMAC/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			b.ReportMetric(float64(inBounds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "in-bounds-GMAC/s")
+		})
 	}
 }
 
@@ -103,33 +131,38 @@ func paperScaleShapes(n int) []ConvShape {
 	return shapes
 }
 
-// BenchmarkConvPaperScale times one ring-domain image (N = 1) through
-// paperScaleShapes on packed ConvPlans and reports in-bounds GMAC/s — the
-// paper's regime, which the width-1/16 served backbone hides. Plans are
-// built outside the timer, one layer at a time and reused across a run of
-// identical layers: a 512→512 plan alone holds ~103 MB.
+// BenchmarkConvPaperScale times ring-domain batches of one image (N1) and
+// of 16 (N16) through paperScaleShapes on packed ConvPlans and reports
+// in-bounds GMAC/s — the paper's regime, which the width-1/16 served
+// backbone hides. Plans are built outside the timer, one layer at a time
+// and reused across a run of identical layers: a 512→512 plan alone holds
+// ~103 MB.
 func BenchmarkConvPaperScale(b *testing.B) {
-	r := rng.New(9)
-	shapes := paperScaleShapes(1)
-	inBounds := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var p *ConvPlan[uint64]
-		for j, s := range shapes {
-			b.StopTimer()
-			if j == 0 || s != shapes[j-1] {
-				p = nil // let the previous layer's plan go before packing the next
-				p = NewConvPlan(fillU64(r, s.KLen()), s)
+	for _, n := range []int{1, 16} {
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			r := rng.New(9)
+			shapes := paperScaleShapes(n)
+			inBounds := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var p *ConvPlan[uint64]
+				for j, s := range shapes {
+					b.StopTimer()
+					if j == 0 || s != shapes[j-1] {
+						p = nil // let the previous layer's plan go before packing the next
+						p = NewConvPlan(fillU64(r, s.KLen()), s)
+					}
+					x, out := fillU64(r, s.InLen()), make([]uint64, s.OutLen())
+					b.StartTimer()
+					p.Run(out, x, s.N)
+					if i == 0 {
+						inBounds += p.inBoundsMACs(s.N)
+					}
+				}
 			}
-			x, out := fillU64(r, s.InLen()), make([]uint64, s.OutLen())
-			b.StartTimer()
-			p.Run(out, x, s.N)
-			if i == 0 {
-				inBounds += p.inBoundsMACs(s.N)
-			}
-		}
+			b.ReportMetric(float64(inBounds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "in-bounds-GMAC/s")
+		})
 	}
-	b.ReportMetric(float64(inBounds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "in-bounds-GMAC/s")
 }
 
 func benchConv[T Elem](b *testing.B, fill func(*rng.RNG, int) []T, naive bool) {

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // This file holds the convolution entry points: the one forward lowering
@@ -89,18 +90,28 @@ func Conv2D[T Elem](out, x, k []T, s ConvShape) {
 // rows are the class's positions over every batch row, whose columns are
 // the group's output channels and whose k extent is the class's in-bounds
 // (channel, ky, kx) taps. A 3×3 pad-1 conv has at most 9 classes, and on a
-// 1×1 map one, whose K is the centre tap alone. Row panels are packed
-// straight from the NCHW input through the class's tap-offset table, so no
-// im2col matrix is materialised and no lane ever reads padding; the plan
-// holds each class's Kᵀ column strips; each tile is stored back into NCHW
-// through per-position row offsets and the OH·OW channel stride. The taps
-// a class multiplies are exactly the ones the naive loops do not skip, in
-// the same (c, ky, kx) order, so float64 results are bit-identical and ring
-// results exactly equal.
+// 1×1 map one, whose K is the centre tap alone. A row panel is tileM
+// positions, and lane r's tap p is x[base_r + taps[p]]: a position's input
+// base (its class window's first tap) plus the class's tap offset, read
+// straight from the NCHW input, so no im2col matrix is materialised and no
+// lane ever reads padding. The plan holds each class's Kᵀ column strips;
+// each tile is stored back into NCHW through per-position output offsets
+// and the OH·OW channel stride. The bases and offsets of every panel at a
+// batch size are one table (convLanes), kept for the size the plan last
+// ran at. Which body runs a panel follows microStrips': in the ring on an
+// AVX-512 CPU the assembly tile broadcasts each lane's taps from x in
+// place and walks a chunk's panels of a (group, class) in one call
+// (ringConvTiles); otherwise, and for float64 always, each panel is packed
+// (packClassPanel) and run on the Go microTile. The taps a class multiplies
+// are exactly the ones the naive loops do not skip, in the same (c, ky, kx)
+// order, so float64 results are bit-identical and ring results exactly
+// equal.
 //
-// A ConvPlan is immutable once built and safe for concurrent Runs. It
-// keeps a reference to k for the SetNaive path, so k must not change while
-// the plan is in use.
+// A ConvPlan is immutable once built, but for the position table it
+// keeps for its last batch size (swapped atomically, so a Run at another
+// size builds its own), and safe for concurrent Runs. It keeps a
+// reference to k for the SetNaive path, so k must not change while the
+// plan is in use.
 type ConvPlan[T Elem] struct {
 	s       ConvShape // the geometry, N = 0
 	k       []T       // the kernel it was packed from
@@ -110,15 +121,18 @@ type ConvPlan[T Elem] struct {
 	gstride int   // kp words per group
 	maxK    int   // the widest class's k extent
 	macs    int   // in-bounds taps per output channel and batch row
+	// lanes is the position table of the batch size the plan last ran at.
+	lanes atomic.Pointer[convLanes]
 }
 
 // convClass is one rectangle of output positions that share a kernel
 // window: rows [oy0, oy0+h) × columns [ox0, ox0+w), reading kernel rows
 // [ky0, ky1) × columns [kx0, kx1). Its k = icg·(ky1−ky0)·(kx1−kx0) taps are
-// taps[t0:t0+k], each an input offset from the receptive field's top-left
-// corner in the group's first channel. Its Kᵀ strips start at word kp of
-// each group's span of the plan's kp; the strip of output channels
-// [j0, j0+tileN) is the k·tileN words from kp + j0·k.
+// taps[t0:t0+k], each an input offset from the window's first tap,
+// (ky0, kx0), in the group's first channel, so they start at 0 and only
+// grow. Its Kᵀ strips start at word kp of each group's span of the plan's
+// kp; the strip of output channels [j0, j0+tileN) is the k·tileN words
+// from kp + j0·k.
 type convClass struct {
 	oy0, ox0, h, w int
 	ky0, ky1       int
@@ -221,7 +235,7 @@ func (p *ConvPlan[T]) build(k []T, s ConvShape) {
 		for cg := 0; cg < icg; cg++ {
 			for ky := c.ky0; ky < c.ky1; ky++ {
 				for kx := c.kx0; kx < c.kx1; kx++ {
-					offs[t] = (cg*s.H+ky)*s.W + kx
+					offs[t] = (cg*s.H+ky-c.ky0)*s.W + kx - c.kx0
 					t++
 				}
 			}
@@ -266,7 +280,11 @@ func packClassStrip[T Elem](bp, kc []T, c *convClass, s ConvShape, icg, ckk, nr 
 }
 
 // run is Run past the checks: every (group, class) GEMM over n batch rows,
-// its row panels the unit parallelFor splits.
+// its row panels (convLanes) the unit parallelFor splits. In the ring on
+// the vector path the tile reads each lane's taps from x in place
+// (ringConvTiles) and one call runs a chunk's panels of one (group,
+// class); otherwise each panel is packed (packClassPanel) and reduced by
+// microStrips.
 func (p *ConvPlan[T]) run(out, x []T, n int) {
 	s, classes, taps, kp, gstride := p.s, p.classes, p.taps, p.kp, p.gstride
 	oh, ow := s.OutHW()
@@ -276,78 +294,112 @@ func (p *ConvPlan[T]) run(out, x []T, n int) {
 	}
 	g := s.NormGroups()
 	icg, ocg := s.InC/g, s.OutC/g
-	panels := 0
-	for ci := range classes {
-		panels += (n*classes[ci].h*classes[ci].w + tileM - 1) / tileM
-	}
+	xgroup, ogroup := icg*s.H*s.W, ocg*ohw
+	l := p.lanesFor(n)
+	np := l.start[len(classes)]
+	_, vec := any(out).([]uint64)
+	vec = vec && useRingVec
 	// A panel's work is tileM·K·ocg multiplies; p.macs/ohw is the mean K.
 	grain := 1 + gemmFlopGrain/(tileM*max(1, p.macs/ohw)*ocg)
-	apLen := tileM * p.maxK
-	parallelFor(g*panels, grain, func(lo, hi int) {
-		buf := getPanel[T](apLen)
-		defer panelPool.Put(buf)
-		ap := *buf
-		// Input and output offset steps along the (b, cy, cx) cursor: one
-		// class column, one output row and one batch row.
-		xs, xrow, xbatch := s.Stride, s.Stride*s.W, s.InC*s.H*s.W
-		obatch := s.OutC * ohw
-		var rows, base [tileM]int
-		t := 0
-		for gi := 0; gi < g && t < hi; gi++ {
-			gkp := kp[gi*gstride : (gi+1)*gstride]
-			for ci := 0; ci < len(classes) && t < hi; ci++ {
-				c := &classes[ci]
-				area := c.h * c.w
-				m := n * area
-				np := (m + tileM - 1) / tileM
-				if t+np <= lo {
-					t += np
-					continue
-				}
-				offs := taps[c.t0 : c.t0+c.k]
-				// (b, cy, cx) walks the class's positions lane by lane:
-				// batch row b, row cy and column cx within the class. xo and
-				// ro are its input window's and its output's offsets, carried
-				// by the steps past a class column and a class row.
-				p0 := max(0, lo-t)
-				b, j := p0*tileM/area, p0*tileM%area
-				cy, cx := j/c.w, j%c.w
-				oy, ox := c.oy0+cy, c.ox0+cx
-				xo := ((b*s.InC+gi*icg)*s.H+oy*s.Stride-s.Pad)*s.W + ox*s.Stride - s.Pad
-				ro := (b*s.OutC+gi*ocg)*ohw + oy*ow + ox
-				xcol, ocol := xrow-c.w*xs, ow-c.w
-				xcls, ocls := xbatch-c.h*xrow, obatch-c.h*ow
-				for pi := p0; pi < np && t+pi < hi; pi++ {
-					mr := min(tileM, m-pi*tileM)
-					for ii := 0; ii < mr; ii++ {
-						base[ii], rows[ii] = xo, ro
-						xo, ro = xo+xs, ro+1
-						if cx++; cx == c.w {
-							cx = 0
-							xo, ro = xo+xcol, ro+ocol
-							if cy++; cy == c.h {
-								cy = 0
-								xo, ro = xo+xcls, ro+ocls
-							}
-						}
-					}
-					for ii := mr; ii < tileM; ii++ {
-						base[ii] = base[0] // a dead lane re-reads lane 0; it is never stored
-					}
-					a := ap[: tileM*c.k : tileM*c.k]
-					packClassPanel(a, x, offs, &base)
-					microStrips(out, a, gkp[c.kp:], c.k, &rows, ohw, mr, ocg, false)
-				}
-				t += np
+	parallelFor(g*np, grain, func(lo, hi int) {
+		var ap []T
+		if !vec {
+			buf := getPanel[T](tileM * p.maxK)
+			defer panelPool.Put(buf)
+			ap = *buf
+		}
+		// u walks the chunk's panels: panel q of group gi, in class ci.
+		for u := lo; u < hi; {
+			gi, q, ci := u/np, u%np, 0
+			for l.start[ci+1] <= q {
+				ci++
 			}
+			c := &classes[ci]
+			q1 := min(l.start[ci+1], q+hi-u)
+			pos := l.pos[q*2*tileM : q1*2*tileM]
+			offs := taps[c.t0 : c.t0+c.k]
+			xg, og := x[gi*xgroup:], out[gi*ogroup:]
+			bp := kp[gi*gstride+c.kp:]
+			if vec {
+				ringConvTiles(any(og).([]uint64), any(xg).([]uint64), offs, any(bp).([]uint64), pos, ocg, ohw)
+			} else {
+				a := ap[: tileM*c.k : tileM*c.k]
+				var base, rows [tileM]int
+				for ; len(pos) > 0; pos = pos[2*tileM:] {
+					copy(base[:], pos[:tileM])
+					copy(rows[:], pos[tileM:2*tileM])
+					packClassPanel(a, xg, offs, &base)
+					microStrips(og, a, bp, c.k, &rows, ohw, tileM, ocg, false)
+				}
+			}
+			u += q1 - q
 		}
 	})
 }
 
-// panelPool pools the A panels ConvPlan.run packs into. A plan is shared by
-// concurrent Runs, so each worker chunk takes a panel here and returns it
-// when the chunk ends; a panel of the other element domain, or one too
-// short, is dropped.
+// convLanes is a plan's position table at one batch size: each class's
+// output positions over all n batch rows, in (batch row, class row, class
+// column) order, cut into panels of tileM lanes. Class ci's panels are
+// [start[ci], start[ci+1]); panel q is pos[q·2·tileM:], its lanes' input
+// bases (the offset of the class's first tap, its taps[c.t0] being 0, in
+// the group's first channel) then their output offsets in the group's
+// first channel. Both only grow along a class. Lanes past a class's last
+// position repeat it: they compute that position's words again and store
+// them to the same place, so no tile needs a live-row count.
+type convLanes struct {
+	n     int
+	start []int
+	pos   []int
+}
+
+// lanesFor returns the plan's position table at n batch rows, building it
+// on a batch size the plan last ran at another.
+func (p *ConvPlan[T]) lanesFor(n int) *convLanes {
+	if l := p.lanes.Load(); l != nil && l.n == n {
+		return l
+	}
+	s := p.s
+	oh, ow := s.OutHW()
+	ohw := oh * ow
+	nc := len(p.classes)
+	buf := make([]int, nc+1, nc+1+2*(n*ohw+tileM*nc))
+	l := &convLanes{n: n, start: buf}
+	pos := buf[len(buf):]
+	xbatch, obatch := s.InC*s.H*s.W, s.OutC*ohw
+	for ci := range p.classes {
+		c := &p.classes[ci]
+		l.start[ci] = len(pos) / (2 * tileM)
+		var xb, ob [tileM]int
+		lane := 0
+		for b := 0; b < n; b++ {
+			for oy := c.oy0; oy < c.oy0+c.h; oy++ {
+				for ox := c.ox0; ox < c.ox0+c.w; ox++ {
+					iy, ix := oy*s.Stride-s.Pad+c.ky0, ox*s.Stride-s.Pad+c.kx0
+					xb[lane], ob[lane] = b*xbatch+iy*s.W+ix, b*obatch+oy*ow+ox
+					if lane++; lane == tileM {
+						pos = append(append(pos, xb[:]...), ob[:]...)
+						lane = 0
+					}
+				}
+			}
+		}
+		if lane > 0 {
+			for r := lane; r < tileM; r++ {
+				xb[r], ob[r] = xb[lane-1], ob[lane-1]
+			}
+			pos = append(append(pos, xb[:]...), ob[:]...)
+		}
+	}
+	l.start[nc] = len(pos) / (2 * tileM)
+	l.pos = pos
+	p.lanes.Store(l)
+	return l
+}
+
+// panelPool pools the A panels ConvPlan.run packs into on the Go body. A
+// plan is shared by concurrent Runs, so each worker chunk takes a panel
+// here and returns it when the chunk ends; a panel of the other element
+// domain, or one too short, is dropped.
 var panelPool sync.Pool
 
 // getPanel returns a pooled panel of at least n elements.

@@ -8,8 +8,13 @@ type Elem interface {
 }
 
 // gemmFlopGrain is the approximate multiply count handed to one worker;
-// row chunks are sized so small problems stay on one core.
-const gemmFlopGrain = 1 << 15
+// row chunks are sized so small problems stay on one core. 2¹⁸ multiplies
+// are ~20–30 µs of the vector ring tile; a second worker handed much less
+// costs more than it saves. On a 2-core AVX-512 box, at 2¹⁵ the 20 convs
+// of a served 16-row flush took 129 µs on two workers against 117 µs on
+// one (BenchmarkConvServed/ring-N16-program); at 2¹⁸ none splits, and the
+// paper-width layers (BenchmarkConvPaperScale) run as fast as at 2¹⁵.
+const gemmFlopGrain = 1 << 18
 
 // rowGrain returns the number of output rows per parallel chunk for a
 // problem with rowWork multiplies per row.

@@ -13,6 +13,10 @@ func ringTiles(dst, ap, bp []uint64, k int, rows *[tileM]int, cs, mr, n int, acc
 	panic("kernel: no vector ring tile on this architecture")
 }
 
+func ringConvTiles(out, x []uint64, offs []int, bp []uint64, pos []int, ocg, cs int) {
+	panic("kernel: no vector ring tile on this architecture")
+}
+
 func ringAddVec(dst, a, b []uint64) { panic("kernel: no vector ring pass on this architecture") }
 func ringSubVec(dst, a, b []uint64) { panic("kernel: no vector ring pass on this architecture") }
 

@@ -82,6 +82,72 @@ func TestMicroTileVectorMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestConvTilesVectorMatchesGeneric pins the pack-free conv tile
+// (ringConvTiles) to the Go body — each panel packed, then microTile — on
+// real ConvPlan layouts: every window class of 3×3 pad-1 convs at stride 1
+// and 2 on maps from 1×1 to 8×8 (and one H ≠ W), 1×1 convs (one padded,
+// so some classes have no tap), dense, grouped and depthwise, at ocg from 1 to 32 output channels per group
+// (one strip, ragged strips, strip pairs with an odd strip or a ragged
+// pair) and icg 1–3 (odd and even k on every class), at N = 1, 2, 3 and
+// 16, on words with the ring's edge values mixed in. Both write a copy of
+// one random buffer around out, and the whole buffer must match. A
+// paper-width layer also runs its vector walk at three workers, so its
+// chunks cut classes in the middle.
+func TestConvTilesVectorMatchesGeneric(t *testing.T) {
+	if !hasRingVec {
+		t.Skip("CPU lacks AVX-512 F/DQ/VL (or this is not amd64): ConvPlan runs the packed Go body only")
+	}
+	defer func(prev bool) { useRingVec = prev }(useRingVec)
+	defer SetWorkers(SetWorkers(1))
+	r := rng.New(50)
+	check := func(s ConvShape, workers ...int) {
+		t.Helper()
+		p := NewConvPlan(fillWords(r, s.KLen()), s)
+		x := fillWords(r, s.InLen())
+		const slack = 5
+		buf := fillWords(r, s.OutLen()+2*slack)
+		want := append([]uint64(nil), buf...)
+		useRingVec = false
+		SetWorkers(1)
+		p.Run(want[slack:slack+s.OutLen()], x, s.N)
+		useRingVec = true
+		for _, w := range workers {
+			got := append([]uint64(nil), buf...)
+			SetWorkers(w)
+			p.Run(got[slack:slack+s.OutLen()], x, s.N)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%+v at %d workers: word %d (out[%d]) is %#x, the Go body's %#x", s, w, i, i-slack, got[i], want[i])
+				}
+			}
+		}
+	}
+	type geom struct{ h, w, kk, stride, pad int }
+	var geoms []geom
+	for _, hw := range []int{1, 2, 3, 4, 5, 8} {
+		geoms = append(geoms, geom{hw, hw, 3, 1, 1}, geom{hw, hw, 3, 2, 1})
+	}
+	// The last one pads a 1×1 kernel, so its border classes have no tap.
+	geoms = append(geoms, geom{3, 8, 3, 1, 1}, geom{8, 8, 1, 1, 0}, geom{8, 8, 1, 2, 0}, geom{2, 2, 1, 1, 0}, geom{3, 3, 1, 1, 1})
+	for _, gm := range geoms {
+		for _, icg := range []int{1, 2, 3} {
+			for _, ocg := range []int{1, 2, 4, 5, 8, 12, 20, 32} {
+				for _, n := range []int{1, 2, 3, 16} {
+					for _, g := range []int{1, 2} {
+						check(ConvShape{N: n, InC: g * icg, H: gm.h, W: gm.w, OutC: g * ocg,
+							KH: gm.kk, KW: gm.kk, Stride: gm.stride, Pad: gm.pad, Groups: g}, 1)
+					}
+				}
+			}
+		}
+		for _, n := range []int{1, 16} {
+			check(ConvShape{N: n, InC: 8, H: gm.h, W: gm.w, OutC: 8,
+				KH: gm.kk, KW: gm.kk, Stride: gm.stride, Pad: gm.pad, Groups: 8}, 1)
+		}
+	}
+	check(ConvShape{N: 16, InC: 32, H: 8, W: 8, OutC: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}, 1, 3)
+}
+
 // TestRingGoTile runs the ring equivalence suites with the vector tile
 // off, so the Go ring tile stays pinned on a CPU that would otherwise
 // never run it.

@@ -1,8 +1,8 @@
 // Package kernel holds the shared compute kernels behind every convolution
 // and matrix-multiplication hot path in the repository: a register-tiled
 // GEMM, the batch-folded convolution lowering that feeds it output
-// positions packed straight from the input — in-bounds taps only, against
-// a kernel packed once per geometry (ConvPlan) — the im2col/col2im
+// positions read straight from the input — in-bounds taps only, against a
+// kernel packed once per geometry (ConvPlan) — the im2col/col2im
 // lowering of the training backward pass, and chunked elementwise
 // primitives, all instantiated over both float64 (plaintext training) and
 // uint64 (the 2PC ring Z_{2^64}, where Go's native wrapping arithmetic is
@@ -10,7 +10,11 @@
 //
 // The GEMM's 6×4 microkernel runs in AVX-512 assembly for the ring on an
 // amd64 CPU that has AVX-512 F, DQ and VL, which a CPUID and XGETBV check
-// decides once at init; there is no setting for it. The same check routes
+// decides once at init; there is no setting for it. On that path a
+// ConvPlan packs no input panel: its own assembly tile reads each
+// position's taps from the input in place, eight output channels per
+// pass. The Go body, float64's always, packs each panel first. The same
+// check routes
 // the ring's elementwise passes — Add, Sub, TruncAdd (a linear op's z add,
 // truncation and bias) and X2Act (the polynomial activation's combine) —
 // to eight-lane ZMM loops whose last partial block runs under a lane mask.

@@ -8,10 +8,14 @@ package kernel
 // check in microtile_amd64.s, run once at init), it is assembly: six YMM
 // rows of four lanes, each k step one B row load and six VPMULLQ + VPADDQ
 // against A lanes broadcast from memory, and it walks every B strip of an
-// A panel and stores the tiles itself. Everywhere else — float64 always,
-// the ring on other CPUs and architectures — it is the Go microTile, with
-// unrolled scalar accumulators; it is also the vector body's equivalence
-// reference. float64 stays on the Go tile: a vector float body must keep
+// A panel and stores the tiles itself. A ConvPlan on that path packs no A
+// panel at all: its tile (ringConvTiles) broadcasts each lane's taps
+// straight from the NCHW input, runs 6×8 ZMM tiles over pairs of B strips
+// (a last single strip pairs k steps in one register instead), and walks
+// every panel of a (group, class) in one call. Everywhere else — float64
+// always, the ring on other CPUs and architectures — it is the Go
+// microTile, with unrolled scalar accumulators; it is also the vector
+// bodies' equivalence reference. float64 stays on the Go tile: a vector float body must keep
 // a separate multiply and add, never a fused multiply-add, which rounds
 // once instead of twice and would change training's bits, and none is
 // written yet. The same gate (useRingVec) routes the ring's elementwise
@@ -56,9 +60,10 @@ const (
 //
 // The GEMM variants hand their pack functions over as closures so all
 // share one driver: each variant differs only in where an (i, p) or
-// (p, j) element of its operand lives. A ConvPlan fills the same layout
-// one panel at a time (packClassPanel) from one window class's in-bounds
-// taps, against Kᵀ strips it packed once, and drives microStrips itself.
+// (p, j) element of its operand lives. A ConvPlan packs its Kᵀ strips
+// once, in the B layout; on the Go body it fills the A layout one panel at
+// a time (packClassPanel) from one window class's in-bounds taps and
+// drives microStrips itself, and on the vector ring body it packs no A.
 
 // panelLen returns the packedA length for a chunk of rows output rows
 // with k-extent k: whole tileM-row panels.

@@ -38,10 +38,11 @@ import (
 // session-constant F alone, so it is offline work (Delphi's client-side
 // linear share, here party 1's). A store bound to its session (a Binder,
 // corr.Store.Bind) holds Y₁ in place of z₁, computed while the store
-// loads, and online party 1 only sends E' and copies Y₁ out. The live
-// dealer and an unbound store hand out z₁, and party 1 runs the same owner
-// pass (ownerLeg.pass) at take time. Party 0's row needs E', so it stays
-// online.
+// loads, and online party 1 only sends E' and hands the store's Y₁ words
+// over as its output share, copying nothing: no op writes its inputs, so a
+// flush never writes a store's words. The live dealer and an unbound store
+// hand out z₁, and party 1 runs the same owner pass (ownerLeg.pass) at
+// take time. Party 0's row needs E', so it stays online.
 //
 // One activation tensor is masked once per flush, however many linear ops
 // read it. When two ops take the same input — a downsampling residual's
@@ -263,10 +264,13 @@ func (p *Party) checkFixedW(fw *FixedWeight) error {
 // input's rows by W (k×n).
 //
 // Out, when non-nil, is the op's destination: exactly its output's words,
-// which the returned share then holds; nil allocates them. Bias, when
-// non-nil, is the op's public bias encoded per output channel (a
-// convolution's OutC, a product's n columns), which party 0 adds in the
-// same pass that truncates — AddBias/AddBiasVec fused into the op.
+// which the returned share then holds; nil allocates them. Party 1 from a
+// bound source writes no destination: its output share is its store's Y₁
+// words, which the returned share holds instead and which the caller must
+// not write (see the file comment). Bias, when non-nil, is the op's public
+// bias encoded per output channel (a convolution's OutC, a product's n
+// columns), which party 0 adds in the same pass that truncates —
+// AddBias/AddBiasVec fused into the op.
 type FixedWOp struct {
 	FW   *FixedWeight
 	Conv *ConvDims
@@ -329,8 +333,8 @@ func (fw *FixedWeight) product(d *ConvDims, m int) ownerLeg {
 // party 1 sends E' = X₁ − a once, and each party runs one kernel pass per
 // op (see the file comment), then one pass that adds z, truncates and adds
 // the op's bias. From a bound source party 1's takes hand it each op's
-// output share Y₁, which it copies out, running no pass. With one op and
-// neither Out nor Bias it is MatMulFixedW or Conv2DFixedW.
+// output share Y₁, which it returns as is, running no pass. With one op
+// and neither Out nor Bias it is MatMulFixedW or Conv2DFixedW.
 func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("mpc: linear fixed-w: no ops")
@@ -375,7 +379,7 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 		}
 		*l = op.FW.product(op.Conv, x.Shape[0])
 		l.z = z
-		if err := l.place(op); err != nil {
+		if err := l.place(op, binder != nil); err != nil {
 			return nil, err
 		}
 	}
@@ -389,9 +393,11 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 	return outs, nil
 }
 
-// place gives the leg op's destination (or fresh words) and bias, whose
-// shapes it checks against the leg's output shape.
-func (l *ownerLeg) place(op FixedWOp) error {
+// place gives the leg its output words and op's bias, whose shapes it
+// checks against the leg's output shape: op's destination (or fresh
+// words), or, bound, the z it took, which is party 1's output share Y₁
+// already.
+func (l *ownerLeg) place(op FixedWOp, bound bool) error {
 	n, ch := 1, l.out.Shape[1]
 	for _, d := range l.out.Shape {
 		n *= d
@@ -400,14 +406,16 @@ func (l *ownerLeg) place(op FixedWOp) error {
 		return fmt.Errorf("mpc: linear fixed-w: %d bias words for %d output channels", len(op.Bias), ch)
 	}
 	l.bias = op.Bias
-	if op.Out == nil {
-		l.out.V = make([]uint64, n)
-		return nil
-	}
-	if len(op.Out) != n {
+	switch {
+	case op.Out != nil && len(op.Out) != n:
 		return fmt.Errorf("mpc: linear fixed-w: destination of %d words for output %v", len(op.Out), l.out.Shape)
+	case bound:
+		l.out.V = l.z
+	case op.Out == nil:
+		l.out.V = make([]uint64, n)
+	default:
+		l.out.V = op.Out
 	}
-	l.out.V = op.Out
 	return nil
 }
 
@@ -443,9 +451,9 @@ func (p *Party) checkWeight(w Share, fw *FixedWeight) error {
 // ownerCombine runs the owner-side protocol of fixed-weight ops on one
 // input (see the file comment), each leg into its out: party 1 sends
 // E' = X₁ − a once and runs each leg's owner pass, a∘F + z₁ truncated —
-// or, bound, copies out the Y₁ its leg's z already is; party 0 receives
-// E', bounded to len(x) words, and runs (X₀ + E')∘W + z₀ truncated and
-// biased per leg. Party 1 sends before its passes, so the two parties'
+// or, bound, runs none: each leg's output is the Y₁ its z already is
+// (ownerLeg.place); party 0 receives E', bounded to len(x) words, and runs
+// (X₀ + E')∘W + z₀ truncated and biased per leg. Party 1 sends before its passes, so the two parties'
 // passes overlap.
 func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg, bound bool) error {
 	operand := a
@@ -466,13 +474,11 @@ func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg, bound bool) error {
 		ringAdd(e, e, x)
 		operand = e
 	}
+	if bound {
+		return nil
+	}
 	for i := range legs {
-		l := &legs[i]
-		if bound {
-			copy(l.out.V, l.z)
-			continue
-		}
-		l.pass(operand, p.Codec.FracBits, p.ID)
+		legs[i].pass(operand, p.Codec.FracBits, p.ID)
 	}
 	return nil
 }

@@ -440,3 +440,103 @@ func BenchmarkStoreLoad(b *testing.B) {
 		b.ReportMetric(float64(phases[i].Microseconds())/1e3/float64(b.N), name+"-ms/op")
 	}
 }
+
+// takeRecorder is a bound store that keeps every FixedB z it hands party
+// 1 — the op's output share Y₁ — with a copy taken as the op takes it,
+// before any op has read it.
+type takeRecorder struct {
+	*corr.Store
+	zs, snap [][]uint64
+}
+
+func (r *takeRecorder) keep(z []uint64) {
+	r.zs = append(r.zs, z)
+	r.snap = append(r.snap, slices.Clone(z))
+}
+
+func (r *takeRecorder) TakeConvFixedB(mask int, d mpc.ConvDims) ([]uint64, []uint64, error) {
+	a, z, err := r.Store.TakeConvFixedB(mask, d)
+	r.keep(z)
+	return a, z, err
+}
+
+func (r *takeRecorder) TakeConvFixedBShared(mask int, d mpc.ConvDims) ([]uint64, error) {
+	z, err := r.Store.TakeConvFixedBShared(mask, d)
+	r.keep(z)
+	return z, err
+}
+
+func (r *takeRecorder) TakeMatMulFixedB(mask, m, k, n int) ([]uint64, []uint64, error) {
+	a, z, err := r.Store.TakeMatMulFixedB(mask, m, k, n)
+	r.keep(z)
+	return a, z, err
+}
+
+func (r *takeRecorder) TakeMatMulFixedBShared(mask, m, k, n int) ([]uint64, error) {
+	z, err := r.Store.TakeMatMulFixedBShared(mask, m, k, n)
+	r.keep(z)
+	return z, err
+}
+
+// TestBoundOutputsNeverWritten pins what handing party 1's bound Y₁ over
+// as its linear outputs relies on: no op of a flush writes its inputs, so
+// every bound store word a flush hands out still holds, after the flush,
+// what the store held when its op took it. It serves one flush of each
+// demo program at 1 and 16 rows off a bound party-1 store, compares every
+// Y₁ word for word with its copy, and both parties' output shares with
+// the same flush off the unbound stores.
+func TestBoundOutputsNeverWritten(t *testing.T) {
+	for _, class := range bindClasses {
+		prog, err := Compile(trainedDemoModel(t, class).Net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 16} {
+			t.Run(fmt.Sprintf("%s/N=%d", class, n), func(t *testing.T) {
+				x := demoQuery(n)
+				want := newEnginePair(t, prog).flush(t, x, flushStores(t, prog, x.Shape, 90))
+				ep := newEnginePair(t, prog)
+				stores := flushStores(t, prog, x.Shape, 90)
+				b, err := ep.ps[1].NewBinder(ep.engs[1].fixedWs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := stores[1].Bind(b); err != nil {
+					t.Fatal(err)
+				}
+				rec := &takeRecorder{Store: stores[1]}
+				var got [2]mpc.Share
+				err = mpc.RunPair(ep.links, func(id int) error {
+					p := ep.ps[id]
+					in := mpc.NewShare(x.Shape...)
+					p.Source = stores[0]
+					if id == 1 {
+						p.Source = rec
+						in.V = p.EncodeTensor(x.Data)
+					}
+					var err error
+					got[id], err = ep.engs[id].Infer(in)
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rec.zs) == 0 {
+					t.Fatal("party 1 took no FixedB correlation")
+				}
+				for i, z := range rec.zs {
+					for j, w := range rec.snap[i] {
+						if z[j] != w {
+							t.Fatalf("bound Y₁ %d of %d: word %d is %#x after the flush, the store held %#x", i, len(rec.zs), j, z[j], w)
+						}
+					}
+				}
+				for id := range got {
+					if !slices.Equal(got[id].V, want[id].V) {
+						t.Fatalf("party %d: output share off the bound store differs from the unbound stores'", id)
+					}
+				}
+			})
+		}
+	}
+}

@@ -37,7 +37,7 @@ type workspace struct {
 	bufs [][]uint64
 	// vals holds each value's share during a flush, home the index into
 	// bufs of the buffer behind it (-1: memory the workspace does not own,
-	// the flush input or an op's own result).
+	// the flush input, an op's own result or a bound store's words).
 	vals []mpc.Share
 	home []int
 	// bias is each weight slot's encoded bias (nil: none).
@@ -112,7 +112,9 @@ func (e *Engine) Setup(p *mpc.Party) error {
 // a reshape keeps its input's buffer. Value IDs are reused only once their
 // old contents are dead, so this never overwrites a live value. The
 // comparison ops (ReLU, max pooling) and a windowed average pool return
-// shares of their own, which the flush reads in place.
+// shares of their own, and party 1's linear ops from a bound store their
+// store's Y₁ words (see linear), which the flush reads in place: no op
+// writes its inputs, so a store's words stay as they were bound.
 func (e *Engine) Infer(x mpc.Share) (mpc.Share, error) {
 	if e.party == nil {
 		return mpc.Share{}, fmt.Errorf("pi: engine not set up")
@@ -270,7 +272,8 @@ func (e *Engine) traceHeads(slots []int, inShape []int, ys []mpc.Share, sec floa
 // linear runs op's heads — one, or a residual's two — on the one input x
 // under one activation mask (mpc.Party.LinearFixedW), each writing its
 // value's workspace buffer with its bias added in the op's last pass, and
-// returns the heads' outputs.
+// returns the heads' outputs. Party 1 from a bound store writes no buffer:
+// each head's output is its store's Y₁ words, handed over.
 func (e *Engine) linear(op *progOp, x mpc.Share) ([]mpc.Share, error) {
 	ws := e.ws
 	fops := make([]mpc.FixedWOp, len(op.slots))
@@ -310,6 +313,9 @@ func (e *Engine) linear(op *progOp, x mpc.Share) ([]mpc.Share, error) {
 		return nil, fmt.Errorf("pi: %s: %w", e.Prog.weights[op.slots[0]].name, err)
 	}
 	for i, y := range ys {
+		if len(y.V) > 0 && &y.V[0] != &fops[i].Out[0] {
+			homes[i] = -1 // party 1's bound store words, handed over
+		}
 		ws.vals[op.out[i]], ws.home[op.out[i]] = y, homes[i]
 	}
 	return ys, nil

@@ -97,11 +97,13 @@ func demoQuery(n int) *tensor.Tensor {
 // warmFlushAllocBound caps what both parties together allocate over one
 // warm 16-row flush of the x2-avg demo program on two kernel workers, the
 // output copy and every frame the in-memory link copies included. With the
-// workspace and pooled conv panels it reads ~982,500 B (~1,157,000 B when
-// the conv kernel allocated a panel per worker chunk); when every op
-// allocated its output it read 3,769,312 B. Allocating the conv panels
-// again (~170 KB), or again only the outputs of the eight residual adds,
-// the smallest op family of the program (~123 KB), fails it.
+// workspace it reads ~979,000 B on the AVX-512 ring path, whose conv tile
+// packs no panel (~982,500 B with the Go body's pooled conv panels,
+// ~1,157,000 B when the conv kernel allocated a panel per worker chunk);
+// when every op allocated its output it read 3,769,312 B. Allocating the
+// Go body's conv panels again (~170 KB), or again only the outputs of the
+// eight residual adds, the smallest op family of the program (~123 KB),
+// fails it.
 const warmFlushAllocBound = 1_080_000
 
 func TestEngineWorkspace(t *testing.T) {
