@@ -121,6 +121,17 @@ var rows = []row{
 		allow: []string{"internal/transport/conn.go"},
 	},
 	{
+		name: "received frames are released where they are consumed",
+		why: "a received KindUint64s frame's words go back to the transport's free list once the pass " +
+			"that reads them is done (transport.Release), and the next frame of that length lands in " +
+			"them; only internal/mpc's consumers release, each right after its last read, because a " +
+			"release far from that pass would let a later frame overwrite a live share silently " +
+			"(ROADMAP item 27)",
+		fixture: "release",
+		names:   []string{"pasnet/internal/transport.Release"},
+		allow:   []string{"internal/mpc/"},
+	},
+	{
 		name: "serving code does not deal",
 		why: "a serving party should hold its correlation halves, never the generator: non-test gateway, " +
 			"sched and pi code builds no dealer or stream, and calls corr.BuildPair only where the store " +

@@ -7,6 +7,7 @@ import (
 
 	"pasnet/internal/kernel"
 	"pasnet/internal/rng"
+	"pasnet/internal/transport"
 )
 
 // Fixed weight-mask correlations and the owner-side linear protocol.
@@ -352,7 +353,11 @@ func (p *Party) LinearFixedW(x Share, ops ...FixedWOp) ([]Share, error) {
 		}
 	}
 	var a []uint64
-	legs := make([]ownerLeg, len(ops))
+	if cap(p.scr.legs) < len(ops) {
+		p.scr.legs = make([]ownerLeg, len(ops))
+	}
+	legs := p.scr.legs[:len(ops)]
+	defer clear(legs)
 	for i, op := range ops {
 		l := &legs[i]
 		var z []uint64
@@ -479,6 +484,9 @@ func (p *Party) ownerCombine(x, a []uint64, legs []ownerLeg, bound bool) error {
 	}
 	for i := range legs {
 		legs[i].pass(operand, p.Codec.FracBits, p.ID)
+	}
+	if p.ID == 0 {
+		transport.Release(operand) // E' + X₀, in the received frame's words
 	}
 	return nil
 }

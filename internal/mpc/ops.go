@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pasnet/internal/kernel"
+	"pasnet/internal/transport"
 )
 
 // ReLU computes shares of max(x, 0) elementwise: a DReLU comparison and a
@@ -233,6 +234,7 @@ func (p *Party) X2ActTo(dst, x Share, prm X2ActParams) error {
 		bias = p.Codec.Encode(prm.Scale * prm.B)
 	}
 	kernel.X2Act(dst.V, mine, theirs, a, z, x.V, c1, c2, bias, p.Codec.FracBits, p.ID)
+	transport.Release(theirs)
 	return nil
 }
 

@@ -42,6 +42,8 @@ type scratch struct {
 	mine, e, f, tmp, xe []uint64
 	// own is an owned round's packed operand.
 	own []uint64
+	// legs are LinearFixedW's owner legs, cleared once it returns.
+	legs []ownerLeg
 }
 
 // grow returns (*buf)[:n], reallocating only when capacity is short.
@@ -121,6 +123,7 @@ func (p *Party) Reveal(sh Share) ([]uint64, error) {
 	}
 	out := make([]uint64, len(sh.V))
 	ringAdd(out, sh.V, theirs)
+	transport.Release(theirs)
 	return out, nil
 }
 
@@ -148,6 +151,7 @@ func (p *Party) RevealRecv(sh Share) ([]uint64, error) {
 	}
 	out := make([]uint64, len(sh.V))
 	ringAdd(out, sh.V, theirs)
+	transport.Release(theirs)
 	return out, nil
 }
 
@@ -164,6 +168,7 @@ func (p *Party) RevealTo(owner int, sh Share) ([]uint64, error) {
 		}
 		out := make([]uint64, len(sh.V))
 		ringAdd(out, sh.V, theirs)
+		transport.Release(theirs)
 		return out, nil
 	}
 	if err := p.Conn.SendUint64s(sh.V); err != nil {
@@ -276,13 +281,15 @@ func (p *Party) openOne(x, a []uint64) ([]uint64, error) {
 	}
 	e := grow(&p.scr.e, len(x))
 	ringAdd(e, mine, theirs)
+	transport.Release(theirs)
 	return e, nil
 }
 
 // exchangeOne is openOne's round without its add: it sends this party's
 // x−a and returns it with the peer's, whose sum is E. mine is a scratch
-// view valid until the next opening. X2ActTo adds the two inside its
-// combine pass.
+// view valid until the next opening, and theirs the received frame, which
+// the caller releases once its pass has read it (transport.Release).
+// X2ActTo adds the two inside its combine pass.
 func (p *Party) exchangeOne(x, a []uint64) (mine, theirs []uint64, err error) {
 	mine = grow(&p.scr.mine, len(x))
 	ringSub(mine, x, a)
@@ -386,6 +393,7 @@ func (p *Party) openPairUneven(x, a, y, b []uint64) (e, f []uint64, err error) {
 	f = grow(&p.scr.f, ny)
 	ringAdd(e, mine[:nx], theirs[:nx])
 	ringAdd(f, mine[nx:], theirs[nx:])
+	transport.Release(theirs)
 	return e, f, nil
 }
 
@@ -421,6 +429,7 @@ func (p *Party) bitAnd(mine BitShare) (BitShare, error) {
 	for i := range out.W {
 		out.W[i] = theirs[i]&op[i] ^ tc.W[i]
 	}
+	transport.Release(theirs)
 	return out, nil
 }
 
@@ -490,5 +499,6 @@ func (p *Party) selectBits(bits BitShare, x Share) (Share, error) {
 		own := ci&theirs[nw+i] + zOwn[i]
 		out.V[i] += mj&y + (zPeer[i] ^ mj - mj) + (own ^ mi - mi)
 	}
+	transport.Release(theirs)
 	return out, nil
 }

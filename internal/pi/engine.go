@@ -42,6 +42,11 @@ type workspace struct {
 	home []int
 	// bias is each weight slot's encoded bias (nil: none).
 	bias [][]uint64
+	// fops, homes and dims are linear's per-head arguments, one per head
+	// of the program's widest linear op.
+	fops  []mpc.FixedWOp
+	homes []int
+	dims  []mpc.ConvDims
 }
 
 // NewEngine wraps a program.
@@ -203,11 +208,18 @@ func (e *Engine) Infer(x mpc.Share) (mpc.Share, error) {
 // bias with the party's codec; the buffers themselves grow on first use.
 func (e *Engine) newWorkspace() *workspace {
 	nv := e.Prog.maxValue + 1
+	heads := 0
+	for i := range e.Prog.Ops {
+		heads = max(heads, len(e.Prog.Ops[i].slots))
+	}
 	ws := &workspace{
-		bufs: make([][]uint64, 2*nv),
-		vals: make([]mpc.Share, nv),
-		home: make([]int, nv),
-		bias: make([][]uint64, len(e.Prog.weights)),
+		bufs:  make([][]uint64, 2*nv),
+		vals:  make([]mpc.Share, nv),
+		home:  make([]int, nv),
+		bias:  make([][]uint64, len(e.Prog.weights)),
+		fops:  make([]mpc.FixedWOp, heads),
+		homes: make([]int, heads),
+		dims:  make([]mpc.ConvDims, heads),
 	}
 	for i := range e.Prog.weights {
 		if b := e.Prog.weights[i].bias; b != nil {
@@ -242,7 +254,7 @@ func (e *Engine) buffer(op *progOp, j int, shape []int) ([]uint64, int, error) {
 		n *= d
 	}
 	if n < 0 {
-		return nil, 0, fmt.Errorf("pi: %s: output shape %v", op.name, shape)
+		return nil, 0, fmt.Errorf("pi: %s: output shape of %d words", op.name, n)
 	}
 	if cap(ws.bufs[h]) < n {
 		ws.bufs[h] = make([]uint64, n)
@@ -276,21 +288,22 @@ func (e *Engine) traceHeads(slots []int, inShape []int, ys []mpc.Share, sec floa
 // each head's output is its store's Y₁ words, handed over.
 func (e *Engine) linear(op *progOp, x mpc.Share) ([]mpc.Share, error) {
 	ws := e.ws
-	fops := make([]mpc.FixedWOp, len(op.slots))
-	homes := make([]int, len(op.slots))
+	fops, homes := ws.fops[:len(op.slots)], ws.homes[:len(op.slots)]
 	for i, s := range op.slots {
 		h := &e.Prog.weights[s]
 		fops[i] = mpc.FixedWOp{FW: e.fixedWs[s], Bias: ws.bias[s]}
-		var shape []int
+		var shape [4]int
+		rank := 2
 		if h.kind == headFC {
 			// The In×Out transpose was fixed once at Setup;
 			// LinearFixedW checks the input against it.
-			shape = []int{x.Shape[0], h.shape[0]}
+			shape[0], shape[1] = x.Shape[0], h.shape[0]
 		} else {
 			if len(x.Shape) != 4 {
 				return nil, fmt.Errorf("pi: %s expects NCHW input, got %v", h.name, x.Shape)
 			}
-			dims := mpc.ConvDims{
+			dims := &ws.dims[i]
+			*dims = mpc.ConvDims{
 				N: x.Shape[0], InC: x.Shape[1], H: x.Shape[2], W: x.Shape[3],
 				OutC: h.convSpec.OutC, KH: h.convSpec.KH, KW: h.convSpec.KW,
 				Stride: h.convSpec.Stride, Pad: h.convSpec.Pad,
@@ -299,12 +312,12 @@ func (e *Engine) linear(op *progOp, x mpc.Share) ([]mpc.Share, error) {
 				dims.Groups = dims.InC
 				dims.OutC = dims.InC
 			}
-			fops[i].Conv = &dims
+			fops[i].Conv = dims
 			oh, ow := dims.OutHW()
-			shape = []int{dims.N, dims.OutC, oh, ow}
+			shape, rank = [4]int{dims.N, dims.OutC, oh, ow}, 4
 		}
 		var err error
-		if fops[i].Out, homes[i], err = e.buffer(op, i, shape); err != nil {
+		if fops[i].Out, homes[i], err = e.buffer(op, i, shape[:rank]); err != nil {
 			return nil, err
 		}
 	}

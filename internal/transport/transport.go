@@ -12,6 +12,13 @@
 // AsLink, which dispatches each frame to the Conn's own typed methods.
 // Nothing here counts traffic: wrap an endpoint in obs.InstrumentConn for
 // byte, frame and round totals.
+//
+// A received slice is the caller's: nothing in the transport reads or
+// writes it after the receive returns. A KindUint64s frame's words come
+// from a free list of recycled buffers, and a caller done with them may
+// hand them back with Release; from then on they are the transport's,
+// and the caller must never touch them again. A frame that is kept is
+// simply never released.
 package transport
 
 import (
@@ -36,13 +43,16 @@ type Conn interface {
 	RecvUints() ([]uint32, error)
 	// SendUint64s transmits a framed slice of 64-bit values (group elements).
 	SendUint64s(xs []uint64) error
-	// RecvUint64s receives the next framed slice of 64-bit values.
+	// RecvUint64s receives the next framed slice of 64-bit values. The
+	// slice is the caller's until the caller releases it (Release), and
+	// never after: a released slice may carry a later frame.
 	RecvUint64s() ([]uint64, error)
 	// RecvUint64sMax is RecvUint64s with a caller-supplied element bound
 	// enforced before any payload allocation. Receivers that already know
 	// the expected payload size (e.g. from a preceding shape control frame)
 	// use it so a hostile length header cannot force a large transient
-	// allocation; a frame over the bound is a protocol error.
+	// allocation; a frame over the bound is a protocol error. The slice
+	// is owned as RecvUint64s's is.
 	RecvUint64sMax(maxElems int) ([]uint64, error)
 	// SendBytes transmits a framed byte slice.
 	SendBytes(b []byte) error
@@ -418,7 +428,8 @@ func (m *MemConn) recvFrame() (Frame, error) {
 	}
 }
 
-// WriteFrame implements Link. It enqueues a copy of f's payload, so the
+// WriteFrame implements Link. It enqueues a copy of f's payload (a
+// KindUint64s frame's into a recycled buffer, see Release), so the
 // caller may reuse its slice, honoring the write deadline and both close
 // signals. Sending after this endpoint's own Close fails with an error
 // satisfying errors.Is(err, io.ErrClosedPipe). A send with room in the
@@ -434,7 +445,9 @@ func (m *MemConn) WriteFrame(f Frame) error {
 	case KindUints:
 		f.U32 = append(make([]uint32, 0, len(f.U32)), f.U32...)
 	case KindUint64s:
-		f.U64 = append(make([]uint64, 0, len(f.U64)), f.U64...)
+		buf := takeWords(len(f.U64))
+		copy(buf, f.U64)
+		f.U64 = buf
 	default:
 		f.Raw = append(make([]byte, 0, len(f.Raw)), f.Raw...)
 	}
@@ -494,17 +507,23 @@ func (m *MemConn) Close() error {
 // TCPConn is a Link over a net.Conn: each frame is a 5-byte header
 // (kind + little-endian payload length) and the payload. Sends run
 // inline; the protocol layer's exchange helper is responsible for
-// avoiding rendezvous deadlock.
+// avoiding rendezvous deadlock. Each direction encodes or decodes through
+// one wireChunk-byte buffer the link keeps, so a frame's payload crosses
+// it a chunk at a time and a warm link allocates no wire bytes.
 type TCPConn struct {
 	conn // the typed methods, over this connection's own frames
 
-	nc  net.Conn
-	hdr [5]byte // the read side's header buffer
+	nc   net.Conn
+	rbuf []byte // the read side's header and decode buffer
+	wbuf []byte // the write side's encode buffer
 }
+
+// wireChunk is the size of a TCPConn's decode and encode buffers.
+const wireChunk = 64 << 10
 
 // NewTCPConn wraps an established network connection.
 func NewTCPConn(nc net.Conn) *TCPConn {
-	t := &TCPConn{nc: nc}
+	t := &TCPConn{nc: nc, rbuf: make([]byte, wireChunk), wbuf: make([]byte, 0, wireChunk)}
 	t.link = t
 	return t
 }
@@ -518,67 +537,122 @@ func Dial(addr string) (*TCPConn, error) {
 	return NewTCPConn(nc), nil
 }
 
-// WriteFrame implements Link.
+// WriteFrame implements Link. It encodes the header and payload into the
+// link's buffer and writes it each time it fills, so a frame that fits
+// the buffer is one write.
 func (t *TCPConn) WriteFrame(f Frame) error {
-	payload := f.Raw
+	buf := append(t.wbuf[:0], f.Kind, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(buf[1:], uint32(f.Len()))
+	var err error
 	switch f.Kind {
 	case KindUints:
-		payload = make([]byte, 4*len(f.U32))
-		for i, x := range f.U32 {
-			binary.LittleEndian.PutUint32(payload[4*i:], x)
+		for _, x := range f.U32 {
+			if cap(buf)-len(buf) < 4 {
+				if buf, err = t.write(buf); err != nil {
+					return err
+				}
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, x)
 		}
 	case KindUint64s:
-		payload = make([]byte, 8*len(f.U64))
-		for i, x := range f.U64 {
-			binary.LittleEndian.PutUint64(payload[8*i:], x)
+		for _, x := range f.U64 {
+			if cap(buf)-len(buf) < 8 {
+				if buf, err = t.write(buf); err != nil {
+					return err
+				}
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, x)
 		}
+	default:
+		if cap(buf)-len(buf) < len(f.Raw) {
+			if _, err = t.write(buf); err != nil {
+				return err
+			}
+			_, err = t.nc.Write(f.Raw)
+			return err
+		}
+		buf = append(buf, f.Raw...)
 	}
-	var hdr [5]byte
-	hdr[0] = f.Kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := t.nc.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := t.nc.Write(payload)
+	_, err = t.write(buf)
 	return err
+}
+
+// write sends buf and returns it emptied for the next chunk.
+func (t *TCPConn) write(buf []byte) ([]byte, error) {
+	_, err := t.nc.Write(buf)
+	return buf[:0], err
 }
 
 // ReadFrame implements Link.
 func (t *TCPConn) ReadFrame(want byte, maxElems int) (Frame, error) {
-	return readFrame(t.nc, t.hdr[:], want, maxElems)
+	return readFrame(t.nc, t.rbuf, want, maxElems)
 }
 
 // readFrame is the TCP frame decoder: it reads a 5-byte header from r into
-// hdr, admits the declared kind and length, and only then allocates and
-// reads the payload.
-func readFrame(r io.Reader, hdr []byte, want byte, maxElems int) (Frame, error) {
-	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
+// buf, admits the declared kind and length, and only then reads the
+// payload. A Raw kind's lands in a new slice of its length; a data
+// frame's passes through buf a chunk at a time, decoded into new words (a
+// KindUint64s frame's taken from the free list, see Release). A buf
+// shorter than one 8-byte word is replaced by one that long.
+func readFrame(r io.Reader, buf []byte, want byte, maxElems int) (Frame, error) {
+	if _, err := io.ReadFull(r, buf[:5]); err != nil {
 		return Frame{}, err
 	}
-	kind, n := hdr[0], binary.LittleEndian.Uint32(hdr[1:5])
-	if err := admit(want, maxElems, kind, uint64(n)); err != nil {
+	kind, size := buf[0], binary.LittleEndian.Uint32(buf[1:5])
+	if err := admit(want, maxElems, kind, uint64(size)); err != nil {
 		return Frame{}, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, err
+	n := int(size)
+	if len(buf) < 8 {
+		buf = make([]byte, 8)
 	}
 	f := Frame{Kind: kind}
 	switch kind {
 	case KindUints:
 		f.U32 = make([]uint32, n/4)
-		for i := range f.U32 {
-			f.U32[i] = binary.LittleEndian.Uint32(payload[4*i:])
+		for i := 0; i < len(f.U32); {
+			c, err := readChunk(r, buf, n-4*i, n)
+			if err != nil {
+				return Frame{}, err
+			}
+			for j := 0; j < len(c); j += 4 {
+				f.U32[i] = binary.LittleEndian.Uint32(c[j:])
+				i++
+			}
 		}
 	case KindUint64s:
-		f.U64 = make([]uint64, n/8)
-		for i := range f.U64 {
-			f.U64[i] = binary.LittleEndian.Uint64(payload[8*i:])
+		f.U64 = takeWords(n / 8)
+		for i := 0; i < len(f.U64); {
+			c, err := readChunk(r, buf, n-8*i, n)
+			if err != nil {
+				Release(f.U64)
+				return Frame{}, err
+			}
+			for j := 0; j < len(c); j += 8 {
+				f.U64[i] = binary.LittleEndian.Uint64(c[j:])
+				i++
+			}
 		}
 	default:
-		f.Raw = payload
+		f.Raw = make([]byte, n)
+		if _, err := io.ReadFull(r, f.Raw); err != nil {
+			return Frame{}, err
+		}
 	}
 	return f, nil
+}
+
+// readChunk reads the next chunk of an n-byte data payload, left bytes
+// of which are unread, into buf: as many whole 8-byte words as buf holds,
+// or the rest. A payload cut short after its first byte is an unexpected
+// EOF, as one io.ReadFull over the whole payload reports it.
+func readChunk(r io.Reader, buf []byte, left, n int) ([]byte, error) {
+	c := buf[:min(left, len(buf)&^7)]
+	_, err := io.ReadFull(r, c)
+	if err == io.EOF && left < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return c, err
 }
 
 // SetReadDeadline implements Link by delegating to the network
@@ -600,7 +674,8 @@ func (t *TCPConn) Close() error { return t.nc.Close() }
 // performed on a separate goroutine so neither TCP peer can block the other.
 // Both sides of an opening exchange equal lengths, so the receive is
 // bounded to len(mine) words: a peer frame claiming more fails at its
-// header, before any payload is allocated.
+// header, before any payload is allocated. The peer's slice is a received
+// frame, owned as RecvUint64s's is.
 func Exchange(c Conn, mine []uint64) ([]uint64, error) {
 	errc := make(chan error, 1)
 	go func() { errc <- c.SendUint64s(mine) }()
